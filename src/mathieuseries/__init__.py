@@ -4,6 +4,7 @@ explicit remainder bounds, sharp two-sided constants, and verification suites.
 
 from .errors import (
     CrossValidationError,
+    MathieuSeriesError,
     OrderOverflowError,
     ParameterError,
     RegimeError,

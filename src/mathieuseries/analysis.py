@@ -23,8 +23,6 @@ from scipy import integrate
 from . import mathieu, polyfun, sharp
 from .errors import ParameterError
 
-_ZETA3 = None  # direct-sum oracle cache for 2*zeta(3)
-
 
 # --------------------------------------------------------------------------
 # report plumbing
@@ -75,6 +73,11 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return not self.violations
+
+    def merge(self, other: "VerificationReport") -> None:
+        """Count another report's checks and violations in this one."""
+        self.total += other.total
+        self.violations.extend(other.violations)
 
     def record(self, ok: bool, *, params: dict, point, lhs: float, rhs: float,
                margin: float, inconclusive: bool = False) -> None:
@@ -256,6 +259,15 @@ def bessel_j(lam: float, x: float) -> float:
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
+def hankel_cutoff(power: float, decay: float) -> float:
+    """Truncation point for a kernel bounded by x^power e^(-decay x): from 40,
+    grown by factors of 1.5 until that envelope is at most 1e-20."""
+    cutoff = 40.0
+    while cutoff**power * math.exp(-decay * cutoff) > 1e-20:
+        cutoff *= 1.5
+    return cutoff
+
+
 def hankel_transform(
     h: Callable[[float], float],
     m: float,
@@ -272,8 +284,8 @@ def hankel_transform(
     """
     if m <= 0:
         raise ParameterError("m must be positive")
-    if t <= 0:
-        raise ParameterError("t must be positive")
+    if not 0.0 < t < math.inf:
+        raise ParameterError("t must be positive and finite")
     if cutoff is None:
         if tail_envelope is None:
             raise ParameterError("either cutoff or tail_envelope is required")
@@ -342,28 +354,13 @@ def fsf_bounds_check(
         raise ParameterError("need u >= -3/2 and y > -(1+u)^2")
     s1 = (1.0 + u) ** 2 + y
     lower = kernel.tail(s1) + (0.5 + u) * kernel.g(s1)
+    series = sharp.convex_series(kernel, u, y, tol)
     if u >= -1.0 and u * u + u + y > 0.0:
-        series = sharp.convex_series(kernel, u, y, tol)
         upper = kernel.tail(u * u + u + y)
         _strict_less(report, series.value, series.err_hi, upper, 0.0,
                      params={"u": u, "y": y}, point="upper")
-        _strict_less(report, lower, 0.0, series.value, series.err_lo,
-                     params={"u": u, "y": y}, point="lower")
-    else:
-        # left-bound-only branch (-3/2 <= u < -1): sum the series directly;
-        # the remaining tail is positive, so it only helps the lower bound
-        terms, n, hi_tail = [], 0, math.inf
-        while True:
-            n += 1
-            w = n + u
-            terms.append(2.0 * w * kernel.g(w * w + y))
-            if n >= 64 and w >= 1.0:
-                hi_tail = kernel.tail(w * (w + 1.0) + y)
-                if hi_tail <= max(tol, 1e-10) or n > 300_000:
-                    break
-        total = math.fsum(terms)
-        _strict_less(report, lower, 0.0, total + hi_tail, hi_tail,
-                     params={"u": u, "y": y}, point="lower")
+    _strict_less(report, lower, 0.0, series.value, series.err_lo,
+                 params={"u": u, "y": y}, point="lower")
     return report
 
 
@@ -379,12 +376,10 @@ def exp_kernel_log_bounds_check(u: float, lam: float, tol: float = 1e-13) -> Ver
     return report
 
 
+@lru_cache(maxsize=None)
 def two_zeta3(tol: float = 1e-12) -> mathieu.EvalResult:
     """Direct-sum oracle for 2 zeta(3) = S(0) of the classical series."""
-    global _ZETA3
-    if _ZETA3 is None or _ZETA3.err_hi > tol:
-        _ZETA3 = mathieu.eval_S(mathieu.MathieuParams(1.0, 2.0, 1.0, 0.0), 0.0, tol)
-    return _ZETA3
+    return mathieu.eval_S(mathieu.MathieuParams(1.0, 2.0, 1.0, 0.0), 0.0, tol)
 
 
 def classical_inequalities_check(grid: GridSpec) -> VerificationReport:
@@ -587,10 +582,7 @@ def derivative_69_check(mu: float, u: float, t: float,
     d2 = (f(t + 0.5 * h) - f(t - 0.5 * h)) / h
     lhs = (4.0 * d2 - d1) / 3.0
 
-    decay = min(1.0, 1.0 + u)
-    cutoff = 40.0
-    while cutoff ** (2.0 * mu) * math.exp(-decay * cutoff) > 1e-20:
-        cutoff *= 1.5
+    cutoff = hankel_cutoff(2.0 * mu, min(1.0, 1.0 + u))
     transform = hankel_transform(lambda x: h_u_prime(u, x), 2.0 * mu + 1.0, t, cutoff)
     rhs = -math.sqrt(math.pi) * t ** (2.0 * mu - 1.0) * transform / (
         2.0 ** (mu - 0.5) * math.gamma(mu + 1.0)
@@ -606,9 +598,7 @@ def hankel_identity_610_check(p: float, a: float, mu: float,
                               tol: float = 1e-6) -> VerificationReport:
     """Laplace-type Hankel integral of e^{-px} against its closed form."""
     report = VerificationReport("hankel-laplace-identity")
-    cutoff = 40.0
-    while cutoff ** (2.0 * mu - 1.0) * math.exp(-p * cutoff) > 1e-20:
-        cutoff *= 1.5
+    cutoff = hankel_cutoff(2.0 * mu - 1.0, p)
     lhs = hankel_transform(lambda x: math.exp(-p * x) / x, 2.0 * mu + 1.0, a, cutoff)
     rhs = 2.0 ** (mu - 0.5) * math.gamma(mu + 1.0) / (
         math.sqrt(math.pi) * mu * (p * p + a * a) ** mu
@@ -623,10 +613,7 @@ def hankel_identity_612_check(mu: float, u: float, t: float,
                               tol: float = 1e-8) -> VerificationReport:
     """Hankel-transform representation of S_mu(t,u) against direct summation."""
     report = VerificationReport("hankel-series-representation")
-    decay = min(1.0, 1.0 + u)
-    cutoff = 40.0
-    while cutoff ** (2.0 * mu) * math.exp(-decay * cutoff) > 1e-20:
-        cutoff *= 1.5
+    cutoff = hankel_cutoff(2.0 * mu, min(1.0, 1.0 + u))
     lhs = math.sqrt(math.pi) / (2.0 ** (mu - 0.5) * math.gamma(mu + 1.0)) * hankel_transform(
         lambda x: h_u(u, x) / x, 2.0 * mu + 1.0, t, cutoff
     )
@@ -641,10 +628,7 @@ def hankel_identity_67_check(p: float, u: float, mu: float, t: float,
                              tol: float = 1e-6) -> VerificationReport:
     """Transform of the difference kernel g_{p,u} against 1/(mu(p^2+t^2)^mu) - S_mu."""
     report = VerificationReport("hankel-difference-identity")
-    decay = min(p, 1.0 + u)
-    cutoff = 40.0
-    while cutoff ** (2.0 * mu) * math.exp(-decay * cutoff) > 1e-20:
-        cutoff *= 1.5
+    cutoff = hankel_cutoff(2.0 * mu, min(p, 1.0 + u))
     lhs = math.sqrt(math.pi) / (2.0 ** (mu - 0.5) * math.gamma(mu + 1.0)) * hankel_transform(
         lambda x: g_pu(p, u, x), 2.0 * mu + 1.0, t, cutoff
     )

@@ -13,10 +13,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from . import analysis, mathieu, sharp
-from .errors import ParameterError, RegimeError
+from .errors import MathieuSeriesError, ParameterError
 
 SUITES = ("classical", "em", "asymptotic", "hermite", "hankel", "cm", "monotone", "all")
 
@@ -36,7 +36,6 @@ class RunConfig:
     t_count: int = 1
     t_log: bool = False
     tol: float = 1e-10
-    max_order: int = 8
     n_terms: int = 6
     fmt: str = "json"
     output: str | None = None
@@ -48,7 +47,6 @@ class RunConfig:
     p: float = 1.0
     m: float = 3.0
     cutoff: float | None = None
-    extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -94,10 +92,14 @@ def _emit(stream, records: list[dict], fmt: str) -> None:
             stream.write(",".join(cells) + "\n")
 
 
-def _open_output(path: str | None):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
+def _write(cfg: RunConfig, records: list[dict]) -> int:
+    """Emit the records to --output (stdout when absent or '-'); exit code 0."""
+    if cfg.output is None or cfg.output == "-":
+        _emit(sys.stdout, records, cfg.fmt)
+    else:
+        with open(cfg.output, "w") as fh:
+            _emit(fh, records, cfg.fmt)
+    return 0
 
 
 def _t_values(cfg: RunConfig) -> list[float]:
@@ -128,13 +130,7 @@ def cmd_eval(cfg: RunConfig, alternating: bool) -> int:
             "t": t, "value": res.value, "err_lo": res.err_lo, "err_hi": res.err_hi,
             "method": res.method, "terms": res.terms_used,
         })
-    stream, close = _open_output(cfg.output)
-    try:
-        _emit(stream, records, cfg.fmt)
-    finally:
-        if close:
-            stream.close()
-    return 0
+    return _write(cfg, records)
 
 
 def cmd_asym(cfg: RunConfig) -> int:
@@ -151,18 +147,12 @@ def cmd_asym(cfg: RunConfig) -> int:
         if cfg.t is not None:
             rec["term_at_t"] = c * cfg.t ** (-p)
         records.append(rec)
-    stream, close = _open_output(cfg.output)
-    try:
-        _emit(stream, records, cfg.fmt)
-    finally:
-        if close:
-            stream.close()
-    return 0
+    return _write(cfg, records)
 
 
 def cmd_constants(cfg: RunConfig) -> int:
-    if cfg.u < 0:
-        raise ParameterError("u must be nonnegative")
+    if not 0.0 <= cfg.u < math.inf:
+        raise ParameterError("u must be finite and nonnegative")
     if cfg.inf:
         rec = {
             "u": cfg.u,
@@ -178,13 +168,7 @@ def cmd_constants(cfg: RunConfig) -> int:
             "mu": cfg.mu, "u": cfg.u, "m": consts.m, "M": consts.M,
             "f_inf": consts.f_inf, "t_at_m": consts.t_at_m, "t_at_M": consts.t_at_M,
         }
-    stream, close = _open_output(cfg.output)
-    try:
-        _emit(stream, [rec], cfg.fmt)
-    finally:
-        if close:
-            stream.close()
-    return 0
+    return _write(cfg, [rec])
 
 
 def _suite_reports(name: str, cfg: RunConfig) -> list[analysis.VerificationReport]:
@@ -302,21 +286,15 @@ def _hermite_suite() -> analysis.VerificationReport:
     kernels += [("exp", sharp.ExpKernel(lam)) for lam in (0.25, 1.0, 3.0)]
     for name, kernel in kernels:
         for a, b in ((0.5, 1.0), (1.0, 2.0), (2.0, 5.0)):
-            sub = analysis.hermite_hadamard_check(kernel.g, a, b)
-            report.total += sub.total
-            report.violations.extend(sub.violations)
+            report.merge(analysis.hermite_hadamard_check(kernel.g, a, b))
         for u_ in (0.0, 0.5, 1.0, -1.25):
             for y_ in (0.25, 1.0, 4.0):
                 if u_ < -1.0 and name == "power" and y_ <= (1.0 + u_) ** 2:
                     continue
-                sub = analysis.fsf_bounds_check(kernel, u_, y_)
-                report.total += sub.total
-                report.violations.extend(sub.violations)
+                report.merge(analysis.fsf_bounds_check(kernel, u_, y_))
     for u_ in (0.0, 0.5, 1.0, 2.0):
         for lam in (0.25, 1.0, 3.0):
-            sub = analysis.exp_kernel_log_bounds_check(u_, lam)
-            report.total += sub.total
-            report.violations.extend(sub.violations)
+            report.merge(analysis.exp_kernel_log_bounds_check(u_, lam))
     return report
 
 
@@ -354,18 +332,10 @@ def cmd_hankel(cfg: RunConfig) -> int:
     cutoff = cfg.cutoff
     if cutoff is None:
         decay = min(cfg.p, 1.0 + cfg.u) if cfg.kernel != "h-u-prime" else 1.0 + cfg.u
-        cutoff = 40.0
-        while cutoff ** max(cfg.m - 1.0, 0.0) * math.exp(-decay * cutoff) > 1e-20:
-            cutoff *= 1.5
+        cutoff = analysis.hankel_cutoff(max(cfg.m - 1.0, 0.0), decay)
     value = analysis.hankel_transform(kernels[cfg.kernel], cfg.m, cfg.t, cutoff)
     rec = {"kernel": cfg.kernel, "m": cfg.m, "t": cfg.t, "cutoff": cutoff, "value": value}
-    stream, close = _open_output(cfg.output)
-    try:
-        _emit(stream, [rec], cfg.fmt)
-    finally:
-        if close:
-            stream.close()
-    return 0
+    return _write(cfg, [rec])
 
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
@@ -420,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=SUITES)
-    p_verify.add_argument("--tol", type=float, default=1e-9)
     p_verify.add_argument("--b", dest="b_override", type=float, default=None,
                           help="override the monotonicity shift (self-test hook)")
     _add_io_flags(p_verify)
@@ -511,7 +480,7 @@ def main(argv: list[str] | None = None) -> int:
         if cfg.command == "hankel":
             return cmd_hankel(cfg)
         raise ParameterError(f"unknown command {cfg.command!r}")
-    except (ParameterError, RegimeError, OSError) as exc:
+    except (MathieuSeriesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,11 +1,15 @@
 """Exception types shared across the package."""
 
 
-class OrderOverflowError(ValueError):
+class MathieuSeriesError(Exception):
+    """Base of every error the package raises on purpose; the CLI exits 2 on it."""
+
+
+class OrderOverflowError(MathieuSeriesError, ValueError):
     """A polynomial / derivative order beyond the supported cap was requested."""
 
 
-class ParameterError(ValueError):
+class ParameterError(MathieuSeriesError, ValueError):
     """A parameter combination violates the domain constraints of a series."""
 
 
@@ -13,17 +17,17 @@ class RegimeError(ParameterError):
     """An operation restricted to (gamma, alpha) in Z+ x N was called outside it."""
 
 
-class ToleranceError(RuntimeError):
+class ToleranceError(MathieuSeriesError, RuntimeError):
     """The requested tolerance cannot be met within the term/evaluation budget."""
 
 
-class SearchBudgetError(RuntimeError):
+class SearchBudgetError(MathieuSeriesError, RuntimeError):
     """An extremum search exhausted its evaluation budget."""
 
 
-class WitnessNotFoundError(RuntimeError):
+class WitnessNotFoundError(MathieuSeriesError, RuntimeError):
     """A counterexample scan finished without finding a witness (reported, not fatal)."""
 
 
-class CrossValidationError(RuntimeError):
+class CrossValidationError(MathieuSeriesError, RuntimeError):
     """Two independently computed error brackets for the same quantity do not overlap."""

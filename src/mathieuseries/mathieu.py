@@ -5,7 +5,8 @@
 
 their kernel g(x) = x^gamma (x^alpha + 1)^(-mu-1) with its smoothness profile
 and tail integral, the large-t expansions, closed-form Poisson oracles for the
-gamma=0, alpha=2, mu=0 case, and a regime dispatcher.
+gamma=0, alpha=2, mu=0 case, and a regime dispatcher whose every path is
+rigorous.
 
 Direct summation carries a rigorous two-sided tail bracket: beyond the index
 where the terms become monotone decreasing, the tail is enclosed between
@@ -37,9 +38,8 @@ from .errors import (
 MAX_TERMS_ENV = "MATHIEU_MAX_TERMS"
 _DEFAULT_MAX_TERMS = 20_000_000
 
-#: eval_auto dispatch thresholds.
+#: eval_auto sums directly below this t and tries Euler-Maclaurin from it on.
 T_DIRECT = 50.0
-T_ASYMPTOTIC = 1000.0
 
 DIRECT = "direct"
 EULER_MACLAURIN = "euler-maclaurin"
@@ -75,6 +75,9 @@ class MathieuParams:
     u: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("gamma", "alpha", "mu", "u"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite")
         if self.gamma < 0:
             raise ParameterError("gamma must be nonnegative")
         if self.alpha <= 0:
@@ -229,19 +232,24 @@ def g_peak(params: MathieuParams) -> float:
     return (params.gamma / params.delta) ** (1.0 / params.alpha)
 
 
+def _beta_args(params: MathieuParams) -> tuple[float, float]:
+    """(a, b) = (mu + 1 - (gamma+1)/alpha, (gamma+1)/alpha) of the tail integral."""
+    b = (params.gamma + 1.0) / params.alpha
+    return params.mu + 1.0 - b, b
+
+
 def tail_integral(params: MathieuParams, t: float) -> float:
     """F(t) = int_t^inf g(x) dx via the regularized incomplete Beta function.
 
     The substitution s = 1/(x^alpha + 1) turns the tail into
-    (1/alpha) * B(a, b) * I_s(a, b) with a = mu + 1 - (gamma+1)/alpha and
-    b = (gamma+1)/alpha; convergence needs delta > 1.
+    (1/alpha) * B(a, b) * I_s(a, b) with (a, b) from `_beta_args`;
+    convergence needs delta > 1.
     """
     if t < 0:
         raise ParameterError("t must be nonnegative")
     if not params.delta > 1.0:
         raise ParameterError("the tail integral diverges unless delta > 1")
-    b = (params.gamma + 1.0) / params.alpha
-    a = params.mu + 1.0 - b
+    a, b = _beta_args(params)
     s = 1.0 / (t**params.alpha + 1.0)
     return polyfun.beta_fn(a, b) / params.alpha * float(special.betainc(a, b, s))
 
@@ -250,21 +258,19 @@ def tail_integral(params: MathieuParams, t: float) -> float:
 # direct summation with rigorous tail brackets
 # --------------------------------------------------------------------------
 
-def _terms(params: MathieuParams, t: float, k_lo: int, k_hi: int) -> np.ndarray:
-    k = np.arange(k_lo, k_hi, dtype=float)
+def _check_t_tol(t: float, tol: float) -> None:
+    if not 0.0 <= t < math.inf:
+        raise ParameterError("t must be finite and nonnegative")
+    if not 0.0 < tol < math.inf:
+        raise ParameterError("tol must be finite and positive")
+
+
+def _terms(params: MathieuParams, t: float, k):
+    """The terms 2 (k+u)^gamma / ((k+u)^alpha + t^alpha)^(mu+1) at an index or an index array."""
     w = k + params.u
     ta = t**params.alpha if t > 0 else 0.0
-    if params.gamma == 0:
-        num = 2.0
-    else:
-        num = 2.0 * w**params.gamma
+    num = 2.0 if params.gamma == 0 else 2.0 * w**params.gamma
     return num / (w**params.alpha + ta) ** (params.mu + 1.0)
-
-
-def _term_single(params: MathieuParams, t: float, k: int) -> float:
-    w = k + params.u
-    ta = t**params.alpha if t > 0 else 0.0
-    return 2.0 * w**params.gamma / (w**params.alpha + ta) ** (params.mu + 1.0)
 
 
 def _monotone_from(params: MathieuParams, t: float) -> int:
@@ -295,13 +301,18 @@ def _tail_bracket(params: MathieuParams, t: float, n: int) -> tuple[float, float
     return lo, hi
 
 
-def _sum_terms(params: MathieuParams, t: float, n: int) -> tuple[float, float]:
-    """(sum, sum of |terms|) over k = 1..n, chunked pairwise accumulation."""
+def _sum_terms(params: MathieuParams, t: float, n: int,
+               alternating: bool = False) -> tuple[float, float]:
+    """(sum, sum of |terms|) over k = 1..n, chunked pairwise accumulation;
+    with `alternating`, term k carries the sign (-1)^(k-1)."""
     chunks = []
     abs_chunks = []
     step = 1 << 18
     for lo in range(1, n + 1, step):
-        arr = _terms(params, t, lo, min(n + 1, lo + step))
+        hi = min(n + 1, lo + step)
+        arr = _terms(params, t, np.arange(lo, hi, dtype=float))
+        if alternating:
+            arr = arr * np.where((np.arange(lo, hi) % 2) == 1, 1.0, -1.0)
         chunks.append(float(arr.sum()))
         abs_chunks.append(float(np.abs(arr).sum()))
     return math.fsum(chunks), math.fsum(abs_chunks)
@@ -318,10 +329,7 @@ def eval_S(params: MathieuParams, t: float, tol: float = 1e-10) -> EvalResult:
     either way.
     """
     params.require_delta(1.0)
-    if t < 0:
-        raise ParameterError("t must be nonnegative")
-    if tol <= 0:
-        raise ParameterError("tol must be positive")
+    _check_t_tol(t, tol)
     cap = _max_terms()
     n = max(_monotone_from(params, t), 64)
     while True:
@@ -345,14 +353,11 @@ def eval_S(params: MathieuParams, t: float, tol: float = 1e-10) -> EvalResult:
 def eval_S_alt(params: MathieuParams, t: float, tol: float = 1e-10) -> EvalResult:
     """Direct summation of the alternating series with an alternating-tail bracket."""
     params.require_delta(0.0)
-    if t < 0:
-        raise ParameterError("t must be nonnegative")
-    if tol <= 0:
-        raise ParameterError("tol must be positive")
+    _check_t_tol(t, tol)
     cap = _max_terms()
     n = max(_monotone_from(params, t), 64)
     while True:
-        first_omitted = _term_single(params, t, n + 1)
+        first_omitted = _terms(params, t, n + 1)
         if first_omitted <= 2.0 * tol or n >= cap:
             break
         growth = min(4.0, max(1.3, (first_omitted / tol) ** (1.0 / max(params.delta, 0.5))))
@@ -362,17 +367,8 @@ def eval_S_alt(params: MathieuParams, t: float, tol: float = 1e-10) -> EvalResul
             f"alternating tail {first_omitted:.3g} still exceeds 2*tol at the "
             f"{n}-term cap; raise {MAX_TERMS_ENV}"
         )
-    chunks = []
-    abs_chunks = []
-    step = 1 << 18
-    for lo in range(1, n + 1, step):
-        arr = _terms(params, t, lo, min(n + 1, lo + step))
-        signs = np.where((np.arange(lo, min(n + 1, lo + step)) % 2) == 1, 1.0, -1.0)
-        arr = arr * signs
-        chunks.append(float(arr.sum()))
-        abs_chunks.append(float(np.abs(arr).sum()))
-    partial = math.fsum(chunks)
-    slack = 8e-15 * math.fsum(abs_chunks) + 1e-300
+    partial, partial_abs = _sum_terms(params, t, n, alternating=True)
+    slack = 8e-15 * partial_abs + 1e-300
     # remainder R has the sign of term n+1 and |R| <= that term
     sign = 1.0 if (n + 1) % 2 == 1 else -1.0
     value = partial + sign * 0.5 * first_omitted
@@ -483,8 +479,8 @@ def eval_asym(params: MathieuParams, t: float, n_terms: int | None = None) -> Ev
     The error proxy is heuristic (the expansion carries no explicit constant),
     so the result is flagged non-rigorous.
     """
-    if t <= 0:
-        raise ParameterError("the expansion needs t > 0")
+    if not 0.0 < t < math.inf:
+        raise ParameterError("the expansion needs finite t > 0")
     cap = (polyfun.MAX_ORDER - int(params.gamma) - 1) // max(int(params.alpha), 1)
     series = asym_S(params, cap)
     v = 1.0 / t
@@ -528,10 +524,12 @@ def eval_em(params: MathieuParams, t: float, n: int | None = None) -> EvalResult
 
     With eps = 1/t the engine estimates sum g((k+u)/t) = t^delta S / 2, so the
     estimate and its certified remainder bound are rescaled by 2 t^(-delta).
+    The radius adds the rounding of the value: the Beta function inside the
+    integral term, and a few ulps of the rescaled sum.
     """
     params.require_delta(1.0)
-    if t <= 0:
-        raise ParameterError("the Euler-Maclaurin path needs t > 0")
+    if not 0.0 < t < math.inf:
+        raise ParameterError("the Euler-Maclaurin path needs finite t > 0")
     prof = g_smoothness(params)
     if n is None:
         n = int(min(prof.r, 8))
@@ -541,7 +539,8 @@ def eval_em(params: MathieuParams, t: float, n: int | None = None) -> EvalResult
     res = emsum.em_sum(f, 1.0 / t, params.u, n)
     scale = 2.0 * t ** (-params.delta)
     value = scale * res.sum_estimate
-    radius = scale * res.remainder_bound + 4e-16 * abs(value)
+    beta_err = polyfun.beta_fn_rel_err(*_beta_args(params)) * abs(res.integral_term)
+    radius = scale * (res.remainder_bound + beta_err) + 4e-16 * abs(value)
     return EvalResult(
         value=value,
         err_lo=radius,
@@ -552,14 +551,14 @@ def eval_em(params: MathieuParams, t: float, n: int | None = None) -> EvalResult
 
 
 def eval_auto(params: MathieuParams, t: float, tol: float = 1e-10) -> EvalResult:
-    """Pick an evaluation path by regime: direct summation for small t, the
-    certified Euler-Maclaurin bound for large t, and the expansion (flagged
-    non-rigorous) for very large t in the smooth regime."""
+    """Pick an evaluation path by regime: direct summation for small t, and
+    the certified Euler-Maclaurin bound for large t when g is smooth enough
+    and the bound meets tol, else direct summation again.  Every path returns
+    a rigorous bracket."""
     params.require_delta(1.0)
+    _check_t_tol(t, tol)
     if t < T_DIRECT:
         return eval_S(params, t, tol)
-    if params.integer_regime and t >= T_ASYMPTOTIC:
-        return eval_asym(params, t)
     if g_smoothness(params).r >= 2:
         res = eval_em(params, t)
         if res.err_hi <= tol:
@@ -568,12 +567,10 @@ def eval_auto(params: MathieuParams, t: float, tol: float = 1e-10) -> EvalResult
 
 
 def cross_validate(params: MathieuParams, t: float, tol: float = 1e-10) -> tuple[EvalResult, EvalResult]:
-    """Evaluate by two independent paths and require the brackets to overlap."""
+    """Evaluate by direct summation and by Euler-Maclaurin and require the
+    brackets to overlap."""
     direct = eval_S(params, t, tol)
-    if params.integer_regime and t >= T_ASYMPTOTIC:
-        other = eval_asym(params, t)
-    else:
-        other = eval_em(params, t)
+    other = eval_em(params, t)
     if direct.lower > other.upper or other.lower > direct.upper:
         raise CrossValidationError(
             f"disjoint brackets at t={t:g}: direct [{direct.lower:.17g}, {direct.upper:.17g}] "

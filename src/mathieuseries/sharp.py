@@ -127,11 +127,13 @@ class NumericKernel(ConvexKernel):
 def convex_series(kernel: ConvexKernel, u: float, y: float, tol: float = 1e-12) -> mathieu.EvalResult:
     """sum_{k>=1} 2 (k+u) g((k+u)^2 + y) with a rigorous Hermite-Hadamard bracket.
 
-    Needs u >= -1 and (1+u)^2 + y > 0 so every kernel argument is positive;
-    the tail bracket starts far enough out that its offsets are positive too.
+    Needs u >= -3/2 and (1+u)^2 + y > 0: then |k+u| >= |1+u| for every k, so
+    every kernel argument is positive (the first term is negative for u < -1).
+    The tail bracket starts at n >= 16, where n + u > 0 and its offsets are
+    positive too.
     """
-    if u < -1.0 or (1.0 + u) ** 2 + y <= 0.0:
-        raise ParameterError("need u >= -1 and (1+u)^2 + y > 0")
+    if u < -1.5 or (1.0 + u) ** 2 + y <= 0.0:
+        raise ParameterError("need u >= -3/2 and (1+u)^2 + y > 0")
     terms = []
     n = 0
     while True:

@@ -35,6 +35,15 @@ class TestReportPlumbing:
         assert not rep.passed
         assert rep.violations[0].kind == "inconclusive"
 
+    def test_merge(self):
+        rep = analysis.VerificationReport("outer")
+        sub = analysis.VerificationReport("inner")
+        sub.record(True, params={}, point=1.0, lhs=0.0, rhs=1.0, margin=1.0)
+        sub.record(False, params={}, point=2.0, lhs=1.0, rhs=0.5, margin=-0.5)
+        rep.merge(sub)
+        rep.merge(sub)
+        assert rep.total == 4 and len(rep.violations) == 2
+
     def test_determinism(self):
         a = analysis.classical_inequalities_check(GRID).to_json()
         b = analysis.classical_inequalities_check(GRID).to_json()
@@ -138,6 +147,16 @@ class TestHankel:
         deriv = (f(1.0 + h) - f(1.0 - h)) / (2 * h)
         assert deriv > 0
 
+    def test_cutoff_rule(self):
+        # from 40 by factors of 1.5 until x^power e^(-decay x) <= 1e-20
+        assert analysis.hankel_cutoff(2.0, 1.0) == 60.0
+        for power, decay in ((2.0, 1.0), (0.2, 0.7), (3.0, 0.3)):
+            c = analysis.hankel_cutoff(power, decay)
+            assert c**power * math.exp(-decay * c) <= 1e-20
+            if c > 40.0:
+                prev = c / 1.5
+                assert prev**power * math.exp(-decay * prev) > 1e-20
+
     def test_missing_cutoff_needs_envelope(self):
         with pytest.raises(ParameterError):
             analysis.hankel_transform(lambda x: math.exp(-x), 3.0, 1.0)
@@ -185,6 +204,7 @@ class TestChecks:
 
     def test_classical_values(self):
         z3 = analysis.two_zeta3()
+        assert analysis.two_zeta3() is z3
         assert z3.value == pytest.approx(float(TWO_ZETA3), abs=1e-11)
         s5 = mathieu.eval_S(mathieu.MathieuParams(1.0, 2.0, 2.0, 0.0), 0.0, 1e-12)
         assert s5.value == pytest.approx(float(TWO_ZETA5), abs=1e-11)

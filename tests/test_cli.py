@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from mathieuseries import cli
+from mathieuseries import analysis, cli
 from mathieuseries.mathieu import MathieuParams, eval_S
 
 
@@ -146,6 +150,12 @@ class TestHankel:
         expected = math.sqrt(2.0 / math.pi) * 0.5
         assert rec["value"] == pytest.approx(expected, abs=1e-10)
 
+    def test_cutoff_printed(self, capsys):
+        code, out, _ = run(capsys, "hankel", "--kernel", "h-u-prime", "--m", "3",
+                           "--t", "1", "--u", "0.5")
+        rec = json.loads(out.strip())
+        assert rec["cutoff"] == analysis.hankel_cutoff(2.0, 1.5)
+
     def test_difference_kernel_matches_series_gap(self, capsys):
         code, out, _ = run(capsys, "hankel", "--kernel", "g-pu", "--m", "3",
                            "--t", "1", "--p", "0.4", "--u", "0")
@@ -192,3 +202,41 @@ class TestConfigPlumbing:
         assert code == 0
         assert out == ""
         assert json.loads(path.read_text().strip())["t"] == 1.0
+
+
+class TestErrorExits:
+    """Bad input ends in exit 2 with one `error:` line, never a traceback."""
+
+    @pytest.mark.parametrize("args", [
+        ("eval", "--t", "nan"),
+        ("eval", "--u", "nan", "--t", "1"),
+        ("eval", "--t", "inf"),
+        ("eval", "--tol", "nan", "--t", "1"),
+        ("asym", "--n-terms", "100"),
+        ("eval-alt", "--gamma", "1", "--alpha", "1", "--mu", "0.5", "--t", "1"),
+        ("constants", "--inf", "--u", "nan"),
+        ("hankel", "--t", "nan"),
+    ])
+    def test_exit_2_with_one_line(self, capsys, monkeypatch, args):
+        # the eval-alt case needs more terms than this cap allows
+        monkeypatch.setenv("MATHIEU_MAX_TERMS", "1000")
+        code, out, err = run(capsys, *args)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_exit_2_in_a_fresh_process(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "mathieuseries.cli", "eval", "--t", "nan"],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
+    def test_verify_has_no_tol_flag(self, capsys):
+        code, _, err = run(capsys, "verify", "classical", "--tol", "1e-9")
+        assert code == 2
+        assert "--tol" in err

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,7 @@ from mathieuseries.errors import (
     RegimeError,
 )
 
-from conftest import s1_trigamma, TWO_ZETA3
+from conftest import s1_trigamma, s_even_mp, TWO_ZETA3
 
 
 CLASSICAL = mathieu.MathieuParams(1.0, 2.0, 1.0, 0.0)
@@ -377,13 +378,15 @@ class TestDispatch:
     def test_small_t_direct(self):
         assert mathieu.eval_auto(CLASSICAL, 0.5, 1e-10).method == mathieu.DIRECT
 
-    def test_large_t_asymptotic_accuracy(self):
-        res = mathieu.eval_auto(CLASSICAL, 1000.0, 1e-10)
-        assert res.method == mathieu.ASYMPTOTIC
-        assert not res.rigorous
-        # the direct oracle must itself be finer than the 1e-12 relative target
-        direct = mathieu.eval_S(CLASSICAL, 1000.0, 1e-19)
-        assert abs(res.value - direct.value) / direct.value <= 1e-12
+    def test_large_t_euler_maclaurin_contains_oracle(self):
+        # large t goes to the certified Euler-Maclaurin bound, never to the expansion
+        for u in (0.0, 0.5):
+            params = mathieu.MathieuParams(1.0, 2.0, 1.0, u)
+            for t in (1e3, 3e3, 1e4):
+                res = mathieu.eval_auto(params, t, 1e-10)
+                assert res.method == mathieu.EULER_MACLAURIN
+                assert res.rigorous
+                assert abs(mp.mpf(res.value) - s1_trigamma(t, u)) <= res.err_hi, (u, t)
 
     def test_mid_t_euler_maclaurin(self):
         res = mathieu.eval_auto(CLASSICAL, 200.0, 1e-10)
@@ -393,6 +396,19 @@ class TestDispatch:
     def test_cross_validation_overlap(self):
         a, b = mathieu.cross_validate(CLASSICAL, 50.0, 1e-12)
         assert max(a.lower, b.lower) <= min(a.upper, b.upper)
+
+    def test_cross_validation_large_t(self):
+        direct, other = mathieu.cross_validate(CLASSICAL, 3000.0, 1e-12)
+        assert (direct.method, other.method) == (mathieu.DIRECT, mathieu.EULER_MACLAURIN)
+        assert max(direct.lower, other.lower) <= min(direct.upper, other.upper)
+
+    def test_em_bracket_covers_beta_rounding(self):
+        # the Beta function in the integral term is ~1e-15 off here; the radius
+        # must cover it even where the remainder bound is far smaller
+        params = mathieu.MathieuParams(2.0, 2.0, 1.5, 0.0)
+        for t in (350.4, 670.7, 763.6, 1e4):
+            res = mathieu.eval_em(params, t)
+            assert abs(mp.mpf(res.value) - s_even_mp(t)) <= res.err_hi, t
 
     def test_em_bracket_contains_oracle(self):
         for t in (50.0, 120.0):

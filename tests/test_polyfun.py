@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -167,3 +168,11 @@ def test_beta_values():
     assert polyfun.beta_fn(0.5, 0.5) == pytest.approx(math.pi, rel=1e-13)
     with pytest.raises(ValueError):
         polyfun.beta_fn(-1.0, 2.0)
+
+
+def test_beta_rounding_bound():
+    for a, b in ((1.0, 1.5), (1.033, 1.244), (1.062, 0.909), (3.104, 1.203), (0.02, 0.03),
+                 (0.5, 0.5), (7.25, 0.75), (60.0, 45.0), (150.0, 0.1)):
+        truth = mp.beta(a, b)
+        err = abs(mp.mpf(polyfun.beta_fn(a, b)) - truth)
+        assert err <= polyfun.beta_fn_rel_err(a, b) * truth, (a, b)

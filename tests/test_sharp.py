@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import pytest
 
 from mathieuseries import mathieu, sharp
@@ -37,6 +38,19 @@ class TestKernels:
         res = sharp.convex_series(sharp.PowerKernel(1.0), 0.0, 1.0, 1e-10)
         truth = float(s1_trigamma(1.0))
         assert abs(res.value - truth) <= res.err_hi
+
+
+    def test_convex_series_below_minus_one(self):
+        # u = -1.25: the first term, at k + u = -1/4, is negative
+        u, y = -1.25, 1.0
+        res = sharp.convex_series(sharp.PowerKernel(1.0), u, y, 1e-12)
+        assert abs(mp.mpf(res.value) - s1_trigamma(1.0, u)) <= res.err_hi
+        lam = 0.5
+        res = sharp.convex_series(sharp.ExpKernel(lam), u, y, 1e-12)
+        truth = mp.nsum(lambda k: 2 * (k + u) * mp.exp(-lam * ((k + u) ** 2 + y)), [1, mp.inf])
+        assert abs(mp.mpf(res.value) - truth) <= res.err_hi
+        with pytest.raises(ParameterError):
+            sharp.convex_series(sharp.PowerKernel(1.0), -1.6, 1.0)
 
 
 class TestPsi:
