@@ -60,7 +60,6 @@ from .polyfun import (
 )
 from .sharp import (
     ExpKernel,
-    NumericKernel,
     PowerKernel,
     SearchConfig,
     SharpConstants,

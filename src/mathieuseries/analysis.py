@@ -352,11 +352,10 @@ def fsf_bounds_check(
     report = VerificationReport("tail-integral-bounds")
     if u < -1.5 or y <= -((1.0 + u) ** 2):
         raise ParameterError("need u >= -3/2 and y > -(1+u)^2")
-    s1 = (1.0 + u) ** 2 + y
-    lower = kernel.tail(s1) + (0.5 + u) * kernel.g(s1)
+    # the whole series is the tail past the offset w = u
+    lower, upper = mathieu.hermite_hadamard(kernel.tail, kernel.g, u, y)
     series = sharp.convex_series(kernel, u, y, tol)
     if u >= -1.0 and u * u + u + y > 0.0:
-        upper = kernel.tail(u * u + u + y)
         _strict_less(report, series.value, series.err_hi, upper, 0.0,
                      params={"u": u, "y": y}, point="upper")
     _strict_less(report, lower, 0.0, series.value, series.err_lo,

@@ -329,6 +329,11 @@ def cmd_hankel(cfg: RunConfig) -> int:
         raise ParameterError(f"unknown kernel {cfg.kernel!r}; choose from {', '.join(kernels)}")
     if cfg.t is None or cfg.t <= 0:
         raise ParameterError("--t must be a positive transform argument")
+    for flag, value in (("m", cfg.m), ("p", cfg.p), ("cutoff", cfg.cutoff)):
+        if value is not None and not 0.0 < value < math.inf:
+            raise ParameterError(f"--{flag} must be finite and positive")
+    if not -1.0 < cfg.u < math.inf:
+        raise ParameterError("--u must be finite and exceed -1")
     cutoff = cfg.cutoff
     if cutoff is None:
         decay = min(cfg.p, 1.0 + cfg.u) if cfg.kernel != "h-u-prime" else 1.0 + cfg.u
@@ -436,10 +441,12 @@ def _merge_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
             continue  # an explicit sweep beats a point value from the file
         if isinstance(current, bool):
             setattr(args, key, val.lower() in ("1", "true", "yes"))
-        elif isinstance(current, int) and not isinstance(current, bool):
-            setattr(args, key, int(val))
-        elif isinstance(current, float) or current is None:
-            setattr(args, key, float(val))
+        elif isinstance(current, (int, float)) or current is None:
+            kind = int if isinstance(current, int) else float
+            try:
+                setattr(args, key, kind(val))
+            except ValueError:
+                raise ParameterError(f"config value {key} = {val!r} is not a number") from None
         else:
             setattr(args, key, val)
     return args

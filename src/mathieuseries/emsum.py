@@ -20,13 +20,14 @@ first n derivatives vanishing at +infinity, bounded variation of F^(n)).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from scipy import integrate
 
 from . import jets, polyfun
-from .errors import OrderOverflowError, ParameterError
+from .errors import OrderOverflowError, ParameterError, ToleranceError
 
 
 # --------------------------------------------------------------------------
@@ -69,10 +70,17 @@ class SmoothFunction:
         hi = min(b, cut)
         total = 0.0
         if hi > a:
-            val, _ = integrate.quad(
-                lambda x: abs(self.deriv(k + 1, x)), a, hi,
-                epsabs=1e-12, epsrel=1e-10, limit=300,
-            )
+            # a quadrature that reports a missed tolerance bounds nothing
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", integrate.IntegrationWarning)
+                try:
+                    val, _ = integrate.quad(
+                        lambda x: abs(self.deriv(k + 1, x)), a, hi,
+                        epsabs=1e-12, epsrel=1e-10, limit=300,
+                    )
+                except integrate.IntegrationWarning as exc:
+                    msg = str(exc).splitlines()[0]
+                    raise ToleranceError(f"variation quadrature failed: {msg}") from None
             total += val * (1.0 + 1e-8)
         if b > cut:
             total += abs(self.deriv(k, cut)) * (1.0 + 1e-8)

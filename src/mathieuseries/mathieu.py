@@ -17,6 +17,7 @@ contains the true sum.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import warnings
@@ -37,6 +38,13 @@ from .errors import (
 #: Direct summation stops growing once this many terms were used.
 MAX_TERMS_ENV = "MATHIEU_MAX_TERMS"
 _DEFAULT_MAX_TERMS = 20_000_000
+
+#: Direct summation adds its first terms in one exact math.fsum ...
+_EXACT_HEAD = 16
+#: ... and the rest by numpy's pairwise summation: on a 2^18-term chunk a
+#: term passes at most 36 roundings (11 halvings, then 15 + 3 + 7 in the
+#: 8-way unrolled base case), so the error is at most 36u sum |terms|.
+PAIRWISE_RTOL = 4e-15
 
 #: eval_auto sums directly below this t and tries Euler-Maclaurin from it on.
 T_DIRECT = 50.0
@@ -265,12 +273,21 @@ def _check_t_tol(t: float, tol: float) -> None:
         raise ParameterError("tol must be finite and positive")
 
 
+def _pow(x, e: float):
+    """x**e, bit for bit, with the ufunc dispatch of a pow skipped for e = 1, 2."""
+    if e == 1.0:
+        return x
+    if e == 2.0:
+        return x * x
+    return x**e
+
+
 def _terms(params: MathieuParams, t: float, k):
     """The terms 2 (k+u)^gamma / ((k+u)^alpha + t^alpha)^(mu+1) at an index or an index array."""
     w = k + params.u
     ta = t**params.alpha if t > 0 else 0.0
-    num = 2.0 if params.gamma == 0 else 2.0 * w**params.gamma
-    return num / (w**params.alpha + ta) ** (params.mu + 1.0)
+    num = 2.0 if params.gamma == 0 else 2.0 * _pow(w, params.gamma)
+    return num / _pow(_pow(w, params.alpha) + ta, params.mu + 1.0)
 
 
 def _monotone_from(params: MathieuParams, t: float) -> int:
@@ -279,75 +296,128 @@ def _monotone_from(params: MathieuParams, t: float) -> int:
     return max(1, int(math.ceil(k0)) + 1)
 
 
-def _tail_bracket(params: MathieuParams, t: float, n: int) -> tuple[float, float]:
-    """Two-sided bounds for sum_{k > n} of the terms, n past the monotone index."""
-    u, mu = params.u, params.mu
+def hermite_hadamard(tail, kernel, w: float, y: float) -> tuple[float, float]:
+    """Hermite-Hadamard bounds (lo, hi) for sum_{k>=1} 2(w+k) kernel((w+k)^2 + y).
+
+    For a convex, decreasing kernel with tail integral F(s) = int_s^inf kernel,
+    the trapezoid rule on [(w+k)^2 + y, (w+k+1)^2 + y] gives the lower bound
+    (w >= -3/2) and the midpoint rule on [(w+k-1)(w+k) + y, (w+k)(w+k+1) + y]
+    the upper one (w >= -1):
+
+        F((w+1)^2 + y) + (w + 1/2) kernel((w+1)^2 + y)  <=  sum  <=  F(w(w+1) + y).
+    """
+    s1 = (w + 1.0) ** 2 + y
+    return tail(s1) + (0.5 + w) * kernel(s1), tail(w * (w + 1.0) + y)
+
+
+def _tail_bracket(params: MathieuParams, t: float):
+    """n -> two-sided bounds for sum_{k > n} of the terms, n past the monotone index."""
+    u, mu, delta = params.u, params.mu, params.delta
     if params.gamma == 1.0 and params.alpha == 2.0:
-        # Hermite-Hadamard bounds for the convex kernel s -> s^(-mu-1)
+        # the terms are 2w g(w^2 + t^2) with the convex kernel g(s) = s^(-mu-1)
         y = t * t
-        w = n + u
-        hi = 1.0 / (mu * (w * (w + 1.0) + y) ** mu)
-        s1 = (w + 1.0) ** 2 + y
-        lo = 1.0 / (mu * s1**mu) + (0.5 + w) * s1 ** (-mu - 1.0)
-        return lo, hi
-    delta = params.delta
+
+        def tail(s):
+            return 1.0 / (mu * s**mu)
+
+        def kernel(s):
+            return s ** (-mu - 1.0)
+
+        return lambda n: hermite_hadamard(tail, kernel, n + u, y)
     if t == 0.0:
-        hi = 2.0 * (n + u) ** (1.0 - delta) / (delta - 1.0)
-        lo = 2.0 * (n + 1.0 + u) ** (1.0 - delta) / (delta - 1.0)
-        return lo, hi
+        return lambda n: (2.0 * (n + 1.0 + u) ** (1.0 - delta) / (delta - 1.0),
+                          2.0 * (n + u) ** (1.0 - delta) / (delta - 1.0))
     scale = 2.0 * t ** (1.0 - delta)
-    hi = scale * tail_integral(params, (n + u) / t)
-    lo = scale * tail_integral(params, (n + 1.0 + u) / t)
-    return lo, hi
+    return lambda n: (scale * tail_integral(params, (n + 1.0 + u) / t),
+                      scale * tail_integral(params, (n + u) / t))
 
 
-def _sum_terms(params: MathieuParams, t: float, n: int,
-               alternating: bool = False) -> tuple[float, float]:
-    """(sum, sum of |terms|) over k = 1..n, chunked pairwise accumulation;
-    with `alternating`, term k carries the sign (-1)^(k-1)."""
+def _term_rtol(params: MathieuParams) -> float:
+    """Relative rounding bound of one value of _terms.
+
+    With unit roundoff u, k + u carries a relative error u, each power adds
+    its argument's error times the exponent plus 2u (pow is within 1 ulp),
+    and each sum, product or quotient of positive values adds u; the first-
+    order count is |gamma| + |mu+1|(alpha+3) + 5, and one more u covers the
+    second-order products.
+    """
+    count = abs(params.gamma) + abs(params.mu + 1.0) * (params.alpha + 3.0) + 6.0
+    return count * 2.0**-53
+
+
+def _sum_terms(terms, n: int, alternating: bool = False) -> tuple[float, float, float]:
+    """(sum, sum of |terms|, sum of |terms| past the head) of terms(k) over
+    k = 1..n; with `alternating`, term k carries the sign (-1)^(k-1).
+
+    The first _EXACT_HEAD terms, where a decreasing series keeps most of its
+    mass, enter one math.fsum with the rest's chunk sums, so they carry only
+    the final rounding; the rest is accumulated pairwise by numpy in chunks,
+    whose error is at most PAIRWISE_RTOL times its sum of |terms|.
+    """
+    head = []
     chunks = []
     abs_chunks = []
     step = 1 << 18
     for lo in range(1, n + 1, step):
         hi = min(n + 1, lo + step)
-        arr = _terms(params, t, np.arange(lo, hi, dtype=float))
+        arr = terms(np.arange(lo, hi, dtype=float))
         if alternating:
             arr = arr * np.where((np.arange(lo, hi) % 2) == 1, 1.0, -1.0)
-        chunks.append(float(arr.sum()))
-        abs_chunks.append(float(np.abs(arr).sum()))
-    return math.fsum(chunks), math.fsum(abs_chunks)
+        if lo == 1:
+            head = arr[:_EXACT_HEAD].tolist()
+            arr = arr[_EXACT_HEAD:]
+        if arr.size:
+            chunks.append(float(arr.sum()))
+            abs_chunks.append(float(np.abs(arr).sum()))
+    rest_abs = math.fsum(abs_chunks)
+    return math.fsum(head + chunks), math.fsum(map(abs, head)) + rest_abs, rest_abs
 
 
-def eval_S(params: MathieuParams, t: float, tol: float = 1e-10) -> EvalResult:
-    """Direct summation of the plain series with a rigorous error bracket <= tol.
+def bracketed_sum(terms, tail_bracket, n: int, tol: float,
+                  term_rtol: float = 4e-15) -> EvalResult:
+    """sum_{k>=1} terms(k), where tail_bracket(n) = (lo, hi) encloses sum_{k>n}.
 
-    Terms are summed up to an index past which they decrease; the tail is then
-    enclosed by integral (or Hermite-Hadamard) bounds and the midpoint of the
-    enclosure is returned, with half its width plus accumulation slack as the
-    error radius.  The radius meets tol whenever tol is achievable in float64
-    (roughly tol >= 1e-14 times the sum of absolute terms); it is honest
-    either way.
+    `terms` maps an index array to the term array, each value within
+    term_rtol of the exact term.  n doubles until the tail bracket is at most
+    tol wide (ToleranceError at the MATHIEU_MAX_TERMS cap); the first n terms
+    are then summed and the midpoint of the enclosure is returned, with half
+    its width plus rounding slack as the error radius.
     """
-    params.require_delta(1.0)
-    _check_t_tol(t, tol)
     cap = _max_terms()
-    n = max(_monotone_from(params, t), 64)
     while True:
-        lo, hi = _tail_bracket(params, t, n)
+        lo, hi = tail_bracket(n)
         if hi - lo <= tol or n >= cap:
             break
         n = min(cap, n * 2)
     if hi - lo > tol:
         raise ToleranceError(
             f"tail bracket {hi - lo:.3g} still exceeds tol={tol:.3g} at the "
-            f"{n}-term cap; raise {MAX_TERMS_ENV} or use the asymptotic path"
+            f"{n}-term cap; raise {MAX_TERMS_ENV}"
         )
-    partial, partial_abs = _sum_terms(params, t, n)
-    # covers chunked pairwise accumulation plus per-term power-formula rounding
-    slack = 8e-15 * partial_abs + 1e-300
+    partial, partial_abs, pairwise_abs = _sum_terms(terms, n)
     value = partial + 0.5 * (hi + lo)
+    # per-term rounding, pairwise accumulation, and the roundings of the
+    # final fsum and of the midpoint addition
+    slack = (term_rtol * partial_abs + PAIRWISE_RTOL * pairwise_abs
+             + 2.0**-53 * (abs(partial) + abs(value)) + 1e-300)
     radius = 0.5 * (hi - lo) + slack
     return EvalResult(value=value, err_lo=radius, err_hi=radius, method=DIRECT, terms_used=n)
+
+
+def eval_S(params: MathieuParams, t: float, tol: float = 1e-10) -> EvalResult:
+    """Direct summation of the plain series with a rigorous error bracket.
+
+    Terms are summed up to an index past which they decrease; the tail is then
+    enclosed by integral (or Hermite-Hadamard) bounds at most tol wide.  The
+    radius adds rounding slack, so it meets tol whenever tol is achievable
+    in float64 (roughly tol >= 2 _term_rtol(params) times the sum of
+    absolute terms, 4e-15 times it for the classical series); it is honest
+    either way.
+    """
+    params.require_delta(1.0)
+    _check_t_tol(t, tol)
+    return bracketed_sum(functools.partial(_terms, params, t), _tail_bracket(params, t),
+                         max(_monotone_from(params, t), 64), tol, _term_rtol(params))
 
 
 def eval_S_alt(params: MathieuParams, t: float, tol: float = 1e-10) -> EvalResult:
@@ -367,7 +437,7 @@ def eval_S_alt(params: MathieuParams, t: float, tol: float = 1e-10) -> EvalResul
             f"alternating tail {first_omitted:.3g} still exceeds 2*tol at the "
             f"{n}-term cap; raise {MAX_TERMS_ENV}"
         )
-    partial, partial_abs = _sum_terms(params, t, n, alternating=True)
+    partial, partial_abs, _ = _sum_terms(lambda k: _terms(params, t, k), n, alternating=True)
     slack = 8e-15 * partial_abs + 1e-300
     # remainder R has the sign of term n+1 and |R| <= that term
     sign = 1.0 if (n + 1) % 2 == 1 else -1.0
@@ -550,20 +620,33 @@ def eval_em(params: MathieuParams, t: float, n: int | None = None) -> EvalResult
     )
 
 
+def _em_path(params: MathieuParams, t: float) -> EvalResult:
+    if not (t > 0.0 and g_smoothness(params).r >= 2):
+        raise RegimeError("needs t > 0 and g at least C^2 at 0")
+    return eval_em(params, t)
+
+
 def eval_auto(params: MathieuParams, t: float, tol: float = 1e-10) -> EvalResult:
-    """Pick an evaluation path by regime: direct summation for small t, and
-    the certified Euler-Maclaurin bound for large t when g is smooth enough
-    and the bound meets tol, else direct summation again.  Every path returns
-    a rigorous bracket."""
+    """Return the first rigorous bracket whose radius meets tol.
+
+    Direct summation is tried first below T_DIRECT and the certified
+    Euler-Maclaurin bound first from it on; EM applies only for t > 0 and g
+    at least C^2 at 0.  ToleranceError names each path's reason when no path
+    reaches tol.
+    """
     params.require_delta(1.0)
     _check_t_tol(t, tol)
-    if t < T_DIRECT:
-        return eval_S(params, t, tol)
-    if g_smoothness(params).r >= 2:
-        res = eval_em(params, t)
+    reasons = []
+    for name in (DIRECT, EULER_MACLAURIN) if t < T_DIRECT else (EULER_MACLAURIN, DIRECT):
+        try:
+            res = eval_S(params, t, tol) if name == DIRECT else _em_path(params, t)
+        except (RegimeError, ToleranceError) as exc:
+            reasons.append(f"{name}: {exc}")
+            continue
         if res.err_hi <= tol:
             return res
-    return eval_S(params, t, tol)
+        reasons.append(f"{name}: radius {res.err_hi:.3g}")
+    raise ToleranceError(f"no path reaches tol={tol:.3g} ({'; '.join(reasons)})")
 
 
 def cross_validate(params: MathieuParams, t: float, tol: float = 1e-10) -> tuple[EvalResult, EvalResult]:
@@ -583,46 +666,42 @@ def cross_validate(params: MathieuParams, t: float, tol: float = 1e-10) -> tuple
 # theta-type series and Poisson closed forms
 # --------------------------------------------------------------------------
 
-def phi_u(u: float, x: float) -> float:
-    """phi_u(x) = x * sum_{k>=1} 2 (k+u) exp(-(k+u)^2 x) for u >= 0, x > 0.
+def log_phi_u(u: float, x: float) -> float:
+    """log phi_u(x), where phi_u(x) = x * sum_{k>=1} 2 (k+u) exp(-(k+u)^2 x), u > -1.
 
-    Truncated when the exponential envelope drops below 1e-16 of the running
-    value; underflow to 0 for huge x is expected and harmless.
+    With the factor exp(-(1+u)^2 x) taken out, the sum is the convex-kernel
+    series for g(s) = exp(-x s) at y = -(1+u)^2: it starts at 2(1+u), so it
+    never underflows, and it carries the Hermite-Hadamard tail bracket.
     """
-    if x <= 0:
-        raise ParameterError("x must be positive")
+    if not 0.0 < x < math.inf:
+        raise ParameterError("x must be positive and finite")
+    if not -1.0 < u < math.inf:
+        raise ParameterError("u must be finite and exceed -1")
+    y = -(1.0 + u) ** 2
+
+    def kernel(s):
+        return np.exp(-x * s)
+
+    def terms(k):
+        w = k + u
+        return 2.0 * w * kernel(w * w + y)
+
+    # the sum is at least its first term 2(1+u) and, for u >= -1/2, at least 1/x
+    tol = 1e-17 * (2.0 * (1.0 + u) + 1.0 / x)
+    s = bracketed_sum(terms,
+                      lambda n: hermite_hadamard(lambda v: math.exp(-x * v) / x, kernel, n + u, y),
+                      16, tol)
+    # log(x S) in one rounding where it nears 0 (x -> 0+), as two logs where x S could overflow
+    log_xs = math.log(x * s.value) if x < 1.0 else math.log(x) + math.log(s.value)
+    return log_xs + y * x
+
+
+def phi_u(u: float, x: float) -> float:
+    """phi_u(x) = x * sum_{k>=1} 2 (k+u) exp(-(k+u)^2 x) for u >= 0, x > 0;
+    underflow to 0 for huge x is expected and harmless."""
     if u < 0:
         raise ParameterError("u must be nonnegative")
-    total = 0.0
-    k = 1
-    while True:
-        w = k + u
-        term = 2.0 * w * math.exp(-w * w * x)
-        total += term
-        if term <= 1e-16 * total or term == 0.0:
-            break
-        k += 1
-        if k > 10_000_000:
-            break
-    return x * total
-
-
-def log_phi_u(u: float, x: float) -> float:
-    """log phi_u(x), computed stably for large x where phi underflows."""
-    if x <= 0:
-        raise ParameterError("x must be positive")
-    exps = []
-    k = 1
-    lead = -((1.0 + u) ** 2) * x
-    while True:
-        w = k + u
-        e = math.log(2.0 * w) - w * w * x
-        exps.append(e)
-        if e < lead - 40.0 or k > 10_000_000:
-            break
-        k += 1
-    m = max(exps)
-    return math.log(x) + m + math.log(math.fsum(math.exp(e - m) for e in exps))
+    return math.exp(log_phi_u(u, x))
 
 
 def poisson_S(t: float) -> float:

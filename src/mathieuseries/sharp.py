@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy import integrate
+import numpy as np
 
 from . import mathieu, polyfun
 from .errors import ParameterError, SearchBudgetError, WitnessNotFoundError
@@ -31,62 +31,34 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 class ConvexKernel:
     """A positive, convex, decreasing kernel on (0, inf) with integrable tail.
 
-    Subclasses provide the kernel g, the tail integral F(t) = int_t^inf g, and
-    (optionally) its inverse; the generic inverse is a monotone bracketing
-    bisection with a Newton polish.
+    Subclasses provide the kernel g, which must accept a float or a numpy
+    array, the tail integral F(t) = int_t^inf g, and its inverse.
     """
 
-    def g(self, x: float) -> float:
+    def g(self, x):
         raise NotImplementedError
 
     def tail(self, t: float) -> float:
         raise NotImplementedError
 
     def tail_inverse(self, s: float) -> float:
-        lo, hi = 1e-300, 1.0
-        while self.tail(hi) > s:
-            hi *= 2.0
-            if hi > 1e300:
-                raise ParameterError("tail inverse out of range")
-        while self.tail(lo) < s and lo < 1.0:
-            lo = min(1.0, lo * 4.0)
-        lo *= 0.25
-        for _ in range(200):  # bisection: F decreasing
-            mid = 0.5 * (lo + hi)
-            if self.tail(mid) > s:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-9 * (1.0 + hi):
-                break
-        x = 0.5 * (lo + hi)
-        for _ in range(8):  # Newton polish on F(x) - s = 0 with F' = -g
-            gx = self.g(x)
-            if gx == 0.0:
-                break
-            step = (self.tail(x) - s) / gx
-            x_new = x + step
-            if not lo * 0.5 <= x_new <= hi * 2.0:
-                break
-            x = x_new
-            if abs(step) <= 1e-15 * (1.0 + abs(x)):
-                break
-        return x
+        raise NotImplementedError
 
 
 class PowerKernel(ConvexKernel):
-    """g(x) = x^(-mu-1); tail F(t) = 1/(mu t^mu) with closed-form inverse."""
+    """g(x) = x^(-mu-1); tail F(t) = 1/(mu t^mu) with closed-form inverse,
+    and F(t) = inf for t <= 0, where the integral diverges."""
 
     def __init__(self, mu: float):
         if mu <= 0:
             raise ParameterError("mu must be positive")
         self.mu = mu
 
-    def g(self, x: float) -> float:
+    def g(self, x):
         return x ** (-self.mu - 1.0)
 
     def tail(self, t: float) -> float:
-        return 1.0 / (self.mu * t**self.mu)
+        return 1.0 / (self.mu * t**self.mu) if t > 0.0 else math.inf
 
     def tail_inverse(self, s: float) -> float:
         return (1.0 / (self.mu * s)) ** (1.0 / self.mu)
@@ -100,8 +72,8 @@ class ExpKernel(ConvexKernel):
             raise ParameterError("lam must be positive")
         self.lam = lam
 
-    def g(self, x: float) -> float:
-        return math.exp(-self.lam * x)
+    def g(self, x):
+        return np.exp(-self.lam * x)
 
     def tail(self, t: float) -> float:
         return math.exp(-self.lam * t) / self.lam
@@ -110,47 +82,23 @@ class ExpKernel(ConvexKernel):
         return -math.log(self.lam * s) / self.lam
 
 
-class NumericKernel(ConvexKernel):
-    """Wraps a raw convex kernel; tails by adaptive quadrature on [t, inf)."""
-
-    def __init__(self, g: Callable[[float], float]):
-        self._g = g
-
-    def g(self, x: float) -> float:
-        return self._g(x)
-
-    def tail(self, t: float) -> float:
-        val, _ = integrate.quad(self._g, t, math.inf, epsabs=1e-13, epsrel=1e-11, limit=300)
-        return val
-
-
 def convex_series(kernel: ConvexKernel, u: float, y: float, tol: float = 1e-12) -> mathieu.EvalResult:
     """sum_{k>=1} 2 (k+u) g((k+u)^2 + y) with a rigorous Hermite-Hadamard bracket.
 
     Needs u >= -3/2 and (1+u)^2 + y > 0: then |k+u| >= |1+u| for every k, so
     every kernel argument is positive (the first term is negative for u < -1).
-    The tail bracket starts at n >= 16, where n + u > 0 and its offsets are
+    The tail bracket starts at n = 16, where n + u > 0 and its offsets are
     positive too.
     """
     if u < -1.5 or (1.0 + u) ** 2 + y <= 0.0:
         raise ParameterError("need u >= -3/2 and (1+u)^2 + y > 0")
-    terms = []
-    n = 0
-    while True:
-        n += 1
-        w = n + u
-        terms.append(2.0 * w * kernel.g(w * w + y))
-        if n >= 16:
-            hi = kernel.tail(w * (w + 1.0) + y)
-            s1 = (w + 1.0) ** 2 + y
-            lo = kernel.tail(s1) + (0.5 + w) * kernel.g(s1)
-            if hi - lo <= tol or n >= 2_000_000:
-                break
-    total = math.fsum(terms)
-    value = total + 0.5 * (hi + lo)
-    radius = 0.5 * (hi - lo) + 4e-16 * math.fsum(map(abs, terms)) + 1e-300
-    return mathieu.EvalResult(value=value, err_lo=radius, err_hi=radius,
-                              method=mathieu.DIRECT, terms_used=n)
+
+    def terms(k):
+        w = k + u
+        return 2.0 * w * kernel.g(w * w + y)
+
+    return mathieu.bracketed_sum(
+        terms, lambda n: mathieu.hermite_hadamard(kernel.tail, kernel.g, n + u, y), 16, tol)
 
 
 def psi_uy(kernel: ConvexKernel, u: float, y: float, tol: float = 1e-12) -> float:

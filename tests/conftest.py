@@ -42,6 +42,16 @@ def s_even_mp(t: float) -> mp.mpf:
     return mp.mpf(2) / (3 * mp.mpf(t) ** 2)
 
 
+def s_hurwitz_mp(mu: float, t: float) -> mp.mpf:
+    """sum 2k/(k+t)^(mu+1), the (gamma, alpha, mu, u) = (1, 1, mu, 0) series.
+
+    Writing k = (k+t) - t splits it into Hurwitz zeta functions:
+    2 [zeta(mu, 1+t) - t zeta(mu+1, 1+t)].
+    """
+    muf, tf = mp.mpf(mu), mp.mpf(t)
+    return 2 * (mp.zeta(muf, 1 + tf) - tf * mp.zeta(muf + 1, 1 + tf))
+
+
 def log_phi_mp(u: float, x: float) -> mp.mpf:
     """-log(x * sum 2(k+u) exp(-(k+u)^2 x)) by direct mpmath summation, x > 0."""
     uf, xf = mp.mpf(u), mp.mpf(x)

@@ -187,6 +187,9 @@ class TestChecks:
     def test_fsf_left_branch(self):
         rep = analysis.fsf_bounds_check(sharp.PowerKernel(1.0), -1.25, 1.0)
         assert rep.passed
+        # u^2 + u + y = 0: the upper bound's tail integral diverges, the lower still holds
+        rep = analysis.fsf_bounds_check(sharp.PowerKernel(1.0), -0.5, 0.25)
+        assert rep.passed and rep.total == 1
 
     def test_fsf_preconditions(self):
         with pytest.raises(ParameterError):

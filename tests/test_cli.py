@@ -216,10 +216,21 @@ class TestErrorExits:
         ("eval-alt", "--gamma", "1", "--alpha", "1", "--mu", "0.5", "--t", "1"),
         ("constants", "--inf", "--u", "nan"),
         ("hankel", "--t", "nan"),
+        ("eval", "--config", "bad.cfg"),
+        ("eval", "--t", "1", "--tol", "1e-18"),
+        ("hankel", "--p", "0"),
+        ("hankel", "--p", "-1"),
+        ("hankel", "--p", "nan"),
+        ("hankel", "--m", "nan"),
+        ("hankel", "--cutoff", "nan"),
+        ("hankel", "--cutoff", "inf"),
+        ("hankel", "--kernel", "g-pu", "--u", "-2"),
     ])
-    def test_exit_2_with_one_line(self, capsys, monkeypatch, args):
+    def test_exit_2_with_one_line(self, capsys, monkeypatch, tmp_path, args):
         # the eval-alt case needs more terms than this cap allows
         monkeypatch.setenv("MATHIEU_MAX_TERMS", "1000")
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.cfg").write_text("t = abc\n")
         code, out, err = run(capsys, *args)
         assert code == 2
         assert out == ""

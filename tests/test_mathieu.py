@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import pytest
@@ -11,9 +12,10 @@ from mathieuseries.errors import (
     OrderOverflowError,
     ParameterError,
     RegimeError,
+    ToleranceError,
 )
 
-from conftest import s1_trigamma, s_even_mp, TWO_ZETA3
+from conftest import log_phi_mp, s1_trigamma, s_even_mp, s_hurwitz_mp, TWO_ZETA3
 
 
 CLASSICAL = mathieu.MathieuParams(1.0, 2.0, 1.0, 0.0)
@@ -160,6 +162,14 @@ class TestEvalS:
         truth = float(s1_trigamma(t, u))
         assert res.err_hi <= tol
         assert abs(res.value - truth) <= res.err_hi
+
+    def test_bracket_meets_tol_where_first_term_dominates(self):
+        # w = 1 + u near 0.2 and small t: sum|terms| reaches 223, so tol = 1e-12
+        # needs the exact head sum and the per-term rounding count
+        for t, u in ((0.0625, -0.78125), (0.05, -0.8)):
+            res = mathieu.eval_S(mathieu.MathieuParams(1.0, 2.0, 1.0, u), t, 1e-12)
+            assert res.err_hi <= 1e-12
+            assert abs(res.value - float(s1_trigamma(t, u))) <= res.err_hi, (t, u)
 
     def test_generic_regime_against_brute_oracle(self):
         # non-integer gamma and alpha: 30-digit partial sum plus integral
@@ -388,6 +398,38 @@ class TestDispatch:
                 assert res.rigorous
                 assert abs(mp.mpf(res.value) - s1_trigamma(t, u)) <= res.err_hi, (u, t)
 
+    def test_direct_path_skips_smoothness(self, monkeypatch):
+        def fail(_params):
+            raise AssertionError("g_smoothness called on the direct path")
+
+        monkeypatch.setattr(mathieu, "g_smoothness", fail)
+        assert mathieu.eval_auto(CLASSICAL, 0.5, 1e-10).method == mathieu.DIRECT
+
+    def test_euler_maclaurin_where_direct_cannot_reach_tol(self):
+        # delta = 1.2: direct summation hits the term cap, EM meets tol
+        params = mathieu.MathieuParams(1.0, 1.0, 1.2, 0.0)
+        res = mathieu.eval_auto(params, 20.0, 1e-10)
+        assert res.method == mathieu.EULER_MACLAURIN
+        assert res.err_hi <= 1e-10
+        assert abs(mp.mpf(res.value) - s_hurwitz_mp(1.2, 20.0)) <= res.err_hi
+
+    def test_unreachable_tol_raises(self):
+        # direct stops at the float64 floor (radius ~6e-15), EM is wide at t = 1
+        with pytest.raises(ToleranceError, match="direct.*euler-maclaurin"):
+            mathieu.eval_auto(CLASSICAL, 1.0, 1e-18)
+
+    def test_failed_variation_quadrature_goes_direct(self):
+        # smoothness r = 2: quad reports roundoff on |g^(3)|, so EM has no bound
+        params = mathieu.MathieuParams(1.0, 1.5, 1.0, 0.0)
+        for t in (50.0, 2000.0):
+            with pytest.raises(ToleranceError, match="variation quadrature"):
+                mathieu.eval_em(params, t)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = mathieu.eval_auto(params, t, 1e-10)
+            assert res.method == mathieu.DIRECT
+            assert res.err_hi <= 1e-10
+
     def test_mid_t_euler_maclaurin(self):
         res = mathieu.eval_auto(CLASSICAL, 200.0, 1e-10)
         assert res.method == mathieu.EULER_MACLAURIN
@@ -436,6 +478,17 @@ class TestTheta:
         # phi underflows near x ~ 1500 but the log form keeps working
         val = mathieu.log_phi_u(0.0, 2000.0)
         assert val == pytest.approx(-2000.0 + math.log(2.0 * 2000.0), rel=1e-12)
+
+    def test_log_phi_matches_oracle(self):
+        for u in (0.0, 0.5, 2.0):
+            for x in (0.01, 1.0, 30.0):
+                truth = -log_phi_mp(u, x)
+                assert abs(mathieu.log_phi_u(u, x) - truth) <= 1e-15 * max(1.0, abs(truth)), (u, x)
+
+    def test_log_phi_domain(self):
+        for u, x in ((0.0, 0.0), (0.0, math.inf), (0.0, math.nan), (-1.0, 1.0), (math.nan, 1.0)):
+            with pytest.raises(ParameterError):
+                mathieu.log_phi_u(u, x)
 
     def test_log_ratio_bounds(self):
         for u in (0.0, 0.5, 1.0, 2.0):

@@ -4,7 +4,7 @@ import mpmath as mp
 import pytest
 
 from mathieuseries import mathieu, sharp
-from mathieuseries.errors import ParameterError, WitnessNotFoundError
+from mathieuseries.errors import ParameterError, ToleranceError, WitnessNotFoundError
 
 from conftest import TWO_ZETA3, s1_trigamma, s2_polygamma
 
@@ -20,13 +20,6 @@ class TestKernels:
         k = sharp.ExpKernel(0.7)
         assert k.tail(1.2) == pytest.approx(math.exp(-0.84) / 0.7, rel=1e-14)
         assert k.tail_inverse(k.tail(1.2)) == pytest.approx(1.2, rel=1e-13)
-
-    def test_numeric_kernel_inverse_matches_closed_form(self):
-        # generic bisection + Newton against the power-kernel closed form
-        ref = sharp.PowerKernel(2.0)
-        num = sharp.NumericKernel(ref.g)
-        for s in (0.01, 0.37, 5.0):
-            assert num.tail_inverse(s) == pytest.approx(ref.tail_inverse(s), rel=1e-9)
 
     def test_convex_series_matches_mathieu(self):
         # PowerKernel(mu) series at y = t^2 is exactly the gamma=1, alpha=2 family
@@ -51,6 +44,21 @@ class TestKernels:
         assert abs(mp.mpf(res.value) - truth) <= res.err_hi
         with pytest.raises(ParameterError):
             sharp.convex_series(sharp.PowerKernel(1.0), -1.6, 1.0)
+
+
+    def test_convex_series_raises_at_the_term_cap(self, monkeypatch):
+        # mu = 1/2: the bracket narrows like n^-3, far too slowly for 1000 terms
+        monkeypatch.setenv("MATHIEU_MAX_TERMS", "1000")
+        with pytest.raises(ToleranceError):
+            sharp.convex_series(sharp.PowerKernel(0.5), 0.0, 1.0, 1e-14)
+
+    def test_hermite_hadamard_encloses_the_tail(self):
+        # exp kernel at y = 0: the tail past w = 2.5 against mpmath
+        lam, w = 0.3, 2.5
+        kernel = sharp.ExpKernel(lam)
+        lo, hi = mathieu.hermite_hadamard(kernel.tail, kernel.g, w, 0.0)
+        truth = mp.nsum(lambda k: 2 * (w + k) * mp.exp(-lam * (w + k) ** 2), [1, mp.inf])
+        assert lo < truth < hi
 
 
 class TestPsi:
