@@ -18,7 +18,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from . import mathieu, polyfun, sharp
 from .errors import ParameterError
@@ -300,6 +299,8 @@ def hankel_transform(
     def integrand(x: float) -> float:
         return h(x) * x ** (m - 1.0) * bessel_j(lam, t * x)
 
+    from scipy import integrate
+
     totals = []
     # kernels may carry an algebraic x^(m-2) factor at the origin; the first
     # panel goes through the endpoint-singularity-aware adaptive integrator
@@ -326,6 +327,8 @@ def hermite_hadamard_check(
     """Midpoint <= mean <= endpoint-average for a convex kernel on [a, b]."""
     if not b > a:
         raise ParameterError("need b > a")
+    from scipy import integrate
+
     report = VerificationReport("hermite-hadamard")
     integral, quad_err = integrate.quad(kernel, a, b, epsabs=1e-13, epsrel=1e-12)
     lo = (b - a) * kernel(0.5 * (a + b))
@@ -510,6 +513,8 @@ def h_nu_b(nu: float, b: float, t: float, u: float, tol: float = 1e-12) -> tuple
 def monotonicity_check(nu: float, b: float, u: float, grid: GridSpec,
                        expect_positive: bool = True) -> VerificationReport:
     """Sign of H_{nu,b} over the grid; positive means (t^2+b)^nu S_nu increases."""
+    if not math.isfinite(b):
+        raise ParameterError("b must be finite")
     report = VerificationReport("weighted-monotonicity")
     for t in grid.points:
         val, err = h_nu_b(nu, b, t, u)
@@ -650,6 +655,8 @@ def identity_62_check(nu: float, mu: float, p: float, u: float, t: float,
         s = mathieu.eval_S(mathieu.MathieuParams(1.0, 2.0, nu, u), y, 1e-11).value
         return (1.0 / (nu * (p * p + y * y) ** nu) - s) * y * abs(y * y - t * t) ** (nu - mu - 1.0)
 
+    from scipy import integrate
+
     lhs, _ = integrate.quad(integrand, t, math.inf, epsabs=1e-9, epsrel=1e-8, limit=300)
     s_mu_t = mathieu.eval_S(mathieu.MathieuParams(1.0, 2.0, mu, u), t, 1e-12).value
     rhs = 0.5 * polyfun.beta_fn(nu - mu, mu + 1.0) * (
@@ -671,6 +678,8 @@ def identity_62a_check(nu: float, mu: float, b: float, u: float, t: float,
     def integrand(y: float) -> float:
         val, _ = h_nu_b(nu, b, y, u, 1e-11)
         return val * y * abs(y * y - t * t) ** (nu - mu - 1.0)
+
+    from scipy import integrate
 
     lhs, _ = integrate.quad(integrand, t, math.inf, epsabs=1e-9, epsrel=1e-8, limit=300)
     val_mu, _ = h_nu_b(mu, b, t, u, 1e-12)

@@ -15,6 +15,12 @@ The alternating engine uses Euler polynomials and splines instead, with
 weights ((-1)^k eps^k / (2 k!)) E_k(-u) G^(k)(0) and factor eps^n / (2 n!) in
 the bound.  Callers are responsible for the hypotheses (F smooth enough, the
 first n derivatives vanishing at +infinity, bounded variation of F^(n)).
+
+The variations V come from `SmoothFunction.variation`: a closed form where a
+subclass has one (`ExpFunction`), the sum of the jumps across the monotone
+pieces a subclass supplies (the Mathieu kernel in the integer regime), and
+otherwise an adaptive quadrature of |F^(n+1)|, whose error is estimated, not
+bounded.  scipy is imported only where a quadrature runs.
 """
 
 from __future__ import annotations
@@ -23,8 +29,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-from scipy import integrate
 
 from . import jets, polyfun
 from .errors import OrderOverflowError, ParameterError, ToleranceError
@@ -38,10 +42,13 @@ class SmoothFunction:
     """What a summation engine needs to know about F.
 
     Subclasses must provide `deriv` and, for the non-alternating engine,
-    `tail_integral`.  `variation(k, a, b)` must return an upper bound on the
-    total variation of F^(k) on [a, b] (b may be +inf); the default integrates
-    |F^(k+1)| adaptively up to `far_field(k)` and adds |F^(k)| there as a
-    monotone-tail allowance.
+    `tail_integral`.  `variation(k, a, b)` returns an upper bound on the
+    total variation of F^(k) on [a, b] (b may be +inf).  A subclass that can
+    split [a, b] into pieces where F^(k) is monotone supplies them through
+    `monotone_pieces`, and the variation is then the sum of the value jumps
+    across the pieces.  Otherwise it integrates |F^(k+1)| adaptively up to
+    `far_field(k)` and adds |F^(k)| there as a monotone-tail allowance; that
+    quadrature's error is an estimate, not a bound.
     """
 
     #: left edge of the domain of definition (q <= 0; -inf for entire functions)
@@ -61,11 +68,25 @@ class SmoothFunction:
         """Point beyond which F^(k) is monotone and negligible (for variation tails)."""
         return 700.0
 
+    def monotone_pieces(self, k: int, a: float, b: float) -> tuple[list[float], float] | None:
+        """Values of F^(k) at knots a = z_0 < ... < z_m = b, between which it is
+        monotone, and an absolute slack covering the values' rounding and any
+        stretch where it is not; None when F supplies none (a < b here)."""
+        return None
+
     def variation(self, k: int, a: float, b: float) -> float:
         if b < a:
             a, b = b, a
         if a == b:
             return 0.0
+        pieces = self.monotone_pieces(k, a, b)
+        if pieces is not None:
+            values, slack = pieces
+            jumps = math.fsum(abs(y - x) for x, y in zip(values, values[1:]))
+            # each jump and the correctly rounded fsum round once
+            return jumps * (1.0 + 2.0**-50) + slack
+        from scipy import integrate
+
         cut = self.far_field(k)
         hi = min(b, cut)
         total = 0.0
@@ -159,6 +180,8 @@ class GaussPowerFunction(SmoothFunction):
     def tail_integral(self, t: float) -> float:
         if t == 0.0:
             return math.gamma(self.g / self.a) / self.a
+        from scipy import integrate
+
         val, _ = integrate.quad(self.eval, t, math.inf, epsabs=1e-13, epsrel=1e-12)
         return val
 
@@ -220,6 +243,8 @@ class AsymptoticSeries:
 # --------------------------------------------------------------------------
 
 def _quad_panels(f: Callable[[float], float], knots: Sequence[float], tol: float) -> float:
+    from scipy import integrate
+
     pieces = []
     for a, b in zip(knots[:-1], knots[1:]):
         if b <= a:
@@ -250,6 +275,8 @@ def em_finite_identity(
         raise ParameterError("p must be a positive integer")
     if u <= -p:
         raise ParameterError("u must exceed -p")
+    from scipy import integrate
+
     lhs = math.fsum(f.eval(eps * (k + u)) for k in range(1, p + 1))
 
     top = eps * (p + u)
@@ -290,6 +317,8 @@ def boole_finite_identity(
         raise ParameterError("p must be a positive integer")
     if u <= -2 * p:
         raise ParameterError("u must exceed -2p")
+    from scipy import integrate
+
     lhs = math.fsum(
         (-1.0) ** (k - 1) * g.eval(eps * (k + u)) for k in range(1, 2 * p + 1)
     )

@@ -22,9 +22,9 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
-from scipy import special
 
 from . import emsum, jets, polyfun
 from .errors import (
@@ -258,6 +258,10 @@ def tail_integral(params: MathieuParams, t: float) -> float:
     if not params.delta > 1.0:
         raise ParameterError("the tail integral diverges unless delta > 1")
     a, b = _beta_args(params)
+    if t == 0.0:
+        return polyfun.beta_fn(a, b) / params.alpha
+    from scipy import special
+
     s = 1.0 / (t**params.alpha + 1.0)
     return polyfun.beta_fn(a, b) / params.alpha * float(special.betainc(a, b, s))
 
@@ -486,7 +490,9 @@ def _gamma_ratio(mu: float, k: int) -> float:
     return out
 
 
-def _require_integer_regime(params: MathieuParams) -> tuple[int, int]:
+def _require_integer_regime(params: MathieuParams, n: int) -> tuple[int, int]:
+    if n < 0:
+        raise ParameterError("the number of correction terms must be nonnegative")
     if not params.integer_regime:
         raise RegimeError("the expansion needs gamma in Z+ and alpha in N")
     return int(params.gamma), int(params.alpha)
@@ -499,7 +505,7 @@ def asym_S(params: MathieuParams, n: int) -> emsum.AsymptoticSeries:
     delta - 1, then n correction terms with Bernoulli-polynomial coefficients
     at powers alpha (k + mu + 1).
     """
-    gam, alp = _require_integer_regime(params)
+    gam, alp = _require_integer_regime(params, n)
     params.require_delta(1.0)
     b = (params.gamma + 1.0) / params.alpha
     lead = 2.0 / params.alpha * polyfun.beta_fn(b, params.mu + 1.0 - b)
@@ -523,7 +529,7 @@ def asym_S(params: MathieuParams, n: int) -> emsum.AsymptoticSeries:
 
 def asym_S_alt(params: MathieuParams, n: int) -> emsum.AsymptoticSeries:
     """Large-t expansion of the alternating series (Euler-polynomial coefficients)."""
-    gam, alp = _require_integer_regime(params)
+    gam, alp = _require_integer_regime(params, n)
     params.require_delta(0.0)
     powers = []
     coeffs = []
@@ -551,7 +557,7 @@ def eval_asym(params: MathieuParams, t: float, n_terms: int | None = None) -> Ev
     """
     if not 0.0 < t < math.inf:
         raise ParameterError("the expansion needs finite t > 0")
-    cap = (polyfun.MAX_ORDER - int(params.gamma) - 1) // max(int(params.alpha), 1)
+    cap = max(0, (polyfun.MAX_ORDER - int(params.gamma) - 1) // max(int(params.alpha), 1))
     series = asym_S(params, cap)
     v = 1.0 / t
     n = series.optimal_truncation(v) if n_terms is None else min(n_terms + 1, len(series.coeffs))
@@ -569,8 +575,93 @@ def eval_asym(params: MathieuParams, t: float, n_terms: int | None = None) -> Ev
 # Euler-Maclaurin path and dispatch
 # --------------------------------------------------------------------------
 
+class _KernelDerivative:
+    """g^(n) = P_n(x) / (x^alpha + 1)^(mu+1+n) for (gamma, alpha) in Z+ x N.
+
+    P_0 = x^gamma and P_{j+1} = P_j' (x^alpha + 1) - (mu+1+j) alpha x^(alpha-1) P_j
+    have exact coefficients in Fraction(mu).  g^(n) is monotone between the
+    real roots of P_{n+1}, each held in an exact isolating interval [l, h] on
+    [-1/2, inf).  g^(n+1) vanishes inside, so the variation of g^(n) on
+    [l, h] is at most (h - l)^2 / 2 times sup |g^(n+2)| there.  The interval
+    ends, the values of g^(n) at them and these allowances are computed once
+    and kept.
+    """
+
+    def __init__(self, gamma: int, alpha: int, mu: float, n: int):
+        self.alpha, self.mu, self.n = alpha, mu, n
+        polys = [(Fraction(0),) * gamma + (Fraction(1),)]
+        for j in range(n + 2):
+            polys.append(self._next(polys[-1], alpha, (Fraction(mu) + 1 + j) * alpha))
+        self.num = polys[n]
+        self.turns = [
+            (l, h, self.value(l), self.value(h),
+             polyfun.round_up((h - l) ** 2 / 2 * self._sup(polys[n + 2], l, h)))
+            for l, h in polyfun.real_root_intervals(polys[n + 1], Fraction(-1, 2))
+        ]
+
+    @staticmethod
+    def _next(p: tuple[Fraction, ...], alpha: int, c: Fraction) -> tuple[Fraction, ...]:
+        out = [Fraction(0)] * (len(p) + alpha - 1)
+        for i in range(1, len(p)):
+            out[i - 1] += i * p[i]
+            out[i - 1 + alpha] += i * p[i]
+        for i, pi in enumerate(p):
+            out[i + alpha - 1] -= c * pi
+        return tuple(out)
+
+    def _sup(self, poly: tuple[Fraction, ...], l: Fraction, h: Fraction) -> Fraction:
+        """Upper bound on |g^(n+2)| = |poly| / (x^alpha + 1)^(mu+3+n) over [l, h],
+        an interval right of -1/2 and narrower than 1/2."""
+        r = max(abs(l), abs(h))
+        # x^alpha + 1 >= 1 + l^alpha right of 0, >= 1 - r^alpha (> 0 for r < 1) left of it
+        floor = 1 + l**self.alpha if l >= 0 else 1 - r**self.alpha
+        power = math.floor(self.mu) + 4 + self.n  # an integer above mu + 3 + n
+        return polyfun.abs_bound(poly, r) / min(Fraction(1), floor) ** power
+
+    def value(self, x: Fraction) -> tuple[float, float]:
+        """g^(n)(x) and a bound on its rounding error."""
+        base = x**self.alpha + 1
+        v = float(polyfun.poly_eval_exact(self.num, x) / base ** (self.n + 1)) / float(base) ** self.mu
+        # two exact quotients rounded once each, pow within 1 ulp of a base off by
+        # 1 rounding (mu of them in the result), and the last division
+        return v, (abs(self.mu) + 8.0) * 2.0**-53 * abs(v) + 1e-300
+
+    def pieces(self, a: float, b: float) -> tuple[list[float], float]:
+        """SmoothFunction.monotone_pieces for g^(n) on [a, b], a >= -1/2."""
+        values, errs = [], []
+
+        def knot(v: tuple[float, float]) -> None:
+            values.append(v[0])
+            errs.append(v[1])
+
+        knot(self.value(Fraction(a)))
+        allowances = []
+        for l, h, vl, vh, allowance in self.turns:
+            if h <= a or l >= b:
+                continue
+            # between turning intervals g^(n) is monotone; inside one its variation
+            # is at most the allowance
+            allowances.append(allowance)
+            if l > a:
+                knot(vl)
+            if h < b:
+                knot(vh)
+        knot((0.0, 0.0) if b == math.inf else self.value(Fraction(b)))
+        # nonnegative terms, each rounded up, and one correctly rounded fsum
+        return values, math.fsum(allowances + errs + errs) * (1.0 + 2.0**-50)
+
+
+@functools.lru_cache(maxsize=256)
+def _kernel_derivative(gamma: int, alpha: int, mu: float, n: int) -> _KernelDerivative:
+    return _KernelDerivative(gamma, alpha, mu, n)
+
+
 class MathieuSmoothFunction(emsum.SmoothFunction):
-    """The kernel g presented through the summation-engine contract."""
+    """The kernel g presented through the summation-engine contract.
+
+    In the integer regime the variation of g^(k) comes from its exact
+    monotone pieces (`_KernelDerivative`); elsewhere from quadrature.
+    """
 
     def __init__(self, params: MathieuParams):
         self.params = params
@@ -578,6 +669,12 @@ class MathieuSmoothFunction(emsum.SmoothFunction):
 
     def deriv(self, k: int, x: float) -> float:
         return jets.derivatives(g_jet(self.params, x, k))[k]
+
+    def monotone_pieces(self, k: int, a: float, b: float) -> tuple[list[float], float] | None:
+        p = self.params
+        if not (p.integer_regime and a >= self.domain_left):
+            return None
+        return _kernel_derivative(int(p.gamma), int(p.alpha), p.mu, k).pieces(a, b)
 
     def tail_integral(self, t: float) -> float:
         return tail_integral(self.params, t)

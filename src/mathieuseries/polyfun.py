@@ -1,11 +1,15 @@
 """Bernoulli/Euler polynomials with exact rational coefficients, periodic splines,
-certified sup-norm bounds, and Gamma/Beta helpers.
+an exact real-root isolator, certified sup-norm bounds, and Gamma/Beta helpers.
 
 Coefficients are generated once as `fractions.Fraction` values (so downstream
 remainder bounds are not polluted by coefficient error) and rounded to floats
-for evaluation.  Sup norms are computed by critical-point isolation on the
-exact polynomial derivative plus a dense fallback grid, then rounded outward,
-so they are safe to use as upper bounds in rigorous error brackets.
+for evaluation.  `real_root_intervals` isolates the real roots of a polynomial
+with exact coefficients by Sturm sequences on its square-free part and
+refines each one by bisection to an interval about 2^-60 wide.  Sup norms
+evaluate the polynomial exactly at the interval ends and at the isolated
+critical points, add the width of each critical interval times a bound on
+the derivative, and round the maximum up once, so they are safe to use as
+upper bounds in rigorous error brackets.
 
 Everything is read-only after the lazy cache fill; the fills are deterministic
 and idempotent, so concurrent first use is safe and all operations reentrant.
@@ -19,15 +23,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-import numpy as np
 
 from .errors import OrderOverflowError
 
 #: Largest polynomial order kept in the exact-coefficient cache.
 MAX_ORDER = 64
-
-#: Grid resolution used as a safety net in sup-norm computations.
-_SUP_GRID = 4096
 
 BERNOULLI = "bernoulli"
 EULER = "euler"
@@ -162,39 +162,190 @@ def _affine_compose(coeffs: tuple[Fraction, ...], p: Fraction, q: Fraction) -> t
     return tuple(out)
 
 
+# --------------------------------------------------------------------------
+# exact real-root isolation (Sturm sequences)
+# --------------------------------------------------------------------------
+
+#: Isolating intervals are refined to a width of at most this times max(1, |x|).
+ROOT_WIDTH = Fraction(1, 2**60)
+
+
+def _trim(p: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """Drop zero leading coefficients (the constant term comes first)."""
+    n = len(p)
+    while n > 1 and p[n - 1] == 0:
+        n -= 1
+    return tuple(p[:n])
+
+
+def _derivative(p: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    return _trim([k * p[k] for k in range(1, len(p))] or [Fraction(0)])
+
+
+def _primitive(p: Sequence[Fraction]) -> tuple[int, ...]:
+    """p times the positive rational that makes its coefficients coprime integers."""
+    den = math.lcm(*(Fraction(c).denominator for c in p))
+    ints = [int(c * den) for c in p]
+    g = math.gcd(*ints) or 1
+    return tuple(c // g for c in ints)
+
+
+def _divmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of exact polynomial division a = q b + r."""
+    r = [Fraction(c) for c in a]
+    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
+    lead = Fraction(b[-1])
+    for shift in range(len(a) - len(b), -1, -1):
+        c = r[shift + len(b) - 1] / lead
+        q[shift] = c
+        if c:
+            for j, bj in enumerate(b):
+                r[shift + j] -= c * bj
+    return q, list(_trim(r[: max(1, len(b) - 1)]))
+
+
+def _is_zero(p: Sequence) -> bool:
+    return all(c == 0 for c in p)
+
+
+def _square_free(p: Sequence[Fraction]) -> tuple[int, ...]:
+    """p / gcd(p, p') as a primitive integer polynomial: the same roots, all simple."""
+    g, h = _primitive(p), _primitive(_derivative(p))
+    while not _is_zero(h):  # Euclid's algorithm
+        g, h = h, _primitive(_divmod(g, h)[1])
+    return _primitive(_divmod(p, g)[0])
+
+
+def _sturm_chain(p: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """p, p', then minus the remainders, each scaled by a positive constant."""
+    chain = [p, _primitive(_derivative(p))]
+    while len(chain[-1]) > 1:
+        r = _divmod(chain[-2], chain[-1])[1]
+        if _is_zero(r):
+            break
+        chain.append(_primitive([-c for c in r]))
+    return chain
+
+
+def _eval_int(p: Sequence[int], x: Fraction) -> int:
+    """p(x) times the positive integer den(x)^deg(p), for integer coefficients."""
+    num, den = x.numerator, x.denominator
+    acc, scale = 0, 1
+    for c in reversed(p):
+        acc = acc * num + c * scale
+        scale *= den
+    return acc
+
+
+def _sign_changes(chain: list[tuple[int, ...]], x: Fraction) -> int:
+    """Sign changes of the chain at x, zeros skipped."""
+    count, last = 0, 0
+    for p in chain:
+        v = _eval_int(p, x)
+        if v:
+            if last and (v > 0) != (last > 0):
+                count += 1
+            last = v
+    return count
+
+
+def _refine(p: tuple[int, ...], lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    """Shrink (lo, hi], holding exactly one simple root of p, to ROOT_WIDTH."""
+    v_hi = _eval_int(p, hi)
+    if v_hi == 0:
+        return hi, hi
+    while hi - lo > ROOT_WIDTH * max(1, abs(lo), abs(hi)):
+        mid = (lo + hi) / 2
+        v_mid = _eval_int(p, mid)
+        if v_mid == 0:
+            return mid, mid
+        if (v_mid > 0) != (v_hi > 0):
+            lo = mid
+        else:
+            hi, v_hi = mid, v_mid
+    return lo, hi
+
+
+@lru_cache(maxsize=1024)
+def real_root_intervals(coeffs: tuple[Fraction, ...],
+                        lo: Fraction | None = None) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Disjoint closed intervals [l, h], in increasing order, each holding one
+    distinct real root of the polynomial in (lo, inf) (all roots when lo is None)
+    and at most ROOT_WIDTH * max(1, |l|, |h|) wide.
+
+    Exact: Sturm's theorem counts the roots of the square-free part in
+    half-open intervals, bisection isolates them and a sign-change bisection
+    refines each one.
+    """
+    p = _trim(coeffs)
+    if len(p) < 2:
+        return ()
+    q = _square_free(p)
+    # Cauchy's bound: every root has modulus below 1 + max |q_i / q_d|
+    bound = 1 + Fraction(max(abs(c) for c in q[:-1]), abs(q[-1]))
+    lo = -bound if lo is None else max(Fraction(lo), -bound)
+    if lo >= bound:
+        return ()
+    chain = _sturm_chain(q)
+    out = []
+    stack = [(lo, bound, _sign_changes(chain, lo), _sign_changes(chain, bound))]
+    while stack:
+        a, b, va, vb = stack.pop()
+        if va - vb == 1:
+            out.append(_refine(q, a, b))
+        elif va - vb > 1:
+            mid = (a + b) / 2
+            vm = _sign_changes(chain, mid)
+            stack.append((mid, b, vm, vb))
+            stack.append((a, mid, va, vm))
+    return tuple(sorted(out))
+
+
+def poly_eval_exact(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
+    """P(x) in exact rational arithmetic."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def abs_bound(coeffs: Sequence[Fraction], r: Fraction) -> Fraction:
+    """sum |c_k| r^k, an upper bound on |P| over [-r, r]."""
+    return sum((abs(c) * r**k for k, c in enumerate(coeffs)), Fraction(0))
+
+
+def round_up(x: Fraction) -> float:
+    """The next float above x (float() rounds to nearest)."""
+    return math.nextafter(float(x), math.inf)
+
+
+# --------------------------------------------------------------------------
+# certified sup norms
+# --------------------------------------------------------------------------
+
 def _sup_abs_poly(coeffs: tuple[Fraction, ...], a: float, b: float) -> float:
     """Certified upper bound for sup_{[a,b]} |P| where P has the given exact coefficients.
 
-    Candidates are the interval endpoints, the real roots of the exact
-    derivative (found numerically), and a dense fallback grid; the maximum is
-    then inflated outward by the worst-case gap a grid of this resolution can
-    miss (Markov-brothers bound on P'') plus float evaluation slack.
+    |P| peaks at an endpoint or at a real root of P'.  Each root lies in an
+    exact isolating interval [l, h] from `real_root_intervals`, on which
+    |P| <= |P(l)| + (h - l) sup |P'|; every value is exact and the maximum is
+    rounded up once.
     """
     if not b > a:
         raise ValueError("interval must satisfy a < b")
-    fc = tuple(float(c) for c in coeffs)
-    n = len(fc) - 1
-    candidates = [a, b]
-    if n >= 2:
-        # derivative coefficients, constant first
-        dcoeffs = [fc[k] * k for k in range(1, n + 1)]
-        # numpy.roots wants highest-degree first and a nonzero leading coefficient
-        arr = np.trim_zeros(np.asarray(dcoeffs[::-1], dtype=float), "f")
-        if arr.size > 1:
-            for r in np.roots(arr):
-                if abs(r.imag) < 1e-7 * (1.0 + abs(r.real)) and a <= r.real <= b:
-                    candidates.append(float(r.real))
-    grid = np.linspace(a, b, _SUP_GRID + 1)
-    values = np.abs(np.polyval(fc[::-1], grid))
-    best = float(values.max())
-    for x in candidates:
-        best = max(best, abs(_horner(fc, x)))
-    # outward rounding: grid-miss allowance via |P''| <= 4 n^2 (n-1)^2 |P| / (b-a)^2
-    miss = (n**4) / (2.0 * _SUP_GRID**2) if n >= 2 else 0.0
-    slack = 1e-13 * sum(abs(c) * max(1.0, abs(a), abs(b)) ** k for k, c in enumerate(fc))
-    return best * (1.0 + miss + 1e-12) + slack
+    lo, hi = Fraction(a), Fraction(b)
+    best = max(abs(poly_eval_exact(coeffs, lo)), abs(poly_eval_exact(coeffs, hi)))
+    dp = _derivative(coeffs)
+    for l, h in real_root_intervals(dp):
+        if h < lo or l > hi:
+            continue
+        l, h = max(l, lo), min(h, hi)
+        best = max(best, abs(poly_eval_exact(coeffs, l))
+                   + (h - l) * abs_bound(dp, max(abs(l), abs(h))))
+    return round_up(best)
 
 
+@lru_cache(maxsize=1024)
 def poly_sup(n: int, family: str, interval: tuple[float, float]) -> float:
     """Certified upper bound on sup |B_n| (family 'bernoulli') or sup |E_n| over [a, b]."""
     _check_order(n)
@@ -206,6 +357,7 @@ def poly_sup(n: int, family: str, interval: tuple[float, float]) -> float:
     return _sup_abs_poly(poly.coeffs, min(a, b), max(a, b))
 
 
+@lru_cache(maxsize=None)
 def spline_sup(kind: SplineKind) -> float:
     """Certified upper bound on sup |b_n| over one period [0,1], resp.
     sup |e_n| over one period [0,2]."""

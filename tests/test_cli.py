@@ -225,6 +225,8 @@ class TestErrorExits:
         ("hankel", "--cutoff", "nan"),
         ("hankel", "--cutoff", "inf"),
         ("hankel", "--kernel", "g-pu", "--u", "-2"),
+        ("verify", "monotone", "--b", "nan"),
+        ("asym", "--n-terms", "-3"),
     ])
     def test_exit_2_with_one_line(self, capsys, monkeypatch, tmp_path, args):
         # the eval-alt case needs more terms than this cap allows
@@ -236,6 +238,12 @@ class TestErrorExits:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_nonfinite_monotone_shift(self, capsys, monkeypatch, tmp_path):
+        # without the term cap above: the shift itself is rejected, no suite runs
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, "verify", "monotone", "--b", "nan") == (
+            2, "", "error: b must be finite\n")
 
     def test_exit_2_in_a_fresh_process(self):
         src = str(Path(cli.__file__).resolve().parents[1])
@@ -251,3 +259,37 @@ class TestErrorExits:
         code, _, err = run(capsys, "verify", "classical", "--tol", "1e-9")
         assert code == 2
         assert "--tol" in err
+
+
+class TestImportCost:
+    """scipy is imported where a command needs it, not with the package."""
+
+    SCRIPT = """
+import sys
+from mathieuseries import cli
+{body}
+loaded = sorted(m for m in ("scipy.special", "scipy.integrate") if m in sys.modules)
+print(",".join(loaded))
+"""
+
+    def _loaded(self, body, tmp_path):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT.format(body=body)],
+                              capture_output=True, text=True, cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+
+    def test_import_loads_no_scipy(self, tmp_path):
+        assert self._loaded("", tmp_path) == ""
+
+    def test_readme_commands_load_no_scipy(self, tmp_path):
+        body = "\n".join([
+            "import contextlib, io",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    assert cli.main(['eval', '--t', '1']) == 0",
+            "    assert cli.main(['eval', '--t-start', '0.01', '--t-stop', '100', '--t-count',"
+            " '200', '--t-log', '--format', 'csv']) == 0",
+            "    assert cli.main(['verify', 'monotone', '--b', '10']) == 1",
+        ])
+        assert self._loaded(body, tmp_path) == ""

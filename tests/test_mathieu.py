@@ -459,6 +459,67 @@ class TestDispatch:
             assert abs(res.value - truth) <= res.err_hi
 
 
+def _variation_mp(gamma, alpha, mu, n):
+    """(lo, hi) -> variation of g^(n) on [lo, hi] at 40 digits, the integral of
+    |g^(n+1)| split at its zeros (found by a sign scan and bracketing).  On
+    each piece g^(n+1) keeps one sign, so the piece's integral is the jump of
+    g^(n) across it, taken by mpmath's numerical differentiation."""
+    def g(x):
+        return x**gamma * (1 + x**alpha) ** (-(mp.mpf(mu) + 1))
+
+    def d(x):
+        return mp.diff(g, x, n + 1)
+
+    # for the kernels below every zero of g^(n+1) right of -0.01 lies below 12
+    xs = [mp.mpf(-0.01) + 12 * (mp.mpf(i) / 300) ** 2 for i in range(301)]
+    vals = [d(x) for x in xs]
+    zeros = [mp.findroot(d, (x0, x1), solver="anderson")
+             for x0, x1, v0, v1 in zip(xs, xs[1:], vals, vals[1:]) if v0 * v1 < 0]
+
+    def value(x):
+        return mp.mpf(0) if x == math.inf else mp.diff(g, x, n)
+
+    def variation(lo, hi):
+        knots = [mp.mpf(lo)] + [z for z in zeros if lo < z < hi] + [hi]
+        values = [value(x) for x in knots]
+        return sum(abs(y - x) for x, y in zip(values, values[1:]))
+
+    return variation
+
+
+class TestExactVariation:
+    """In the integer regime the variation of g^(n) is exact, not a quadrature."""
+
+    #: a = eps u for u in {0.5, -0.3} and t in {50, 3000}, and a = 0
+    STARTS = (0.0, 0.5 / 50, 0.5 / 3000, -0.3 / 50, -0.3 / 3000)
+
+    @pytest.mark.parametrize("kernel", [(1, 2, 1.0), (1, 2, 2.0), (2, 2, 1.5), (0, 2, 1.0)])
+    def test_matches_mpmath_reference(self, kernel):
+        f = mathieu.MathieuSmoothFunction(mathieu.MathieuParams(*kernel, 0.0))
+
+        def no_deriv(k, x):
+            raise AssertionError("the exact variation evaluates no jets")
+
+        f.deriv = no_deriv
+        for n in (2, 8):
+            reference = _variation_mp(*kernel, n)
+            for a in self.STARTS:
+                tail = f.variation(n, a, math.inf)
+                ref = reference(a, math.inf)
+                assert ref <= tail <= ref * (1 + mp.mpf(1e-12)), (kernel, n, a)
+                if a != 0.0:
+                    # the short edge piece [0, a] is a difference of nearby values,
+                    # whose rounding is small against the tail's scale, not its own
+                    lo, hi = min(a, 0.0), max(a, 0.0)
+                    edge = f.variation(n, lo, hi)
+                    ref = reference(lo, hi)
+                    assert ref <= edge <= ref + 1e-12 * tail, (kernel, n, a)
+
+    def test_non_integer_regime_keeps_quadrature(self):
+        f = mathieu.MathieuSmoothFunction(mathieu.MathieuParams(1.0, 1.5, 1.0, 0.0))
+        assert f.monotone_pieces(2, 0.0, math.inf) is None
+
+
 class TestTheta:
     def test_phi_value(self):
         brute = math.fsum(2 * k * math.exp(-k * k) for k in range(1, 30))

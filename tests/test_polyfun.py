@@ -145,6 +145,48 @@ def test_sup_bounds():
         assert bound_e >= samples_e
 
 
+
+def _max_abs_mp(coeffs, a, b):
+    """40-digit max of |P| on [a, b]: endpoints and the real roots of P' from mpmath."""
+    c = [mp.mpf(x.numerator) / x.denominator for x in coeffs]
+    d = [k * c[k] for k in range(1, len(c))]
+    while len(d) > 1 and d[-1] == 0:
+        d.pop()
+    points = [mp.mpf(a), mp.mpf(b)]
+    if len(d) > 1:
+        for r in mp.polyroots(d[::-1], maxsteps=200, extraprec=200):
+            if abs(mp.im(r)) < mp.mpf(10) ** -30 and a <= mp.re(r) <= b:
+                points.append(mp.re(r))
+    return max(abs(mp.polyval(c[::-1], x)) for x in points)
+
+
+@pytest.mark.parametrize("interval", [(0.0, 1.0), (-0.3, 0.0), (-0.5, 0.0)])
+def test_sup_bounds_tight_against_mpmath(interval):
+    for n in range(13):
+        for family, coeffs in (("bernoulli", polyfun.bernoulli_coeffs),
+                               ("euler", polyfun.euler_coeffs)):
+            bound = polyfun.poly_sup(n, family, interval)
+            truth = _max_abs_mp(coeffs(n).coeffs, *interval)
+            assert truth <= bound <= truth * (1 + mp.mpf(1e-12)), (n, family)
+
+
+def test_real_root_intervals():
+    # (x - 1)^2 (x + 2) (x - 1/3) (x^2 + 1): a double root, a rational one, two complex
+    p = [Fraction(1)]
+    for factor in ([-1, 1], [-1, 1], [2, 1], [Fraction(-1, 3), 1], [1, 0, 1]):
+        out = [Fraction(0)] * (len(p) + len(factor) - 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(factor):
+                out[i + j] += a * b
+        p = out
+    found = polyfun.real_root_intervals(tuple(p))
+    assert len(found) == 3
+    for (lo, hi), root in zip(found, (Fraction(-2), Fraction(1, 3), Fraction(1))):
+        assert lo <= root <= hi
+        assert hi - lo <= polyfun.ROOT_WIDTH * max(1, abs(lo), abs(hi))
+    assert len(polyfun.real_root_intervals(tuple(p), Fraction(0))) == 2
+
+
 def test_order_overflow():
     with pytest.raises(OrderOverflowError):
         polyfun.bernoulli_poly(polyfun.MAX_ORDER + 1, 0.5)
