@@ -128,7 +128,7 @@ def cmd_eval(cfg: RunConfig, alternating: bool) -> int:
             res = mathieu.eval_auto(params, t, cfg.tol)
         records.append({
             "t": t, "value": res.value, "err_lo": res.err_lo, "err_hi": res.err_hi,
-            "method": res.method, "terms": res.terms_used,
+            "method": res.method, "terms": res.terms_used, "order": res.order,
         })
     return _write(cfg, records)
 

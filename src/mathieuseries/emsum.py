@@ -64,6 +64,18 @@ class SmoothFunction:
         """int_t^inf F(x) dx; only the non-alternating engine requires it."""
         raise NotImplementedError
 
+    def deriv_with_error(self, k: int, x: float) -> tuple[float, float | None]:
+        """F^(k)(x) and a bound on its error.  None, the default, declares the
+        value exact up to its last rounding; the engines then allow 4e-16
+        relative for their own arithmetic.  A function that returns bounds
+        gets every rounding of the boundary terms bounded explicitly, and
+        must supply `tail_integral_with_error` too."""
+        return self.deriv(k, x), None
+
+    def tail_integral_with_error(self, t: float) -> tuple[float, float | None]:
+        """`tail_integral(t)` and a bound on its error, None as in `deriv_with_error`."""
+        return self.tail_integral(t), None
+
     def far_field(self, k: int) -> float:
         """Point beyond which F^(k) is monotone and negligible (for variation tails)."""
         return 700.0
@@ -369,28 +381,75 @@ def _edge_sup_and_variations(
     return sup_edge, v_edge, v_tail
 
 
+def _boundary_terms(
+    f: SmoothFunction, eps: float, u: float, n: int, family: str
+) -> tuple[tuple[float, ...], list[float]]:
+    """The boundary terms c_k F^(k)(0), k = 0..n, and a bound on the error of
+    each where F reports its derivatives' errors (else an empty list).
+
+    c_k = (-1)^k eps^k B_{k+1}(-u) / (k+1)! (Bernoulli) or
+    (-1)^k eps^k E_k(-u) / (2 k!) (Euler).  The factor eps^k / m_k takes at
+    most 4 roundings relative (a power within 1 ulp, a quotient, the product
+    with the polynomial value), the polynomial value its Horner error h, the
+    product with F^(k)(0) one more rounding, and F^(k)(0) its reported error.
+    """
+    bernoulli = family == polyfun.BERNOULLI
+    poly = polyfun.bernoulli_poly if bernoulli else polyfun.euler_poly
+    terms, errs = [], []
+    for k in range(n + 1):
+        order = k + 1 if bernoulli else k
+        scale = (-1.0) ** k * eps**k / (math.factorial(k + 1) if bernoulli
+                                        else 2.0 * math.factorial(k))
+        p = poly(order, -u)
+        weight = scale * p
+        d, d_err = f.deriv_with_error(k, 0.0)
+        terms.append(weight * d)
+        if d_err is not None:
+            h = polyfun.poly_eval_error(order, family, -u)
+            w_err = abs(scale) * (4.01 * 2.0**-53 * (abs(p) + h) + h)
+            errs.append(2.0**-53 * abs(terms[-1]) + abs(weight) * d_err
+                        + (abs(d) + d_err) * w_err)
+    return tuple(terms), errs
+
+
+def _rounding(f_errs: list[float], integral: float, integral_err: float | None,
+              eps: float, boundary: tuple[float, ...], estimate: float) -> float:
+    """Bound on the rounding of an engine's estimate beyond its analytic remainder."""
+    if not f_errs:
+        # derivatives exact up to their last rounding: a relative allowance
+        return 4e-16 * (abs(integral) + math.fsum(abs(b) for b in boundary))
+    # the boundary terms' errors, the integral term's error and its division by
+    # eps, the fsum of the boundary terms and the addition of the integral term
+    errs = f_errs + [(integral_err or 0.0) / eps, 2.0**-53 * abs(integral)]
+    return (math.fsum(errs) * (1.0 + 2.0**-50)
+            + 2.0**-52 * (abs(integral) + abs(estimate)))
+
+
 def em_sum(f: SmoothFunction, eps: float, u: float, n: int) -> EMResult:
     """Estimate sum_{k>=1} F(eps k + eps u) with a rigorous remainder bound.
 
     Hypotheses (caller's responsibility): F is C^n with F, ..., F^(n)
     vanishing at +inf, F integrable, and F^(n) of bounded variation; for u < 0
-    additionally F defined on [q, inf) with eps < q/u.
+    additionally F defined on [q, inf) with eps < q/u.  The bound covers the
+    rounding of the estimate: by a 4e-16 relative allowance where F's
+    derivatives are exact up to their last rounding, else term by term from
+    the errors F reports (`SmoothFunction.deriv_with_error`).
     """
     if eps <= 0:
         raise ParameterError("eps must be positive")
-    integral = f.tail_integral(0.0) / eps
-    boundary = tuple(
-        (-1.0) ** k * eps**k / math.factorial(k + 1)
-        * polyfun.bernoulli_poly(k + 1, -u) * f.deriv(k, 0.0)
-        for k in range(n + 1)
-    )
+    integral, integral_err = f.tail_integral_with_error(0.0)
+    integral = integral / eps
+    boundary, f_errs = _boundary_terms(f, eps, u, n, polyfun.BERNOULLI)
     sup_spline = polyfun.spline_sup(polyfun.SplineKind(polyfun.BERNOULLI, n + 1))
     sup_edge, v_edge, v_tail = _edge_sup_and_variations(f, eps, u, n, polyfun.BERNOULLI)
     bound = eps**n / math.factorial(n + 1) * (sup_spline * v_tail + sup_edge * v_edge)
+    estimate = integral + math.fsum(boundary)
     # the analytic bound certifies exact arithmetic; round outward for float evaluation
-    bound += 4e-16 * (abs(integral) + math.fsum(abs(b) for b in boundary))
+    if f_errs:
+        bound *= 1.0 + 2.0**-49
+    bound += _rounding(f_errs, integral, integral_err, eps, boundary, estimate)
     return EMResult(
-        sum_estimate=integral + math.fsum(boundary),
+        sum_estimate=estimate,
         integral_term=integral,
         boundary_terms=boundary,
         remainder_bound=bound,
@@ -403,21 +462,21 @@ def em_sum(f: SmoothFunction, eps: float, u: float, n: int) -> EMResult:
 def boole_sum(g: SmoothFunction, eps: float, u: float, n: int) -> EMResult:
     """Estimate sum_{k>=1} (-1)^(k-1) G(eps k + eps u) with a rigorous remainder bound.
 
-    Same hypotheses as `em_sum` except integrability of G is not needed.
+    Same hypotheses and rounding cover as `em_sum` except integrability of G
+    is not needed.
     """
     if eps <= 0:
         raise ParameterError("eps must be positive")
-    boundary = tuple(
-        (-1.0) ** k * eps**k / (2.0 * math.factorial(k))
-        * polyfun.euler_poly(k, -u) * g.deriv(k, 0.0)
-        for k in range(n + 1)
-    )
+    boundary, g_errs = _boundary_terms(g, eps, u, n, polyfun.EULER)
     sup_spline = polyfun.spline_sup(polyfun.SplineKind(polyfun.EULER, n))
     sup_edge, v_edge, v_tail = _edge_sup_and_variations(g, eps, u, n, polyfun.EULER)
     bound = eps**n / (2.0 * math.factorial(n)) * (sup_spline * v_tail + sup_edge * v_edge)
-    bound += 4e-16 * math.fsum(abs(b) for b in boundary)
+    estimate = math.fsum(boundary)
+    if g_errs:
+        bound *= 1.0 + 2.0**-49
+    bound += _rounding(g_errs, 0.0, None, eps, boundary, estimate)
     return EMResult(
-        sum_estimate=math.fsum(boundary),
+        sum_estimate=estimate,
         integral_term=0.0,
         boundary_terms=boundary,
         remainder_bound=bound,

@@ -11,8 +11,13 @@ rigorous.
 Direct summation carries a rigorous two-sided tail bracket: beyond the index
 where the terms become monotone decreasing, the tail is enclosed between
 integral bounds (or, for the gamma=1, alpha=2 family, the sharper two-sided
-Hermite-Hadamard bounds), so every result is a value plus an interval that
-contains the true sum.
+Hermite-Hadamard bounds, and for the alternating series between 0 and the
+first omitted term), so every result is a value plus an interval that
+contains the true sum.  Where that bracket would need more than CROSSOVER
+terms and the kernel has an exact tail (t = 0, or (gamma, alpha) in Z+ x N),
+a head of max(monotone index, 64) terms is summed and the rest is closed by
+the Euler-Maclaurin (Boole) engine on the kernel shifted past the head, with
+its certified remainder; `eval_em` is the same closer with no head.
 """
 
 from __future__ import annotations
@@ -48,6 +53,11 @@ PAIRWISE_RTOL = 4e-15
 
 #: eval_auto sums directly below this t and tries Euler-Maclaurin from it on.
 T_DIRECT = 50.0
+
+#: Past this many head terms a closed Euler-Maclaurin (Boole) tail costs less
+#: than summing on: 15-31 ns a term against 0.14-0.45 ms a warm tail, a
+#: break-even of 4,600-23,000 terms over seven kernels (median near 15,000).
+CROSSOVER = 1 << 14
 
 DIRECT = "direct"
 EULER_MACLAURIN = "euler-maclaurin"
@@ -124,6 +134,8 @@ class EvalResult:
     method: str
     terms_used: int = 0
     rigorous: bool = True
+    #: order of the Euler-Maclaurin or Boole engine behind the tail; 0 for a bracket
+    order: int = 0
 
     @property
     def lower(self) -> float:
@@ -240,10 +252,53 @@ def g_peak(params: MathieuParams) -> float:
     return (params.gamma / params.delta) ** (1.0 / params.alpha)
 
 
+def _beta_exact(params: MathieuParams) -> tuple[Fraction, Fraction]:
+    """(a, b) = (mu + 1 - (gamma+1)/alpha, (gamma+1)/alpha) of the tail integral, exactly."""
+    b = (Fraction(params.gamma) + 1) / Fraction(params.alpha)
+    return Fraction(params.mu) + 1 - b, b
+
+
+@functools.lru_cache(maxsize=256)
 def _beta_args(params: MathieuParams) -> tuple[float, float]:
-    """(a, b) = (mu + 1 - (gamma+1)/alpha, (gamma+1)/alpha) of the tail integral."""
-    b = (params.gamma + 1.0) / params.alpha
-    return params.mu + 1.0 - b, b
+    """`_beta_exact`, each rounded once.  a = (delta - 1)/alpha is small where
+    delta is near 1; rounded in steps (mu + 1, then minus b) it would carry
+    an error relative to mu + 1, not to a, and B(a, b) ~ 1/a would follow."""
+    a, b = _beta_exact(params)
+    return float(a), float(b)
+
+
+#: Relative error allowed for scipy's betainc(a, b, s), times max(1, (a+b)/8);
+#: checked against mpmath for a, b in [0.01, 50] (largest seen: 4.3e-14 at a+b = 51).
+BETAINC_RTOL = 1e-14
+#: Largest integer b of the Beta integral that `tail_integral` sums in closed form.
+_CLOSED_FORM_MAX_B = 64
+
+
+@functools.lru_cache(maxsize=256)
+def _closed_form_beta(params: MathieuParams) -> str | None:
+    """'a=1' or 'b=n' when the Beta integral's a is exactly 1 or its b exactly a
+    positive integer (checked in rationals), else None."""
+    a, b = _beta_args(params)
+    if a == 1.0 and Fraction(params.mu) * Fraction(params.alpha) == Fraction(params.gamma) + 1:
+        return "a=1"
+    if b.is_integer() and b <= _CLOSED_FORM_MAX_B \
+            and Fraction(b) * Fraction(params.alpha) == Fraction(params.gamma) + 1:
+        return "b=n"
+    return None
+
+
+def _beta_point(params: MathieuParams, x: float) -> tuple[float, float]:
+    """(s, 1 - s) with s = 1/(x^alpha + 1), x > 0, each within 4 roundings,
+    through x^(-alpha) past x = 1 so that no power overflows."""
+    if x <= 1.0:
+        xa = x**params.alpha
+        power, pair = xa, (1.0 / (xa + 1.0), xa / (xa + 1.0))
+    else:
+        xi = x ** -params.alpha
+        power, pair = xi, (xi / (1.0 + xi), 1.0 / (1.0 + xi))
+    if power < 2.0**-1000:  # s or 1 - s would leave the normal range
+        raise OverflowError(f"x^alpha is out of float range at x = {x:g}")
+    return pair
 
 
 def tail_integral(params: MathieuParams, t: float) -> float:
@@ -251,7 +306,10 @@ def tail_integral(params: MathieuParams, t: float) -> float:
 
     The substitution s = 1/(x^alpha + 1) turns the tail into
     (1/alpha) * B(a, b) * I_s(a, b) with (a, b) from `_beta_args`;
-    convergence needs delta > 1.
+    convergence needs delta > 1.  Where a = 1 or b = n is a positive
+    integer, I_s has a closed form and no scipy is needed:
+    B(1, b) I_s(1, b) = -expm1(b log(1-s)) / b and
+    B(a, n) I_s(a, n) = s^a sum_{j<n} (n-1)! / (j! (a+j)...(a+n-1)) (1-s)^j.
     """
     if t < 0:
         raise ParameterError("t must be nonnegative")
@@ -260,10 +318,55 @@ def tail_integral(params: MathieuParams, t: float) -> float:
     a, b = _beta_args(params)
     if t == 0.0:
         return polyfun.beta_fn(a, b) / params.alpha
+    s, q = _beta_point(params, t)
+    form = _closed_form_beta(params)
+    if form == "a=1":
+        # log(1-s) from s where s is small, from 1-s where not
+        log_q = math.log1p(-s) if s <= 0.5 else math.log(q)
+        return -math.expm1(b * log_q) / (params.alpha * b)
+    if form == "b=n":
+        n = int(b)
+        total = 0.0
+        for j in range(n):
+            c = math.factorial(n - 1) / math.factorial(j)
+            for i in range(j, n):
+                c /= a + i
+            total += c * q**j
+        return s**a * total / params.alpha
     from scipy import special
 
-    s = 1.0 / (t**params.alpha + 1.0)
     return polyfun.beta_fn(a, b) / params.alpha * float(special.betainc(a, b, s))
+
+
+def tail_integral_rel_err(params: MathieuParams, t: float) -> float:
+    """Bound on the relative error of `tail_integral(params, t)`, t > 0.
+
+    With u = 2^-53, s and 1-s carry at most 4u (a power within 1 ulp, a sum,
+    a quotient).  The a = 1 form then stays within 16u: log1p on s <= 1/2
+    at most triples s's error, log of 1-s adds 4u + u |log(1-s)|, and
+    expm1 near 0 passes a relative error on unchanged.  The b = n form is a
+    sum of positive terms, each within (4n + 4j + 8)u, times s^a within
+    (4a + 2)u.  betainc is allowed BETAINC_RTOL max(1, (a+b)/8), plus the
+    Beta function's own bound.  a and b are rounded once from their exact
+    values; F moves by at most |da| (|log s| + 1/a) F and |db| |log(1-s)| F
+    under such a change.
+    """
+    a, b = _beta_args(params)
+    form = _closed_form_beta(params)
+    if form == "a=1":
+        rel = 16.0 * 2.0**-53
+    elif form == "b=n":
+        rel = (8.0 * b + 4.0 * a + 12.0) * 2.0**-53
+    else:
+        rel = BETAINC_RTOL * max(1.0, (a + b) / 8.0) + polyfun.beta_fn_rel_err(a, b)
+    a_exact, b_exact = _beta_exact(params)
+    da, db = float(abs(Fraction(a) - a_exact)), float(abs(Fraction(b) - b_exact))
+    if da or db:
+        # -log s = log(x^alpha + 1), -log(1-s) = that minus alpha log x
+        log_x = params.alpha * math.log(t)
+        log_s = log_x + math.log1p(t ** -params.alpha) if t > 1.0 else math.log1p(t**params.alpha)
+        rel += 1.01 * (da * (log_s + 1.0 / a) + db * (log_s - log_x))
+    return rel
 
 
 # --------------------------------------------------------------------------
@@ -366,7 +469,7 @@ def _sum_terms(terms, n: int, alternating: bool = False) -> tuple[float, float, 
         hi = min(n + 1, lo + step)
         arr = terms(np.arange(lo, hi, dtype=float))
         if alternating:
-            arr = arr * np.where((np.arange(lo, hi) % 2) == 1, 1.0, -1.0)
+            arr[1::2] *= -1.0  # lo is odd, so the odd positions hold the even k
         if lo == 1:
             head = arr[:_EXACT_HEAD].tolist()
             arr = arr[_EXACT_HEAD:]
@@ -377,77 +480,103 @@ def _sum_terms(terms, n: int, alternating: bool = False) -> tuple[float, float, 
     return math.fsum(head + chunks), math.fsum(map(abs, head)) + rest_abs, rest_abs
 
 
-def bracketed_sum(terms, tail_bracket, n: int, tol: float,
-                  term_rtol: float = 4e-15) -> EvalResult:
-    """sum_{k>=1} terms(k), where tail_bracket(n) = (lo, hi) encloses sum_{k>n}.
+def bracketed_sum(terms, tail_bracket, n: int, tol: float, term_rtol: float = 4e-15,
+                  exact_tail=None, alternating: bool = False) -> EvalResult:
+    """sum_{k>=1} terms(k), where tail_bracket(n) = (lo, hi) encloses sum_{k>n};
+    with `alternating`, term k carries the sign (-1)^(k-1).
 
     `terms` maps an index array to the term array, each value within
     term_rtol of the exact term.  n doubles until the tail bracket is at most
-    tol wide (ToleranceError at the MATHIEU_MAX_TERMS cap); the first n terms
-    are then summed and the midpoint of the enclosure is returned, with half
-    its width plus rounding slack as the error radius.
+    tol wide (ToleranceError at the MATHIEU_MAX_TERMS cap).  Where doubling
+    would take n past CROSSOVER (or the cap) and `exact_tail` is given, the
+    head stays at the starting n instead and exact_tail(n) = (value, radius,
+    order) closes the sum past it, provided 2 radius <= tol; otherwise the
+    doubling goes on.  The first n terms are then summed; the result is their
+    sum plus the tail's midpoint, with the tail's radius plus rounding slack
+    as the error radius and the tail engine's order (0 for a bracket).
     """
     cap = _max_terms()
+    start, tail = n, None
     while True:
         lo, hi = tail_bracket(n)
         if hi - lo <= tol or n >= cap:
             break
+        if exact_tail is not None and 2 * n > min(CROSSOVER, cap):
+            try:
+                closed = exact_tail(start)
+            except OverflowError:  # a kernel scaled out of float range closes nothing
+                closed = (0.0, math.inf, 0)
+            exact_tail = None
+            if 2.0 * closed[1] <= tol:
+                tail, n = closed, start
+                break
         n = min(cap, n * 2)
-    if hi - lo > tol:
-        raise ToleranceError(
-            f"tail bracket {hi - lo:.3g} still exceeds tol={tol:.3g} at the "
-            f"{n}-term cap; raise {MAX_TERMS_ENV}"
-        )
-    partial, partial_abs, pairwise_abs = _sum_terms(terms, n)
-    value = partial + 0.5 * (hi + lo)
+    if tail is None:
+        if hi - lo > tol:
+            raise ToleranceError(
+                f"tail bracket {hi - lo:.3g} still exceeds tol={tol:.3g} at the "
+                f"{n}-term cap; raise {MAX_TERMS_ENV}"
+            )
+        tail = (0.5 * (hi + lo), 0.5 * (hi - lo), 0)
+    partial, partial_abs, pairwise_abs = _sum_terms(terms, n, alternating)
+    value = partial + tail[0]
     # per-term rounding, pairwise accumulation, and the roundings of the
-    # final fsum and of the midpoint addition
+    # final fsum and of the tail's addition
     slack = (term_rtol * partial_abs + PAIRWISE_RTOL * pairwise_abs
              + 2.0**-53 * (abs(partial) + abs(value)) + 1e-300)
-    radius = 0.5 * (hi - lo) + slack
-    return EvalResult(value=value, err_lo=radius, err_hi=radius, method=DIRECT, terms_used=n)
+    return EvalResult(value=value, err_lo=tail[1] + slack, err_hi=tail[1] + slack,
+                      method=DIRECT, terms_used=n, order=tail[2])
+
+
+def _exact_tail(params: MathieuParams, t: float, alternating: bool):
+    """head -> `_closed_tail` past it, where the kernel has an exact tail: at
+    t = 0 (any kernel), and for t > 0 with (gamma, alpha) in Z+ x N, where
+    the variation is exact; else None."""
+    if t == 0.0 or params.integer_regime:
+        return functools.partial(_closed_tail, params, t, alternating)
+    return None
 
 
 def eval_S(params: MathieuParams, t: float, tol: float = 1e-10) -> EvalResult:
     """Direct summation of the plain series with a rigorous error bracket.
 
-    Terms are summed up to an index past which they decrease; the tail is then
-    enclosed by integral (or Hermite-Hadamard) bounds at most tol wide.  The
-    radius adds rounding slack, so it meets tol whenever tol is achievable
-    in float64 (roughly tol >= 2 _term_rtol(params) times the sum of
-    absolute terms, 4e-15 times it for the classical series); it is honest
-    either way.
+    Terms are summed from an index past which they decrease; the tail is
+    enclosed by integral (or Hermite-Hadamard) bounds, and the head doubles
+    until they are at most tol wide.  Where that would take more than
+    CROSSOVER terms and the kernel has an exact tail (t = 0, or (gamma,
+    alpha) in Z+ x N), the head stays at max(monotone index, 64) terms and
+    an Euler-Maclaurin tail on the shifted kernel closes the sum
+    (`_closed_tail`).  The radius adds rounding slack, so it meets tol
+    whenever tol is achievable in float64 (roughly tol >= 2 _term_rtol(params)
+    times the sum of absolute terms, 4e-15 times it for the classical
+    series); it is honest either way.
     """
     params.require_delta(1.0)
     _check_t_tol(t, tol)
     return bracketed_sum(functools.partial(_terms, params, t), _tail_bracket(params, t),
-                         max(_monotone_from(params, t), 64), tol, _term_rtol(params))
+                         max(_monotone_from(params, t), 64), tol, _term_rtol(params),
+                         _exact_tail(params, t, False))
 
 
 def eval_S_alt(params: MathieuParams, t: float, tol: float = 1e-10) -> EvalResult:
-    """Direct summation of the alternating series with an alternating-tail bracket."""
+    """Direct summation of the alternating series with a rigorous error bracket.
+
+    The same driver as `eval_S`: past the monotone index the remainder after
+    n terms lies between 0 and term n+1, with that term's sign, and where
+    that bracket would need more than CROSSOVER terms and the kernel has an
+    exact tail, a Boole tail on the shifted kernel closes the sum.
+    """
     params.require_delta(0.0)
     _check_t_tol(t, tol)
-    cap = _max_terms()
-    n = max(_monotone_from(params, t), 64)
-    while True:
-        first_omitted = _terms(params, t, n + 1)
-        if first_omitted <= 2.0 * tol or n >= cap:
-            break
-        growth = min(4.0, max(1.3, (first_omitted / tol) ** (1.0 / max(params.delta, 0.5))))
-        n = min(cap, max(n + 1, int(n * growth)))
-    if first_omitted > 2.0 * tol:
-        raise ToleranceError(
-            f"alternating tail {first_omitted:.3g} still exceeds 2*tol at the "
-            f"{n}-term cap; raise {MAX_TERMS_ENV}"
-        )
-    partial, partial_abs, _ = _sum_terms(lambda k: _terms(params, t, k), n, alternating=True)
-    slack = 8e-15 * partial_abs + 1e-300
-    # remainder R has the sign of term n+1 and |R| <= that term
-    sign = 1.0 if (n + 1) % 2 == 1 else -1.0
-    value = partial + sign * 0.5 * first_omitted
-    radius = 0.5 * first_omitted + slack
-    return EvalResult(value=value, err_lo=radius, err_hi=radius, method=DIRECT, terms_used=n)
+    terms = functools.partial(_terms, params, t)
+    rtol = _term_rtol(params)
+
+    def tail_bracket(n: int) -> tuple[float, float]:
+        first = float(terms(n + 1)) * (1.0 + 2.0 * rtol)
+        return (0.0, first) if n % 2 == 0 else (-first, 0.0)
+
+    return bracketed_sum(terms, tail_bracket, max(_monotone_from(params, t), 64), tol, rtol,
+                         _exact_tail(params, t, True), alternating=True)
 
 
 def s_mu(mu: float, t: float, u: float, tol: float = 1e-10) -> EvalResult:
@@ -475,6 +604,7 @@ def s_mu(mu: float, t: float, u: float, tol: float = 1e-10) -> EvalResult:
         err_hi=shifted.err_hi,
         method=DIRECT,
         terms_used=shifted.terms_used + head_end,
+        order=shifted.order,
     )
 
 
@@ -588,26 +718,13 @@ class _KernelDerivative:
     """
 
     def __init__(self, gamma: int, alpha: int, mu: float, n: int):
-        self.alpha, self.mu, self.n = alpha, mu, n
-        polys = [(Fraction(0),) * gamma + (Fraction(1),)]
-        for j in range(n + 2):
-            polys.append(self._next(polys[-1], alpha, (Fraction(mu) + 1 + j) * alpha))
-        self.num = polys[n]
+        self.gamma, self.alpha, self.mu, self.n = gamma, alpha, mu, n
+        polys = _numerators(gamma, alpha, mu, n + 2)
         self.turns = [
             (l, h, self.value(l), self.value(h),
              polyfun.round_up((h - l) ** 2 / 2 * self._sup(polys[n + 2], l, h)))
             for l, h in polyfun.real_root_intervals(polys[n + 1], Fraction(-1, 2))
         ]
-
-    @staticmethod
-    def _next(p: tuple[Fraction, ...], alpha: int, c: Fraction) -> tuple[Fraction, ...]:
-        out = [Fraction(0)] * (len(p) + alpha - 1)
-        for i in range(1, len(p)):
-            out[i - 1] += i * p[i]
-            out[i - 1 + alpha] += i * p[i]
-        for i, pi in enumerate(p):
-            out[i + alpha - 1] -= c * pi
-        return tuple(out)
 
     def _sup(self, poly: tuple[Fraction, ...], l: Fraction, h: Fraction) -> Fraction:
         """Upper bound on |g^(n+2)| = |poly| / (x^alpha + 1)^(mu+3+n) over [l, h],
@@ -620,11 +737,7 @@ class _KernelDerivative:
 
     def value(self, x: Fraction) -> tuple[float, float]:
         """g^(n)(x) and a bound on its rounding error."""
-        base = x**self.alpha + 1
-        v = float(polyfun.poly_eval_exact(self.num, x) / base ** (self.n + 1)) / float(base) ** self.mu
-        # two exact quotients rounded once each, pow within 1 ulp of a base off by
-        # 1 rounding (mu of them in the result), and the last division
-        return v, (abs(self.mu) + 8.0) * 2.0**-53 * abs(v) + 1e-300
+        return _kernel_value(self.gamma, self.alpha, self.mu, self.n, x)
 
     def pieces(self, a: float, b: float) -> tuple[list[float], float]:
         """SmoothFunction.monotone_pieces for g^(n) on [a, b], a >= -1/2."""
@@ -656,28 +769,122 @@ def _kernel_derivative(gamma: int, alpha: int, mu: float, n: int) -> _KernelDeri
     return _KernelDerivative(gamma, alpha, mu, n)
 
 
+@functools.lru_cache(maxsize=256)
+def _numerators(gamma: int, alpha: int, mu: float, n: int) -> tuple[tuple[Fraction, ...], ...]:
+    """(P_0, ..., P_n) of g^(j) = P_j(x) / (x^alpha + 1)^(mu+1+j), exact in Fraction(mu)."""
+    if n == 0:
+        return ((Fraction(0),) * gamma + (Fraction(1),),)
+    polys = _numerators(gamma, alpha, mu, n - 1)
+    # P_n = P_{n-1}' (x^alpha + 1) - (mu + n) alpha x^(alpha-1) P_{n-1}
+    p, c = polys[-1], (Fraction(mu) + n) * alpha
+    out = [Fraction(0)] * (len(p) + alpha - 1)
+    for i in range(1, len(p)):
+        out[i - 1] += i * p[i]
+        out[i - 1 + alpha] += i * p[i]
+    for i, pi in enumerate(p):
+        out[i + alpha - 1] -= c * pi
+    return polys + (tuple(out),)
+
+
+@functools.lru_cache(maxsize=256)
+def _integer_numerator(gamma: int, alpha: int, mu: float, n: int) -> tuple[int, tuple[int, ...]]:
+    """P_n as (D, (C_0, C_1, ...)) with P_n(x) = sum C_i x^i / D in integers, D > 0."""
+    poly = _numerators(gamma, alpha, mu, n)[n]
+    den = math.lcm(*(c.denominator for c in poly))
+    return den, tuple(int(c * den) for c in poly)
+
+
+def _kernel_value(gamma: int, alpha: int, mu: float, n: int, x: Fraction) -> tuple[float, float]:
+    """g^(n)(x) for (gamma, alpha) in Z+ x N and a bound on its rounding error."""
+    den, coeffs = _integer_numerator(gamma, alpha, mu, n)
+    p, q = x.numerator, x.denominator
+    # with x = p/q: P_n(x) = sum C_i p^i q^(d-i) / (D q^d), by homogeneous Horner,
+    # and x^alpha + 1 = (p^alpha + q^alpha) / q^alpha
+    acc, q_pow = coeffs[-1], 1
+    for c in reversed(coeffs[:-1]):
+        q_pow *= q
+        acc = acc * p + c * q_pow
+    base = p**alpha + q**alpha
+    v = (acc * q ** (alpha * (n + 1))) / (den * q_pow * base ** (n + 1)) \
+        / (base / q**alpha) ** mu
+    # two exact quotients rounded once each, pow within 1 ulp of a base off by
+    # 1 rounding (mu of them in the result), and the last division
+    return v, (abs(mu) + 8.0) * 2.0**-53 * abs(v) + 1e-300
+
+
+def _exact_delta(params: MathieuParams) -> Fraction:
+    """alpha (mu+1) - gamma of the float parameters, without rounding."""
+    return Fraction(params.alpha) * (Fraction(params.mu) + 1) - Fraction(params.gamma)
+
+
+def _delta_error(params: MathieuParams) -> float:
+    """|params.delta - `_exact_delta`|, rounded up."""
+    diff = abs(Fraction(params.delta) - _exact_delta(params))
+    return polyfun.round_up(diff) if diff else 0.0
+
+
 class MathieuSmoothFunction(emsum.SmoothFunction):
-    """The kernel g presented through the summation-engine contract.
+    """The kernel g, shifted to x -> g(x + shift), presented through the
+    summation-engine contract.
 
     In the integer regime the variation of g^(k) comes from its exact
     monotone pieces (`_KernelDerivative`); elsewhere from quadrature.
+    Unshifted, the derivatives at 0 are the series coefficients (jets).  A
+    shift, which needs the integer regime, is exact (a Fraction); the
+    derivatives there come from the exact numerators P_k with their rounding
+    bounds (`_kernel_value`), and the tail integral with its own.
     """
 
-    def __init__(self, params: MathieuParams):
+    def __init__(self, params: MathieuParams, shift: Fraction = Fraction(0)):
         self.params = params
-        self.domain_left = -0.5 if params.integer_regime else 0.0
+        self.shift = shift
+        self.domain_left = (-0.5 if params.integer_regime else 0.0) - float(shift)
 
     def deriv(self, k: int, x: float) -> float:
+        if self.shift:
+            return self.deriv_with_error(k, x)[0]
         return jets.derivatives(g_jet(self.params, x, k))[k]
+
+    def deriv_with_error(self, k: int, x: float) -> tuple[float, float | None]:
+        if not self.shift:
+            return self.deriv(k, x), None
+        p = self.params
+        return _kernel_value(int(p.gamma), int(p.alpha), p.mu, k, Fraction(x) + self.shift)
 
     def monotone_pieces(self, k: int, a: float, b: float) -> tuple[list[float], float] | None:
         p = self.params
-        if not (p.integer_regime and a >= self.domain_left):
+        if not p.integer_regime:
+            return None
+        if self.shift:
+            # the engine rounded the ends it passes (eps u): widen each one
+            # outward by 2^-52 relative, so the exact interval lies inside
+            a = Fraction(a) - abs(Fraction(a)) / 2**52 + self.shift
+            if b != math.inf:
+                b = Fraction(b) + abs(Fraction(b)) / 2**52 + self.shift
+            if a < Fraction(-1, 2):
+                return None
+        elif a < self.domain_left:
             return None
         return _kernel_derivative(int(p.gamma), int(p.alpha), p.mu, k).pieces(a, b)
 
     def tail_integral(self, t: float) -> float:
-        return tail_integral(self.params, t)
+        return tail_integral(self.params, t + float(self.shift))
+
+    def tail_integral_with_error(self, t: float) -> tuple[float, float | None]:
+        if not self.shift:
+            return self.tail_integral(t), None
+        p = self.params
+        x = Fraction(t) + self.shift
+        xf = float(x)
+        value = tail_integral(p, xf)
+        # rounding x to xf moves F by at most |xf - x| sup g between them: g at
+        # the left end where g decreases there, else the peak value of g
+        if min(Fraction(xf), x) >= Fraction(g_peak(p)) * (1 + Fraction(1, 2**40)):
+            g_sup = sum(_kernel_value(int(p.gamma), int(p.alpha), p.mu, 0, min(Fraction(xf), x)))
+        else:
+            g_sup = 1.0 if p.gamma == 0 else 0.5 * g_total_variation(p)
+        err = tail_integral_rel_err(p, xf) * value + float(abs(Fraction(xf) - x)) * g_sup
+        return value, 1.01 * err + 1e-300
 
     def far_field(self, k: int) -> float:
         # |g^(k)(x)| decays like x^(-delta - k); solve C x^(-delta-k) ~ 1e-18
@@ -686,13 +893,149 @@ class MathieuSmoothFunction(emsum.SmoothFunction):
         return max(50.0, (scale * 1e18) ** (1.0 / (delta + k)))
 
 
+class _PowerTail(emsum.SmoothFunction):
+    """F(x) = 2 (x + N)^(-delta): the terms 2 (k+u)^(-delta) of the series at
+    t = 0 past a head of N terms, as F(k + u).
+
+    F^(k)(x) = 2 (-delta)(-delta-1)...(-delta-k+1) (x + N)^(-delta-k) keeps
+    one sign and |F^(k)| decreases, so the variation of F^(k) on [a, b] is
+    |F^(k)(a) - F^(k)(b)|, and int_t^inf F = 2 (t + N)^(1-delta) / (delta-1).
+    delta is the exact alpha (mu+1) - gamma of the float parameters: where it
+    is near 1 the sum moves by 1/(delta-1)^2 per unit of delta, so every
+    factor that involves it is rounded once from the exact rational.
+    """
+
+    def __init__(self, params: MathieuParams, head: int):
+        self.delta = _exact_delta(params)
+        self.head = head
+        self.domain_left = -0.5 * head
+
+    def _value(self, k: int, x: float) -> tuple[float, float]:
+        poch = Fraction(2)
+        for j in range(k):
+            poch *= -(self.delta + j)
+        y = x + self.head
+        e = float(self.delta + k)
+        v = float(poch) * y ** -e
+        # y and the exponent rounded once each move the power by (delta + k)(1 +
+        # log y) u; the power within 1 ulp, the factor and the product 1 each
+        return v, 1.01 * (e * (1.0 + math.log(y)) + 6.0) * 2.0**-53 * abs(v)
+
+    def deriv(self, k: int, x: float) -> float:
+        return self._value(k, x)[0]
+
+    def deriv_with_error(self, k: int, x: float) -> tuple[float, float | None]:
+        return self._value(k, x)
+
+    def variation(self, k: int, a: float, b: float) -> float:
+        if b < a:
+            a, b = b, a
+        va, ea = self._value(k, a)
+        vb, eb = (0.0, 0.0) if b == math.inf else self._value(k, b)
+        return (abs(va - vb) + ea + eb) * (1.0 + 2.0**-50)
+
+    def tail_integral(self, t: float) -> float:
+        return self.tail_integral_with_error(t)[0]
+
+    def tail_integral_with_error(self, t: float) -> tuple[float, float | None]:
+        y, e = t + self.head, float(self.delta - 1)
+        value = 2.0 * y ** -e / e
+        # as in _value with the exponent delta - 1, plus its rounding as a divisor
+        return value, 1.01 * (e * (1.0 + math.log(y)) + 6.0) * 2.0**-53 * value
+
+
+#: Order of the Euler-Maclaurin and Boole engines that close a tail.
+TAIL_ORDER = 8
+
+
+def _closed_tail(params: MathieuParams, t: float, alternating: bool, head: int,
+                 order: int = TAIL_ORDER) -> tuple[float, float, int]:
+    """(value, radius, order) of the sum of the terms past the first `head`,
+    with the sign (-1)^(k-1) when alternating, by `emsum.em_sum` or
+    `emsum.boole_sum`.
+
+    For t > 0 the terms are 2 t^(-delta) g(eps (k + u)) with eps = 1/t, so
+    the sum past the head is 2 t^(-delta) times the engine's sum of the
+    shifted kernel x -> g(x + eps head) at the same u (never at offset
+    u + head, whose Bernoulli weights B_k(-u - head) explode).  At t = 0 the
+    engine sums F(k + u), F = `_PowerTail`, with eps = 1.  The radius covers
+    the remainder and every rounding: the engine bounds the boundary terms
+    and the integral term from the errors the kernel reports; on top come
+    the t^(-delta) scale and the rounding of eps.  head = 0 is `eval_em`,
+    whose arithmetic is kept as it was: the derivatives at 0 are the series
+    coefficients, covered by the engine's 4e-16 relative allowance.
+    """
+    engine = emsum.boole_sum if alternating else emsum.em_sum
+    if t == 0.0 or (head and t**params.alpha <= _T_POWER_NEGLIGIBLE):
+        res = engine(_PowerTail(params, head), 1.0, params.u, order)
+        value, radius = res.sum_estimate, res.remainder_bound
+        if t > 0.0:
+            radius += _t_zero_drift(params, t, head)
+    else:
+        eps = 1.0 / t
+        f = MathieuSmoothFunction(params, Fraction(eps) * head)
+        res = engine(f, eps, params.u, order)
+        scale = 2.0 * t ** (-params.delta)
+        value = scale * res.sum_estimate
+        if head == 0:
+            beta_err = polyfun.beta_fn_rel_err(*_beta_args(params)) * abs(res.integral_term)
+            return value, scale * (res.remainder_bound + beta_err) + 4e-16 * abs(value), order
+        radius = scale * res.remainder_bound + _scale_rounding(params, t, alternating, head, value)
+    if alternating and head % 2:
+        value = -value
+    return value, radius, order
+
+
+#: Below this t^alpha the closer sums the t = 0 tail and bounds the difference.
+_T_POWER_NEGLIGIBLE = 2.0**-100
+
+
+def _t_zero_drift(params: MathieuParams, t: float, head: int) -> float:
+    """Bound on the difference between the tails past `head` at t and at 0,
+    for (gamma, alpha) in Z+ x N (so delta + alpha > 1 and mu + 1 > 0).
+
+    With w = k + u and m = mu + 1, (1 + (t/w)^alpha)^(-m) >= 1 - m (t/w)^alpha,
+    so each term moves by at most m t^alpha 2 w^(-delta-alpha); summed over
+    k > head that is at most the first such term plus its integral.  At
+    t^alpha <= 2^-100 this is negligible, and the shifted kernel, whose
+    powers of head/t leave the float range as t -> 0, is not needed.
+    """
+    w, e = head + 1.0 + params.u, params.delta + params.alpha
+    return 1.01 * (params.mu + 1.0) * t**params.alpha * 2.0 * (w**-e + w ** (1.0 - e) / (e - 1.0))
+
+
+def _scale_rounding(params: MathieuParams, t: float, alternating: bool, head: int,
+                    value: float) -> float:
+    """Bound on the error that 2 t^(-delta) times the engine's sum adds to a
+    tail past `head` terms, t > 0.
+
+    The power is within 1 ulp of t^(-delta') for the rounded delta' and the
+    product adds 1 rounding: (3 + delta) u with the rounding of eps below,
+    plus |delta' - delta| |log t|.  eps = 1/t is rounded, so the engine
+    summed the kernel at t' = 1/eps, |t' - t| <= u t: (t'/t)^delta adds
+    delta u, and t d/dt of each term is at most alpha (mu+1) times the term,
+    so S(t') moves by at most alpha (mu+1) u times the plain tail, or times
+    the first omitted term of the alternating one (past the monotone index
+    these t-derivatives decrease in k, so their alternating sum is at most
+    the first).
+    """
+    u = 2.0**-53
+    rel = (3.0 + abs(params.delta)) * u + _delta_error(params) * abs(math.log(t))
+    drift = params.alpha * abs(params.mu + 1.0) * u
+    if alternating:
+        return 1.01 * (rel * abs(value) + drift * float(_terms(params, t, head + 1)))
+    return 1.01 * (rel + drift) * abs(value)
+
+
 def eval_em(params: MathieuParams, t: float, n: int | None = None) -> EvalResult:
-    """Rigorous large-t evaluation through the Euler-Maclaurin engine.
+    """Rigorous large-t evaluation through the Euler-Maclaurin engine: the
+    closed tail of `_closed_tail` past a head of 0 terms.
 
     With eps = 1/t the engine estimates sum g((k+u)/t) = t^delta S / 2, so the
     estimate and its certified remainder bound are rescaled by 2 t^(-delta).
     The radius adds the rounding of the value: the Beta function inside the
-    integral term, and a few ulps of the rescaled sum.
+    integral term, and a few ulps of the rescaled sum.  The result reports 0
+    summed terms and the engine order n.
     """
     params.require_delta(1.0)
     if not 0.0 < t < math.inf:
@@ -702,19 +1045,9 @@ def eval_em(params: MathieuParams, t: float, n: int | None = None) -> EvalResult
         n = int(min(prof.r, 8))
     elif n > prof.r:
         raise OrderOverflowError(f"n = {n} exceeds the smoothness r = {prof.r} of g at 0")
-    f = MathieuSmoothFunction(params)
-    res = emsum.em_sum(f, 1.0 / t, params.u, n)
-    scale = 2.0 * t ** (-params.delta)
-    value = scale * res.sum_estimate
-    beta_err = polyfun.beta_fn_rel_err(*_beta_args(params)) * abs(res.integral_term)
-    radius = scale * (res.remainder_bound + beta_err) + 4e-16 * abs(value)
-    return EvalResult(
-        value=value,
-        err_lo=radius,
-        err_hi=radius,
-        method=EULER_MACLAURIN,
-        terms_used=n,
-    )
+    value, radius, n = _closed_tail(params, t, False, 0, n)
+    return EvalResult(value=value, err_lo=radius, err_hi=radius, method=EULER_MACLAURIN,
+                      terms_used=0, order=n)
 
 
 def _em_path(params: MathieuParams, t: float) -> EvalResult:

@@ -52,6 +52,42 @@ def s_hurwitz_mp(mu: float, t: float) -> mp.mpf:
     return 2 * (mp.zeta(muf, 1 + tf) - tf * mp.zeta(muf + 1, 1 + tf))
 
 
+def eta_hurwitz_mp(s, a) -> mp.mpf:
+    """sum_{k>=0} (-1)^k (k+a)^(-s) = 2^(-s) [zeta(s, a/2) - zeta(s, (a+1)/2)], s > 0.
+
+    Both sides are analytic in s > 0 apart from s = 1, where the digamma
+    form takes over.
+    """
+    s, a = mp.mpf(s), mp.mpf(a)
+    if s == 1:
+        return (mp.digamma((a + 1) / 2) - mp.digamma(a / 2)) / 2
+    return 2**-s * (mp.zeta(s, a / 2) - mp.zeta(s, (a + 1) / 2))
+
+
+def s_hurwitz_alt_mp(mu: float, t: float) -> mp.mpf:
+    """sum 2(-1)^(k-1) k/(k+t)^(mu+1), the alternating (1, 1, mu, 0) series, mu > 0:
+    2 [eta(mu, 1+t) - t eta(mu+1, 1+t)] with eta = `eta_hurwitz_mp`."""
+    muf, tf = mp.mpf(mu), mp.mpf(t)
+    return 2 * (eta_hurwitz_mp(muf, 1 + tf) - tf * eta_hurwitz_mp(muf + 1, 1 + tf))
+
+
+def exact_delta_mp(gamma: float, alpha: float, mu: float) -> mp.mpf:
+    """alpha (mu+1) - gamma of the float parameters, without float rounding."""
+    return mp.mpf(alpha) * (mp.mpf(mu) + 1) - mp.mpf(gamma)
+
+
+def poisson_plain_mp(t: float) -> mp.mpf:
+    """sum 2/(k^2+t^2) = pi coth(pi t)/t - 1/t^2, t > 0."""
+    t = mp.mpf(t)
+    return mp.pi * mp.coth(mp.pi * t) / t - 1 / t**2
+
+
+def poisson_alt_mp(t: float) -> mp.mpf:
+    """sum 2(-1)^(k-1)/(k^2+t^2) = 1/t^2 - pi csch(pi t)/t, t > 0."""
+    t = mp.mpf(t)
+    return 1 / t**2 - mp.pi * mp.csch(mp.pi * t) / t
+
+
 def log_phi_mp(u: float, x: float) -> mp.mpf:
     """-log(x * sum 2(k+u) exp(-(k+u)^2 x)) by direct mpmath summation, x > 0."""
     uf, xf = mp.mpf(u), mp.mpf(x)

@@ -26,7 +26,7 @@ class TestEval:
         oracle = eval_S(MathieuParams(1.0, 2.0, 1.0, 0.0), 1.0, 1e-12)
         assert rec["value"] == pytest.approx(oracle.value, abs=1e-9)
         assert rec["method"] == "direct"
-        assert set(rec) == {"t", "value", "err_lo", "err_hi", "method", "terms"}
+        assert set(rec) == {"t", "value", "err_lo", "err_hi", "method", "terms", "order"}
 
     def test_poisson_point(self, capsys):
         code, out, _ = run(capsys, "eval", "--gamma", "0", "--alpha", "2",
@@ -49,13 +49,15 @@ class TestEval:
         rec = json.loads(out.strip())
         closed = 1.0 - 2.0 * math.pi / (math.exp(math.pi) - math.exp(-math.pi))
         assert rec["value"] == pytest.approx(closed, abs=1e-9)
+        # a 64-term head and an order-8 Boole tail
+        assert (rec["terms"], rec["order"]) == (64, 8)
 
     def test_sweep_csv(self, capsys):
         code, out, _ = run(capsys, "eval", "--t-start", "1", "--t-stop", "2",
                            "--t-count", "3", "--format", "csv")
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0] == "t,value,err_lo,err_hi,method,terms"
+        assert lines[0] == "t,value,err_lo,err_hi,method,terms,order"
         assert len(lines) == 4
 
     def test_determinism(self, capsys):
@@ -213,7 +215,7 @@ class TestErrorExits:
         ("eval", "--t", "inf"),
         ("eval", "--tol", "nan", "--t", "1"),
         ("asym", "--n-terms", "100"),
-        ("eval-alt", "--gamma", "1", "--alpha", "1", "--mu", "0.5", "--t", "1"),
+        ("eval-alt", "--gamma", "0.5", "--alpha", "1.5", "--mu", "0.5", "--t", "1"),
         ("constants", "--inf", "--u", "nan"),
         ("hankel", "--t", "nan"),
         ("eval", "--config", "bad.cfg"),
@@ -229,7 +231,8 @@ class TestErrorExits:
         ("asym", "--n-terms", "-3"),
     ])
     def test_exit_2_with_one_line(self, capsys, monkeypatch, tmp_path, args):
-        # the eval-alt case needs more terms than this cap allows
+        # the eval-alt case (no closed tail outside the integer regime at t > 0)
+        # needs more terms than this cap allows
         monkeypatch.setenv("MATHIEU_MAX_TERMS", "1000")
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bad.cfg").write_text("t = abc\n")
@@ -291,5 +294,27 @@ print(",".join(loaded))
             "    assert cli.main(['eval', '--t-start', '0.01', '--t-stop', '100', '--t-count',"
             " '200', '--t-log', '--format', 'csv']) == 0",
             "    assert cli.main(['verify', 'monotone', '--b', '10']) == 1",
+            "    assert cli.main(['verify', 'asymptotic']) == 0",
         ])
         assert self._loaded(body, tmp_path) == ""
+
+    def test_direct_sweep_round_loads_no_quadrature(self, tmp_path):
+        # one round of the benchmark's direct-sweep operations, its slow tails
+        # closed by Euler-Maclaurin and Boole on exact variations
+        bench = Path(__file__).resolve().parents[1] / "bench"
+        body = "\n".join([
+            "import random, warnings",
+            f"sys.path.insert(0, {str(bench)!r})",
+            "import workloads",
+            "from mathieuseries import mathieu",
+            "warnings.simplefilter('ignore')",
+            "for op in workloads.DIRECT_SWEEP.round_ops(random.Random(1), 0):",
+            "    getattr(mathieu, op.fn)(mathieu.MathieuParams(*op.params), op.t, op.tol)",
+            "print('scipy.integrate' in sys.modules)",
+        ])
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT.format(body=body)],
+                              capture_output=True, text=True, cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-2] == "False"

@@ -15,7 +15,18 @@ from mathieuseries.errors import (
     ToleranceError,
 )
 
-from conftest import log_phi_mp, s1_trigamma, s_even_mp, s_hurwitz_mp, TWO_ZETA3
+from conftest import (
+    TWO_ZETA3,
+    eta_hurwitz_mp,
+    exact_delta_mp,
+    log_phi_mp,
+    poisson_alt_mp,
+    poisson_plain_mp,
+    s1_trigamma,
+    s_even_mp,
+    s_hurwitz_alt_mp,
+    s_hurwitz_mp,
+)
 
 
 CLASSICAL = mathieu.MathieuParams(1.0, 2.0, 1.0, 0.0)
@@ -137,6 +148,44 @@ class TestTailIntegral:
         with pytest.raises(ParameterError):
             mathieu.tail_integral(mathieu.MathieuParams(1.0, 2.0, 0.0, 0.0), 0.0)
 
+    @pytest.mark.parametrize("params, form", [
+        ((2.0, 2.0, 1.5, 0.0), "a=1"),
+        ((1.0, 2.0, 1.0, 0.0), "a=1"),
+        ((1.0, 1.0, 1.5, 0.0), "b=n"),
+        ((1.0, 1.0, 1.01, 0.0), "b=n"),
+        ((0.0, 1.0, 2.3, 0.0), "b=n"),
+        ((4.0, 1.0, 5.2, 0.0), "b=n"),
+        ((0.5, 1.5, 1.0, 0.0), "a=1"),
+        ((0.5, 1.5, 2.0, 0.0), "b=n"),
+        ((1.0, 2.0, 0.7, 0.0), "b=n"),
+    ])
+    def test_closed_forms_within_their_bound(self, params, form):
+        # against the 40-digit incomplete Beta integral at the exact (a, b)
+        p = mathieu.MathieuParams(*params)
+        assert mathieu._closed_form_beta(p) == form
+        g, a_, mu, _ = (mp.mpf(x) for x in params)
+        b = (g + 1) / a_
+        a = mu + 1 - b
+        for x in (1e-3, 0.3, 1.0, 1.7, 5.0, 64.0, 1e4):
+            s = 1 / (mp.mpf(x) ** a_ + 1)
+            ref = mp.betainc(a, b, 0, s) / a_
+            got = mathieu.tail_integral(p, x)
+            assert abs(got - ref) <= mathieu.tail_integral_rel_err(p, x) * ref, (params, x)
+
+    def test_betainc_allowance_against_mpmath(self):
+        from scipy import special
+
+        rng = __import__("random").Random(11)
+        for _ in range(400):
+            a, b = 10 ** rng.uniform(-2, 1.7), 10 ** rng.uniform(-2, 1.7)
+            s = 10 ** rng.uniform(-14, 0) * rng.choice([1.0, 0.999])
+            ref = mp.betainc(a, b, 0, s, regularized=True)
+            if ref < 1e-300:  # underflow: the tail's error bound adds 1e-300 absolute
+                continue
+            got = float(special.betainc(a, b, s))
+            allowed = mathieu.BETAINC_RTOL * max(1.0, (a + b) / 8.0)
+            assert abs(got - ref) <= allowed * ref, (a, b, s)
+
 
 class TestEvalS:
     def test_zeta3(self):
@@ -213,11 +262,13 @@ class TestEvalS:
         assert tight.err_hi <= 1e-12
 
     def test_term_cap(self, monkeypatch):
+        # outside the integer regime at t > 0 there is no closed tail, and the
+        # bracket needs far more than 1,000 terms (delta = 1.075)
         monkeypatch.setenv(mathieu.MAX_TERMS_ENV, "1000")
         from mathieuseries.errors import ToleranceError
 
         with pytest.raises(ToleranceError):
-            mathieu.eval_S(mathieu.MathieuParams(0.0, 2.0, 0.05, 0.0), 1.0, 1e-12)
+            mathieu.eval_S(mathieu.MathieuParams(0.5, 1.5, 0.05, 0.0), 1.0, 1e-12)
 
 
 class TestEvalSAlt:
@@ -405,8 +456,10 @@ class TestDispatch:
         monkeypatch.setattr(mathieu, "g_smoothness", fail)
         assert mathieu.eval_auto(CLASSICAL, 0.5, 1e-10).method == mathieu.DIRECT
 
-    def test_euler_maclaurin_where_direct_cannot_reach_tol(self):
-        # delta = 1.2: direct summation hits the term cap, EM meets tol
+    def test_euler_maclaurin_where_direct_cannot_reach_tol(self, monkeypatch):
+        # delta = 1.2: under a cap below its 64-term head direct summation
+        # cannot reach tol (without the cap its closed tail would), EM meets it
+        monkeypatch.setenv(mathieu.MAX_TERMS_ENV, "32")
         params = mathieu.MathieuParams(1.0, 1.0, 1.2, 0.0)
         res = mathieu.eval_auto(params, 20.0, 1e-10)
         assert res.method == mathieu.EULER_MACLAURIN
@@ -451,6 +504,14 @@ class TestDispatch:
         for t in (350.4, 670.7, 763.6, 1e4):
             res = mathieu.eval_em(params, t)
             assert abs(mp.mpf(res.value) - s_even_mp(t)) <= res.err_hi, t
+
+    def test_em_bracket_near_delta_one(self):
+        # a = (delta-1)/alpha = 1e-4 rounded once: rounded in steps it was off
+        # by 1e-12 relative, and the integral term ~ 1/a with it (4e-8 here)
+        params = mathieu.MathieuParams(1.0, 1.0, 1.0001, 0.0)
+        for t in (100.0, 1000.0):
+            res = mathieu.eval_em(params, t)
+            assert abs(mp.mpf(res.value) - s_hurwitz_mp(1.0001, t)) <= res.err_hi, t
 
     def test_em_bracket_contains_oracle(self):
         for t in (50.0, 120.0):
@@ -518,6 +579,186 @@ class TestExactVariation:
     def test_non_integer_regime_keeps_quadrature(self):
         f = mathieu.MathieuSmoothFunction(mathieu.MathieuParams(1.0, 1.5, 1.0, 0.0))
         assert f.monotone_pieces(2, 0.0, math.inf) is None
+
+
+def _contains(res, truth) -> bool:
+    return abs(mp.mpf(res.value) - truth) <= res.err_hi
+
+
+@st.composite
+def _plain_case(draw):
+    """(params, t, tol, oracle) for the plain series, from a family with a closed form."""
+    family = draw(st.sampled_from(["hurwitz", "poisson", "zeta"]))
+    if family == "hurwitz":  # (1, 1, mu, 0): delta = mu, the closed tail at every t
+        mu = draw(st.floats(1.05, 3.0))
+        t = draw(st.sampled_from([0.0, 0.3, 1.0, 7.0, 49.0]) | st.floats(0.01, 49.0))
+        return (1.0, 1.0, mu, 0.0), t, 1e-12, s_hurwitz_mp(mu, t)
+    if family == "poisson":
+        t = draw(st.floats(0.05, 49.0))
+        return (0.0, 2.0, 0.0, 0.0), t, 1e-12, poisson_plain_mp(t)
+    # t = 0, any kernel: S(0) = 2 zeta(delta, 1+u)
+    gamma, alpha = draw(st.floats(0.0, 3.0)), draw(st.floats(0.5, 3.0))
+    delta, u = draw(st.floats(1.05, 3.0)), draw(st.floats(-0.9, 2.0))
+    params = (gamma, alpha, (delta + gamma) / alpha - 1.0, u)
+    return params, 0.0, 1e-10, 2 * mp.zeta(exact_delta_mp(*params[:3]), 1 + mp.mpf(u))
+
+
+@st.composite
+def _alternating_case(draw):
+    """(params, t, tol, oracle) for the alternating series, from a family with a closed form."""
+    family = draw(st.sampled_from(["hurwitz", "poisson", "trigamma", "eta"]))
+    if family == "hurwitz":  # delta = mu down to 0.05
+        mu = draw(st.floats(0.05, 3.0))
+        t = draw(st.sampled_from([0.0, 1.0, 7.0]) | st.floats(0.01, 20.0))
+        return (1.0, 1.0, mu, 0.0), t, 1e-10, s_hurwitz_alt_mp(mu, t)
+    if family == "poisson":
+        t = draw(st.floats(0.05, 49.0))
+        return (0.0, 2.0, 0.0, 0.0), t, 1e-10, poisson_alt_mp(t)
+    if family == "trigamma":  # tol 1e-13 takes the bracket past the crossover
+        u, t = draw(st.floats(-0.4, 1.5)), draw(st.floats(0.5, 20.0))
+        return (1.0, 2.0, 1.0, u), t, 1e-13, s1_trigamma(t, u) - s1_trigamma(t / 2, u / 2) / 4
+    gamma, alpha = draw(st.floats(0.0, 3.0)), draw(st.floats(0.5, 3.0))
+    delta, u = draw(st.floats(0.05, 3.0)), draw(st.floats(-0.9, 2.0))
+    params = (gamma, alpha, (delta + gamma) / alpha - 1.0, u)
+    return params, 0.0, 1e-10, 2 * eta_hurwitz_mp(exact_delta_mp(*params[:3]), 1 + mp.mpf(u))
+
+
+class TestClosedTail:
+    """Slow tails closed by Euler-Maclaurin (Boole) on the shifted kernel."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_plain_case())
+    def test_plain_soundness_property(self, case):
+        params, t, tol, truth = case
+        res = mathieu.eval_S(mathieu.MathieuParams(*params), t, tol)
+        assert res.err_hi <= tol
+        assert _contains(res, truth), (params, t, res)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_alternating_case())
+    def test_alternating_soundness_property(self, case):
+        params, t, tol, truth = case
+        res = mathieu.eval_S_alt(mathieu.MathieuParams(*params), t, tol)
+        assert res.err_hi <= tol
+        assert _contains(res, truth), (params, t, res)
+
+    def test_closed_tail_past_every_head(self):
+        # the tail alone, against the oracle minus an exact head, for heads
+        # at and well past the 64-term minimum
+        for alternating, params, t, truth in (
+            (False, (1.0, 1.0, 1.5, 0.0), 3.0, s_hurwitz_mp(1.5, 3.0)),
+            (True, (1.0, 1.0, 0.5, 0.0), 3.0, s_hurwitz_alt_mp(0.5, 3.0)),
+            (False, (1.0, 1.0, 1.5, 0.0), 0.0, 2 * mp.zeta(1.5)),
+            (True, (0.0, 2.0, 0.0, 0.0), 2.0, poisson_alt_mp(2.0)),
+        ):
+            p = mathieu.MathieuParams(*params)
+            for head in (64, 65, 300):
+                head_sum = mp.fsum((-1) ** ((k - 1) * alternating) * 2 * mp.mpf(k) ** p.gamma
+                                   / (mp.mpf(k) ** p.alpha + mp.mpf(t) ** p.alpha) ** (p.mu + 1)
+                                   for k in range(1, head + 1))
+                value, radius, order = mathieu._closed_tail(p, t, alternating, head)
+                assert order == mathieu.TAIL_ORDER
+                assert abs(mp.mpf(value) - (truth - head_sum)) <= radius, (params, t, head)
+                assert radius < 1e-13
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, 7.0, 49.0])
+    def test_slow_alternating_inputs_now_succeed(self, t):
+        # delta = 0.5 exhausted the 20M-term cap before the closed tail
+        res = mathieu.eval_S_alt(mathieu.MathieuParams(1.0, 1.0, 0.5, 0.0), t, 1e-10)
+        assert res.err_hi <= 1e-10
+        assert res.order == mathieu.TAIL_ORDER
+        assert _contains(res, s_hurwitz_alt_mp(0.5, t))
+
+    def test_tiny_t_closes_with_the_t0_tail(self):
+        # (64/t)^alpha leaves the float range; t^alpha <= 2^-100 lets the t = 0
+        # tail stand in, its difference bounded (here far below any ulp)
+        for t in (1e-31, 1e-200):
+            res = mathieu.eval_S(mathieu.MathieuParams(1.0, 1.0, 1.5, 0.0), t, 1e-12)
+            assert (res.terms_used, res.order) == (64, mathieu.TAIL_ORDER)
+            assert _contains(res, 2 * mp.zeta(1.5))
+            res = mathieu.eval_S_alt(mathieu.MathieuParams(1.0, 2.0, 0.2, 0.0), t, 1e-12)
+            assert (res.terms_used, res.order) == (64, mathieu.TAIL_ORDER)
+            assert _contains(res, 2 * eta_hurwitz_mp(exact_delta_mp(1.0, 2.0, 0.2), 1))
+
+    def test_former_cap_input_closes_in_64_terms(self, monkeypatch):
+        monkeypatch.setenv(mathieu.MAX_TERMS_ENV, "1000")
+        res = mathieu.eval_S(mathieu.MathieuParams(0.0, 2.0, 0.05, 0.0), 1.0, 1e-12)
+        assert (res.terms_used, res.order) == (64, mathieu.TAIL_ORDER)
+        assert res.err_hi <= 1e-12
+
+    def test_roadmap_gate(self):
+        # tol 1e-12 for delta near the convergence limits: a closed tail sums
+        # at most 1,024 head terms; a series whose bracket meets tol below the
+        # crossover keeps it.  (Far below, the float64 sum of a head past a
+        # monotone index t/delta, or a value near 1/(delta-1), cannot hold
+        # 1e-12: delta = 0.01 at t = 7, or delta = 1.01.)
+        cases = [(True, d, t) for d in (0.01, 0.05, 0.1, 0.5, 1.0, 2.0) for t in (0.0, 1.0)]
+        cases += [(True, d, 7.0) for d in (0.1, 0.5, 2.0)]
+        cases += [(False, d, t) for d in (1.05, 1.1, 1.2, 1.5, 3.0) for t in (0.0, 1.0, 7.0)]
+        for alternating, delta, t in cases:
+            params = mathieu.MathieuParams(1.0, 1.0, delta, 0.0)
+            if alternating:
+                res = mathieu.eval_S_alt(params, t, 1e-12)
+                truth = s_hurwitz_alt_mp(delta, t)
+            else:
+                res = mathieu.eval_S(params, t, 1e-12)
+                truth = s_hurwitz_mp(delta, t)
+            assert res.err_hi <= 1e-12, (alternating, delta, t)
+            assert _contains(res, truth), (alternating, delta, t)
+            if res.order:
+                assert res.terms_used <= 1024, (alternating, delta, t)
+            else:
+                assert res.terms_used <= mathieu.CROSSOVER, (alternating, delta, t)
+        # both alternating Poisson points and a gamma = 0 kernel with delta = 0.5
+        assert mathieu.eval_S_alt(mathieu.MathieuParams(0.0, 2.0, 0.0, 0.0), 1.0,
+                                  1e-12).terms_used == 64
+        res = mathieu.eval_S_alt(mathieu.MathieuParams(0.0, 2.0, -0.75, 0.0), 3.0, 1e-12)
+        assert (res.terms_used, res.order) == (64, mathieu.TAIL_ORDER)
+        assert res.err_hi <= 1e-12
+
+    #: eval_em before the closed tail existed: (params, t, value, radius) as hex
+    EM_REFERENCE = [
+        ((1.0, 2.0, 1.0, 0.0), 50.0, "0x1.a367060743b5ap-12", "0x1.3799128190316p-60"),
+        ((1.0, 2.0, 1.0, 0.0), 350.4, "0x1.1149d0d4fc2e2p-17", "0x1.8c5df44bfc3fdp-66"),
+        ((1.0, 2.0, 1.0, 0.0), 10000.0, "0x1.5798ee196d32cp-27", "0x1.f25702f04d38ep-76"),
+        ((1.0, 2.0, 1.0, 0.5), 50.0, "0x1.a346d22a31cdfp-12", "0x1.3798dfa9841e7p-60"),
+        ((1.0, 2.0, 1.0, 0.5), 350.4, "0x1.1149636da2c17p-17", "0x1.8c5df44c0eca2p-66"),
+        ((1.0, 2.0, 1.0, 0.5), 10000.0, "0x1.5798edee3126ep-27", "0x1.f25702f04d38ep-76"),
+        ((1.0, 2.0, 2.0, 0.0), 50.0, "0x1.578d33606dcfcp-24", "0x1.930838bfc50efp-72"),
+        ((1.0, 2.0, 2.0, 0.0), 350.4, "0x1.23be84af0098dp-35", "0x1.38adc29eedaa0p-83"),
+        ((1.0, 2.0, 2.0, 0.0), 10000.0, "0x1.cd2b2963be432p-55", "0x1.ee4254203142cp-103"),
+        ((2.0, 2.0, 1.5, 0.0), 50.0, "0x1.179ec9cbd821ap-12", "0x1.0eba39be1ef3dp-60"),
+        ((2.0, 2.0, 1.5, 0.0), 350.4, "0x1.6c628c312f522p-18", "0x1.521e0b9d5ec5dp-66"),
+        ((2.0, 2.0, 1.5, 0.0), 10000.0, "0x1.ca213d840baf1p-28", "0x1.a91abba88da10p-76"),
+        ((0.0, 2.0, 1.0, 0.0), 50.0, "0x1.a049e97f7b24dp-17", "0x1.c9266bdb19d9cp-65"),
+        ((0.0, 2.0, 1.0, 0.0), 350.4, "0x1.390f60e871907p-25", "0x1.50224aa65e50ep-73"),
+        ((0.0, 2.0, 1.0, 0.0), 10000.0, "0x1.ba1c99286c354p-40", "0x1.d9dd6ee8bd7f2p-88"),
+    ]
+
+    def test_eval_em_is_the_unshifted_tail_bit_for_bit(self):
+        for params, t, value, radius in self.EM_REFERENCE:
+            res = mathieu.eval_em(mathieu.MathieuParams(*params), t)
+            assert (res.value.hex(), res.err_lo.hex(), res.err_hi.hex()) == (value, radius, radius)
+            assert (res.terms_used, res.order, res.method) == (0, 8, mathieu.EULER_MACLAURIN)
+
+    def test_cold_and_warm_caches_give_the_same_result(self):
+        calls = [(mathieu.eval_S, (1.0, 1.0, 1.5, 0.0), 2.5, 1e-10),
+                 (mathieu.eval_S_alt, (0.0, 2.0, 0.0, 0.0), 1.0, 1e-10),
+                 (mathieu.eval_S_alt, (1.0, 2.0, 0.3, -0.4), 3.0, 1e-11),
+                 (mathieu.eval_em, (1.0, 2.0, 1.0, 0.5), 80.0, None)]
+        for fn, params, t, tol in calls:
+            for cache in (mathieu._kernel_derivative, mathieu._numerators,
+                          mathieu._integer_numerator, mathieu._beta_args,
+                          mathieu._closed_form_beta):
+                cache.cache_clear()
+            args = (mathieu.MathieuParams(*params), t) + ((tol,) if tol else ())
+            cold, warm = fn(*args), fn(*args)
+            assert cold == warm, (fn.__name__, params)
+            assert cold.order == mathieu.TAIL_ORDER
+
+    def test_bracket_results_report_order_zero(self):
+        res = mathieu.eval_S(CLASSICAL, 1.0, 1e-10)
+        assert (res.order, res.terms_used) == (0, 512)
 
 
 class TestTheta:

@@ -187,6 +187,18 @@ def test_real_root_intervals():
     assert len(polyfun.real_root_intervals(tuple(p), Fraction(0))) == 2
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 12), x=st.floats(-3.0, 3.0),
+       family=st.sampled_from([polyfun.BERNOULLI, polyfun.EULER]))
+def test_poly_eval_error_bounds_horner(n, x, family):
+    # the float evaluation against the exact rational value at the same x
+    coeffs = (polyfun.bernoulli_coeffs(n) if family == polyfun.BERNOULLI
+              else polyfun.euler_coeffs(n)).coeffs
+    got = polyfun.bernoulli_poly(n, x) if family == polyfun.BERNOULLI else polyfun.euler_poly(n, x)
+    exact = polyfun.poly_eval_exact(coeffs, Fraction(x))
+    assert abs(Fraction(got) - exact) <= Fraction(polyfun.poly_eval_error(n, family, x))
+
+
 def test_order_overflow():
     with pytest.raises(OrderOverflowError):
         polyfun.bernoulli_poly(polyfun.MAX_ORDER + 1, 0.5)
