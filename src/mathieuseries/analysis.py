@@ -136,57 +136,63 @@ def _h_series_coeffs(u: float) -> tuple[float, ...]:
     return tuple(out)
 
 
-def h_u(u: float, x: float) -> float:
-    """h_u(x) = e^{-ux} x / (e^x - 1), continued by h_u(0) = 1."""
-    if x < 0:
+def _series_or_closed(x, coeffs: Sequence[float], closed: Callable):
+    """sum_m coeffs[m] x^m below _SERIES_SWITCH, closed(x) at and beyond it,
+    for x >= 0 a float or an array (returned in kind)."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
         raise ParameterError("x must be nonnegative")
-    if x < _SERIES_SWITCH:
-        c = _h_series_coeffs(u)
-        return math.fsum(c[m] * x**m for m in range(len(c)))
-    return math.exp(-u * x) * x / math.expm1(x)
+    out = np.empty(x.shape)
+    near = x < _SERIES_SWITCH
+    out[near] = np.polynomial.polynomial.polyval(x[near], coeffs)
+    out[~near] = closed(x[~near])
+    return out if out.ndim else float(out)
 
 
-def h_u_prime(u: float, x: float) -> float:
+def h_u(u: float, x):
+    """h_u(x) = e^{-ux} x / (e^x - 1), continued by h_u(0) = 1; x a float or an array."""
+    return _series_or_closed(x, _h_series_coeffs(u),
+                             lambda x: np.exp(-u * x) * x / np.expm1(x))
+
+
+def _h_prime_closed(u: float, x: np.ndarray) -> np.ndarray:
+    em1 = np.expm1(x)
+    return np.exp(-u * x) * ((1.0 - u * x) / em1 - x * (em1 + 1.0) / (em1 * em1))
+
+
+def h_u_prime(u: float, x):
     """d/dx h_u(x), by the Maclaurin series near 0 and the closed form beyond."""
-    if x < 0:
-        raise ParameterError("x must be nonnegative")
-    if x < _SERIES_SWITCH:
-        c = _h_series_coeffs(u)
-        return math.fsum(m * c[m] * x ** (m - 1) for m in range(1, len(c)))
-    em1 = math.expm1(x)
-    ex = em1 + 1.0
-    return math.exp(-u * x) * ((1.0 - u * x) / em1 - x * ex / (em1 * em1))
+    c = _h_series_coeffs(u)
+    return _series_or_closed(x, [m * c[m] for m in range(1, len(c))],
+                             lambda x: _h_prime_closed(u, x))
 
 
-def g_pu(p: float, u: float, x: float) -> float:
+def _g_series_coeffs(p: float, u: float) -> list[float]:
+    """Maclaurin coefficients of g_{p,u}: (-p)^(m+1)/(m+1)! - those of h_u/x."""
+    h = _h_series_coeffs(u)
+    return [(-p) ** (m + 1) / math.factorial(m + 1) - h[m + 1] for m in range(_N_AUX_TERMS - 1)]
+
+
+def g_pu(p: float, u: float, x):
     """g_{p,u}(x) = e^{-px}/x - e^{-ux}/(e^x - 1), continued by u + 1/2 - p at 0."""
-    if x < 0:
-        raise ParameterError("x must be nonnegative")
-    if x < _SERIES_SWITCH:
-        h = _h_series_coeffs(u)
-        return math.fsum(
-            ((-p) ** (m + 1) / math.factorial(m + 1) - h[m + 1]) * x**m
-            for m in range(_N_AUX_TERMS - 1)
-        )
-    return math.exp(-p * x) / x - math.exp(-u * x) / math.expm1(x)
+    return _series_or_closed(x, _g_series_coeffs(p, u),
+                             lambda x: np.exp(-p * x) / x - np.exp(-u * x) / np.expm1(x))
 
 
-def g_pu_prime(p: float, u: float, x: float) -> float:
+def _g_prime_closed(p: float, u: float, x: np.ndarray) -> np.ndarray:
+    em1 = np.expm1(x)
+    epx = np.exp(-p * x)
+    return -p * epx / x - epx / (x * x) + np.exp(-u * x) * (u / em1 + (em1 + 1.0) / (em1 * em1))
+
+
+def g_pu_prime(p: float, u: float, x):
     """d/dx g_{p,u}(x)."""
-    if x < _SERIES_SWITCH:
-        h = _h_series_coeffs(u)
-        return math.fsum(
-            m * ((-p) ** (m + 1) / math.factorial(m + 1) - h[m + 1]) * x ** (m - 1)
-            for m in range(1, _N_AUX_TERMS - 1)
-        )
-    em1 = math.expm1(x)
-    ex = em1 + 1.0
-    epx = math.exp(-p * x)
-    eux = math.exp(-u * x)
-    return -p * epx / x - epx / (x * x) + eux * (u / em1 + ex / (em1 * em1))
+    c = _g_series_coeffs(p, u)
+    return _series_or_closed(x, [m * c[m] for m in range(1, len(c))],
+                             lambda x: _g_prime_closed(p, u, x))
 
 
-def G_pum(p: float, u: float, mu: float, x: float) -> float:
+def G_pum(p: float, u: float, mu: float, x):
     """G_{p,u,mu}(x) = x g'_{p,u}(x) + (2 mu - 1) g_{p,u}(x)."""
     return x * g_pu_prime(p, u, x) + (2.0 * mu - 1.0) * g_pu(p, u, x)
 
@@ -195,43 +201,44 @@ def G_pum(p: float, u: float, mu: float, x: float) -> float:
 # Bessel function j_lambda and the Hankel transform
 # --------------------------------------------------------------------------
 
-def _bessel_series(lam: float, x: float) -> float:
-    # j_lam(x) = 2^-lam sum_k (-x^2/4)^k / (k! Gamma(k+lam+1))
-    term = math.exp(-lam * math.log(2.0) - math.lgamma(lam + 1.0))
-    acc = [term]
-    z = -0.25 * x * x
-    k = 0
-    while True:
-        k += 1
-        term *= z / (k * (k + lam))
-        acc.append(term)
-        if abs(term) < 1e-19 * (1.0 + abs(acc[0])) or k > 400:
+def _bessel_series(lam: float, x):
+    """j_lam(x) = 2^-lam sum_k (-x^2/4)^k / (k! Gamma(k+lam+1)), with
+    compensated (Neumaier) summation; x a float or an array."""
+    first = math.exp(-lam * math.log(2.0) - math.lgamma(lam + 1.0))
+    z = -0.25 * np.square(x)
+    term = np.full(z.shape, first)
+    stop = 1e-19 * (1.0 + first)
+    total, comp = term, np.zeros(z.shape)
+    for k in range(1, 402):
+        term = term * z / (k * (k + lam))
+        s = total + term
+        comp = comp + np.where(np.abs(total) >= np.abs(term), (total - s) + term, (term - s) + total)
+        total = s
+        if not np.any(np.abs(term) >= stop):
             break
-    return math.fsum(acc)
+    return total + comp
 
 
-def _bessel_asym(lam: float, x: float) -> float:
-    # Large-argument form of J_lam divided by x^lam
+def _bessel_asym(lam: float, x):
+    """Large-argument form of J_lam(x)/x^lam: Hankel's expansion, each x
+    summed up to its smallest term (at most 24 terms); x a float or an array."""
+    x = np.asarray(x, dtype=float)
     mu4 = 4.0 * lam * lam
-    p_terms, q_terms = [1.0], []
-    a = 1.0
-    k = 0
-    prev = math.inf
-    while k < 24:
-        a *= (mu4 - (2 * k + 1) ** 2) / (8.0 * (k + 1) * x)
-        mag = abs(a)
-        if mag > prev:
-            break
+    p, q = np.ones(x.shape), np.zeros(x.shape)
+    a = np.ones(x.shape)
+    prev = np.full(x.shape, math.inf)
+    live = np.ones(x.shape, dtype=bool)
+    for k in range(24):
+        a = a * ((mu4 - (2 * k + 1) ** 2) / (8.0 * (k + 1) * x))
+        mag = np.abs(a)
+        live &= mag <= prev
         prev = mag
         if k % 2 == 0:
-            q_terms.append(a * (-1.0) ** (k // 2))
+            q = q + np.where(live, a * (-1.0) ** (k // 2), 0.0)
         else:
-            p_terms.append(a * (-1.0) ** ((k + 1) // 2))
-        k += 1
+            p = p + np.where(live, a * (-1.0) ** ((k + 1) // 2), 0.0)
     omega = x - (0.5 * lam + 0.25) * math.pi
-    val = math.sqrt(2.0 / (math.pi * x)) * (
-        math.cos(omega) * math.fsum(p_terms) - math.sin(omega) * math.fsum(q_terms)
-    )
+    val = np.sqrt(2.0 / (math.pi * x)) * (np.cos(omega) * p - np.sin(omega) * q)
     return val / x**lam
 
 
@@ -240,8 +247,9 @@ def bessel_series_cutoff(lam: float) -> float:
     return max(12.0, lam * lam + 6.0)
 
 
-def bessel_j(lam: float, x: float) -> float:
-    """Normalized Bessel function j_lam(x) = J_lam(x)/x^lam (entire, even in x).
+def bessel_j(lam: float, x):
+    """Normalized Bessel function j_lam(x) = J_lam(x)/x^lam (entire, even in x),
+    for x a float or an array (returned in kind).
 
     Power series up to the switch point, large-argument expansion beyond;
     intended for lam > -1 of moderate size (the transforms here use
@@ -249,13 +257,12 @@ def bessel_j(lam: float, x: float) -> float:
     """
     if lam <= -1:
         raise ParameterError("lam must exceed -1")
-    x = abs(x)
-    if x <= bessel_series_cutoff(lam):
-        return _bessel_series(lam, x)
-    return _bessel_asym(lam, x)
-
-
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
+    x = np.abs(np.asarray(x, dtype=float))
+    out = np.empty(x.shape)
+    near = x <= bessel_series_cutoff(lam)
+    out[near] = _bessel_series(lam, x[near])
+    out[~near] = _bessel_asym(lam, x[~near])
+    return out if out.ndim else float(out)
 
 
 def hankel_cutoff(power: float, decay: float) -> float:
@@ -267,8 +274,13 @@ def hankel_cutoff(power: float, decay: float) -> float:
     return cutoff
 
 
+#: Most Hankel panels of width pi/(2t) up to the cutoff: 2^20 nodes in one
+#: array pass (at cutoff 60, t up to about 1,700).
+_MAX_PANELS = 2**16
+
+
 def hankel_transform(
-    h: Callable[[float], float],
+    h: Callable[[np.ndarray], np.ndarray],
     m: float,
     t: float,
     cutoff: float | None = None,
@@ -276,10 +288,16 @@ def hankel_transform(
 ) -> float:
     """F_m(h)(t) = int_0^inf h(x) x^(m-1) j_{m/2-1}(t x) dx.
 
-    Fixed panels of width at most pi/(2t) with 16-point Gauss nodes, summed
-    with exact accumulation.  The integral is truncated at `cutoff`; when no
-    cutoff is given, one is derived from `tail_envelope` (an upper bound for
-    |h(x) x^(m-1)|) by pushing until the envelope drops below 1e-18.
+    A quadrature, not a bracket: `polyfun.gauss_legendre` with 16 nodes per
+    panel, every node evaluated in one array pass (h maps an array of nodes
+    to an array of values).  Panels of width w = min(pi/(2t), 1) cover
+    [w, cutoff]; the first one, [0, w], where the integrand may carry an
+    algebraic x^(m-2) factor, is halved toward 0 (panels [w/2^(k+1), w/2^k]
+    and [0, w/2^L]), so that every panel but the innermost sees a
+    singularity at least its own width away.  The integral is truncated at
+    `cutoff`; when no cutoff is given, one is derived from `tail_envelope`
+    (an upper bound for |h(x) x^(m-1)|) by pushing until the envelope drops
+    below 1e-18.  More than 2^16 panels up to the cutoff raise ParameterError.
     """
     if m <= 0:
         raise ParameterError("m must be positive")
@@ -294,27 +312,22 @@ def hankel_transform(
     lam = 0.5 * m - 1.0
     width = min(0.5 * math.pi / t, 1.0)
     n_panels = max(1, int(math.ceil(cutoff / width)))
+    if n_panels > _MAX_PANELS:
+        raise ParameterError(f"t = {t:g} needs {n_panels} panels up to the cutoff "
+                             f"{cutoff:g}; at most {_MAX_PANELS} are allowed")
     width = cutoff / n_panels
 
-    def integrand(x: float) -> float:
+    def integrand(x: np.ndarray) -> np.ndarray:
         return h(x) * x ** (m - 1.0) * bessel_j(lam, t * x)
 
-    from scipy import integrate
-
-    totals = []
-    # kernels may carry an algebraic x^(m-2) factor at the origin; the first
-    # panel goes through the endpoint-singularity-aware adaptive integrator
-    first, _ = integrate.quad(integrand, 0.0, width, epsabs=1e-14, epsrel=1e-13, limit=200)
-    totals.append(first)
-    for i in range(1, n_panels):
-        a = i * width
-        mid = a + 0.5 * width
-        pieces = []
-        for node, w in zip(_GAUSS_NODES, _GAUSS_WEIGHTS):
-            x = mid + 0.5 * width * node
-            pieces.append(w * integrand(x))
-        totals.append(0.5 * width * math.fsum(pieces))
-    return math.fsum(totals)
+    # for an integrand no worse than x^(m-2) the innermost panel holds at most
+    # 2^-60 of the integral over [0, w], as (2^-L)^(m-1) <= 2^-60; at most 1000
+    # halvings keep w/2^L a normal float
+    levels = 1000 if m <= 1.0 else min(1000, math.ceil(60.0 / (m - 1.0)))
+    graded = [math.ldexp(width, -k) for k in range(1, levels + 1)]
+    lefts = graded + [0.0] + [i * width for i in range(1, n_panels)]
+    widths = graded + [graded[-1]] + [width] * (n_panels - 1)
+    return polyfun.gauss_legendre(integrand, lefts, widths)
 
 
 # --------------------------------------------------------------------------
@@ -322,15 +335,17 @@ def hankel_transform(
 # --------------------------------------------------------------------------
 
 def hermite_hadamard_check(
-    kernel: Callable[[float], float], a: float, b: float, tol: float = 1e-9
+    kernel: Callable, a: float, b: float, tol: float = 1e-9
 ) -> VerificationReport:
-    """Midpoint <= mean <= endpoint-average for a convex kernel on [a, b]."""
+    """Midpoint <= mean <= endpoint-average for a convex kernel on [a, b]
+    (`kernel` takes a float or an array); the mean comes from one
+    Gauss-Legendre panel."""
     if not b > a:
         raise ParameterError("need b > a")
-    from scipy import integrate
-
     report = VerificationReport("hermite-hadamard")
-    integral, quad_err = integrate.quad(kernel, a, b, epsabs=1e-13, epsrel=1e-12)
+    integral = polyfun.gauss_legendre(kernel, [a], b - a)
+    # the error estimate: the difference from the rule at half the order
+    quad_err = abs(integral - polyfun.gauss_legendre(kernel, [a], b - a, polyfun.GAUSS_ORDER // 2))
     lo = (b - a) * kernel(0.5 * (a + b))
     hi = (b - a) * 0.5 * (kernel(a) + kernel(b))
     p = {"a": a, "b": b}
@@ -603,7 +618,7 @@ def hankel_identity_610_check(p: float, a: float, mu: float,
     """Laplace-type Hankel integral of e^{-px} against its closed form."""
     report = VerificationReport("hankel-laplace-identity")
     cutoff = hankel_cutoff(2.0 * mu - 1.0, p)
-    lhs = hankel_transform(lambda x: math.exp(-p * x) / x, 2.0 * mu + 1.0, a, cutoff)
+    lhs = hankel_transform(lambda x: np.exp(-p * x) / x, 2.0 * mu + 1.0, a, cutoff)
     rhs = 2.0 ** (mu - 0.5) * math.gamma(mu + 1.0) / (
         math.sqrt(math.pi) * mu * (p * p + a * a) ** mu
     )

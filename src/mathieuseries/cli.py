@@ -1,7 +1,8 @@
 """Command-line front end: evaluate the series, dump expansion coefficients,
 compute sharp constants, run verification suites, and emit plot-ready output.
 
-Exit codes: 0 success, 1 verification violations, 2 parameter/config errors.
+Exit codes: 0 success, 1 verification violations, 2 parameter/config errors
+(a float overflow inside the package included).
 Streams are JSON-lines (17 significant digits) or CSV (12 significant digits);
 suite reports are a single JSON document.  Identical configurations produce
 byte-identical output.
@@ -14,6 +15,8 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass
+
+import numpy as np
 
 from . import analysis, mathieu, sharp
 from .errors import MathieuSeriesError, ParameterError
@@ -321,7 +324,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_hankel(cfg: RunConfig) -> int:
     kernels = {
-        "exp": lambda x: math.exp(-cfg.p * x) / x,
+        "exp": lambda x: np.exp(-cfg.p * x) / x,
         "g-pu": lambda x: analysis.g_pu(cfg.p, cfg.u, x),
         "h-u-prime": lambda x: analysis.h_u_prime(cfg.u, x),
     }
@@ -334,6 +337,9 @@ def cmd_hankel(cfg: RunConfig) -> int:
             raise ParameterError(f"--{flag} must be finite and positive")
     if not -1.0 < cfg.u < math.inf:
         raise ParameterError("--u must be finite and exceed -1")
+    if cfg.kernel == "exp" and not cfg.m > 1.0:
+        # e^(-px)/x times x^(m-1) behaves like x^(m-2) at 0: integrable only for m > 1
+        raise ParameterError("--m must exceed 1 for the exp kernel")
     cutoff = cfg.cutoff
     if cutoff is None:
         decay = min(cfg.p, 1.0 + cfg.u) if cfg.kernel != "h-u-prime" else 1.0 + cfg.u
@@ -489,6 +495,9 @@ def main(argv: list[str] | None = None) -> int:
         raise ParameterError(f"unknown command {cfg.command!r}")
     except (MathieuSeriesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: a value left the float range ({exc})", file=sys.stderr)
         return 2
 
 

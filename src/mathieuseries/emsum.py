@@ -20,7 +20,10 @@ The variations V come from `SmoothFunction.variation`: a closed form where a
 subclass has one (`ExpFunction`), the sum of the jumps across the monotone
 pieces a subclass supplies (the Mathieu kernel in the integer regime), and
 otherwise an adaptive quadrature of |F^(n+1)|, whose error is estimated, not
-bounded.  scipy is imported only where a quadrature runs.
+bounded.  The exact finite identities integrate with `polyfun.gauss_legendre`,
+one panel between consecutive spline knots.  scipy is imported only by the
+adaptive quadratures: that variation fallback and
+`GaussPowerFunction.tail_integral` at t > 0.
 """
 
 from __future__ import annotations
@@ -254,16 +257,12 @@ class AsymptoticSeries:
 # exact finite identities
 # --------------------------------------------------------------------------
 
-def _quad_panels(f: Callable[[float], float], knots: Sequence[float], tol: float) -> float:
-    from scipy import integrate
-
-    pieces = []
-    for a, b in zip(knots[:-1], knots[1:]):
-        if b <= a:
-            continue
-        val, _ = integrate.quad(f, a, b, epsabs=tol, epsrel=1e-12, limit=200)
-        pieces.append(val)
-    return math.fsum(pieces)
+def _quad_panels(f: Callable[[float], float], knots: Sequence[float]) -> float:
+    """int f over [knots[0], knots[-1]] by `polyfun.gauss_legendre`, one
+    panel between each pair of consecutive knots (f is smooth on each)."""
+    lefts = [a for a, b in zip(knots[:-1], knots[1:]) if b > a]
+    widths = [b - a for a, b in zip(knots[:-1], knots[1:]) if b > a]
+    return polyfun.gauss_legendre(lambda x: [f(v) for v in x.tolist()], lefts, widths)
 
 
 def _check_u_negative(f: SmoothFunction, eps: float, u: float) -> None:
@@ -275,25 +274,24 @@ def _check_u_negative(f: SmoothFunction, eps: float, u: float) -> None:
 
 
 def em_finite_identity(
-    f: SmoothFunction, p: int, eps: float, u: float, n: int, quad_tol: float = 1e-13
+    f: SmoothFunction, p: int, eps: float, u: float, n: int
 ) -> dict[str, float]:
     """Both sides of the exact finite Euler-Maclaurin identity for sum_{k=1}^p F(eps(k+u)).
 
     The right-hand side is the integral plus derivative boundary terms at both
-    ends plus the two spline-weighted remainder integrals, evaluated by
-    adaptive quadrature with panels split at the spline knots t = j*eps.
+    ends plus the two spline-weighted remainder integrals, evaluated by the
+    Gauss-Legendre rule with one panel between consecutive spline knots
+    t = j*eps, where the integrands are smooth.
     """
     if p < 1:
         raise ParameterError("p must be a positive integer")
     if u <= -p:
         raise ParameterError("u must exceed -p")
-    from scipy import integrate
-
     lhs = math.fsum(f.eval(eps * (k + u)) for k in range(1, p + 1))
 
     top = eps * (p + u)
     knots = [eps * j for j in range(0, p + 1) if eps * j < top] + [top]
-    integral = _quad_panels(f.eval, knots, quad_tol) / eps
+    integral = _quad_panels(f.eval, knots) / eps
 
     boundary = []
     for k in range(n + 1):
@@ -305,7 +303,7 @@ def em_finite_identity(
     def integrand1(t: float) -> float:
         return polyfun.bernoulli_spline(n + 1, t / eps) * f.deriv(n + 1, t + eps * u)
 
-    i1 = _quad_panels(integrand1, [eps * j for j in range(0, p + 1)], quad_tol)
+    i1 = _quad_panels(integrand1, [eps * j for j in range(0, p + 1)])
 
     # int_0^1 B_{n+1}(-u + u t) dF^(n)(t eps u)
     if u == 0.0:
@@ -314,7 +312,7 @@ def em_finite_identity(
         def integrand2(t: float) -> float:
             return polyfun.bernoulli_poly(n + 1, -u + u * t) * f.deriv(n + 1, t * eps * u) * eps * u
 
-        i2, _ = integrate.quad(integrand2, 0.0, 1.0, epsabs=quad_tol, epsrel=1e-12, limit=200)
+        i2 = _quad_panels(integrand2, [0.0, 1.0])
 
     remainder = (-1.0) ** n * eps**n / math.factorial(n + 1) * (i1 + i2)
     rhs = integral + math.fsum(boundary) + remainder
@@ -322,15 +320,13 @@ def em_finite_identity(
 
 
 def boole_finite_identity(
-    g: SmoothFunction, p: int, eps: float, u: float, n: int, quad_tol: float = 1e-13
+    g: SmoothFunction, p: int, eps: float, u: float, n: int
 ) -> dict[str, float]:
     """Both sides of the exact finite alternating identity for sum_{k=1}^{2p} (-1)^{k-1} G."""
     if p < 1:
         raise ParameterError("p must be a positive integer")
     if u <= -2 * p:
         raise ParameterError("u must exceed -2p")
-    from scipy import integrate
-
     lhs = math.fsum(
         (-1.0) ** (k - 1) * g.eval(eps * (k + u)) for k in range(1, 2 * p + 1)
     )
@@ -345,7 +341,7 @@ def boole_finite_identity(
     def integrand1(t: float) -> float:
         return polyfun.euler_spline(n, t / eps) * g.deriv(n + 1, t + eps * u)
 
-    i1 = _quad_panels(integrand1, [eps * j for j in range(0, 2 * p + 1)], quad_tol)
+    i1 = _quad_panels(integrand1, [eps * j for j in range(0, 2 * p + 1)])
 
     if u == 0.0:
         i2 = 0.0
@@ -353,7 +349,7 @@ def boole_finite_identity(
         def integrand2(t: float) -> float:
             return polyfun.euler_poly(n, -u + u * t) * g.deriv(n + 1, t * eps * u) * eps * u
 
-        i2, _ = integrate.quad(integrand2, 0.0, 1.0, epsabs=quad_tol, epsrel=1e-12, limit=200)
+        i2 = _quad_panels(integrand2, [0.0, 1.0])
 
     remainder = (-1.0) ** n * eps**n / (2.0 * math.factorial(n)) * (i1 + i2)
     rhs = math.fsum(boundary) + remainder

@@ -276,11 +276,14 @@ _CLOSED_FORM_MAX_B = 64
 
 @functools.lru_cache(maxsize=256)
 def _closed_form_beta(params: MathieuParams) -> str | None:
-    """'a=1' or 'b=n' when the Beta integral's a is exactly 1 or its b exactly a
-    positive integer (checked in rationals), else None."""
+    """'a=1', 'a=b=1/2' or 'b=n' when the Beta integral's a is exactly 1, a and b
+    are both exactly 1/2, or b is exactly a positive integer (checked in
+    rationals), else None."""
     a, b = _beta_args(params)
     if a == 1.0 and Fraction(params.mu) * Fraction(params.alpha) == Fraction(params.gamma) + 1:
         return "a=1"
+    if _beta_exact(params) == (Fraction(1, 2), Fraction(1, 2)):
+        return "a=b=1/2"
     if b.is_integer() and b <= _CLOSED_FORM_MAX_B \
             and Fraction(b) * Fraction(params.alpha) == Fraction(params.gamma) + 1:
         return "b=n"
@@ -306,10 +309,14 @@ def tail_integral(params: MathieuParams, t: float) -> float:
 
     The substitution s = 1/(x^alpha + 1) turns the tail into
     (1/alpha) * B(a, b) * I_s(a, b) with (a, b) from `_beta_args`;
-    convergence needs delta > 1.  Where a = 1 or b = n is a positive
+    convergence needs delta > 1.  Where a = 1, a = b = 1/2 (the Poisson
+    kernel and its (gamma, 2 gamma + 2, 0) relatives) or b = n is a positive
     integer, I_s has a closed form and no scipy is needed:
-    B(1, b) I_s(1, b) = -expm1(b log(1-s)) / b and
+    B(1, b) I_s(1, b) = -expm1(b log(1-s)) / b,
+    B(1/2, 1/2) I_s(1/2, 1/2) = 2 atan(t^(-alpha/2)) and
     B(a, n) I_s(a, n) = s^a sum_{j<n} (n-1)! / (j! (a+j)...(a+n-1)) (1-s)^j.
+    A value below 2^-1000, whose relative error no longer holds in float64,
+    raises OverflowError, as does a t whose x^alpha leaves the float range.
     """
     if t < 0:
         raise ParameterError("t must be nonnegative")
@@ -320,11 +327,14 @@ def tail_integral(params: MathieuParams, t: float) -> float:
         return polyfun.beta_fn(a, b) / params.alpha
     s, q = _beta_point(params, t)
     form = _closed_form_beta(params)
+    lead = 1.0
     if form == "a=1":
         # log(1-s) from s where s is small, from 1-s where not
         log_q = math.log1p(-s) if s <= 0.5 else math.log(q)
-        return -math.expm1(b * log_q) / (params.alpha * b)
-    if form == "b=n":
+        value = -math.expm1(b * log_q) / (params.alpha * b)
+    elif form == "a=b=1/2":
+        value = 2.0 * math.atan(t ** (-0.5 * params.alpha)) / params.alpha
+    elif form == "b=n":
         n = int(b)
         total = 0.0
         for j in range(n):
@@ -332,10 +342,15 @@ def tail_integral(params: MathieuParams, t: float) -> float:
             for i in range(j, n):
                 c /= a + i
             total += c * q**j
-        return s**a * total / params.alpha
-    from scipy import special
+        lead = s**a
+        value = lead * total / params.alpha
+    else:
+        from scipy import special
 
-    return polyfun.beta_fn(a, b) / params.alpha * float(special.betainc(a, b, s))
+        value = polyfun.beta_fn(a, b) / params.alpha * float(special.betainc(a, b, s))
+    if min(value, lead) < 2.0**-1000:
+        raise OverflowError(f"the tail integral underflows at x = {t:g}")
+    return value
 
 
 def tail_integral_rel_err(params: MathieuParams, t: float) -> float:
@@ -346,7 +361,10 @@ def tail_integral_rel_err(params: MathieuParams, t: float) -> float:
     at most triples s's error, log of 1-s adds 4u + u |log(1-s)|, and
     expm1 near 0 passes a relative error on unchanged.  The b = n form is a
     sum of positive terms, each within (4n + 4j + 8)u, times s^a within
-    (4a + 2)u.  betainc is allowed BETAINC_RTOL max(1, (a+b)/8), plus the
+    (4a + 2)u.  The a = b = 1/2 form stays within 8u: the power within 1 ulp
+    (2u), atan, whose relative condition number z/((1+z^2) atan z) is at
+    most 1, passes that on and adds 2u, and the product and quotient 1u
+    each.  betainc is allowed BETAINC_RTOL max(1, (a+b)/8), plus the
     Beta function's own bound.  a and b are rounded once from their exact
     values; F moves by at most |da| (|log s| + 1/a) F and |db| |log(1-s)| F
     under such a change.
@@ -355,6 +373,8 @@ def tail_integral_rel_err(params: MathieuParams, t: float) -> float:
     form = _closed_form_beta(params)
     if form == "a=1":
         rel = 16.0 * 2.0**-53
+    elif form == "a=b=1/2":
+        rel = 8.0 * 2.0**-53
     elif form == "b=n":
         rel = (8.0 * b + 4.0 * a + 12.0) * 2.0**-53
     else:
@@ -431,12 +451,28 @@ def _tail_bracket(params: MathieuParams, t: float):
             return s ** (-mu - 1.0)
 
         return lambda n: hermite_hadamard(tail, kernel, n + u, y)
+
+    def t_zero(n):
+        return (2.0 * (n + 1.0 + u) ** (1.0 - delta) / (delta - 1.0),
+                2.0 * (n + u) ** (1.0 - delta) / (delta - 1.0))
+
     if t == 0.0:
-        return lambda n: (2.0 * (n + 1.0 + u) ** (1.0 - delta) / (delta - 1.0),
-                          2.0 * (n + u) ** (1.0 - delta) / (delta - 1.0))
-    scale = 2.0 * t ** (1.0 - delta)
-    return lambda n: (scale * tail_integral(params, (n + 1.0 + u) / t),
-                      scale * tail_integral(params, (n + u) / t))
+        return t_zero
+
+    def bracket(n):
+        try:
+            scale = 2.0 * t ** (1.0 - delta)
+            return (scale * tail_integral(params, (n + 1.0 + u) / t),
+                    scale * tail_integral(params, (n + u) / t))
+        except OverflowError:
+            # t so small that t^(1-delta) or ((n+u)/t)^alpha leaves the float
+            # range: the t = 0 bracket, as each term 2 w^-delta (1 + (t/w)^alpha)^-(mu+1)
+            # lies between 1 - (mu+1) (t/w)^alpha of its t = 0 value and that value
+            lo, hi = t_zero(n)
+            drift = (mu + 1.0) * (t / (n + 1.0 + u)) ** params.alpha
+            return max(0.0, lo * (1.0 - 1.01 * drift)), hi
+
+    return bracket
 
 
 def _term_rtol(params: MathieuParams) -> float:

@@ -1,5 +1,6 @@
 """Bernoulli/Euler polynomials with exact rational coefficients, periodic splines,
-an exact real-root isolator, certified sup-norm bounds, and Gamma/Beta helpers.
+an exact real-root isolator, certified sup-norm bounds, Gamma/Beta helpers,
+and a composite Gauss-Legendre rule.
 
 Coefficients are generated once as `fractions.Fraction` values (so downstream
 remainder bounds are not polluted by coefficient error) and rounded to floats
@@ -9,7 +10,9 @@ refines each one by bisection to an interval about 2^-60 wide.  Sup norms
 evaluate the polynomial exactly at the interval ends and at the isolated
 critical points, add the width of each critical interval times a bound on
 the derivative, and round the maximum up once, so they are safe to use as
-upper bounds in rigorous error brackets.
+upper bounds in rigorous error brackets.  `gauss_legendre` integrates over
+given panels with fixed-order nodes evaluated in one array pass; its error is
+not bounded.
 
 Everything is read-only after the lazy cache fill; the fills are deterministic
 and idempotent, so concurrent first use is safe and all operations reentrant.
@@ -21,8 +24,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
+import numpy as np
 
 from .errors import OrderOverflowError
 
@@ -411,3 +415,36 @@ def beta_fn_rel_err(a: float, b: float) -> float:
     """
     spread = abs(math.lgamma(a)) + abs(math.lgamma(b)) + abs(math.lgamma(a + b))
     return 8.0 * 2.0**-52 * (1.0 + spread)
+
+
+# --------------------------------------------------------------------------
+# composite Gauss-Legendre rule
+# --------------------------------------------------------------------------
+
+#: Nodes per panel of `gauss_legendre`: exact for polynomials of degree 31.
+GAUSS_ORDER = 16
+
+
+@lru_cache(maxsize=None)
+def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(order)
+
+
+def gauss_legendre(f: Callable[[np.ndarray], np.ndarray], lefts: Sequence[float],
+                   widths: Sequence[float] | float, order: int = GAUSS_ORDER) -> float:
+    """Composite Gauss-Legendre rule: the integral of f over the panels
+    [lefts[i], lefts[i] + widths[i]], `order` nodes each.
+
+    f maps an array of nodes to the array of its values, and is called once
+    with every node of every panel.  Each panel's weighted values and then
+    the panels are summed with `math.fsum`.  The rule is exact for
+    polynomials of degree 2 order - 1 on each panel; for anything else its
+    error is not bounded here (callers grade the panels, or compare two
+    orders).
+    """
+    nodes, weights = _gauss_nodes(order)
+    a = np.asarray(lefts, dtype=float)
+    half = 0.5 * np.broadcast_to(np.asarray(widths, dtype=float), a.shape)
+    x = (a + half)[:, None] + half[:, None] * nodes
+    values = weights * np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    return math.fsum(h * math.fsum(row) for h, row in zip(half.tolist(), values.tolist()))

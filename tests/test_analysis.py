@@ -1,6 +1,8 @@
 import json
 import math
 
+import mpmath as mp
+import numpy as np
 import pytest
 from scipy import special
 
@@ -111,6 +113,19 @@ class TestBessel:
                 envelope = math.sqrt(2.0 / (math.pi * x)) / x**lam
                 assert abs(series - asym) <= 1e-10 * (abs(series) + envelope)
 
+    @pytest.mark.parametrize("lam", [-0.4, 0.0, 0.1, 0.5, 1.0, 2.5])
+    def test_array_against_mpmath(self, lam):
+        # one array call on both sides of the series/asymptotic switch
+        cut = analysis.bessel_series_cutoff(lam)
+        xs = np.concatenate([np.linspace(0.05, 2 * cut, 97), cut + np.array([-1e-9, 0.0, 1e-9])])
+        got = analysis.bessel_j(lam, xs)
+        assert got.shape == xs.shape
+        for x, g in zip(xs.tolist(), got.tolist()):
+            ref = mp.besselj(lam, x) / mp.mpf(x) ** lam
+            envelope = math.sqrt(2.0 / (math.pi * x)) / x**lam
+            assert abs(g - ref) <= 1e-11 * max(abs(ref), envelope), (lam, x)
+            assert g == analysis.bessel_j(lam, x)  # a float gives the same value
+
     def test_bounded_by_value_at_zero(self):
         for lam in (0.0, 0.25, 1.0):
             j0 = analysis.bessel_j(lam, 0.0)
@@ -123,6 +138,18 @@ class TestHankel:
         for p, a, mu in ((1.0, 1.0, 1.0), (0.7, 1.3, 0.6), (1.2, 0.5, 1.5)):
             rep = analysis.hankel_identity_610_check(p, a, mu)
             assert rep.passed, rep.violations
+
+    @pytest.mark.parametrize("m", [1.2, 2.2, 3.0, 4.0])
+    @pytest.mark.parametrize("t", [0.3, 1.0, 5.0])
+    def test_laplace_closed_form(self, m, t):
+        # identity 6.10 with p = 1: the integrand behaves like x^(m-2) at 0,
+        # which the graded panels resolve down to m = 1.2
+        mu = 0.5 * (m - 1.0)
+        val = analysis.hankel_transform(lambda x: np.exp(-x) / x, m, t,
+                                        analysis.hankel_cutoff(m - 2.0, 1.0))
+        ref = mp.mpf(2) ** (mu - 0.5) * mp.gamma(mu + 1) / (
+            mp.sqrt(mp.pi) * mu * (1 + mp.mpf(t) ** 2) ** mu)
+        assert abs(val - ref) <= 1e-12 * ref
 
     def test_series_representation_points(self):
         for mu, u, t in ((1.0, 0.0, 2.0), (0.6, 0.5, 1.0), (1.5, 0.0, 0.7)):
@@ -158,13 +185,14 @@ class TestHankel:
                 assert prev**power * math.exp(-decay * prev) > 1e-20
 
     def test_missing_cutoff_needs_envelope(self):
+        # the kernel maps the array of quadrature nodes; the envelope takes one point
         with pytest.raises(ParameterError):
-            analysis.hankel_transform(lambda x: math.exp(-x), 3.0, 1.0)
+            analysis.hankel_transform(lambda x: np.exp(-x), 3.0, 1.0)
         val = analysis.hankel_transform(
-            lambda x: math.exp(-x), 3.0, 1.0,
+            lambda x: np.exp(-x), 3.0, 1.0,
             tail_envelope=lambda x: x * x * math.exp(-x),
         )
-        ref = analysis.hankel_transform(lambda x: math.exp(-x), 3.0, 1.0, cutoff=80.0)
+        ref = analysis.hankel_transform(lambda x: np.exp(-x), 3.0, 1.0, cutoff=80.0)
         assert val == pytest.approx(ref, abs=1e-10)
 
 

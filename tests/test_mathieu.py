@@ -158,6 +158,8 @@ class TestTailIntegral:
         ((0.5, 1.5, 1.0, 0.0), "a=1"),
         ((0.5, 1.5, 2.0, 0.0), "b=n"),
         ((1.0, 2.0, 0.7, 0.0), "b=n"),
+        ((0.0, 2.0, 0.0, 0.0), "a=b=1/2"),
+        ((1.0, 4.0, 0.0, 0.0), "a=b=1/2"),
     ])
     def test_closed_forms_within_their_bound(self, params, form):
         # against the 40-digit incomplete Beta integral at the exact (a, b)
@@ -679,6 +681,15 @@ class TestClosedTail:
             res = mathieu.eval_S_alt(mathieu.MathieuParams(1.0, 2.0, 0.2, 0.0), t, 1e-12)
             assert (res.terms_used, res.order) == (64, mathieu.TAIL_ORDER)
             assert _contains(res, 2 * eta_hurwitz_mp(exact_delta_mp(1.0, 2.0, 0.2), 1))
+
+    def test_tiny_t_bracket_stays_in_float_range(self):
+        # 2 t^(1-delta) overflows (t = 1e-200) or the tail integral at (n+u)/t
+        # underflows (t = 1e-100, where it once gave a bracket 4e-15 wide and
+        # 5e-9 off): the t = 0 bracket stands in; the sum is 2 zeta(4) to 1e-200
+        for t in (1e-200, 1e-100):
+            res = mathieu.eval_S(mathieu.MathieuParams(0.0, 2.0, 1.0, 0.0), t, 1e-10)
+            assert res.err_hi <= 1e-10
+            assert _contains(res, mp.pi**4 / 45)
 
     def test_former_cap_input_closes_in_64_terms(self, monkeypatch):
         monkeypatch.setenv(mathieu.MAX_TERMS_ENV, "1000")
