@@ -110,10 +110,12 @@ def _t_values(cfg: RunConfig) -> list[float]:
         return [cfg.t]
     if cfg.t_start is None or cfg.t_stop is None:
         raise ParameterError("provide --t or both --t-start and --t-stop")
-    n = max(2, cfg.t_count)
+    n = cfg.t_count
+    if n < 2:
+        raise ParameterError("--t-count must be at least 2")
     if cfg.t_log:
-        if cfg.t_start <= 0:
-            raise ParameterError("log spacing needs a positive --t-start")
+        if not (cfg.t_start > 0 and cfg.t_stop > 0):
+            raise ParameterError("log spacing needs a positive --t-start and --t-stop")
         ratio = cfg.t_stop / cfg.t_start
         return [cfg.t_start * ratio ** (i / (n - 1)) for i in range(n)]
     step = (cfg.t_stop - cfg.t_start) / (n - 1)

@@ -17,24 +17,21 @@ the bound.  Callers are responsible for the hypotheses (F smooth enough, the
 first n derivatives vanishing at +infinity, bounded variation of F^(n)).
 
 The variations V come from `SmoothFunction.variation`: a closed form where a
-subclass has one (`ExpFunction`), the sum of the jumps across the monotone
-pieces a subclass supplies (the Mathieu kernel in the integer regime), and
-otherwise an adaptive quadrature of |F^(n+1)|, whose error is estimated, not
-bounded.  The exact finite identities integrate with `polyfun.gauss_legendre`,
-one panel between consecutive spline knots.  scipy is imported only by the
-adaptive quadratures: that variation fallback and
-`GaussPowerFunction.tail_integral` at t > 0.
+subclass has one (`ExpFunction`), else the sum of the jumps across the
+monotone pieces a subclass supplies (the Mathieu kernel in the integer
+regime); a function that supplies neither has no remainder bound.  The exact
+finite identities integrate with `polyfun.gauss_legendre`, one panel between
+consecutive spline knots.  This module imports no scipy.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import jets, polyfun
-from .errors import OrderOverflowError, ParameterError, ToleranceError
+from .errors import OrderOverflowError, ParameterError
 
 
 # --------------------------------------------------------------------------
@@ -46,12 +43,11 @@ class SmoothFunction:
 
     Subclasses must provide `deriv` and, for the non-alternating engine,
     `tail_integral`.  `variation(k, a, b)` returns an upper bound on the
-    total variation of F^(k) on [a, b] (b may be +inf).  A subclass that can
-    split [a, b] into pieces where F^(k) is monotone supplies them through
-    `monotone_pieces`, and the variation is then the sum of the value jumps
-    across the pieces.  Otherwise it integrates |F^(k+1)| adaptively up to
-    `far_field(k)` and adds |F^(k)| there as a monotone-tail allowance; that
-    quadrature's error is an estimate, not a bound.
+    total variation of F^(k) on [a, b] (b may be +inf): a subclass either
+    overrides it with a closed form or splits [a, b] into pieces where F^(k)
+    is monotone through `monotone_pieces`, and the variation is then the sum
+    of the value jumps across the pieces.  Without either it raises
+    ParameterError: the engines' remainder bounds rest on it.
     """
 
     #: left edge of the domain of definition (q <= 0; -inf for entire functions)
@@ -79,10 +75,6 @@ class SmoothFunction:
         """`tail_integral(t)` and a bound on its error, None as in `deriv_with_error`."""
         return self.tail_integral(t), None
 
-    def far_field(self, k: int) -> float:
-        """Point beyond which F^(k) is monotone and negligible (for variation tails)."""
-        return 700.0
-
     def monotone_pieces(self, k: int, a: float, b: float) -> tuple[list[float], float] | None:
         """Values of F^(k) at knots a = z_0 < ... < z_m = b, between which it is
         monotone, and an absolute slack covering the values' rounding and any
@@ -95,32 +87,14 @@ class SmoothFunction:
         if a == b:
             return 0.0
         pieces = self.monotone_pieces(k, a, b)
-        if pieces is not None:
-            values, slack = pieces
-            jumps = math.fsum(abs(y - x) for x, y in zip(values, values[1:]))
-            # each jump and the correctly rounded fsum round once
-            return jumps * (1.0 + 2.0**-50) + slack
-        from scipy import integrate
-
-        cut = self.far_field(k)
-        hi = min(b, cut)
-        total = 0.0
-        if hi > a:
-            # a quadrature that reports a missed tolerance bounds nothing
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", integrate.IntegrationWarning)
-                try:
-                    val, _ = integrate.quad(
-                        lambda x: abs(self.deriv(k + 1, x)), a, hi,
-                        epsabs=1e-12, epsrel=1e-10, limit=300,
-                    )
-                except integrate.IntegrationWarning as exc:
-                    msg = str(exc).splitlines()[0]
-                    raise ToleranceError(f"variation quadrature failed: {msg}") from None
-            total += val * (1.0 + 1e-8)
-        if b > cut:
-            total += abs(self.deriv(k, cut)) * (1.0 + 1e-8)
-        return total
+        if pieces is None:
+            raise ParameterError(
+                f"{type(self).__name__} supplies no monotone pieces of F^({k}) on "
+                f"[{a:g}, {b:g}], so its variation has no bound")
+        values, slack = pieces
+        jumps = math.fsum(abs(y - x) for x, y in zip(values, values[1:]))
+        # each jump and the correctly rounded fsum round once
+        return jumps * (1.0 + 2.0**-50) + slack
 
 
 class ExpFunction(SmoothFunction):
@@ -162,17 +136,13 @@ class PolynomialFunction(SmoothFunction):
             out = out * x + self.coeffs[j] * math.perm(j, k)
         return out
 
-    def variation(self, k: int, a: float, b: float) -> float:
-        if b == math.inf or a == -math.inf:
-            raise ValueError("polynomials have unbounded variation on infinite intervals")
-        return super().variation(k, a, b)
-
 
 class GaussPowerFunction(SmoothFunction):
     """F(x) = 2 x^(2g-1) exp(-x^(2a)) for positive integers g, a.
 
     Entire, integrable, with all derivatives vanishing at +inf; the model
-    input for asymptotic coefficient streams.
+    input for asymptotic coefficient streams, which take only its
+    derivatives at 0 and its integral over [0, inf).
     """
 
     domain_left = -math.inf
@@ -193,15 +163,9 @@ class GaussPowerFunction(SmoothFunction):
         return jets.derivatives(self._jet(x, k))[k]
 
     def tail_integral(self, t: float) -> float:
-        if t == 0.0:
-            return math.gamma(self.g / self.a) / self.a
-        from scipy import integrate
-
-        val, _ = integrate.quad(self.eval, t, math.inf, epsabs=1e-13, epsrel=1e-12)
-        return val
-
-    def far_field(self, k: int) -> float:
-        return (80.0) ** (1.0 / (2 * self.a)) + 2 * self.g + k
+        if t != 0.0:
+            raise ParameterError("only the integral over [0, inf) has a closed form")
+        return math.gamma(self.g / self.a) / self.a
 
 
 # --------------------------------------------------------------------------

@@ -523,15 +523,18 @@ def bracketed_sum(terms, tail_bracket, n: int, tol: float, term_rtol: float = 4e
 
     `terms` maps an index array to the term array, each value within
     term_rtol of the exact term.  n doubles until the tail bracket is at most
-    tol wide (ToleranceError at the MATHIEU_MAX_TERMS cap).  Where doubling
-    would take n past CROSSOVER (or the cap) and `exact_tail` is given, the
-    head stays at the starting n instead and exact_tail(n) = (value, radius,
-    order) closes the sum past it, provided 2 radius <= tol; otherwise the
-    doubling goes on.  The first n terms are then summed; the result is their
+    tol wide (ToleranceError at the MATHIEU_MAX_TERMS cap, and at once where
+    the starting n is past it).  Where doubling would take n past CROSSOVER
+    (or the cap) and `exact_tail` is given, the head stays at the starting n
+    instead and exact_tail(n) = (value, radius, order) closes the sum past
+    it, provided 2 radius <= tol; otherwise the doubling goes on.  The first n terms are then summed; the result is their
     sum plus the tail's midpoint, with the tail's radius plus rounding slack
     as the error radius and the tail engine's order (0 for a bracket).
     """
     cap = _max_terms()
+    if n > cap:
+        raise ToleranceError(f"the first bracket needs {n} terms, past the {cap}-term cap; "
+                             f"raise {MAX_TERMS_ENV}")
     start, tail = n, None
     while True:
         lo, hi = tail_bracket(n)
@@ -863,18 +866,20 @@ class MathieuSmoothFunction(emsum.SmoothFunction):
     """The kernel g, shifted to x -> g(x + shift), presented through the
     summation-engine contract.
 
-    In the integer regime the variation of g^(k) comes from its exact
-    monotone pieces (`_KernelDerivative`); elsewhere from quadrature.
-    Unshifted, the derivatives at 0 are the series coefficients (jets).  A
-    shift, which needs the integer regime, is exact (a Fraction); the
-    derivatives there come from the exact numerators P_k with their rounding
-    bounds (`_kernel_value`), and the tail integral with its own.
+    It needs (gamma, alpha) in Z+ x N (RegimeError otherwise), where the
+    variation of g^(k) comes from its exact monotone pieces
+    (`_KernelDerivative`).  Unshifted, the derivatives at 0 are the series
+    coefficients (jets).  A shift is exact (a Fraction); the derivatives
+    there come from the exact numerators P_k with their rounding bounds
+    (`_kernel_value`), and the tail integral with its own.
     """
 
     def __init__(self, params: MathieuParams, shift: Fraction = Fraction(0)):
+        if not params.integer_regime:
+            raise RegimeError("the Euler-Maclaurin kernel needs gamma in Z+ and alpha in N")
         self.params = params
         self.shift = shift
-        self.domain_left = (-0.5 if params.integer_regime else 0.0) - float(shift)
+        self.domain_left = -0.5 - float(shift)
 
     def deriv(self, k: int, x: float) -> float:
         if self.shift:
@@ -889,8 +894,6 @@ class MathieuSmoothFunction(emsum.SmoothFunction):
 
     def monotone_pieces(self, k: int, a: float, b: float) -> tuple[list[float], float] | None:
         p = self.params
-        if not p.integer_regime:
-            return None
         if self.shift:
             # the engine rounded the ends it passes (eps u): widen each one
             # outward by 2^-52 relative, so the exact interval lies inside
@@ -921,12 +924,6 @@ class MathieuSmoothFunction(emsum.SmoothFunction):
             g_sup = 1.0 if p.gamma == 0 else 0.5 * g_total_variation(p)
         err = tail_integral_rel_err(p, xf) * value + float(abs(Fraction(xf) - x)) * g_sup
         return value, 1.01 * err + 1e-300
-
-    def far_field(self, k: int) -> float:
-        # |g^(k)(x)| decays like x^(-delta - k); solve C x^(-delta-k) ~ 1e-18
-        delta = self.params.delta
-        scale = math.factorial(k + 2) * (self.params.mu + 1.0) ** min(k, 8)
-        return max(50.0, (scale * 1e18) ** (1.0 / (delta + k)))
 
 
 class _PowerTail(emsum.SmoothFunction):
@@ -984,8 +981,8 @@ class _PowerTail(emsum.SmoothFunction):
 TAIL_ORDER = 8
 
 
-def _closed_tail(params: MathieuParams, t: float, alternating: bool, head: int,
-                 order: int = TAIL_ORDER) -> tuple[float, float, int]:
+def _closed_tail(params: MathieuParams, t: float, alternating: bool,
+                 head: int) -> tuple[float, float, int]:
     """(value, radius, order) of the sum of the terms past the first `head`,
     with the sign (-1)^(k-1) when alternating, by `emsum.em_sum` or
     `emsum.boole_sum`.
@@ -999,27 +996,31 @@ def _closed_tail(params: MathieuParams, t: float, alternating: bool, head: int,
     and the integral term from the errors the kernel reports; on top come
     the t^(-delta) scale and the rounding of eps.  head = 0 is `eval_em`,
     whose arithmetic is kept as it was: the derivatives at 0 are the series
-    coefficients, covered by the engine's 4e-16 relative allowance.
+    coefficients, covered by the engine's 4e-16 relative allowance.  Where
+    the scale or the value falls below 2^-1000, the relative rounding
+    bounds no longer hold, and OverflowError is raised.
     """
     engine = emsum.boole_sum if alternating else emsum.em_sum
     if t == 0.0 or (head and t**params.alpha <= _T_POWER_NEGLIGIBLE):
-        res = engine(_PowerTail(params, head), 1.0, params.u, order)
+        res = engine(_PowerTail(params, head), 1.0, params.u, TAIL_ORDER)
         value, radius = res.sum_estimate, res.remainder_bound
         if t > 0.0:
             radius += _t_zero_drift(params, t, head)
     else:
         eps = 1.0 / t
         f = MathieuSmoothFunction(params, Fraction(eps) * head)
-        res = engine(f, eps, params.u, order)
+        res = engine(f, eps, params.u, TAIL_ORDER)
         scale = 2.0 * t ** (-params.delta)
         value = scale * res.sum_estimate
+        if min(scale, abs(value)) < 2.0**-1000:
+            raise OverflowError(f"the tail leaves the normal float range at t = {t:g}")
         if head == 0:
             beta_err = polyfun.beta_fn_rel_err(*_beta_args(params)) * abs(res.integral_term)
-            return value, scale * (res.remainder_bound + beta_err) + 4e-16 * abs(value), order
+            return value, scale * (res.remainder_bound + beta_err) + 4e-16 * abs(value), TAIL_ORDER
         radius = scale * res.remainder_bound + _scale_rounding(params, t, alternating, head, value)
     if alternating and head % 2:
         value = -value
-    return value, radius, order
+    return value, radius, TAIL_ORDER
 
 
 #: Below this t^alpha the closer sums the t = 0 tail and bounds the difference.
@@ -1063,32 +1064,30 @@ def _scale_rounding(params: MathieuParams, t: float, alternating: bool, head: in
     return 1.01 * (rel + drift) * abs(value)
 
 
-def eval_em(params: MathieuParams, t: float, n: int | None = None) -> EvalResult:
+def eval_em(params: MathieuParams, t: float) -> EvalResult:
     """Rigorous large-t evaluation through the Euler-Maclaurin engine: the
-    closed tail of `_closed_tail` past a head of 0 terms.
+    closed tail of `_closed_tail` past a head of 0 terms, for (gamma, alpha)
+    in Z+ x N (RegimeError elsewhere), where the variation is exact.
 
     With eps = 1/t the engine estimates sum g((k+u)/t) = t^delta S / 2, so the
     estimate and its certified remainder bound are rescaled by 2 t^(-delta).
     The radius adds the rounding of the value: the Beta function inside the
     integral term, and a few ulps of the rescaled sum.  The result reports 0
-    summed terms and the engine order n.
+    summed terms and the engine order TAIL_ORDER.
     """
     params.require_delta(1.0)
     if not 0.0 < t < math.inf:
         raise ParameterError("the Euler-Maclaurin path needs finite t > 0")
-    prof = g_smoothness(params)
-    if n is None:
-        n = int(min(prof.r, 8))
-    elif n > prof.r:
-        raise OrderOverflowError(f"n = {n} exceeds the smoothness r = {prof.r} of g at 0")
-    value, radius, n = _closed_tail(params, t, False, 0, n)
+    if not params.integer_regime:
+        raise RegimeError("the Euler-Maclaurin path needs gamma in Z+ and alpha in N")
+    value, radius, order = _closed_tail(params, t, False, 0)
     return EvalResult(value=value, err_lo=radius, err_hi=radius, method=EULER_MACLAURIN,
-                      terms_used=0, order=n)
+                      terms_used=0, order=order)
 
 
 def _em_path(params: MathieuParams, t: float) -> EvalResult:
-    if not (t > 0.0 and g_smoothness(params).r >= 2):
-        raise RegimeError("needs t > 0 and g at least C^2 at 0")
+    if not (t > 0.0 and params.integer_regime):
+        raise RegimeError("needs t > 0 and (gamma, alpha) in Z+ x N")
     return eval_em(params, t)
 
 
@@ -1096,9 +1095,9 @@ def eval_auto(params: MathieuParams, t: float, tol: float = 1e-10) -> EvalResult
     """Return the first rigorous bracket whose radius meets tol.
 
     Direct summation is tried first below T_DIRECT and the certified
-    Euler-Maclaurin bound first from it on; EM applies only for t > 0 and g
-    at least C^2 at 0.  ToleranceError names each path's reason when no path
-    reaches tol.
+    Euler-Maclaurin bound first from it on; EM applies only for t > 0 and
+    (gamma, alpha) in Z+ x N, so every other kernel is summed directly.
+    ToleranceError names each path's reason when no path reaches tol.
     """
     params.require_delta(1.0)
     _check_t_tol(t, tol)

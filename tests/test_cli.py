@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -236,6 +237,14 @@ class TestErrorExits:
         # billions of panels of width pi/(2t) up to the cutoff
         ("hankel", "--t", "1e9"),
         ("hankel", "--cutoff", "1e12"),
+        # log spacing from a positive start to a negative stop gave complex t
+        ("eval", "--t-start", "1", "--t-stop", "-1", "--t-count", "3", "--t-log"),
+        ("eval", "--t-start", "1", "--t-stop", "2", "--t-count", "1"),
+        ("eval", "--t-start", "1", "--t-stop", "2", "--t-count", "-5"),
+        # 2 t^(-delta) underflowed: each printed 0 +- 0 around a positive sum
+        ("eval", "--gamma", "1", "--alpha", "1", "--mu", "1.5", "--t", "1e300"),
+        ("eval", "--gamma", "0", "--alpha", "2", "--mu", "1", "--t", "1e100"),
+        ("eval", "--t", "1e160"),
     ])
     def test_exit_2_with_one_line(self, capsys, monkeypatch, tmp_path, args):
         # the eval-alt case (no closed tail outside the integer regime at t > 0)
@@ -281,6 +290,22 @@ class TestErrorExits:
         assert code == 0
         rec = json.loads(out)
         assert abs(rec["value"] - math.pi**4 / 45) <= rec["err_hi"] <= 1e-10
+
+    @pytest.mark.parametrize("args", [
+        ("eval", "--gamma", "0.5", "--alpha", "1.5", "--mu", "1", "--t", "1e9"),
+        ("eval-alt", "--t", "1e12"),
+        ("eval", "--gamma", "2", "--alpha", "2.5", "--mu", "1", "--t", "1e12"),
+    ])
+    def test_start_past_the_term_cap_exits_2_at_once(self, capsys, monkeypatch, args):
+        # the terms decrease only from an index past the 20M-term cap, so the
+        # first bracket alone would sum more terms than the cap allows
+        monkeypatch.delenv("MATHIEU_MAX_TERMS", raising=False)
+        start = time.perf_counter()
+        code, out, err = run(capsys, *args)
+        assert time.perf_counter() - start < 2.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "20000000-term cap" in err
 
     def test_verify_has_no_tol_flag(self, capsys):
         code, _, err = run(capsys, "verify", "classical", "--tol", "1e-9")
@@ -377,6 +402,16 @@ print(",".join(loaded))
         # each in a fresh process: `verify all` and `hankel` included
         assert {args: run[2] for args, run in readme_runs.items()} == dict.fromkeys(
             README_COMMANDS, "")
+
+    def test_non_integer_kernel_loads_no_quadrature(self, tmp_path):
+        # (2, 2.5, 1, 0) at t >= 50 took its EM variation from scipy's quad
+        body = "\n".join([
+            "import contextlib, io",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    assert cli.main(['eval', '--gamma', '2', '--alpha', '2.5', '--mu', '1',",
+            "                     '--t', '100']) == 0",
+        ])
+        assert "scipy.integrate" not in self._loaded(body, tmp_path).split(",")
 
     def test_direct_sweep_round_loads_no_quadrature(self, tmp_path):
         # one round of the benchmark's direct-sweep operations, its slow tails

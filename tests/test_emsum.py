@@ -152,6 +152,16 @@ class TestSmoothFunctionContract:
         f = emsum.ExpFunction(2.0)
         assert f.variation(3, 0.0, math.inf) == pytest.approx(8.0, rel=1e-14)
 
+    def test_no_pieces_no_variation(self):
+        # without a closed form or monotone pieces there is no bound to give
+        for f in (emsum.GaussPowerFunction(1, 1), emsum.PolynomialFunction([0.0, 1.0])):
+            with pytest.raises(ParameterError, match="no monotone pieces"):
+                f.variation(1, 0.0, 2.0)
+        with pytest.raises(ParameterError):
+            emsum.em_sum(emsum.GaussPowerFunction(1, 1), 0.1, 0.0, 2)
+        with pytest.raises(ParameterError):
+            emsum.GaussPowerFunction(1, 1).tail_integral(0.5)
+
 
 class TestAsymptoticCoefficients:
     def test_theta_series_pattern(self):

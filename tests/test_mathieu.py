@@ -26,6 +26,7 @@ from conftest import (
     s_even_mp,
     s_hurwitz_alt_mp,
     s_hurwitz_mp,
+    s_nsum_mp,
 )
 
 
@@ -473,17 +474,21 @@ class TestDispatch:
         with pytest.raises(ToleranceError, match="direct.*euler-maclaurin"):
             mathieu.eval_auto(CLASSICAL, 1.0, 1e-18)
 
-    def test_failed_variation_quadrature_goes_direct(self):
-        # smoothness r = 2: quad reports roundoff on |g^(3)|, so EM has no bound
-        params = mathieu.MathieuParams(1.0, 1.5, 1.0, 0.0)
-        for t in (50.0, 2000.0):
-            with pytest.raises(ToleranceError, match="variation quadrature"):
-                mathieu.eval_em(params, t)
+    def test_non_integer_kernel_goes_direct(self):
+        # the EM variation is certified only in the integer regime, where it
+        # comes from exact monotone pieces; every other kernel is summed directly
+        for params in ((1.0, 1.5, 1.0, 0.0), (2.0, 2.5, 1.0, 0.0)):
+            with pytest.raises(RegimeError):
+                mathieu.eval_em(mathieu.MathieuParams(*params), 100.0)
+        for params, t in [((1.0, 1.5, 1.0, 0.0), 50.0), ((1.0, 1.5, 1.0, 0.0), 2000.0),
+                          ((2.0, 2.5, 1.0, 0.0), 50.0), ((2.0, 2.5, 1.0, 0.0), 707.1),
+                          ((2.0, 2.5, 1.0, 0.0), 2000.0)]:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                res = mathieu.eval_auto(params, t, 1e-10)
+                res = mathieu.eval_auto(mathieu.MathieuParams(*params), t, 1e-10)
             assert res.method == mathieu.DIRECT
-            assert res.err_hi <= 1e-10
+            assert res.rigorous and res.err_hi <= 1e-10
+            assert _contains(res, s_nsum_mp(*params, t)), (params, t)
 
     def test_mid_t_euler_maclaurin(self):
         res = mathieu.eval_auto(CLASSICAL, 200.0, 1e-10)
@@ -578,9 +583,11 @@ class TestExactVariation:
                     ref = reference(lo, hi)
                     assert ref <= edge <= ref + 1e-12 * tail, (kernel, n, a)
 
-    def test_non_integer_regime_keeps_quadrature(self):
-        f = mathieu.MathieuSmoothFunction(mathieu.MathieuParams(1.0, 1.5, 1.0, 0.0))
-        assert f.monotone_pieces(2, 0.0, math.inf) is None
+    def test_non_integer_regime_has_no_kernel(self):
+        # there no exact pieces exist, and no quadrature stands in for them
+        for params in ((1.0, 1.5, 1.0, 0.0), (2.0, 2.5, 1.0, 0.0)):
+            with pytest.raises(RegimeError):
+                mathieu.MathieuSmoothFunction(mathieu.MathieuParams(*params))
 
 
 def _contains(res, truth) -> bool:
@@ -690,6 +697,20 @@ class TestClosedTail:
             res = mathieu.eval_S(mathieu.MathieuParams(0.0, 2.0, 1.0, 0.0), t, 1e-10)
             assert res.err_hi <= 1e-10
             assert _contains(res, mp.pi**4 / 45)
+
+    def test_huge_t_tail_never_collapses_to_zero(self):
+        # 2 t^(-delta) underflowed and each printed 0 +- 0 around a positive sum:
+        # 2 t^(-1/2)/(mu (mu-1)) ~ 2.7e-150, pi/(2 t^3) ~ 1.6e-300 and ~1e-320
+        for params, t in (((1.0, 1.0, 1.5, 0.0), 1e300), ((0.0, 2.0, 1.0, 0.0), 1e100),
+                          ((1.0, 2.0, 1.0, 0.0), 1e160)):
+            with pytest.raises(OverflowError):
+                mathieu.eval_em(mathieu.MathieuParams(*params), t)
+
+    def test_start_past_the_cap_raises(self, monkeypatch):
+        # the monotone index 57,737 lies past the cap: all of it was summed
+        monkeypatch.setenv(mathieu.MAX_TERMS_ENV, "1000")
+        with pytest.raises(ToleranceError, match="57737 terms, past the 1000-term cap"):
+            mathieu.eval_S(CLASSICAL, 1e5)
 
     def test_former_cap_input_closes_in_64_terms(self, monkeypatch):
         monkeypatch.setenv(mathieu.MAX_TERMS_ENV, "1000")
