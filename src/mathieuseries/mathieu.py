@@ -14,10 +14,13 @@ integral bounds (or, for the gamma=1, alpha=2 family, the sharper two-sided
 Hermite-Hadamard bounds, and for the alternating series between 0 and the
 first omitted term), so every result is a value plus an interval that
 contains the true sum.  Where that bracket would need more than CROSSOVER
-terms and the kernel has an exact tail (t = 0, or (gamma, alpha) in Z+ x N),
-a head of max(monotone index, 64) terms is summed and the rest is closed by
+terms and the kernel has an exact tail (t = 0, (gamma, alpha) in Z+ x N, or
+t^alpha <= 2^-100), a head of 64 terms is summed and the rest is closed by
 the Euler-Maclaurin (Boole) engine on the kernel shifted past the head, with
-its certified remainder; `eval_em` is the same closer with no head.
+its certified remainder; `eval_em` is the same closer with no head.  Every
+other kernel sums past the index where its terms turn convex (`_convex_x`,
+certified in rationals) and encloses the tail between second-order
+trapezoid and midpoint bounds (`_convex_bracket`).
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,6 +57,9 @@ PAIRWISE_RTOL = 4e-15
 
 #: eval_auto sums directly below this t and tries Euler-Maclaurin from it on.
 T_DIRECT = 50.0
+
+#: Head summed before a closed tail, and the least head of a bracket.
+CLOSED_HEAD = 64
 
 #: Past this many head terms a closed Euler-Maclaurin (Boole) tail costs less
 #: than summing on: 15-31 ns a term against 0.14-0.45 ms a warm tail, a
@@ -353,8 +360,16 @@ def tail_integral(params: MathieuParams, t: float) -> float:
     return value
 
 
-def tail_integral_rel_err(params: MathieuParams, t: float) -> float:
-    """Bound on the relative error of `tail_integral(params, t)`, t > 0.
+def _log_s(params: MathieuParams, x: float) -> float:
+    """-log s = log(x^alpha + 1) of `_beta_point`, x > 0."""
+    if x > 1.0:
+        return params.alpha * math.log(x) + math.log1p(x ** -params.alpha)
+    return math.log1p(x**params.alpha)
+
+
+def tail_integral_rel_err(params: MathieuParams, t: float, t_max: float | None = None) -> float:
+    """Bound on the relative error of `tail_integral(params, x)` at x = t > 0,
+    or at every x in [t, t_max] when t_max is given.
 
     With u = 2^-53, s and 1-s carry at most 4u (a power within 1 ulp, a sum,
     a quotient).  The a = 1 form then stays within 16u: log1p on s <= 1/2
@@ -367,7 +382,8 @@ def tail_integral_rel_err(params: MathieuParams, t: float) -> float:
     each.  betainc is allowed BETAINC_RTOL max(1, (a+b)/8), plus the
     Beta function's own bound.  a and b are rounded once from their exact
     values; F moves by at most |da| (|log s| + 1/a) F and |db| |log(1-s)| F
-    under such a change.
+    under such a change; over [t, t_max] |log s| is largest at t_max and
+    |log(1-s)| at t.
     """
     a, b = _beta_args(params)
     form = _closed_form_beta(params)
@@ -384,8 +400,9 @@ def tail_integral_rel_err(params: MathieuParams, t: float) -> float:
     if da or db:
         # -log s = log(x^alpha + 1), -log(1-s) = that minus alpha log x
         log_x = params.alpha * math.log(t)
-        log_s = log_x + math.log1p(t ** -params.alpha) if t > 1.0 else math.log1p(t**params.alpha)
-        rel += 1.01 * (da * (log_s + 1.0 / a) + db * (log_s - log_x))
+        log_s = _log_s(params, t)
+        log_s_max = log_s if t_max is None else _log_s(params, t_max)
+        rel += 1.01 * (da * (log_s_max + 1.0 / a) + db * (log_s - log_x))
     return rel
 
 
@@ -423,6 +440,41 @@ def _monotone_from(params: MathieuParams, t: float) -> int:
     return max(1, int(math.ceil(k0)) + 1)
 
 
+@functools.lru_cache(maxsize=256)
+def _convex_x(params: MathieuParams) -> float:
+    """A point x_c past which g is convex, delta > 0, certified in rationals.
+
+    With y = x^alpha, m = mu + 1 and delta = alpha m - gamma,
+    g''(x) = x^(gamma-2) (1+y)^(-m-2) Q(y), where
+    Q(y) = delta (delta+1) y^2 + [(gamma-1)(gamma-delta) - (m+1) alpha gamma
+    - alpha delta] y + gamma (gamma-1) opens upward, so Q >= 0 from any y at
+    which Q and Q' are both nonnegative on.  y starts at Q's larger root (or
+    its vertex) in floats and moves up until both hold in exact arithmetic;
+    x_c = y^(1/alpha) is then rounded up past pow's 1 ulp and the rounding of
+    1/alpha.  The classical kernel has x_c = 1.
+    """
+    g, a = Fraction(params.gamma), Fraction(params.alpha)
+    m = Fraction(params.mu) + 1
+    d = a * m - g
+    c2, c1, c0 = d * (d + 1), (g - 1) * (g - d) - (m + 1) * a * g - a * d, g * (g - 1)
+    disc = float(c1 * c1 - 4 * c2 * c0)
+    y = max(0.0, (-float(c1) + math.sqrt(max(disc, 0.0))) / float(2 * c2))
+    step = max(y, 2.0**-1000) * 2.0**-52
+    while not (c2 * Fraction(y) ** 2 + c1 * Fraction(y) + c0 >= 0
+               and 2 * c2 * Fraction(y) + c1 >= 0):
+        y += step
+        step *= 2.0
+    if y == 0.0:
+        return 0.0
+    x = y ** (1.0 / params.alpha)
+    return x * (1.0 + (4.0 + abs(math.log(y)) / params.alpha) * 2.0**-52)
+
+
+def _convex_from(params: MathieuParams, t: float) -> int:
+    """Index from which the terms are convex in k, with a margin of one."""
+    return max(1, int(math.ceil(t * _convex_x(params) - params.u)) + 1)
+
+
 def hermite_hadamard(tail, kernel, w: float, y: float) -> tuple[float, float]:
     """Hermite-Hadamard bounds (lo, hi) for sum_{k>=1} 2(w+k) kernel((w+k)^2 + y).
 
@@ -438,7 +490,11 @@ def hermite_hadamard(tail, kernel, w: float, y: float) -> tuple[float, float]:
 
 
 def _tail_bracket(params: MathieuParams, t: float):
-    """n -> two-sided bounds for sum_{k > n} of the terms, n past the monotone index."""
+    """n -> first-order bounds for sum_{k > n} of the plain terms, n past the
+    monotone index: integral bounds [F(n+1), F(n)], or Hermite-Hadamard
+    bounds in the gamma=1, alpha=2 family.  Kernels with a closed tail
+    (`_exact_tail`) keep them below CROSSOVER; elsewhere `_convex_bracket`
+    falls back on them only where its own scale leaves the float range."""
     u, mu, delta = params.u, params.mu, params.delta
     if params.gamma == 1.0 and params.alpha == 2.0:
         # the terms are 2w g(w^2 + t^2) with the convex kernel g(s) = s^(-mu-1)
@@ -471,6 +527,59 @@ def _tail_bracket(params: MathieuParams, t: float):
             lo, hi = t_zero(n)
             drift = (mu + 1.0) * (t / (n + 1.0 + u)) ** params.alpha
             return max(0.0, lo * (1.0 - 1.01 * drift)), hi
+
+    return bracket
+
+
+def _convex_bracket(params: MathieuParams, t: float, alternating: bool, start: int):
+    """n -> second-order bounds for the sum past n terms, t > 0, for every n
+    >= start, an index past `_monotone_from` and `_convex_from`.
+
+    Past both the terms f(k) are convex and decreasing.  The trapezoid and
+    midpoint rules then give, for the plain series,
+
+        F(n+1) + f(n+1)/2  <=  sum_{k>n} f(k)  <=  F(n+1/2),
+
+    with F(s) = int_s^inf f = 2 t^(1-delta) tail_integral((s+u)/t), a width
+    near |f'(n)|/8; for the alternating one the differences f(k) - f(k+1)
+    decrease, so (-1)^n sum_{k>n} (-1)^(k-1) f(k) lies in
+    [f(n+1)/2, f(n+1) - f(n+2)/2], a width near |f'(n)|/2.  Both round
+    outward: f within twice `_term_rtol`, F within `tail_integral_rel_err`
+    over every point the doubling can reach (bounded once per call), the
+    power 2 t^(1-delta) within 1 ulp of t to the rounded exponent, off by
+    `_delta_error` + u |1-delta| times |log t| from the exact one, and the
+    rounded argument (s+u)/t within 2u, which moves F by at most
+    2u x g(x) <= 2u (delta-1) F (x^delta g(x) increases in x).  Where the
+    scale or F leaves the float range, the first-order `_tail_bracket`
+    stands in.
+    """
+    terms = functools.partial(_terms, params, t)
+    rtol = 2.0 * _term_rtol(params)
+    if alternating:
+        def alternating_bracket(n):
+            f1, f2 = float(terms(n + 1)), float(terms(n + 2))
+            lo, hi = 0.5 * f1 * (1.0 - rtol), f1 - 0.5 * f2 + rtol * (f1 + f2)
+            return (lo, hi) if n % 2 == 0 else (-hi, -lo)
+
+        return alternating_bracket
+    u, delta = params.u, params.delta
+    first_order = _tail_bracket(params, t)
+    x_max = min((_max_terms() + 1.0 + u) / t, sys.float_info.max)
+    rel = 1.01 * (tail_integral_rel_err(params, (start + 0.5 + u) / t, x_max)
+                  + (3.0 + 2.1 * (delta - 1.0)) * 2.0**-53
+                  + (_delta_error(params) + abs(1.0 - delta) * 2.0**-53) * abs(math.log(t)))
+
+    def bracket(n):
+        try:
+            scale = 2.0 * t ** (1.0 - delta)
+            if scale < 2.0**-1000:
+                raise OverflowError("the scale underflows")
+            lo = scale * tail_integral(params, (n + 1.0 + u) / t)
+            hi = scale * tail_integral(params, (n + 0.5 + u) / t)
+        except OverflowError:
+            return first_order(n)
+        lo = (lo * (1.0 - rel) + 0.5 * float(terms(n + 1)) * (1.0 - rtol)) * (1.0 - 2.0**-50)
+        return lo, hi * (1.0 + rel) * (1.0 + 2.0**-50)
 
     return bracket
 
@@ -525,9 +634,10 @@ def bracketed_sum(terms, tail_bracket, n: int, tol: float, term_rtol: float = 4e
     term_rtol of the exact term.  n doubles until the tail bracket is at most
     tol wide (ToleranceError at the MATHIEU_MAX_TERMS cap, and at once where
     the starting n is past it).  Where doubling would take n past CROSSOVER
-    (or the cap) and `exact_tail` is given, the head stays at the starting n
-    instead and exact_tail(n) = (value, radius, order) closes the sum past
-    it, provided 2 radius <= tol; otherwise the doubling goes on.  The first n terms are then summed; the result is their
+    (or the cap) and `exact_tail` is given, the head becomes
+    h = min(starting n, CLOSED_HEAD) instead and exact_tail(h) =
+    (value, radius, order) closes the sum past it, provided 2 radius <= tol;
+    otherwise the doubling goes on.  The first n terms are then summed; the result is their
     sum plus the tail's midpoint, with the tail's radius plus rounding slack
     as the error radius and the tail engine's order (0 for a bracket).
     """
@@ -541,13 +651,14 @@ def bracketed_sum(terms, tail_bracket, n: int, tol: float, term_rtol: float = 4e
         if hi - lo <= tol or n >= cap:
             break
         if exact_tail is not None and 2 * n > min(CROSSOVER, cap):
+            head = min(start, CLOSED_HEAD)
             try:
-                closed = exact_tail(start)
+                closed = exact_tail(head)
             except OverflowError:  # a kernel scaled out of float range closes nothing
                 closed = (0.0, math.inf, 0)
             exact_tail = None
             if 2.0 * closed[1] <= tol:
-                tail, n = closed, start
+                tail, n = closed, head
                 break
         n = min(cap, n * 2)
     if tail is None:
@@ -569,53 +680,70 @@ def bracketed_sum(terms, tail_bracket, n: int, tol: float, term_rtol: float = 4e
 
 def _exact_tail(params: MathieuParams, t: float, alternating: bool):
     """head -> `_closed_tail` past it, where the kernel has an exact tail: at
-    t = 0 (any kernel), and for t > 0 with (gamma, alpha) in Z+ x N, where
-    the variation is exact; else None."""
-    if t == 0.0 or params.integer_regime:
+    t = 0 (any kernel), for t > 0 with (gamma, alpha) in Z+ x N, where the
+    variation is exact, and where t^alpha <= 2^-100 and delta + alpha > 1,
+    where the t = 0 tail stands in (`_t_zero_drift`); else None."""
+    if t == 0.0 or params.integer_regime or (
+            t < 1.0 and t**params.alpha <= _T_POWER_NEGLIGIBLE
+            and params.delta + params.alpha > 1.0):
         return functools.partial(_closed_tail, params, t, alternating)
     return None
+
+
+def _direct(params: MathieuParams, t: float, tol: float, alternating: bool) -> EvalResult:
+    """`bracketed_sum` of the terms from a head past the monotone index and
+    CLOSED_HEAD, with a closed tail where `_exact_tail` has one and the first-
+    order bracket below CROSSOVER, and the second-order `_convex_bracket`
+    from past the convexity index on elsewhere."""
+    terms = functools.partial(_terms, params, t)
+    rtol = _term_rtol(params)
+    start = max(_monotone_from(params, t), CLOSED_HEAD)
+    exact_tail = _exact_tail(params, t, alternating)
+    if exact_tail is None:
+        start = max(start, _convex_from(params, t))
+        tail_bracket = _convex_bracket(params, t, alternating, start)
+    elif alternating:
+        # past the monotone index the remainder lies between 0 and term n+1, with its sign
+        def tail_bracket(n: int) -> tuple[float, float]:
+            first = float(terms(n + 1)) * (1.0 + 2.0 * rtol)
+            return (0.0, first) if n % 2 == 0 else (-first, 0.0)
+    else:
+        tail_bracket = _tail_bracket(params, t)
+    return bracketed_sum(terms, tail_bracket, start, tol, rtol, exact_tail, alternating)
 
 
 def eval_S(params: MathieuParams, t: float, tol: float = 1e-10) -> EvalResult:
     """Direct summation of the plain series with a rigorous error bracket.
 
-    Terms are summed from an index past which they decrease; the tail is
-    enclosed by integral (or Hermite-Hadamard) bounds, and the head doubles
-    until they are at most tol wide.  Where that would take more than
-    CROSSOVER terms and the kernel has an exact tail (t = 0, or (gamma,
-    alpha) in Z+ x N), the head stays at max(monotone index, 64) terms and
-    an Euler-Maclaurin tail on the shifted kernel closes the sum
-    (`_closed_tail`).  The radius adds rounding slack, so it meets tol
-    whenever tol is achievable in float64 (roughly tol >= 2 _term_rtol(params)
-    times the sum of absolute terms, 4e-15 times it for the classical
-    series); it is honest either way.
+    The head doubles until the tail bracket is at most tol wide.  Where the
+    kernel has an exact tail (`_exact_tail`), the head starts at
+    max(monotone index, 64) with integral (or Hermite-Hadamard)
+    bounds; where they would need more than CROSSOVER terms, the head drops
+    to 64 terms and an Euler-Maclaurin tail on the shifted kernel closes the
+    sum (`_closed_tail`).  Every other kernel starts past its convexity index
+    too, with the second-order `_convex_bracket` (a width near |f'|/8).  The
+    radius adds rounding slack, so it meets tol whenever tol is achievable in
+    float64 (roughly tol >= 2 _term_rtol(params) times the sum of absolute
+    terms, 4e-15 times it for the classical series); it is honest either way.
     """
     params.require_delta(1.0)
     _check_t_tol(t, tol)
-    return bracketed_sum(functools.partial(_terms, params, t), _tail_bracket(params, t),
-                         max(_monotone_from(params, t), 64), tol, _term_rtol(params),
-                         _exact_tail(params, t, False))
+    return _direct(params, t, tol, False)
 
 
 def eval_S_alt(params: MathieuParams, t: float, tol: float = 1e-10) -> EvalResult:
     """Direct summation of the alternating series with a rigorous error bracket.
 
-    The same driver as `eval_S`: past the monotone index the remainder after
-    n terms lies between 0 and term n+1, with that term's sign, and where
-    that bracket would need more than CROSSOVER terms and the kernel has an
-    exact tail, a Boole tail on the shifted kernel closes the sum.
+    The same driver as `eval_S`.  Where the kernel has an exact tail, the
+    remainder after n terms past the monotone index lies between 0 and term
+    n+1, with that term's sign, and where that bracket would need more than
+    CROSSOVER terms, a Boole tail on the shifted kernel past 64 terms closes
+    the sum.  Every other kernel takes the second-order `_convex_bracket`
+    between f(n+1)/2 and f(n+1) - f(n+2)/2 (a width near |f'|/2).
     """
     params.require_delta(0.0)
     _check_t_tol(t, tol)
-    terms = functools.partial(_terms, params, t)
-    rtol = _term_rtol(params)
-
-    def tail_bracket(n: int) -> tuple[float, float]:
-        first = float(terms(n + 1)) * (1.0 + 2.0 * rtol)
-        return (0.0, first) if n % 2 == 0 else (-first, 0.0)
-
-    return bracketed_sum(terms, tail_bracket, max(_monotone_from(params, t), 64), tol, rtol,
-                         _exact_tail(params, t, True), alternating=True)
+    return _direct(params, t, tol, True)
 
 
 def s_mu(mu: float, t: float, u: float, tol: float = 1e-10) -> EvalResult:
@@ -997,7 +1125,10 @@ def _closed_tail(params: MathieuParams, t: float, alternating: bool,
     the t^(-delta) scale and the rounding of eps.  head = 0 is `eval_em`,
     whose arithmetic is kept as it was: the derivatives at 0 are the series
     coefficients, covered by the engine's 4e-16 relative allowance.  Where
-    the scale or the value falls below 2^-1000, the relative rounding
+    2 t^(-delta) falls below 2^-1000, it is applied as the two factors
+    2 t^(-delta/2) and t^(-delta/2), with one more power and one more product
+    to round, and the head = 0 radius takes the rounding terms of a head.
+    Where a factor or the value falls below 2^-1000, the relative rounding
     bounds no longer hold, and OverflowError is raised.
     """
     engine = emsum.boole_sum if alternating else emsum.em_sum
@@ -1011,13 +1142,27 @@ def _closed_tail(params: MathieuParams, t: float, alternating: bool,
         f = MathieuSmoothFunction(params, Fraction(eps) * head)
         res = engine(f, eps, params.u, TAIL_ORDER)
         scale = 2.0 * t ** (-params.delta)
-        value = scale * res.sum_estimate
+        split = scale < 2.0**-1000
+        if split:
+            scale = t ** (-0.5 * params.delta)
+
+        def scaled(x):
+            return 2.0 * scale * x * scale if split else scale * x
+
+        value = scaled(res.sum_estimate)
         if min(scale, abs(value)) < 2.0**-1000:
             raise OverflowError(f"the tail leaves the normal float range at t = {t:g}")
+        beta_err = 0.0
         if head == 0:
             beta_err = polyfun.beta_fn_rel_err(*_beta_args(params)) * abs(res.integral_term)
-            return value, scale * (res.remainder_bound + beta_err) + 4e-16 * abs(value), TAIL_ORDER
-        radius = scale * res.remainder_bound + _scale_rounding(params, t, alternating, head, value)
+            if not split:
+                return value, scale * (res.remainder_bound + beta_err) + 4e-16 * abs(value), TAIL_ORDER
+        radius = scaled(res.remainder_bound + beta_err) \
+            + _scale_rounding(params, t, alternating, head, value, split)
+        if split:
+            # the series-coefficient allowance of head = 0, and the radius's
+            # own roundings wherever its parts are subnormal
+            radius += (4e-16 * abs(value) if head == 0 else 0.0) + 2.0**-1070
     if alternating and head % 2:
         value = -value
     return value, radius, TAIL_ORDER
@@ -1029,7 +1174,8 @@ _T_POWER_NEGLIGIBLE = 2.0**-100
 
 def _t_zero_drift(params: MathieuParams, t: float, head: int) -> float:
     """Bound on the difference between the tails past `head` at t and at 0,
-    for (gamma, alpha) in Z+ x N (so delta + alpha > 1 and mu + 1 > 0).
+    for delta + alpha > 1 (so in Z+ x N, where alpha >= 1); mu + 1 > 0
+    follows from delta > 0.
 
     With w = k + u and m = mu + 1, (1 + (t/w)^alpha)^(-m) >= 1 - m (t/w)^alpha,
     so each term moves by at most m t^alpha 2 w^(-delta-alpha); summed over
@@ -1042,7 +1188,7 @@ def _t_zero_drift(params: MathieuParams, t: float, head: int) -> float:
 
 
 def _scale_rounding(params: MathieuParams, t: float, alternating: bool, head: int,
-                    value: float) -> float:
+                    value: float, split: bool = False) -> float:
     """Bound on the error that 2 t^(-delta) times the engine's sum adds to a
     tail past `head` terms, t > 0.
 
@@ -1054,13 +1200,22 @@ def _scale_rounding(params: MathieuParams, t: float, alternating: bool, head: in
     so S(t') moves by at most alpha (mu+1) u times the plain tail, or times
     the first omitted term of the alternating one (past the monotone index
     these t-derivatives decrease in k, so their alternating sum is at most
-    the first).
+    the first).  A head short of the monotone index leaves t-derivatives
+    that rise to one peak and then fall, whose alternating sum is at most
+    twice the largest: 4 t^(-delta) sup g in place of the first term.  A
+    `split` scale adds a power and a product, 3u.
     """
     u = 2.0**-53
-    rel = (3.0 + abs(params.delta)) * u + _delta_error(params) * abs(math.log(t))
+    rel = (3.0 + abs(params.delta) + (3.0 if split else 0.0)) * u \
+        + _delta_error(params) * abs(math.log(t))
     drift = params.alpha * abs(params.mu + 1.0) * u
     if alternating:
-        return 1.01 * (rel * abs(value) + drift * float(_terms(params, t, head + 1)))
+        if head + 1 >= _monotone_from(params, t):
+            first = float(_terms(params, t, head + 1))
+        else:
+            g_sup = 1.0 if params.gamma == 0 else 0.5 * g_total_variation(params)
+            first = 4.0 * t ** (-params.delta) * g_sup
+        return 1.01 * (rel * abs(value) + drift * first)
     return 1.01 * (rel + drift) * abs(value)
 
 

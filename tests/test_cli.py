@@ -241,9 +241,10 @@ class TestErrorExits:
         ("eval", "--t-start", "1", "--t-stop", "-1", "--t-count", "3", "--t-log"),
         ("eval", "--t-start", "1", "--t-stop", "2", "--t-count", "1"),
         ("eval", "--t-start", "1", "--t-stop", "2", "--t-count", "-5"),
-        # 2 t^(-delta) underflowed: each printed 0 +- 0 around a positive sum
-        ("eval", "--gamma", "1", "--alpha", "1", "--mu", "1.5", "--t", "1e300"),
-        ("eval", "--gamma", "0", "--alpha", "2", "--mu", "1", "--t", "1e100"),
+        # the sum itself leaves the normal float range (2 t^-4/20 ~ 1e-1201,
+        # pi/(2 t^3) ~ 1.6e-309, 1/t^2 ~ 1e-320): once each printed 0 +- 0
+        ("eval", "--gamma", "1", "--alpha", "1", "--mu", "5", "--t", "1e300"),
+        ("eval", "--gamma", "0", "--alpha", "2", "--mu", "1", "--t", "1e103"),
         ("eval", "--t", "1e160"),
     ])
     def test_exit_2_with_one_line(self, capsys, monkeypatch, tmp_path, args):
@@ -257,6 +258,15 @@ class TestErrorExits:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_underflowing_scale_keeps_a_normal_sum(self, capsys):
+        # 2 t^(-delta) underflows, the sum 2 t^(-1/2) B(1/2, 2) ~ 2.67e-150 does not
+        code, out, err = run(capsys, "eval", "--gamma", "1", "--alpha", "1", "--mu", "1.5",
+                             "--t", "1e300")
+        assert (code, err) == (0, "")
+        rec = json.loads(out)
+        assert rec["value"] == pytest.approx(8.0 / 3.0 * 1e-150, rel=1e-12)
+        assert 0 < rec["err_hi"] <= 1e-10
 
     def test_nonfinite_monotone_shift(self, capsys, monkeypatch, tmp_path):
         # without the term cap above: the shift itself is rejected, no suite runs

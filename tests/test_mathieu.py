@@ -3,7 +3,7 @@ import warnings
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -23,6 +23,8 @@ from conftest import (
     poisson_alt_mp,
     poisson_plain_mp,
     s1_trigamma,
+    s_alt_nsum_mp,
+    s_binomial_mp,
     s_even_mp,
     s_hurwitz_alt_mp,
     s_hurwitz_mp,
@@ -304,14 +306,21 @@ class TestEvalSAlt:
         rhs = s_full.value - 2.0 ** (1.0 - params.delta) * s_half.value
         assert abs(alt.value - rhs) <= 1e-10
 
-    def test_slow_alternating_family_raises_cleanly(self):
-        from mathieuseries.errors import ToleranceError
-
-        # delta = 0.9: the alternating tail decays like N^-0.9, so a tight
-        # tolerance exhausts the term cap while a loose one still succeeds
+    def test_slow_alternating_family_raises_cleanly(self, monkeypatch):
+        # delta = 0.9 outside Z+ x N: the second-order convex bracket, about
+        # |f'(n)|/2 ~ n^-1.9 wide, meets tol 1e-12 within the term cap (the
+        # first-order bracket, ~n^-0.9 wide, exhausted it); a cap of 1,000
+        # terms still ends in a clean ToleranceError
         params = mathieu.MathieuParams(1.5, 2.0, 0.2, 0.0)
         res = mathieu.eval_S_alt(params, 1.0, 1e-4)
         assert res.err_hi <= 1e-4
+        with mp.workdps(30):
+            truth = mp.nsum(lambda k: (-1) ** (k - 1) * 2 * k ** mp.mpf(1.5)
+                            / (k**2 + 1) ** mp.mpf(1.2), [1, mp.inf], method="alternating")
+        res = mathieu.eval_S_alt(params, 1.0, 1e-12)
+        assert res.err_hi <= 1e-12
+        assert _contains(res, truth)
+        monkeypatch.setenv(mathieu.MAX_TERMS_ENV, "1000")
         with pytest.raises(ToleranceError):
             mathieu.eval_S_alt(params, 1.0, 1e-12)
 
@@ -659,11 +668,20 @@ class TestClosedTail:
             (True, (1.0, 1.0, 0.5, 0.0), 3.0, s_hurwitz_alt_mp(0.5, 3.0)),
             (False, (1.0, 1.0, 1.5, 0.0), 0.0, 2 * mp.zeta(1.5)),
             (True, (0.0, 2.0, 0.0, 0.0), 2.0, poisson_alt_mp(2.0)),
+            # heads short of the monotone index t x0 - u (up to 577,350)
+            *((False, (1.0, 1.0, 1.5, 0.0), t, s_hurwitz_mp(1.5, t)) for t in (1e3, 1e5, 1e6)),
+            *((True, (1.0, 1.0, 1.5, 0.0), t, s_hurwitz_alt_mp(1.5, t)) for t in (1e3, 1e5, 1e6)),
+            *((False, (1.0, 2.0, 1.0, 0.3), t, s1_trigamma(t, 0.3)) for t in (1e3, 1e5, 1e6)),
+            *((True, (1.0, 2.0, 1.0, 0.3), t,
+               s1_trigamma(t, 0.3) - s1_trigamma(t / 2, 0.15) / 4) for t in (1e3, 1e5, 1e6)),
+            *((False, (0.0, 2.0, 0.0, 0.0), t, poisson_plain_mp(t)) for t in (1e3, 1e5, 1e6)),
+            *((True, (0.0, 2.0, 0.0, 0.0), t, poisson_alt_mp(t)) for t in (1e3, 1e5, 1e6)),
         ):
             p = mathieu.MathieuParams(*params)
             for head in (64, 65, 300):
-                head_sum = mp.fsum((-1) ** ((k - 1) * alternating) * 2 * mp.mpf(k) ** p.gamma
-                                   / (mp.mpf(k) ** p.alpha + mp.mpf(t) ** p.alpha) ** (p.mu + 1)
+                head_sum = mp.fsum((-1) ** ((k - 1) * alternating) * 2 * (k + mp.mpf(p.u)) ** p.gamma
+                                   / ((k + mp.mpf(p.u)) ** p.alpha + mp.mpf(t) ** p.alpha)
+                                   ** (p.mu + 1)
                                    for k in range(1, head + 1))
                 value, radius, order = mathieu._closed_tail(p, t, alternating, head)
                 assert order == mathieu.TAIL_ORDER
@@ -700,11 +718,16 @@ class TestClosedTail:
 
     def test_huge_t_tail_never_collapses_to_zero(self):
         # 2 t^(-delta) underflowed and each printed 0 +- 0 around a positive sum:
-        # 2 t^(-1/2)/(mu (mu-1)) ~ 2.7e-150, pi/(2 t^3) ~ 1.6e-300 and ~1e-320
-        for params, t in (((1.0, 1.0, 1.5, 0.0), 1e300), ((0.0, 2.0, 1.0, 0.0), 1e100),
-                          ((1.0, 2.0, 1.0, 0.0), 1e160)):
-            with pytest.raises(OverflowError):
-                mathieu.eval_em(mathieu.MathieuParams(*params), t)
+        # 2 t^(-1/2)/(mu (mu-1)) ~ 2.7e-150 and pi/(2 t^3) ~ 1.6e-300 are normal
+        # floats, taken through the scale in two factors; ~1e-320 is not
+        tf = mp.mpf(1e100)
+        for params, t, truth in (((1.0, 1.0, 1.5, 0.0), 1e300, s_hurwitz_mp(1.5, 1e300)),
+                                 ((0.0, 2.0, 1.0, 0.0), 1e100, mp.pi / (2 * tf**3) - 1 / tf**4)):
+            res = mathieu.eval_em(mathieu.MathieuParams(*params), t)
+            assert 0 < res.err_hi <= 1e-13 * res.value
+            assert _contains(res, truth), (params, res)
+        with pytest.raises(OverflowError):
+            mathieu.eval_em(CLASSICAL, 1e160)
 
     def test_start_past_the_cap_raises(self, monkeypatch):
         # the monotone index 57,737 lies past the cap: all of it was summed
@@ -791,6 +814,86 @@ class TestClosedTail:
     def test_bracket_results_report_order_zero(self):
         res = mathieu.eval_S(CLASSICAL, 1.0, 1e-10)
         assert (res.order, res.terms_used) == (0, 512)
+
+
+    @pytest.mark.parametrize("t", [1e4, 1e5, 1e6])
+    def test_closed_tail_head_stays_at_64(self, t):
+        # the head once followed the monotone index: 6,668 / 66,668 / 666,668 terms
+        res = mathieu.eval_S_alt(mathieu.MathieuParams(1.0, 1.0, 1.5, 0.0), t, 1e-10)
+        assert (res.terms_used, res.order) == (64, mathieu.TAIL_ORDER)
+        assert res.err_hi <= 1e-10
+        assert _contains(res, s_hurwitz_alt_mp(1.5, t))
+
+
+#: five kernels outside Z+ x N whose g'' changes sign once past the peak, and
+#: the classical kernel, whose convexity index is 1
+CONVEX_KERNELS = [(1.0, 1.5, 1.0, 0.0), (0.5, 1.5, 1.0, 0.0), (0.0, 2.5, 0.3, 0.0),
+                  (1.5, 2.0, 0.2, 0.0), (2.5, 1.3, 2.0, 0.0), (1.0, 2.0, 1.0, 0.0)]
+
+
+def _g2_mp(params, x) -> mp.mpf:
+    """g''(x) by mpmath's numerical differentiation."""
+    g, a, m = mp.mpf(params[0]), mp.mpf(params[1]), mp.mpf(params[2]) + 1
+    return mp.diff(lambda y: y**g * (1 + y**a) ** -m, mp.mpf(x), 2)
+
+
+@st.composite
+def _non_integer_case(draw):
+    """(params, t) outside Z+ x N with delta in [1.1, 3], t in (0, 60]."""
+    gamma, alpha = draw(st.floats(0.0, 3.0)), draw(st.floats(0.5, 3.0))
+    delta, u = draw(st.floats(1.1, 3.0)), draw(st.floats(-0.9, 2.0))
+    params = (gamma, alpha, (delta + gamma) / alpha - 1.0, u)
+    assume(not mathieu.MathieuParams(*params).integer_regime)
+    return params, draw(st.floats(0.0, 60.0, exclude_min=True))
+
+
+class TestConvexBracket:
+    """The second-order tail brackets of kernels with no closed tail (t > 0
+    outside Z+ x N)."""
+
+    @pytest.mark.parametrize("params", CONVEX_KERNELS)
+    def test_convex_index_against_mpmath(self, params):
+        xc = mathieu._convex_x(mathieu.MathieuParams(*params))
+        for k in range(3, 11):
+            assert _g2_mp(params, xc * (1 + 10.0**-k)) > 0, (params, k)
+            assert _g2_mp(params, xc * (1 - 10.0**-k)) < 0, (params, k)
+        for scale in (1.5, 3.0, 10.0, 1e3):
+            assert _g2_mp(params, xc * scale) > 0, (params, scale)
+
+    def test_classical_index_is_one(self):
+        assert 1.0 <= mathieu._convex_x(CLASSICAL) <= 1.0 + 4e-15
+
+    @settings(max_examples=10, deadline=None)
+    @given(case=_non_integer_case())
+    def test_plain_soundness_property(self, case):
+        params, t = case
+        res = mathieu.eval_S(mathieu.MathieuParams(*params), t, 1e-10)
+        assert res.err_hi <= 1e-10
+        assert _contains(res, s_binomial_mp(*params, t)), (params, t, res)
+
+    @settings(max_examples=10, deadline=None)
+    @given(case=_non_integer_case())
+    def test_alternating_soundness_property(self, case):
+        params, t = case
+        res = mathieu.eval_S_alt(mathieu.MathieuParams(*params), t, 1e-10)
+        assert res.err_hi <= 1e-10
+        assert _contains(res, s_binomial_mp(*params, t, alternating=True)), (params, t, res)
+
+    @pytest.mark.parametrize("params, t", [((1.0, 1.5, 1.0, 0.0), 1.0),
+                                           ((0.5, 1.5, 1.0, 0.0), 7.0)])
+    def test_alternating_against_the_plain_series_oracle(self, params, t):
+        res = mathieu.eval_S_alt(mathieu.MathieuParams(*params), t, 1e-12)
+        assert res.err_hi <= 1e-12
+        assert _contains(res, s_alt_nsum_mp(*params, t))
+
+    @pytest.mark.parametrize("t", [0.01, 1.0, 7.0, 49.9])
+    def test_term_count(self, t):
+        # the first-order bracket [F(n+1), F(n)] needed up to 262,144 terms
+        params = (1.0, 1.5, 1.0, 0.0)
+        res = mathieu.eval_S(mathieu.MathieuParams(*params), t, 1e-10)
+        assert res.terms_used <= 4096
+        assert res.err_hi <= 1e-10
+        assert _contains(res, s_binomial_mp(*params, t))
 
 
 class TestTheta:
