@@ -18,9 +18,9 @@ terms and the kernel has an exact tail (t = 0, (gamma, alpha) in Z+ x N, or
 t^alpha <= 2^-100), a head of 64 terms is summed and the rest is closed by
 the Euler-Maclaurin (Boole) engine on the kernel shifted past the head, with
 its certified remainder; `eval_em` is the same closer with no head.  Every
-other kernel sums past the index where its terms turn convex (`_convex_x`,
-certified in rationals) and encloses the tail between second-order
-trapezoid and midpoint bounds (`_convex_bracket`).
+other kernel, once the head passes the index where its terms turn convex
+(`_convex_x`, certified in rationals), encloses the tail between
+second-order trapezoid and midpoint bounds instead (`_convex_bracket`).
 """
 
 from __future__ import annotations
@@ -259,6 +259,7 @@ def g_peak(params: MathieuParams) -> float:
     return (params.gamma / params.delta) ** (1.0 / params.alpha)
 
 
+@functools.lru_cache(maxsize=256)
 def _beta_exact(params: MathieuParams) -> tuple[Fraction, Fraction]:
     """(a, b) = (mu + 1 - (gamma+1)/alpha, (gamma+1)/alpha) of the tail integral, exactly."""
     b = (Fraction(params.gamma) + 1) / Fraction(params.alpha)
@@ -493,8 +494,9 @@ def _tail_bracket(params: MathieuParams, t: float):
     """n -> first-order bounds for sum_{k > n} of the plain terms, n past the
     monotone index: integral bounds [F(n+1), F(n)], or Hermite-Hadamard
     bounds in the gamma=1, alpha=2 family.  Kernels with a closed tail
-    (`_exact_tail`) keep them below CROSSOVER; elsewhere `_convex_bracket`
-    falls back on them only where its own scale leaves the float range."""
+    (`_exact_tail`) keep them below CROSSOVER; the others below the
+    convexity index, and past it where `_convex_bracket`'s own scale leaves
+    the float range."""
     u, mu, delta = params.u, params.mu, params.delta
     if params.gamma == 1.0 and params.alpha == 2.0:
         # the terms are 2w g(w^2 + t^2) with the convex kernel g(s) = s^(-mu-1)
@@ -531,38 +533,28 @@ def _tail_bracket(params: MathieuParams, t: float):
     return bracket
 
 
-def _convex_bracket(params: MathieuParams, t: float, alternating: bool, start: int):
-    """n -> second-order bounds for the sum past n terms, t > 0, for every n
-    >= start, an index past `_monotone_from` and `_convex_from`.
+def _convex_bracket(params: MathieuParams, t: float, start: int):
+    """n -> second-order bounds for the plain sum past n terms, t > 0, for
+    every n >= start, an index past `_monotone_from` and `_convex_from`.
 
-    Past both the terms f(k) are convex and decreasing.  The trapezoid and
-    midpoint rules then give, for the plain series,
+    Past both the terms f(k) are convex and decreasing, so the trapezoid and
+    midpoint rules give
 
         F(n+1) + f(n+1)/2  <=  sum_{k>n} f(k)  <=  F(n+1/2),
 
     with F(s) = int_s^inf f = 2 t^(1-delta) tail_integral((s+u)/t), a width
-    near |f'(n)|/8; for the alternating one the differences f(k) - f(k+1)
-    decrease, so (-1)^n sum_{k>n} (-1)^(k-1) f(k) lies in
-    [f(n+1)/2, f(n+1) - f(n+2)/2], a width near |f'(n)|/2.  Both round
-    outward: f within twice `_term_rtol`, F within `tail_integral_rel_err`
-    over every point the doubling can reach (bounded once per call), the
-    power 2 t^(1-delta) within 1 ulp of t to the rounded exponent, off by
-    `_delta_error` + u |1-delta| times |log t| from the exact one, and the
-    rounded argument (s+u)/t within 2u, which moves F by at most
-    2u x g(x) <= 2u (delta-1) F (x^delta g(x) increases in x).  Where the
-    scale or F leaves the float range, the first-order `_tail_bracket`
-    stands in.
+    near |f'(n)|/8.  It rounds outward: f within twice `_term_rtol`, F within
+    `tail_integral_rel_err` over every point the doubling can reach (bounded
+    once per call), the power 2 t^(1-delta) within 1 ulp of t to the rounded
+    exponent, off by `_delta_error` + u |1-delta| times |log t| from the
+    exact one, and the rounded argument (s+u)/t within 2u, which moves F by
+    at most 2u x g(x) <= 2u (delta-1) F (x^delta g(x) increases in x).
+    Where the scale or F leaves the float range, the first-order
+    `_tail_bracket` stands in.
     """
+    u, delta = params.u, params.delta
     terms = functools.partial(_terms, params, t)
     rtol = 2.0 * _term_rtol(params)
-    if alternating:
-        def alternating_bracket(n):
-            f1, f2 = float(terms(n + 1)), float(terms(n + 2))
-            lo, hi = 0.5 * f1 * (1.0 - rtol), f1 - 0.5 * f2 + rtol * (f1 + f2)
-            return (lo, hi) if n % 2 == 0 else (-hi, -lo)
-
-        return alternating_bracket
-    u, delta = params.u, params.delta
     first_order = _tail_bracket(params, t)
     x_max = min((_max_terms() + 1.0 + u) / t, sys.float_info.max)
     rel = 1.01 * (tail_integral_rel_err(params, (start + 0.5 + u) / t, x_max)
@@ -692,39 +684,52 @@ def _exact_tail(params: MathieuParams, t: float, alternating: bool):
 
 def _direct(params: MathieuParams, t: float, tol: float, alternating: bool) -> EvalResult:
     """`bracketed_sum` of the terms from a head past the monotone index and
-    CLOSED_HEAD, with a closed tail where `_exact_tail` has one and the first-
-    order bracket below CROSSOVER, and the second-order `_convex_bracket`
-    from past the convexity index on elsewhere."""
+    CLOSED_HEAD, with the first-order brackets, and a closed tail where
+    `_exact_tail` has one; elsewhere the second-order brackets take over
+    once n passes the convexity index (`_convex_from`)."""
     terms = functools.partial(_terms, params, t)
     rtol = _term_rtol(params)
     start = max(_monotone_from(params, t), CLOSED_HEAD)
     exact_tail = _exact_tail(params, t, alternating)
-    if exact_tail is None:
-        start = max(start, _convex_from(params, t))
-        tail_bracket = _convex_bracket(params, t, alternating, start)
-    elif alternating:
-        # past the monotone index the remainder lies between 0 and term n+1, with its sign
+    convex = math.inf if exact_tail is not None else _convex_from(params, t)
+    if alternating:
+        # past the monotone index the remainder lies between 0 and term n+1,
+        # with its sign; past the convexity index too the differences
+        # f(k) - f(k+1) decrease, so it lies in [f(n+1)/2, f(n+1) - f(n+2)/2]
+        # (a width near |f'(n)|/2)
         def tail_bracket(n: int) -> tuple[float, float]:
-            first = float(terms(n + 1)) * (1.0 + 2.0 * rtol)
-            return (0.0, first) if n % 2 == 0 else (-first, 0.0)
-    else:
+            f1 = float(terms(n + 1))
+            if n < convex:
+                lo, hi = 0.0, f1 * (1.0 + 2.0 * rtol)
+            else:
+                f2 = float(terms(n + 2))
+                lo, hi = 0.5 * f1 * (1.0 - 2.0 * rtol), f1 - 0.5 * f2 + 2.0 * rtol * (f1 + f2)
+            return (lo, hi) if n % 2 == 0 else (-hi, -lo)
+    elif convex > _max_terms():
         tail_bracket = _tail_bracket(params, t)
+    else:
+        first_order = _tail_bracket(params, t)
+        second_order = _convex_bracket(params, t, max(start, convex))
+
+        def tail_bracket(n: int) -> tuple[float, float]:
+            return first_order(n) if n < convex else second_order(n)
     return bracketed_sum(terms, tail_bracket, start, tol, rtol, exact_tail, alternating)
 
 
 def eval_S(params: MathieuParams, t: float, tol: float = 1e-10) -> EvalResult:
     """Direct summation of the plain series with a rigorous error bracket.
 
-    The head doubles until the tail bracket is at most tol wide.  Where the
-    kernel has an exact tail (`_exact_tail`), the head starts at
-    max(monotone index, 64) with integral (or Hermite-Hadamard)
-    bounds; where they would need more than CROSSOVER terms, the head drops
-    to 64 terms and an Euler-Maclaurin tail on the shifted kernel closes the
-    sum (`_closed_tail`).  Every other kernel starts past its convexity index
-    too, with the second-order `_convex_bracket` (a width near |f'|/8).  The
-    radius adds rounding slack, so it meets tol whenever tol is achievable in
-    float64 (roughly tol >= 2 _term_rtol(params) times the sum of absolute
-    terms, 4e-15 times it for the classical series); it is honest either way.
+    The head starts at max(monotone index, 64) and doubles until the tail
+    bracket is at most tol wide: integral (or Hermite-Hadamard) bounds.
+    Where the kernel has an exact tail (`_exact_tail`) and they would need
+    more than CROSSOVER terms, the head drops to 64 terms and an
+    Euler-Maclaurin tail on the shifted kernel closes the sum
+    (`_closed_tail`).  Every other kernel takes the second-order
+    `_convex_bracket` (a width near |f'|/8) once the head passes its
+    convexity index.  The radius adds rounding slack, so it meets tol
+    whenever tol is achievable in float64 (roughly tol >= 2 _term_rtol(params)
+    times the sum of absolute terms, 4e-15 times it for the classical
+    series); it is honest either way.
     """
     params.require_delta(1.0)
     _check_t_tol(t, tol)
@@ -734,12 +739,13 @@ def eval_S(params: MathieuParams, t: float, tol: float = 1e-10) -> EvalResult:
 def eval_S_alt(params: MathieuParams, t: float, tol: float = 1e-10) -> EvalResult:
     """Direct summation of the alternating series with a rigorous error bracket.
 
-    The same driver as `eval_S`.  Where the kernel has an exact tail, the
-    remainder after n terms past the monotone index lies between 0 and term
-    n+1, with that term's sign, and where that bracket would need more than
+    The same driver as `eval_S`: the remainder after n terms past the
+    monotone index lies between 0 and term n+1, with that term's sign.
+    Where the kernel has an exact tail and that bracket would need more than
     CROSSOVER terms, a Boole tail on the shifted kernel past 64 terms closes
-    the sum.  Every other kernel takes the second-order `_convex_bracket`
-    between f(n+1)/2 and f(n+1) - f(n+2)/2 (a width near |f'|/2).
+    the sum.  Every other kernel, once n passes its convexity index, takes
+    the second-order bracket between f(n+1)/2 and f(n+1) - f(n+2)/2 (a
+    width near |f'|/2).
     """
     params.require_delta(0.0)
     _check_t_tol(t, tol)
@@ -984,6 +990,7 @@ def _exact_delta(params: MathieuParams) -> Fraction:
     return Fraction(params.alpha) * (Fraction(params.mu) + 1) - Fraction(params.gamma)
 
 
+@functools.lru_cache(maxsize=256)
 def _delta_error(params: MathieuParams) -> float:
     """|params.delta - `_exact_delta`|, rounded up."""
     diff = abs(Fraction(params.delta) - _exact_delta(params))

@@ -895,6 +895,19 @@ class TestConvexBracket:
         assert res.err_hi <= 1e-10
         assert _contains(res, s_binomial_mp(*params, t))
 
+    @pytest.mark.parametrize("params, t, first_order_terms", [
+        ((0.0, 2.5, 0.3, 0.0), 1e6, 64), ((0.0, 2.5, 0.3, 0.0), 2e7, 64),
+        ((1.0, 1.5, 1.0, 0.0), 1e6, 629_962), ((1.0, 1.5, 1.0, 0.0), 2e7, 12_599_212)])
+    def test_large_t_head_starts_below_the_convexity_index(self, params, t, first_order_terms):
+        # the convexity index t x_c - u (0.66 t and 1.16 t here) lies past the
+        # monotone index, and at t = 2e7 near or past the term cap: the head starts
+        # at the monotone index with the first-order bracket, so no result
+        # needs more terms than with that bracket alone
+        p = mathieu.MathieuParams(*params)
+        for res in (mathieu.eval_S(p, t, 1e-10), mathieu.eval_S_alt(p, t, 1e-10)):
+            assert res.terms_used <= first_order_terms
+            assert res.err_hi <= 1e-10
+
 
 class TestTheta:
     def test_phi_value(self):
