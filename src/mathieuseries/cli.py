@@ -2,7 +2,8 @@
 compute sharp constants, run verification suites, and emit plot-ready output.
 
 Exit codes: 0 success, 1 verification violations, 2 parameter/config errors
-(a float overflow inside the package included).
+(a float overflow inside the package included).  A warning prints one
+`warning:` line on stderr.
 Streams are JSON-lines (17 significant digits) or CSV (12 significant digits);
 suite reports are a single JSON document.  Identical configurations produce
 byte-identical output.
@@ -14,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -472,7 +474,18 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
+    """warnings.showwarning as one `warning:` line, without the source line."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
+    with warnings.catch_warnings():
+        warnings.showwarning = _warning_line
+        return _main(argv)
+
+
+def _main(argv: list[str] | None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:

@@ -14,13 +14,18 @@ integral bounds (or, for the gamma=1, alpha=2 family, the sharper two-sided
 Hermite-Hadamard bounds, and for the alternating series between 0 and the
 first omitted term), so every result is a value plus an interval that
 contains the true sum.  Where that bracket would need more than CROSSOVER
-terms and the kernel has an exact tail (t = 0, (gamma, alpha) in Z+ x N, or
-t^alpha <= 2^-100), a head of 64 terms is summed and the rest is closed by
-the Euler-Maclaurin (Boole) engine on the kernel shifted past the head, with
-its certified remainder; `eval_em` is the same closer with no head.  Every
-other kernel, once the head passes the index where its terms turn convex
-(`_convex_x`, certified in rationals), encloses the tail between
-second-order trapezoid and midpoint bounds instead (`_convex_bracket`).
+terms, a head of 64 terms is summed and the rest is closed by the
+Euler-Maclaurin (Boole) engine with its certified remainder, for every
+kernel: at t > 0 on the kernel shifted past the head, whose derivatives
+x^(gamma-n) (1+y)^(-m-n) P_n(y), y = x^alpha, are evaluated in floats with
+rounding bounds and whose variation comes from the exactly isolated roots
+of P_(n+1) (`_YDerivative`); at t = 0 (and t^alpha <= 2^-100) on the power
+tail 2 (x + 64)^(-delta).  `eval_em` is the closer with no head, on the
+exact x-form derivatives of (gamma, alpha) in Z+ x N.  Kernels outside
+Z+ x N at t > 0, once the head passes the index where their terms turn
+convex (`_convex_x`, certified in rationals), enclose the tail between
+second-order trapezoid and midpoint bounds below CROSSOVER
+(`_convex_bracket`).
 """
 
 from __future__ import annotations
@@ -62,8 +67,10 @@ T_DIRECT = 50.0
 CLOSED_HEAD = 64
 
 #: Past this many head terms a closed Euler-Maclaurin (Boole) tail costs less
-#: than summing on: 15-31 ns a term against 0.14-0.45 ms a warm tail, a
-#: break-even of 4,600-23,000 terms over seven kernels (median near 15,000).
+#: than summing on.  Measured with the float y-form tails at t = 7 on a 2-core
+#: Xeon: 2.9-10.5 ns a summed term against 54-66 us a warm closed tail (head
+#: included), a break-even of 5,400-20,000 terms over seven kernels and both
+#: series (median near 9,500).
 CROSSOVER = 1 << 14
 
 DIRECT = "direct"
@@ -323,6 +330,10 @@ def tail_integral(params: MathieuParams, t: float) -> float:
     B(1, b) I_s(1, b) = -expm1(b log(1-s)) / b,
     B(1/2, 1/2) I_s(1/2, 1/2) = 2 atan(t^(-alpha/2)) and
     B(a, n) I_s(a, n) = s^a sum_{j<n} (n-1)! / (j! (a+j)...(a+n-1)) (1-s)^j.
+    Elsewhere betainc gives I_s(a, b), or 1 - I_q(b, a) from q = 1 - s where
+    `_complement` holds: near s = 1 with b < 1, I_s moves by
+    (1-s)^(b-1) / B(a, b) per unit of s, so the rounding of s would cost more
+    than its own.
     A value below 2^-1000, whose relative error no longer holds in float64,
     raises OverflowError, as does a t whose x^alpha leaves the float range.
     """
@@ -355,7 +366,11 @@ def tail_integral(params: MathieuParams, t: float) -> float:
     else:
         from scipy import special
 
-        value = polyfun.beta_fn(a, b) / params.alpha * float(special.betainc(a, b, s))
+        if _complement(a, b, q):
+            whole = polyfun.beta_fn(a, b) / params.alpha
+            value = whole - whole * float(special.betainc(b, a, q))
+        else:
+            value = polyfun.beta_fn(a, b) / params.alpha * float(special.betainc(a, b, s))
     if min(value, lead) < 2.0**-1000:
         raise OverflowError(f"the tail integral underflows at x = {t:g}")
     return value
@@ -381,7 +396,10 @@ def tail_integral_rel_err(params: MathieuParams, t: float, t_max: float | None =
     (2u), atan, whose relative condition number z/((1+z^2) atan z) is at
     most 1, passes that on and adds 2u, and the product and quotient 1u
     each.  betainc is allowed BETAINC_RTOL max(1, (a+b)/8), plus the
-    Beta function's own bound.  a and b are rounded once from their exact
+    Beta function's own bound; taken as 1 - I_q(b, a) with I_q <= 1/2
+    (`_complement`, at t, the smallest q of the range), I_q moves by at most
+    4u b 2^|a-1| of itself under q's rounding, and 1 - I_q and the two
+    products add 3u.  a and b are rounded once from their exact
     values; F moves by at most |da| (|log s| + 1/a) F and |db| |log(1-s)| F
     under such a change; over [t, t_max] |log s| is largest at t_max and
     |log(1-s)| at t.
@@ -396,8 +414,14 @@ def tail_integral_rel_err(params: MathieuParams, t: float, t_max: float | None =
         rel = (8.0 * b + 4.0 * a + 12.0) * 2.0**-53
     else:
         rel = BETAINC_RTOL * max(1.0, (a + b) / 8.0) + polyfun.beta_fn_rel_err(a, b)
-    a_exact, b_exact = _beta_exact(params)
-    da, db = float(abs(Fraction(a) - a_exact)), float(abs(Fraction(b) - b_exact))
+        if b < 1.0:
+            try:
+                complement = _complement(a, b, _beta_point(params, t)[1])
+            except OverflowError:  # x^alpha out of range at t: allow for either form
+                complement = True
+            if complement:
+                rel += (3.0 + 4.0 * b * 2.0 ** abs(a - 1.0)) * 2.0**-53
+    da, db = _beta_args_rounding(params)
     if da or db:
         # -log s = log(x^alpha + 1), -log(1-s) = that minus alpha log x
         log_x = params.alpha * math.log(t)
@@ -405,6 +429,25 @@ def tail_integral_rel_err(params: MathieuParams, t: float, t_max: float | None =
         log_s_max = log_s if t_max is None else _log_s(params, t_max)
         rel += 1.01 * (da * (log_s_max + 1.0 / a) + db * (log_s - log_x))
     return rel
+
+
+def _complement(a: float, b: float, q: float) -> bool:
+    """Whether `tail_integral` takes I_s(a, b) as 1 - I_q(b, a), q = 1 - s:
+    where b < 1 and (1-s)^(b-1) > B(a, b), so that I_s would move by more
+    than s's rounding, and I_q(b, a) <= max(1, 2^(1-a)) q^b / (b B(a, b))
+    stays at most 1/2 (0.49 for this bound's own rounding), so that 1 - I_q
+    cannot cancel."""
+    if b >= 1.0 or q >= 0.5:
+        return False
+    whole = polyfun.beta_fn(a, b)
+    return q ** (b - 1.0) > whole and max(1.0, 2.0 ** (1.0 - a)) * q**b / (b * whole) <= 0.49
+
+
+@functools.lru_cache(maxsize=256)
+def _beta_args_rounding(params: MathieuParams) -> tuple[float, float]:
+    """|a - exact a| and |b - exact b| of `_beta_args`."""
+    (a, b), (a_exact, b_exact) = _beta_args(params), _beta_exact(params)
+    return float(abs(Fraction(a) - a_exact)), float(abs(Fraction(b) - b_exact))
 
 
 # --------------------------------------------------------------------------
@@ -429,7 +472,7 @@ def _pow(x, e: float):
 
 def _terms(params: MathieuParams, t: float, k):
     """The terms 2 (k+u)^gamma / ((k+u)^alpha + t^alpha)^(mu+1) at an index or an index array."""
-    w = k + params.u
+    w = k + params.u if params.u else k  # bit for bit: an int k enters each float op exactly
     ta = t**params.alpha if t > 0 else 0.0
     num = 2.0 if params.gamma == 0 else 2.0 * _pow(w, params.gamma)
     return num / _pow(_pow(w, params.alpha) + ta, params.mu + 1.0)
@@ -493,10 +536,9 @@ def hermite_hadamard(tail, kernel, w: float, y: float) -> tuple[float, float]:
 def _tail_bracket(params: MathieuParams, t: float):
     """n -> first-order bounds for sum_{k > n} of the plain terms, n past the
     monotone index: integral bounds [F(n+1), F(n)], or Hermite-Hadamard
-    bounds in the gamma=1, alpha=2 family.  Kernels with a closed tail
-    (`_exact_tail`) keep them below CROSSOVER; the others below the
-    convexity index, and past it where `_convex_bracket`'s own scale leaves
-    the float range."""
+    bounds in the gamma=1, alpha=2 family.  Every kernel takes them below
+    CROSSOVER; where `_convex_kernel` holds, only below the convexity index,
+    and past it where `_convex_bracket`'s own scale leaves the float range."""
     u, mu, delta = params.u, params.mu, params.delta
     if params.gamma == 1.0 and params.alpha == 2.0:
         # the terms are 2w g(w^2 + t^2) with the convex kernel g(s) = s^(-mu-1)
@@ -611,14 +653,15 @@ def _sum_terms(terms, n: int, alternating: bool = False) -> tuple[float, float, 
             head = arr[:_EXACT_HEAD].tolist()
             arr = arr[_EXACT_HEAD:]
         if arr.size:
-            chunks.append(float(arr.sum()))
-            abs_chunks.append(float(np.abs(arr).sum()))
+            chunks.append(float(np.add.reduce(arr)))
+            abs_chunks.append(float(np.add.reduce(np.abs(arr))))
     rest_abs = math.fsum(abs_chunks)
     return math.fsum(head + chunks), math.fsum(map(abs, head)) + rest_abs, rest_abs
 
 
 def bracketed_sum(terms, tail_bracket, n: int, tol: float, term_rtol: float = 4e-15,
-                  exact_tail=None, alternating: bool = False) -> EvalResult:
+                  exact_tail=None, alternating: bool = False,
+                  first_order: bool = False) -> EvalResult:
     """sum_{k>=1} terms(k), where tail_bracket(n) = (lo, hi) encloses sum_{k>n};
     with `alternating`, term k carries the sign (-1)^(k-1).
 
@@ -629,37 +672,102 @@ def bracketed_sum(terms, tail_bracket, n: int, tol: float, term_rtol: float = 4e
     (or the cap) and `exact_tail` is given, the head becomes
     h = min(starting n, CLOSED_HEAD) instead and exact_tail(h) =
     (value, radius, order) closes the sum past it, provided 2 radius <= tol;
-    otherwise the doubling goes on.  The first n terms are then summed; the result is their
-    sum plus the tail's midpoint, with the tail's radius plus rounding slack
-    as the error radius and the tail engine's order (0 for a bracket).
+    otherwise the doubling goes on.  The first n terms are then summed; the
+    result is their sum plus the tail's midpoint, with the tail's radius plus
+    rounding slack as the error radius and the tail engine's order (0 for a
+    bracket).
+
+    Two shortcuts skip brackets that cannot end the doubling.  A starting n
+    past CROSSOVER closes at once, unless the doubling's brackets, evaluated
+    without summing, meet tol within the cap with a radius (at least half
+    the bracket's width plus the rounding of the head's sum) below the
+    closed result's: that head is then summed instead.  With
+    `first_order`, the caller vouches that each bracket is at least
+    terms(n+1) wide (up to its own rounding): a term past the last n before
+    CROSSOVER above 2 tol shows that every bracket up to there misses, and
+    the sum closes before any.
     """
     cap = _max_terms()
+    start, head = n, min(n, CLOSED_HEAD)
+    if head > cap:
+        exact_tail = None
+    if exact_tail is not None and start > CROSSOVER:
+        res, exact_tail = _closed_result(terms, exact_tail, head, tol, term_rtol,
+                                         alternating), None
+        if res is not None:
+            # the brackets alone, unsummed, up to the first that meets tol
+            try:
+                while n <= cap:
+                    lo, hi = tail_bracket(n)
+                    if hi - lo <= tol or n == cap:
+                        break
+                    n = min(cap, 2 * n)
+            except OverflowError:  # a term out of float range: no bracket to weigh
+                return res
+            if n > cap or hi - lo > tol:
+                return res
+            # a summed head's radius is at least half its bracket's width plus
+            # the rounding of its sum, counted on the closed result's value
+            partial = res.value - 0.5 * (lo + hi)
+            least = 0.5 * (hi - lo) + (term_rtol + 2.0**-53) * abs(partial) \
+                + 2.0**-53 * abs(res.value)
+            if res.err_hi <= least:
+                return res
+            return _head_plus_tail(terms, n, (0.5 * (hi + lo), 0.5 * (hi - lo), 0), term_rtol,
+                                   alternating)
     if n > cap:
         raise ToleranceError(f"the first bracket needs {n} terms, past the {cap}-term cap; "
                              f"raise {MAX_TERMS_ENV}")
-    start, tail = n, None
+    # the n at which the doubling would close: the last before min(CROSSOVER, cap)
+    last = n << max(0, (min(CROSSOVER, cap) // n).bit_length() - 1)
+    if exact_tail is not None and first_order and _term_above(terms, last + 1, 2.0 * tol):
+        res, exact_tail = _closed_result(terms, exact_tail, head, tol, term_rtol,
+                                         alternating), None
+        if res is not None:
+            return res
     while True:
         lo, hi = tail_bracket(n)
         if hi - lo <= tol or n >= cap:
             break
-        if exact_tail is not None and 2 * n > min(CROSSOVER, cap):
-            head = min(start, CLOSED_HEAD)
-            try:
-                closed = exact_tail(head)
-            except OverflowError:  # a kernel scaled out of float range closes nothing
-                closed = (0.0, math.inf, 0)
-            exact_tail = None
-            if 2.0 * closed[1] <= tol:
-                tail, n = closed, head
-                break
+        if exact_tail is not None and n == last:
+            res, exact_tail = _closed_result(terms, exact_tail, head, tol, term_rtol,
+                                             alternating), None
+            if res is not None:
+                return res
         n = min(cap, n * 2)
-    if tail is None:
-        if hi - lo > tol:
-            raise ToleranceError(
-                f"tail bracket {hi - lo:.3g} still exceeds tol={tol:.3g} at the "
-                f"{n}-term cap; raise {MAX_TERMS_ENV}"
-            )
-        tail = (0.5 * (hi + lo), 0.5 * (hi - lo), 0)
+    if hi - lo > tol:
+        raise ToleranceError(
+            f"tail bracket {hi - lo:.3g} still exceeds tol={tol:.3g} at the "
+            f"{n}-term cap; raise {MAX_TERMS_ENV}"
+        )
+    return _head_plus_tail(terms, n, (0.5 * (hi + lo), 0.5 * (hi - lo), 0), term_rtol,
+                           alternating)
+
+
+def _term_above(terms, k: int, level: float) -> bool:
+    """terms(k) > level; False where the term leaves the float range."""
+    try:
+        return float(terms(k)) > level
+    except OverflowError:
+        return False
+
+
+def _closed_result(terms, exact_tail, head: int, tol: float, term_rtol: float,
+                   alternating: bool) -> EvalResult | None:
+    """The head plus exact_tail(head) for `bracketed_sum`, or None where that
+    tail is wider than tol or leaves the float range."""
+    try:
+        tail = exact_tail(head)
+    except OverflowError:  # a kernel scaled out of float range closes nothing
+        return None
+    return _head_plus_tail(terms, head, tail, term_rtol, alternating) \
+        if 2.0 * tail[1] <= tol else None
+
+
+def _head_plus_tail(terms, n: int, tail: tuple[float, float, int], term_rtol: float,
+                    alternating: bool) -> EvalResult:
+    """The sum of the first n terms plus tail = (value, radius, order) of the
+    rest, for `bracketed_sum`."""
     partial, partial_abs, pairwise_abs = _sum_terms(terms, n, alternating)
     value = partial + tail[0]
     # per-term rounding, pairwise accumulation, and the roundings of the
@@ -671,27 +779,39 @@ def bracketed_sum(terms, tail_bracket, n: int, tol: float, term_rtol: float = 4e
 
 
 def _exact_tail(params: MathieuParams, t: float, alternating: bool):
-    """head -> `_closed_tail` past it, where the kernel has an exact tail: at
-    t = 0 (any kernel), for t > 0 with (gamma, alpha) in Z+ x N, where the
-    variation is exact, and where t^alpha <= 2^-100 and delta + alpha > 1,
-    where the t = 0 tail stands in (`_t_zero_drift`); else None."""
-    if t == 0.0 or params.integer_regime or (
-            t < 1.0 and t**params.alpha <= _T_POWER_NEGLIGIBLE
-            and params.delta + params.alpha > 1.0):
-        return functools.partial(_closed_tail, params, t, alternating)
-    return None
+    """head -> `_closed_tail` past it.  Every kernel has one: at t = 0 and
+    at t^alpha <= 2^-100 (where delta + alpha > 1) through the t = 0 tail,
+    and at every other t > 0 through the shifted kernel in floats, whose
+    derivatives and variation come from the y-form (`_YDerivative`).  Where
+    a value leaves the float range it raises OverflowError, which
+    `bracketed_sum` takes as no closed tail."""
+    return functools.partial(_closed_tail, params, t, alternating)
+
+
+def _convex_kernel(params: MathieuParams, t: float) -> bool:
+    """Whether `_direct` takes the second-order brackets past the convexity
+    index: at t > 0 outside Z+ x N, unless the t = 0 tail stands in
+    (t^alpha <= 2^-100 and delta + alpha > 1).  The other kernels keep the
+    first-order brackets up to CROSSOVER."""
+    return not (t == 0.0 or params.integer_regime or (
+        t < 1.0 and t**params.alpha <= _T_POWER_NEGLIGIBLE
+        and params.delta + params.alpha > 1.0))
 
 
 def _direct(params: MathieuParams, t: float, tol: float, alternating: bool) -> EvalResult:
     """`bracketed_sum` of the terms from a head past the monotone index and
-    CLOSED_HEAD, with the first-order brackets, and a closed tail where
-    `_exact_tail` has one; elsewhere the second-order brackets take over
-    once n passes the convexity index (`_convex_from`)."""
+    CLOSED_HEAD, with the first-order brackets and a closed tail
+    (`_exact_tail`); where `_convex_kernel` holds, the second-order brackets
+    take over once n passes the convexity index (`_convex_from`)."""
     terms = functools.partial(_terms, params, t)
     rtol = _term_rtol(params)
     start = max(_monotone_from(params, t), CLOSED_HEAD)
     exact_tail = _exact_tail(params, t, alternating)
-    convex = math.inf if exact_tail is not None else _convex_from(params, t)
+    convex = _convex_from(params, t) if _convex_kernel(params, t) else math.inf
+    # every bracket below CROSSOVER is first order: the alternating one, and
+    # the integral bounds [F(n+1), F(n)] but not the Hermite-Hadamard ones
+    first_order = convex > CROSSOVER and (
+        alternating or not (params.gamma == 1.0 and params.alpha == 2.0))
     if alternating:
         # past the monotone index the remainder lies between 0 and term n+1,
         # with its sign; past the convexity index too the differences
@@ -708,12 +828,13 @@ def _direct(params: MathieuParams, t: float, tol: float, alternating: bool) -> E
     elif convex > _max_terms():
         tail_bracket = _tail_bracket(params, t)
     else:
-        first_order = _tail_bracket(params, t)
+        first_order_bracket = _tail_bracket(params, t)
         second_order = _convex_bracket(params, t, max(start, convex))
 
         def tail_bracket(n: int) -> tuple[float, float]:
-            return first_order(n) if n < convex else second_order(n)
-    return bracketed_sum(terms, tail_bracket, start, tol, rtol, exact_tail, alternating)
+            return first_order_bracket(n) if n < convex else second_order(n)
+    return bracketed_sum(terms, tail_bracket, start, tol, rtol, exact_tail, alternating,
+                         first_order)
 
 
 def eval_S(params: MathieuParams, t: float, tol: float = 1e-10) -> EvalResult:
@@ -721,12 +842,13 @@ def eval_S(params: MathieuParams, t: float, tol: float = 1e-10) -> EvalResult:
 
     The head starts at max(monotone index, 64) and doubles until the tail
     bracket is at most tol wide: integral (or Hermite-Hadamard) bounds.
-    Where the kernel has an exact tail (`_exact_tail`) and they would need
-    more than CROSSOVER terms, the head drops to 64 terms and an
-    Euler-Maclaurin tail on the shifted kernel closes the sum
-    (`_closed_tail`).  Every other kernel takes the second-order
-    `_convex_bracket` (a width near |f'|/8) once the head passes its
-    convexity index.  The radius adds rounding slack, so it meets tol
+    Where they would need more than CROSSOVER terms, the head drops to 64
+    terms and an Euler-Maclaurin tail closes the sum, for every kernel
+    (`_exact_tail`, `_closed_tail`); a start past CROSSOVER closes at once,
+    unless summing on would give a tighter bracket.  Kernels outside
+    Z+ x N at t > 0 take the second-order `_convex_bracket` (a width near
+    |f'|/8) once the head passes their convexity index.  The radius adds
+    rounding slack, so it meets tol
     whenever tol is achievable in float64 (roughly tol >= 2 _term_rtol(params)
     times the sum of absolute terms, 4e-15 times it for the classical
     series); it is honest either way.
@@ -741,11 +863,11 @@ def eval_S_alt(params: MathieuParams, t: float, tol: float = 1e-10) -> EvalResul
 
     The same driver as `eval_S`: the remainder after n terms past the
     monotone index lies between 0 and term n+1, with that term's sign.
-    Where the kernel has an exact tail and that bracket would need more than
-    CROSSOVER terms, a Boole tail on the shifted kernel past 64 terms closes
-    the sum.  Every other kernel, once n passes its convexity index, takes
-    the second-order bracket between f(n+1)/2 and f(n+1) - f(n+2)/2 (a
-    width near |f'|/2).
+    Where that bracket would need more than CROSSOVER terms, a Boole tail
+    past 64 terms closes the sum, for every kernel.  Kernels outside
+    Z+ x N at t > 0, once n passes their convexity index, take the
+    second-order bracket between f(n+1)/2 and f(n+1) - f(n+2)/2 (a width
+    near |f'|/2) below that.
     """
     params.require_delta(0.0)
     _check_t_tol(t, tol)
@@ -985,6 +1107,211 @@ def _kernel_value(gamma: int, alpha: int, mu: float, n: int, x: Fraction) -> tup
     return v, (abs(mu) + 8.0) * 2.0**-53 * abs(v) + 1e-300
 
 
+@functools.lru_cache(maxsize=256)
+def _y_numerators(gamma: float, alpha: float, mu: float,
+                  n: int) -> tuple[tuple[Fraction, ...], ...]:
+    """(P_0, ..., P_n) of g^(j)(x) = x^(gamma-j) (1+y)^(-m-j) P_j(y), y = x^alpha,
+    m = mu + 1, for any kernel, exact in the Fractions of the float parameters.
+
+    P_0 = 1 and P_{j+1} = (gamma-j)(1+y) P_j - (m+j) alpha y P_j + alpha y (1+y) P_j',
+    whose coefficient of y^i is
+    (gamma - j + alpha i) p_i - (delta + j + alpha (j+1-i)) p_(i-1).
+    """
+    if n == 0:
+        return ((Fraction(1),),)
+    polys = _y_numerators(gamma, alpha, mu, n - 1)
+    g, a = Fraction(gamma), Fraction(alpha)
+    d, j = a * (Fraction(mu) + 1) - g, n - 1
+    p = (Fraction(0),) + polys[-1] + (Fraction(0),)  # p[i] is p_(i-1)
+    return polys + (tuple((g - j + a * i) * p[i + 1] - (d + j + a * (j + 1 - i)) * p[i]
+                          for i in range(n + 1)),)
+
+
+def _rounded(q: Fraction) -> tuple[float, float]:
+    """q rounded once, and that rounding, rounded up."""
+    f = float(q)
+    return f, polyfun.round_up(abs(Fraction(f) - q))
+
+
+class _YDerivative:
+    """g^(n) in the y-form x^(gamma-n) (1+y)^(-m-n) P_n(y), y = x^alpha and
+    m = mu + 1, evaluated in floats at x > 0 with a rounding bound, for every
+    kernel (`_y_numerators`).
+
+    With P_n = sum_(lo <= i <= hi) c_i y^i, the value is
+    x^(gamma - n + alpha lo) (1+y)^(-m-n) sum c_i y^(i-lo) up to x = 1, and past
+    it x^(alpha (hi-n) - delta - n) (1+z)^(-m-n) sum c_i z^(hi-i) with
+    z = x^(-alpha) = 1/y, so no power overflows where g^(n) is a float.
+    g^(n) turns only at the positive roots of P_(n+1), isolated exactly in y
+    once (`turns`) and mapped outward to x through y^(1/alpha).
+    """
+
+    def __init__(self, gamma: float, alpha: float, mu: float, n: int):
+        self.gamma, self.alpha, self.mu, self.n = gamma, alpha, mu, n
+        poly = _y_numerators(gamma, alpha, mu, n)[n]
+        nonzero = [i for i, c in enumerate(poly) if c]
+        lo, hi = nonzero[0], nonzero[-1]
+        self.spread = hi - lo  # the degree of both polynomials below
+        g, a, m = Fraction(gamma), Fraction(alpha), Fraction(mu) + 1
+        # (c, |c|) pairs, highest power first, of sum c_i z^(hi-i) past x = 1
+        # and of sum c_i y^(i-lo) up to it, each with its power of x: the
+        # power, its magnitude, its rounding and that of the pow (0 for x^0)
+        ascending = tuple((float(c), abs(float(c))) for c in poly[lo:hi + 1])
+        high = (ascending, _rounded(a * (hi - n) - (a * m - g) - n))
+        low = (ascending[::-1], _rounded(g - n + a * lo))
+        self.forms = tuple((c[0], c[1:], power, abs(power), err, 2.0**-52 if power else 0.0)
+                           for c, (power, err) in (high, low))
+        base_power, base_power_err = _rounded(-(m + n))
+        self.base = (base_power, abs(base_power), base_power_err)
+
+    def value(self, x: float, x_err: float = 0.0) -> tuple[float, float]:
+        """g^(n) at x > 0, where x is off by at most x_err relative from the
+        point meant, and a bound on the error of the value."""
+        return self.value_at(_y_point(self.alpha, x, x_err))
+
+    def value_at(self, point: tuple) -> tuple[float, float]:
+        """g^(n) and a bound on its error at a point from `_y_point`.
+
+        The relative errors add up to first order, as in `_term_rtol`: w and
+        1 + w carry the errors `_y_point` gives them, each pow its argument's
+        error times the exponent, plus 2u, plus the exponent's rounding times
+        |log| of its argument, and the two products u each.  Horner's
+        roundings stay within u (2 run - |p|), a running error bound (Higham,
+        Accuracy and Stability of Numerical Algorithms, 5.1), the rounding of
+        the coefficients adds u sum |c_i| w^i, and the error of w at most the
+        degree times that error times the same sum.  The factor 1.01 covers
+        the second-order terms.  A power or scale outside [2^-1000, 2^1000]
+        raises OverflowError.
+        """
+        x, x_err, low, w, w_err, base, base_err, log_x, log_base = point
+        (p, size), rest, power, power_abs, power_err, power_rounding = self.forms[low]
+        base_power, base_power_abs, base_power_err = self.base
+        factor = x**power * base**base_power
+        if not 2.0**-1000 <= factor <= 2.0**1000:
+            raise OverflowError(f"g^({self.n}) leaves the float range at x = {x:g}")
+        run = 0.5 * size
+        for c, c_abs in rest:
+            p = p * w + c
+            run = run * w + abs(p)
+            size = size * w + c_abs
+        u = 2.0**-53
+        # the pow of x, the pow of 1 + w (2u) and the two products (2u)
+        rel = (power_abs * x_err + power_err * log_x + power_rounding
+               + base_power_abs * base_err + base_power_err * log_base + 4.0 * u)
+        p_err = u * (2.0 * run - abs(p)) + (u + self.spread * w_err) * size
+        v = factor * p
+        return v, 1.01 * (abs(v) * rel + factor * p_err) + 1e-300
+
+    def _sup_next(self, l: float, h: float) -> float:
+        """Upper bound on |g^(n+2)| over [l, h], 0 < l < h < inf, in floats
+        with a factor 2 for their rounding: each factor at its worse end."""
+        poly = _y_numerators(self.gamma, self.alpha, self.mu, self.n + 2)[-1]
+        e, y = self.gamma - self.n - 2.0, h**self.alpha
+        size = math.fsum(abs(float(c)) * y**i for i, c in enumerate(poly))
+        return 2.0 * max(l**e, h**e) * (1.0 + l**self.alpha) ** -(self.mu + 3.0 + self.n) * size
+
+    @functools.cached_property
+    def turns(self) -> list[list]:
+        """[l, h, value at l, value at h, allowance] for each turning interval of
+        g^(n) on (0, inf), in increasing order.
+
+        Each positive root of P_(n+1) lies in an exact interval in y, whose
+        ends map to x = y^(1/alpha), rounded outward by the margin of
+        `_convex_x`; intervals that then overlap are merged.  Inside one,
+        g^(n+1) vanishes, so the variation of g^(n) there is at most
+        (h - l)^2 sup |g^(n+2)| (the allowance; None where l = 0, and a value
+        None where it leaves the float range).
+        """
+        poly = _y_numerators(self.gamma, self.alpha, self.mu, self.n + 1)[-1]
+        out = []
+        for yl, yh in polyfun.real_root_intervals(poly, Fraction(0)):
+            l, h = _x_of_y(float(yl), self.alpha, -1.0), _x_of_y(float(yh), self.alpha, 1.0)
+            if out and l <= out[-1][1]:
+                out[-1][1] = max(out[-1][1], h)
+            else:
+                out.append([l, h])
+        for turn in out:
+            l, h = turn
+            turn += [self._value_or_none(l), self._value_or_none(h), None]
+            if l > 0.0:
+                try:
+                    turn[4] = (h - l) ** 2 * self._sup_next(l, h)
+                except OverflowError:
+                    turn[4] = math.inf
+        return out
+
+    def _value_or_none(self, x: float) -> tuple[float, float] | None:
+        try:
+            return self.value(x) if x > 0.0 else None
+        except OverflowError:
+            return None
+
+    def pieces(self, a: float, b: float, first: tuple[float, float] | None = None
+               ) -> tuple[list[float], float]:
+        """SmoothFunction.monotone_pieces for g^(n) on [a, b], 0 < a < b <= inf,
+        with `first` its value at a where known."""
+        knots, allowances = [first or self.value(a)], []
+        for l, h, vl, vh, allowance in self.turns:
+            if h <= a or l >= b:
+                continue
+            if l > a:
+                knots.append(vl)
+            else:  # the interval holds a: only [a, h] counts
+                allowance = (min(h, b) - a) ** 2 * self._sup_next(a, min(h, b))
+            allowances.append(allowance)
+            if h < b:
+                knots.append(vh)
+        knots.append((0.0, 0.0) if b == math.inf else self.value(b))
+        if None in knots:
+            raise OverflowError(f"g^({self.n}) leaves the float range at a turning point")
+        values, errs = zip(*knots)
+        # nonnegative terms, each rounded up, and one correctly rounded fsum
+        return list(values), math.fsum(allowances + [*errs, *errs]) * (1.0 + 2.0**-50)
+
+
+def _y_point(alpha: float, x: float, x_err: float = 0.0) -> tuple:
+    """What every `_YDerivative.value_at` shares at x > 0, off by at most
+    x_err relative: (x, x_err, x <= 1, w, its relative error, 1 + w, its
+    relative error, |log x|, log(1 + w)), with w = x^alpha up to x = 1 and
+    x^(-alpha) past it.  w is within 0 (x itself), u (a product or a
+    quotient), 2u (x * x, then its reciprocal) or 1 ulp (a pow) of the power
+    of x, plus alpha x_err; 1 + w adds u, and carries w's error times w/(1+w)."""
+    u = 2.0**-53
+    if x <= 1.0:
+        w = x if alpha == 1.0 else x * x if alpha == 2.0 else x**alpha
+        w_err = 0.0 if alpha == 1.0 else u if alpha == 2.0 else 2.0 * u
+    else:
+        w = 1.0 / x if alpha == 1.0 else 1.0 / (x * x) if alpha == 2.0 else x**-alpha
+        w_err = u if alpha == 1.0 else 2.0 * u
+    w_err += alpha * x_err
+    base = 1.0 + w
+    return (x, x_err, x <= 1.0, w, w_err, base, w_err * w / base + u, abs(math.log(x)),
+            math.log(base))
+
+
+def _x_of_y(y: float, alpha: float, side: float) -> float:
+    """A float beyond Y^(1/alpha) on the given side (-1 below, +1 above), for
+    the Y that y was rounded from once: the margin of `_convex_x` covers the
+    rounding of 1/alpha and the pow, and (1/alpha) 2^-52 more that of y."""
+    if y < 2.0**-1000:
+        if side < 0.0:
+            return 0.0
+        y = 2.0**-1000
+    x = y ** (1.0 / alpha)
+    return x * (1.0 + side * (4.0 + (1.0 + abs(math.log(y))) / alpha) * 2.0**-52)
+
+
+@functools.lru_cache(maxsize=512)
+def _y_derivative(gamma: float, alpha: float, mu: float, n: int) -> _YDerivative:
+    return _YDerivative(gamma, alpha, mu, n)
+
+
+@functools.lru_cache(maxsize=256)
+def _y_models(gamma: float, alpha: float, mu: float) -> tuple[_YDerivative, ...]:
+    """`_y_derivative` for n = 0..TAIL_ORDER, the orders a closed tail takes."""
+    return tuple(_y_derivative(gamma, alpha, mu, n) for n in range(TAIL_ORDER + 1))
+
+
 def _exact_delta(params: MathieuParams) -> Fraction:
     """alpha (mu+1) - gamma of the float parameters, without rounding."""
     return Fraction(params.alpha) * (Fraction(params.mu) + 1) - Fraction(params.gamma)
@@ -1001,64 +1328,119 @@ class MathieuSmoothFunction(emsum.SmoothFunction):
     """The kernel g, shifted to x -> g(x + shift), presented through the
     summation-engine contract.
 
-    It needs (gamma, alpha) in Z+ x N (RegimeError otherwise), where the
-    variation of g^(k) comes from its exact monotone pieces
-    (`_KernelDerivative`).  Unshifted, the derivatives at 0 are the series
-    coefficients (jets).  A shift is exact (a Fraction); the derivatives
-    there come from the exact numerators P_k with their rounding bounds
-    (`_kernel_value`), and the tail integral with its own.
+    Shifted (shift > 0), it serves every kernel in floats: the derivatives
+    are the y-form values of `_YDerivative` with their rounding bounds, the
+    variation of g^(k) comes from its monotone pieces between the turning
+    intervals isolated there, and the tail integral carries its own bound.
+    A float shift is exact; a Fraction one is rounded once, which every
+    value, piece and integral then allows for.  Unshifted, it needs
+    (gamma, alpha) in Z+ x N (RegimeError otherwise): the derivatives at 0
+    are the series coefficients (jets), and the variation comes from the
+    exact x-form pieces of `_KernelDerivative`.
     """
 
-    def __init__(self, params: MathieuParams, shift: Fraction = Fraction(0)):
-        if not params.integer_regime:
-            raise RegimeError("the Euler-Maclaurin kernel needs gamma in Z+ and alpha in N")
+    def __init__(self, params: MathieuParams, shift: float | Fraction = 0.0):
         self.params = params
-        self.shift = shift
-        self.domain_left = -0.5 - float(shift)
+        self.shift = float(shift)
+        if not self.shift:
+            if not params.integer_regime:
+                raise RegimeError("the unshifted Euler-Maclaurin kernel needs gamma in Z+ "
+                                  "and alpha in N")
+            self.domain_left = -0.5
+        else:
+            #: relative distance of the float shift from the one meant
+            self.shift_err = 0.0 if self.shift == shift else 2.0**-53
+            self.domain_left = -self.shift
+            self._models = _y_models(params.gamma, params.alpha, params.mu)
+            #: the `_y_point` of the shift, and g^(k) there for k <= TAIL_ORDER once needed
+            self._origin = _y_point(params.alpha, self.shift, self.shift_err)
+            self._at_origin = None
+
+    def _at(self, x: float) -> tuple[float, float]:
+        """x + shift rounded, and a bound on its distance from the exact sum
+        with the shift meant (two-sum error plus the shift's own)."""
+        z = x + self.shift
+        err = self.shift * self.shift_err
+        if x:
+            back = z - x
+            err += abs((x - (z - back)) + (self.shift - back))
+        return z, err
 
     def deriv(self, k: int, x: float) -> float:
         if self.shift:
             return self.deriv_with_error(k, x)[0]
         return jets.derivatives(g_jet(self.params, x, k))[k]
 
+    def _model(self, k: int) -> _YDerivative:
+        p = self.params
+        return self._models[k] if k < len(self._models) \
+            else _y_derivative(p.gamma, p.alpha, p.mu, k)
+
     def deriv_with_error(self, k: int, x: float) -> tuple[float, float | None]:
         if not self.shift:
             return self.deriv(k, x), None
-        p = self.params
-        return _kernel_value(int(p.gamma), int(p.alpha), p.mu, k, Fraction(x) + self.shift)
+        if x:
+            z, dz = self._at(x)
+            return self._model(k).value_at(_y_point(self.params.alpha, z, dz / z))
+        # where the engines take every derivative, up to TAIL_ORDER: the shift itself
+        if self._at_origin is None:
+            self._at_origin = [model.value_at(self._origin) for model in self._models]
+        return self._at_origin[k] if k < len(self._at_origin) \
+            else self._model(k).value_at(self._origin)
 
     def monotone_pieces(self, k: int, a: float, b: float) -> tuple[list[float], float] | None:
         p = self.params
-        if self.shift:
-            # the engine rounded the ends it passes (eps u): widen each one
-            # outward by 2^-52 relative, so the exact interval lies inside
-            a = Fraction(a) - abs(Fraction(a)) / 2**52 + self.shift
-            if b != math.inf:
-                b = Fraction(b) + abs(Fraction(b)) / 2**52 + self.shift
-            if a < Fraction(-1, 2):
+        if not self.shift:
+            if a < self.domain_left:
                 return None
-        elif a < self.domain_left:
-            return None
-        return _kernel_derivative(int(p.gamma), int(p.alpha), p.mu, k).pieces(a, b)
+            return _kernel_derivative(int(p.gamma), int(p.alpha), p.mu, k).pieces(a, b)
+        # the engine rounded the ends it passes (eps u): widen each one, and a
+        # rounded shift, outward by 2^-50 relative, add, and step the sum one
+        # ulp further out, so the exact interval lies inside; an exact shift
+        # from 0 starts at the shift itself
+        s, widen = self.shift, (2.0**-50 if self.shift_err else 0.0)
+        if a or widen:
+            a = math.nextafter((a - abs(a) * 2.0**-50) + (s - s * widen), -math.inf)
+            if a <= 0.0:
+                return None
+            first = None
+        else:
+            a, first = s, self.deriv_with_error(k, 0.0)
+        if b != math.inf:
+            b = math.nextafter((b + abs(b) * 2.0**-50) + (s + s * widen), math.inf)
+        return self._model(k).pieces(a, b, first)
 
     def tail_integral(self, t: float) -> float:
-        return tail_integral(self.params, t + float(self.shift))
+        return tail_integral(self.params, t + self.shift)
 
     def tail_integral_with_error(self, t: float) -> tuple[float, float | None]:
         if not self.shift:
             return self.tail_integral(t), None
         p = self.params
-        x = Fraction(t) + self.shift
-        xf = float(x)
-        value = tail_integral(p, xf)
-        # rounding x to xf moves F by at most |xf - x| sup g between them: g at
-        # the left end where g decreases there, else the peak value of g
-        if min(Fraction(xf), x) >= Fraction(g_peak(p)) * (1 + Fraction(1, 2**40)):
-            g_sup = sum(_kernel_value(int(p.gamma), int(p.alpha), p.mu, 0, min(Fraction(xf), x)))
-        else:
-            g_sup = 1.0 if p.gamma == 0 else 0.5 * g_total_variation(p)
-        err = tail_integral_rel_err(p, xf) * value + float(abs(Fraction(xf) - x)) * g_sup
+        x, dx = self._at(t)
+        value = tail_integral(p, x)
+        err = tail_integral_rel_err(p, x) * value
+        if dx:
+            # x off by dx moves F by at most dx sup g between them: g at the
+            # left end where g decreases there, else the peak value of g
+            left = (x - dx) * (1.0 - 2.0**-50)
+            if left >= g_peak(p) * (1.0 + 2.0**-40):
+                g_sup = sum(_y_derivative(p.gamma, p.alpha, p.mu, 0).value(left))
+            else:
+                g_sup = 1.0 if p.gamma == 0 else 0.5 * g_total_variation(p)
+            err += dx * g_sup
         return value, 1.01 * err + 1e-300
+
+
+@functools.lru_cache(maxsize=1024)
+def _pochhammer(params: MathieuParams, k: int) -> tuple[float, float]:
+    """(2 (-delta)(-delta-1)...(-delta-k+1), delta + k) of `_PowerTail`, each
+    rounded once from the exact delta (`_exact_delta`); k = -1 gives delta - 1."""
+    delta = _exact_delta(params)
+    poch = Fraction(2)
+    for j in range(k):
+        poch *= -(delta + j)
+    return float(poch), float(delta + k)
 
 
 class _PowerTail(emsum.SmoothFunction):
@@ -1074,17 +1456,14 @@ class _PowerTail(emsum.SmoothFunction):
     """
 
     def __init__(self, params: MathieuParams, head: int):
-        self.delta = _exact_delta(params)
+        self.params = params
         self.head = head
         self.domain_left = -0.5 * head
 
     def _value(self, k: int, x: float) -> tuple[float, float]:
-        poch = Fraction(2)
-        for j in range(k):
-            poch *= -(self.delta + j)
+        poch, e = _pochhammer(self.params, k)
         y = x + self.head
-        e = float(self.delta + k)
-        v = float(poch) * y ** -e
+        v = poch * y ** -e
         # y and the exponent rounded once each move the power by (delta + k)(1 +
         # log y) u; the power within 1 ulp, the factor and the product 1 each
         return v, 1.01 * (e * (1.0 + math.log(y)) + 6.0) * 2.0**-53 * abs(v)
@@ -1106,7 +1485,7 @@ class _PowerTail(emsum.SmoothFunction):
         return self.tail_integral_with_error(t)[0]
 
     def tail_integral_with_error(self, t: float) -> tuple[float, float | None]:
-        y, e = t + self.head, float(self.delta - 1)
+        y, e = t + self.head, _pochhammer(self.params, -1)[1]
         value = 2.0 * y ** -e / e
         # as in _value with the exponent delta - 1, plus its rounding as a divisor
         return value, 1.01 * (e * (1.0 + math.log(y)) + 6.0) * 2.0**-53 * value
@@ -1125,11 +1504,16 @@ def _closed_tail(params: MathieuParams, t: float, alternating: bool,
     For t > 0 the terms are 2 t^(-delta) g(eps (k + u)) with eps = 1/t, so
     the sum past the head is 2 t^(-delta) times the engine's sum of the
     shifted kernel x -> g(x + eps head) at the same u (never at offset
-    u + head, whose Bernoulli weights B_k(-u - head) explode).  At t = 0 the
+    u + head, whose Bernoulli weights B_k(-u - head) explode), for every
+    kernel, in floats (`MathieuSmoothFunction`; eps head is exact where head
+    is a power of two, else rounded once and allowed for).  At t = 0, and
+    at t^alpha <= 2^-100 where delta + alpha > 1 (`_t_zero_drift`), the
     engine sums F(k + u), F = `_PowerTail`, with eps = 1.  The radius covers
     the remainder and every rounding: the engine bounds the boundary terms
     and the integral term from the errors the kernel reports; on top come
-    the t^(-delta) scale and the rounding of eps.  head = 0 is `eval_em`,
+    the t^(-delta) scale and the rounding of eps.  Where eps^8 falls below
+    2^-1000 the engine's weights eps^k / (k+1)! would underflow unbounded,
+    and a head past 0 raises OverflowError.  head = 0 is `eval_em`,
     whose arithmetic is kept as it was: the derivatives at 0 are the series
     coefficients, covered by the engine's 4e-16 relative allowance.  Where
     2 t^(-delta) falls below 2^-1000, it is applied as the two factors
@@ -1139,15 +1523,18 @@ def _closed_tail(params: MathieuParams, t: float, alternating: bool,
     bounds no longer hold, and OverflowError is raised.
     """
     engine = emsum.boole_sum if alternating else emsum.em_sum
-    if t == 0.0 or (head and t**params.alpha <= _T_POWER_NEGLIGIBLE):
+    if t == 0.0 or (head and t < 1.0 and t**params.alpha <= _T_POWER_NEGLIGIBLE
+                    and params.delta + params.alpha > 1.0):
         res = engine(_PowerTail(params, head), 1.0, params.u, TAIL_ORDER)
         value, radius = res.sum_estimate, res.remainder_bound
         if t > 0.0:
             radius += _t_zero_drift(params, t, head)
     else:
         eps = 1.0 / t
-        f = MathieuSmoothFunction(params, Fraction(eps) * head)
-        res = engine(f, eps, params.u, TAIL_ORDER)
+        if head and eps**TAIL_ORDER < 2.0**-1000:
+            raise OverflowError(f"the engine's weights eps^k underflow at t = {t:g}")
+        shift = eps * head if head & (head - 1) == 0 else Fraction(eps) * head
+        res = engine(MathieuSmoothFunction(params, shift), eps, params.u, TAIL_ORDER)
         scale = 2.0 * t ** (-params.delta)
         split = scale < 2.0**-1000
         if split:
@@ -1258,7 +1645,8 @@ def eval_auto(params: MathieuParams, t: float, tol: float = 1e-10) -> EvalResult
 
     Direct summation is tried first below T_DIRECT and the certified
     Euler-Maclaurin bound first from it on; EM applies only for t > 0 and
-    (gamma, alpha) in Z+ x N, so every other kernel is summed directly.
+    (gamma, alpha) in Z+ x N, so every other kernel is summed directly (with
+    a closed tail past CROSSOVER).
     ToleranceError names each path's reason when no path reaches tol.
     """
     params.require_delta(1.0)

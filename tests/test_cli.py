@@ -217,7 +217,7 @@ class TestErrorExits:
         ("eval", "--t", "inf"),
         ("eval", "--tol", "nan", "--t", "1"),
         ("asym", "--n-terms", "100"),
-        ("eval-alt", "--gamma", "0.5", "--alpha", "1.5", "--mu", "0.5", "--t", "1"),
+        ("eval-alt", "--gamma", "0.5", "--alpha", "1.5", "--mu", "0.5", "--t", "1e40"),
         ("constants", "--inf", "--u", "nan"),
         ("hankel", "--t", "nan"),
         ("eval", "--config", "bad.cfg"),
@@ -248,8 +248,8 @@ class TestErrorExits:
         ("eval", "--t", "1e160"),
     ])
     def test_exit_2_with_one_line(self, capsys, monkeypatch, tmp_path, args):
-        # the eval-alt case (no closed tail outside the integer regime at t > 0)
-        # needs more terms than this cap allows
+        # the eval-alt case (no closed tail at t = 1e40, where the engine's
+        # weights eps^k underflow) needs more terms than this cap allows
         monkeypatch.setenv("MATHIEU_MAX_TERMS", "1000")
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bad.cfg").write_text("t = abc\n")
@@ -302,13 +302,14 @@ class TestErrorExits:
         assert abs(rec["value"] - math.pi**4 / 45) <= rec["err_hi"] <= 1e-10
 
     @pytest.mark.parametrize("args", [
-        ("eval", "--gamma", "0.5", "--alpha", "1.5", "--mu", "1", "--t", "1e9"),
-        ("eval-alt", "--t", "1e12"),
-        ("eval", "--gamma", "2", "--alpha", "2.5", "--mu", "1", "--t", "1e12"),
+        ("eval", "--gamma", "0.5", "--alpha", "1.5", "--mu", "1", "--t", "1e40"),
+        ("eval-alt", "--t", "1e40"),
+        ("eval", "--gamma", "2", "--alpha", "2.5", "--mu", "1", "--t", "1e40"),
     ])
     def test_start_past_the_term_cap_exits_2_at_once(self, capsys, monkeypatch, args):
         # the terms decrease only from an index past the 20M-term cap, so the
-        # first bracket alone would sum more terms than the cap allows
+        # first bracket alone would sum more terms than the cap allows, and at
+        # t = 1e40 no closed tail stands in (the engine's weights eps^k underflow)
         monkeypatch.delenv("MATHIEU_MAX_TERMS", raising=False)
         start = time.perf_counter()
         code, out, err = run(capsys, *args)
@@ -316,6 +317,29 @@ class TestErrorExits:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "20000000-term cap" in err
+
+    @pytest.mark.parametrize("args, params, alternating", [
+        (("eval", "--gamma", "0.5", "--alpha", "1.5", "--mu", "1", "--t", "1e9"),
+         (0.5, 1.5, 1.0, 0.0), False),
+        (("eval-alt", "--t", "1e12"), (1.0, 2.0, 1.0, 0.0), True),
+        (("eval", "--gamma", "2", "--alpha", "2.5", "--mu", "1", "--t", "1e12"),
+         (2.0, 2.5, 1.0, 0.0), False),
+        # the first bracket needed 85,028,302 terms
+        (("eval", "--gamma", "2", "--alpha", "2.5", "--mu", "1", "--t", "1e8"),
+         (2.0, 2.5, 1.0, 0.0), False),
+    ])
+    def test_start_past_the_term_cap_closes_in_64_terms(self, capsys, monkeypatch, args,
+                                                        params, alternating):
+        # a start past CROSSOVER closes past 64 terms at once, for every kernel
+        from conftest import s_mellin_mp
+
+        monkeypatch.delenv("MATHIEU_MAX_TERMS", raising=False)
+        code, out, err = run(capsys, *args)
+        assert (code, err) == (0, "")
+        rec = json.loads(out)
+        assert (rec["terms"], rec["order"]) == (64, 8)
+        truth = s_mellin_mp(*params, rec["t"], alternating=alternating)
+        assert abs(rec["value"] - truth) <= rec["err_hi"] <= 1e-10
 
     def test_verify_has_no_tol_flag(self, capsys):
         code, _, err = run(capsys, "verify", "classical", "--tol", "1e-9")
@@ -334,7 +358,7 @@ README_COMMANDS = {
      "--format", "csv"):
         "5b202f43f61dab7bd5ba2bbf920f730ecb09c98cec14f88c5813c58d1d2d5575",
     ("eval-alt", "--gamma", "0", "--alpha", "2", "--mu", "0", "--u", "0", "--t", "1"):
-        "3c9beeeb20d6f8dd0137a9817be5828360b461c989c03db2debf5d2011bc0f18",
+        "9294bd5d9a34532f21aaf4c02e3a7d8f2cab30066dd7e8b115481ac8131a3a90",
     ("asym", "--gamma", "1", "--alpha", "2", "--mu", "1", "--u", "0.5", "--n-terms", "6"):
         "1d151504da8f16fb27031ae80fb08f3fbe6ccef6204213c27fc168b6b99bd052",
     ("constants", "--mu", "1", "--u", "0"):
@@ -384,6 +408,19 @@ class TestReadmeGolden:
             # the harness self-test `verify monotone --b 10` fails by design
             assert code == (1 if "--b" in args else 0), args
             assert hashlib.sha256(stdout.encode()).hexdigest() == README_COMMANDS[args], args
+
+    def test_poisson_warning_is_one_line(self, tmp_path):
+        # the mu <= 0 UserWarning once came with its source line
+        # `params = mathieu.MathieuParams(...)`; stdout stays the README's
+        args = ("eval-alt", "--gamma", "0", "--alpha", "2", "--mu", "0", "--u", "0", "--t", "1")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "mathieuseries.cli", *args],
+                              capture_output=True, text=True, cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=300)
+        assert proc.returncode == 0
+        assert proc.stderr == ("warning: mu <= 0 is outside the vetted regime; "
+                               "results are experimental\n")
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == README_COMMANDS[args]
 
 
 class TestImportCost:

@@ -1,13 +1,16 @@
 import math
+import runpy
 import warnings
+from pathlib import Path
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from mathieuseries import jets, mathieu
+from mathieuseries import jets, mathieu, polyfun
 from mathieuseries.errors import (
     OrderOverflowError,
     ParameterError,
@@ -28,7 +31,7 @@ from conftest import (
     s_even_mp,
     s_hurwitz_alt_mp,
     s_hurwitz_mp,
-    s_nsum_mp,
+    s_mellin_mp,
 )
 
 
@@ -230,13 +233,13 @@ class TestEvalS:
         # tail bracket (fully independent of the library code paths)
         import mpmath as mp
 
-        mp.mp.dps = 30
         gamma, alpha, mu, u, t = 0.7, 1.9, 1.2, 0.3, 2.0
         f = lambda k: 2 * (k + u) ** gamma / ((k + u) ** alpha + t**alpha) ** (mu + 1)
         n = 50000
-        partial = mp.fsum(f(k) for k in range(1, n + 1))
-        hi = partial + mp.quad(f, [n, mp.inf])
-        lo = partial + mp.quad(f, [n + 1, mp.inf])
+        with mp.workdps(30):
+            partial = mp.fsum(f(k) for k in range(1, n + 1))
+            hi = partial + mp.quad(f, [n, mp.inf])
+            lo = partial + mp.quad(f, [n + 1, mp.inf])
         res = mathieu.eval_S(mathieu.MathieuParams(gamma, alpha, mu, u), t, 1e-12)
         assert float(lo) - res.err_hi <= res.value <= float(hi) + res.err_hi
 
@@ -267,13 +270,13 @@ class TestEvalS:
         assert tight.err_hi <= 1e-12
 
     def test_term_cap(self, monkeypatch):
-        # outside the integer regime at t > 0 there is no closed tail, and the
-        # bracket needs far more than 1,000 terms (delta = 1.075)
+        # the bracket needs far more than 1,000 terms (delta = 1.075), and at
+        # tol 1e-14 the closed tail (radius ~7e-14) cannot stand in
         monkeypatch.setenv(mathieu.MAX_TERMS_ENV, "1000")
         from mathieuseries.errors import ToleranceError
 
         with pytest.raises(ToleranceError):
-            mathieu.eval_S(mathieu.MathieuParams(0.5, 1.5, 0.05, 0.0), 1.0, 1e-12)
+            mathieu.eval_S(mathieu.MathieuParams(0.5, 1.5, 0.05, 0.0), 1.0, 1e-14)
 
 
 class TestEvalSAlt:
@@ -308,9 +311,10 @@ class TestEvalSAlt:
 
     def test_slow_alternating_family_raises_cleanly(self, monkeypatch):
         # delta = 0.9 outside Z+ x N: the second-order convex bracket, about
-        # |f'(n)|/2 ~ n^-1.9 wide, meets tol 1e-12 within the term cap (the
-        # first-order bracket, ~n^-0.9 wide, exhausted it); a cap of 1,000
-        # terms still ends in a clean ToleranceError
+        # |f'(n)|/2 ~ n^-1.9 wide, or the closed tail past it meets tol 1e-12
+        # within the term cap (the first-order bracket, ~n^-0.9 wide,
+        # exhausted it); a cap of 1,000 terms at a tol the closed tail
+        # (radius ~4e-16) cannot meet still ends in a clean ToleranceError
         params = mathieu.MathieuParams(1.5, 2.0, 0.2, 0.0)
         res = mathieu.eval_S_alt(params, 1.0, 1e-4)
         assert res.err_hi <= 1e-4
@@ -322,7 +326,7 @@ class TestEvalSAlt:
         assert _contains(res, truth)
         monkeypatch.setenv(mathieu.MAX_TERMS_ENV, "1000")
         with pytest.raises(ToleranceError):
-            mathieu.eval_S_alt(params, 1.0, 1e-12)
+            mathieu.eval_S_alt(params, 1.0, 1e-16)
 
     def test_vanishing_alternating_limit(self):
         # gamma even, alpha even, u = 0: t^(alpha(mu+1)) S~ -> (-1)^gamma E_gamma(0),
@@ -484,7 +488,7 @@ class TestDispatch:
             mathieu.eval_auto(CLASSICAL, 1.0, 1e-18)
 
     def test_non_integer_kernel_goes_direct(self):
-        # the EM variation is certified only in the integer regime, where it
+        # the unshifted EM kernel needs the integer regime, where its variation
         # comes from exact monotone pieces; every other kernel is summed directly
         for params in ((1.0, 1.5, 1.0, 0.0), (2.0, 2.5, 1.0, 0.0)):
             with pytest.raises(RegimeError):
@@ -497,7 +501,8 @@ class TestDispatch:
                 res = mathieu.eval_auto(mathieu.MathieuParams(*params), t, 1e-10)
             assert res.method == mathieu.DIRECT
             assert res.rigorous and res.err_hi <= 1e-10
-            assert _contains(res, s_nsum_mp(*params, t)), (params, t)
+            oracle = s_binomial_mp(*params, t) if t <= 60 else s_mellin_mp(*params, t)
+            assert _contains(res, oracle), (params, t)
 
     def test_mid_t_euler_maclaurin(self):
         res = mathieu.eval_auto(CLASSICAL, 200.0, 1e-10)
@@ -597,6 +602,96 @@ class TestExactVariation:
         for params in ((1.0, 1.5, 1.0, 0.0), (2.0, 2.5, 1.0, 0.0)):
             with pytest.raises(RegimeError):
                 mathieu.MathieuSmoothFunction(mathieu.MathieuParams(*params))
+
+
+#: the five kernels outside Z+ x N of the y-form model, and the Poisson kernel
+Y_FORM_KERNELS = [(1.0, 1.5, 1.0), (0.5, 1.5, 1.0), (2.0, 2.5, 1.0), (0.0, 2.5, 0.3),
+                  (1.0, 3.5, 0.5), (0.0, 2.0, 0.0)]
+
+
+def _g_mp(kernel):
+    g, a, m = (mp.mpf(v) for v in kernel)
+    return lambda x: x**g * (1 + x**a) ** -(m + 1)
+
+
+@st.composite
+def _non_integer_wide_case(draw):
+    """(params, t) outside Z+ x N with delta in [1.1, 3], t in (0, 60] or [1e3, 1e9]."""
+    gamma, alpha = draw(st.floats(0.0, 3.0)), draw(st.floats(0.5, 3.0))
+    delta, u = draw(st.floats(1.1, 3.0)), draw(st.floats(-0.9, 2.0))
+    params = (gamma, alpha, (delta + gamma) / alpha - 1.0, u)
+    assume(not mathieu.MathieuParams(*params).integer_regime)
+    t = draw(st.floats(0.0, 60.0, exclude_min=True) | st.floats(3.0, 9.0).map(lambda e: 10.0**e))
+    return params, t
+
+
+class TestYForm:
+    """The float y-form derivatives g^(n) = x^(gamma-n) (1+y)^(-m-n) P_n(y)
+    behind every closed tail at t > 0."""
+
+    @pytest.mark.parametrize("kernel", Y_FORM_KERNELS)
+    def test_values_and_bounds_against_mpmath(self, kernel):
+        g = _g_mp(kernel)
+        rng = np.random.default_rng(7)
+        # log-uniform x in (1e-4, 1e4), both sides of x = 1 where the form switches
+        xs = 10.0 ** rng.uniform(-4.0, 4.0, 12)
+        ratios = []
+        for n in range(mathieu.TAIL_ORDER + 1):
+            d = mathieu._y_derivative(*kernel, n)
+            for x in xs:
+                value, err = d.value(float(x))
+                ref = mp.diff(g, mp.mpf(x), n)
+                assert abs(mp.mpf(value) - ref) <= err, (kernel, n, x)
+                ratios.append(err / abs(float(ref)))
+        # the bound is a few hundred ulps where no cancellation intervenes
+        assert np.median(ratios) < 1e-13
+
+    @pytest.mark.parametrize("kernel", Y_FORM_KERNELS)
+    def test_turning_intervals_against_mpmath_sign(self, kernel):
+        # g^(n+1) changes sign across each turning interval of g^(n) and keeps
+        # it between them, on a grid of (1e-3, 1e3)
+        g = _g_mp(kernel)
+        for n in (2, mathieu.TAIL_ORDER):
+            turns = mathieu._y_derivative(*kernel, n).turns
+            assert all(a[1] < b[0] for a, b in zip(turns, turns[1:]))
+            for l, h, *_ in turns:
+                if l > 1e-6:
+                    assert mp.sign(mp.diff(g, mp.mpf(l), n + 1)) \
+                        == -mp.sign(mp.diff(g, mp.mpf(h), n + 1)), (kernel, n, l)
+            grid = [10.0 ** ((k + 0.37) / 10) for k in range(-30, 30)]
+            signs = [mp.sign(mp.diff(g, mp.mpf(x), n + 1)) for x in grid]
+            for x0, x1, s0, s1 in zip(grid, grid[1:], signs, signs[1:]):
+                crossed = sum(x0 < l and h < x1 for l, h, *_ in turns)
+                assert (s0 == s1) == (crossed % 2 == 0), (kernel, n, x0)
+
+    @settings(max_examples=6, deadline=None)
+    @given(case=_non_integer_wide_case())
+    def test_plain_soundness_property(self, case):
+        params, t = case
+        res = mathieu.eval_S(mathieu.MathieuParams(*params), t, 1e-10)
+        assert res.err_hi <= 1e-10
+        oracle = s_binomial_mp(*params, t) if t <= 60 else s_mellin_mp(*params, t)
+        assert _contains(res, oracle), (params, t, res)
+
+    @settings(max_examples=6, deadline=None)
+    @given(case=_non_integer_wide_case())
+    def test_alternating_soundness_property(self, case):
+        params, t = case
+        res = mathieu.eval_S_alt(mathieu.MathieuParams(*params), t, 1e-10)
+        assert res.err_hi <= 1e-10
+        oracle = s_binomial_mp(*params, t, alternating=True) if t <= 60 \
+            else s_mellin_mp(*params, t, alternating=True)
+        assert _contains(res, oracle), (params, t, res)
+
+    def test_large_t_closes_in_64_terms(self):
+        # the first bracket needed 629,962 / 18,898,817 / 85,028,302 terms
+        for params, t in (((1.0, 1.5, 1.0, 0.0), 1e6), ((1.0, 1.5, 1.0, 0.0), 3e7),
+                          ((2.0, 2.5, 1.0, 0.0), 1e8)):
+            for alternating in (False, True):
+                fn = mathieu.eval_S_alt if alternating else mathieu.eval_S
+                res = fn(mathieu.MathieuParams(*params), t, 1e-10)
+                assert (res.terms_used, res.order) == (64, mathieu.TAIL_ORDER)
+                assert _contains(res, s_mellin_mp(*params, t, alternating=alternating))
 
 
 def _contains(res, truth) -> bool:
@@ -730,10 +825,15 @@ class TestClosedTail:
             mathieu.eval_em(CLASSICAL, 1e160)
 
     def test_start_past_the_cap_raises(self, monkeypatch):
-        # the monotone index 57,737 lies past the cap: all of it was summed
+        # the monotone index 57,737 lies past the cap: all of it was summed;
+        # now a start past CROSSOVER closes at once, and raises at once only
+        # where the closed tail (radius ~3.5e-25 here) cannot meet tol
         monkeypatch.setenv(mathieu.MAX_TERMS_ENV, "1000")
         with pytest.raises(ToleranceError, match="57737 terms, past the 1000-term cap"):
-            mathieu.eval_S(CLASSICAL, 1e5)
+            mathieu.eval_S(CLASSICAL, 1e5, 1e-30)
+        res = mathieu.eval_S(CLASSICAL, 1e5)
+        assert (res.terms_used, res.order) == (64, mathieu.TAIL_ORDER)
+        assert _contains(res, s1_trigamma(1e5))
 
     def test_former_cap_input_closes_in_64_terms(self, monkeypatch):
         monkeypatch.setenv(mathieu.MAX_TERMS_ENV, "1000")
@@ -800,11 +900,16 @@ class TestClosedTail:
         calls = [(mathieu.eval_S, (1.0, 1.0, 1.5, 0.0), 2.5, 1e-10),
                  (mathieu.eval_S_alt, (0.0, 2.0, 0.0, 0.0), 1.0, 1e-10),
                  (mathieu.eval_S_alt, (1.0, 2.0, 0.3, -0.4), 3.0, 1e-11),
-                 (mathieu.eval_em, (1.0, 2.0, 1.0, 0.5), 80.0, None)]
+                 (mathieu.eval_em, (1.0, 2.0, 1.0, 0.5), 80.0, None),
+                 (mathieu.eval_S, (1.0, 1.5, 1.0, 0.0), 1e6, 1e-10),
+                 (mathieu.eval_S_alt, (0.5, 1.5, 1.0, 0.3), 3e7, 1e-10),
+                 (mathieu.eval_S, (1.0, 1.5, 1.0, 0.0), 0.0, 1e-10)]
         for fn, params, t, tol in calls:
             for cache in (mathieu._kernel_derivative, mathieu._numerators,
                           mathieu._integer_numerator, mathieu._beta_args,
-                          mathieu._closed_form_beta):
+                          mathieu._closed_form_beta, mathieu._y_numerators,
+                          mathieu._y_derivative, mathieu._y_models, mathieu._pochhammer,
+                          mathieu._beta_args_rounding, polyfun.real_root_intervals):
                 cache.cache_clear()
             args = (mathieu.MathieuParams(*params), t) + ((tol,) if tol else ())
             cold, warm = fn(*args), fn(*args)
@@ -815,6 +920,40 @@ class TestClosedTail:
         res = mathieu.eval_S(CLASSICAL, 1.0, 1e-10)
         assert (res.order, res.terms_used) == (0, 512)
 
+
+    #: terms the direct path summed before every kernel had a closed tail at
+    #: t > 0, over the benchmark's direct-sweep cases: (at t = 0, at the other
+    #: 40 points of its grid, at t = 1e4, 1e6 and 3e7), None where it raised
+    TERMS_BEFORE = {
+        ("eval_S", (1.0, 2.0, 0.5, 0.0), 1e-10): (4096, 4096, (7073, 707108, None)),
+        ("eval_S", (1.0, 2.0, 0.5, 0.5), 1e-10): (4096, 4096, (7072, 707108, None)),
+        ("eval_S", (1.0, 2.0, 1.0, 0.0), 1e-10): (512, 512, (5775, 577352, 17320510)),
+        ("eval_S", (1.0, 2.0, 1.0, 0.5), 1e-10): (512, 512, (5775, 577351, 17320509)),
+        ("eval_S", (1.0, 2.0, 2.0, 0.0), 1e-10): (64, 64, (4474, 447215, 13416409)),
+        ("eval_S", (1.0, 2.0, 2.0, 0.5), 1e-10): (64, 64, (4473, 447215, 13416409)),
+        ("eval_S", (0.0, 2.0, 1.0, 0.0), 1e-10): (512, 512, (64, 64, 64)),
+        ("eval_S", (1.0, 1.5, 1.0, 0.0), 1e-10): (64, 2048, (12602, 629962, 18898817)),
+        ("eval_S", (0.5, 1.5, 1.0, 0.0), 1e-10): (16384, 1024, (3421, 341997, 10259857)),
+        ("eval_S", (0.0, 2.0, 0.0, 0.0), 1e-12): (64, 64, (64, 64, 64)),
+        ("eval_S", (1.0, 1.0, 1.5, 0.0), 1e-10): (64, 64, (64, 64, None)),
+        ("eval_S_alt", (0.0, 2.0, 0.0, 0.0), 1e-10): (64, 64, (64, 64, 64)),
+        ("eval_S_alt", (1.0, 2.0, 1.0, 0.3), 1e-10): (4096, 4096, (5775, 577351, 17320509)),
+        ("eval_S_alt", (1.0, 1.0, 0.5, 0.0), 1e-10): (64, 64, (64, 64, None)),
+    }
+
+    def test_no_input_sums_more_terms_than_before(self):
+        workloads = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench"
+                                       / "workloads.py"))
+        sweep, direct_t = workloads["DIRECT_SWEEP"], workloads["DIRECT_T"]
+        cases = {(c.fn.replace("eval_auto", "eval_S"), c.params, c.tol)
+                 for c in sweep.cases + sweep.faults}
+        assert cases == set(self.TERMS_BEFORE)
+        grid = direct_t + (1e4, 1e6, 3e7)
+        for (fn, params, tol), (at_zero, below_50, large) in self.TERMS_BEFORE.items():
+            before = (at_zero,) + (below_50,) * (len(direct_t) - 1) + large
+            for t, limit in zip(grid, before):
+                res = getattr(mathieu, fn)(mathieu.MathieuParams(*params), t, tol)
+                assert limit is None or res.terms_used <= limit, (fn, params, t)
 
     @pytest.mark.parametrize("t", [1e4, 1e5, 1e6])
     def test_closed_tail_head_stays_at_64(self, t):
