@@ -137,18 +137,16 @@ def s_binomial_mp(gamma: float, alpha: float, mu: float, u: float, t: float,
     With n >= 8t the j-th term shrinks like 8^(-alpha j) once j passes 2m.
     The value is accepted only where heads of 8t + 32 and 16t + 80 terms
     agree to 1e-25 relative.  (mpmath's `nsum` and `sumem` missed such a sum
-    by 1.3e-7 at delta = 1.15.)  An alternating sum can be many digits below
-    its terms, so both are taken at 20 more digits.
+    by 1.3e-7 at delta = 1.15.)
     """
-    with mp.workdps(mp.mp.dps + 20):
-        g, a, m, w, tf = mp.mpf(gamma), mp.mpf(alpha), mp.mpf(mu) + 1, mp.mpf(u), mp.mpf(t)
-        delta = exact_delta_mp(gamma, alpha, mu)
-        n = 8 * int(mp.ceil(tf)) + 32
-        first = _binomial_sum_mp(g, a, m, w, tf, delta, n, alternating)
-        second = _binomial_sum_mp(g, a, m, w, tf, delta, 2 * n + 16, alternating)
-        scale = abs(first) + 2 * (1 + w) ** g / ((1 + w) ** a + tf**a) ** m
-        assert abs(first - second) <= mp.mpf("1e-25") * scale, (first, second)
-    return +first
+    g, a, m, w, tf = mp.mpf(gamma), mp.mpf(alpha), mp.mpf(mu) + 1, mp.mpf(u), mp.mpf(t)
+    delta = exact_delta_mp(gamma, alpha, mu)
+    n = 8 * int(mp.ceil(tf)) + 32
+    first = _binomial_sum_mp(g, a, m, w, tf, delta, n, alternating)
+    second = _binomial_sum_mp(g, a, m, w, tf, delta, 2 * n + 16, alternating)
+    scale = abs(first) + 2 * (1 + w) ** g / ((1 + w) ** a + tf**a) ** m
+    assert abs(first - second) <= mp.mpf("1e-25") * scale, (first, second)
+    return first
 
 
 def _mellin_terms_mp(g, a, m, w, tf, alternating: bool):
@@ -176,16 +174,16 @@ def s_mellin_mp(gamma: float, alpha: float, mu: float, u: float, t: float,
     the alternating series has no pole term and eta = `eta_hurwitz_mp` in
     place of zeta.  In Z+ x N it is the Bernoulli (Euler) form of `asym_S`
     (`asym_S_alt`).  The expansion is asymptotic: terms are summed until
-    four in a row fall below 1e-32 of the sum (at most 120), and the value is
-    accepted only where it agrees with the sum of 8 fewer terms to 1e-25
+    four in a row fall below 1e-32 of the sum (at most 120), and the value,
+    4 terms later, is accepted only where it agrees with that sum to 1e-25
     relative.
     """
     g, a, m, w, tf = mp.mpf(gamma), mp.mpf(alpha), mp.mpf(mu) + 1, mp.mpf(u), mp.mpf(t)
-    total, first, extra, recent = mp.mpf(0), None, 8, []
+    total, first, extra, recent = mp.mpf(0), None, 4, []
     for j, term in enumerate(_mellin_terms_mp(g, a, m, w, tf, alternating)):
         total += term
         recent = recent[-3:] + [abs(term)]  # single terms can vanish (eta(-2k, 1) = 0)
-        if first is None and (j > 12 and max(recent) <= mp.mpf("1e-32") * abs(total)
+        if first is None and (j > 3 and max(recent) <= mp.mpf("1e-32") * abs(total)
                               or j >= 120):
             first = total
         elif first is not None:
