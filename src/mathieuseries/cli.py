@@ -142,6 +142,9 @@ def cmd_eval(cfg: RunConfig, alternating: bool) -> int:
 
 def cmd_asym(cfg: RunConfig) -> int:
     params = mathieu.MathieuParams(cfg.gamma, cfg.alpha, cfg.mu, cfg.u)
+    if cfg.t is not None and not 0.0 < cfg.t < math.inf:
+        # the terms are powers of 1/t
+        raise ParameterError("--t must be finite and positive")
     if cfg.alt:
         series = mathieu.asym_S_alt(params, cfg.n_terms)
         k_offset = 0  # no leading tail-integral term in the alternating expansion

@@ -26,7 +26,9 @@ consecutive spline knots.  This module imports no scipy.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -71,6 +73,10 @@ class SmoothFunction:
         must supply `tail_integral_with_error` too."""
         return self.deriv(k, x), None
 
+    def derivs_with_error(self, n: int, x: float) -> list[tuple[float, float | None]]:
+        """`deriv_with_error(k, x)` for k = 0..n, as the engines take them at 0."""
+        return [self.deriv_with_error(k, x) for k in range(n + 1)]
+
     def tail_integral_with_error(self, t: float) -> tuple[float, float | None]:
         """`tail_integral(t)` and a bound on its error, None as in `deriv_with_error`."""
         return self.tail_integral(t), None
@@ -92,7 +98,7 @@ class SmoothFunction:
                 f"{type(self).__name__} supplies no monotone pieces of F^({k}) on "
                 f"[{a:g}, {b:g}], so its variation has no bound")
         values, slack = pieces
-        jumps = math.fsum(abs(y - x) for x, y in zip(values, values[1:]))
+        jumps = math.fsum(map(abs, map(operator.sub, values[1:], values)))
         # each jump and the correctly rounded fsum round once
         return jumps * (1.0 + 2.0**-50) + slack
 
@@ -324,51 +330,79 @@ def boole_finite_identity(
 # infinite-sum engines with remainder bounds
 # --------------------------------------------------------------------------
 
-def _edge_sup_and_variations(
-    f: SmoothFunction, eps: float, u: float, n: int, family: str
-) -> tuple[float, float, float]:
-    """sup of the endpoint polynomial and the two variation factors in the bound."""
+@dataclass(frozen=True)
+class _Weights:
+    """What an engine of one family at offset u and order n takes from them
+    alone, kept once per (family, u, n) (`_weights`).
+
+    `parts` holds, per k = 0..n, the parts of the boundary weight c_k of
+    `_boundary_terms`: (-1)^k, the divisor (k+1)! (Bernoulli) resp. 2 k!
+    (Euler), the polynomial value p = B_{k+1}(-u) resp. E_k(-u), |p|, and
+    the factor 4.01 u (|p| + h) + h of its error bound, with h its Horner
+    error.
+    """
+
+    #: sup |b_(n+1)| resp. sup |e_n| over one period
+    sup_spline: float
+    #: sup of the endpoint polynomial B_(n+1) resp. E_n over the 0..-u range
+    sup_edge: float
+    parts: tuple[tuple[float, float, float, float, float], ...]
+
+
+@functools.lru_cache(maxsize=256)
+def _weights(family: str, u: float, n: int) -> _Weights:
+    bernoulli = family == polyfun.BERNOULLI
+    poly = polyfun.bernoulli_poly if bernoulli else polyfun.euler_poly
+    order = n + 1 if bernoulli else n
+    parts = []
+    for k in range(n + 1):
+        k_order = k + 1 if bernoulli else k
+        p = poly(k_order, -u)
+        h = polyfun.poly_eval_error(k_order, family, -u)
+        parts.append(((-1.0) ** k, math.factorial(k + 1) if bernoulli else 2.0 * math.factorial(k),
+                      p, abs(p), 4.01 * 2.0**-53 * (abs(p) + h) + h))
+    return _Weights(
+        sup_spline=polyfun.spline_sup(polyfun.SplineKind(family, order)),
+        sup_edge=polyfun.poly_sup(order, family, (-u, 0.0) if u >= 0 else (0.0, -u)),
+        parts=tuple(parts),
+    )
+
+
+def _variations(f: SmoothFunction, eps: float, u: float, n: int) -> tuple[float, float]:
+    """The two variation factors in the bound: of F^(n) over the 0..eps u
+    range and past eps u."""
     if u >= 0:
-        sup_edge = polyfun.poly_sup(n + 1, family, (-u, 0.0)) if family == polyfun.BERNOULLI \
-            else polyfun.poly_sup(n, family, (-u, 0.0))
         v_edge = f.variation(n, 0.0, eps * u) if u > 0 else 0.0
     else:
         _check_u_negative(f, eps, u)
-        sup_edge = polyfun.poly_sup(n + 1, family, (0.0, -u)) if family == polyfun.BERNOULLI \
-            else polyfun.poly_sup(n, family, (0.0, -u))
         v_edge = f.variation(n, eps * u, 0.0)
-    v_tail = f.variation(n, eps * u, math.inf)
-    return sup_edge, v_edge, v_tail
+    return v_edge, f.variation(n, eps * u, math.inf)
 
 
-def _boundary_terms(
-    f: SmoothFunction, eps: float, u: float, n: int, family: str
-) -> tuple[tuple[float, ...], list[float]]:
+def _boundary_terms(f: SmoothFunction, eps: float, weights: _Weights
+                    ) -> tuple[tuple[float, ...], list[float]]:
     """The boundary terms c_k F^(k)(0), k = 0..n, and a bound on the error of
     each where F reports its derivatives' errors (else an empty list).
 
     c_k = (-1)^k eps^k B_{k+1}(-u) / (k+1)! (Bernoulli) or
-    (-1)^k eps^k E_k(-u) / (2 k!) (Euler).  The factor eps^k / m_k takes at
-    most 4 roundings relative (a power within 1 ulp, a quotient, the product
-    with the polynomial value), the polynomial value its Horner error h, the
-    product with F^(k)(0) one more rounding, and F^(k)(0) its reported error.
+    (-1)^k eps^k E_k(-u) / (2 k!) (Euler), from the parts in `_Weights`.
+    The factor eps^k / m_k takes at most 4 roundings relative (a power
+    within 1 ulp, a quotient, the product with the polynomial value), the
+    polynomial value its Horner error h, the product with F^(k)(0) one more
+    rounding, and F^(k)(0) its reported error.
     """
-    bernoulli = family == polyfun.BERNOULLI
-    poly = polyfun.bernoulli_poly if bernoulli else polyfun.euler_poly
     terms, errs = [], []
-    for k in range(n + 1):
-        order = k + 1 if bernoulli else k
-        scale = (-1.0) ** k * eps**k / (math.factorial(k + 1) if bernoulli
-                                        else 2.0 * math.factorial(k))
-        p = poly(order, -u)
-        weight = scale * p
-        d, d_err = f.deriv_with_error(k, 0.0)
+    derivs = f.derivs_with_error(len(weights.parts) - 1, 0.0)
+    for k, ((sign, divisor, p, p_abs, p_err), (d, d_err)) in enumerate(zip(weights.parts, derivs)):
+        # size = |scale|: with a sign of +-1 and a divisor above 0, |scale|,
+        # |weight| and |term| are size, size |p| and |weight| |d| bit for bit
+        size = eps**k / divisor
+        weight = sign * size * p
         terms.append(weight * d)
         if d_err is not None:
-            h = polyfun.poly_eval_error(order, family, -u)
-            w_err = abs(scale) * (4.01 * 2.0**-53 * (abs(p) + h) + h)
-            errs.append(2.0**-53 * abs(terms[-1]) + abs(weight) * d_err
-                        + (abs(d) + d_err) * w_err)
+            w_abs, d_abs = size * p_abs, abs(d)
+            errs.append(2.0**-53 * (w_abs * d_abs) + w_abs * d_err
+                        + (d_abs + d_err) * (size * p_err))
     return tuple(terms), errs
 
 
@@ -399,10 +433,11 @@ def em_sum(f: SmoothFunction, eps: float, u: float, n: int) -> EMResult:
         raise ParameterError("eps must be positive")
     integral, integral_err = f.tail_integral_with_error(0.0)
     integral = integral / eps
-    boundary, f_errs = _boundary_terms(f, eps, u, n, polyfun.BERNOULLI)
-    sup_spline = polyfun.spline_sup(polyfun.SplineKind(polyfun.BERNOULLI, n + 1))
-    sup_edge, v_edge, v_tail = _edge_sup_and_variations(f, eps, u, n, polyfun.BERNOULLI)
-    bound = eps**n / math.factorial(n + 1) * (sup_spline * v_tail + sup_edge * v_edge)
+    weights = _weights(polyfun.BERNOULLI, u, n)
+    boundary, f_errs = _boundary_terms(f, eps, weights)
+    v_edge, v_tail = _variations(f, eps, u, n)
+    bound = eps**n / math.factorial(n + 1) * (weights.sup_spline * v_tail
+                                              + weights.sup_edge * v_edge)
     estimate = integral + math.fsum(boundary)
     # the analytic bound certifies exact arithmetic; round outward for float evaluation
     if f_errs:
@@ -427,10 +462,11 @@ def boole_sum(g: SmoothFunction, eps: float, u: float, n: int) -> EMResult:
     """
     if eps <= 0:
         raise ParameterError("eps must be positive")
-    boundary, g_errs = _boundary_terms(g, eps, u, n, polyfun.EULER)
-    sup_spline = polyfun.spline_sup(polyfun.SplineKind(polyfun.EULER, n))
-    sup_edge, v_edge, v_tail = _edge_sup_and_variations(g, eps, u, n, polyfun.EULER)
-    bound = eps**n / (2.0 * math.factorial(n)) * (sup_spline * v_tail + sup_edge * v_edge)
+    weights = _weights(polyfun.EULER, u, n)
+    boundary, g_errs = _boundary_terms(g, eps, weights)
+    v_edge, v_tail = _variations(g, eps, u, n)
+    bound = eps**n / (2.0 * math.factorial(n)) * (weights.sup_spline * v_tail
+                                                  + weights.sup_edge * v_edge)
     estimate = math.fsum(boundary)
     if g_errs:
         bound *= 1.0 + 2.0**-49

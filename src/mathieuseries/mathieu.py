@@ -68,15 +68,14 @@ CLOSED_HEAD = 64
 
 #: Past this many head terms a closed Euler-Maclaurin (Boole) tail costs less
 #: than summing on.  Measured with the float y-form tails at t = 7 on a 2-core
-#: Xeon: 2.9-10.5 ns a summed term against 54-66 us a warm closed tail (head
-#: included), a break-even of 5,400-20,000 terms over seven kernels and both
-#: series (median near 9,500).
+#: Xeon: 3.0-8.2 ns a summed term (from 4,096 to 16,384 terms) against
+#: 49-61 us a warm closed tail (head included), a break-even of 6,700-17,900
+#: terms over seven kernels and both series (median near 9,200).
 CROSSOVER = 1 << 14
 
 DIRECT = "direct"
 EULER_MACLAURIN = "euler-maclaurin"
 ASYMPTOTIC = "asymptotic"
-CLOSED_FORM = "closed-form"
 
 
 def _max_terms() -> int:
@@ -266,22 +265,6 @@ def g_peak(params: MathieuParams) -> float:
     return (params.gamma / params.delta) ** (1.0 / params.alpha)
 
 
-@functools.lru_cache(maxsize=256)
-def _beta_exact(params: MathieuParams) -> tuple[Fraction, Fraction]:
-    """(a, b) = (mu + 1 - (gamma+1)/alpha, (gamma+1)/alpha) of the tail integral, exactly."""
-    b = (Fraction(params.gamma) + 1) / Fraction(params.alpha)
-    return Fraction(params.mu) + 1 - b, b
-
-
-@functools.lru_cache(maxsize=256)
-def _beta_args(params: MathieuParams) -> tuple[float, float]:
-    """`_beta_exact`, each rounded once.  a = (delta - 1)/alpha is small where
-    delta is near 1; rounded in steps (mu + 1, then minus b) it would carry
-    an error relative to mu + 1, not to a, and B(a, b) ~ 1/a would follow."""
-    a, b = _beta_exact(params)
-    return float(a), float(b)
-
-
 #: Relative error allowed for scipy's betainc(a, b, s), times max(1, (a+b)/8);
 #: checked against mpmath for a, b in [0.01, 50] (largest seen: 4.3e-14 at a+b = 51).
 BETAINC_RTOL = 1e-14
@@ -289,20 +272,88 @@ BETAINC_RTOL = 1e-14
 _CLOSED_FORM_MAX_B = 64
 
 
+class _TailConstants:
+    """What `tail_integral` and `tail_integral_rel_err` take from the kernel
+    alone, kept once per kernel (`_tail_constants`).
+
+    (a, b) = (mu + 1 - (gamma+1)/alpha, (gamma+1)/alpha) are each rounded
+    once from their exact values: a = (delta - 1)/alpha is small where delta
+    is near 1; rounded in steps (mu + 1, then minus b) it would carry an
+    error relative to mu + 1, not to a, and B(a, b) ~ 1/a would follow.
+    (da, db) are those roundings.  `form` is 'a=1', 'a=b=1/2' or 'b=n' when
+    a is exactly 1, a and b are both exactly 1/2, or b is exactly a positive
+    integer (checked in rationals), else None.  B(a, b) and the bounds are
+    computed on first use, by the forms that need them.
+    """
+
+    def __init__(self, params: MathieuParams):
+        g, alpha = Fraction(params.gamma), Fraction(params.alpha)
+        b_exact = (g + 1) / alpha
+        a_exact = Fraction(params.mu) + 1 - b_exact
+        self.a, self.b = a, b = float(a_exact), float(b_exact)
+        self.alpha = params.alpha
+        self.da, self.db = float(abs(Fraction(a) - a_exact)), float(abs(Fraction(b) - b_exact))
+        self.form = None
+        if a == 1.0 and Fraction(params.mu) * alpha == g + 1:
+            self.form = "a=1"
+        elif (a_exact, b_exact) == (Fraction(1, 2), Fraction(1, 2)):
+            self.form = "a=b=1/2"
+        elif b.is_integer() and b <= _CLOSED_FORM_MAX_B and Fraction(b) * alpha == g + 1:
+            self.form = "b=n"
+
+    @functools.cached_property
+    def beta(self) -> float:
+        """B(a, b)."""
+        return polyfun.beta_fn(self.a, self.b)
+
+    @functools.cached_property
+    def whole(self) -> float:
+        """B(a, b) / alpha, the tail integral from 0."""
+        return self.beta / self.alpha
+
+    @functools.cached_property
+    def rel(self) -> float:
+        """The form's relative bound in `tail_integral_rel_err`, before the
+        complement's allowance and the rounding of (a, b)."""
+        a, b = self.a, self.b
+        if self.form == "a=1":
+            return 16.0 * 2.0**-53
+        if self.form == "a=b=1/2":
+            return 8.0 * 2.0**-53
+        if self.form == "b=n":
+            return (8.0 * b + 4.0 * a + 12.0) * 2.0**-53
+        return BETAINC_RTOL * max(1.0, (a + b) / 8.0) + polyfun.beta_fn_rel_err(a, b)
+
+    @functools.cached_property
+    def sum_coeffs(self) -> tuple[float, ...]:
+        """(n-1)! / (j! (a+j)...(a+n-1)), j < n, of the b = n form."""
+        a, n = self.a, int(self.b)
+        out = []
+        for j in range(n):
+            c = math.factorial(n - 1) / math.factorial(j)
+            for i in range(j, n):
+                c /= a + i
+            out.append(c)
+        return tuple(out)
+
+    @functools.cached_property
+    def complement_rel(self) -> float:
+        """The allowance for I_s taken as 1 - I_q(b, a) (`_complement`)."""
+        return (3.0 + 4.0 * self.b * 2.0 ** abs(self.a - 1.0)) * 2.0**-53
+
+
 @functools.lru_cache(maxsize=256)
-def _closed_form_beta(params: MathieuParams) -> str | None:
-    """'a=1', 'a=b=1/2' or 'b=n' when the Beta integral's a is exactly 1, a and b
-    are both exactly 1/2, or b is exactly a positive integer (checked in
-    rationals), else None."""
-    a, b = _beta_args(params)
-    if a == 1.0 and Fraction(params.mu) * Fraction(params.alpha) == Fraction(params.gamma) + 1:
-        return "a=1"
-    if _beta_exact(params) == (Fraction(1, 2), Fraction(1, 2)):
-        return "a=b=1/2"
-    if b.is_integer() and b <= _CLOSED_FORM_MAX_B \
-            and Fraction(b) * Fraction(params.alpha) == Fraction(params.gamma) + 1:
-        return "b=n"
-    return None
+def _tail_constants(params: MathieuParams) -> _TailConstants:
+    return _TailConstants(params)
+
+
+@functools.cache
+def _scipy_special():
+    """scipy.special, imported on the first tail that needs betainc.  Callers
+    look `betainc` up on the module each time, where a tracer may wrap it."""
+    from scipy import special
+
+    return special
 
 
 def _beta_point(params: MathieuParams, x: float) -> tuple[float, float]:
@@ -323,7 +374,7 @@ def tail_integral(params: MathieuParams, t: float) -> float:
     """F(t) = int_t^inf g(x) dx via the regularized incomplete Beta function.
 
     The substitution s = 1/(x^alpha + 1) turns the tail into
-    (1/alpha) * B(a, b) * I_s(a, b) with (a, b) from `_beta_args`;
+    (1/alpha) * B(a, b) * I_s(a, b) with (a, b) from `_tail_constants`;
     convergence needs delta > 1.  Where a = 1, a = b = 1/2 (the Poisson
     kernel and its (gamma, 2 gamma + 2, 0) relatives) or b = n is a positive
     integer, I_s has a closed form and no scipy is needed:
@@ -341,11 +392,11 @@ def tail_integral(params: MathieuParams, t: float) -> float:
         raise ParameterError("t must be nonnegative")
     if not params.delta > 1.0:
         raise ParameterError("the tail integral diverges unless delta > 1")
-    a, b = _beta_args(params)
+    c = _tail_constants(params)
     if t == 0.0:
-        return polyfun.beta_fn(a, b) / params.alpha
+        return c.whole
     s, q = _beta_point(params, t)
-    form = _closed_form_beta(params)
+    form, a, b = c.form, c.a, c.b
     lead = 1.0
     if form == "a=1":
         # log(1-s) from s where s is small, from 1-s where not
@@ -354,23 +405,17 @@ def tail_integral(params: MathieuParams, t: float) -> float:
     elif form == "a=b=1/2":
         value = 2.0 * math.atan(t ** (-0.5 * params.alpha)) / params.alpha
     elif form == "b=n":
-        n = int(b)
         total = 0.0
-        for j in range(n):
-            c = math.factorial(n - 1) / math.factorial(j)
-            for i in range(j, n):
-                c /= a + i
-            total += c * q**j
+        for j, coeff in enumerate(c.sum_coeffs):
+            total += coeff * q**j
         lead = s**a
         value = lead * total / params.alpha
     else:
-        from scipy import special
-
-        if _complement(a, b, q):
-            whole = polyfun.beta_fn(a, b) / params.alpha
-            value = whole - whole * float(special.betainc(b, a, q))
+        special = _scipy_special()
+        if _complement(c, q):
+            value = c.whole - c.whole * float(special.betainc(b, a, q))
         else:
-            value = polyfun.beta_fn(a, b) / params.alpha * float(special.betainc(a, b, s))
+            value = c.whole * float(special.betainc(a, b, s))
     if min(value, lead) < 2.0**-1000:
         raise OverflowError(f"the tail integral underflows at x = {t:g}")
     return value
@@ -404,50 +449,34 @@ def tail_integral_rel_err(params: MathieuParams, t: float, t_max: float | None =
     under such a change; over [t, t_max] |log s| is largest at t_max and
     |log(1-s)| at t.
     """
-    a, b = _beta_args(params)
-    form = _closed_form_beta(params)
-    if form == "a=1":
-        rel = 16.0 * 2.0**-53
-    elif form == "a=b=1/2":
-        rel = 8.0 * 2.0**-53
-    elif form == "b=n":
-        rel = (8.0 * b + 4.0 * a + 12.0) * 2.0**-53
-    else:
-        rel = BETAINC_RTOL * max(1.0, (a + b) / 8.0) + polyfun.beta_fn_rel_err(a, b)
-        if b < 1.0:
-            try:
-                complement = _complement(a, b, _beta_point(params, t)[1])
-            except OverflowError:  # x^alpha out of range at t: allow for either form
-                complement = True
-            if complement:
-                rel += (3.0 + 4.0 * b * 2.0 ** abs(a - 1.0)) * 2.0**-53
-    da, db = _beta_args_rounding(params)
-    if da or db:
+    c = _tail_constants(params)
+    rel = c.rel
+    if c.form is None and c.b < 1.0:
+        try:
+            complement = _complement(c, _beta_point(params, t)[1])
+        except OverflowError:  # x^alpha out of range at t: allow for either form
+            complement = True
+        if complement:
+            rel += c.complement_rel
+    if c.da or c.db:
         # -log s = log(x^alpha + 1), -log(1-s) = that minus alpha log x
         log_x = params.alpha * math.log(t)
         log_s = _log_s(params, t)
         log_s_max = log_s if t_max is None else _log_s(params, t_max)
-        rel += 1.01 * (da * (log_s_max + 1.0 / a) + db * (log_s - log_x))
+        rel += 1.01 * (c.da * (log_s_max + 1.0 / c.a) + c.db * (log_s - log_x))
     return rel
 
 
-def _complement(a: float, b: float, q: float) -> bool:
+def _complement(c: _TailConstants, q: float) -> bool:
     """Whether `tail_integral` takes I_s(a, b) as 1 - I_q(b, a), q = 1 - s:
     where b < 1 and (1-s)^(b-1) > B(a, b), so that I_s would move by more
     than s's rounding, and I_q(b, a) <= max(1, 2^(1-a)) q^b / (b B(a, b))
     stays at most 1/2 (0.49 for this bound's own rounding), so that 1 - I_q
     cannot cancel."""
+    a, b = c.a, c.b
     if b >= 1.0 or q >= 0.5:
         return False
-    whole = polyfun.beta_fn(a, b)
-    return q ** (b - 1.0) > whole and max(1.0, 2.0 ** (1.0 - a)) * q**b / (b * whole) <= 0.49
-
-
-@functools.lru_cache(maxsize=256)
-def _beta_args_rounding(params: MathieuParams) -> tuple[float, float]:
-    """|a - exact a| and |b - exact b| of `_beta_args`."""
-    (a, b), (a_exact, b_exact) = _beta_args(params), _beta_exact(params)
-    return float(abs(Fraction(a) - a_exact)), float(abs(Fraction(b) - b_exact))
+    return q ** (b - 1.0) > c.beta and max(1.0, 2.0 ** (1.0 - a)) * q**b / (b * c.beta) <= 0.49
 
 
 # --------------------------------------------------------------------------
@@ -470,12 +499,18 @@ def _pow(x, e: float):
     return x**e
 
 
-def _terms(params: MathieuParams, t: float, k):
-    """The terms 2 (k+u)^gamma / ((k+u)^alpha + t^alpha)^(mu+1) at an index or an index array."""
-    w = k + params.u if params.u else k  # bit for bit: an int k enters each float op exactly
-    ta = t**params.alpha if t > 0 else 0.0
-    num = 2.0 if params.gamma == 0 else 2.0 * _pow(w, params.gamma)
-    return num / _pow(_pow(w, params.alpha) + ta, params.mu + 1.0)
+def _terms(params: MathieuParams, t: float):
+    """k -> the terms 2 (k+u)^gamma / ((k+u)^alpha + t^alpha)^(mu+1) at an
+    index or an index array."""
+    u, gamma, alpha, m = params.u, params.gamma, params.alpha, params.mu + 1.0
+    ta = t**alpha if t > 0 else 0.0
+
+    def terms(k):
+        w = k + u if u else k  # bit for bit: an int k enters each float op exactly
+        num = 2.0 if gamma == 0 else 2.0 * _pow(w, gamma)
+        return num / _pow(_pow(w, alpha) + ta, m)
+
+    return terms
 
 
 def _monotone_from(params: MathieuParams, t: float) -> int:
@@ -575,9 +610,11 @@ def _tail_bracket(params: MathieuParams, t: float):
     return bracket
 
 
-def _convex_bracket(params: MathieuParams, t: float, start: int):
-    """n -> second-order bounds for the plain sum past n terms, t > 0, for
-    every n >= start, an index past `_monotone_from` and `_convex_from`.
+def _convex_bracket(params: MathieuParams, t: float, terms, start: int, cap: int,
+                    integral_bracket):
+    """n -> second-order bounds for the plain sum past n of the terms f
+    (`_terms`), t > 0, for every n from start, an index past
+    `_monotone_from` and `_convex_from`, to the term cap.
 
     Past both the terms f(k) are convex and decreasing, so the trapezoid and
     midpoint rules give
@@ -591,14 +628,12 @@ def _convex_bracket(params: MathieuParams, t: float, start: int):
     exponent, off by `_delta_error` + u |1-delta| times |log t| from the
     exact one, and the rounded argument (s+u)/t within 2u, which moves F by
     at most 2u x g(x) <= 2u (delta-1) F (x^delta g(x) increases in x).
-    Where the scale or F leaves the float range, the first-order
-    `_tail_bracket` stands in.
+    Where the scale or F leaves the float range, `integral_bracket`, the
+    first-order `_tail_bracket`, stands in.
     """
     u, delta = params.u, params.delta
-    terms = functools.partial(_terms, params, t)
     rtol = 2.0 * _term_rtol(params)
-    first_order = _tail_bracket(params, t)
-    x_max = min((_max_terms() + 1.0 + u) / t, sys.float_info.max)
+    x_max = min((cap + 1.0 + u) / t, sys.float_info.max)
     rel = 1.01 * (tail_integral_rel_err(params, (start + 0.5 + u) / t, x_max)
                   + (3.0 + 2.1 * (delta - 1.0)) * 2.0**-53
                   + (_delta_error(params) + abs(1.0 - delta) * 2.0**-53) * abs(math.log(t)))
@@ -611,7 +646,7 @@ def _convex_bracket(params: MathieuParams, t: float, start: int):
             lo = scale * tail_integral(params, (n + 1.0 + u) / t)
             hi = scale * tail_integral(params, (n + 0.5 + u) / t)
         except OverflowError:
-            return first_order(n)
+            return integral_bracket(n)
         lo = (lo * (1.0 - rel) + 0.5 * float(terms(n + 1)) * (1.0 - rtol)) * (1.0 - 2.0**-50)
         return lo, hi * (1.0 + rel) * (1.0 + 2.0**-50)
 
@@ -660,37 +695,49 @@ def _sum_terms(terms, n: int, alternating: bool = False) -> tuple[float, float, 
 
 
 def bracketed_sum(terms, tail_bracket, n: int, tol: float, term_rtol: float = 4e-15,
-                  exact_tail=None, alternating: bool = False,
-                  first_order: bool = False) -> EvalResult:
+                  exact_tail=None, alternating: bool = False, floor=None,
+                  cap: int | None = None) -> EvalResult:
     """sum_{k>=1} terms(k), where tail_bracket(n) = (lo, hi) encloses sum_{k>n};
     with `alternating`, term k carries the sign (-1)^(k-1).
 
     `terms` maps an index array to the term array, each value within
     term_rtol of the exact term.  n doubles until the tail bracket is at most
-    tol wide (ToleranceError at the MATHIEU_MAX_TERMS cap, and at once where
-    the starting n is past it).  Where doubling would take n past CROSSOVER
-    (or the cap) and `exact_tail` is given, the head becomes
-    h = min(starting n, CLOSED_HEAD) instead and exact_tail(h) =
+    tol wide (ToleranceError at the term cap, MATHIEU_MAX_TERMS unless `cap`
+    is given, and at once where the starting n is past it).  Where doubling
+    would take n past CROSSOVER (or the cap) and `exact_tail` is given, the
+    head becomes h = min(starting n, CLOSED_HEAD) instead and exact_tail(h) =
     (value, radius, order) closes the sum past it, provided 2 radius <= tol;
     otherwise the doubling goes on.  The first n terms are then summed; the
     result is their sum plus the tail's midpoint, with the tail's radius plus
     rounding slack as the error radius and the tail engine's order (0 for a
     bracket).
 
-    Two shortcuts skip brackets that cannot end the doubling.  A starting n
-    past CROSSOVER closes at once, unless the doubling's brackets, evaluated
-    without summing, meet tol within the cap with a radius (at least half
-    the bracket's width plus the rounding of the head's sum) below the
-    closed result's: that head is then summed instead.  With
-    `first_order`, the caller vouches that each bracket is at least
-    terms(n+1) wide (up to its own rounding): a term past the last n before
-    CROSSOVER above 2 tol shows that every bracket up to there misses, and
-    the sum closes before any.
+    Shortcuts skip brackets that cannot end the doubling, and leave every
+    result as it would be without them.  A starting n past CROSSOVER closes
+    at once, unless the doubling's brackets, evaluated without summing, meet
+    tol within the cap with a radius (at least half the bracket's width plus
+    the rounding of the head's sum) below the closed result's: that head is
+    then summed instead.  `floor`, where given, maps n to a lower bound on the
+    computed width hi - lo of tail_bracket(n), found from terms alone, that
+    is also below the width of every earlier rung of the doubling (`_direct`
+    gives the proofs), so a floor above tol shows that its rung and every
+    earlier one miss.  With `last` the last n before min(CROSSOVER, cap):
+    - where floor(last) exceeds tol, the sum closes before any bracket;
+    - else, on the plain series, the doubling starts at the first rung up to
+      `last` whose floor is at most tol, found by bisection.  An alternating
+      bracket costs one or two terms, no more than its floor, so every rung
+      is evaluated;
+    - past CROSSOVER the unsummed brackets skip each rung below the cap
+      whose floor exceeds tol.
+    A term out of the float range gives no floor.  The cap rung is always
+    evaluated.
     """
-    cap = _max_terms()
+    if cap is None:
+        cap = _max_terms()
     start, head = n, min(n, CLOSED_HEAD)
     if head > cap:
         exact_tail = None
+    skip = None if alternating else floor
     if exact_tail is not None and start > CROSSOVER:
         res, exact_tail = _closed_result(terms, exact_tail, head, tol, term_rtol,
                                          alternating), None
@@ -698,9 +745,10 @@ def bracketed_sum(terms, tail_bracket, n: int, tol: float, term_rtol: float = 4e
             # the brackets alone, unsummed, up to the first that meets tol
             try:
                 while n <= cap:
-                    lo, hi = tail_bracket(n)
-                    if hi - lo <= tol or n == cap:
-                        break
+                    if skip is None or n == cap or not _floor_above(skip, n, tol):
+                        lo, hi = tail_bracket(n)
+                        if hi - lo <= tol or n == cap:
+                            break
                     n = min(cap, 2 * n)
             except OverflowError:  # a term out of float range: no bracket to weigh
                 return res
@@ -718,13 +766,17 @@ def bracketed_sum(terms, tail_bracket, n: int, tol: float, term_rtol: float = 4e
     if n > cap:
         raise ToleranceError(f"the first bracket needs {n} terms, past the {cap}-term cap; "
                              f"raise {MAX_TERMS_ENV}")
-    # the n at which the doubling would close: the last before min(CROSSOVER, cap)
     last = n << max(0, (min(CROSSOVER, cap) // n).bit_length() - 1)
-    if exact_tail is not None and first_order and _term_above(terms, last + 1, 2.0 * tol):
-        res, exact_tail = _closed_result(terms, exact_tail, head, tol, term_rtol,
-                                         alternating), None
-        if res is not None:
-            return res
+    if floor is not None and _floor_above(floor, last, tol):
+        if exact_tail is not None:
+            res, exact_tail = _closed_result(terms, exact_tail, head, tol, term_rtol,
+                                             alternating), None
+            if res is not None:
+                return res
+        if skip is not None:
+            n = min(cap, 2 * last)
+    elif skip is not None:
+        n = _first_rung(skip, n, last, tol)
     while True:
         lo, hi = tail_bracket(n)
         if hi - lo <= tol or n >= cap:
@@ -744,10 +796,24 @@ def bracketed_sum(terms, tail_bracket, n: int, tol: float, term_rtol: float = 4e
                            alternating)
 
 
-def _term_above(terms, k: int, level: float) -> bool:
-    """terms(k) > level; False where the term leaves the float range."""
+def _first_rung(floor, n: int, last: int, tol: float) -> int:
+    """A rung among n, 2n, 4n, ..., last before which every rung misses tol,
+    found by bisection on the floors, as a floor above tol shows that its
+    rung and every earlier one miss; floor(last) is at most tol."""
+    lo, hi = 0, (last // n).bit_length() - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _floor_above(floor, n << mid, tol):
+            lo = mid + 1
+        else:
+            hi = mid
+    return n << lo
+
+
+def _floor_above(floor, n: int, level: float) -> bool:
+    """floor(n) > level; False where a term leaves the float range."""
     try:
-        return float(terms(k)) > level
+        return floor(n) > level
     except OverflowError:
         return False
 
@@ -802,16 +868,45 @@ def _direct(params: MathieuParams, t: float, tol: float, alternating: bool) -> E
     """`bracketed_sum` of the terms from a head past the monotone index and
     CLOSED_HEAD, with the first-order brackets and a closed tail
     (`_exact_tail`); where `_convex_kernel` holds, the second-order brackets
-    take over once n passes the convexity index (`_convex_from`)."""
-    terms = functools.partial(_terms, params, t)
+    take over once n passes the convexity index (`_convex_from`).  The term
+    cap is read once.
+
+    The rung floors given to `bracketed_sum`, for the terms f(k), which
+    decrease from the head on; each is below its rung's computed width and
+    below that of every earlier rung:
+    - a first-order bracket (the integral bounds [F(n+1), F(n)] with
+      F(s) = int_s^inf f, the t = 0 bracket, which is the same on
+      f = 2 (k+u)^(-delta), its stand-in where t^(1-delta) leaves the float
+      range, which holds it, or the alternating [0, f(n+1)]) is at least
+      int_n^(n+1) f >= f(n+1) wide, so f(n+1)/2 is below its computed width
+      with a margin for the rounding of f and of the bracket, and below
+      every earlier one's, as f decreases;
+    - the second-order bracket [F(n+1) + f(n+1)/2, F(n+1/2)] is the integral
+      of f(n+1-s) - f(n+1) over s in [0, 1/2], at least |f'(n+1)| s there
+      by convexity, so it is at least |f'(n+1)|/8 wide, and its outward
+      rounding only widens it.  Convexity also gives |f'(n+1)| >= f(n+1) -
+      f(n+2), of which (f(n+1)(1-r) - f(n+2)(1+r))/8 is below an eighth,
+      with f within r = `_term_rtol`.  Past the convexity index |f'|
+      decreases, so that floor is below |f'(m+1)|/8 at every earlier
+      second-order rung m, and below f(m+1) at every first-order one;
+    - the Hermite-Hadamard brackets and the second-order alternating one
+      cost no more than a floor would, and take none.
+    """
+    terms = _terms(params, t)
     rtol = _term_rtol(params)
+    cap = _max_terms()
     start = max(_monotone_from(params, t), CLOSED_HEAD)
     exact_tail = _exact_tail(params, t, alternating)
     convex = _convex_from(params, t) if _convex_kernel(params, t) else math.inf
-    # every bracket below CROSSOVER is first order: the alternating one, and
-    # the integral bounds [F(n+1), F(n)] but not the Hermite-Hadamard ones
-    first_order = convex > CROSSOVER and (
-        alternating or not (params.gamma == 1.0 and params.alpha == 2.0))
+
+    def floor(n: int) -> float:
+        if n < convex:
+            return 0.5 * float(terms(n + 1))
+        if alternating:
+            return 0.0
+        f1, f2 = float(terms(n + 1)), float(terms(n + 2))
+        return (f1 * (1.0 - rtol) - f2 * (1.0 + rtol)) / 8.0
+
     if alternating:
         # past the monotone index the remainder lies between 0 and term n+1,
         # with its sign; past the convexity index too the differences
@@ -825,16 +920,19 @@ def _direct(params: MathieuParams, t: float, tol: float, alternating: bool) -> E
                 f2 = float(terms(n + 2))
                 lo, hi = 0.5 * f1 * (1.0 - 2.0 * rtol), f1 - 0.5 * f2 + 2.0 * rtol * (f1 + f2)
             return (lo, hi) if n % 2 == 0 else (-hi, -lo)
-    elif convex > _max_terms():
+    elif convex > cap:
         tail_bracket = _tail_bracket(params, t)
+        if params.gamma == 1.0 and params.alpha == 2.0:  # Hermite-Hadamard
+            floor = None
     else:
-        first_order_bracket = _tail_bracket(params, t)
-        second_order = _convex_bracket(params, t, max(start, convex))
+        integral_bracket = _tail_bracket(params, t)
+        second_order = _convex_bracket(params, t, terms, max(start, convex), cap,
+                                       integral_bracket)
 
         def tail_bracket(n: int) -> tuple[float, float]:
-            return first_order_bracket(n) if n < convex else second_order(n)
+            return integral_bracket(n) if n < convex else second_order(n)
     return bracketed_sum(terms, tail_bracket, start, tol, rtol, exact_tail, alternating,
-                         first_order)
+                         floor, cap)
 
 
 def eval_S(params: MathieuParams, t: float, tol: float = 1e-10) -> EvalResult:
@@ -1167,40 +1265,12 @@ class _YDerivative:
     def value(self, x: float, x_err: float = 0.0) -> tuple[float, float]:
         """g^(n) at x > 0, where x is off by at most x_err relative from the
         point meant, and a bound on the error of the value."""
-        return self.value_at(_y_point(self.alpha, x, x_err))
+        return _values_at((self,), _y_point(self.alpha, x, x_err))[0]
 
     def value_at(self, point: tuple) -> tuple[float, float]:
-        """g^(n) and a bound on its error at a point from `_y_point`.
-
-        The relative errors add up to first order, as in `_term_rtol`: w and
-        1 + w carry the errors `_y_point` gives them, each pow its argument's
-        error times the exponent, plus 2u, plus the exponent's rounding times
-        |log| of its argument, and the two products u each.  Horner's
-        roundings stay within u (2 run - |p|), a running error bound (Higham,
-        Accuracy and Stability of Numerical Algorithms, 5.1), the rounding of
-        the coefficients adds u sum |c_i| w^i, and the error of w at most the
-        degree times that error times the same sum.  The factor 1.01 covers
-        the second-order terms.  A power or scale outside [2^-1000, 2^1000]
-        raises OverflowError.
-        """
-        x, x_err, low, w, w_err, base, base_err, log_x, log_base = point
-        (p, size), rest, power, power_abs, power_err, power_rounding = self.forms[low]
-        base_power, base_power_abs, base_power_err = self.base
-        factor = x**power * base**base_power
-        if not 2.0**-1000 <= factor <= 2.0**1000:
-            raise OverflowError(f"g^({self.n}) leaves the float range at x = {x:g}")
-        run = 0.5 * size
-        for c, c_abs in rest:
-            p = p * w + c
-            run = run * w + abs(p)
-            size = size * w + c_abs
-        u = 2.0**-53
-        # the pow of x, the pow of 1 + w (2u) and the two products (2u)
-        rel = (power_abs * x_err + power_err * log_x + power_rounding
-               + base_power_abs * base_err + base_power_err * log_base + 4.0 * u)
-        p_err = u * (2.0 * run - abs(p)) + (u + self.spread * w_err) * size
-        v = factor * p
-        return v, 1.01 * (abs(v) * rel + factor * p_err) + 1e-300
+        """g^(n) and a bound on its error at a point from `_y_point`
+        (`_values_at`)."""
+        return _values_at((self,), point)[0]
 
     def _sup_next(self, l: float, h: float) -> float:
         """Upper bound on |g^(n+2)| over [l, h], 0 < l < h < inf, in floats
@@ -1269,8 +1339,46 @@ class _YDerivative:
         return list(values), math.fsum(allowances + [*errs, *errs]) * (1.0 + 2.0**-50)
 
 
+def _values_at(models, point: tuple) -> list[tuple[float, float]]:
+    """g^(n) and a bound on its error at a point from `_y_point`, for each
+    `_YDerivative` in models.
+
+    The relative errors add up to first order, as in `_term_rtol`: w and
+    1 + w carry the errors `_y_point` gives them, each pow its argument's
+    error times the exponent, plus 2u, plus the exponent's rounding times
+    |log| of its argument, and the two products u each.  Horner's roundings
+    stay within u (2 run - |p|), a running error bound (Higham, Accuracy and
+    Stability of Numerical Algorithms, 5.1), the rounding of the
+    coefficients adds u sum |c_i| w^i, and the error of w at most the degree
+    times that error times the same sum.  The factor 1.01 covers the
+    second-order terms.  A power or scale outside [2^-1000, 2^1000] raises
+    OverflowError.
+    """
+    x, x_err, low, w, w_err, base, base_err, log_x, log_base = point
+    u = 2.0**-53
+    out = []
+    for model in models:
+        (p, size), rest, power, power_abs, power_err, power_rounding = model.forms[low]
+        base_power, base_power_abs, base_power_err = model.base
+        factor = x**power * base**base_power
+        if not 2.0**-1000 <= factor <= 2.0**1000:
+            raise OverflowError(f"g^({model.n}) leaves the float range at x = {x:g}")
+        run = 0.5 * size
+        for c, c_abs in rest:
+            p = p * w + c
+            run = run * w + abs(p)
+            size = size * w + c_abs
+        # the pow of x, the pow of 1 + w (2u) and the two products (2u)
+        rel = (power_abs * x_err + power_err * log_x + power_rounding
+               + base_power_abs * base_err + base_power_err * log_base + 4.0 * u)
+        p_err = u * (2.0 * run - abs(p)) + (u + model.spread * w_err) * size
+        v = factor * p
+        out.append((v, 1.01 * (abs(v) * rel + factor * p_err) + 1e-300))
+    return out
+
+
 def _y_point(alpha: float, x: float, x_err: float = 0.0) -> tuple:
-    """What every `_YDerivative.value_at` shares at x > 0, off by at most
+    """What `_values_at` takes from a point x > 0, off by at most
     x_err relative: (x, x_err, x <= 1, w, its relative error, 1 + w, its
     relative error, |log x|, log(1 + w)), with w = x^alpha up to x = 1 and
     x^(-alpha) past it.  w is within 0 (x itself), u (a product or a
@@ -1382,11 +1490,20 @@ class MathieuSmoothFunction(emsum.SmoothFunction):
         if x:
             z, dz = self._at(x)
             return self._model(k).value_at(_y_point(self.params.alpha, z, dz / z))
-        # where the engines take every derivative, up to TAIL_ORDER: the shift itself
-        if self._at_origin is None:
-            self._at_origin = [model.value_at(self._origin) for model in self._models]
-        return self._at_origin[k] if k < len(self._at_origin) \
+        # at the shift itself, where the engines take every derivative
+        return self._at_shift()[k] if k < len(self._models) \
             else self._model(k).value_at(self._origin)
+
+    def derivs_with_error(self, n: int, x: float) -> list[tuple[float, float | None]]:
+        if self.shift and x == 0.0 and n < len(self._models):
+            return self._at_shift()[:n + 1]
+        return super().derivs_with_error(n, x)
+
+    def _at_shift(self) -> list[tuple[float, float]]:
+        """g^(k) at the shift for k <= TAIL_ORDER, with their errors."""
+        if self._at_origin is None:
+            self._at_origin = _values_at(self._models, self._origin)
+        return self._at_origin
 
     def monotone_pieces(self, k: int, a: float, b: float) -> tuple[list[float], float] | None:
         p = self.params
@@ -1548,7 +1665,8 @@ def _closed_tail(params: MathieuParams, t: float, alternating: bool,
             raise OverflowError(f"the tail leaves the normal float range at t = {t:g}")
         beta_err = 0.0
         if head == 0:
-            beta_err = polyfun.beta_fn_rel_err(*_beta_args(params)) * abs(res.integral_term)
+            c = _tail_constants(params)
+            beta_err = polyfun.beta_fn_rel_err(c.a, c.b) * abs(res.integral_term)
             if not split:
                 return value, scale * (res.remainder_bound + beta_err) + 4e-16 * abs(value), TAIL_ORDER
         radius = scaled(res.remainder_bound + beta_err) \
@@ -1605,7 +1723,7 @@ def _scale_rounding(params: MathieuParams, t: float, alternating: bool, head: in
     drift = params.alpha * abs(params.mu + 1.0) * u
     if alternating:
         if head + 1 >= _monotone_from(params, t):
-            first = float(_terms(params, t, head + 1))
+            first = float(_terms(params, t)(head + 1))
         else:
             g_sup = 1.0 if params.gamma == 0 else 0.5 * g_total_variation(params)
             first = 4.0 * t ** (-params.delta) * g_sup

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -8,6 +10,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mathieuseries import analysis, cli
 from mathieuseries.mathieu import MathieuParams, eval_S
@@ -246,6 +250,9 @@ class TestErrorExits:
         ("eval", "--gamma", "1", "--alpha", "1", "--mu", "5", "--t", "1e300"),
         ("eval", "--gamma", "0", "--alpha", "2", "--mu", "1", "--t", "1e103"),
         ("eval", "--t", "1e160"),
+        # 0^(-p) raised ZeroDivisionError, and (-1)^(-p) is complex
+        ("asym", "--t", "0"),
+        ("asym", "--t=-1"),
     ])
     def test_exit_2_with_one_line(self, capsys, monkeypatch, tmp_path, args):
         # the eval-alt case (no closed tail at t = 1e40, where the engine's
@@ -345,6 +352,74 @@ class TestErrorExits:
         code, _, err = run(capsys, "verify", "classical", "--tol", "1e-9")
         assert code == 2
         assert "--tol" in err
+
+
+#: Flag values for the fuzz test: the edges of the float range and the
+#: values no flag accepts, beside ordinary ones.
+_FUZZ_VALUES = ("nan", "inf", "-inf", "0", "-0", "-1", "-2.5", "1e300", "-1e300", "1e-300",
+                "-1e-300", "0.5", "1", "2", "7", "abc", "")
+#: Flags whose size sets the work, drawn from values that keep it bounded.
+_FUZZ_BOUNDED = {
+    "--t-count": ("-5", "0", "1", "2", "50", "nan", "1.5", "abc"),
+    "--n-terms": ("-3", "0", "6", "40", "nan", "abc"),
+}
+_FUZZ_HANKEL = {
+    "--t": ("nan", "inf", "-inf", "0", "-1", "1e-300", "0.5", "1", "1e3"),
+    "--cutoff": ("nan", "inf", "0", "-1", "1e-300", "1", "1e4"),
+}
+_PARAM_FLAGS = ("--gamma", "--alpha", "--mu", "--u")
+_FUZZ_FLAGS = {
+    "eval": _PARAM_FLAGS + ("--t", "--t-start", "--t-stop", "--tol", "--t-count", "--t-log"),
+    "asym": _PARAM_FLAGS + ("--t", "--n-terms", "--alt"),
+    "constants": ("--mu", "--u", "--inf"),
+    "verify": ("--b",),
+    "hankel": ("--kernel", "--m", "--t", "--p", "--u", "--cutoff"),
+}
+_FUZZ_FLAGS["eval-alt"] = _FUZZ_FLAGS["eval"]
+_FUZZ_SWITCHES = ("--t-log", "--alt", "--inf")
+_FUZZ_EXTRA = ("--bogus=1", "--format=xml", "--format=csv", "--output=out.json",
+               "--config=missing.cfg", "--t-count=abc")
+
+
+@st.composite
+def _cli_argv(draw):
+    """A subcommand and some of its flags, each set to an edge value."""
+    command = draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    argv = [command]
+    if command == "verify":
+        argv.append(draw(st.sampled_from(cli.SUITES + ("none",))))
+    for flag in draw(st.lists(st.sampled_from(_FUZZ_FLAGS[command]), max_size=5, unique=True)):
+        if flag in _FUZZ_SWITCHES:
+            argv.append(flag)
+            continue
+        if flag == "--kernel":
+            values = ("exp", "g-pu", "h-u-prime", "none")
+        elif command == "hankel" and flag in _FUZZ_HANKEL:
+            values = _FUZZ_HANKEL[flag]
+        else:
+            values = _FUZZ_BOUNDED.get(flag, _FUZZ_VALUES)
+        argv.append(f"{flag}={draw(st.sampled_from(values))}")
+    argv += draw(st.lists(st.sampled_from(_FUZZ_EXTRA), max_size=1))
+    return argv
+
+
+class TestFuzz:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(argv=_cli_argv())
+    def test_every_input_exits_cleanly(self, argv, tmp_path_factory):
+        # a term cap of 1,000 keeps every evaluation short; each exit 2 comes
+        # with one `error:` line, and nothing escapes as a traceback
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("MATHIEU_MAX_TERMS", "1000")
+            patch.chdir(tmp_path_factory.mktemp("fuzz"))
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        err = err.getvalue()
+        assert code in (0, 1, 2), (argv, code, err)
+        assert "Traceback" not in err, (argv, err)
+        if code == 2:
+            assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
 
 
 #: The nine CLI examples of the README, in README order, with the sha256 of

@@ -210,3 +210,29 @@ class TestAsymptoticCoefficients:
         assert series.evaluate(0.1, 2) == pytest.approx(0.95)
         assert series.next_term_magnitude(0.1, 2) == pytest.approx(0.0025)
         assert math.isnan(series.next_term_magnitude(0.1, 3))
+
+
+class TestWeights:
+    """The boundary weights and polynomial sups kept once per (family, u, order)."""
+
+    @pytest.mark.parametrize("u", [0.0, 0.3, 0.5, -0.4])
+    def test_cold_and_warm_weights_give_the_same_sums(self, u):
+        params = mathieu.MathieuParams(0.5, 1.5, 1.0, 0.0)
+        fns = (emsum.ExpFunction(1.3, 0.7), mathieu.MathieuSmoothFunction(params, 8.0))
+        for engine in (emsum.em_sum, emsum.boole_sum):
+            for f in fns:
+                emsum._weights.cache_clear()
+                cold, warm = engine(f, 0.25, u, 8), engine(f, 0.25, u, 8)
+                assert repr(cold) == repr(warm), (engine.__name__, type(f).__name__)
+
+    @pytest.mark.parametrize("u", [0.0, 0.3, 0.5, -0.4])
+    def test_boundary_terms_are_the_weights_times_the_derivatives(self, u):
+        # the weights (-1)^k eps^k P(-u) / m_k, each computed on its own
+        f, eps = emsum.ExpFunction(1.3, 0.7), 0.25
+        bernoulli = emsum.em_sum(f, eps, u, 8).boundary_terms
+        euler = emsum.boole_sum(f, eps, u, 8).boundary_terms
+        for k in range(9):
+            scale = (-1.0) ** k * eps**k / math.factorial(k + 1)
+            assert bernoulli[k] == scale * polyfun.bernoulli_poly(k + 1, -u) * f.deriv(k, 0.0)
+            scale = (-1.0) ** k * eps**k / (2.0 * math.factorial(k))
+            assert euler[k] == scale * polyfun.euler_poly(k, -u) * f.deriv(k, 0.0)

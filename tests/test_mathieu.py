@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from mathieuseries import jets, mathieu, polyfun
+from mathieuseries import emsum, jets, mathieu, polyfun
 from mathieuseries.errors import (
     OrderOverflowError,
     ParameterError,
@@ -170,7 +170,7 @@ class TestTailIntegral:
     def test_closed_forms_within_their_bound(self, params, form):
         # against the 40-digit incomplete Beta integral at the exact (a, b)
         p = mathieu.MathieuParams(*params)
-        assert mathieu._closed_form_beta(p) == form
+        assert mathieu._tail_constants(p).form == form
         g, a_, mu, _ = (mp.mpf(x) for x in params)
         b = (g + 1) / a_
         a = mu + 1 - b
@@ -914,10 +914,9 @@ class TestClosedTail:
                  (mathieu.eval_S, (1.0, 1.5, 1.0, 0.0), 0.0, 1e-10)]
         for fn, params, t, tol in calls:
             for cache in (mathieu._kernel_derivative, mathieu._numerators,
-                          mathieu._integer_numerator, mathieu._beta_args,
-                          mathieu._closed_form_beta, mathieu._y_numerators,
-                          mathieu._y_derivative, mathieu._y_models, mathieu._pochhammer,
-                          mathieu._beta_args_rounding, polyfun.real_root_intervals):
+                          mathieu._integer_numerator, mathieu._tail_constants,
+                          mathieu._y_numerators, mathieu._y_derivative, mathieu._y_models,
+                          mathieu._pochhammer, emsum._weights, polyfun.real_root_intervals):
                 cache.cache_clear()
             args = (mathieu.MathieuParams(*params), t) + ((tol,) if tol else ())
             cold, warm = fn(*args), fn(*args)
@@ -1054,6 +1053,70 @@ class TestConvexBracket:
         for res in (mathieu.eval_S(p, t, 1e-10), mathieu.eval_S_alt(p, t, 1e-10)):
             assert res.terms_used <= first_order_terms
             assert res.err_hi <= 1e-10
+
+
+@st.composite
+def _floor_case(draw):
+    """(params, t, tol, alternating) over integer and non-integer kernels with
+    delta in [1.1, 6], t in {0} and [1e-3, 1e4].  The parameters carry a few
+    decimal digits, as typed: the first closed tail of floats with huge
+    exact denominators takes seconds (a CHANGES.md FOUND)."""
+    if draw(st.booleans()):
+        gamma, alpha = float(draw(st.integers(0, 3))), float(draw(st.integers(1, 3)))
+    else:
+        gamma, alpha = draw(st.integers(0, 30)) / 10, draw(st.integers(5, 30)) / 10
+    mu, u = draw(st.integers(1, 40)) / 10, draw(st.integers(-9, 20)) / 10
+    assume(1.1 <= alpha * (mu + 1.0) - gamma <= 6.0)
+    t = draw(st.just(0.0) | st.floats(-3.0, 4.0).map(lambda e: 10.0**e))
+    tol = draw(st.sampled_from([1e-6, 1e-10, 1e-12]))
+    return (gamma, alpha, mu, u), t, tol, draw(st.booleans())
+
+
+def _outcome(fn, *args):
+    """fn(*args) as a comparable tuple, floats by their bits, or the exception it raised."""
+    try:
+        res = fn(*args)
+    except (ToleranceError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+    return tuple(v.hex() if isinstance(v, float) else v for v in vars(res).values())
+
+
+class TestRungFloors:
+    """The floors `_direct` gives `bracketed_sum`: lower bounds on each rung's
+    bracket width, from terms alone, that let it skip rungs which miss tol."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=_floor_case())
+    def test_floors_bound_every_width_and_change_no_result(self, case):
+        params, t, tol, alternating = case
+        calls, bracketed_sum = [], mathieu.bracketed_sum
+
+        def spy(*args):
+            calls.append(args)
+            return bracketed_sum(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mathieu, "bracketed_sum", spy)
+            got = _outcome(mathieu._direct, mathieu.MathieuParams(*params), t, tol, alternating)
+        terms, tail_bracket, start, _, rtol, exact_tail, _, floor, cap = calls[0]
+        # the same result without floors: every rung evaluated, none closed early
+        assert _outcome(bracketed_sum, terms, tail_bracket, start, tol, rtol, exact_tail,
+                        alternating, None, cap) == got, (params, t, tol)
+        if floor is None:
+            return
+        # every rung's floor is below its computed width and below the width of
+        # every earlier rung, so a floor above tol shows that all of them miss
+        narrowest, n = math.inf, start
+        while n <= cap:
+            try:
+                lo, hi = tail_bracket(n)
+                narrowest = min(narrowest, hi - lo)
+                assert floor(n) <= narrowest, (params, t, n)
+            except OverflowError:  # a term or a bracket out of float range
+                pass
+            if n == cap:
+                break
+            n = min(cap, 2 * n)
 
 
 class TestTheta:
