@@ -661,7 +661,9 @@ def hankel_identity_67_check(p: float, u: float, mu: float, t: float,
 
 def identity_62_check(nu: float, mu: float, p: float, u: float, t: float,
                       tol: float = 1e-6) -> VerificationReport:
-    """Fractional-average transfer identity between orders nu and mu."""
+    """Fractional-average transfer identity between orders nu and mu.
+
+    Integrates with `scipy.integrate.quad`: install the `checks` extra."""
     if not nu > mu > 0:
         raise ParameterError("need nu > mu > 0")
     report = VerificationReport("order-transfer-identity")
@@ -685,7 +687,9 @@ def identity_62_check(nu: float, mu: float, p: float, u: float, t: float,
 
 def identity_62a_check(nu: float, mu: float, b: float, u: float, t: float,
                        tol: float = 1e-6) -> VerificationReport:
-    """Transfer identity for the monotonicity combination H_{nu,b}."""
+    """Transfer identity for the monotonicity combination H_{nu,b}.
+
+    Integrates with `scipy.integrate.quad`: install the `checks` extra."""
     if not nu > mu > 0:
         raise ParameterError("need nu > mu > 0")
     report = VerificationReport("monotonicity-transfer-identity")

@@ -8,6 +8,11 @@ and tail integral, the large-t expansions, closed-form Poisson oracles for the
 gamma=0, alpha=2, mu=0 case, and a regime dispatcher whose every path is
 rigorous.
 
+The tail integral int_x^inf g is an incomplete Beta function B_s(a, b)/alpha,
+taken in floats from a closed form or from its positive hypergeometric
+series with a proven truncation and rounding bound (`tail_integral`,
+`tail_integral_rel_err`), so no evaluator needs scipy.
+
 Direct summation carries a rigorous two-sided tail bracket: beyond the index
 where the terms become monotone decreasing, the tail is enclosed between
 integral bounds (or, for the gamma=1, alpha=2 family, the sharper two-sided
@@ -221,11 +226,13 @@ def g_jet(params: MathieuParams, x: float, order: int) -> list[float]:
     return jets.jet_mul(mono, jets.jet_pow(base, -params.mu - 1.0))
 
 
+@functools.lru_cache(maxsize=256)
 def g_smoothness(params: MathieuParams) -> SmoothnessProfile:
     """Smoothness order r of g at 0 and the derivatives g^(p)(0) for p <= min(r, 16).
 
     r = [gamma] when gamma is not a nonnegative integer, gamma + [alpha] when
-    gamma is but alpha is not, and infinity when both are.
+    gamma is but alpha is not, and infinity when both are.  Kept once per
+    kernel: `g_jet` at 0 asks for it at every order.
     """
     cap = 16
     if params.integer_regime:
@@ -265,11 +272,16 @@ def g_peak(params: MathieuParams) -> float:
     return (params.gamma / params.delta) ** (1.0 / params.alpha)
 
 
-#: Relative error allowed for scipy's betainc(a, b, s), times max(1, (a+b)/8);
-#: checked against mpmath for a, b in [0.01, 50] (largest seen: 4.3e-14 at a+b = 51).
-BETAINC_RTOL = 1e-14
 #: Largest integer b of the Beta integral that `tail_integral` sums in closed form.
 _CLOSED_FORM_MAX_B = 64
+#: Past s = 1/2 `tail_integral` takes B_s(a, b) as B(a, b) - B_q(b, a) while
+#: the cancellation factor B_q / (B - B_q) = I_q / (1 - I_q) stays at most this ...
+_REFLECT_MAX = 1.0
+#: ... or q = 1 - s is below this, where the series in s would need more than
+#: some 37 * 2^7 terms.
+_REFLECT_Q = 2.0**-7
+#: The incomplete Beta series raises OverflowError past this many terms.
+_SERIES_MAX_TERMS = 1 << 20
 
 
 class _TailConstants:
@@ -282,8 +294,9 @@ class _TailConstants:
     error relative to mu + 1, not to a, and B(a, b) ~ 1/a would follow.
     (da, db) are those roundings.  `form` is 'a=1', 'a=b=1/2' or 'b=n' when
     a is exactly 1, a and b are both exactly 1/2, or b is exactly a positive
-    integer (checked in rationals), else None.  B(a, b) and the bounds are
-    computed on first use, by the forms that need them.
+    integer (checked in rationals), else None.  B(a, b), the bounds and the
+    series' switch point `split` are computed on first use, by the forms
+    that need them.
     """
 
     def __init__(self, params: MathieuParams):
@@ -312,17 +325,20 @@ class _TailConstants:
         return self.beta / self.alpha
 
     @functools.cached_property
+    def beta_rel(self) -> float:
+        """The relative error bound of `beta`."""
+        return polyfun.beta_fn_rel_err(self.a, self.b)
+
+    @functools.cached_property
     def rel(self) -> float:
-        """The form's relative bound in `tail_integral_rel_err`, before the
-        complement's allowance and the rounding of (a, b)."""
+        """The closed form's relative bound in `tail_integral_rel_err`,
+        before the rounding of (a, b)."""
         a, b = self.a, self.b
         if self.form == "a=1":
             return 16.0 * 2.0**-53
         if self.form == "a=b=1/2":
             return 8.0 * 2.0**-53
-        if self.form == "b=n":
-            return (8.0 * b + 4.0 * a + 12.0) * 2.0**-53
-        return BETAINC_RTOL * max(1.0, (a + b) / 8.0) + polyfun.beta_fn_rel_err(a, b)
+        return (8.0 * b + 4.0 * a + 12.0) * 2.0**-53
 
     @functools.cached_property
     def sum_coeffs(self) -> tuple[float, ...]:
@@ -337,23 +353,39 @@ class _TailConstants:
         return tuple(out)
 
     @functools.cached_property
-    def complement_rel(self) -> float:
-        """The allowance for I_s taken as 1 - I_q(b, a) (`_complement`)."""
-        return (3.0 + 4.0 * self.b * 2.0 ** abs(self.a - 1.0)) * 2.0**-53
+    def split(self) -> float:
+        """The q below which `tail_integral` takes the reflection: 1/2 where
+        the cancellation factor I_q / (1 - I_q) is at most _REFLECT_MAX
+        there, else near the q where it reaches that bound (it grows with q;
+        found by halving, then bisection), and at least _REFLECT_Q.  The
+        bounds hold on either side, so only the cost depends on it."""
+        def factor(q: float) -> float:
+            try:
+                part = _reflected_part(self, 1.0 - q, q)[0]
+            except OverflowError:
+                return math.inf
+            return part / (self.beta - part) if part < self.beta else math.inf
+
+        hi = 0.5
+        if factor(hi) <= _REFLECT_MAX:
+            return hi
+        lo = 0.5 * hi
+        while factor(lo) > _REFLECT_MAX:
+            if lo <= _REFLECT_Q:
+                return _REFLECT_Q
+            hi, lo = lo, 0.5 * lo
+        for _ in range(10):
+            mid = 0.5 * (lo + hi)
+            if factor(mid) > _REFLECT_MAX:
+                hi = mid
+            else:
+                lo = mid
+        return lo
 
 
 @functools.lru_cache(maxsize=256)
 def _tail_constants(params: MathieuParams) -> _TailConstants:
     return _TailConstants(params)
-
-
-@functools.cache
-def _scipy_special():
-    """scipy.special, imported on the first tail that needs betainc.  Callers
-    look `betainc` up on the module each time, where a tracer may wrap it."""
-    from scipy import special
-
-    return special
 
 
 def _beta_point(params: MathieuParams, x: float) -> tuple[float, float]:
@@ -370,23 +402,116 @@ def _beta_point(params: MathieuParams, x: float) -> tuple[float, float]:
     return pair
 
 
+@functools.lru_cache(maxsize=64)
+def _beta_series(a: float, b: float, s: float) -> tuple[float, float]:
+    """(sum_{k>=0} (a+b)_k / (a+1)_k s^k, the mean index k of its terms
+    weighted by their values), 0 <= s < 1, a, b > 0 (DLMF 8.17.8:
+    B_s(a, b) = s^a (1-s)^b / a times the sum).
+
+    The term ratio (a+b+k)/(a+1+k) s rises to s where b <= 1 and falls to it
+    where b > 1, so past the k where R = max(ratio, s) < 1 the rest is at
+    most term R / (1 - R); the sum stops where that is at most u = 2^-53,
+    and u of the sum, which is at least its first term 1.  R is taken 8u
+    high, past the ratio's own rounding.  Term k carries 10 k u: each step
+    rounds a + b + k (2u, with a + b), a + 1 + k, the quotient and the two
+    products (u each), and s within 4u enters once more.  The terms are
+    positive, so the sum is within (10 mean + 2) u: one math.fsum and the
+    truncation add u each.  The mean grows with s (its derivative in log s
+    is a variance), so the bound at the largest s of a range holds for the
+    whole range.  A term past 2^1000 or a sum past _SERIES_MAX_TERMS terms
+    raises OverflowError.  The last few sums are kept: a tail integral and
+    its bound at the same point (`MathieuSmoothFunction`) share one.
+    """
+    c = a + b
+    term, terms, moment, k = 1.0, [1.0], 0.0, 0
+    while True:
+        ratio = s * (c + k) / (a + (k + 1))
+        bound = (ratio if ratio > s else s) * (1.0 + 2.0**-50)
+        if bound < 1.0 and term * bound <= 2.0**-53 * (1.0 - bound):
+            break
+        k += 1
+        term *= ratio
+        if term > 2.0**1000 or k > _SERIES_MAX_TERMS:
+            raise OverflowError(f"the incomplete Beta series diverges in floats at s = {s:g}")
+        terms.append(term)
+        moment += k * term
+    total = math.fsum(terms)
+    return total, moment / total
+
+
+def _powers(c: _TailConstants, s: float, q: float) -> float:
+    """s^a q^b, each power at least 2^-1000 (else OverflowError)."""
+    sa, qb = s**c.a, q**c.b
+    if min(sa, qb) < 2.0**-1000:
+        raise OverflowError("a power of the incomplete Beta function underflows")
+    return sa * qb
+
+
+def _direct_tail(c: _TailConstants, s: float, q: float) -> tuple[float, float]:
+    """(s^a q^b sum / (a alpha), its relative error bound): the tail integral
+    from the series in s (`_beta_series`).  With s and q within 4u, s^a and
+    q^b carry (4a + 2) u and (4b + 2) u (pow within 1 ulp), and the product,
+    the sum's product, a alpha and the quotient u each."""
+    total, mean = _beta_series(c.a, c.b, s)
+    return _powers(c, s, q) * total / (c.a * c.alpha), _direct_rel(c, mean)
+
+
+def _direct_rel(c: _TailConstants, mean: float) -> float:
+    """The bound of `_direct_tail` from the mean index of its series."""
+    return 1.01 * (4.0 * (c.a + c.b) + 10.0 + 10.0 * mean) * 2.0**-53
+
+
+def _reflected_part(c: _TailConstants, s: float, q: float) -> tuple[float, float]:
+    """(B_q(b, a) = q^b s^a sum / b, its relative error bound), the series
+    in q with a and b swapped; the roundings are those of `_direct_tail`,
+    with one quotient fewer."""
+    total, mean = _beta_series(c.b, c.a, q)
+    return _powers(c, s, q) * total / c.b, (4.0 * (c.a + c.b) + 9.0 + 10.0 * mean) * 2.0**-53
+
+
+def _reflected_tail(c: _TailConstants, s: float, q: float) -> tuple[float, float]:
+    """((B(a, b) - B_q(b, a)) / alpha, its relative error bound): B within
+    `beta_rel` and B_q within its own bound, relative to B - B_q, times
+    1 + phi and phi with phi = B_q / (B - B_q), plus the difference and the
+    quotient, u each."""
+    part, part_rel = _reflected_part(c, s, q)
+    diff = c.beta - part
+    if not diff > 0.0:
+        raise OverflowError("B(a, b) - B_q(b, a) cancels")
+    phi = part / diff
+    return diff / c.alpha, 1.01 * (c.beta_rel * (1.0 + phi) + part_rel * phi + 2.0**-52)
+
+
+def _edge_point(params: MathieuParams, x: float) -> tuple[float, float]:
+    """`_beta_point`, or its limit (1, 0) or (0, 1) where x^alpha leaves the
+    float range, for the bounds of `tail_integral_rel_err`."""
+    try:
+        return _beta_point(params, x)
+    except OverflowError:
+        return (1.0, 0.0) if x < 1.0 else (0.0, 1.0)
+
+
 def tail_integral(params: MathieuParams, t: float) -> float:
-    """F(t) = int_t^inf g(x) dx via the regularized incomplete Beta function.
+    """F(t) = int_t^inf g(x) dx via the incomplete Beta function.
 
     The substitution s = 1/(x^alpha + 1) turns the tail into
-    (1/alpha) * B(a, b) * I_s(a, b) with (a, b) from `_tail_constants`;
-    convergence needs delta > 1.  Where a = 1, a = b = 1/2 (the Poisson
-    kernel and its (gamma, 2 gamma + 2, 0) relatives) or b = n is a positive
-    integer, I_s has a closed form and no scipy is needed:
-    B(1, b) I_s(1, b) = -expm1(b log(1-s)) / b,
-    B(1/2, 1/2) I_s(1/2, 1/2) = 2 atan(t^(-alpha/2)) and
-    B(a, n) I_s(a, n) = s^a sum_{j<n} (n-1)! / (j! (a+j)...(a+n-1)) (1-s)^j.
-    Elsewhere betainc gives I_s(a, b), or 1 - I_q(b, a) from q = 1 - s where
-    `_complement` holds: near s = 1 with b < 1, I_s moves by
-    (1-s)^(b-1) / B(a, b) per unit of s, so the rounding of s would cost more
-    than its own.
-    A value below 2^-1000, whose relative error no longer holds in float64,
-    raises OverflowError, as does a t whose x^alpha leaves the float range.
+    (1/alpha) B_s(a, b) with (a, b) from `_tail_constants`; convergence
+    needs delta > 1.  Where a = 1, a = b = 1/2 (the Poisson kernel and its
+    (gamma, 2 gamma + 2, 0) relatives) or b = n is a positive integer,
+    B_s has a closed form:
+    B_s(1, b) = -expm1(b log(1-s)) / b,
+    B_s(1/2, 1/2) = 2 atan(t^(-alpha/2)) and
+    B_s(a, n) = s^a sum_{j<n} (n-1)! / (j! (a+j)...(a+n-1)) (1-s)^j.
+    Elsewhere B_s(a, b) = s^a (1-s)^b / a sum_k (a+b)_k / (a+1)_k s^k, a
+    series of positive terms summed to a proven truncation bound
+    (`_beta_series`), up to s = 1/2 (x >= 1).  Past it, with q = 1 - s from
+    `_beta_point` (accurate where s is near 1), B(a, b) - B_q(b, a) by the
+    same series in q, while its cancellation factor I_q / (1 - I_q) stays
+    at most _REFLECT_MAX (or q < _REFLECT_Q), and the series in s
+    beyond that (`_TailConstants.split`).
+    A value or a power below 2^-1000, whose relative error no longer holds
+    in float64, raises OverflowError, as does a t whose x^alpha leaves the
+    float range.
     """
     if t < 0:
         raise ParameterError("t must be nonnegative")
@@ -410,12 +535,10 @@ def tail_integral(params: MathieuParams, t: float) -> float:
             total += coeff * q**j
         lead = s**a
         value = lead * total / params.alpha
+    elif q < 0.5 and q < c.split:
+        value = _reflected_tail(c, s, q)[0]
     else:
-        special = _scipy_special()
-        if _complement(c, q):
-            value = c.whole - c.whole * float(special.betainc(b, a, q))
-        else:
-            value = c.whole * float(special.betainc(a, b, s))
+        value = _direct_tail(c, s, q)[0]
     if min(value, lead) < 2.0**-1000:
         raise OverflowError(f"the tail integral underflows at x = {t:g}")
     return value
@@ -426,6 +549,28 @@ def _log_s(params: MathieuParams, x: float) -> float:
     if x > 1.0:
         return params.alpha * math.log(x) + math.log1p(x ** -params.alpha)
     return math.log1p(x**params.alpha)
+
+
+def _series_rel(params: MathieuParams, c: _TailConstants, x_lo: float, x_hi: float) -> float:
+    """The largest relative error bound of `tail_integral` without a closed
+    form over x in [x_lo, x_hi]: that of `_direct_tail` at the largest s
+    that takes it, that of `_reflected_tail` at the largest q that takes
+    it, each of which grows with its variable; inf where a series there
+    leaves the float range."""
+    s_lo, q_lo = _edge_point(params, x_lo)
+    s_hi, q_hi = _edge_point(params, x_hi) if x_hi < 1.0 else (0.0, 1.0)
+    split = c.split if q_lo < 0.5 else 0.5
+    rel = 0.0
+    try:
+        if q_hi >= split:
+            s = 1.0 - split if q_lo < split else s_lo
+            rel = _direct_rel(c, _beta_series(c.a, c.b, s)[1])
+        if q_lo < split:
+            s, q = (1.0 - split, split) if q_hi >= split else (s_hi, q_hi)
+            rel = max(rel, _reflected_tail(c, s, q)[1])
+    except OverflowError:
+        return math.inf
+    return rel
 
 
 def tail_integral_rel_err(params: MathieuParams, t: float, t_max: float | None = None) -> float:
@@ -440,24 +585,15 @@ def tail_integral_rel_err(params: MathieuParams, t: float, t_max: float | None =
     (4a + 2)u.  The a = b = 1/2 form stays within 8u: the power within 1 ulp
     (2u), atan, whose relative condition number z/((1+z^2) atan z) is at
     most 1, passes that on and adds 2u, and the product and quotient 1u
-    each.  betainc is allowed BETAINC_RTOL max(1, (a+b)/8), plus the
-    Beta function's own bound; taken as 1 - I_q(b, a) with I_q <= 1/2
-    (`_complement`, at t, the smallest q of the range), I_q moves by at most
-    4u b 2^|a-1| of itself under q's rounding, and 1 - I_q and the two
-    products add 3u.  a and b are rounded once from their exact
+    each.  Without a closed form the series bounds of `_direct_tail` and
+    `_reflected_tail` hold, at their worst point of the range
+    (`_series_rel`).  a and b are rounded once from their exact
     values; F moves by at most |da| (|log s| + 1/a) F and |db| |log(1-s)| F
     under such a change; over [t, t_max] |log s| is largest at t_max and
     |log(1-s)| at t.
     """
     c = _tail_constants(params)
-    rel = c.rel
-    if c.form is None and c.b < 1.0:
-        try:
-            complement = _complement(c, _beta_point(params, t)[1])
-        except OverflowError:  # x^alpha out of range at t: allow for either form
-            complement = True
-        if complement:
-            rel += c.complement_rel
+    rel = c.rel if c.form else _series_rel(params, c, t, t if t_max is None else t_max)
     if c.da or c.db:
         # -log s = log(x^alpha + 1), -log(1-s) = that minus alpha log x
         log_x = params.alpha * math.log(t)
@@ -465,18 +601,6 @@ def tail_integral_rel_err(params: MathieuParams, t: float, t_max: float | None =
         log_s_max = log_s if t_max is None else _log_s(params, t_max)
         rel += 1.01 * (c.da * (log_s_max + 1.0 / c.a) + c.db * (log_s - log_x))
     return rel
-
-
-def _complement(c: _TailConstants, q: float) -> bool:
-    """Whether `tail_integral` takes I_s(a, b) as 1 - I_q(b, a), q = 1 - s:
-    where b < 1 and (1-s)^(b-1) > B(a, b), so that I_s would move by more
-    than s's rounding, and I_q(b, a) <= max(1, 2^(1-a)) q^b / (b B(a, b))
-    stays at most 1/2 (0.49 for this bound's own rounding), so that 1 - I_q
-    cannot cancel."""
-    a, b = c.a, c.b
-    if b >= 1.0 or q >= 0.5:
-        return False
-    return q ** (b - 1.0) > c.beta and max(1.0, 2.0 ** (1.0 - a)) * q**b / (b * c.beta) <= 0.49
 
 
 # --------------------------------------------------------------------------
@@ -1666,7 +1790,7 @@ def _closed_tail(params: MathieuParams, t: float, alternating: bool,
         beta_err = 0.0
         if head == 0:
             c = _tail_constants(params)
-            beta_err = polyfun.beta_fn_rel_err(c.a, c.b) * abs(res.integral_term)
+            beta_err = c.beta_rel * abs(res.integral_term)
             if not split:
                 return value, scale * (res.remainder_bound + beta_err) + 4e-16 * abs(value), TAIL_ORDER
         radius = scaled(res.remainder_bound + beta_err) \

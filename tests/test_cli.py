@@ -536,8 +536,10 @@ print(",".join(loaded))
         assert "scipy.integrate" not in self._loaded(body, tmp_path).split(",")
 
     def test_direct_sweep_round_loads_no_quadrature(self, tmp_path):
-        # one round of the benchmark's direct-sweep operations, its slow tails
-        # closed by Euler-Maclaurin and Boole on exact variations
+        # with scipy unimportable: one round of the benchmark's direct-sweep
+        # operations, its slow tails closed by Euler-Maclaurin and Boole on
+        # exact variations, and three kernels whose tail integral has no
+        # closed form, on both sides of x = 1 and with closed tails
         bench = Path(__file__).resolve().parents[1] / "bench"
         body = "\n".join([
             "import random, warnings",
@@ -546,12 +548,20 @@ print(",".join(loaded))
             "from mathieuseries import mathieu",
             "warnings.simplefilter('ignore')",
             "for op in workloads.DIRECT_SWEEP.round_ops(random.Random(1), 0):",
-            "    getattr(mathieu, op.fn)(mathieu.MathieuParams(*op.params), op.t, op.tol)",
-            "print('scipy.integrate' in sys.modules)",
+            "    try:",
+            "        getattr(mathieu, op.fn)(mathieu.MathieuParams(*op.params), op.t, op.tol)",
+            "    except mathieu.ToleranceError:",
+            "        assert op.fault",
+            "for params in ((0.0, 2.0, 1.0, 0.0), (1.0, 1.5, 1.0, 0.0), (0.0, 2.5, 0.3, 0.0)):",
+            "    for t in (0.0, 0.5, 7.0, 1e3, 1e6):",
+            "        for fn in (mathieu.eval_S, mathieu.eval_S_alt):",
+            "            fn(mathieu.MathieuParams(*params), t)",
+            "del sys.modules['scipy']",
         ])
         src = str(Path(cli.__file__).resolve().parents[1])
-        proc = subprocess.run([sys.executable, "-c", self.SCRIPT.format(body=body)],
+        script = "import sys\nsys.modules['scipy'] = None\n" + self.SCRIPT.format(body=body)
+        proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, cwd=tmp_path,
                               env=dict(os.environ, PYTHONPATH=src), timeout=300)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-2] == "False"
+        assert proc.stdout.strip() == ""

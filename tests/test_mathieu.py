@@ -166,33 +166,84 @@ class TestTailIntegral:
         ((1.0, 2.0, 0.7, 0.0), "b=n"),
         ((0.0, 2.0, 0.0, 0.0), "a=b=1/2"),
         ((1.0, 4.0, 0.0, 0.0), "a=b=1/2"),
+        # no closed form: the incomplete Beta series
+        ((0.0, 2.0, 1.0, 0.0), None),
+        ((1.0, 1.5, 1.0, 0.0), None),
+        ((0.0, 2.5, 0.3, 0.0), None),
+        ((2.0, 2.5, 1.0, 0.0), None),
+        ((0.0, 2.0, 10.0, 0.0), None),  # a = 10.5 >> b = 0.5
+        ((2.0, 2.5, 0.2000004, 0.0), None),  # delta - 1 = 1e-6: a = 4e-7
     ])
     def test_closed_forms_within_their_bound(self, params, form):
-        # against the 40-digit incomplete Beta integral at the exact (a, b)
+        # every form, against the 40-digit incomplete Beta integral at the
+        # exact (a, b); x near 1 puts s within 1e-3 of 1/2, where the series
+        # in s gives way to B(a, b) - B_q(b, a), and x <= 1e-6 puts s near 1
+        # (with b < 1 for three of the series kernels)
         p = mathieu.MathieuParams(*params)
         assert mathieu._tail_constants(p).form == form
         g, a_, mu, _ = (mp.mpf(x) for x in params)
         b = (g + 1) / a_
         a = mu + 1 - b
-        for x in (1e-3, 0.3, 1.0, 1.7, 5.0, 64.0, 1e4):
+        for x in (1e-9, 1e-6, 1e-3, 0.3, 0.999, 0.9999, 1.0, 1.0001, 1.001, 1.7, 5.0, 64.0,
+                  1e4):
             s = 1 / (mp.mpf(x) ** a_ + 1)
             ref = mp.betainc(a, b, 0, s) / a_
             got = mathieu.tail_integral(p, x)
             assert abs(got - ref) <= mathieu.tail_integral_rel_err(p, x) * ref, (params, x)
 
-    def test_betainc_allowance_against_mpmath(self):
-        from scipy import special
-
+    def test_series_bound_against_mpmath(self):
+        # random (a, b, s) with a, b in [0.01, 50]: the kernel (0, 1/b, a+b-1)
+        # has those (a, b), and x = ((1-s)/s)^b gives s
         rng = __import__("random").Random(11)
-        for _ in range(400):
-            a, b = 10 ** rng.uniform(-2, 1.7), 10 ** rng.uniform(-2, 1.7)
-            s = 10 ** rng.uniform(-14, 0) * rng.choice([1.0, 0.999])
-            ref = mp.betainc(a, b, 0, s, regularized=True)
-            if ref < 1e-300:  # underflow: the tail's error bound adds 1e-300 absolute
-                continue
-            got = float(special.betainc(a, b, s))
-            allowed = mathieu.BETAINC_RTOL * max(1.0, (a + b) / 8.0)
-            assert abs(got - ref) <= allowed * ref, (a, b, s)
+        checked = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # mu <= 0 where a + b <= 1
+            for _ in range(400):
+                a, b = 10 ** rng.uniform(-2, 1.7), 10 ** rng.uniform(-2, 1.7)
+                s = 10 ** rng.uniform(-14, 0) * rng.choice([1.0, 0.999])
+                p = mathieu.MathieuParams(0.0, 1.0 / b, a + b - 1.0)
+                log_x = b * (math.log1p(-s) - math.log(s)) if s < 1.0 else -math.inf
+                if not -700.0 < log_x < 700.0:
+                    continue
+                x = math.exp(log_x)
+                b_ = 1 / mp.mpf(p.alpha)
+                a_ = mp.mpf(p.mu) + 1 - b_
+                s_ = 1 / (mp.mpf(x) ** mp.mpf(p.alpha) + 1)
+                ref = mp.betainc(a_, b_, 0, s_) / mp.mpf(p.alpha)
+                if ref < 1e-290:  # below 2^-1000 the tail raises OverflowError
+                    continue
+                got = mathieu.tail_integral(p, x)
+                bound = mathieu.tail_integral_rel_err(p, x)
+                assert abs(got - ref) <= bound * ref, (a, b, s)
+                checked += 1
+        assert checked >= 300
+
+    @pytest.mark.parametrize("params", [(0.0, 2.0, 1.0, 0.0), (1.0, 1.5, 1.0, 0.0),
+                                        (0.0, 2.5, 0.3, 0.0), (0.0, 2.0, 10.0, 0.0)])
+    def test_range_bound_covers_every_point(self, params):
+        # the bound over [t, t_max] is at least the bound of the series that
+        # each point of it takes, across the switch between the two series
+        p = mathieu.MathieuParams(*params)
+        c = mathieu._tail_constants(p)
+        for lo, hi in ((1e-6, 1e-2), (1e-3, 0.9), (0.05, 3.0), (0.5, 1e3), (1.5, 1e9)):
+            whole = mathieu.tail_integral_rel_err(p, lo, hi)
+            for x in np.geomspace(lo, hi, 40):
+                s, q = mathieu._beta_point(p, float(x))
+                series = mathieu._reflected_tail if q < 0.5 and q < c.split \
+                    else mathieu._direct_tail
+                assert series(c, s, q)[1] <= whole, (params, lo, x)
+                assert mathieu.tail_integral_rel_err(p, float(x)) <= whole, (params, lo, x)
+
+    def test_split_switches_where_the_cancellation_factor_reaches_its_bound(self):
+        # past s = 1/2 the series in q = 1 - s takes over while
+        # I_q(b, a) / (1 - I_q(b, a)) <= 1, i.e. I_q <= 1/2
+        for params in ((0.0, 2.0, 1.0, 0.0), (0.0, 2.0, 10.0, 0.0), (1.0, 1.5, 1.0, 0.0)):
+            c = mathieu._tail_constants(mathieu.MathieuParams(*params))
+            q = c.split
+            below = mp.betainc(c.b, c.a, 0, q, regularized=True)
+            assert below <= 0.5 + 1e-12
+            if q < 0.5:
+                assert mp.betainc(c.b, c.a, 0, q * (1 + 2.0**-8), regularized=True) > 0.5
 
 
 class TestEvalS:
@@ -1053,6 +1104,38 @@ class TestConvexBracket:
         for res in (mathieu.eval_S(p, t, 1e-10), mathieu.eval_S_alt(p, t, 1e-10)):
             assert res.terms_used <= first_order_terms
             assert res.err_hi <= 1e-10
+
+
+@st.composite
+def _array_terms_case(draw):
+    """(params, t, ks): a kernel outside Z+ x N, t in [0, 50] and indices up to 2^18."""
+    def param(lo, hi):
+        return st.floats(lo, hi).map(lambda v: round(v, 6))
+
+    gamma, alpha = draw(param(0.0, 3.0)), draw(param(0.5, 3.0))
+    delta, u = draw(param(1.05, 3.0)), draw(param(-0.9, 2.0))
+    params = (gamma, alpha, (delta + gamma) / alpha - 1.0, u)
+    assume(not mathieu.MathieuParams(*params).integer_regime)
+    t = draw(st.just(0.0) | st.floats(0.0, 50.0))
+    ks = draw(st.lists(st.integers(1, 1 << 18), min_size=1, max_size=40))
+    return params, t, sorted(set(ks) | set(range(1, 17)))
+
+
+class TestTermRounding:
+    @settings(max_examples=25, deadline=None)
+    @given(case=_array_terms_case())
+    def test_array_terms_within_term_rtol(self, case):
+        # every summed head takes its terms from numpy's float64 power, which
+        # may differ from libm's scalar pow by an ulp; _term_rtol covers both
+        params, t, ks = case
+        p = mathieu.MathieuParams(*params)
+        got = mathieu._terms(p, t)(np.array(ks, dtype=float))
+        rtol = mathieu._term_rtol(p)
+        g, a, m, u, t_ = (mp.mpf(v) for v in (*params, t))
+        for k, v in zip(ks, got):
+            w = k + u
+            ref = 2 * w**g / (w**a + t_**a) ** (m + 1)
+            assert abs(mp.mpf(float(v)) - ref) <= rtol * ref, (params, t, k)
 
 
 @st.composite
