@@ -382,6 +382,24 @@ class _TailConstants:
                 lo = mid
         return lo
 
+    @functools.cached_property
+    def direct_split_rel(self) -> float:
+        """The bound of `_direct_tail` at s = 1 - `split`, its largest over
+        the x it takes; inf where the series there leaves the float range."""
+        try:
+            return _direct_rel(self, _beta_series(self.a, self.b, 1.0 - self.split)[1])
+        except OverflowError:
+            return math.inf
+
+    @functools.cached_property
+    def reflected_split_rel(self) -> float:
+        """The bound of `_reflected_tail` at q = `split`, its largest over
+        the x it takes; inf where the series there leaves the float range."""
+        try:
+            return _reflected_tail(self, 1.0 - self.split, self.split)[1]
+        except OverflowError:
+            return math.inf
+
 
 @functools.lru_cache(maxsize=256)
 def _tail_constants(params: MathieuParams) -> _TailConstants:
@@ -402,7 +420,6 @@ def _beta_point(params: MathieuParams, x: float) -> tuple[float, float]:
     return pair
 
 
-@functools.lru_cache(maxsize=64)
 def _beta_series(a: float, b: float, s: float) -> tuple[float, float]:
     """(sum_{k>=0} (a+b)_k / (a+1)_k s^k, the mean index k of its terms
     weighted by their values), 0 <= s < 1, a, b > 0 (DLMF 8.17.8:
@@ -419,8 +436,7 @@ def _beta_series(a: float, b: float, s: float) -> tuple[float, float]:
     truncation add u each.  The mean grows with s (its derivative in log s
     is a variance), so the bound at the largest s of a range holds for the
     whole range.  A term past 2^1000 or a sum past _SERIES_MAX_TERMS terms
-    raises OverflowError.  The last few sums are kept: a tail integral and
-    its bound at the same point (`MathieuSmoothFunction`) share one.
+    raises OverflowError.
     """
     c = a + b
     term, terms, moment, k = 1.0, [1.0], 0.0, 0
@@ -520,28 +536,36 @@ def tail_integral(params: MathieuParams, t: float) -> float:
     c = _tail_constants(params)
     if t == 0.0:
         return c.whole
-    s, q = _beta_point(params, t)
+    return _tail_point(params, c, t)[0]
+
+
+def _tail_point(params: MathieuParams, c: _TailConstants, x: float) -> tuple[float, float]:
+    """(`tail_integral` at x > 0, the relative bound of the form that gave
+    it, before the rounding of (a, b)): `rel` for a closed form, else the
+    bound of the series that gave the value, as `_series_rel` states it
+    at x alone."""
+    s, q = _beta_point(params, x)
     form, a, b = c.form, c.a, c.b
     lead = 1.0
     if form == "a=1":
         # log(1-s) from s where s is small, from 1-s where not
         log_q = math.log1p(-s) if s <= 0.5 else math.log(q)
-        value = -math.expm1(b * log_q) / (params.alpha * b)
+        value, rel = -math.expm1(b * log_q) / (params.alpha * b), c.rel
     elif form == "a=b=1/2":
-        value = 2.0 * math.atan(t ** (-0.5 * params.alpha)) / params.alpha
+        value, rel = 2.0 * math.atan(x ** (-0.5 * params.alpha)) / params.alpha, c.rel
     elif form == "b=n":
         total = 0.0
         for j, coeff in enumerate(c.sum_coeffs):
             total += coeff * q**j
         lead = s**a
-        value = lead * total / params.alpha
+        value, rel = lead * total / params.alpha, c.rel
     elif q < 0.5 and q < c.split:
-        value = _reflected_tail(c, s, q)[0]
+        value, rel = _reflected_tail(c, s, q)
     else:
-        value = _direct_tail(c, s, q)[0]
+        value, rel = _direct_tail(c, s, q)
     if min(value, lead) < 2.0**-1000:
-        raise OverflowError(f"the tail integral underflows at x = {t:g}")
-    return value
+        raise OverflowError(f"the tail integral underflows at x = {x:g}")
+    return value, rel
 
 
 def _log_s(params: MathieuParams, x: float) -> float:
@@ -563,11 +587,11 @@ def _series_rel(params: MathieuParams, c: _TailConstants, x_lo: float, x_hi: flo
     rel = 0.0
     try:
         if q_hi >= split:
-            s = 1.0 - split if q_lo < split else s_lo
-            rel = _direct_rel(c, _beta_series(c.a, c.b, s)[1])
+            rel = c.direct_split_rel if q_lo < split else \
+                _direct_rel(c, _beta_series(c.a, c.b, s_lo)[1])
         if q_lo < split:
-            s, q = (1.0 - split, split) if q_hi >= split else (s_hi, q_hi)
-            rel = max(rel, _reflected_tail(c, s, q)[1])
+            rel = max(rel, c.reflected_split_rel if q_hi >= split else
+                      _reflected_tail(c, s_hi, q_hi)[1])
     except OverflowError:
         return math.inf
     return rel
@@ -594,13 +618,19 @@ def tail_integral_rel_err(params: MathieuParams, t: float, t_max: float | None =
     """
     c = _tail_constants(params)
     rel = c.rel if c.form else _series_rel(params, c, t, t if t_max is None else t_max)
-    if c.da or c.db:
-        # -log s = log(x^alpha + 1), -log(1-s) = that minus alpha log x
-        log_x = params.alpha * math.log(t)
-        log_s = _log_s(params, t)
-        log_s_max = log_s if t_max is None else _log_s(params, t_max)
-        rel += 1.01 * (c.da * (log_s_max + 1.0 / c.a) + c.db * (log_s - log_x))
-    return rel
+    return rel + _rounding_rel(params, c, t, t_max)
+
+
+def _rounding_rel(params: MathieuParams, c: _TailConstants, t: float,
+                  t_max: float | None) -> float:
+    """The part of `tail_integral_rel_err` for the rounding of (a, b)."""
+    if not (c.da or c.db):
+        return 0.0
+    # -log s = log(x^alpha + 1), -log(1-s) = that minus alpha log x
+    log_x = params.alpha * math.log(t)
+    log_s = _log_s(params, t)
+    log_s_max = log_s if t_max is None else _log_s(params, t_max)
+    return 1.01 * (c.da * (log_s_max + 1.0 / c.a) + c.db * (log_s - log_x))
 
 
 # --------------------------------------------------------------------------
@@ -1659,8 +1689,11 @@ class MathieuSmoothFunction(emsum.SmoothFunction):
             return self.tail_integral(t), None
         p = self.params
         x, dx = self._at(t)
-        value = tail_integral(p, x)
-        err = tail_integral_rel_err(p, x) * value
+        if not p.delta > 1.0:
+            raise ParameterError("the tail integral diverges unless delta > 1")
+        c = _tail_constants(p)
+        value, rel = _tail_point(p, c, x)
+        err = (rel + _rounding_rel(p, c, x, None)) * value
         if dx:
             # x off by dx moves F by at most dx sup g between them: g at the
             # left end where g decreases there, else the peak value of g

@@ -548,10 +548,7 @@ print(",".join(loaded))
             "from mathieuseries import mathieu",
             "warnings.simplefilter('ignore')",
             "for op in workloads.DIRECT_SWEEP.round_ops(random.Random(1), 0):",
-            "    try:",
-            "        getattr(mathieu, op.fn)(mathieu.MathieuParams(*op.params), op.t, op.tol)",
-            "    except mathieu.ToleranceError:",
-            "        assert op.fault",
+            "    getattr(mathieu, op.fn)(mathieu.MathieuParams(*op.params), op.t, op.tol)",
             "for params in ((0.0, 2.0, 1.0, 0.0), (1.0, 1.5, 1.0, 0.0), (0.0, 2.5, 0.3, 0.0)):",
             "    for t in (0.0, 0.5, 7.0, 1e3, 1e6):",
             "        for fn in (mathieu.eval_S, mathieu.eval_S_alt):",

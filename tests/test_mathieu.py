@@ -234,6 +234,21 @@ class TestTailIntegral:
                 assert series(c, s, q)[1] <= whole, (params, lo, x)
                 assert mathieu.tail_integral_rel_err(p, float(x)) <= whole, (params, lo, x)
 
+    @pytest.mark.parametrize("params", [(0.0, 2.0, 1.0, 0.0), (0.0, 2.5, 0.3, 0.0),
+                                        (2.0, 2.5, 0.2000004, 0.0), (0.5, 1.5, 2.0, 0.0)])
+    def test_shifted_tail_states_the_point_bound(self, params):
+        # a closed tail's integral term takes its value and bound from one
+        # evaluation; they are tail_integral's and tail_integral_rel_err's
+        # (shift + t exact here, so the point carries no rounding)
+        p = mathieu.MathieuParams(*params)
+        for shift in (0.25, 0.875, 1.5, 64.0):
+            f = mathieu.MathieuSmoothFunction(p, shift)
+            for t in (0.0, 0.5, 3.0):
+                x = shift + t
+                value, err = f.tail_integral_with_error(t)
+                assert value == mathieu.tail_integral(p, x), (params, x)
+                assert err == 1.01 * (mathieu.tail_integral_rel_err(p, x) * value) + 1e-300
+
     def test_split_switches_where_the_cancellation_factor_reaches_its_bound(self):
         # past s = 1/2 the series in q = 1 - s takes over while
         # I_q(b, a) / (1 - I_q(b, a)) <= 1, i.e. I_q <= 1/2
@@ -967,7 +982,8 @@ class TestClosedTail:
             for cache in (mathieu._kernel_derivative, mathieu._numerators,
                           mathieu._integer_numerator, mathieu._tail_constants,
                           mathieu._y_numerators, mathieu._y_derivative, mathieu._y_models,
-                          mathieu._pochhammer, emsum._weights, polyfun.real_root_intervals):
+                          mathieu._pochhammer, mathieu.g_smoothness, emsum._weights,
+                          polyfun.real_root_intervals):
                 cache.cache_clear()
             args = (mathieu.MathieuParams(*params), t) + ((tol,) if tol else ())
             cold, warm = fn(*args), fn(*args)
