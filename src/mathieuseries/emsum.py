@@ -18,8 +18,7 @@ first n derivatives vanishing at +infinity, bounded variation of F^(n)).
 
 The variations V come from `SmoothFunction.variation`: a closed form where a
 subclass has one (`ExpFunction`), else the sum of the jumps across the
-monotone pieces a subclass supplies (the Mathieu kernel in the integer
-regime); a function that supplies neither has no remainder bound.  The exact
+monotone pieces a subclass supplies (the Mathieu kernel); a function that supplies neither has no remainder bound.  The exact
 finite identities integrate with `polyfun.gauss_legendre`, one panel between
 consecutive spline knots.  This module imports no scipy.
 """

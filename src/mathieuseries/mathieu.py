@@ -25,8 +25,9 @@ kernel: at t > 0 on the kernel shifted past the head, whose derivatives
 x^(gamma-n) (1+y)^(-m-n) P_n(y), y = x^alpha, are evaluated in floats with
 rounding bounds and whose variation comes from the exactly isolated roots
 of P_(n+1) (`_YDerivative`); at t = 0 (and t^alpha <= 2^-100) on the power
-tail 2 (x + 64)^(-delta).  `eval_em` is the closer with no head, on the
-exact x-form derivatives of (gamma, alpha) in Z+ x N.  Kernels outside
+tail 2 (x + 64)^(-delta).  `eval_em` is the closer with no head, for
+(gamma, alpha) in Z+ x N, where g is smooth at 0: the same y-form there,
+with g^(n)(0) exact up to one rounding.  Kernels outside
 Z+ x N at t > 0, once the head passes the index where their terms turn
 convex (`_convex_x`, certified in rationals), enclose the tail between
 second-order trapezoid and midpoint bounds below CROSSOVER
@@ -88,9 +89,12 @@ def _max_terms() -> int:
     if raw is None:
         return _DEFAULT_MAX_TERMS
     try:
-        return max(1, int(raw))
+        cap = int(raw)
     except ValueError:
-        return _DEFAULT_MAX_TERMS
+        cap = 0
+    if cap < 1:
+        raise ParameterError(f"{MAX_TERMS_ENV} must be a positive integer, not {raw!r}")
+    return cap
 
 
 def _is_nonneg_int(x: float) -> bool:
@@ -328,6 +332,17 @@ class _TailConstants:
     def beta_rel(self) -> float:
         """The relative error bound of `beta`."""
         return polyfun.beta_fn_rel_err(self.a, self.b)
+
+    @functools.cached_property
+    def whole_rel(self) -> float:
+        """The relative error bound of `whole`, to first order: `beta_rel`,
+        the division by alpha, and the rounding of (a, b), which moves
+        log B(a, b) by psi(a+b) - psi(a) = sum_k b/((a+k)(a+b+k)) per unit of
+        a, at most 1/a + log(1 + b/a) (its first term, then an integral),
+        and likewise of b."""
+        a, b = self.a, self.b
+        return (self.beta_rel + 2.0**-53 + self.da * (1.0 / a + math.log1p(b / a))
+                + self.db * (1.0 / b + math.log1p(a / b)))
 
     @functools.cached_property
     def rel(self) -> float:
@@ -1252,113 +1267,6 @@ def eval_asym(params: MathieuParams, t: float, n_terms: int | None = None) -> Ev
 # Euler-Maclaurin path and dispatch
 # --------------------------------------------------------------------------
 
-class _KernelDerivative:
-    """g^(n) = P_n(x) / (x^alpha + 1)^(mu+1+n) for (gamma, alpha) in Z+ x N.
-
-    P_0 = x^gamma and P_{j+1} = P_j' (x^alpha + 1) - (mu+1+j) alpha x^(alpha-1) P_j
-    have exact coefficients in Fraction(mu).  g^(n) is monotone between the
-    real roots of P_{n+1}, each held in an exact isolating interval [l, h] on
-    [-1/2, inf).  g^(n+1) vanishes inside, so the variation of g^(n) on
-    [l, h] is at most (h - l)^2 / 2 times sup |g^(n+2)| there.  The interval
-    ends, the values of g^(n) at them and these allowances are computed once
-    and kept.
-    """
-
-    def __init__(self, gamma: int, alpha: int, mu: float, n: int):
-        self.gamma, self.alpha, self.mu, self.n = gamma, alpha, mu, n
-        polys = _numerators(gamma, alpha, mu, n + 2)
-        self.turns = [
-            (l, h, self.value(l), self.value(h),
-             polyfun.round_up((h - l) ** 2 / 2 * self._sup(polys[n + 2], l, h)))
-            for l, h in polyfun.real_root_intervals(polys[n + 1], Fraction(-1, 2))
-        ]
-
-    def _sup(self, poly: tuple[Fraction, ...], l: Fraction, h: Fraction) -> Fraction:
-        """Upper bound on |g^(n+2)| = |poly| / (x^alpha + 1)^(mu+3+n) over [l, h],
-        an interval right of -1/2 and narrower than 1/2."""
-        r = max(abs(l), abs(h))
-        # x^alpha + 1 >= 1 + l^alpha right of 0, >= 1 - r^alpha (> 0 for r < 1) left of it
-        floor = 1 + l**self.alpha if l >= 0 else 1 - r**self.alpha
-        power = math.floor(self.mu) + 4 + self.n  # an integer above mu + 3 + n
-        return polyfun.abs_bound(poly, r) / min(Fraction(1), floor) ** power
-
-    def value(self, x: Fraction) -> tuple[float, float]:
-        """g^(n)(x) and a bound on its rounding error."""
-        return _kernel_value(self.gamma, self.alpha, self.mu, self.n, x)
-
-    def pieces(self, a: float, b: float) -> tuple[list[float], float]:
-        """SmoothFunction.monotone_pieces for g^(n) on [a, b], a >= -1/2."""
-        values, errs = [], []
-
-        def knot(v: tuple[float, float]) -> None:
-            values.append(v[0])
-            errs.append(v[1])
-
-        knot(self.value(Fraction(a)))
-        allowances = []
-        for l, h, vl, vh, allowance in self.turns:
-            if h <= a or l >= b:
-                continue
-            # between turning intervals g^(n) is monotone; inside one its variation
-            # is at most the allowance
-            allowances.append(allowance)
-            if l > a:
-                knot(vl)
-            if h < b:
-                knot(vh)
-        knot((0.0, 0.0) if b == math.inf else self.value(Fraction(b)))
-        # nonnegative terms, each rounded up, and one correctly rounded fsum
-        return values, math.fsum(allowances + errs + errs) * (1.0 + 2.0**-50)
-
-
-@functools.lru_cache(maxsize=256)
-def _kernel_derivative(gamma: int, alpha: int, mu: float, n: int) -> _KernelDerivative:
-    return _KernelDerivative(gamma, alpha, mu, n)
-
-
-@functools.lru_cache(maxsize=256)
-def _numerators(gamma: int, alpha: int, mu: float, n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """(P_0, ..., P_n) of g^(j) = P_j(x) / (x^alpha + 1)^(mu+1+j), exact in Fraction(mu)."""
-    if n == 0:
-        return ((Fraction(0),) * gamma + (Fraction(1),),)
-    polys = _numerators(gamma, alpha, mu, n - 1)
-    # P_n = P_{n-1}' (x^alpha + 1) - (mu + n) alpha x^(alpha-1) P_{n-1}
-    p, c = polys[-1], (Fraction(mu) + n) * alpha
-    out = [Fraction(0)] * (len(p) + alpha - 1)
-    for i in range(1, len(p)):
-        out[i - 1] += i * p[i]
-        out[i - 1 + alpha] += i * p[i]
-    for i, pi in enumerate(p):
-        out[i + alpha - 1] -= c * pi
-    return polys + (tuple(out),)
-
-
-@functools.lru_cache(maxsize=256)
-def _integer_numerator(gamma: int, alpha: int, mu: float, n: int) -> tuple[int, tuple[int, ...]]:
-    """P_n as (D, (C_0, C_1, ...)) with P_n(x) = sum C_i x^i / D in integers, D > 0."""
-    poly = _numerators(gamma, alpha, mu, n)[n]
-    den = math.lcm(*(c.denominator for c in poly))
-    return den, tuple(int(c * den) for c in poly)
-
-
-def _kernel_value(gamma: int, alpha: int, mu: float, n: int, x: Fraction) -> tuple[float, float]:
-    """g^(n)(x) for (gamma, alpha) in Z+ x N and a bound on its rounding error."""
-    den, coeffs = _integer_numerator(gamma, alpha, mu, n)
-    p, q = x.numerator, x.denominator
-    # with x = p/q: P_n(x) = sum C_i p^i q^(d-i) / (D q^d), by homogeneous Horner,
-    # and x^alpha + 1 = (p^alpha + q^alpha) / q^alpha
-    acc, q_pow = coeffs[-1], 1
-    for c in reversed(coeffs[:-1]):
-        q_pow *= q
-        acc = acc * p + c * q_pow
-    base = p**alpha + q**alpha
-    v = (acc * q ** (alpha * (n + 1))) / (den * q_pow * base ** (n + 1)) \
-        / (base / q**alpha) ** mu
-    # two exact quotients rounded once each, pow within 1 ulp of a base off by
-    # 1 rounding (mu of them in the result), and the last division
-    return v, (abs(mu) + 8.0) * 2.0**-53 * abs(v) + 1e-300
-
-
 @functools.lru_cache(maxsize=256)
 def _y_numerators(gamma: float, alpha: float, mu: float,
                   n: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -1388,14 +1296,18 @@ def _rounded(q: Fraction) -> tuple[float, float]:
 class _YDerivative:
     """g^(n) in the y-form x^(gamma-n) (1+y)^(-m-n) P_n(y), y = x^alpha and
     m = mu + 1, evaluated in floats at x > 0 with a rounding bound, for every
-    kernel (`_y_numerators`).
+    kernel (`_y_numerators`), and in Z+ x N, where every power is an
+    integer, at x in (-1, 0] too.
 
     With P_n = sum_(lo <= i <= hi) c_i y^i, the value is
     x^(gamma - n + alpha lo) (1+y)^(-m-n) sum c_i y^(i-lo) up to x = 1, and past
     it x^(alpha (hi-n) - delta - n) (1+z)^(-m-n) sum c_i z^(hi-i) with
-    z = x^(-alpha) = 1/y, so no power overflows where g^(n) is a float.
-    g^(n) turns only at the positive roots of P_(n+1), isolated exactly in y
-    once (`turns`) and mapped outward to x through y^(1/alpha).
+    z = x^(-alpha) = 1/y, so no power overflows where g^(n) is a float.  At
+    x = 0 the first form is c_lo where gamma - n + alpha lo = 0, else 0
+    (`at_zero`, a power at least 0 in Z+ x N, where g is smooth).  g^(n)
+    turns only where P_(n+1) vanishes: at its positive roots, isolated
+    exactly in y once (`turns`) and mapped outward to x through
+    y^(1/alpha), and left of 0 at those of `left_turns`.
     """
 
     def __init__(self, gamma: float, alpha: float, mu: float, n: int):
@@ -1415,16 +1327,15 @@ class _YDerivative:
                            for c, (power, err) in (high, low))
         base_power, base_power_err = _rounded(-(m + n))
         self.base = (base_power, abs(base_power), base_power_err)
+        #: g^(n)(0) and its rounding
+        self.at_zero = _rounded(poly[lo]) if g - n + a * lo == 0 else (0.0, 0.0)
 
     def value(self, x: float, x_err: float = 0.0) -> tuple[float, float]:
-        """g^(n) at x > 0, where x is off by at most x_err relative from the
+        """g^(n) at x, where x is off by at most x_err relative from the
         point meant, and a bound on the error of the value."""
+        if not x:
+            return self.at_zero
         return _values_at((self,), _y_point(self.alpha, x, x_err))[0]
-
-    def value_at(self, point: tuple) -> tuple[float, float]:
-        """g^(n) and a bound on its error at a point from `_y_point`
-        (`_values_at`)."""
-        return _values_at((self,), point)[0]
 
     def _sup_next(self, l: float, h: float) -> float:
         """Upper bound on |g^(n+2)| over [l, h], 0 < l < h < inf, in floats
@@ -1434,22 +1345,26 @@ class _YDerivative:
         size = math.fsum(abs(float(c)) * y**i for i, c in enumerate(poly))
         return 2.0 * max(l**e, h**e) * (1.0 + l**self.alpha) ** -(self.mu + 3.0 + self.n) * size
 
-    @functools.cached_property
-    def turns(self) -> list[list]:
-        """[l, h, value at l, value at h, allowance] for each turning interval of
-        g^(n) on (0, inf), in increasing order.
+    def _sup_near_zero(self, r: float) -> float:
+        """Upper bound on |g^(n+2)| over [-r, r], 0 < r < 1, in Z+ x N, as
+        `_sup_next` bounds it on the first form, whose power of |x| is at
+        least 0 there, with 1 + y between 1 - r^alpha and 1 + r^alpha."""
+        poly = _y_numerators(self.gamma, self.alpha, self.mu, self.n + 2)[-1]
+        lo = next(i for i, c in enumerate(poly) if c)
+        e, y = self.gamma - self.n - 2.0 + self.alpha * lo, r**self.alpha
+        size = math.fsum(abs(float(c)) * y**i for i, c in enumerate(poly[lo:]))
+        p = -(self.mu + 3.0 + self.n)
+        return 2.0 * r**e * max((1.0 - y) ** p, (1.0 + y) ** p) * size
 
-        Each positive root of P_(n+1) lies in an exact interval in y, whose
-        ends map to x = y^(1/alpha), rounded outward by the margin of
-        `_convex_x`; intervals that then overlap are merged.  Inside one,
+    def _turns(self, spans, sup) -> list[list]:
+        """[l, h, value at l, value at h, allowance] for each x-interval (l, h)
+        of spans, in increasing order, those that overlap merged.  Inside one,
         g^(n+1) vanishes, so the variation of g^(n) there is at most
-        (h - l)^2 sup |g^(n+2)| (the allowance; None where l = 0, and a value
-        None where it leaves the float range).
-        """
-        poly = _y_numerators(self.gamma, self.alpha, self.mu, self.n + 1)[-1]
+        (h - l)^2 sup(l, h), with sup(l, h) >= sup |g^(n+2)| over [l, h] (the
+        allowance; None where l = 0, and a value None at 0 or where it leaves
+        the float range)."""
         out = []
-        for yl, yh in polyfun.real_root_intervals(poly, Fraction(0)):
-            l, h = _x_of_y(float(yl), self.alpha, -1.0), _x_of_y(float(yh), self.alpha, 1.0)
+        for l, h in spans:
             if out and l <= out[-1][1]:
                 out[-1][1] = max(out[-1][1], h)
             else:
@@ -1457,31 +1372,60 @@ class _YDerivative:
         for turn in out:
             l, h = turn
             turn += [self._value_or_none(l), self._value_or_none(h), None]
-            if l > 0.0:
+            if l:
                 try:
-                    turn[4] = (h - l) ** 2 * self._sup_next(l, h)
+                    turn[4] = (h - l) ** 2 * sup(l, h)
                 except OverflowError:
                     turn[4] = math.inf
         return out
 
+    @functools.cached_property
+    def turns(self) -> list[list]:
+        """`_turns` of g^(n) on [0, inf): each positive root of P_(n+1) lies
+        in an exact interval in y, whose ends map to x = y^(1/alpha), rounded
+        outward by the margin of `_convex_x`."""
+        poly = _y_numerators(self.gamma, self.alpha, self.mu, self.n + 1)[-1]
+        return self._turns(((_x_of_y(float(yl), self.alpha, -1.0),
+                             _x_of_y(float(yh), self.alpha, 1.0))
+                            for yl, yh in polyfun.real_root_intervals(poly, Fraction(0))),
+                           self._sup_next)
+
+    @functools.cached_property
+    def left_turns(self) -> list[list]:
+        """`_turns` of g^(n) on [-1/2, 0), in Z+ x N.  There y = (-1)^alpha v
+        with v = |x|^alpha, so each turning point is a root v < 2^-alpha of
+        P_(n+1)((-1)^alpha v) / v^lo, which is c_lo != 0 at v = 0; its exact
+        interval in v maps outward to x = -v^(1/alpha)."""
+        poly = _y_numerators(self.gamma, self.alpha, self.mu, self.n + 1)[-1]
+        lo = next(i for i, c in enumerate(poly) if c)
+        alpha = int(self.alpha)
+        flipped = tuple(c * (-1) ** (alpha * i) for i, c in enumerate(poly[lo:]))
+        spans = [(-_x_of_y(float(vh), self.alpha, 1.0), -_x_of_y(float(vl), self.alpha, -1.0))
+                 for vl, vh in reversed(polyfun.real_root_intervals(flipped, Fraction(0)))
+                 if vl < Fraction(1, 2**alpha)]
+        return self._turns(spans, lambda l, h: self._sup_near_zero(-l))
+
     def _value_or_none(self, x: float) -> tuple[float, float] | None:
         try:
-            return self.value(x) if x > 0.0 else None
+            return self.value(x) if x else None
         except OverflowError:
             return None
 
     def pieces(self, a: float, b: float, first: tuple[float, float] | None = None
                ) -> tuple[list[float], float]:
         """SmoothFunction.monotone_pieces for g^(n) on [a, b], 0 < a < b <= inf,
-        with `first` its value at a where known."""
+        and in Z+ x N also 0 = a or -1/2 <= a < b <= 0, with `first` its value
+        at a where known."""
         knots, allowances = [first or self.value(a)], []
-        for l, h, vl, vh, allowance in self.turns:
+        for l, h, vl, vh, allowance in self.left_turns if b <= 0.0 else self.turns:
             if h <= a or l >= b:
                 continue
             if l > a:
                 knots.append(vl)
             else:  # the interval holds a: only [a, h] counts
-                allowance = (min(h, b) - a) ** 2 * self._sup_next(a, min(h, b))
+                end = min(h, b)
+                allowance = (end - a) ** 2 * (self._sup_next(a, end) if a > 0.0
+                                              else self._sup_near_zero(max(-a, end)))
             allowances.append(allowance)
             if h < b:
                 knots.append(vh)
@@ -1504,40 +1448,42 @@ def _values_at(models, point: tuple) -> list[tuple[float, float]]:
     stay within u (2 run - |p|), a running error bound (Higham, Accuracy and
     Stability of Numerical Algorithms, 5.1), the rounding of the
     coefficients adds u sum |c_i| w^i, and the error of w at most the degree
-    times that error times the same sum.  The factor 1.01 covers the
-    second-order terms.  A power or scale outside [2^-1000, 2^1000] raises
-    OverflowError.
+    times that error times the same sum, with |w| in both sums where w < 0.
+    The factor 1.01 covers the second-order terms.  A power or scale outside
+    [2^-1000, 2^1000] in size raises OverflowError.
     """
-    x, x_err, low, w, w_err, base, base_err, log_x, log_base = point
+    x, x_err, low, w, w_abs, w_err, base, base_err, log_x, log_base = point
     u = 2.0**-53
     out = []
     for model in models:
         (p, size), rest, power, power_abs, power_err, power_rounding = model.forms[low]
         base_power, base_power_abs, base_power_err = model.base
         factor = x**power * base**base_power
-        if not 2.0**-1000 <= factor <= 2.0**1000:
+        scale = abs(factor)
+        if not 2.0**-1000 <= scale <= 2.0**1000:
             raise OverflowError(f"g^({model.n}) leaves the float range at x = {x:g}")
         run = 0.5 * size
         for c, c_abs in rest:
             p = p * w + c
-            run = run * w + abs(p)
-            size = size * w + c_abs
+            run = run * w_abs + abs(p)
+            size = size * w_abs + c_abs
         # the pow of x, the pow of 1 + w (2u) and the two products (2u)
         rel = (power_abs * x_err + power_err * log_x + power_rounding
                + base_power_abs * base_err + base_power_err * log_base + 4.0 * u)
         p_err = u * (2.0 * run - abs(p)) + (u + model.spread * w_err) * size
         v = factor * p
-        out.append((v, 1.01 * (abs(v) * rel + factor * p_err) + 1e-300))
+        out.append((v, 1.01 * (abs(v) * rel + scale * p_err) + 1e-300))
     return out
 
 
 def _y_point(alpha: float, x: float, x_err: float = 0.0) -> tuple:
-    """What `_values_at` takes from a point x > 0, off by at most
-    x_err relative: (x, x_err, x <= 1, w, its relative error, 1 + w, its
-    relative error, |log x|, log(1 + w)), with w = x^alpha up to x = 1 and
-    x^(-alpha) past it.  w is within 0 (x itself), u (a product or a
-    quotient), 2u (x * x, then its reciprocal) or 1 ulp (a pow) of the power
-    of x, plus alpha x_err; 1 + w adds u, and carries w's error times w/(1+w)."""
+    """What `_values_at` takes from a point x > 0, or x in (-1, 0) for an
+    integer alpha, off by at most x_err relative: (x, x_err, x <= 1, w, |w|,
+    its relative error, 1 + w, its relative error, |log |x||, |log(1 + w)|),
+    with w = x^alpha up to x = 1 and x^(-alpha) past it.  w is within 0 (x
+    itself), u (a product or a quotient), 2u (x * x, then its reciprocal) or
+    1 ulp (a pow) of the power of x, plus alpha x_err; 1 + w adds u, and
+    carries w's error times |w|/(1+w)."""
     u = 2.0**-53
     if x <= 1.0:
         w = x if alpha == 1.0 else x * x if alpha == 2.0 else x**alpha
@@ -1546,9 +1492,9 @@ def _y_point(alpha: float, x: float, x_err: float = 0.0) -> tuple:
         w = 1.0 / x if alpha == 1.0 else 1.0 / (x * x) if alpha == 2.0 else x**-alpha
         w_err = u if alpha == 1.0 else 2.0 * u
     w_err += alpha * x_err
-    base = 1.0 + w
-    return (x, x_err, x <= 1.0, w, w_err, base, w_err * w / base + u, abs(math.log(x)),
-            math.log(base))
+    base, w_abs = 1.0 + w, abs(w)
+    return (x, x_err, x <= 1.0, w, w_abs, w_err, base, w_err * w_abs / base + u,
+            abs(math.log(abs(x))), abs(math.log(base)))
 
 
 def _x_of_y(y: float, alpha: float, side: float) -> float:
@@ -1590,33 +1536,30 @@ class MathieuSmoothFunction(emsum.SmoothFunction):
     """The kernel g, shifted to x -> g(x + shift), presented through the
     summation-engine contract.
 
-    Shifted (shift > 0), it serves every kernel in floats: the derivatives
-    are the y-form values of `_YDerivative` with their rounding bounds, the
-    variation of g^(k) comes from its monotone pieces between the turning
-    intervals isolated there, and the tail integral carries its own bound.
-    A float shift is exact; a Fraction one is rounded once, which every
-    value, piece and integral then allows for.  Unshifted, it needs
-    (gamma, alpha) in Z+ x N (RegimeError otherwise): the derivatives at 0
-    are the series coefficients (jets), and the variation comes from the
-    exact x-form pieces of `_KernelDerivative`.
+    At every shift it is one model in floats: the derivatives are the y-form
+    values of `_YDerivative` with their rounding bounds, the variation of
+    g^(k) comes from its monotone pieces between the turning intervals
+    isolated there, and the tail integral carries its own bound.  A float
+    shift is exact; a Fraction one is rounded once, which every value, piece
+    and integral then allows for.  Unshifted, it needs (gamma, alpha) in
+    Z+ x N (RegimeError otherwise), where g is smooth at 0: g^(k)(0) is P_k's
+    lowest coefficient rounded once, or 0; the pieces run on to -1/2 through
+    the y-form's integer powers; and the integral from 0 is B(a, b)/alpha
+    within `_TailConstants.whole_rel`.
     """
 
     def __init__(self, params: MathieuParams, shift: float | Fraction = 0.0):
         self.params = params
         self.shift = float(shift)
-        if not self.shift:
-            if not params.integer_regime:
-                raise RegimeError("the unshifted Euler-Maclaurin kernel needs gamma in Z+ "
-                                  "and alpha in N")
-            self.domain_left = -0.5
-        else:
-            #: relative distance of the float shift from the one meant
-            self.shift_err = 0.0 if self.shift == shift else 2.0**-53
-            self.domain_left = -self.shift
-            self._models = _y_models(params.gamma, params.alpha, params.mu)
-            #: the `_y_point` of the shift, and g^(k) there for k <= TAIL_ORDER once needed
-            self._origin = _y_point(params.alpha, self.shift, self.shift_err)
-            self._at_origin = None
+        if not self.shift and not params.integer_regime:
+            raise RegimeError("the unshifted Euler-Maclaurin kernel needs gamma in Z+ "
+                              "and alpha in N")
+        #: relative distance of the float shift from the one meant
+        self.shift_err = 0.0 if self.shift == shift else 2.0**-53
+        self.domain_left = -self.shift if self.shift else -0.5
+        self._models = _y_models(params.gamma, params.alpha, params.mu)
+        #: g^(k) at the shift for k <= TAIL_ORDER, with their errors, once needed
+        self._at_origin = None
 
     def _at(self, x: float) -> tuple[float, float]:
         """x + shift rounded, and a bound on its distance from the exact sum
@@ -1629,9 +1572,7 @@ class MathieuSmoothFunction(emsum.SmoothFunction):
         return z, err
 
     def deriv(self, k: int, x: float) -> float:
-        if self.shift:
-            return self.deriv_with_error(k, x)[0]
-        return jets.derivatives(g_jet(self.params, x, k))[k]
+        return self.deriv_with_error(k, x)[0]
 
     def _model(self, k: int) -> _YDerivative:
         p = self.params
@@ -1639,59 +1580,68 @@ class MathieuSmoothFunction(emsum.SmoothFunction):
             else _y_derivative(p.gamma, p.alpha, p.mu, k)
 
     def deriv_with_error(self, k: int, x: float) -> tuple[float, float | None]:
-        if not self.shift:
-            return self.deriv(k, x), None
-        if x:
-            z, dz = self._at(x)
-            return self._model(k).value_at(_y_point(self.params.alpha, z, dz / z))
-        # at the shift itself, where the engines take every derivative
-        return self._at_shift()[k] if k < len(self._models) \
-            else self._model(k).value_at(self._origin)
+        if not x and k < len(self._models):
+            # at the shift itself, where the engines take every derivative
+            return self._at_shift()[k]
+        z, dz = self._at(x)
+        if z <= (0.0 if self.shift else -1.0):
+            raise ParameterError(f"x = {x:g} lies left of the domain of g(x + {self.shift:g})")
+        return self._model(k).value(z, dz / z if dz else 0.0)
 
     def derivs_with_error(self, n: int, x: float) -> list[tuple[float, float | None]]:
-        if self.shift and x == 0.0 and n < len(self._models):
+        if x == 0.0 and n < len(self._models):
             return self._at_shift()[:n + 1]
         return super().derivs_with_error(n, x)
 
     def _at_shift(self) -> list[tuple[float, float]]:
         """g^(k) at the shift for k <= TAIL_ORDER, with their errors."""
         if self._at_origin is None:
-            self._at_origin = _values_at(self._models, self._origin)
+            self._at_origin = [m.at_zero for m in self._models] if not self.shift else \
+                _values_at(self._models, _y_point(self.params.alpha, self.shift, self.shift_err))
         return self._at_origin
 
     def monotone_pieces(self, k: int, a: float, b: float) -> tuple[list[float], float] | None:
-        p = self.params
-        if not self.shift:
-            if a < self.domain_left:
-                return None
-            return _kernel_derivative(int(p.gamma), int(p.alpha), p.mu, k).pieces(a, b)
         # the engine rounded the ends it passes (eps u): widen each one, and a
         # rounded shift, outward by 2^-50 relative, add, and step the sum one
         # ulp further out, so the exact interval lies inside; an exact shift
-        # from 0 starts at the shift itself
+        # from 0 starts at the shift itself, and an end at 0 of the unshifted
+        # kernel stays there
         s, widen = self.shift, (2.0**-50 if self.shift_err else 0.0)
+        first = None
         if a or widen:
             a = math.nextafter((a - abs(a) * 2.0**-50) + (s - s * widen), -math.inf)
-            if a <= 0.0:
-                return None
-            first = None
         else:
             a, first = s, self.deriv_with_error(k, 0.0)
-        if b != math.inf:
+        if b != math.inf and (b or s):
             b = math.nextafter((b + abs(b) * 2.0**-50) + (s + s * widen), math.inf)
-        return self._model(k).pieces(a, b, first)
+        if not s:
+            # an end within 2^-100 of 0, where g^(k) could leave the float
+            # range, moves out to 0 or to 2^-100 in size
+            if 0.0 < abs(a) < 2.0**-100:
+                a = 0.0 if a > 0.0 else -2.0**-100
+            if 0.0 < abs(b) < 2.0**-100:
+                b = 2.0**-100 if b > 0.0 else 0.0
+        if a <= 0.0 < s or a < self.domain_left:
+            return None
+        model = self._model(k)
+        if a < 0.0 < b:  # unshifted, across 0: the pieces on each side, joined there
+            (left, left_slack), (right, right_slack) = model.pieces(a, 0.0), model.pieces(0.0, b)
+            return left + right[1:], (left_slack + right_slack) * (1.0 + 2.0**-52)
+        return model.pieces(a, b, first)
 
     def tail_integral(self, t: float) -> float:
         return tail_integral(self.params, t + self.shift)
 
     def tail_integral_with_error(self, t: float) -> tuple[float, float | None]:
-        if not self.shift:
-            return self.tail_integral(t), None
         p = self.params
         x, dx = self._at(t)
+        if x < 0.0:
+            raise ParameterError("t must be nonnegative")
         if not p.delta > 1.0:
             raise ParameterError("the tail integral diverges unless delta > 1")
         c = _tail_constants(p)
+        if not x:  # from 0 itself, unshifted
+            return c.whole, 1.01 * c.whole_rel * c.whole + 1e-300
         value, rel = _tail_point(p, c, x)
         err = (rel + _rounding_rel(p, c, x, None)) * value
         if dx:
@@ -1785,14 +1735,15 @@ def _closed_tail(params: MathieuParams, t: float, alternating: bool,
     engine sums F(k + u), F = `_PowerTail`, with eps = 1.  The radius covers
     the remainder and every rounding: the engine bounds the boundary terms
     and the integral term from the errors the kernel reports; on top come
-    the t^(-delta) scale and the rounding of eps.  Where eps^8 falls below
-    2^-1000 the engine's weights eps^k / (k+1)! would underflow unbounded,
-    and a head past 0 raises OverflowError.  head = 0 is `eval_em`,
-    whose arithmetic is kept as it was: the derivatives at 0 are the series
-    coefficients, covered by the engine's 4e-16 relative allowance.  Where
-    2 t^(-delta) falls below 2^-1000, it is applied as the two factors
-    2 t^(-delta/2) and t^(-delta/2), with one more power and one more product
-    to round, and the head = 0 radius takes the rounding terms of a head.
+    the t^(-delta) scale and the rounding of eps (`_scale_rounding`), the
+    same for every head.  head = 0 is `eval_em`, on the unshifted kernel of
+    Z+ x N.  Where eps^8 falls below 2^-1000 the engine's weights
+    eps^k / (k+1)! would underflow unbounded, and a head past 0 raises
+    OverflowError; with no head they multiply the fixed values g^(k)(0),
+    and their absolute underflow stays far below the 2^-52 of the integral
+    term, B(a, b) t / alpha, that the engine allows.  Where 2 t^(-delta)
+    falls below 2^-1000, it is applied as the two factors 2 t^(-delta/2)
+    and t^(-delta/2), with one more power and one more product to round.
     Where a factor or the value falls below 2^-1000, the relative rounding
     bounds no longer hold, and OverflowError is raised.
     """
@@ -1820,18 +1771,11 @@ def _closed_tail(params: MathieuParams, t: float, alternating: bool,
         value = scaled(res.sum_estimate)
         if min(scale, abs(value)) < 2.0**-1000:
             raise OverflowError(f"the tail leaves the normal float range at t = {t:g}")
-        beta_err = 0.0
-        if head == 0:
-            c = _tail_constants(params)
-            beta_err = c.beta_rel * abs(res.integral_term)
-            if not split:
-                return value, scale * (res.remainder_bound + beta_err) + 4e-16 * abs(value), TAIL_ORDER
-        radius = scaled(res.remainder_bound + beta_err) \
+        radius = scaled(res.remainder_bound) \
             + _scale_rounding(params, t, alternating, head, value, split)
         if split:
-            # the series-coefficient allowance of head = 0, and the radius's
-            # own roundings wherever its parts are subnormal
-            radius += (4e-16 * abs(value) if head == 0 else 0.0) + 2.0**-1070
+            # the radius's own roundings wherever its parts are subnormal
+            radius += 2.0**-1070
     if alternating and head % 2:
         value = -value
     return value, radius, TAIL_ORDER
@@ -1891,13 +1835,15 @@ def _scale_rounding(params: MathieuParams, t: float, alternating: bool, head: in
 def eval_em(params: MathieuParams, t: float) -> EvalResult:
     """Rigorous large-t evaluation through the Euler-Maclaurin engine: the
     closed tail of `_closed_tail` past a head of 0 terms, for (gamma, alpha)
-    in Z+ x N (RegimeError elsewhere), where the variation is exact.
+    in Z+ x N (RegimeError elsewhere), where g is smooth at 0.
 
-    With eps = 1/t the engine estimates sum g((k+u)/t) = t^delta S / 2, so the
-    estimate and its certified remainder bound are rescaled by 2 t^(-delta).
-    The radius adds the rounding of the value: the Beta function inside the
-    integral term, and a few ulps of the rescaled sum.  The result reports 0
-    summed terms and the engine order TAIL_ORDER.
+    With eps = 1/t the engine estimates sum g((k+u)/t) = t^delta S / 2 on the
+    unshifted `MathieuSmoothFunction`, bounding the rounding of its
+    derivatives at 0, of the Beta function in its integral term and of its
+    own sums, so the estimate and its certified remainder bound are rescaled
+    by 2 t^(-delta); the radius adds the rounding of that scale, as for
+    every head.  The result reports 0 summed terms and the engine order
+    TAIL_ORDER.
     """
     params.require_delta(1.0)
     if not 0.0 < t < math.inf:

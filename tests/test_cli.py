@@ -9,12 +9,15 @@ import sys
 import time
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mathieuseries import analysis, cli
 from mathieuseries.mathieu import MathieuParams, eval_S
+
+from conftest import s_mellin_mp
 
 
 def run(capsys, *args):
@@ -41,6 +44,15 @@ class TestEval:
         rec = json.loads(out.strip())
         closed = math.pi - 1.0 + 2.0 * math.pi / math.expm1(2.0 * math.pi)
         assert rec["value"] == pytest.approx(closed, abs=1e-9)
+
+    def test_head_zero_bracket_contains_the_oracle(self, capsys):
+        # the x-form's head 0 flagged this bracket rigorous and missed by 1.02 radii
+        code, out, _ = run(capsys, "eval", "--gamma", "0", "--alpha", "1", "--mu", "1.3",
+                           "--t", "1e6")
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["method"] == "euler-maclaurin"
+        assert abs(mp.mpf(rec["value"]) - s_mellin_mp(0.0, 1.0, 1.3, 0.0, 1e6)) <= rec["err_hi"]
 
     def test_delta_constraint_exit_2(self, capsys):
         code, _, err = run(capsys, "eval", "--gamma", "1", "--alpha", "2",
@@ -266,6 +278,11 @@ class TestErrorExits:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_malformed_term_cap_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("MATHIEU_MAX_TERMS", "1e6")
+        assert run(capsys, "eval", "--t", "1") == (
+            2, "", "error: MATHIEU_MAX_TERMS must be a positive integer, not '1e6'\n")
+
     def test_underflowing_scale_keeps_a_normal_sum(self, capsys):
         # 2 t^(-delta) underflows, the sum 2 t^(-1/2) B(1/2, 2) ~ 2.67e-150 does not
         code, out, err = run(capsys, "eval", "--gamma", "1", "--alpha", "1", "--mu", "1.5",
@@ -431,7 +448,7 @@ README_COMMANDS = {
         "04273b0303942fc4697fa23a0745d923b683781d93f57c7e18c8a3c52070a969",
     ("eval", "--t-start", "0.01", "--t-stop", "100", "--t-count", "200", "--t-log",
      "--format", "csv"):
-        "5b202f43f61dab7bd5ba2bbf920f730ecb09c98cec14f88c5813c58d1d2d5575",
+        "cb8a2634d021a1f27c5dd30f94bac21195a7d518d5187c5d5b8d0c9e9ecc52b0",
     ("eval-alt", "--gamma", "0", "--alpha", "2", "--mu", "0", "--u", "0", "--t", "1"):
         "9294bd5d9a34532f21aaf4c02e3a7d8f2cab30066dd7e8b115481ac8131a3a90",
     ("asym", "--gamma", "1", "--alpha", "2", "--mu", "1", "--u", "0.5", "--n-terms", "6"):

@@ -1,6 +1,7 @@
 import math
 import runpy
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -335,6 +336,13 @@ class TestEvalS:
         assert wide.err_hi <= 1e-6
         assert tight.err_hi <= 1e-12
 
+    @pytest.mark.parametrize("raw", ["1e6", "-5", "0", "many", ""])
+    def test_malformed_term_cap_raises(self, monkeypatch, raw):
+        # each was once read as the 20,000,000 default or as 1, without a word
+        monkeypatch.setenv(mathieu.MAX_TERMS_ENV, raw)
+        with pytest.raises(ParameterError, match=mathieu.MAX_TERMS_ENV):
+            mathieu.eval_S(CLASSICAL, 1.0)
+
     def test_term_cap(self, monkeypatch):
         # the bracket needs far more than 1,000 terms (delta = 1.075), and at
         # tol 1e-14 the closed tail (radius ~7e-14) cannot stand in
@@ -607,19 +615,20 @@ class TestDispatch:
             assert abs(res.value - truth) <= res.err_hi
 
 
-def _variation_mp(gamma, alpha, mu, n):
-    """(lo, hi) -> variation of g^(n) on [lo, hi] at 40 digits, the integral of
-    |g^(n+1)| split at its zeros (found by a sign scan and bracketing).  On
-    each piece g^(n+1) keeps one sign, so the piece's integral is the jump of
-    g^(n) across it, taken by mpmath's numerical differentiation."""
+def _variation_mp(gamma, alpha, mu, n, start=-0.01):
+    """(lo, hi) -> variation of g^(n) on [lo, hi], start <= lo, at 40 digits,
+    the integral of |g^(n+1)| split at its zeros (found by a sign scan and
+    bracketing).  On each piece g^(n+1) keeps one sign, so the piece's
+    integral is the jump of g^(n) across it, taken by mpmath's numerical
+    differentiation."""
     def g(x):
         return x**gamma * (1 + x**alpha) ** (-(mp.mpf(mu) + 1))
 
     def d(x):
         return mp.diff(g, x, n + 1)
 
-    # for the kernels below every zero of g^(n+1) right of -0.01 lies below 12
-    xs = [mp.mpf(-0.01) + 12 * (mp.mpf(i) / 300) ** 2 for i in range(301)]
+    # for the kernels below every zero of g^(n+1) right of start lies below 11
+    xs = [mp.mpf(start) + 12 * (mp.mpf(i) / 300) ** 2 for i in range(301)]
     vals = [d(x) for x in xs]
     zeros = [mp.findroot(d, (x0, x1), solver="anderson")
              for x0, x1, v0, v1 in zip(xs, xs[1:], vals, vals[1:]) if v0 * v1 < 0]
@@ -668,6 +677,124 @@ class TestExactVariation:
         for params in ((1.0, 1.5, 1.0, 0.0), (2.0, 2.5, 1.0, 0.0)):
             with pytest.raises(RegimeError):
                 mathieu.MathieuSmoothFunction(mathieu.MathieuParams(*params))
+
+
+@st.composite
+def _integer_wide_case(draw):
+    """(params, t) in Z+ x N: gamma in {0..4}, alpha in {1, 2, 3}, mu to 6
+    decimals with delta in [1.05, 3], u in (-0.9, 2) to 6 decimals, and t
+    log-uniform in [50, 400] or [1e3, 1e15], where an oracle applies."""
+    gamma, alpha = draw(st.integers(0, 4)), draw(st.integers(1, 3))
+    mu = round((draw(st.floats(1.05, 3.0)) + gamma) / alpha - 1.0, 6)
+    u = round(draw(st.floats(-0.899999, 1.999999)), 6)
+    e = draw(st.floats(math.log10(50.0), math.log10(400.0)) | st.floats(3.0, 15.0))
+    return (float(gamma), float(alpha), mu, u), 10.0**e
+
+
+class TestHeadZero:
+    """`eval_em`, the closed tail with no head, on the unshifted kernel of
+    Z+ x N in the y-form, with the radius of every other head."""
+
+    #: the x-form's head 0 missed the oracle here by 1.02 to 2.59 radii
+    MISSED = [((0.0, 1.0, 1.3, 0.0), t) for t in (1e6, 1e8, 1e15)] \
+        + [((0.0, 1.0, 1.05, 0.0), t) for t in (1e8, 1e12)] \
+        + [((0.0, 3.0, 0.7, 0.5), t) for t in (1e12, 1e15)]
+
+    @pytest.mark.parametrize("params, t", MISSED)
+    def test_former_misses_contain_the_oracle(self, params, t):
+        p = mathieu.MathieuParams(*params)
+        truth = s_mellin_mp(*params, t)
+        for res in (mathieu.eval_em(p, t), mathieu.eval_auto(p, t, 1e-10)):
+            assert (res.method, res.rigorous) == (mathieu.EULER_MACLAURIN, True)
+            assert _contains(res, truth), (params, t, res)
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=_integer_wide_case())
+    def test_soundness_property(self, case):
+        params, t = case
+        res = mathieu.eval_em(mathieu.MathieuParams(*params), t)
+        oracle = s_binomial_mp(*params, t) if t <= 400 else s_mellin_mp(*params, t)
+        assert _contains(res, oracle), (params, t, res)
+
+    @pytest.mark.parametrize("kernel", [(1, 2, 1.0), (0, 1, 1.3), (0, 3, 0.7), (2, 2, 1.5),
+                                        (4, 3, 0.123457)])
+    def test_derivatives_at_zero_are_the_series_coefficients(self, kernel):
+        # g = sum_j (-1)^j binom(mu+j, j) x^(gamma + alpha j), so g^(n)(0) is n!
+        # times the coefficient where n = gamma + alpha j, else 0, rounded once
+        gamma, alpha, mu = kernel
+        f = mathieu.MathieuSmoothFunction(mathieu.MathieuParams(gamma, alpha, mu, 0.0))
+        for n in range(12):
+            j, rest = divmod(n - gamma, alpha)
+            exact = Fraction(0)
+            if n >= gamma and not rest:
+                exact = Fraction(math.factorial(n) * (-1) ** j)
+                for i in range(1, j + 1):
+                    exact *= (Fraction(mu) + i) / i
+            value, err = f.deriv_with_error(n, 0.0)
+            assert value == float(exact), (kernel, n)
+            assert abs(Fraction(value) - exact) <= err, (kernel, n)
+
+    def test_whole_integral_within_its_bound(self):
+        # B(a, b)/alpha from 0, against 40 digits at the exact (a, b) of the
+        # float parameters: b = 1/3 and a = (delta - 1)/alpha are rounded
+        for params in ((0.0, 3.0, 0.7), (1.0, 3.0, 0.123457), (2.0, 3.0, 1.0),
+                       (1.0, 1.0, 1.0001), (0.0, 1.0, 1.3), (4.0, 2.0, 1.75)):
+            p = mathieu.MathieuParams(*params, 0.0)
+            b = (Fraction(p.gamma) + 1) / Fraction(p.alpha)
+            a = Fraction(p.mu) + 1 - b
+            exact = mp.beta(mp.mpf(a.numerator) / a.denominator,
+                            mp.mpf(b.numerator) / b.denominator) / p.alpha
+            value, err = mathieu.MathieuSmoothFunction(p).tail_integral_with_error(0.0)
+            assert value == mathieu.tail_integral(p, 0.0), params
+            assert abs(mp.mpf(value) - exact) <= err, params
+
+    @pytest.mark.parametrize("kernel", [(0, 3, 0.7), (1, 1, 1.5), (2, 3, 0.5)])
+    def test_left_of_zero_against_mpmath(self, kernel):
+        # where alpha is odd, y = x^alpha < 0 left of 0: the values there lie
+        # within their bounds, and the edge [a, 0] and the tail from a are
+        # bounded as in TestExactVariation
+        g = _g_mp(kernel)
+        f = mathieu.MathieuSmoothFunction(mathieu.MathieuParams(*kernel, 0.0))
+        for n in (0, 3, 8):
+            for x in (-0.45, -0.1, -1e-3):
+                value, err = f.deriv_with_error(n, x)
+                assert abs(mp.mpf(value) - mp.diff(g, mp.mpf(x), n)) <= err, (kernel, n, x)
+        with pytest.raises(ParameterError):
+            f.deriv(0, -1.0)
+        shifted = mathieu.MathieuSmoothFunction(mathieu.MathieuParams(0.5, 1.5, 1.0), 0.25)
+        with pytest.raises(ParameterError):  # g' is unbounded at 0 here
+            shifted.deriv(1, -0.25)
+        reference = _variation_mp(*kernel, 8)
+        for a in (-0.3 / 50, -0.3 / 3000):
+            tail, ref = f.variation(8, a, math.inf), reference(a, math.inf)
+            assert ref <= tail <= ref * (1 + mp.mpf(1e-12)), (kernel, a)
+            edge, ref = f.variation(8, a, 0.0), reference(a, 0.0)
+            assert ref <= edge <= ref + 1e-12 * tail, (kernel, a)
+
+    @pytest.mark.parametrize("kernel", [(1, 2, 1.0), (0, 2, 1.0)])
+    def test_turning_points_left_of_zero(self, kernel):
+        # g^(8) turns at -0.46 and -0.14, resp. -0.30: the pieces from -0.49
+        f = mathieu.MathieuSmoothFunction(mathieu.MathieuParams(*kernel, 0.0))
+        assert f._model(8).left_turns
+        reference = _variation_mp(*kernel, 8, start=-0.49)
+        for lo, hi in ((-0.49, 0.0), (-0.49, math.inf), (-0.2, -0.1)):
+            ref = reference(lo, hi)
+            assert ref <= f.variation(8, lo, hi) <= ref * (1 + mp.mpf(1e-12)), (kernel, lo, hi)
+
+    def test_engine_paths_take_no_jets(self, monkeypatch):
+        # g^(k)(0) comes from the y-form, not from the series coefficients
+        def fail(*args):
+            raise AssertionError("a jet was taken on an engine path")
+
+        monkeypatch.setattr(mathieu, "g_jet", fail)
+        monkeypatch.setattr(mathieu, "g_smoothness", fail)
+        monkeypatch.setattr(jets, "derivatives", fail)
+        for t in (60.0, 1e3):
+            assert mathieu.eval_em(CLASSICAL, t).method == mathieu.EULER_MACLAURIN
+            assert mathieu.eval_auto(CLASSICAL, t, 1e-10).method == mathieu.EULER_MACLAURIN
+        direct, other = mathieu.cross_validate(CLASSICAL, 60.0, 1e-12)
+        assert (direct.method, other.method) == (mathieu.DIRECT, mathieu.EULER_MACLAURIN)
+        assert mathieu.eval_em(mathieu.MathieuParams(1.0, 1.0, 1.5, 0.0), 1e300).value > 0.0
 
 
 #: the five kernels outside Z+ x N of the y-form model, and the Poisson kernel
@@ -945,23 +1072,25 @@ class TestClosedTail:
         assert (res.terms_used, res.order) == (64, mathieu.TAIL_ORDER)
         assert res.err_hi <= 1e-12
 
-    #: eval_em before the closed tail existed: (params, t, value, radius) as hex
+    #: eval_em as (params, t, value, radius) in hex: the values as before the
+    #: closed tail existed; the radii since head 0 takes the y-form's explicit
+    #: rounding bounds and the common `_scale_rounding` (1.29-1.39x wider)
     EM_REFERENCE = [
-        ((1.0, 2.0, 1.0, 0.0), 50.0, "0x1.a367060743b5ap-12", "0x1.3799128190316p-60"),
-        ((1.0, 2.0, 1.0, 0.0), 350.4, "0x1.1149d0d4fc2e2p-17", "0x1.8c5df44bfc3fdp-66"),
-        ((1.0, 2.0, 1.0, 0.0), 10000.0, "0x1.5798ee196d32cp-27", "0x1.f25702f04d38ep-76"),
-        ((1.0, 2.0, 1.0, 0.5), 50.0, "0x1.a346d22a31cdfp-12", "0x1.3798dfa9841e7p-60"),
-        ((1.0, 2.0, 1.0, 0.5), 350.4, "0x1.1149636da2c17p-17", "0x1.8c5df44c0eca2p-66"),
-        ((1.0, 2.0, 1.0, 0.5), 10000.0, "0x1.5798edee3126ep-27", "0x1.f25702f04d38ep-76"),
-        ((1.0, 2.0, 2.0, 0.0), 50.0, "0x1.578d33606dcfcp-24", "0x1.930838bfc50efp-72"),
-        ((1.0, 2.0, 2.0, 0.0), 350.4, "0x1.23be84af0098dp-35", "0x1.38adc29eedaa0p-83"),
-        ((1.0, 2.0, 2.0, 0.0), 10000.0, "0x1.cd2b2963be432p-55", "0x1.ee4254203142cp-103"),
-        ((2.0, 2.0, 1.5, 0.0), 50.0, "0x1.179ec9cbd821ap-12", "0x1.0eba39be1ef3dp-60"),
-        ((2.0, 2.0, 1.5, 0.0), 350.4, "0x1.6c628c312f522p-18", "0x1.521e0b9d5ec5dp-66"),
-        ((2.0, 2.0, 1.5, 0.0), 10000.0, "0x1.ca213d840baf1p-28", "0x1.a91abba88da10p-76"),
-        ((0.0, 2.0, 1.0, 0.0), 50.0, "0x1.a049e97f7b24dp-17", "0x1.c9266bdb19d9cp-65"),
-        ((0.0, 2.0, 1.0, 0.0), 350.4, "0x1.390f60e871907p-25", "0x1.50224aa65e50ep-73"),
-        ((0.0, 2.0, 1.0, 0.0), 10000.0, "0x1.ba1c99286c354p-40", "0x1.d9dd6ee8bd7f2p-88"),
+        ((1.0, 2.0, 1.0, 0.0), 50.0, "0x1.a367060743b5ap-12", "0x1.ae6762eba2486p-60"),
+        ((1.0, 2.0, 1.0, 0.0), 350.4, "0x1.1149d0d4fc2e2p-17", "0x1.13983618b3f00p-65"),
+        ((1.0, 2.0, 1.0, 0.0), 10000.0, "0x1.5798ee196d32cp-27", "0x1.5a7f19beb35a0p-75"),
+        ((1.0, 2.0, 1.0, 0.5), 50.0, "0x1.a346d22a31cdfp-12", "0x1.ae66282e707f9p-60"),
+        ((1.0, 2.0, 1.0, 0.5), 350.4, "0x1.1149636da2c17p-17", "0x1.139832935a640p-65"),
+        ((1.0, 2.0, 1.0, 0.5), 10000.0, "0x1.5798edee3126ep-27", "0x1.5a7f19bd4f196p-75"),
+        ((1.0, 2.0, 2.0, 0.0), 50.0, "0x1.578d33606dcfcp-24", "0x1.1075f002af6fcp-71"),
+        ((1.0, 2.0, 2.0, 0.0), 350.4, "0x1.23be84af0098dp-35", "0x1.b12958ac4c2cbp-83"),
+        ((1.0, 2.0, 2.0, 0.0), 10000.0, "0x1.cd2b2963be432p-55", "0x1.565acd6ebf2dcp-102"),
+        ((2.0, 2.0, 1.5, 0.0), 50.0, "0x1.179ec9cbd821ap-12", "0x1.67530aba7b553p-60"),
+        ((2.0, 2.0, 1.5, 0.0), 350.4, "0x1.6c628c312f522p-18", "0x1.c5925f729fa94p-66"),
+        ((2.0, 2.0, 1.5, 0.0), 10000.0, "0x1.ca213d840baf1p-28", "0x1.1d217dc430302p-75"),
+        ((0.0, 2.0, 1.0, 0.0), 50.0, "0x1.a049e97f7b24dp-17", "0x1.275696edda564p-64"),
+        ((0.0, 2.0, 1.0, 0.0), 350.4, "0x1.390f60e871907p-25", "0x1.b3e2b5790f206p-73"),
+        ((0.0, 2.0, 1.0, 0.0), 10000.0, "0x1.ba1c99286c354p-40", "0x1.334b4ad4c8bedp-87"),
     ]
 
     def test_eval_em_is_the_unshifted_tail_bit_for_bit(self):
@@ -979,11 +1108,9 @@ class TestClosedTail:
                  (mathieu.eval_S_alt, (0.5, 1.5, 1.0, 0.3), 3e7, 1e-10),
                  (mathieu.eval_S, (1.0, 1.5, 1.0, 0.0), 0.0, 1e-10)]
         for fn, params, t, tol in calls:
-            for cache in (mathieu._kernel_derivative, mathieu._numerators,
-                          mathieu._integer_numerator, mathieu._tail_constants,
-                          mathieu._y_numerators, mathieu._y_derivative, mathieu._y_models,
-                          mathieu._pochhammer, mathieu.g_smoothness, emsum._weights,
-                          polyfun.real_root_intervals):
+            for cache in (mathieu._tail_constants, mathieu._y_numerators, mathieu._y_derivative,
+                          mathieu._y_models, mathieu._pochhammer, mathieu.g_smoothness,
+                          emsum._weights, polyfun.real_root_intervals):
                 cache.cache_clear()
             args = (mathieu.MathieuParams(*params), t) + ((tol,) if tol else ())
             cold, warm = fn(*args), fn(*args)
