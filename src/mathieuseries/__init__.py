@@ -8,7 +8,6 @@ from .errors import (
     OrderOverflowError,
     ParameterError,
     RegimeError,
-    SearchBudgetError,
     ToleranceError,
     WitnessNotFoundError,
 )
@@ -61,7 +60,6 @@ from .polyfun import (
 from .sharp import (
     ExpKernel,
     PowerKernel,
-    SearchConfig,
     SharpConstants,
     SharpFramework,
     compute_mM,

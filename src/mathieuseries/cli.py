@@ -424,6 +424,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _given_dests(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                 argv: list[str]) -> set[str]:
+    """The dests that argv sets: the command's own parser reads argv again
+    into a namespace where every dest is already set, so no default fills
+    one in, and each flag counts under its dest (`--format` as fmt)."""
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    unset = object()
+    ns = argparse.Namespace(**dict.fromkeys(vars(args), unset))
+    commands.choices[args.command].parse_args(argv[argv.index(args.command) + 1:], ns)
+    return {key for key, val in vars(ns).items() if val is not unset}
+
+
 def _merge_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser,
                        argv: list[str]) -> argparse.Namespace:
     path = getattr(args, "config", None)
@@ -439,18 +451,15 @@ def _merge_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
                 raise ParameterError(f"malformed config line: {line!r}")
             key, val = (s.strip() for s in line.split("=", 1))
             overrides[key.replace("-", "_")] = val
-    def given(key: str) -> bool:
-        flag = f"--{key.replace('_', '-')}"
-        return any(a == flag or a.startswith(flag + "=") for a in argv)
-
+    given = _given_dests(parser, args, argv)
     # flags win: file values only fill in what the command line left out
     for key, val in overrides.items():
         if not hasattr(args, key):
             raise ParameterError(f"unknown config key {key!r}")
         current = getattr(args, key)
-        if given(key):
+        if key in given:
             continue
-        if key == "t" and (given("t-start") or given("t-stop")):
+        if key == "t" and given & {"t_start", "t_stop"}:
             continue  # an explicit sweep beats a point value from the file
         if isinstance(current, bool):
             setattr(args, key, val.lower() in ("1", "true", "yes"))

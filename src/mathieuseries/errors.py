@@ -21,10 +21,6 @@ class ToleranceError(MathieuSeriesError, RuntimeError):
     """The requested tolerance cannot be met within the term/evaluation budget."""
 
 
-class SearchBudgetError(MathieuSeriesError, RuntimeError):
-    """An extremum search exhausted its evaluation budget."""
-
-
 class WitnessNotFoundError(MathieuSeriesError, RuntimeError):
     """A counterexample scan finished without finding a witness (reported, not fatal)."""
 

@@ -10,7 +10,8 @@ rigorous.
 
 The tail integral int_x^inf g is an incomplete Beta function B_s(a, b)/alpha,
 taken in floats from a closed form or from its positive hypergeometric
-series with a proven truncation and rounding bound (`tail_integral`,
+series with a proven truncation and rounding bound at that point, which
+one evaluation gives with the value (`tail_integral`,
 `tail_integral_rel_err`), so no evaluator needs scipy.
 
 Direct summation carries a rigorous two-sided tail bracket: beyond the index
@@ -39,7 +40,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -397,24 +397,6 @@ class _TailConstants:
                 lo = mid
         return lo
 
-    @functools.cached_property
-    def direct_split_rel(self) -> float:
-        """The bound of `_direct_tail` at s = 1 - `split`, its largest over
-        the x it takes; inf where the series there leaves the float range."""
-        try:
-            return _direct_rel(self, _beta_series(self.a, self.b, 1.0 - self.split)[1])
-        except OverflowError:
-            return math.inf
-
-    @functools.cached_property
-    def reflected_split_rel(self) -> float:
-        """The bound of `_reflected_tail` at q = `split`, its largest over
-        the x it takes; inf where the series there leaves the float range."""
-        try:
-            return _reflected_tail(self, 1.0 - self.split, self.split)[1]
-        except OverflowError:
-            return math.inf
-
 
 @functools.lru_cache(maxsize=256)
 def _tail_constants(params: MathieuParams) -> _TailConstants:
@@ -448,10 +430,8 @@ def _beta_series(a: float, b: float, s: float) -> tuple[float, float]:
     rounds a + b + k (2u, with a + b), a + 1 + k, the quotient and the two
     products (u each), and s within 4u enters once more.  The terms are
     positive, so the sum is within (10 mean + 2) u: one math.fsum and the
-    truncation add u each.  The mean grows with s (its derivative in log s
-    is a variance), so the bound at the largest s of a range holds for the
-    whole range.  A term past 2^1000 or a sum past _SERIES_MAX_TERMS terms
-    raises OverflowError.
+    truncation add u each.  A term past 2^1000 or a sum past
+    _SERIES_MAX_TERMS terms raises OverflowError.
     """
     c = a + b
     term, terms, moment, k = 1.0, [1.0], 0.0, 0
@@ -484,12 +464,8 @@ def _direct_tail(c: _TailConstants, s: float, q: float) -> tuple[float, float]:
     q^b carry (4a + 2) u and (4b + 2) u (pow within 1 ulp), and the product,
     the sum's product, a alpha and the quotient u each."""
     total, mean = _beta_series(c.a, c.b, s)
-    return _powers(c, s, q) * total / (c.a * c.alpha), _direct_rel(c, mean)
-
-
-def _direct_rel(c: _TailConstants, mean: float) -> float:
-    """The bound of `_direct_tail` from the mean index of its series."""
-    return 1.01 * (4.0 * (c.a + c.b) + 10.0 + 10.0 * mean) * 2.0**-53
+    return (_powers(c, s, q) * total / (c.a * c.alpha),
+            1.01 * (4.0 * (c.a + c.b) + 10.0 + 10.0 * mean) * 2.0**-53)
 
 
 def _reflected_part(c: _TailConstants, s: float, q: float) -> tuple[float, float]:
@@ -511,15 +487,6 @@ def _reflected_tail(c: _TailConstants, s: float, q: float) -> tuple[float, float
         raise OverflowError("B(a, b) - B_q(b, a) cancels")
     phi = part / diff
     return diff / c.alpha, 1.01 * (c.beta_rel * (1.0 + phi) + part_rel * phi + 2.0**-52)
-
-
-def _edge_point(params: MathieuParams, x: float) -> tuple[float, float]:
-    """`_beta_point`, or its limit (1, 0) or (0, 1) where x^alpha leaves the
-    float range, for the bounds of `tail_integral_rel_err`."""
-    try:
-        return _beta_point(params, x)
-    except OverflowError:
-        return (1.0, 0.0) if x < 1.0 else (0.0, 1.0)
 
 
 def tail_integral(params: MathieuParams, t: float) -> float:
@@ -557,8 +524,7 @@ def tail_integral(params: MathieuParams, t: float) -> float:
 def _tail_point(params: MathieuParams, c: _TailConstants, x: float) -> tuple[float, float]:
     """(`tail_integral` at x > 0, the relative bound of the form that gave
     it, before the rounding of (a, b)): `rel` for a closed form, else the
-    bound of the series that gave the value, as `_series_rel` states it
-    at x alone."""
+    bound of the series that gave the value."""
     s, q = _beta_point(params, x)
     form, a, b = c.form, c.a, c.b
     lead = 1.0
@@ -583,38 +549,15 @@ def _tail_point(params: MathieuParams, c: _TailConstants, x: float) -> tuple[flo
     return value, rel
 
 
-def _log_s(params: MathieuParams, x: float) -> float:
-    """-log s = log(x^alpha + 1) of `_beta_point`, x > 0."""
-    if x > 1.0:
-        return params.alpha * math.log(x) + math.log1p(x ** -params.alpha)
-    return math.log1p(x**params.alpha)
+def _tail_with_rel(params: MathieuParams, c: _TailConstants, x: float) -> tuple[float, float]:
+    """(`tail_integral` at x > 0, its `tail_integral_rel_err`), from one
+    evaluation."""
+    value, rel = _tail_point(params, c, x)
+    return value, rel + _rounding_rel(params, c, x)
 
 
-def _series_rel(params: MathieuParams, c: _TailConstants, x_lo: float, x_hi: float) -> float:
-    """The largest relative error bound of `tail_integral` without a closed
-    form over x in [x_lo, x_hi]: that of `_direct_tail` at the largest s
-    that takes it, that of `_reflected_tail` at the largest q that takes
-    it, each of which grows with its variable; inf where a series there
-    leaves the float range."""
-    s_lo, q_lo = _edge_point(params, x_lo)
-    s_hi, q_hi = _edge_point(params, x_hi) if x_hi < 1.0 else (0.0, 1.0)
-    split = c.split if q_lo < 0.5 else 0.5
-    rel = 0.0
-    try:
-        if q_hi >= split:
-            rel = c.direct_split_rel if q_lo < split else \
-                _direct_rel(c, _beta_series(c.a, c.b, s_lo)[1])
-        if q_lo < split:
-            rel = max(rel, c.reflected_split_rel if q_hi >= split else
-                      _reflected_tail(c, s_hi, q_hi)[1])
-    except OverflowError:
-        return math.inf
-    return rel
-
-
-def tail_integral_rel_err(params: MathieuParams, t: float, t_max: float | None = None) -> float:
-    """Bound on the relative error of `tail_integral(params, x)` at x = t > 0,
-    or at every x in [t, t_max] when t_max is given.
+def tail_integral_rel_err(params: MathieuParams, t: float) -> float:
+    """Bound on the relative error of `tail_integral(params, t)`.
 
     With u = 2^-53, s and 1-s carry at most 4u (a power within 1 ulp, a sum,
     a quotient).  The a = 1 form then stays within 16u: log1p on s <= 1/2
@@ -624,28 +567,28 @@ def tail_integral_rel_err(params: MathieuParams, t: float, t_max: float | None =
     (4a + 2)u.  The a = b = 1/2 form stays within 8u: the power within 1 ulp
     (2u), atan, whose relative condition number z/((1+z^2) atan z) is at
     most 1, passes that on and adds 2u, and the product and quotient 1u
-    each.  Without a closed form the series bounds of `_direct_tail` and
-    `_reflected_tail` hold, at their worst point of the range
-    (`_series_rel`).  a and b are rounded once from their exact
-    values; F moves by at most |da| (|log s| + 1/a) F and |db| |log(1-s)| F
-    under such a change; over [t, t_max] |log s| is largest at t_max and
-    |log(1-s)| at t.
+    each.  Without a closed form the bound of the series that gives the
+    value holds (`_direct_tail`, `_reflected_tail`).  a and b are rounded
+    once from their exact values; F moves by at most |da| (|log s| + 1/a) F
+    and |db| |log(1-s)| F under such a change.  At t = 0 the bound is
+    `whole_rel`.  The bound comes from evaluating the tail at t, so it raises
+    OverflowError wherever `tail_integral` does (a value that underflows, or
+    a t whose t^alpha leaves the float range).
     """
     c = _tail_constants(params)
-    rel = c.rel if c.form else _series_rel(params, c, t, t if t_max is None else t_max)
-    return rel + _rounding_rel(params, c, t, t_max)
+    if t == 0.0:
+        return c.whole_rel
+    return _tail_with_rel(params, c, t)[1]
 
 
-def _rounding_rel(params: MathieuParams, c: _TailConstants, t: float,
-                  t_max: float | None) -> float:
+def _rounding_rel(params: MathieuParams, c: _TailConstants, x: float) -> float:
     """The part of `tail_integral_rel_err` for the rounding of (a, b)."""
     if not (c.da or c.db):
         return 0.0
     # -log s = log(x^alpha + 1), -log(1-s) = that minus alpha log x
-    log_x = params.alpha * math.log(t)
-    log_s = _log_s(params, t)
-    log_s_max = log_s if t_max is None else _log_s(params, t_max)
-    return 1.01 * (c.da * (log_s_max + 1.0 / c.a) + c.db * (log_s - log_x))
+    log_x = params.alpha * math.log(x)
+    log_s = log_x + math.log1p(x ** -params.alpha) if x > 1.0 else math.log1p(x**params.alpha)
+    return 1.01 * (c.da * (log_s + 1.0 / c.a) + c.db * (log_s - log_x))
 
 
 # --------------------------------------------------------------------------
@@ -742,7 +685,8 @@ def _tail_bracket(params: MathieuParams, t: float):
     monotone index: integral bounds [F(n+1), F(n)], or Hermite-Hadamard
     bounds in the gamma=1, alpha=2 family.  Every kernel takes them below
     CROSSOVER; where `_convex_kernel` holds, only below the convexity index,
-    and past it where `_convex_bracket`'s own scale leaves the float range."""
+    and past it where `_convex_bracket`'s scale or integral leaves the float
+    range."""
     u, mu, delta = params.u, params.mu, params.delta
     if params.gamma == 1.0 and params.alpha == 2.0:
         # the terms are 2w g(w^2 + t^2) with the convex kernel g(s) = s^(-mu-1)
@@ -779,11 +723,9 @@ def _tail_bracket(params: MathieuParams, t: float):
     return bracket
 
 
-def _convex_bracket(params: MathieuParams, t: float, terms, start: int, cap: int,
-                    integral_bracket):
+def _convex_bracket(params: MathieuParams, t: float, terms, integral_bracket):
     """n -> second-order bounds for the plain sum past n of the terms f
-    (`_terms`), t > 0, for every n from start, an index past
-    `_monotone_from` and `_convex_from`, to the term cap.
+    (`_terms`), t > 0, n past `_monotone_from` and `_convex_from`.
 
     Past both the terms f(k) are convex and decreasing, so the trapezoid and
     midpoint rules give
@@ -791,9 +733,9 @@ def _convex_bracket(params: MathieuParams, t: float, terms, start: int, cap: int
         F(n+1) + f(n+1)/2  <=  sum_{k>n} f(k)  <=  F(n+1/2),
 
     with F(s) = int_s^inf f = 2 t^(1-delta) tail_integral((s+u)/t), a width
-    near |f'(n)|/8.  It rounds outward: f within twice `_term_rtol`, F within
-    `tail_integral_rel_err` over every point the doubling can reach (bounded
-    once per call), the power 2 t^(1-delta) within 1 ulp of t to the rounded
+    near |f'(n)|/8.  It rounds outward: f within twice `_term_rtol`, each F
+    within the `tail_integral_rel_err` of its own point, taken with its
+    value, the power 2 t^(1-delta) within 1 ulp of t to the rounded
     exponent, off by `_delta_error` + u |1-delta| times |log t| from the
     exact one, and the rounded argument (s+u)/t within 2u, which moves F by
     at most 2u x g(x) <= 2u (delta-1) F (x^delta g(x) increases in x).
@@ -801,23 +743,23 @@ def _convex_bracket(params: MathieuParams, t: float, terms, start: int, cap: int
     first-order `_tail_bracket`, stands in.
     """
     u, delta = params.u, params.delta
+    c = _tail_constants(params)
     rtol = 2.0 * _term_rtol(params)
-    x_max = min((cap + 1.0 + u) / t, sys.float_info.max)
-    rel = 1.01 * (tail_integral_rel_err(params, (start + 0.5 + u) / t, x_max)
-                  + (3.0 + 2.1 * (delta - 1.0)) * 2.0**-53
-                  + (_delta_error(params) + abs(1.0 - delta) * 2.0**-53) * abs(math.log(t)))
+    scale_rel = ((3.0 + 2.1 * (delta - 1.0)) * 2.0**-53
+                 + (_delta_error(params) + abs(1.0 - delta) * 2.0**-53) * abs(math.log(t)))
 
     def bracket(n):
         try:
             scale = 2.0 * t ** (1.0 - delta)
             if scale < 2.0**-1000:
                 raise OverflowError("the scale underflows")
-            lo = scale * tail_integral(params, (n + 1.0 + u) / t)
-            hi = scale * tail_integral(params, (n + 0.5 + u) / t)
+            lo, lo_rel = _tail_with_rel(params, c, (n + 1.0 + u) / t)
+            hi, hi_rel = _tail_with_rel(params, c, (n + 0.5 + u) / t)
         except OverflowError:
             return integral_bracket(n)
-        lo = (lo * (1.0 - rel) + 0.5 * float(terms(n + 1)) * (1.0 - rtol)) * (1.0 - 2.0**-50)
-        return lo, hi * (1.0 + rel) * (1.0 + 2.0**-50)
+        lo = scale * lo * (1.0 - 1.01 * (lo_rel + scale_rel))
+        lo = (lo + 0.5 * float(terms(n + 1)) * (1.0 - rtol)) * (1.0 - 2.0**-50)
+        return lo, scale * hi * (1.0 + 1.01 * (hi_rel + scale_rel)) * (1.0 + 2.0**-50)
 
     return bracket
 
@@ -1095,8 +1037,7 @@ def _direct(params: MathieuParams, t: float, tol: float, alternating: bool) -> E
             floor = None
     else:
         integral_bracket = _tail_bracket(params, t)
-        second_order = _convex_bracket(params, t, terms, max(start, convex), cap,
-                                       integral_bracket)
+        second_order = _convex_bracket(params, t, terms, integral_bracket)
 
         def tail_bracket(n: int) -> tuple[float, float]:
             return integral_bracket(n) if n < convex else second_order(n)
@@ -1642,8 +1583,8 @@ class MathieuSmoothFunction(emsum.SmoothFunction):
         c = _tail_constants(p)
         if not x:  # from 0 itself, unshifted
             return c.whole, 1.01 * c.whole_rel * c.whole + 1e-300
-        value, rel = _tail_point(p, c, x)
-        err = (rel + _rounding_rel(p, c, x, None)) * value
+        value, rel = _tail_with_rel(p, c, x)
+        err = rel * value
         if dx:
             # x off by dx moves F by at most dx sup g between them: g at the
             # left end where g decreases there, else the peak value of g

@@ -19,9 +19,18 @@ from typing import Callable
 import numpy as np
 
 from . import mathieu, polyfun
-from .errors import ParameterError, SearchBudgetError, WitnessNotFoundError
+from .errors import ParameterError, WitnessNotFoundError
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: `compute_mM` evaluates the profile on _GRID_POINTS points of the
+#: compactified coordinate s = t/(1+t) in [0, _S_MAX] (t <= 99), each to
+#: _COARSE_TOL, then refines the 6 best interior candidates of either kind
+#: by at most _REFINE_STEPS golden-section steps, each point to _FINE_TOL.
+_GRID_POINTS = 2048
+_S_MAX = 0.99
+_COARSE_TOL = 1e-7
+_REFINE_STEPS = 80
+_FINE_TOL = 1e-11
 
 
 # --------------------------------------------------------------------------
@@ -160,17 +169,6 @@ class SharpConstants:
     t_at_m: float
     t_at_M: float
     certified: bool
-    refinement_delta: float = 0.0
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    grid_points: int = 2048
-    coarse_tol: float = 1e-7
-    fine_tol: float = 1e-11
-    refine_steps: int = 80
-    eval_budget: int = 100_000
-    s_max: float = 0.99  # compactified coordinate cap: t = s/(1-s) <= 99
 
 
 def f_profile(fw: SharpFramework, t: float, tol: float = 1e-11) -> float:
@@ -186,31 +184,17 @@ def f_infinity(fw: SharpFramework) -> float:
     return fw.beta1 * fw.A / (fw.delta1 * fw.C)
 
 
-class _BudgetedProfile:
-    """Profile evaluation in the compactified coordinate with an eval budget.
+def _profile(fw: SharpFramework, s: float, f_tol: float) -> float:
+    """f at t = s/(1-s), the compactified coordinate s.
 
-    The series tolerance is scaled so the induced profile error stays near the
-    requested one: d(f) ~ t^b1 (b1/d1) dS/S, floored at what float64 direct
-    summation can deliver.
+    The series tolerance is scaled so the induced profile error stays near
+    the requested one: d(f) ~ t^b1 (b1/d1) dS/S, floored at what float64
+    direct summation can deliver.
     """
-
-    def __init__(self, fw: SharpFramework, budget: int):
-        self.fw = fw
-        self.budget = budget
-        self.calls = 0
-
-    def series_tol(self, t: float, f_tol: float) -> float:
-        fw = self.fw
-        scaled = f_tol * fw.delta1 * fw.C / (2.0 * fw.beta1 * (1.0 + t) ** (fw.delta1 + fw.beta1))
-        floor = 1e-12 * fw.C / (1.0 + t) ** fw.delta1
-        return max(scaled, floor)
-
-    def __call__(self, s: float, f_tol: float) -> float:
-        self.calls += 1
-        if self.calls > self.budget:
-            raise SearchBudgetError(f"profile evaluation budget {self.budget} exhausted")
-        t = s / (1.0 - s)
-        return f_profile(self.fw, t, self.series_tol(t, f_tol))
+    t = s / (1.0 - s)
+    scaled = f_tol * fw.delta1 * fw.C / (2.0 * fw.beta1 * (1.0 + t) ** (fw.delta1 + fw.beta1))
+    floor = 1e-12 * fw.C / (1.0 + t) ** fw.delta1
+    return f_profile(fw, t, max(scaled, floor))
 
 
 def _golden_refine(fn, a: float, b: float, tol_x: float, steps: int, minimize: bool):
@@ -234,33 +218,28 @@ def _golden_refine(fn, a: float, b: float, tol_x: float, steps: int, minimize: b
     return x2, f2
 
 
-def compute_mM(fw: SharpFramework, search: SearchConfig | None = None) -> SharpConstants:
+def compute_mM(fw: SharpFramework) -> SharpConstants:
     """Extremize the profile f over [0, +inf] via the compactified coordinate
-    s = t/(1+t): coarse grid, golden-section refinement around every interior
-    candidate, and the exact closed form at the t = +inf endpoint.
+    s = t/(1+t): coarse grid, golden-section refinement around the best
+    interior candidates, and the exact closed form at the t = +inf endpoint.
 
-    The result is a numerical extremum (certified=False) with the refinement
-    movement reported in `refinement_delta`.
+    The result is a numerical extremum (certified=False).
     """
-    cfg = search or SearchConfig()
-    prof = _BudgetedProfile(fw, cfg.eval_budget)
-    n = cfg.grid_points
-    svals = [cfg.s_max * i / (n - 1) for i in range(n)]
-    fvals = [prof(s, cfg.coarse_tol) for s in svals]
+    n = _GRID_POINTS
+    svals = [_S_MAX * i / (n - 1) for i in range(n)]
+    fvals = [_profile(fw, s, _COARSE_TOL) for s in svals]
 
     f_inf = f_infinity(fw)
     # coarse values participate directly; interior candidates get refined
     best_min = min(zip(fvals, svals))
     best_max = max(zip(fvals, svals))
-    deltas = [0.0]
 
     def refine(i: int, minimize: bool):
         nonlocal best_min, best_max
         a = svals[max(i - 1, 0)]
         b = svals[min(i + 1, n - 1)]
-        fn = lambda s: prof(s, cfg.fine_tol)
-        s_star, f_star = _golden_refine(fn, a, b, 1e-12, cfg.refine_steps, minimize)
-        deltas.append(abs(f_star - fvals[i]))
+        fn = lambda s: _profile(fw, s, _FINE_TOL)
+        s_star, f_star = _golden_refine(fn, a, b, 1e-12, _REFINE_STEPS, minimize)
         if minimize and f_star < best_min[0]:
             best_min = (f_star, s_star)
         if not minimize and f_star > best_max[0]:
@@ -290,7 +269,7 @@ def compute_mM(fw: SharpFramework, search: SearchConfig | None = None) -> SharpC
         M, t_at_M = f_inf, math.inf
     return SharpConstants(
         m=m, M=M, f_inf=f_inf, t_at_m=t_at_m, t_at_M=t_at_M,
-        certified=False, refinement_delta=max(deltas),
+        certified=False,
     )
 
 
@@ -298,8 +277,9 @@ def compute_mM(fw: SharpFramework, search: SearchConfig | None = None) -> SharpC
 # limiting constants from the theta-type series
 # --------------------------------------------------------------------------
 
-def m_infinity(u: float, x_lo: float = 1e-6, x_hi: float = 200.0, n_grid: int = 400) -> float:
-    """inf over x > 0 of -log(phi_u(x))/x.
+def m_infinity(u: float) -> float:
+    """inf over x > 0 of -log(phi_u(x))/x: the least of 400 log-spaced
+    points in [1e-6, 200], refined by golden section.
 
     The endpoint limits are u^2+u+1/6 at x -> 0+ and (1+u)^2 at x -> +inf; the
     infimum is the smaller of the refined interior minimum and the x -> 0+
@@ -309,6 +289,7 @@ def m_infinity(u: float, x_lo: float = 1e-6, x_hi: float = 200.0, n_grid: int = 
         raise ParameterError("u must be nonnegative")
     limit0 = u * u + u + 1.0 / 6.0
     h = lambda x: -mathieu.log_phi_u(u, x) / x
+    x_lo, x_hi, n_grid = 1e-6, 200.0, 400
     xs = [x_lo * (x_hi / x_lo) ** (i / (n_grid - 1)) for i in range(n_grid)]
     vals = [h(x) for x in xs]
     i = min(range(n_grid), key=vals.__getitem__)

@@ -195,6 +195,18 @@ class TestConfigPlumbing:
         code, out, _ = run(capsys, "eval", "--config", str(cfg))
         rec = json.loads(out.strip())
         assert rec["t"] == 2.0
+        # a flag whose dest differs from its name (--format -> fmt) wins too
+        cfg.write_text("fmt = json\n")
+        code, out, _ = run(capsys, "eval", "--t", "1", "--format", "csv", "--config", str(cfg))
+        assert code == 0
+        assert out.splitlines()[0].startswith("t,")
+        # --b -> b_override
+        cfg.write_text("b_override = 0.5\n")
+        report = tmp_path / "report.json"
+        code, _, _ = run(capsys, "verify", "monotone", "--b", "10", "--config", str(cfg),
+                         "--output", str(report))
+        viol = json.loads(report.read_text())["reports"][0]["violations"]
+        assert viol and {v["params"]["b"] for v in viol} == {10.0}
 
     def test_explicit_sweep_beats_file_point(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

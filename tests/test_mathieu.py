@@ -135,6 +135,10 @@ class TestTailIntegral:
     def test_beta_value_at_zero(self):
         params = mathieu.MathieuParams(0.0, 2.0, 1.0, 0.0)
         assert mathieu.tail_integral(params, 0.0) == pytest.approx(math.pi / 4, rel=1e-12)
+        # from 0 the value is B(a, b)/alpha, and its bound is that of B(a, b)/alpha
+        rel = mathieu.tail_integral_rel_err(params, 0.0)
+        assert rel == mathieu._tail_constants(params).whole_rel
+        assert abs(mathieu.tail_integral(params, 0.0) - mp.pi / 4) <= rel * mp.pi / 4
 
     def test_exponent_one_family(self):
         params = mathieu.MathieuParams(0.0, 1.0, 2.0, 0.0)
@@ -221,19 +225,48 @@ class TestTailIntegral:
 
     @pytest.mark.parametrize("params", [(0.0, 2.0, 1.0, 0.0), (1.0, 1.5, 1.0, 0.0),
                                         (0.0, 2.5, 0.3, 0.0), (0.0, 2.0, 10.0, 0.0)])
-    def test_range_bound_covers_every_point(self, params):
-        # the bound over [t, t_max] is at least the bound of the series that
-        # each point of it takes, across the switch between the two series
+    def test_point_bound_is_the_selected_series_bound(self, params):
+        # at each point, across the switch between the two series, the bound
+        # is that of the series the point takes, plus the rounding of (a, b)
         p = mathieu.MathieuParams(*params)
         c = mathieu._tail_constants(p)
+        taken = set()
         for lo, hi in ((1e-6, 1e-2), (1e-3, 0.9), (0.05, 3.0), (0.5, 1e3), (1.5, 1e9)):
-            whole = mathieu.tail_integral_rel_err(p, lo, hi)
             for x in np.geomspace(lo, hi, 40):
-                s, q = mathieu._beta_point(p, float(x))
+                x = float(x)
+                s, q = mathieu._beta_point(p, x)
                 series = mathieu._reflected_tail if q < 0.5 and q < c.split \
                     else mathieu._direct_tail
-                assert series(c, s, q)[1] <= whole, (params, lo, x)
-                assert mathieu.tail_integral_rel_err(p, float(x)) <= whole, (params, lo, x)
+                taken.add(series)
+                expected = series(c, s, q)[1] + mathieu._rounding_rel(p, c, x)
+                assert mathieu.tail_integral_rel_err(p, x) == expected, (params, x)
+        assert taken == {mathieu._reflected_tail, mathieu._direct_tail}
+
+    @pytest.mark.parametrize("params", [(1.0, 1.5, 1.0, 0.0), (0.5, 1.5, 1.0, 0.0),
+                                        (0.0, 2.5, 0.3, 0.0), (1.0, 3.5, 0.5, 0.3)])
+    def test_convex_bracket_states_the_point_bound(self, params):
+        # each end of the second-order bracket takes tail_integral and its
+        # tail_integral_rel_err at that end's own point, with the scale terms
+        p = mathieu.MathieuParams(*params)
+        u, delta = p.u, p.delta
+        rtol = 2.0 * mathieu._term_rtol(p)
+        for t in (0.3, 3.0, 30.0):
+            terms = mathieu._terms(p, t)
+            bracket = mathieu._convex_bracket(p, t, terms, mathieu._tail_bracket(p, t))
+            scale = 2.0 * t ** (1.0 - delta)
+            scale_rel = ((3.0 + 2.1 * (delta - 1.0)) * 2.0**-53
+                         + (mathieu._delta_error(p) + abs(1.0 - delta) * 2.0**-53)
+                         * abs(math.log(t)))
+            start = max(mathieu._monotone_from(p, t), mathieu._convex_from(p, t))
+            for n in (start, 3 * start, 64 * start, 4096 * start):
+                x_lo, x_hi = (n + 1.0 + u) / t, (n + 0.5 + u) / t
+                lo = scale * mathieu.tail_integral(p, x_lo) \
+                    * (1.0 - 1.01 * (mathieu.tail_integral_rel_err(p, x_lo) + scale_rel))
+                lo = (lo + 0.5 * float(terms(n + 1)) * (1.0 - rtol)) * (1.0 - 2.0**-50)
+                hi = scale * mathieu.tail_integral(p, x_hi) \
+                    * (1.0 + 1.01 * (mathieu.tail_integral_rel_err(p, x_hi) + scale_rel)) \
+                    * (1.0 + 2.0**-50)
+                assert bracket(n) == (lo, hi), (params, t, n)
 
     @pytest.mark.parametrize("params", [(0.0, 2.0, 1.0, 0.0), (0.0, 2.5, 0.3, 0.0),
                                         (2.0, 2.5, 0.2000004, 0.0), (0.5, 1.5, 2.0, 0.0)])
