@@ -17,11 +17,13 @@ import math
 import sys
 import warnings
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import analysis, mathieu, sharp
+from . import mathieu, sharp
 from .errors import MathieuSeriesError, ParameterError
+
+if TYPE_CHECKING:
+    from . import analysis
 
 SUITES = ("classical", "em", "asymptotic", "hermite", "hankel", "cm", "monotone", "all")
 
@@ -182,6 +184,8 @@ def cmd_constants(cfg: RunConfig) -> int:
 
 
 def _suite_reports(name: str, cfg: RunConfig) -> list[analysis.VerificationReport]:
+    from . import analysis
+
     t_grid = analysis.GridSpec(points=analysis.log_grid(0.01, 100.0, 25), tolerance=1e-9)
     small_grid = analysis.GridSpec(points=analysis.log_grid(0.05, 10.0, 12), tolerance=1e-9)
     reports: list[analysis.VerificationReport] = []
@@ -222,7 +226,7 @@ def _suite_reports(name: str, cfg: RunConfig) -> list[analysis.VerificationRepor
 
 def _em_suite() -> analysis.VerificationReport:
     """Exact finite-identity battery for the summation engines."""
-    from . import emsum
+    from . import analysis, emsum
 
     report = analysis.VerificationReport("finite-summation-identities")
     f = emsum.ExpFunction()
@@ -257,6 +261,8 @@ def _em_suite() -> analysis.VerificationReport:
 
 def _asymptotic_suite() -> analysis.VerificationReport:
     """Identity and expansion checks for the series evaluators."""
+    from . import analysis
+
     report = analysis.VerificationReport("expansion-consistency")
     # alternating = plain - 2^(1-delta) * plain at (t/2, u/2)
     for gamma_, alpha_, mu_, u_, t_ in ((1.0, 2.0, 1.0, 0.3, 3.0), (2.0, 2.0, 1.5, 0.0, 1.0)):
@@ -291,6 +297,8 @@ def _asymptotic_suite() -> analysis.VerificationReport:
 
 def _hermite_suite() -> analysis.VerificationReport:
     """Convexity-based bounds over a deterministic kernel/offset sweep."""
+    from . import analysis
+
     report = analysis.VerificationReport("convexity-bounds")
     kernels = [("power", sharp.PowerKernel(m)) for m in (0.5, 1.0, 2.0, 4.0)]
     kernels += [("exp", sharp.ExpKernel(lam)) for lam in (0.25, 1.0, 3.0)]
@@ -330,6 +338,10 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_hankel(cfg: RunConfig) -> int:
+    import numpy as np
+
+    from . import analysis
+
     kernels = {
         "exp": lambda x: np.exp(-cfg.p * x) / x,
         "g-pu": lambda x: analysis.g_pu(cfg.p, cfg.u, x),

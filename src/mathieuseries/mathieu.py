@@ -44,8 +44,6 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import emsum, jets, polyfun
 from .errors import (
     CrossValidationError,
@@ -786,6 +784,8 @@ def _sum_terms(terms, n: int, alternating: bool = False) -> tuple[float, float, 
     the final rounding; the rest is accumulated pairwise by numpy in chunks,
     whose error is at most PAIRWISE_RTOL times its sum of |terms|.
     """
+    import numpy as np
+
     head = []
     chunks = []
     abs_chunks = []
@@ -1854,6 +1854,8 @@ def log_phi_u(u: float, x: float) -> float:
         raise ParameterError("x must be positive and finite")
     if not -1.0 < u < math.inf:
         raise ParameterError("u must be finite and exceed -1")
+    import numpy as np
+
     y = -(1.0 + u) ** 2
 
     def kernel(s):

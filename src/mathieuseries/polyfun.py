@@ -5,14 +5,14 @@ and a composite Gauss-Legendre rule.
 Coefficients are generated once as `fractions.Fraction` values (so downstream
 remainder bounds are not polluted by coefficient error) and rounded to floats
 for evaluation.  `real_root_intervals` isolates the real roots of a polynomial
-with exact coefficients by Sturm sequences on its square-free part and
-refines each one by bisection to an interval about 2^-60 wide.  Sup norms
-evaluate the polynomial exactly at the interval ends and at the isolated
-critical points, add the width of each critical interval times a bound on
-the derivative, and round the maximum up once, so they are safe to use as
-upper bounds in rigorous error brackets.  `gauss_legendre` integrates over
+with exact coefficients by Descartes' rule of signs on its square-free part,
+in integers, and refines each one by bisection to an interval about 2^-60
+wide.  Sup norms evaluate the polynomial exactly at the interval ends and at
+the isolated critical points, add the width of each critical interval times
+a bound on the derivative, and round the maximum up once, so they are safe
+to use as upper bounds in rigorous error brackets.  `gauss_legendre` integrates over
 given panels with fixed-order nodes evaluated in one array pass; its error is
-not bounded.
+not bounded.  numpy is imported there, on first use, and nowhere else here.
 
 Everything is read-only after the lazy cache fill; the fills are deterministic
 and idempotent, so concurrent first use is safe and all operations reentrant.
@@ -24,11 +24,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import OrderOverflowError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Largest polynomial order kept in the exact-coefficient cache.
 MAX_ORDER = 64
@@ -182,14 +183,15 @@ def _affine_compose(coeffs: tuple[Fraction, ...], p: Fraction, q: Fraction) -> t
 
 
 # --------------------------------------------------------------------------
-# exact real-root isolation (Sturm sequences)
+# exact real-root isolation (Descartes' rule of signs)
 # --------------------------------------------------------------------------
 
 #: Isolating intervals are refined to a width of at most this times max(1, |x|).
-ROOT_WIDTH = Fraction(1, 2**60)
+_ROOT_BITS = 60
+ROOT_WIDTH = Fraction(1, 2**_ROOT_BITS)
 
 
-def _trim(p: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def _trim(p: Sequence) -> tuple:
     """Drop zero leading coefficients (the constant term comes first)."""
     n = len(p)
     while n > 1 and p[n - 1] == 0:
@@ -197,92 +199,182 @@ def _trim(p: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(p[:n])
 
 
-def _derivative(p: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return _trim([k * p[k] for k in range(1, len(p))] or [Fraction(0)])
+def _derivative(p: Sequence) -> tuple:
+    return _trim([k * p[k] for k in range(1, len(p))] or [0])
 
 
-def _primitive(p: Sequence[Fraction]) -> tuple[int, ...]:
+def _content_free(p: Sequence[int]) -> list[int]:
+    """An integer polynomial divided by the gcd of its coefficients."""
+    g = math.gcd(*p) or 1
+    return [c // g for c in p]
+
+
+def _primitive(p: Sequence[Fraction]) -> list[int]:
     """p times the positive rational that makes its coefficients coprime integers."""
     den = math.lcm(*(Fraction(c).denominator for c in p))
-    ints = [int(c * den) for c in p]
-    g = math.gcd(*ints) or 1
-    return tuple(c // g for c in ints)
+    return _content_free([int(c * den) for c in p])
 
 
-def _divmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder of exact polynomial division a = q b + r."""
-    r = [Fraction(c) for c in a]
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    lead = Fraction(b[-1])
-    for shift in range(len(a) - len(b), -1, -1):
-        c = r[shift + len(b) - 1] / lead
-        q[shift] = c
-        if c:
-            for j, bj in enumerate(b):
-                r[shift + j] -= c * bj
-    return q, list(_trim(r[: max(1, len(b) - 1)]))
+def _pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """c a mod b for a nonzero integer c, in integers: each step scales the
+    remainder by lc(b)/g and takes off (top/g) x^s b, g = gcd(top, lc(b))."""
+    r, db, lead = list(a), len(b) - 1, b[-1]
+    while len(r) > db:
+        top = r.pop()
+        if top:
+            g = math.gcd(top, lead)
+            f, top, s = lead // g, top // g, len(r) - db
+            r = [f * c for c in r]
+            for j in range(db):
+                r[s + j] -= top * b[j]
+    return list(_trim(r))
 
 
-def _is_zero(p: Sequence) -> bool:
-    return all(c == 0 for c in p)
+def _exact_quotient(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """a / b for integer polynomials where b divides a in Z[x]."""
+    r, db, lead = list(a), len(b) - 1, b[-1]
+    q = [0] * (len(a) - db)
+    for s in range(len(q) - 1, -1, -1):
+        c = q[s] = r[s + db] // lead
+        for j in range(db):
+            r[s + j] -= c * b[j]
+    return q
 
 
-def _square_free(p: Sequence[Fraction]) -> tuple[int, ...]:
-    """p / gcd(p, p') as a primitive integer polynomial: the same roots, all simple."""
-    g, h = _primitive(p), _primitive(_derivative(p))
-    while not _is_zero(h):  # Euclid's algorithm
-        g, h = h, _primitive(_divmod(g, h)[1])
-    return _primitive(_divmod(p, g)[0])
+#: The prime of `_coprime_mod`, 2^89 - 1 (2^61 - 1 divides the
+#: discriminant of B_63(x) / x, which would send it down the slow path).
+_PRIME = (1 << 89) - 1
 
 
-def _sturm_chain(p: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """p, p', then minus the remainders, each scaled by a positive constant."""
-    chain = [p, _primitive(_derivative(p))]
-    while len(chain[-1]) > 1:
-        r = _divmod(chain[-2], chain[-1])[1]
-        if _is_zero(r):
-            break
-        chain.append(_primitive([-c for c in r]))
-    return chain
+def _coprime_mod(a: Sequence[int], b: Sequence[int]) -> bool:
+    """Whether a and b are coprime modulo _PRIME (Euclid's algorithm in GF(p))."""
+    a, b = list(_trim([c % _PRIME for c in a])), list(_trim([c % _PRIME for c in b]))
+    while any(b):
+        inv, db = pow(b[-1], -1, _PRIME), len(b) - 1
+        while len(a) > db:
+            top = a.pop() * inv % _PRIME
+            s = len(a) - db
+            for j in range(db):
+                a[s + j] = (a[s + j] - top * b[j]) % _PRIME
+        a, b = b, list(_trim(a or [0]))
+    return len(a) == 1
 
 
-def _eval_int(p: Sequence[int], x: Fraction) -> int:
-    """p(x) times the positive integer den(x)^deg(p), for integer coefficients."""
-    num, den = x.numerator, x.denominator
-    acc, scale = 0, 1
-    for c in reversed(p):
-        acc = acc * num + c * scale
-        scale *= den
-    return acc
+def _square_free(p: list[int]) -> list[int]:
+    """The primitive integer polynomial p over gcd(p, p'): the same roots, all
+    simple.  Where p and p' are coprime modulo a prime that does not divide
+    lc(p), p is square-free already, since a square factor of p would divide
+    both there; else the gcd is the last term of the primitive remainder
+    sequence, and by Gauss's lemma it divides p in integers."""
+    a, b = p, _content_free(_derivative(p))
+    if p[-1] % _PRIME and _coprime_mod(a, b):
+        return p
+    while len(b) > 1:
+        r = _pseudo_remainder(a, b)
+        if not any(r):
+            return _exact_quotient(p, b)
+        a, b = b, _content_free(r)
+    return p
 
 
-def _sign_changes(chain: list[tuple[int, ...]], x: Fraction) -> int:
-    """Sign changes of the chain at x, zeros skipped."""
+def _taylor_shift(q: Sequence[int]) -> list[int]:
+    """The coefficients of q(x + 1)."""
+    a, d = list(q), len(q) - 1
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            a[j] += a[j + 1]
+    return a
+
+
+def _descartes(q: Sequence[int]) -> int:
+    """The sign variations of (x+1)^d q(1/(x+1)), capped at 2.  By Descartes'
+    rule a count of 0 or 1 is the number of roots of q in (0, 1), and 2
+    leaves it open.  Coefficients of one sign give none.  Each pass of the
+    Taylor shift finishes one more coefficient, lowest first, so the count
+    stops at the second variation."""
+    if all(c >= 0 for c in q) or all(c <= 0 for c in q):
+        return 0
+    a, d = q[::-1], len(q) - 1
     count, last = 0, 0
-    for p in chain:
-        v = _eval_int(p, x)
-        if v:
-            if last and (v > 0) != (last > 0):
+    for i in range(d + 1):
+        for j in range(d - 1, i - 1, -1):
+            a[j] += a[j + 1]
+        if a[i]:
+            if last and (a[i] > 0) != (last > 0):
                 count += 1
-            last = v
+                if count == 2:
+                    break
+            last = a[i]
     return count
 
 
-def _refine(p: tuple[int, ...], lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Shrink (lo, hi], holding exactly one simple root of p, to ROOT_WIDTH."""
-    v_hi = _eval_int(p, hi)
-    if v_hi == 0:
-        return hi, hi
-    while hi - lo > ROOT_WIDTH * max(1, abs(lo), abs(hi)):
-        mid = (lo + hi) / 2
-        v_mid = _eval_int(p, mid)
-        if v_mid == 0:
-            return mid, mid
-        if (v_mid > 0) != (v_hi > 0):
-            lo = mid
-        else:
-            hi, v_hi = mid, v_mid
-    return lo, hi
+def _sign_at(q: Sequence[int], m: int, e: int) -> int:
+    """The sign of q(m / 2^e), by Horner's rule in integers."""
+    acc = 0
+    if e <= 0:
+        x = m << -e
+        for c in reversed(q):
+            acc = acc * x + c
+    else:
+        for i, c in enumerate(reversed(q)):  # q(m / 2^e) 2^(e deg q)
+            acc = acc * m + (c << e * i)
+    return (acc > 0) - (acc < 0)
+
+
+def _dyadic(m: int, e: int) -> Fraction:
+    return Fraction(m, 1 << e) if e >= 0 else Fraction(m << -e)
+
+
+def _positive_roots(q: Sequence[int]) -> list[tuple[Fraction, Fraction]]:
+    """`real_root_intervals` on (0, inf) for a square-free integer q, q(0) != 0.
+
+    Isolation (Collins and Akritas): every root is below 2^k (Fujiwara's
+    bound 2 max |q_(d-i) / q_d|^(1/i), each ratio below a power of 2 from
+    the bit lengths), and the node (c, j, Q) stands for the interval
+    (c, c + 1) 2^(k-j), whose roots are those of Q in (0, 1).  A node that
+    `_descartes` gives 1 isolates a root; one it gives 2 splits into
+    2^d Q(x/2) and that shifted by 1, whose constant term is 0 where the
+    midpoint is a root.  Refinement bisects at dyadic points and keeps the
+    sign of q just inside the right end: q there or, where that end is a
+    root itself, minus the sign of q' at it.
+    """
+    d = len(q) - 1
+    k = 1 + max(-((q[-1].bit_length() - 1 - c.bit_length()) // i)
+                for i, c in enumerate(reversed(q[:-1]), 1) if c)
+    top = ([c << k * i for i, c in enumerate(q)] if k >= 0
+           else [c << -k * (d - i) for i, c in enumerate(q)])
+    found, stack = [], [(0, 0, top)]
+    while stack:
+        c, j, node = stack.pop()
+        count = _descartes(node)
+        if count == 1:
+            found.append((c, j - k, False))
+        elif count == 2:
+            left = [a << d - i for i, a in enumerate(node)]
+            right = _taylor_shift(left)
+            if right[0] == 0:
+                found.append((2 * c + 1, j + 1 - k, True))
+            stack += [(2 * c + 1, j + 1, right), (2 * c, j + 1, left)]
+    dq = _derivative(q)
+    out = []
+    for m, e, exact in found:
+        if not exact:
+            side = _sign_at(q, m + 1, e) or -_sign_at(dq, m + 1, e)
+            while e < _ROOT_BITS and m.bit_length() <= _ROOT_BITS:
+                m, e = 2 * m, e + 1
+                s = _sign_at(q, m + 1, e)
+                if s == 0:
+                    m, exact = m + 1, True
+                    break
+                if s != side:
+                    m += 1
+        out.append((_dyadic(m, e), _dyadic(m + (not exact), e)))
+    return sorted(out)
+
+
+def _sign(q: Sequence, x: Fraction) -> int:
+    v = poly_eval_exact(q, x)
+    return (v > 0) - (v < 0)
 
 
 @lru_cache(maxsize=1024)
@@ -292,31 +384,33 @@ def real_root_intervals(coeffs: tuple[Fraction, ...],
     distinct real root of the polynomial in (lo, inf) (all roots when lo is None)
     and at most ROOT_WIDTH * max(1, |l|, |h|) wide.
 
-    Exact: Sturm's theorem counts the roots of the square-free part in
-    half-open intervals, bisection isolates them and a sign-change bisection
-    refines each one.
+    Exact: the root 0 is split off, the rest is made square-free in
+    integers, and the positive roots of it and, unless lo >= 0, of q(-x)
+    are isolated by Descartes' rule and refined by bisection
+    (`_positive_roots`).  An interval that holds lo keeps only its part
+    above lo, and only where the root lies there.
     """
-    p = _trim(coeffs)
+    p = _primitive(_trim(coeffs))
     if len(p) < 2:
         return ()
-    q = _square_free(p)
-    # Cauchy's bound: every root has modulus below 1 + max |q_i / q_d|
-    bound = 1 + Fraction(max(abs(c) for c in q[:-1]), abs(q[-1]))
-    lo = -bound if lo is None else max(Fraction(lo), -bound)
-    if lo >= bound:
-        return ()
-    chain = _sturm_chain(q)
-    out = []
-    stack = [(lo, bound, _sign_changes(chain, lo), _sign_changes(chain, bound))]
-    while stack:
-        a, b, va, vb = stack.pop()
-        if va - vb == 1:
-            out.append(_refine(q, a, b))
-        elif va - vb > 1:
-            mid = (a + b) / 2
-            vm = _sign_changes(chain, mid)
-            stack.append((mid, b, vm, vb))
-            stack.append((a, mid, va, vm))
+    zeros = next(i for i, c in enumerate(p) if c)
+    out = [(Fraction(0), Fraction(0))] if zeros else []
+    q = _square_free(p[zeros:]) if len(p) - zeros > 1 else [1]
+    if len(q) > 1:
+        out += _positive_roots(q)
+        if lo is None or lo < 0:
+            flipped = [-c if i % 2 else c for i, c in enumerate(q)]
+            out += [(-h, -l) for l, h in _positive_roots(flipped)]
+    if lo is not None:
+        kept = []
+        for l, h in out:
+            if l > lo or (l == lo < h):
+                kept.append((l, h))
+            elif l < lo < h:  # the root is above lo where q(lo) and q just below h differ in sign
+                s = _sign(q, lo)
+                if s and s != (_sign(q, h) or -_sign(_derivative(q), h)):
+                    kept.append((Fraction(lo), h))
+        out = kept
     return tuple(sorted(out))
 
 
@@ -427,6 +521,8 @@ GAUSS_ORDER = 16
 
 @lru_cache(maxsize=None)
 def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     return np.polynomial.legendre.leggauss(order)
 
 
@@ -442,6 +538,8 @@ def gauss_legendre(f: Callable[[np.ndarray], np.ndarray], lefts: Sequence[float]
     error is not bounded here (callers grade the panels, or compare two
     orders).
     """
+    import numpy as np
+
     nodes, weights = _gauss_nodes(order)
     a = np.asarray(lefts, dtype=float)
     half = 0.5 * np.broadcast_to(np.asarray(widths, dtype=float), a.shape)

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from . import mathieu, polyfun
 from .errors import ParameterError, WitnessNotFoundError
 
@@ -82,6 +80,8 @@ class ExpKernel(ConvexKernel):
         self.lam = lam
 
     def g(self, x):
+        import numpy as np
+
         return np.exp(-self.lam * x)
 
     def tail(self, t: float) -> float:

@@ -478,9 +478,9 @@ README_COMMANDS = {
 }
 
 #: Runs the CLI as `python -m mathieuseries.cli` does, then reports on stderr
-#: every scipy module the command left in sys.modules.
+#: every scipy and numpy module the command left in sys.modules.
 README_PROBE = """
-import runpy, sys
+import json, runpy, sys
 sys.argv[0] = "mathieu-series"
 code = 0
 try:
@@ -488,22 +488,25 @@ try:
 except SystemExit as exc:
     code = exc.code
 sys.stdout.flush()
-print(",".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")), file=sys.stderr)
+print(json.dumps({top: sorted(m for m in sys.modules if m.split(".")[0] == top)
+                  for top in ("scipy", "numpy")}), file=sys.stderr)
 sys.exit(code)
 """
 
 
+def probe_cli(args, cwd):
+    """(exit code, stdout, {"scipy": [...], "numpy": [...]} modules loaded) of
+    the CLI run with args in a fresh process."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", README_PROBE, *args], capture_output=True,
+                          text=True, cwd=cwd, env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    return proc.returncode, proc.stdout, json.loads(proc.stderr.splitlines()[-1])
+
+
 @pytest.fixture(scope="module")
 def readme_runs(tmp_path_factory):
-    """args -> (exit code, stdout, scipy modules loaded), one fresh process each."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    runs = {}
-    for args in README_COMMANDS:
-        proc = subprocess.run([sys.executable, "-c", README_PROBE, *args], capture_output=True,
-                              text=True, cwd=tmp_path_factory.mktemp("readme"),
-                              env=dict(os.environ, PYTHONPATH=src), timeout=300)
-        runs[args] = (proc.returncode, proc.stdout, proc.stderr.splitlines()[-1])
-    return runs
+    """args -> `probe_cli(args)`, one fresh process each."""
+    return {args: probe_cli(args, tmp_path_factory.mktemp("readme")) for args in README_COMMANDS}
 
 
 class TestReadmeGolden:
@@ -528,19 +531,21 @@ class TestReadmeGolden:
 
 
 class TestImportCost:
-    """scipy is imported where a command needs it, not with the package."""
+    """scipy is imported where a command needs it and numpy where one builds
+    an array, not with the package."""
 
     SCRIPT = """
 import sys
-from mathieuseries import cli
+{imports}
 {body}
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "{top}")
 print(",".join(loaded))
 """
 
-    def _loaded(self, body, tmp_path):
+    def _loaded(self, body, tmp_path, top="scipy", imports="from mathieuseries import cli"):
         src = str(Path(cli.__file__).resolve().parents[1])
-        proc = subprocess.run([sys.executable, "-c", self.SCRIPT.format(body=body)],
+        script = self.SCRIPT.format(imports=imports, body=body, top=top)
+        proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, cwd=tmp_path,
                               env=dict(os.environ, PYTHONPATH=src), timeout=300)
         assert proc.returncode == 0, proc.stderr
@@ -549,10 +554,30 @@ print(",".join(loaded))
     def test_import_loads_no_scipy(self, tmp_path):
         assert self._loaded("", tmp_path) == ""
 
+    @pytest.mark.parametrize("imports", ["import mathieuseries", "import mathieuseries.cli"])
+    def test_import_loads_no_numpy(self, tmp_path, imports):
+        assert self._loaded("", tmp_path, top="numpy", imports=imports) == ""
+
     def test_readme_commands_load_no_scipy(self, readme_runs):
         # each in a fresh process: `verify all` and `hankel` included
-        assert {args: run[2] for args, run in readme_runs.items()} == dict.fromkeys(
-            README_COMMANDS, "")
+        assert {args: run[2]["scipy"] for args, run in readme_runs.items()} == dict.fromkeys(
+            README_COMMANDS, [])
+
+    def test_asym_loads_no_numpy(self, readme_runs):
+        asym = next(args for args in README_COMMANDS if args[0] == "asym")
+        assert readme_runs[asym][2]["numpy"] == []
+
+    @pytest.mark.parametrize("args,code", [
+        (("--help",), 0),
+        (("eval", "--help"), 0),
+        (("eval", "--t", "x"), 2),
+        (("verify",), 2),
+        ((), 2),
+    ])
+    def test_help_and_usage_errors_load_no_numpy(self, tmp_path, args, code):
+        got, _, loaded = probe_cli(args, tmp_path)
+        assert got == code
+        assert loaded == {"scipy": [], "numpy": []}
 
     def test_non_integer_kernel_loads_no_quadrature(self, tmp_path):
         # (2, 2.5, 1, 0) at t >= 50 took its EM variation from scipy's quad
@@ -585,7 +610,8 @@ print(",".join(loaded))
             "del sys.modules['scipy']",
         ])
         src = str(Path(cli.__file__).resolve().parents[1])
-        script = "import sys\nsys.modules['scipy'] = None\n" + self.SCRIPT.format(body=body)
+        script = "import sys\nsys.modules['scipy'] = None\n" + self.SCRIPT.format(
+            imports="from mathieuseries import cli", body=body, top="scipy")
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, cwd=tmp_path,
                               env=dict(os.environ, PYTHONPATH=src), timeout=300)

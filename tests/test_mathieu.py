@@ -880,6 +880,18 @@ class TestYForm:
         # the bound is a few hundred ulps where no cancellation intervenes
         assert np.median(ratios) < 1e-13
 
+    def test_huge_denominator_kernel_contains_the_oracle(self):
+        # float parameters whose exact denominators are near 2^950: the turning
+        # points of g^(8) come from P_9 coefficients of about 8,600 bits
+        params = (5.722415312884681e-271, 2.7772510382832136, -0.6013965515991366,
+                  -0.24454740959964283)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # mu <= 0
+            p = mathieu.MathieuParams(*params)
+        res = mathieu.eval_S(p, 7.64e7, 1e-10)
+        assert res.rigorous and res.err_hi <= 1e-10
+        assert _contains(res, s_mellin_mp(*params, 7.64e7))
+
     @pytest.mark.parametrize("kernel", Y_FORM_KERNELS)
     def test_turning_intervals_against_mpmath_sign(self, kernel):
         # g^(n+1) changes sign across each turning interval of g^(n) and keeps

@@ -172,19 +172,141 @@ def test_sup_bounds_tight_against_mpmath(interval):
 
 def test_real_root_intervals():
     # (x - 1)^2 (x + 2) (x - 1/3) (x^2 + 1): a double root, a rational one, two complex
-    p = [Fraction(1)]
-    for factor in ([-1, 1], [-1, 1], [2, 1], [Fraction(-1, 3), 1], [1, 0, 1]):
-        out = [Fraction(0)] * (len(p) + len(factor) - 1)
-        for i, a in enumerate(p):
-            for j, b in enumerate(factor):
-                out[i + j] += a * b
-        p = out
+    p = _product([[-1, 1], [-1, 1], [2, 1], [Fraction(-1, 3), 1], [1, 0, 1]])
     found = polyfun.real_root_intervals(tuple(p))
     assert len(found) == 3
     for (lo, hi), root in zip(found, (Fraction(-2), Fraction(1, 3), Fraction(1))):
         assert lo <= root <= hi
         assert hi - lo <= polyfun.ROOT_WIDTH * max(1, abs(lo), abs(hi))
     assert len(polyfun.real_root_intervals(tuple(p), Fraction(0))) == 2
+
+
+def _product(factors) -> tuple[Fraction, ...]:
+    """Coefficients, constant first, of the product of the given polynomials."""
+    p = [Fraction(1)]
+    for factor in factors:
+        out = [Fraction(0)] * (len(p) + len(factor) - 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(factor):
+                out[i + j] += a * b
+        p = out
+    return tuple(p)
+
+
+def _brackets_sign_change(coeffs, lo, hi) -> bool:
+    return polyfun.poly_eval_exact(coeffs, lo) * polyfun.poly_eval_exact(coeffs, hi) < 0
+
+
+class TestRealRootIntervals:
+    """The Descartes-rule isolator: exact dyadic and rational roots, repeated
+    roots, the root 0 under lo = 0, and huge coefficients."""
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9, 13, 21, 33, 63])
+    def test_odd_bernoulli_roots_are_exact(self, n):
+        # B_n, n >= 3 odd, vanishes at 0, 1/2 and 1 and nowhere else in [0, 1]
+        found = polyfun.real_root_intervals(polyfun.bernoulli_coeffs(n).coeffs)
+        inside = [(lo, hi) for lo, hi in found if 0 <= hi and lo <= 1]
+        assert inside == [(Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(1, 2)),
+                          (Fraction(1), Fraction(1))]
+
+    def test_roots_on_bisection_points_and_interval_ends(self):
+        # the dyadic roots are midpoints of the isolation; 1 - 2^-20 and
+        # 1 + 2^-20 isolate in intervals that end at the root 1, so their
+        # refinement starts from a zero at one end
+        roots = [Fraction(1), Fraction(2), Fraction(-1, 4), 1 - Fraction(1, 2**20),
+                 1 + Fraction(1, 2**20), Fraction(3, 4)]
+        coeffs = _product([[-r, 1] for r in roots])
+        found = polyfun.real_root_intervals(coeffs)
+        assert len(found) == len(roots)
+        for (lo, hi), root in zip(found, sorted(roots)):
+            assert lo <= root <= hi
+            if root.denominator & (root.denominator - 1) == 0 and abs(root) >= Fraction(1, 4):
+                assert lo == hi == root
+            else:
+                assert _brackets_sign_change(coeffs, lo, hi)
+
+    def test_repeated_roots(self):
+        # (x - 1/3)^3 (x + 2)^2 (x - 5): one interval per distinct root
+        coeffs = _product([[Fraction(-1, 3), 1]] * 3 + [[2, 1]] * 2 + [[-5, 1]])
+        found = polyfun.real_root_intervals(coeffs)
+        assert len(found) == 3
+        for (lo, hi), root in zip(found, (Fraction(-2), Fraction(1, 3), Fraction(5))):
+            assert lo <= root <= hi
+            assert hi - lo <= polyfun.ROOT_WIDTH * max(1, abs(root))
+
+    def test_lo_inside_an_isolating_interval(self):
+        # lo within 2^-70 of the root 1/3: the interval is cut at lo where
+        # the root lies above it, and dropped where it lies at or below
+        coeffs = _product([[-1, 3], [5, 3]])
+        tiny = Fraction(1, 2**70)
+        (lo, hi), = polyfun.real_root_intervals(coeffs, Fraction(1, 3) - tiny)
+        assert lo == Fraction(1, 3) - tiny < Fraction(1, 3) <= hi
+        assert polyfun.real_root_intervals(coeffs, Fraction(1, 3)) == ()
+        assert polyfun.real_root_intervals(coeffs, Fraction(1, 3) + tiny) == ()
+        (lo, hi), _ = polyfun.real_root_intervals(coeffs, Fraction(-5, 3) - tiny)
+        assert lo == Fraction(-5, 3) - tiny < Fraction(-5, 3) <= hi
+
+    def test_turning_polynomial_with_a_root_at_zero(self):
+        # P_9 of (1, 2, 1, 0), whose roots give the turning points of g^(8),
+        # is y^4 times a quintic: lo = 0 leaves out the root 0 and keeps the
+        # quintic's five positive roots
+        from mathieuseries import mathieu
+
+        coeffs = mathieu._y_numerators(1.0, 2.0, 1.0, 9)[-1]
+        assert coeffs[:4] == (0, 0, 0, 0) and coeffs[4] != 0
+        everywhere = polyfun.real_root_intervals(coeffs)
+        positive = polyfun.real_root_intervals(coeffs, Fraction(0))
+        assert everywhere[0] == (0, 0) and everywhere[1:] == positive
+        assert len(positive) == 5
+        for lo, hi in positive:
+            assert 0 < lo < hi and _brackets_sign_change(coeffs, lo, hi)
+
+    def test_huge_coefficients(self):
+        # float parameters with exact denominators near 2^950 give P_9
+        # coefficients of about 8,600 bits
+        from mathieuseries import mathieu
+
+        coeffs = mathieu._y_numerators(5.722415312884681e-271, 2.7772510382832136,
+                                       -0.6013965515991366, 9)[-1]
+        assert min(max(abs(c.numerator), c.denominator).bit_length() for c in coeffs) > 8000
+        found = polyfun.real_root_intervals(coeffs, Fraction(0))
+        # seven positive roots: one near -c_0 / c_1 ~ 1e-267 (gamma ~ 6e-271
+        # is a factor of c_0) and six that mpmath finds, with a complex pair
+        with mp.workdps(60):
+            roots = mp.polyroots([mp.mpf(c.numerator) / c.denominator for c in coeffs[::-1]],
+                                 maxsteps=400, extraprec=400)
+            large = sorted(float(mp.re(r)) for r in roots
+                           if abs(mp.im(r)) < 1e-40 and mp.re(r) > 1e-3)
+        assert len(found) == 7 and len(large) == 6
+        assert float(found[0][0]) == pytest.approx(float(-coeffs[0] / coeffs[1]), rel=1e-12)
+        for (lo, hi), root in zip(found[1:], large):
+            assert float(lo) == pytest.approx(root, rel=1e-12)
+        for lo, hi in found:
+            assert 0 <= lo and _brackets_sign_change(coeffs, lo, hi)
+
+    @settings(max_examples=60, deadline=None)
+    @given(factors=st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 12)),
+                            min_size=1, max_size=7),
+           complex_factor=st.booleans(),
+           lo=st.one_of(st.none(), st.fractions(-5, 5, max_denominator=8)))
+    def test_products_of_linear_factors(self, factors, complex_factor, lo):
+        # one interval per distinct root p/q above lo, each holding it and
+        # at most ROOT_WIDTH max(1, |x|) wide, with x^2 + x + 1 thrown in
+        coeffs = _product([[-p, q] for p, q in factors] + [[1, 1, 1]] * complex_factor)
+        roots = sorted({Fraction(p, q) for p, q in factors if lo is None or Fraction(p, q) > lo})
+        found = polyfun.real_root_intervals(coeffs, lo)
+        assert len(found) == len(roots)
+        for (l, h), root in zip(found, roots):
+            assert l <= root <= h
+            assert h - l <= polyfun.ROOT_WIDTH * max(1, abs(root))
+        assert all(a[1] < b[0] for a, b in zip(found, found[1:]))
+
+
+def test_order_64_sup_is_the_bernoulli_number():
+    # for even n the sup of |B_n| on [0, 1] is |B_n|, taken at 0 and 1
+    b64 = abs(polyfun.bernoulli_number(64))
+    bound = polyfun.spline_sup(polyfun.SplineKind("bernoulli", 64))
+    assert b64 <= Fraction(bound) <= b64 * (1 + Fraction(1, 10**15))
 
 
 @settings(max_examples=60, deadline=None)
