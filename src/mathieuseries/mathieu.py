@@ -19,20 +19,18 @@ where the terms become monotone decreasing, the tail is enclosed between
 integral bounds (or, for the gamma=1, alpha=2 family, the sharper two-sided
 Hermite-Hadamard bounds, and for the alternating series between 0 and the
 first omitted term), so every result is a value plus an interval that
-contains the true sum.  Where that bracket would need more than CROSSOVER
-terms, a head of 64 terms is summed and the rest is closed by the
-Euler-Maclaurin (Boole) engine with its certified remainder, for every
+contains the true sum.  Kernels outside Z+ x N, at every t, and heads that
+would start past CROSSOVER sum a head of 64 terms at once and close the rest
+by the Euler-Maclaurin (Boole) engine with its certified remainder; the
+other sums keep the brackets and take that closed tail where the brackets
+would need more than CROSSOVER terms.  The closed tail exists for every
 kernel: at t > 0 on the kernel shifted past the head, whose derivatives
 x^(gamma-n) (1+y)^(-m-n) P_n(y), y = x^alpha, are evaluated in floats with
 rounding bounds and whose variation comes from the exactly isolated roots
 of P_(n+1) (`_YDerivative`); at t = 0 (and t^alpha <= 2^-100) on the power
 tail 2 (x + 64)^(-delta).  `eval_em` is the closer with no head, for
 (gamma, alpha) in Z+ x N, where g is smooth at 0: the same y-form there,
-with g^(n)(0) exact up to one rounding.  Kernels outside
-Z+ x N at t > 0, once the head passes the index where their terms turn
-convex (`_convex_x`, certified in rationals), enclose the tail between
-second-order trapezoid and midpoint bounds below CROSSOVER
-(`_convex_bracket`).
+with g^(n)(0) exact up to one rounding.
 """
 
 from __future__ import annotations
@@ -629,41 +627,6 @@ def _monotone_from(params: MathieuParams, t: float) -> int:
     return max(1, int(math.ceil(k0)) + 1)
 
 
-@functools.lru_cache(maxsize=256)
-def _convex_x(params: MathieuParams) -> float:
-    """A point x_c past which g is convex, delta > 0, certified in rationals.
-
-    With y = x^alpha, m = mu + 1 and delta = alpha m - gamma,
-    g''(x) = x^(gamma-2) (1+y)^(-m-2) Q(y), where
-    Q(y) = delta (delta+1) y^2 + [(gamma-1)(gamma-delta) - (m+1) alpha gamma
-    - alpha delta] y + gamma (gamma-1) opens upward, so Q >= 0 from any y at
-    which Q and Q' are both nonnegative on.  y starts at Q's larger root (or
-    its vertex) in floats and moves up until both hold in exact arithmetic;
-    x_c = y^(1/alpha) is then rounded up past pow's 1 ulp and the rounding of
-    1/alpha.  The classical kernel has x_c = 1.
-    """
-    g, a = Fraction(params.gamma), Fraction(params.alpha)
-    m = Fraction(params.mu) + 1
-    d = a * m - g
-    c2, c1, c0 = d * (d + 1), (g - 1) * (g - d) - (m + 1) * a * g - a * d, g * (g - 1)
-    disc = float(c1 * c1 - 4 * c2 * c0)
-    y = max(0.0, (-float(c1) + math.sqrt(max(disc, 0.0))) / float(2 * c2))
-    step = max(y, 2.0**-1000) * 2.0**-52
-    while not (c2 * Fraction(y) ** 2 + c1 * Fraction(y) + c0 >= 0
-               and 2 * c2 * Fraction(y) + c1 >= 0):
-        y += step
-        step *= 2.0
-    if y == 0.0:
-        return 0.0
-    x = y ** (1.0 / params.alpha)
-    return x * (1.0 + (4.0 + abs(math.log(y)) / params.alpha) * 2.0**-52)
-
-
-def _convex_from(params: MathieuParams, t: float) -> int:
-    """Index from which the terms are convex in k, with a margin of one."""
-    return max(1, int(math.ceil(t * _convex_x(params) - params.u)) + 1)
-
-
 def hermite_hadamard(tail, kernel, w: float, y: float) -> tuple[float, float]:
     """Hermite-Hadamard bounds (lo, hi) for sum_{k>=1} 2(w+k) kernel((w+k)^2 + y).
 
@@ -681,10 +644,9 @@ def hermite_hadamard(tail, kernel, w: float, y: float) -> tuple[float, float]:
 def _tail_bracket(params: MathieuParams, t: float):
     """n -> first-order bounds for sum_{k > n} of the plain terms, n past the
     monotone index: integral bounds [F(n+1), F(n)], or Hermite-Hadamard
-    bounds in the gamma=1, alpha=2 family.  Every kernel takes them below
-    CROSSOVER; where `_convex_kernel` holds, only below the convexity index,
-    and past it where `_convex_bracket`'s scale or integral leaves the float
-    range."""
+    bounds in the gamma=1, alpha=2 family.  Kernels in Z+ x N take them
+    below CROSSOVER, and every kernel where its closed tail leaves the float
+    range or misses tol."""
     u, mu, delta = params.u, params.mu, params.delta
     if params.gamma == 1.0 and params.alpha == 2.0:
         # the terms are 2w g(w^2 + t^2) with the convex kernel g(s) = s^(-mu-1)
@@ -717,47 +679,6 @@ def _tail_bracket(params: MathieuParams, t: float):
             lo, hi = t_zero(n)
             drift = (mu + 1.0) * (t / (n + 1.0 + u)) ** params.alpha
             return max(0.0, lo * (1.0 - 1.01 * drift)), hi
-
-    return bracket
-
-
-def _convex_bracket(params: MathieuParams, t: float, terms, integral_bracket):
-    """n -> second-order bounds for the plain sum past n of the terms f
-    (`_terms`), t > 0, n past `_monotone_from` and `_convex_from`.
-
-    Past both the terms f(k) are convex and decreasing, so the trapezoid and
-    midpoint rules give
-
-        F(n+1) + f(n+1)/2  <=  sum_{k>n} f(k)  <=  F(n+1/2),
-
-    with F(s) = int_s^inf f = 2 t^(1-delta) tail_integral((s+u)/t), a width
-    near |f'(n)|/8.  It rounds outward: f within twice `_term_rtol`, each F
-    within the `tail_integral_rel_err` of its own point, taken with its
-    value, the power 2 t^(1-delta) within 1 ulp of t to the rounded
-    exponent, off by `_delta_error` + u |1-delta| times |log t| from the
-    exact one, and the rounded argument (s+u)/t within 2u, which moves F by
-    at most 2u x g(x) <= 2u (delta-1) F (x^delta g(x) increases in x).
-    Where the scale or F leaves the float range, `integral_bracket`, the
-    first-order `_tail_bracket`, stands in.
-    """
-    u, delta = params.u, params.delta
-    c = _tail_constants(params)
-    rtol = 2.0 * _term_rtol(params)
-    scale_rel = ((3.0 + 2.1 * (delta - 1.0)) * 2.0**-53
-                 + (_delta_error(params) + abs(1.0 - delta) * 2.0**-53) * abs(math.log(t)))
-
-    def bracket(n):
-        try:
-            scale = 2.0 * t ** (1.0 - delta)
-            if scale < 2.0**-1000:
-                raise OverflowError("the scale underflows")
-            lo, lo_rel = _tail_with_rel(params, c, (n + 1.0 + u) / t)
-            hi, hi_rel = _tail_with_rel(params, c, (n + 0.5 + u) / t)
-        except OverflowError:
-            return integral_bracket(n)
-        lo = scale * lo * (1.0 - 1.01 * (lo_rel + scale_rel))
-        lo = (lo + 0.5 * float(terms(n + 1)) * (1.0 - rtol)) * (1.0 - 2.0**-50)
-        return lo, scale * hi * (1.0 + 1.01 * (hi_rel + scale_rel)) * (1.0 + 2.0**-50)
 
     return bracket
 
@@ -824,56 +745,26 @@ def bracketed_sum(terms, tail_bracket, n: int, tol: float, term_rtol: float = 4e
     bracket).
 
     Shortcuts skip brackets that cannot end the doubling, and leave every
-    result as it would be without them.  A starting n past CROSSOVER closes
-    at once, unless the doubling's brackets, evaluated without summing, meet
-    tol within the cap with a radius (at least half the bracket's width plus
-    the rounding of the head's sum) below the closed result's: that head is
-    then summed instead.  `floor`, where given, maps n to a lower bound on the
-    computed width hi - lo of tail_bracket(n), found from terms alone, that
-    is also below the width of every earlier rung of the doubling (`_direct`
-    gives the proofs), so a floor above tol shows that its rung and every
-    earlier one miss.  With `last` the last n before min(CROSSOVER, cap):
+    result as it would be without them.  `floor`, where given, maps n to a
+    lower bound on the computed width hi - lo of tail_bracket(n), found from
+    terms alone, that is also below the width of every earlier rung of the
+    doubling (`_direct` gives the proof), so a floor above tol shows that its
+    rung and every earlier one miss.  With `last` the last n before
+    min(CROSSOVER, cap):
     - where floor(last) exceeds tol, the sum closes before any bracket;
     - else, on the plain series, the doubling starts at the first rung up to
       `last` whose floor is at most tol, found by bisection.  An alternating
-      bracket costs one or two terms, no more than its floor, so every rung
-      is evaluated;
-    - past CROSSOVER the unsummed brackets skip each rung below the cap
-      whose floor exceeds tol.
+      bracket costs one term, no more than its floor, so every rung is
+      evaluated.
     A term out of the float range gives no floor.  The cap rung is always
     evaluated.
     """
     if cap is None:
         cap = _max_terms()
-    start, head = n, min(n, CLOSED_HEAD)
+    head = min(n, CLOSED_HEAD)
     if head > cap:
         exact_tail = None
     skip = None if alternating else floor
-    if exact_tail is not None and start > CROSSOVER:
-        res, exact_tail = _closed_result(terms, exact_tail, head, tol, term_rtol,
-                                         alternating), None
-        if res is not None:
-            # the brackets alone, unsummed, up to the first that meets tol
-            try:
-                while n <= cap:
-                    if skip is None or n == cap or not _floor_above(skip, n, tol):
-                        lo, hi = tail_bracket(n)
-                        if hi - lo <= tol or n == cap:
-                            break
-                    n = min(cap, 2 * n)
-            except OverflowError:  # a term out of float range: no bracket to weigh
-                return res
-            if n > cap or hi - lo > tol:
-                return res
-            # a summed head's radius is at least half its bracket's width plus
-            # the rounding of its sum, counted on the closed result's value
-            partial = res.value - 0.5 * (lo + hi)
-            least = 0.5 * (hi - lo) + (term_rtol + 2.0**-53) * abs(partial) \
-                + 2.0**-53 * abs(res.value)
-            if res.err_hi <= least:
-                return res
-            return _head_plus_tail(terms, n, (0.5 * (hi + lo), 0.5 * (hi - lo), 0), term_rtol,
-                                   alternating)
     if n > cap:
         raise ToleranceError(f"the first bracket needs {n} terms, past the {cap}-term cap; "
                              f"raise {MAX_TERMS_ENV}")
@@ -931,8 +822,8 @@ def _floor_above(floor, n: int, level: float) -> bool:
 
 def _closed_result(terms, exact_tail, head: int, tol: float, term_rtol: float,
                    alternating: bool) -> EvalResult | None:
-    """The head plus exact_tail(head) for `bracketed_sum`, or None where that
-    tail is wider than tol or leaves the float range."""
+    """The head plus exact_tail(head) for `_direct` and `bracketed_sum`, or
+    None where that tail is wider than tol or leaves the float range."""
     try:
         tail = exact_tail(head)
     except OverflowError:  # a kernel scaled out of float range closes nothing
@@ -961,86 +852,53 @@ def _exact_tail(params: MathieuParams, t: float, alternating: bool):
     and at every other t > 0 through the shifted kernel in floats, whose
     derivatives and variation come from the y-form (`_YDerivative`).  Where
     a value leaves the float range it raises OverflowError, which
-    `bracketed_sum` takes as no closed tail."""
+    `_closed_result` takes as no closed tail."""
     return functools.partial(_closed_tail, params, t, alternating)
 
 
-def _convex_kernel(params: MathieuParams, t: float) -> bool:
-    """Whether `_direct` takes the second-order brackets past the convexity
-    index: at t > 0 outside Z+ x N, unless the t = 0 tail stands in
-    (t^alpha <= 2^-100 and delta + alpha > 1).  The other kernels keep the
-    first-order brackets up to CROSSOVER."""
-    return not (t == 0.0 or params.integer_regime or (
-        t < 1.0 and t**params.alpha <= _T_POWER_NEGLIGIBLE
-        and params.delta + params.alpha > 1.0))
-
-
 def _direct(params: MathieuParams, t: float, tol: float, alternating: bool) -> EvalResult:
-    """`bracketed_sum` of the terms from a head past the monotone index and
-    CLOSED_HEAD, with the first-order brackets and a closed tail
-    (`_exact_tail`); where `_convex_kernel` holds, the second-order brackets
-    take over once n passes the convexity index (`_convex_from`).  The term
-    cap is read once.
+    """The sum from a head past the monotone index and CLOSED_HEAD.  Kernels
+    outside Z+ x N, and heads that would start past CROSSOVER, take the
+    head of CLOSED_HEAD terms plus the closed tail (`_exact_tail`) at once;
+    the rest, and those whose closed tail leaves the float range or misses
+    tol, take `bracketed_sum` with the first-order brackets, and the rest
+    also with the closed tail where the brackets would need more than
+    CROSSOVER terms.  The term cap is read once.
 
     The rung floors given to `bracketed_sum`, for the terms f(k), which
-    decrease from the head on; each is below its rung's computed width and
-    below that of every earlier rung:
-    - a first-order bracket (the integral bounds [F(n+1), F(n)] with
-      F(s) = int_s^inf f, the t = 0 bracket, which is the same on
-      f = 2 (k+u)^(-delta), its stand-in where t^(1-delta) leaves the float
-      range, which holds it, or the alternating [0, f(n+1)]) is at least
-      int_n^(n+1) f >= f(n+1) wide, so f(n+1)/2 is below its computed width
-      with a margin for the rounding of f and of the bracket, and below
-      every earlier one's, as f decreases;
-    - the second-order bracket [F(n+1) + f(n+1)/2, F(n+1/2)] is the integral
-      of f(n+1-s) - f(n+1) over s in [0, 1/2], at least |f'(n+1)| s there
-      by convexity, so it is at least |f'(n+1)|/8 wide, and its outward
-      rounding only widens it.  Convexity also gives |f'(n+1)| >= f(n+1) -
-      f(n+2), of which (f(n+1)(1-r) - f(n+2)(1+r))/8 is below an eighth,
-      with f within r = `_term_rtol`.  Past the convexity index |f'|
-      decreases, so that floor is below |f'(m+1)|/8 at every earlier
-      second-order rung m, and below f(m+1) at every first-order one;
-    - the Hermite-Hadamard brackets and the second-order alternating one
-      cost no more than a floor would, and take none.
+    decrease from the head on: a first-order bracket (the integral bounds
+    [F(n+1), F(n)] with F(s) = int_s^inf f, the t = 0 bracket, which is the
+    same on f = 2 (k+u)^(-delta), its stand-in where t^(1-delta) leaves the
+    float range, which holds it, or the alternating [0, f(n+1)]) is at least
+    int_n^(n+1) f >= f(n+1) wide, so f(n+1)/2 is below its computed width
+    with a margin for the rounding of f and of the bracket, and below every
+    earlier one's, as f decreases.  The Hermite-Hadamard brackets cost no
+    more than a floor would, and take none.
     """
     terms = _terms(params, t)
     rtol = _term_rtol(params)
     cap = _max_terms()
     start = max(_monotone_from(params, t), CLOSED_HEAD)
     exact_tail = _exact_tail(params, t, alternating)
-    convex = _convex_from(params, t) if _convex_kernel(params, t) else math.inf
+    if CLOSED_HEAD <= cap and (not params.integer_regime or start > CROSSOVER):
+        res = _closed_result(terms, exact_tail, CLOSED_HEAD, tol, rtol, alternating)
+        if res is not None:
+            return res
+        exact_tail = None
 
     def floor(n: int) -> float:
-        if n < convex:
-            return 0.5 * float(terms(n + 1))
-        if alternating:
-            return 0.0
-        f1, f2 = float(terms(n + 1)), float(terms(n + 2))
-        return (f1 * (1.0 - rtol) - f2 * (1.0 + rtol)) / 8.0
+        return 0.5 * float(terms(n + 1))
 
     if alternating:
         # past the monotone index the remainder lies between 0 and term n+1,
-        # with its sign; past the convexity index too the differences
-        # f(k) - f(k+1) decrease, so it lies in [f(n+1)/2, f(n+1) - f(n+2)/2]
-        # (a width near |f'(n)|/2)
+        # with its sign
         def tail_bracket(n: int) -> tuple[float, float]:
-            f1 = float(terms(n + 1))
-            if n < convex:
-                lo, hi = 0.0, f1 * (1.0 + 2.0 * rtol)
-            else:
-                f2 = float(terms(n + 2))
-                lo, hi = 0.5 * f1 * (1.0 - 2.0 * rtol), f1 - 0.5 * f2 + 2.0 * rtol * (f1 + f2)
-            return (lo, hi) if n % 2 == 0 else (-hi, -lo)
-    elif convex > cap:
+            hi = float(terms(n + 1)) * (1.0 + 2.0 * rtol)
+            return (0.0, hi) if n % 2 == 0 else (-hi, 0.0)
+    else:
         tail_bracket = _tail_bracket(params, t)
         if params.gamma == 1.0 and params.alpha == 2.0:  # Hermite-Hadamard
             floor = None
-    else:
-        integral_bracket = _tail_bracket(params, t)
-        second_order = _convex_bracket(params, t, terms, integral_bracket)
-
-        def tail_bracket(n: int) -> tuple[float, float]:
-            return integral_bracket(n) if n < convex else second_order(n)
     return bracketed_sum(terms, tail_bracket, start, tol, rtol, exact_tail, alternating,
                          floor, cap)
 
@@ -1048,18 +906,17 @@ def _direct(params: MathieuParams, t: float, tol: float, alternating: bool) -> E
 def eval_S(params: MathieuParams, t: float, tol: float = 1e-10) -> EvalResult:
     """Direct summation of the plain series with a rigorous error bracket.
 
-    The head starts at max(monotone index, 64) and doubles until the tail
-    bracket is at most tol wide: integral (or Hermite-Hadamard) bounds.
-    Where they would need more than CROSSOVER terms, the head drops to 64
-    terms and an Euler-Maclaurin tail closes the sum, for every kernel
-    (`_exact_tail`, `_closed_tail`); a start past CROSSOVER closes at once,
-    unless summing on would give a tighter bracket.  Kernels outside
-    Z+ x N at t > 0 take the second-order `_convex_bracket` (a width near
-    |f'|/8) once the head passes their convexity index.  The radius adds
-    rounding slack, so it meets tol
-    whenever tol is achievable in float64 (roughly tol >= 2 _term_rtol(params)
-    times the sum of absolute terms, 4e-15 times it for the classical
-    series); it is honest either way.
+    Kernels outside Z+ x N, and heads that would start past CROSSOVER, sum
+    64 terms and close the rest at once by an Euler-Maclaurin tail
+    (`_exact_tail`, `_closed_tail`).  Otherwise the head starts at
+    max(monotone index, 64) and doubles until the tail bracket is at most
+    tol wide: integral (or Hermite-Hadamard) bounds; where they would need
+    more than CROSSOVER terms, the head drops to 64 terms and the closed
+    tail ends the sum.  The same brackets stand in wherever the closed tail
+    leaves the float range or misses tol.  The radius adds rounding slack,
+    so it meets tol whenever tol is achievable in float64 (roughly
+    tol >= 2 _term_rtol(params) times the sum of absolute terms, 4e-15 times
+    it for the classical series); it is honest either way.
     """
     params.require_delta(1.0)
     _check_t_tol(t, tol)
@@ -1069,13 +926,11 @@ def eval_S(params: MathieuParams, t: float, tol: float = 1e-10) -> EvalResult:
 def eval_S_alt(params: MathieuParams, t: float, tol: float = 1e-10) -> EvalResult:
     """Direct summation of the alternating series with a rigorous error bracket.
 
-    The same driver as `eval_S`: the remainder after n terms past the
-    monotone index lies between 0 and term n+1, with that term's sign.
-    Where that bracket would need more than CROSSOVER terms, a Boole tail
-    past 64 terms closes the sum, for every kernel.  Kernels outside
-    Z+ x N at t > 0, once n passes their convexity index, take the
-    second-order bracket between f(n+1)/2 and f(n+1) - f(n+2)/2 (a width
-    near |f'|/2) below that.
+    The same driver as `eval_S`, with a Boole tail past 64 terms where it
+    closes: at once outside Z+ x N and for heads that would start past
+    CROSSOVER, else where the bracket would need more than CROSSOVER
+    terms.  The bracket: the remainder after n terms past the monotone
+    index lies between 0 and term n+1, with that term's sign.
     """
     params.require_delta(0.0)
     _check_t_tol(t, tol)
@@ -1324,7 +1179,8 @@ class _YDerivative:
     def turns(self) -> list[list]:
         """`_turns` of g^(n) on [0, inf): each positive root of P_(n+1) lies
         in an exact interval in y, whose ends map to x = y^(1/alpha), rounded
-        outward by the margin of `_convex_x`."""
+        outward (`_x_of_y`) by (4 + (1 + |log y|)/alpha) 2^-52 of x, which
+        covers the pow and the roundings of 1/alpha and of y."""
         poly = _y_numerators(self.gamma, self.alpha, self.mu, self.n + 1)[-1]
         return self._turns(((_x_of_y(float(yl), self.alpha, -1.0),
                              _x_of_y(float(yh), self.alpha, 1.0))
@@ -1440,8 +1296,11 @@ def _y_point(alpha: float, x: float, x_err: float = 0.0) -> tuple:
 
 def _x_of_y(y: float, alpha: float, side: float) -> float:
     """A float beyond Y^(1/alpha) on the given side (-1 below, +1 above), for
-    the Y that y was rounded from once: the margin of `_convex_x` covers the
-    rounding of 1/alpha and the pow, and (1/alpha) 2^-52 more that of y."""
+    the Y that y was rounded from once.  The margin is
+    (4 + (1 + |log y|)/alpha) 2^-52 of x: 4 2^-52 covers the pow's 1 ulp and
+    the product's rounding; the rounding of 1/alpha moves the exponent by at
+    most 2^-53/alpha, so x by |log y| 2^-53/alpha; and y within 2^-53 of Y
+    moves x by 2^-53/alpha.  Each is taken twice over."""
     if y < 2.0**-1000:
         if side < 0.0:
             return 0.0
@@ -1807,8 +1666,8 @@ def eval_auto(params: MathieuParams, t: float, tol: float = 1e-10) -> EvalResult
 
     Direct summation is tried first below T_DIRECT and the certified
     Euler-Maclaurin bound first from it on; EM applies only for t > 0 and
-    (gamma, alpha) in Z+ x N, so every other kernel is summed directly (with
-    a closed tail past CROSSOVER).
+    (gamma, alpha) in Z+ x N, so every other kernel is summed directly (a
+    64-term head and its closed tail).
     ToleranceError names each path's reason when no path reaches tol.
     """
     params.require_delta(1.0)

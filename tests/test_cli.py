@@ -1,9 +1,11 @@
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -528,6 +530,39 @@ class TestReadmeGolden:
         assert proc.stderr == ("warning: mu <= 0 is outside the vetted regime; "
                                "results are experimental\n")
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == README_COMMANDS[args]
+
+
+class TestReadmeReferences:
+    """Every package name the README cites in backticks exists."""
+
+    MODULES = ("mathieu", "emsum", "polyfun", "sharp", "analysis", "cli")
+    #: `module.name...`, or a bare `_name...`, ending the span or followed by "("
+    CITED = re.compile(r"`((?:mathieu|emsum|polyfun|sharp|analysis|cli)\.\w+(?:\.\w+)*"
+                       r"|_\w+(?:\.\w+)*)[`(]")
+
+    def test_cited_names_exist(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        modules = {m: importlib.import_module(f"mathieuseries.{m}") for m in self.MODULES}
+        cited = set(self.CITED.findall(text))
+        assert "mathieu.bracketed_sum" in cited and "_beta_point" in cited
+        missing = []
+        for ref in sorted(cited):
+            head, *path = ref.split(".")
+            if head in modules:
+                owners = [modules[head]]
+            else:  # a bare name: in any module
+                owners, path = list(modules.values()), [head, *path]
+            if not any(self._resolves(owner, path) for owner in owners):
+                missing.append(ref)
+        assert not missing
+
+    @staticmethod
+    def _resolves(obj, path) -> bool:
+        for name in path:
+            if not hasattr(obj, name):
+                return False
+            obj = getattr(obj, name)
+        return True
 
 
 class TestImportCost:

@@ -242,32 +242,6 @@ class TestTailIntegral:
                 assert mathieu.tail_integral_rel_err(p, x) == expected, (params, x)
         assert taken == {mathieu._reflected_tail, mathieu._direct_tail}
 
-    @pytest.mark.parametrize("params", [(1.0, 1.5, 1.0, 0.0), (0.5, 1.5, 1.0, 0.0),
-                                        (0.0, 2.5, 0.3, 0.0), (1.0, 3.5, 0.5, 0.3)])
-    def test_convex_bracket_states_the_point_bound(self, params):
-        # each end of the second-order bracket takes tail_integral and its
-        # tail_integral_rel_err at that end's own point, with the scale terms
-        p = mathieu.MathieuParams(*params)
-        u, delta = p.u, p.delta
-        rtol = 2.0 * mathieu._term_rtol(p)
-        for t in (0.3, 3.0, 30.0):
-            terms = mathieu._terms(p, t)
-            bracket = mathieu._convex_bracket(p, t, terms, mathieu._tail_bracket(p, t))
-            scale = 2.0 * t ** (1.0 - delta)
-            scale_rel = ((3.0 + 2.1 * (delta - 1.0)) * 2.0**-53
-                         + (mathieu._delta_error(p) + abs(1.0 - delta) * 2.0**-53)
-                         * abs(math.log(t)))
-            start = max(mathieu._monotone_from(p, t), mathieu._convex_from(p, t))
-            for n in (start, 3 * start, 64 * start, 4096 * start):
-                x_lo, x_hi = (n + 1.0 + u) / t, (n + 0.5 + u) / t
-                lo = scale * mathieu.tail_integral(p, x_lo) \
-                    * (1.0 - 1.01 * (mathieu.tail_integral_rel_err(p, x_lo) + scale_rel))
-                lo = (lo + 0.5 * float(terms(n + 1)) * (1.0 - rtol)) * (1.0 - 2.0**-50)
-                hi = scale * mathieu.tail_integral(p, x_hi) \
-                    * (1.0 + 1.01 * (mathieu.tail_integral_rel_err(p, x_hi) + scale_rel)) \
-                    * (1.0 + 2.0**-50)
-                assert bracket(n) == (lo, hi), (params, t, n)
-
     @pytest.mark.parametrize("params", [(0.0, 2.0, 1.0, 0.0), (0.0, 2.5, 0.3, 0.0),
                                         (2.0, 2.5, 0.2000004, 0.0), (0.5, 1.5, 2.0, 0.0)])
     def test_shifted_tail_states_the_point_bound(self, params):
@@ -417,10 +391,9 @@ class TestEvalSAlt:
         assert abs(alt.value - rhs) <= 1e-10
 
     def test_slow_alternating_family_raises_cleanly(self, monkeypatch):
-        # delta = 0.9 outside Z+ x N: the second-order convex bracket, about
-        # |f'(n)|/2 ~ n^-1.9 wide, or the closed tail past it meets tol 1e-12
-        # within the term cap (the first-order bracket, ~n^-0.9 wide,
-        # exhausted it); a cap of 1,000 terms at a tol the closed tail
+        # delta = 0.9 outside Z+ x N: the 64-term head and its closed tail
+        # meet tol 1e-12 (the first-order bracket, ~n^-0.9 wide, exhausted
+        # the term cap); a cap of 1,000 terms at a tol the closed tail
         # (radius ~4e-16) cannot meet still ends in a clean ToleranceError
         params = mathieu.MathieuParams(1.5, 2.0, 0.2, 0.0)
         res = mathieu.eval_S_alt(params, 1.0, 1e-4)
@@ -1081,6 +1054,16 @@ class TestClosedTail:
         assert (res.terms_used, res.order) == (64, mathieu.TAIL_ORDER)
         assert _contains(res, s1_trigamma(1e5))
 
+    @pytest.mark.parametrize("params", [CLASSICAL, mathieu.MathieuParams(1.0, 2.0, 1.0, 0.3)])
+    def test_start_past_crossover_closes_at_once(self, params):
+        # the monotone index is past CROSSOVER: the first bracket that met tol
+        # was summed instead when its radius (2.09e-30) was below the closed
+        # tail's (3.98e-30), 17,320,510 terms
+        res = mathieu.eval_S(params, 3e7, 1e-10)
+        assert (res.terms_used, res.order) == (64, mathieu.TAIL_ORDER)
+        assert res.err_hi <= 1e-10
+        assert _contains(res, s1_trigamma(3e7, params.u))
+
     def test_former_cap_input_closes_in_64_terms(self, monkeypatch):
         monkeypatch.setenv(mathieu.MAX_TERMS_ENV, "1000")
         res = mathieu.eval_S(mathieu.MathieuParams(0.0, 2.0, 0.05, 0.0), 1.0, 1e-12)
@@ -1210,18 +1193,6 @@ class TestClosedTail:
         assert _contains(res, s_hurwitz_alt_mp(1.5, t))
 
 
-#: five kernels outside Z+ x N whose g'' changes sign once past the peak, and
-#: the classical kernel, whose convexity index is 1
-CONVEX_KERNELS = [(1.0, 1.5, 1.0, 0.0), (0.5, 1.5, 1.0, 0.0), (0.0, 2.5, 0.3, 0.0),
-                  (1.5, 2.0, 0.2, 0.0), (2.5, 1.3, 2.0, 0.0), (1.0, 2.0, 1.0, 0.0)]
-
-
-def _g2_mp(params, x) -> mp.mpf:
-    """g''(x) by mpmath's numerical differentiation."""
-    g, a, m = mp.mpf(params[0]), mp.mpf(params[1]), mp.mpf(params[2]) + 1
-    return mp.diff(lambda y: y**g * (1 + y**a) ** -m, mp.mpf(x), 2)
-
-
 @st.composite
 def _non_integer_case(draw):
     """(params, t) outside Z+ x N with delta in [1.1, 3], t in (0, 60]."""
@@ -1233,20 +1204,7 @@ def _non_integer_case(draw):
 
 
 class TestConvexBracket:
-    """The second-order tail brackets of kernels with no closed tail (t > 0
-    outside Z+ x N)."""
-
-    @pytest.mark.parametrize("params", CONVEX_KERNELS)
-    def test_convex_index_against_mpmath(self, params):
-        xc = mathieu._convex_x(mathieu.MathieuParams(*params))
-        for k in range(3, 11):
-            assert _g2_mp(params, xc * (1 + 10.0**-k)) > 0, (params, k)
-            assert _g2_mp(params, xc * (1 - 10.0**-k)) < 0, (params, k)
-        for scale in (1.5, 3.0, 10.0, 1e3):
-            assert _g2_mp(params, xc * scale) > 0, (params, scale)
-
-    def test_classical_index_is_one(self):
-        assert 1.0 <= mathieu._convex_x(CLASSICAL) <= 1.0 + 4e-15
+    """Kernels outside Z+ x N, which close with a 64-term head at every t."""
 
     @settings(max_examples=10, deadline=None)
     @given(case=_non_integer_case())
@@ -1271,12 +1229,13 @@ class TestConvexBracket:
         assert res.err_hi <= 1e-12
         assert _contains(res, s_alt_nsum_mp(*params, t))
 
-    @pytest.mark.parametrize("t", [0.01, 1.0, 7.0, 49.9])
+    @pytest.mark.parametrize("t", [0.0, 0.01, 1.0, 7.0, 49.9])
     def test_term_count(self, t):
-        # the first-order bracket [F(n+1), F(n)] needed up to 262,144 terms
+        # the first-order bracket [F(n+1), F(n)] needed up to 262,144 terms,
+        # and the second-order one up to 2,048
         params = (1.0, 1.5, 1.0, 0.0)
         res = mathieu.eval_S(mathieu.MathieuParams(*params), t, 1e-10)
-        assert res.terms_used <= 4096
+        assert (res.terms_used, res.order) == (64, mathieu.TAIL_ORDER)
         assert res.err_hi <= 1e-10
         assert _contains(res, s_binomial_mp(*params, t))
 
@@ -1284,13 +1243,11 @@ class TestConvexBracket:
         ((0.0, 2.5, 0.3, 0.0), 1e6, 64), ((0.0, 2.5, 0.3, 0.0), 2e7, 64),
         ((1.0, 1.5, 1.0, 0.0), 1e6, 629_962), ((1.0, 1.5, 1.0, 0.0), 2e7, 12_599_212)])
     def test_large_t_head_starts_below_the_convexity_index(self, params, t, first_order_terms):
-        # the convexity index t x_c - u (0.66 t and 1.16 t here) lies past the
-        # monotone index, and at t = 2e7 near or past the term cap: the head starts
-        # at the monotone index with the first-order bracket, so no result
-        # needs more terms than with that bracket alone
+        # first_order_terms is what the first-order bracket alone sums; the
+        # closed tail needs a 64-term head, whatever the monotone index
         p = mathieu.MathieuParams(*params)
         for res in (mathieu.eval_S(p, t, 1e-10), mathieu.eval_S_alt(p, t, 1e-10)):
-            assert res.terms_used <= first_order_terms
+            assert (res.terms_used, res.order) == (64, mathieu.TAIL_ORDER)
             assert res.err_hi <= 1e-10
 
 
@@ -1353,8 +1310,9 @@ def _outcome(fn, *args):
 
 
 class TestRungFloors:
-    """The floors `_direct` gives `bracketed_sum`: lower bounds on each rung's
-    bracket width, from terms alone, that let it skip rungs which miss tol."""
+    """The first-order floors `_direct` gives `bracketed_sum`: lower bounds on
+    each rung's bracket width, from terms alone, that let it skip rungs which
+    miss tol."""
 
     @settings(max_examples=30, deadline=None)
     @given(case=_floor_case())
@@ -1369,6 +1327,10 @@ class TestRungFloors:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(mathieu, "bracketed_sum", spy)
             got = _outcome(mathieu._direct, mathieu.MathieuParams(*params), t, tol, alternating)
+        if not calls:  # closed at once: no bracket, no floor
+            res = mathieu._direct(mathieu.MathieuParams(*params), t, tol, alternating)
+            assert (res.terms_used, res.order) == (mathieu.CLOSED_HEAD, mathieu.TAIL_ORDER)
+            return
         terms, tail_bracket, start, _, rtol, exact_tail, _, floor, cap = calls[0]
         # the same result without floors: every rung evaluated, none closed early
         assert _outcome(bracketed_sum, terms, tail_bracket, start, tol, rtol, exact_tail,
