@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -27,47 +27,44 @@ from .errors import ParameterError
 # report plumbing
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(namedtuple("GridSpec", "points param_sets tolerance", defaults=((), 1e-9))):
     """Evaluation grid: points, parameter sets, and the margin tolerance."""
 
-    points: tuple[float, ...]
-    param_sets: tuple = ()
-    tolerance: float = 1e-9
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.points:
             raise ValueError("grid needs at least one point")
         if any(b <= a for a, b in zip(self.points, self.points[1:])):
             raise ValueError("grid points must be strictly increasing")
+        return self
+
+    # namedtuple's _make, and _replace through it, would skip the checks of __new__
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
 def log_grid(lo: float, hi: float, n: int) -> tuple[float, ...]:
     return tuple(lo * (hi / lo) ** (i / (n - 1)) for i in range(n))
 
 
-@dataclass
-class Violation:
-    params: dict
-    point: object
-    lhs: float
-    rhs: float
-    margin: float
-    kind: str = "violation"  # or "inconclusive" for near-ties
+class Violation(namedtuple("Violation", "params point lhs rhs margin kind",
+                           defaults=("violation",))):
+    """A failed check; `kind` is "violation", or "inconclusive" for a near-tie."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        return {
-            "params": self.params, "point": self.point, "lhs": self.lhs,
-            "rhs": self.rhs, "margin": self.margin, "kind": self.kind,
-        }
+        return self._asdict()
 
 
-@dataclass
 class VerificationReport:
-    check_name: str
-    total: int = 0
-    violations: list[Violation] = field(default_factory=list)
-    notes: dict = field(default_factory=dict)
+    def __init__(self, check_name: str, total: int = 0,
+                 violations: list[Violation] | None = None, notes: dict | None = None) -> None:
+        self.check_name = check_name
+        self.total = total
+        self.violations = [] if violations is None else violations
+        self.notes = {} if notes is None else notes
 
     @property
     def passed(self) -> bool:

@@ -16,7 +16,6 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 from . import mathieu, sharp
@@ -28,9 +27,11 @@ if TYPE_CHECKING:
 SUITES = ("classical", "em", "asymptotic", "hermite", "hankel", "cm", "monotone", "all")
 
 
-@dataclass
 class RunConfig:
-    """Parsed invocation; round-trips through a dict for reproducibility."""
+    """Parsed invocation; round-trips through a dict for reproducibility.
+
+    Every field below the command defaults to its class attribute.
+    """
 
     command: str
     gamma: float = 1.0
@@ -55,8 +56,21 @@ class RunConfig:
     m: float = 3.0
     cutoff: float | None = None
 
+    def __init__(self, command: str, **fields) -> None:
+        unknown = fields.keys() - RunConfig.__annotations__.keys()
+        if unknown:
+            raise TypeError(f"unknown RunConfig fields: {sorted(unknown)}")
+        self.command = command
+        for name in list(RunConfig.__annotations__)[1:]:
+            setattr(self, name, fields.get(name, getattr(RunConfig, name)))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":

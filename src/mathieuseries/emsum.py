@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, Sequence
 
 from . import jets, polyfun
@@ -177,29 +177,21 @@ class GaussPowerFunction(SmoothFunction):
 # results and asymptotic series
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EMResult:
+class EMResult(namedtuple("EMResult", "sum_estimate integral_term boundary_terms "
+                                      "remainder_bound n_used epsilon u")):
     """Outcome of a summation-engine call, with a rigorous remainder bound."""
 
-    sum_estimate: float
-    integral_term: float
-    boundary_terms: tuple[float, ...]
-    remainder_bound: float
-    n_used: int
-    epsilon: float
-    u: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AsymptoticSeries:
+class AsymptoticSeries(namedtuple("AsymptoticSeries", "powers coeffs")):
     """Truncated series sum_i coeffs[i] * v**powers[i] in a small variable v.
 
     `powers` is increasing; evaluation sums the first `n_terms` entries and
     the magnitude of the next one serves as the usual truncation diagnostic.
     """
 
-    powers: tuple[float, ...]
-    coeffs: tuple[float, ...]
+    __slots__ = ()
 
     def evaluate(self, v: float, n_terms: int | None = None) -> float:
         n = len(self.coeffs) if n_terms is None else min(n_terms, len(self.coeffs))
@@ -329,23 +321,20 @@ def boole_finite_identity(
 # infinite-sum engines with remainder bounds
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Weights:
+class _Weights(namedtuple("_Weights", "sup_spline sup_edge parts")):
     """What an engine of one family at offset u and order n takes from them
     alone, kept once per (family, u, n) (`_weights`).
 
-    `parts` holds, per k = 0..n, the parts of the boundary weight c_k of
-    `_boundary_terms`: (-1)^k, the divisor (k+1)! (Bernoulli) resp. 2 k!
-    (Euler), the polynomial value p = B_{k+1}(-u) resp. E_k(-u), |p|, and
-    the factor 4.01 u (|p| + h) + h of its error bound, with h its Horner
-    error.
+    `sup_spline` is sup |b_(n+1)| resp. sup |e_n| over one period, and
+    `sup_edge` the sup of the endpoint polynomial B_(n+1) resp. E_n over the
+    0..-u range.  `parts` holds, per k = 0..n, the parts of the boundary
+    weight c_k of `_boundary_terms`: (-1)^k, the divisor (k+1)! (Bernoulli)
+    resp. 2 k! (Euler), the polynomial value p = B_{k+1}(-u) resp. E_k(-u),
+    |p|, and the factor 4.01 u (|p| + h) + h of its error bound, with h its
+    Horner error.
     """
 
-    #: sup |b_(n+1)| resp. sup |e_n| over one period
-    sup_spline: float
-    #: sup of the endpoint polynomial B_(n+1) resp. E_n over the 0..-u range
-    sup_edge: float
-    parts: tuple[tuple[float, float, float, float, float], ...]
+    __slots__ = ()
 
 
 @functools.lru_cache(maxsize=256)

@@ -39,7 +39,7 @@ import functools
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import emsum, jets, polyfun
@@ -97,21 +97,18 @@ def _is_nonneg_int(x: float) -> bool:
     return x >= 0 and float(x).is_integer()
 
 
-@dataclass(frozen=True)
-class MathieuParams:
+class MathieuParams(namedtuple("MathieuParams", "gamma alpha mu u", defaults=(0.0,))):
     """Parameter tuple (gamma, alpha, mu, u) with derived delta = alpha(mu+1) - gamma.
 
     delta > 1 is required for the plain series, delta > 0 for the alternating
     one; the evaluators check the constraint that applies to them.
     """
 
-    gamma: float
-    alpha: float
-    mu: float
-    u: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("gamma", "alpha", "mu", "u"):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name in self._fields:
             if not math.isfinite(getattr(self, name)):
                 raise ParameterError(f"{name} must be finite")
         if self.gamma < 0:
@@ -123,8 +120,12 @@ class MathieuParams:
         if self.mu <= 0:
             warnings.warn(
                 "mu <= 0 is outside the vetted regime; results are experimental",
-                stacklevel=3,
+                stacklevel=2,
             )
+        return self
+
+    # namedtuple's _make, and _replace through it, would skip the checks of __new__
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     @property
     def delta(self) -> float:
@@ -142,18 +143,15 @@ class MathieuParams:
         return _is_nonneg_int(self.gamma) and self.alpha >= 1 and float(self.alpha).is_integer()
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    """A value with a two-sided error bracket: truth in [value-err_lo, value+err_hi]."""
+class EvalResult(namedtuple("EvalResult", "value err_lo err_hi method terms_used rigorous order",
+                            defaults=(0, True, 0))):
+    """A value with a two-sided error bracket: truth in [value-err_lo, value+err_hi].
 
-    value: float
-    err_lo: float
-    err_hi: float
-    method: str
-    terms_used: int = 0
-    rigorous: bool = True
-    #: order of the Euler-Maclaurin or Boole engine behind the tail; 0 for a bracket
-    order: int = 0
+    `order` is the order of the Euler-Maclaurin or Boole engine behind the
+    tail; 0 for a bracket.
+    """
+
+    __slots__ = ()
 
     @property
     def lower(self) -> float:
@@ -164,12 +162,11 @@ class EvalResult:
         return self.value + self.err_hi
 
 
-@dataclass(frozen=True)
-class SmoothnessProfile:
-    """Order of smoothness of g at 0 and the initial derivative table."""
+class SmoothnessProfile(namedtuple("SmoothnessProfile", "r initial_derivs")):
+    """Order of smoothness of g at 0 (an integer or math.inf) and the initial
+    derivative table, a tuple of (order, value) pairs."""
 
-    r: float  # integer order or math.inf
-    initial_derivs: tuple[tuple[int, float], ...]
+    __slots__ = ()
 
 
 # --------------------------------------------------------------------------

@@ -21,7 +21,7 @@ and idempotent, so concurrent first use is safe and all operations reentrant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -38,30 +38,36 @@ BERNOULLI = "bernoulli"
 EULER = "euler"
 
 
-@dataclass(frozen=True)
-class PolyCoeffs:
+class PolyCoeffs(namedtuple("PolyCoeffs", "degree coeffs")):
     """Exact rational coefficients of a cached polynomial, constant term first."""
 
-    degree: int
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.coeffs) != self.degree + 1:
             raise ValueError("coefficient list length must equal degree + 1")
+        return self
+
+    # namedtuple's _make, and _replace through it, would skip the checks of __new__
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
-@dataclass(frozen=True)
-class SplineKind:
+class SplineKind(namedtuple("SplineKind", "family order")):
     """Selects the periodized Bernoulli spline b_n (period 1) or Euler spline e_n (period 2)."""
 
-    family: str
-    order: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.family not in (BERNOULLI, EULER):
             raise ValueError(f"unknown spline family {self.family!r}")
         if self.order < 0:
             raise ValueError("spline order must be nonnegative")
+        return self
+
+    # namedtuple's _make, and _replace through it, would skip the checks of __new__
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
 def _check_order(n: int) -> None:
@@ -439,20 +445,20 @@ def round_up(x: Fraction) -> float:
 def _sup_abs_poly(coeffs: tuple[Fraction, ...], a: float, b: float) -> float:
     """Certified upper bound for sup_{[a,b]} |P| where P has the given exact coefficients.
 
-    |P| peaks at an endpoint or at a real root of P'.  Each root lies in an
-    exact isolating interval [l, h] from `real_root_intervals`, on which
-    |P| <= |P(l)| + (h - l) sup |P'|; every value is exact and the maximum is
-    rounded up once.
+    |P| peaks at an endpoint or at a real root of P'.  Each root above a lies
+    in an exact isolating interval [l, h] from `real_root_intervals`, on which
+    |P| <= |P(l)| + (h - l) sup |P'|; a root at a is covered by P(a).  Every
+    value is exact and the maximum is rounded up once.
     """
     if not b > a:
         raise ValueError("interval must satisfy a < b")
     lo, hi = Fraction(a), Fraction(b)
     best = max(abs(poly_eval_exact(coeffs, lo)), abs(poly_eval_exact(coeffs, hi)))
     dp = _derivative(coeffs)
-    for l, h in real_root_intervals(dp):
-        if h < lo or l > hi:
-            continue
-        l, h = max(l, lo), min(h, hi)
+    for l, h in real_root_intervals(dp, lo):
+        if l > hi:
+            break
+        h = min(h, hi)
         best = max(best, abs(poly_eval_exact(coeffs, l))
                    + (h - l) * abs_bound(dp, max(abs(l), abs(h))))
     return round_up(best)

@@ -13,8 +13,7 @@ the theta-type series phi_u.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
 
 from . import mathieu, polyfun
 from .errors import ParameterError, WitnessNotFoundError
@@ -120,15 +119,11 @@ def psi_uy(kernel: ConvexKernel, u: float, y: float, tol: float = 1e-12) -> floa
 # framework and extremization
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SharpFramework:
-    """A series handle plus the constants (C, d1, A, b1) of its large-t behavior."""
+class SharpFramework(namedtuple("SharpFramework", "series C delta1 A beta1")):
+    """A series handle, (t, tol) -> bracketed value, plus the constants
+    (C, d1, A, b1) of its large-t behavior."""
 
-    series: Callable[[float, float], mathieu.EvalResult]  # (t, tol) -> bracketed value
-    C: float
-    delta1: float
-    A: float
-    beta1: float
+    __slots__ = ()
 
     @classmethod
     def for_s_mu(cls, mu: float, u: float) -> "SharpFramework":
@@ -159,16 +154,10 @@ class SharpFramework:
                    A=1.0 + 2.0 * u, beta1=1.0)
 
 
-@dataclass(frozen=True)
-class SharpConstants:
+class SharpConstants(namedtuple("SharpConstants", "m M f_inf t_at_m t_at_M certified")):
     """Extremal shifts of a double inequality: m = inf f, M = sup f."""
 
-    m: float
-    M: float
-    f_inf: float
-    t_at_m: float
-    t_at_M: float
-    certified: bool
+    __slots__ = ()
 
 
 def f_profile(fw: SharpFramework, t: float, tol: float = 1e-11) -> float:

@@ -593,6 +593,21 @@ print(",".join(loaded))
     def test_import_loads_no_numpy(self, tmp_path, imports):
         assert self._loaded("", tmp_path, top="numpy", imports=imports) == ""
 
+    @pytest.mark.parametrize("imports", ["import mathieuseries", "import mathieuseries.cli"])
+    def test_import_loads_no_dataclasses_or_inspect(self, tmp_path, imports):
+        # only what the import loads counts, not what `site` loaded before it
+        script = "\n".join([
+            "import sys",
+            "before = set(sys.modules)",
+            imports,
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))",
+        ])
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_readme_commands_load_no_scipy(self, readme_runs):
         # each in a fresh process: `verify all` and `hankel` included
         assert {args: run[2]["scipy"] for args, run in readme_runs.items()} == dict.fromkeys(

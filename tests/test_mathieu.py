@@ -1,3 +1,4 @@
+import inspect
 import math
 import runpy
 import warnings
@@ -57,6 +58,33 @@ class TestParams:
     def test_mu_nonpositive_flagged(self):
         with pytest.warns(UserWarning, match="experimental"):
             mathieu.MathieuParams(0.0, 2.0, -0.2, 0.0)
+
+    def test_tuple_types_validate_every_construction_and_stay_immutable(self):
+        with pytest.warns(UserWarning, match="experimental") as caught:
+            line = inspect.currentframe().f_lineno + 1
+            mathieu.MathieuParams(0.0, 2.0, -0.2, 0.0)
+        assert (caught[0].filename, caught[0].lineno) == (__file__, line)
+
+        res = mathieu.EvalResult(1.0, 0.0, 0.0, mathieu.DIRECT)
+        for obj, name in ((CLASSICAL, "mu"), (res, "value"), (res, "extra")):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, 2.0)
+        assert {CLASSICAL: 1}[mathieu.MathieuParams(1.0, 2.0, 1.0)] == 1
+
+        def constructions(obj, **changes):
+            cls, fields = type(obj), {**obj._asdict(), **changes}
+            return [lambda: cls(*fields.values()), lambda: cls(**fields),
+                    lambda: cls._make(fields.values()), lambda: obj._replace(**changes)]
+
+        for changes in ({"gamma": -0.5}, {"alpha": 0.0}, {"u": -1.0}, {"mu": math.inf}):
+            for build in constructions(CLASSICAL, **changes):
+                with pytest.raises(ParameterError):
+                    build()
+        kind = polyfun.SplineKind("euler", 2)
+        for changes in ({"family": "legendre"}, {"order": -1}):
+            for build in constructions(kind, **changes):
+                with pytest.raises(ValueError):
+                    build()
 
 
 class TestKernel:
@@ -1306,7 +1334,7 @@ def _outcome(fn, *args):
         res = fn(*args)
     except (ToleranceError, OverflowError) as exc:
         return type(exc).__name__, str(exc)
-    return tuple(v.hex() if isinstance(v, float) else v for v in vars(res).values())
+    return tuple(v.hex() if isinstance(v, float) else v for v in res._asdict().values())
 
 
 class TestRungFloors:
