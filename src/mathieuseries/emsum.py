@@ -367,6 +367,11 @@ def _variations(f: SmoothFunction, eps: float, u: float, n: int) -> tuple[float,
     return v_edge, f.variation(n, eps * u, math.inf)
 
 
+#: Below this a rounding errs absolutely, by at most half (a product or a
+#: quotient) or all (a pow within 1 ulp) of the subnormal spacing 2^-1074.
+_NORMAL = 2.0**-1022
+
+
 def _boundary_terms(f: SmoothFunction, eps: float, weights: _Weights
                     ) -> tuple[tuple[float, ...], list[float]]:
     """The boundary terms c_k F^(k)(0), k = 0..n, and a bound on the error of
@@ -377,7 +382,9 @@ def _boundary_terms(f: SmoothFunction, eps: float, weights: _Weights
     The factor eps^k / m_k takes at most 4 roundings relative (a power
     within 1 ulp, a quotient, the product with the polynomial value), the
     polynomial value its Horner error h, the product with F^(k)(0) one more
-    rounding, and F^(k)(0) its reported error.
+    rounding, and F^(k)(0) its reported error.  A rounding below the normal
+    range adds its absolute error, taken as 2^-1073 for eps^k / m_k (a power
+    and a quotient) and 2^-1074 for the weight and for the term.
     """
     terms, errs = [], []
     derivs = f.derivs_with_error(len(weights.parts) - 1, 0.0)
@@ -386,12 +393,26 @@ def _boundary_terms(f: SmoothFunction, eps: float, weights: _Weights
         # |weight| and |term| are size, size |p| and |weight| |d| bit for bit
         size = eps**k / divisor
         weight = sign * size * p
-        terms.append(weight * d)
+        term = weight * d
+        terms.append(term)
         if d_err is not None:
             w_abs, d_abs = size * p_abs, abs(d)
-            errs.append(2.0**-53 * (w_abs * d_abs) + w_abs * d_err
-                        + (d_abs + d_err) * (size * p_err))
+            # the weight's absolute error below the normal range, then the term's
+            w_tiny = 2.0**-1073 * (p_abs + p_err) if size < _NORMAL else 0.0
+            if w_abs < _NORMAL and size and p:
+                w_tiny += 2.0**-1074
+            err = (2.0**-53 * (w_abs * d_abs) + w_abs * d_err
+                   + (d_abs + d_err) * (size * p_err + w_tiny))
+            errs.append(err + 2.0**-1074 if abs(term) < _NORMAL and weight and d else err)
     return tuple(terms), errs
+
+
+def _remainder(eps: float, n: int, divisor: float, variations: float) -> float:
+    """eps^n / divisor times the variations, for an engine's remainder bound,
+    with the absolute error of each rounding below the normal range added."""
+    scale = eps**n / divisor
+    bound = (scale + 2.0**-1073 if scale < _NORMAL else scale) * variations
+    return bound + 2.0**-1074 if bound < _NORMAL and variations else bound
 
 
 def _rounding(f_errs: list[float], integral: float, integral_err: float | None,
@@ -424,8 +445,8 @@ def em_sum(f: SmoothFunction, eps: float, u: float, n: int) -> EMResult:
     weights = _weights(polyfun.BERNOULLI, u, n)
     boundary, f_errs = _boundary_terms(f, eps, weights)
     v_edge, v_tail = _variations(f, eps, u, n)
-    bound = eps**n / math.factorial(n + 1) * (weights.sup_spline * v_tail
-                                              + weights.sup_edge * v_edge)
+    bound = _remainder(eps, n, math.factorial(n + 1),
+                       weights.sup_spline * v_tail + weights.sup_edge * v_edge)
     estimate = integral + math.fsum(boundary)
     # the analytic bound certifies exact arithmetic; round outward for float evaluation
     if f_errs:
@@ -453,8 +474,8 @@ def boole_sum(g: SmoothFunction, eps: float, u: float, n: int) -> EMResult:
     weights = _weights(polyfun.EULER, u, n)
     boundary, g_errs = _boundary_terms(g, eps, weights)
     v_edge, v_tail = _variations(g, eps, u, n)
-    bound = eps**n / (2.0 * math.factorial(n)) * (weights.sup_spline * v_tail
-                                                  + weights.sup_edge * v_edge)
+    bound = _remainder(eps, n, 2.0 * math.factorial(n),
+                       weights.sup_spline * v_tail + weights.sup_edge * v_edge)
     estimate = math.fsum(boundary)
     if g_errs:
         bound *= 1.0 + 2.0**-49

@@ -14,21 +14,21 @@ series with a proven truncation and rounding bound at that point, which
 one evaluation gives with the value (`tail_integral`,
 `tail_integral_rel_err`), so no evaluator needs scipy.
 
-Direct summation carries a rigorous two-sided tail bracket: beyond the index
-where the terms become monotone decreasing, the tail is enclosed between
-integral bounds (or, for the gamma=1, alpha=2 family, the sharper two-sided
-Hermite-Hadamard bounds, and for the alternating series between 0 and the
-first omitted term), so every result is a value plus an interval that
-contains the true sum.  Kernels outside Z+ x N, at every t, and heads that
-would start past CROSSOVER sum a head of 64 terms at once and close the rest
-by the Euler-Maclaurin (Boole) engine with its certified remainder; the
-other sums keep the brackets and take that closed tail where the brackets
-would need more than CROSSOVER terms.  The closed tail exists for every
-kernel: at t > 0 on the kernel shifted past the head, whose derivatives
-x^(gamma-n) (1+y)^(-m-n) P_n(y), y = x^alpha, are evaluated in floats with
-rounding bounds and whose variation comes from the exactly isolated roots
-of P_(n+1) (`_YDerivative`); at t = 0 (and t^alpha <= 2^-100) on the power
-tail 2 (x + 64)^(-delta).  `eval_em` is the closer with no head, for
+Every sum is a value plus an interval that contains it.  Plain sums
+outside the gamma=1, alpha=2 family sum a head of 64 terms and close the
+rest at once by the Euler-Maclaurin engine with its certified remainder,
+the head doubled while that misses tol.  Two ladders double their head
+until a tail bracket past the monotone index meets tol: the two-sided
+Hermite-Hadamard bounds in that family, and 0 and the first omitted term
+for the alternating series; each takes the same closed tail (Boole's) past
+64 terms where it would need more than CROSSOVER terms, and at once where
+its head would start past CROSSOVER or, alternating, outside Z+ x N.  The
+closed tail exists for every kernel: at t > 0 on the kernel shifted past
+the head, whose derivatives x^(gamma-n) (1+y)^(-m-n) P_n(y), y = x^alpha,
+are evaluated in floats with rounding bounds and whose variation comes
+from the exactly isolated roots of P_(n+1) (`_YDerivative`); at t = 0, and
+at tiny t where that kernel leaves the float range, on the power tail
+2 (x + head)^(-delta).  `eval_em` is the closer with no head, for
 (gamma, alpha) in Z+ x N, where g is smooth at 0: the same y-form there,
 with g^(n)(0) exact up to one rounding.
 """
@@ -639,45 +639,18 @@ def hermite_hadamard(tail, kernel, w: float, y: float) -> tuple[float, float]:
 
 
 def _tail_bracket(params: MathieuParams, t: float):
-    """n -> first-order bounds for sum_{k > n} of the plain terms, n past the
-    monotone index: integral bounds [F(n+1), F(n)], or Hermite-Hadamard
-    bounds in the gamma=1, alpha=2 family.  Kernels in Z+ x N take them
-    below CROSSOVER, and every kernel where its closed tail leaves the float
-    range or misses tol."""
-    u, mu, delta = params.u, params.mu, params.delta
-    if params.gamma == 1.0 and params.alpha == 2.0:
-        # the terms are 2w g(w^2 + t^2) with the convex kernel g(s) = s^(-mu-1)
-        y = t * t
+    """n -> Hermite-Hadamard bounds for sum_{k > n} of the plain terms in the
+    gamma=1, alpha=2 family, n past the monotone index."""
+    u, mu, y = params.u, params.mu, t * t
 
-        def tail(s):
-            return 1.0 / (mu * s**mu)
+    # the terms are 2w g(w^2 + t^2) with the convex kernel g(s) = s^(-mu-1)
+    def tail(s):
+        return 1.0 / (mu * s**mu)
 
-        def kernel(s):
-            return s ** (-mu - 1.0)
+    def kernel(s):
+        return s ** (-mu - 1.0)
 
-        return lambda n: hermite_hadamard(tail, kernel, n + u, y)
-
-    def t_zero(n):
-        return (2.0 * (n + 1.0 + u) ** (1.0 - delta) / (delta - 1.0),
-                2.0 * (n + u) ** (1.0 - delta) / (delta - 1.0))
-
-    if t == 0.0:
-        return t_zero
-
-    def bracket(n):
-        try:
-            scale = 2.0 * t ** (1.0 - delta)
-            return (scale * tail_integral(params, (n + 1.0 + u) / t),
-                    scale * tail_integral(params, (n + u) / t))
-        except OverflowError:
-            # t so small that t^(1-delta) or ((n+u)/t)^alpha leaves the float
-            # range: the t = 0 bracket, as each term 2 w^-delta (1 + (t/w)^alpha)^-(mu+1)
-            # lies between 1 - (mu+1) (t/w)^alpha of its t = 0 value and that value
-            lo, hi = t_zero(n)
-            drift = (mu + 1.0) * (t / (n + 1.0 + u)) ** params.alpha
-            return max(0.0, lo * (1.0 - 1.01 * drift)), hi
-
-    return bracket
+    return lambda n: hermite_hadamard(tail, kernel, n + u, y)
 
 
 def _term_rtol(params: MathieuParams) -> float:
@@ -724,7 +697,7 @@ def _sum_terms(terms, n: int, alternating: bool = False) -> tuple[float, float, 
 
 
 def bracketed_sum(terms, tail_bracket, n: int, tol: float, term_rtol: float = 4e-15,
-                  exact_tail=None, alternating: bool = False, floor=None,
+                  exact_tail=None, alternating: bool = False,
                   cap: int | None = None) -> EvalResult:
     """sum_{k>=1} terms(k), where tail_bracket(n) = (lo, hi) encloses sum_{k>n};
     with `alternating`, term k carries the sign (-1)^(k-1).
@@ -741,50 +714,39 @@ def bracketed_sum(terms, tail_bracket, n: int, tol: float, term_rtol: float = 4e
     rounding slack as the error radius and the tail engine's order (0 for a
     bracket).
 
-    Shortcuts skip brackets that cannot end the doubling, and leave every
-    result as it would be without them.  `floor`, where given, maps n to a
-    lower bound on the computed width hi - lo of tail_bracket(n), found from
-    terms alone, that is also below the width of every earlier rung of the
-    doubling (`_direct` gives the proof), so a floor above tol shows that its
-    rung and every earlier one miss.  With `last` the last n before
-    min(CROSSOVER, cap):
-    - where floor(last) exceeds tol, the sum closes before any bracket;
-    - else, on the plain series, the doubling starts at the first rung up to
-      `last` whose floor is at most tol, found by bisection.  An alternating
-      bracket costs one term, no more than its floor, so every rung is
-      evaluated.
-    A term out of the float range gives no floor.  The cap rung is always
-    evaluated.
+    An alternating bracket is one term wide, which shrinks as n grows, so
+    where the one at `last`, the last n before min(CROSSOVER, cap), misses
+    tol, every earlier one misses too, and the doubling starts at `last`,
+    with the result of the full doubling.  A term out of the float range
+    there gives no shortcut.
     """
     if cap is None:
         cap = _max_terms()
     head = min(n, CLOSED_HEAD)
     if head > cap:
         exact_tail = None
-    skip = None if alternating else floor
     if n > cap:
         raise ToleranceError(f"the first bracket needs {n} terms, past the {cap}-term cap; "
                              f"raise {MAX_TERMS_ENV}")
     last = n << max(0, (min(CROSSOVER, cap) // n).bit_length() - 1)
-    if floor is not None and _floor_above(floor, last, tol):
-        if exact_tail is not None:
-            res, exact_tail = _closed_result(terms, exact_tail, head, tol, term_rtol,
-                                             alternating), None
-            if res is not None:
-                return res
-        if skip is not None:
-            n = min(cap, 2 * last)
-    elif skip is not None:
-        n = _first_rung(skip, n, last, tol)
+    if alternating:
+        try:
+            lo, hi = tail_bracket(last)
+        except OverflowError:  # no shortcut
+            lo = hi = 0.0
+        if hi - lo > tol:
+            n = last
     while True:
         lo, hi = tail_bracket(n)
-        if hi - lo <= tol or n >= cap:
+        if hi - lo <= tol:
             break
         if exact_tail is not None and n == last:
             res, exact_tail = _closed_result(terms, exact_tail, head, tol, term_rtol,
                                              alternating), None
             if res is not None:
                 return res
+        if n >= cap:
+            break
         n = min(cap, n * 2)
     if hi - lo > tol:
         raise ToleranceError(
@@ -793,28 +755,6 @@ def bracketed_sum(terms, tail_bracket, n: int, tol: float, term_rtol: float = 4e
         )
     return _head_plus_tail(terms, n, (0.5 * (hi + lo), 0.5 * (hi - lo), 0), term_rtol,
                            alternating)
-
-
-def _first_rung(floor, n: int, last: int, tol: float) -> int:
-    """A rung among n, 2n, 4n, ..., last before which every rung misses tol,
-    found by bisection on the floors, as a floor above tol shows that its
-    rung and every earlier one miss; floor(last) is at most tol."""
-    lo, hi = 0, (last // n).bit_length() - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _floor_above(floor, n << mid, tol):
-            lo = mid + 1
-        else:
-            hi = mid
-    return n << lo
-
-
-def _floor_above(floor, n: int, level: float) -> bool:
-    """floor(n) > level; False where a term leaves the float range."""
-    try:
-        return floor(n) > level
-    except OverflowError:
-        return False
 
 
 def _closed_result(terms, exact_tail, head: int, tol: float, term_rtol: float,
@@ -832,7 +772,7 @@ def _closed_result(terms, exact_tail, head: int, tol: float, term_rtol: float,
 def _head_plus_tail(terms, n: int, tail: tuple[float, float, int], term_rtol: float,
                     alternating: bool) -> EvalResult:
     """The sum of the first n terms plus tail = (value, radius, order) of the
-    rest, for `bracketed_sum`."""
+    rest, for `bracketed_sum` and `_closed_sum`."""
     partial, partial_abs, pairwise_abs = _sum_terms(terms, n, alternating)
     value = partial + tail[0]
     # per-term rounding, pairwise accumulation, and the roundings of the
@@ -843,49 +783,56 @@ def _head_plus_tail(terms, n: int, tail: tuple[float, float, int], term_rtol: fl
                       method=DIRECT, terms_used=n, order=tail[2])
 
 
-def _exact_tail(params: MathieuParams, t: float, alternating: bool):
-    """head -> `_closed_tail` past it.  Every kernel has one: at t = 0 and
-    at t^alpha <= 2^-100 (where delta + alpha > 1) through the t = 0 tail,
-    and at every other t > 0 through the shifted kernel in floats, whose
-    derivatives and variation come from the y-form (`_YDerivative`).  Where
-    a value leaves the float range it raises OverflowError, which
-    `_closed_result` takes as no closed tail."""
-    return functools.partial(_closed_tail, params, t, alternating)
+def _closed_sum(params: MathieuParams, t: float, tol: float, terms, rtol: float,
+                cap: int) -> EvalResult:
+    """A plain sum outside the gamma=1, alpha=2 family: a head of CLOSED_HEAD
+    terms plus `_closed_tail` past it, the head doubled while that tail is
+    wider than tol and its radius falls, up to the term cap.  ToleranceError
+    names the narrowest radius where none meets tol; an OverflowError of the
+    first tail, which leaves the float range, is passed on."""
+    head = CLOSED_HEAD
+    if head > cap:
+        raise ToleranceError(f"the closed tail needs a {head}-term head, past the "
+                             f"{cap}-term cap; raise {MAX_TERMS_ENV}")
+    tail = _closed_tail(params, t, False, head)
+    while 2.0 * tail[1] > tol and 2 * head <= cap:
+        try:
+            longer = _closed_tail(params, t, False, 2 * head)
+        except OverflowError:
+            break
+        if not longer[1] < tail[1]:
+            break
+        head, tail = 2 * head, longer
+    if 2.0 * tail[1] > tol:
+        raise ToleranceError(f"closed tail radius {tail[1]:.3g} past {head} terms, the narrowest "
+                             f"as the head doubled toward the {cap}-term cap, exceeds "
+                             f"tol/2 = {0.5 * tol:.3g}")
+    return _head_plus_tail(terms, head, tail, rtol, False)
 
 
 def _direct(params: MathieuParams, t: float, tol: float, alternating: bool) -> EvalResult:
-    """The sum from a head past the monotone index and CLOSED_HEAD.  Kernels
-    outside Z+ x N, and heads that would start past CROSSOVER, take the
-    head of CLOSED_HEAD terms plus the closed tail (`_exact_tail`) at once;
-    the rest, and those whose closed tail leaves the float range or misses
-    tol, take `bracketed_sum` with the first-order brackets, and the rest
-    also with the closed tail where the brackets would need more than
-    CROSSOVER terms.  The term cap is read once.
-
-    The rung floors given to `bracketed_sum`, for the terms f(k), which
-    decrease from the head on: a first-order bracket (the integral bounds
-    [F(n+1), F(n)] with F(s) = int_s^inf f, the t = 0 bracket, which is the
-    same on f = 2 (k+u)^(-delta), its stand-in where t^(1-delta) leaves the
-    float range, which holds it, or the alternating [0, f(n+1)]) is at least
-    int_n^(n+1) f >= f(n+1) wide, so f(n+1)/2 is below its computed width
-    with a margin for the rounding of f and of the bracket, and below every
-    earlier one's, as f decreases.  The Hermite-Hadamard brackets cost no
-    more than a floor would, and take none.
+    """The sum past a head, the term cap read once.  Plain sums outside the
+    gamma=1, alpha=2 family take `_closed_sum` at once.  The two ladders,
+    the Hermite-Hadamard bracket of that family and the alternating
+    [0, f(n+1)], start past the monotone index and CLOSED_HEAD: outside
+    Z+ x N (alternating) and where the start is past CROSSOVER, the head of
+    CLOSED_HEAD terms and its closed tail (`_closed_tail`) come first, and
+    `bracketed_sum` runs only where that tail leaves the float range or
+    misses tol; else `bracketed_sum` takes the closed tail where the
+    brackets would need more than CROSSOVER terms.
     """
     terms = _terms(params, t)
     rtol = _term_rtol(params)
     cap = _max_terms()
+    if not alternating and not (params.gamma == 1.0 and params.alpha == 2.0):
+        return _closed_sum(params, t, tol, terms, rtol, cap)
     start = max(_monotone_from(params, t), CLOSED_HEAD)
-    exact_tail = _exact_tail(params, t, alternating)
+    exact_tail = functools.partial(_closed_tail, params, t, alternating)
     if CLOSED_HEAD <= cap and (not params.integer_regime or start > CROSSOVER):
         res = _closed_result(terms, exact_tail, CLOSED_HEAD, tol, rtol, alternating)
         if res is not None:
             return res
         exact_tail = None
-
-    def floor(n: int) -> float:
-        return 0.5 * float(terms(n + 1))
-
     if alternating:
         # past the monotone index the remainder lies between 0 and term n+1,
         # with its sign
@@ -894,26 +841,16 @@ def _direct(params: MathieuParams, t: float, tol: float, alternating: bool) -> E
             return (0.0, hi) if n % 2 == 0 else (-hi, 0.0)
     else:
         tail_bracket = _tail_bracket(params, t)
-        if params.gamma == 1.0 and params.alpha == 2.0:  # Hermite-Hadamard
-            floor = None
-    return bracketed_sum(terms, tail_bracket, start, tol, rtol, exact_tail, alternating,
-                         floor, cap)
+    return bracketed_sum(terms, tail_bracket, start, tol, rtol, exact_tail, alternating, cap)
 
 
 def eval_S(params: MathieuParams, t: float, tol: float = 1e-10) -> EvalResult:
-    """Direct summation of the plain series with a rigorous error bracket.
-
-    Kernels outside Z+ x N, and heads that would start past CROSSOVER, sum
-    64 terms and close the rest at once by an Euler-Maclaurin tail
-    (`_exact_tail`, `_closed_tail`).  Otherwise the head starts at
-    max(monotone index, 64) and doubles until the tail bracket is at most
-    tol wide: integral (or Hermite-Hadamard) bounds; where they would need
-    more than CROSSOVER terms, the head drops to 64 terms and the closed
-    tail ends the sum.  The same brackets stand in wherever the closed tail
-    leaves the float range or misses tol.  The radius adds rounding slack,
-    so it meets tol whenever tol is achievable in float64 (roughly
-    tol >= 2 _term_rtol(params) times the sum of absolute terms, 4e-15 times
-    it for the classical series); it is honest either way.
+    """Direct summation of the plain series with a rigorous error bracket
+    (`_direct`): a 64-term head and its Euler-Maclaurin tail, or in the
+    gamma=1, alpha=2 family the Hermite-Hadamard ladder.  The radius adds
+    rounding slack, so it meets tol whenever tol is achievable in float64
+    (roughly tol >= 2 _term_rtol(params) times the sum of absolute terms,
+    4e-15 times it for the classical series); it is honest either way.
     """
     params.require_delta(1.0)
     _check_t_tol(t, tol)
@@ -921,14 +858,9 @@ def eval_S(params: MathieuParams, t: float, tol: float = 1e-10) -> EvalResult:
 
 
 def eval_S_alt(params: MathieuParams, t: float, tol: float = 1e-10) -> EvalResult:
-    """Direct summation of the alternating series with a rigorous error bracket.
-
-    The same driver as `eval_S`, with a Boole tail past 64 terms where it
-    closes: at once outside Z+ x N and for heads that would start past
-    CROSSOVER, else where the bracket would need more than CROSSOVER
-    terms.  The bracket: the remainder after n terms past the monotone
-    index lies between 0 and term n+1, with that term's sign.
-    """
+    """Direct summation of the alternating series with a rigorous error
+    bracket (`_direct`): the ladder of brackets [0, f(n+1)] and a Boole
+    tail past 64 terms."""
     params.require_delta(0.0)
     _check_t_tol(t, tol)
     return _direct(params, t, tol, True)
@@ -1528,70 +1460,79 @@ def _closed_tail(params: MathieuParams, t: float, alternating: bool,
     u + head, whose Bernoulli weights B_k(-u - head) explode), for every
     kernel, in floats (`MathieuSmoothFunction`; eps head is exact where head
     is a power of two, else rounded once and allowed for).  At t = 0, and
-    at t^alpha <= 2^-100 where delta + alpha > 1 (`_t_zero_drift`), the
-    engine sums F(k + u), F = `_PowerTail`, with eps = 1.  The radius covers
-    the remainder and every rounding: the engine bounds the boundary terms
-    and the integral term from the errors the kernel reports; on top come
-    the t^(-delta) scale and the rounding of eps (`_scale_rounding`), the
-    same for every head.  head = 0 is `eval_em`, on the unshifted kernel of
-    Z+ x N.  Where eps^8 falls below 2^-1000 the engine's weights
-    eps^k / (k+1)! would underflow unbounded, and a head past 0 raises
-    OverflowError; with no head they multiply the fixed values g^(k)(0),
-    and their absolute underflow stays far below the 2^-52 of the integral
-    term, B(a, b) t / alpha, that the engine allows.  Where 2 t^(-delta)
+    at t < 1 past a head where delta + alpha > 1 (every plain series) and
+    t^alpha <= 2^-100 or the shifted kernel leaves the float range
+    (`_t_zero_drift`), the engine sums F(k + u), F = `_PowerTail`, with
+    eps = 1.  The radius covers the remainder and every rounding: the engine
+    bounds the boundary terms and the integral term from the errors the
+    kernel reports, the roundings below the normal range (eps^k underflows
+    past t = 2^125) absolutely; on top come the t^(-delta) scale and the
+    rounding of eps (`_scale_rounding`), the same for every head.  head = 0
+    is `eval_em`, on the unshifted kernel of Z+ x N.  Where 2 t^(-delta)
     falls below 2^-1000, it is applied as the two factors 2 t^(-delta/2)
     and t^(-delta/2), with one more power and one more product to round.
     Where a factor or the value falls below 2^-1000, the relative rounding
     bounds no longer hold, and OverflowError is raised.
     """
     engine = emsum.boole_sum if alternating else emsum.em_sum
-    if t == 0.0 or (head and t < 1.0 and t**params.alpha <= _T_POWER_NEGLIGIBLE
-                    and params.delta + params.alpha > 1.0):
+    near_zero = head and t < 1.0 and params.delta + params.alpha > 1.0
+    value = None
+    if t and not (near_zero and t**params.alpha <= _T_POWER_NEGLIGIBLE):
+        try:
+            value, radius = _shifted_tail(params, t, engine, alternating, head)
+        except OverflowError:
+            if not near_zero:
+                raise
+    if value is None:
         res = engine(_PowerTail(params, head), 1.0, params.u, TAIL_ORDER)
         value, radius = res.sum_estimate, res.remainder_bound
-        if t > 0.0:
+        if t:
             radius += _t_zero_drift(params, t, head)
-    else:
-        eps = 1.0 / t
-        if head and eps**TAIL_ORDER < 2.0**-1000:
-            raise OverflowError(f"the engine's weights eps^k underflow at t = {t:g}")
-        shift = eps * head if head & (head - 1) == 0 else Fraction(eps) * head
-        res = engine(MathieuSmoothFunction(params, shift), eps, params.u, TAIL_ORDER)
-        scale = 2.0 * t ** (-params.delta)
-        split = scale < 2.0**-1000
-        if split:
-            scale = t ** (-0.5 * params.delta)
-
-        def scaled(x):
-            return 2.0 * scale * x * scale if split else scale * x
-
-        value = scaled(res.sum_estimate)
-        if min(scale, abs(value)) < 2.0**-1000:
-            raise OverflowError(f"the tail leaves the normal float range at t = {t:g}")
-        radius = scaled(res.remainder_bound) \
-            + _scale_rounding(params, t, alternating, head, value, split)
-        if split:
-            # the radius's own roundings wherever its parts are subnormal
-            radius += 2.0**-1070
     if alternating and head % 2:
         value = -value
     return value, radius, TAIL_ORDER
 
 
-#: Below this t^alpha the closer sums the t = 0 tail and bounds the difference.
+def _shifted_tail(params: MathieuParams, t: float, engine, alternating: bool,
+                  head: int) -> tuple[float, float]:
+    """(value, radius) of `_closed_tail` at t > 0 on the shifted kernel."""
+    eps = 1.0 / t
+    shift = eps * head if head & (head - 1) == 0 else Fraction(eps) * head
+    res = engine(MathieuSmoothFunction(params, shift), eps, params.u, TAIL_ORDER)
+    scale = 2.0 * t ** (-params.delta)
+    split = scale < 2.0**-1000
+    if split:
+        scale = t ** (-0.5 * params.delta)
+
+    def scaled(x):
+        return 2.0 * scale * x * scale if split else scale * x
+
+    value = scaled(res.sum_estimate)
+    if min(scale, abs(value)) < 2.0**-1000:
+        raise OverflowError(f"the tail leaves the normal float range at t = {t:g}")
+    radius = scaled(res.remainder_bound) \
+        + _scale_rounding(params, t, alternating, head, value, split)
+    if split:
+        # the radius's own roundings wherever its parts are subnormal
+        radius += 2.0**-1070
+    return value, radius
+
+
+#: At or below this t^alpha the closer sums the t = 0 tail and bounds the difference.
 _T_POWER_NEGLIGIBLE = 2.0**-100
 
 
 def _t_zero_drift(params: MathieuParams, t: float, head: int) -> float:
     """Bound on the difference between the tails past `head` at t and at 0,
-    for delta + alpha > 1 (so in Z+ x N, where alpha >= 1); mu + 1 > 0
-    follows from delta > 0.
+    for delta + alpha > 1 (every plain series, and in Z+ x N, where
+    alpha >= 1); mu + 1 > 0 follows from delta > 0.
 
     With w = k + u and m = mu + 1, (1 + (t/w)^alpha)^(-m) >= 1 - m (t/w)^alpha,
     so each term moves by at most m t^alpha 2 w^(-delta-alpha); summed over
     k > head that is at most the first such term plus its integral.  At
-    t^alpha <= 2^-100 this is negligible, and the shifted kernel, whose
-    powers of head/t leave the float range as t -> 0, is not needed.
+    t^alpha <= 2^-100 this is negligible; wherever the shifted kernel,
+    whose powers of head/t leave the float range as t -> 0, cannot be taken
+    it falls like head^(1-delta-alpha) as the head grows.
     """
     w, e = head + 1.0 + params.u, params.delta + params.alpha
     return 1.01 * (params.mu + 1.0) * t**params.alpha * 2.0 * (w**-e + w ** (1.0 - e) / (e - 1.0))

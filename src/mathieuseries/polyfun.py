@@ -175,19 +175,6 @@ def spline_eval(kind: SplineKind, x: float) -> float:
     return euler_spline(kind.order, x)
 
 
-def _affine_compose(coeffs: tuple[Fraction, ...], p: Fraction, q: Fraction) -> tuple[Fraction, ...]:
-    """Exact coefficients of P(p*x + q) given the coefficients of P."""
-    n = len(coeffs) - 1
-    out = [Fraction(0)] * (n + 1)
-    for k, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        # c * (p x + q)^k
-        for j in range(k + 1):
-            out[j] += c * math.comb(k, j) * (p**j) * (q ** (k - j))
-    return tuple(out)
-
-
 # --------------------------------------------------------------------------
 # exact real-root isolation (Descartes' rule of signs)
 # --------------------------------------------------------------------------
@@ -479,22 +466,14 @@ def poly_sup(n: int, family: str, interval: tuple[float, float]) -> float:
 @lru_cache(maxsize=None)
 def spline_sup(kind: SplineKind) -> float:
     """Certified upper bound on sup |b_n| over one period [0,1], resp.
-    sup |e_n| over one period [0,2]."""
+    sup |e_n| over one period [0,2]; as e_n(x+1) = -e_n(x), the latter is
+    sup |E_n| over [0,1]."""
     n = kind.order
     if kind.family == BERNOULLI:
         _check_order(n)
         return _sup_abs_poly(bernoulli_coeffs(n).coeffs, 0.0, 1.0)
     _check_order(n + 1)
-    b = bernoulli_coeffs(n + 1).coeffs
-    scale = Fraction(2, n + 1)
-    pw = Fraction(2) ** (n + 1)
-    # e_n on [0,1): (2/(n+1)) (B_{n+1}(x) - 2^{n+1} B_{n+1}(x/2))
-    half = _affine_compose(b, Fraction(1, 2), Fraction(0))
-    piece1 = tuple(scale * (b[k] - pw * half[k]) for k in range(len(b)))
-    # e_n on [1,2): (2/(n+1)) (B_{n+1}(x-1) - 2^{n+1} B_{n+1}(x/2))
-    shifted = _affine_compose(b, Fraction(1), Fraction(-1))
-    piece2 = tuple(scale * (shifted[k] - pw * half[k]) for k in range(len(b)))
-    return max(_sup_abs_poly(piece1, 0.0, 1.0), _sup_abs_poly(piece2, 1.0, 2.0))
+    return _sup_abs_poly(euler_coeffs(n).coeffs, 0.0, 1.0)
 
 
 def beta_fn(a: float, b: float) -> float:

@@ -247,7 +247,7 @@ class TestErrorExits:
         ("eval", "--t", "inf"),
         ("eval", "--tol", "nan", "--t", "1"),
         ("asym", "--n-terms", "100"),
-        ("eval-alt", "--gamma", "0.5", "--alpha", "1.5", "--mu", "0.5", "--t", "1e40"),
+        ("eval-alt", "--gamma", "0.5", "--alpha", "1.5", "--mu", "0.5", "--t", "1e60"),
         ("constants", "--inf", "--u", "nan"),
         ("hankel", "--t", "nan"),
         ("eval", "--config", "bad.cfg"),
@@ -281,8 +281,8 @@ class TestErrorExits:
         ("asym", "--t=-1"),
     ])
     def test_exit_2_with_one_line(self, capsys, monkeypatch, tmp_path, args):
-        # the eval-alt case (no closed tail at t = 1e40, where the engine's
-        # weights eps^k underflow) needs more terms than this cap allows
+        # the eval-alt case (no closed tail at t = 1e60, where g^(k) at 64/t
+        # leaves the float range) needs more terms than this cap allows
         monkeypatch.setenv("MATHIEU_MAX_TERMS", "1000")
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bad.cfg").write_text("t = abc\n")
@@ -340,14 +340,15 @@ class TestErrorExits:
         assert abs(rec["value"] - math.pi**4 / 45) <= rec["err_hi"] <= 1e-10
 
     @pytest.mark.parametrize("args", [
-        ("eval", "--gamma", "0.5", "--alpha", "1.5", "--mu", "1", "--t", "1e40"),
-        ("eval-alt", "--t", "1e40"),
-        ("eval", "--gamma", "2", "--alpha", "2.5", "--mu", "1", "--t", "1e40"),
+        ("eval-alt", "--gamma", "0.5", "--alpha", "1.5", "--mu", "1", "--t", "1e60"),
+        ("eval-alt", "--t", "1e80"),
+        ("eval-alt", "--gamma", "2", "--alpha", "2.5", "--mu", "1", "--t", "1e80"),
     ])
     def test_start_past_the_term_cap_exits_2_at_once(self, capsys, monkeypatch, args):
         # the terms decrease only from an index past the 20M-term cap, so the
-        # first bracket alone would sum more terms than the cap allows, and at
-        # t = 1e40 no closed tail stands in (the engine's weights eps^k underflow)
+        # first bracket alone would sum more terms than the cap allows, and no
+        # closed tail stands in: g^(k) at 64/t (non-integer kernels) or the
+        # tail itself (about t^-4 for the classical kernel) leaves the float range
         monkeypatch.delenv("MATHIEU_MAX_TERMS", raising=False)
         start = time.perf_counter()
         code, out, err = run(capsys, *args)
@@ -365,10 +366,20 @@ class TestErrorExits:
         # the first bracket needed 85,028,302 terms
         (("eval", "--gamma", "2", "--alpha", "2.5", "--mu", "1", "--t", "1e8"),
          (2.0, 2.5, 1.0, 0.0), False),
+        # past t = 2^125, where the engine's weights eps^k underflow, each ended
+        # in exit 2 at the term cap
+        (("eval", "--gamma", "0.5", "--alpha", "1.5", "--mu", "1", "--t", "1e40"),
+         (0.5, 1.5, 1.0, 0.0), False),
+        (("eval-alt", "--t", "1e40"), (1.0, 2.0, 1.0, 0.0), True),
+        (("eval", "--gamma", "2", "--alpha", "2.5", "--mu", "1", "--t", "1e40"),
+         (2.0, 2.5, 1.0, 0.0), False),
+        (("eval-alt", "--gamma", "0.5", "--alpha", "1.5", "--mu", "0.5", "--t", "1e40"),
+         (0.5, 1.5, 0.5, 0.0), True),
     ])
     def test_start_past_the_term_cap_closes_in_64_terms(self, capsys, monkeypatch, args,
                                                         params, alternating):
         # a start past CROSSOVER closes past 64 terms at once, for every kernel
+        # (a plain sum outside the gamma=1, alpha=2 family at every start)
         from conftest import s_mellin_mp
 
         monkeypatch.delenv("MATHIEU_MAX_TERMS", raising=False)

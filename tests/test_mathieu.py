@@ -8,7 +8,7 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -983,8 +983,47 @@ def _alternating_case(draw):
     return params, 0.0, 1e-10, 2 * eta_hurwitz_mp(exact_delta_mp(*params[:3]), 1 + mp.mpf(u))
 
 
+@st.composite
+def _large_t_case(draw):
+    """(params, t) for the plain series of a gamma = 0 kernel with t in
+    [1e10, 1e40]; mu comes from a drawn delta, so delta is inexact."""
+    alpha, delta = draw(st.floats(0.5, 3.0)), draw(st.floats(1.05, 6.0))
+    params = (0.0, alpha, delta / alpha - 1.0, draw(st.floats(-0.9, 2.0)))
+    return params, 10.0 ** draw(st.floats(10.0, 40.0))
+
+
 class TestClosedTail:
     """Slow tails closed by Euler-Maclaurin (Boole) on the shifted kernel."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(case=_large_t_case())
+    @example(case=((0.0, 1.0, 1.3, 0.0), 1e15))
+    @example(case=((0.0, 3.0, 0.7, 0.5), 1e15))
+    @example(case=((0.0, 2.5, 0.3, 0.0), 1e40))
+    def test_large_t_soundness_property(self, case):
+        # where the tail is most of the sum, the first-order bracket
+        # [F(n+1), F(n)], which counted neither the rounding of F nor that of
+        # its scale, missed these examples by 9.6, 12.4 and 20 radii
+        params, t = case
+        truth = s_mellin_mp(*params, t)
+        for evaluate in (mathieu.eval_S, mathieu.eval_auto):
+            res = evaluate(mathieu.MathieuParams(*params), t, 1e-10)
+            assert res.err_hi <= 1e-10
+            assert _contains(res, truth), (params, t, evaluate.__name__, res)
+
+    @pytest.mark.parametrize("params, t, tol", [
+        # the shifted kernel leaves the float range: the t = 0 tail with its
+        # drift, which t^alpha = 2.5e-19 keeps far below tol
+        ((0.0, 0.5, 3.0, 0.0), 1.175494351e-38, 1e-10),
+        # the drift, t^(1/4) = 3.2e-8 of the tail, misses tol past 64 terms:
+        # the head doubles to 65,536 terms (16,777,216 with the bracket)
+        ((0.0, 0.25, 7.0, 0.5), 1e-30, 1e-12),
+    ])
+    def test_tiny_t_outside_the_float_range_of_the_shifted_kernel(self, params, t, tol):
+        res = mathieu.eval_S(mathieu.MathieuParams(*params), t, tol)
+        assert res.order == mathieu.TAIL_ORDER
+        assert res.err_hi <= tol
+        assert _contains(res, s_binomial_mp(*params, t)), (params, t, res)
 
     @settings(max_examples=40, deadline=None)
     @given(case=_plain_case())
@@ -1312,72 +1351,51 @@ class TestTermRounding:
 
 
 @st.composite
-def _floor_case(draw):
-    """(params, t, tol, alternating) over integer and non-integer kernels with
-    delta in [1.1, 6], t in {0} and [1e-3, 1e4].  The parameters carry a few
-    decimal digits, as typed: the first closed tail of floats with huge
-    exact denominators takes seconds (a CHANGES.md FOUND)."""
-    if draw(st.booleans()):
-        gamma, alpha = float(draw(st.integers(0, 3))), float(draw(st.integers(1, 3)))
-    else:
-        gamma, alpha = draw(st.integers(0, 30)) / 10, draw(st.integers(5, 30)) / 10
+def _alternating_ladder_case(draw):
+    """(params, t, tol) in Z+ x N, where the alternating series climbs its
+    [0, f(n+1)] ladder; mu and u carry a few decimal digits, as typed."""
+    gamma, alpha = float(draw(st.integers(0, 3))), float(draw(st.integers(1, 3)))
     mu, u = draw(st.integers(1, 40)) / 10, draw(st.integers(-9, 20)) / 10
-    assume(1.1 <= alpha * (mu + 1.0) - gamma <= 6.0)
+    assume(alpha * (mu + 1.0) - gamma >= 0.1)
     t = draw(st.just(0.0) | st.floats(-3.0, 4.0).map(lambda e: 10.0**e))
-    tol = draw(st.sampled_from([1e-6, 1e-10, 1e-12]))
-    return (gamma, alpha, mu, u), t, tol, draw(st.booleans())
+    return (gamma, alpha, mu, u), t, draw(st.sampled_from([1e-6, 1e-10, 1e-12, 1e-14]))
 
 
-def _outcome(fn, *args):
-    """fn(*args) as a comparable tuple, floats by their bits, or the exception it raised."""
-    try:
-        res = fn(*args)
-    except (ToleranceError, OverflowError) as exc:
-        return type(exc).__name__, str(exc)
-    return tuple(v.hex() if isinstance(v, float) else v for v in res._asdict().values())
-
-
-class TestRungFloors:
-    """The first-order floors `_direct` gives `bracketed_sum`: lower bounds on
-    each rung's bracket width, from terms alone, that let it skip rungs which
-    miss tol."""
-
-    @settings(max_examples=30, deadline=None)
-    @given(case=_floor_case())
-    def test_floors_bound_every_width_and_change_no_result(self, case):
-        params, t, tol, alternating = case
+class TestAlternatingLadder:
+    @settings(max_examples=25, deadline=None)
+    @given(case=_alternating_ladder_case())
+    def test_last_rung_shortcut_changes_no_result(self, case):
+        # where the one-term bracket at the last rung below CROSSOVER misses
+        # tol, the doubling starts there: the same outcome as from the start,
+        # which a bracket out of the float range at that first call forces
+        params, t, tol = case
         calls, bracketed_sum = [], mathieu.bracketed_sum
 
         def spy(*args):
             calls.append(args)
             return bracketed_sum(*args)
 
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except ToleranceError as exc:
+                return str(exc)
+
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(mathieu, "bracketed_sum", spy)
-            got = _outcome(mathieu._direct, mathieu.MathieuParams(*params), t, tol, alternating)
-        if not calls:  # closed at once: no bracket, no floor
-            res = mathieu._direct(mathieu.MathieuParams(*params), t, tol, alternating)
-            assert (res.terms_used, res.order) == (mathieu.CLOSED_HEAD, mathieu.TAIL_ORDER)
+            got = outcome(mathieu.eval_S_alt, mathieu.MathieuParams(*params), t, tol)
+        if not calls:  # closed at once
             return
-        terms, tail_bracket, start, _, rtol, exact_tail, _, floor, cap = calls[0]
-        # the same result without floors: every rung evaluated, none closed early
-        assert _outcome(bracketed_sum, terms, tail_bracket, start, tol, rtol, exact_tail,
-                        alternating, None, cap) == got, (params, t, tol)
-        if floor is None:
-            return
-        # every rung's floor is below its computed width and below the width of
-        # every earlier rung, so a floor above tol shows that all of them miss
-        narrowest, n = math.inf, start
-        while n <= cap:
-            try:
-                lo, hi = tail_bracket(n)
-                narrowest = min(narrowest, hi - lo)
-                assert floor(n) <= narrowest, (params, t, n)
-            except OverflowError:  # a term or a bracket out of float range
-                pass
-            if n == cap:
-                break
-            n = min(cap, 2 * n)
+        terms, tail_bracket, start, _, rtol, exact_tail, alternating, cap = calls[0]
+        first = [True]
+
+        def no_shortcut(n):
+            if first.pop() if first else False:
+                raise OverflowError("no shortcut")
+            return tail_bracket(n)
+
+        assert outcome(bracketed_sum, terms, no_shortcut, start, tol, rtol, exact_tail,
+                       alternating, cap) == got, (params, t, tol)
 
 
 class TestTheta:
