@@ -26,8 +26,8 @@ its head would start past CROSSOVER or, alternating, outside Z+ x N.  The
 closed tail exists for every kernel: at t > 0 on the kernel shifted past
 the head, whose derivatives x^(gamma-n) (1+y)^(-m-n) P_n(y), y = x^alpha,
 are evaluated in floats with rounding bounds and whose variation comes
-from the exactly isolated roots of P_(n+1) (`_YDerivative`); at t = 0, and
-at tiny t where that kernel leaves the float range, on the power tail
+from the exactly isolated roots of P_(n+1) (`_YDerivative`); at t = 0, at
+tiny t, and wherever that kernel leaves the float range, on the power tail
 2 (x + head)^(-delta).  `eval_em` is the closer with no head, for
 (gamma, alpha) in Z+ x N, where g is smooth at 0: the same y-form there,
 with g^(n)(0) exact up to one rounding.
@@ -713,12 +713,6 @@ def bracketed_sum(terms, tail_bracket, n: int, tol: float, term_rtol: float = 4e
     result is their sum plus the tail's midpoint, with the tail's radius plus
     rounding slack as the error radius and the tail engine's order (0 for a
     bracket).
-
-    An alternating bracket is one term wide, which shrinks as n grows, so
-    where the one at `last`, the last n before min(CROSSOVER, cap), misses
-    tol, every earlier one misses too, and the doubling starts at `last`,
-    with the result of the full doubling.  A term out of the float range
-    there gives no shortcut.
     """
     if cap is None:
         cap = _max_terms()
@@ -729,13 +723,6 @@ def bracketed_sum(terms, tail_bracket, n: int, tol: float, term_rtol: float = 4e
         raise ToleranceError(f"the first bracket needs {n} terms, past the {cap}-term cap; "
                              f"raise {MAX_TERMS_ENV}")
     last = n << max(0, (min(CROSSOVER, cap) // n).bit_length() - 1)
-    if alternating:
-        try:
-            lo, hi = tail_bracket(last)
-        except OverflowError:  # no shortcut
-            lo = hi = 0.0
-        if hi - lo > tol:
-            n = last
     while True:
         lo, hi = tail_bracket(n)
         if hi - lo <= tol:
@@ -789,7 +776,7 @@ def _closed_sum(params: MathieuParams, t: float, tol: float, terms, rtol: float,
     terms plus `_closed_tail` past it, the head doubled while that tail is
     wider than tol and its radius falls, up to the term cap.  ToleranceError
     names the narrowest radius where none meets tol; an OverflowError of the
-    first tail, which leaves the float range, is passed on."""
+    first tail (t^alpha out of the float range) is passed on."""
     head = CLOSED_HEAD
     if head > cap:
         raise ToleranceError(f"the closed tail needs a {head}-term head, past the "
@@ -1460,9 +1447,9 @@ def _closed_tail(params: MathieuParams, t: float, alternating: bool,
     u + head, whose Bernoulli weights B_k(-u - head) explode), for every
     kernel, in floats (`MathieuSmoothFunction`; eps head is exact where head
     is a power of two, else rounded once and allowed for).  At t = 0, and
-    at t < 1 past a head where delta + alpha > 1 (every plain series) and
-    t^alpha <= 2^-100 or the shifted kernel leaves the float range
-    (`_t_zero_drift`), the engine sums F(k + u), F = `_PowerTail`, with
+    past a head where delta + alpha > 1 (every plain series) wherever
+    t^alpha <= 2^-100 or the shifted kernel leaves the float range, at any
+    t (`_t_zero_drift`), the engine sums F(k + u), F = `_PowerTail`, with
     eps = 1.  The radius covers the remainder and every rounding: the engine
     bounds the boundary terms and the integral term from the errors the
     kernel reports, the roundings below the normal range (eps^k underflows
@@ -1472,16 +1459,17 @@ def _closed_tail(params: MathieuParams, t: float, alternating: bool,
     falls below 2^-1000, it is applied as the two factors 2 t^(-delta/2)
     and t^(-delta/2), with one more power and one more product to round.
     Where a factor or the value falls below 2^-1000, the relative rounding
-    bounds no longer hold, and OverflowError is raised.
+    bounds no longer hold, and OverflowError is raised where no t = 0 tail
+    stands in.
     """
     engine = emsum.boole_sum if alternating else emsum.em_sum
-    near_zero = head and t < 1.0 and params.delta + params.alpha > 1.0
+    drifts = head and params.delta + params.alpha > 1.0
     value = None
-    if t and not (near_zero and t**params.alpha <= _T_POWER_NEGLIGIBLE):
+    if t and not (drifts and t < 1.0 and t**params.alpha <= _T_POWER_NEGLIGIBLE):
         try:
             value, radius = _shifted_tail(params, t, engine, alternating, head)
         except OverflowError:
-            if not near_zero:
+            if not drifts:
                 raise
     if value is None:
         res = engine(_PowerTail(params, head), 1.0, params.u, TAIL_ORDER)
@@ -1528,10 +1516,11 @@ def _t_zero_drift(params: MathieuParams, t: float, head: int) -> float:
     alpha >= 1); mu + 1 > 0 follows from delta > 0.
 
     With w = k + u and m = mu + 1, (1 + (t/w)^alpha)^(-m) >= 1 - m (t/w)^alpha,
-    so each term moves by at most m t^alpha 2 w^(-delta-alpha); summed over
-    k > head that is at most the first such term plus its integral.  At
-    t^alpha <= 2^-100 this is negligible; wherever the shifted kernel,
-    whose powers of head/t leave the float range as t -> 0, cannot be taken
+    so each term moves by at most m t^alpha 2 w^(-delta-alpha), at every t;
+    summed over k > head that is at most the first such term plus its
+    integral.  At t^alpha <= 2^-100 this is negligible; wherever the shifted
+    kernel cannot be taken (its powers of head/t leave the float range as
+    t -> 0 or, for small alpha, t -> inf, or its tail falls below 2^-1000)
     it falls like head^(1-delta-alpha) as the head grows.
     """
     w, e = head + 1.0 + params.u, params.delta + params.alpha

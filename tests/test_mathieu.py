@@ -1025,6 +1025,40 @@ class TestClosedTail:
         assert res.err_hi <= tol
         assert _contains(res, s_binomial_mp(*params, t)), (params, t, res)
 
+    @pytest.mark.parametrize("params, t", [
+        # delta = 200: the tail past 64 terms, about 1e-362, leaves the float
+        # range at t >= 1 too; the t = 0 tail with its drift stands in
+        ((0.0, 1.0, 199.0, 0.0), 1.0),
+        ((0.0, 2.0, 99.0, 0.0), 1.0),
+        ((0.0, 1.0, 199.0, 0.0), 3.0),
+    ])
+    def test_tail_below_the_float_range(self, params, t):
+        # 200 terms: the rest, below 2 * 201^(1-delta) / (delta - 1) ~ 1e-460,
+        # is far inside every radius
+        g, a, m, u = (mp.mpf(v) for v in params)
+        truth = mp.fsum(2 * (k + u)**g / ((k + u)**a + mp.mpf(t)**a) ** (m + 1)
+                        for k in range(1, 201))
+        for evaluate in (mathieu.eval_S, mathieu.eval_auto):
+            res = evaluate(mathieu.MathieuParams(*params), t, 1e-10)
+            assert res.order == mathieu.TAIL_ORDER
+            assert res.err_hi <= 1e-12 * res.value
+            assert _contains(res, truth), (params, t, evaluate.__name__, res)
+
+    @pytest.mark.parametrize("params, alternating", [
+        ((0.0, 2.0, 0.0, 0.0), True),
+        ((1.0, 2.0, 0.5, 0.3), False),
+        ((2.0, 2.0, 1.0, 0.0), False),
+    ])
+    def test_negligible_t_power_takes_the_t_zero_tail(self, params, alternating):
+        # at t^alpha = 1e-40 <= 2^-100 the shifted kernel stays in the float
+        # range, but the t = 0 tail, whose drift is negligible, is narrower
+        p, t = mathieu.MathieuParams(*params), 1e-20
+        engine = emsum.boole_sum if alternating else emsum.em_sum
+        value, radius, _ = mathieu._closed_tail(p, t, alternating, 64)
+        at_zero = engine(mathieu._PowerTail(p, 64), 1.0, p.u, mathieu.TAIL_ORDER)
+        assert value == at_zero.sum_estimate
+        assert radius < mathieu._shifted_tail(p, t, engine, alternating, 64)[1]
+
     @settings(max_examples=40, deadline=None)
     @given(case=_plain_case())
     def test_plain_soundness_property(self, case):
@@ -1348,54 +1382,6 @@ class TestTermRounding:
             w = k + u
             ref = 2 * w**g / (w**a + t_**a) ** (m + 1)
             assert abs(mp.mpf(float(v)) - ref) <= rtol * ref, (params, t, k)
-
-
-@st.composite
-def _alternating_ladder_case(draw):
-    """(params, t, tol) in Z+ x N, where the alternating series climbs its
-    [0, f(n+1)] ladder; mu and u carry a few decimal digits, as typed."""
-    gamma, alpha = float(draw(st.integers(0, 3))), float(draw(st.integers(1, 3)))
-    mu, u = draw(st.integers(1, 40)) / 10, draw(st.integers(-9, 20)) / 10
-    assume(alpha * (mu + 1.0) - gamma >= 0.1)
-    t = draw(st.just(0.0) | st.floats(-3.0, 4.0).map(lambda e: 10.0**e))
-    return (gamma, alpha, mu, u), t, draw(st.sampled_from([1e-6, 1e-10, 1e-12, 1e-14]))
-
-
-class TestAlternatingLadder:
-    @settings(max_examples=25, deadline=None)
-    @given(case=_alternating_ladder_case())
-    def test_last_rung_shortcut_changes_no_result(self, case):
-        # where the one-term bracket at the last rung below CROSSOVER misses
-        # tol, the doubling starts there: the same outcome as from the start,
-        # which a bracket out of the float range at that first call forces
-        params, t, tol = case
-        calls, bracketed_sum = [], mathieu.bracketed_sum
-
-        def spy(*args):
-            calls.append(args)
-            return bracketed_sum(*args)
-
-        def outcome(fn, *args):
-            try:
-                return fn(*args)
-            except ToleranceError as exc:
-                return str(exc)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(mathieu, "bracketed_sum", spy)
-            got = outcome(mathieu.eval_S_alt, mathieu.MathieuParams(*params), t, tol)
-        if not calls:  # closed at once
-            return
-        terms, tail_bracket, start, _, rtol, exact_tail, alternating, cap = calls[0]
-        first = [True]
-
-        def no_shortcut(n):
-            if first.pop() if first else False:
-                raise OverflowError("no shortcut")
-            return tail_bracket(n)
-
-        assert outcome(bracketed_sum, terms, no_shortcut, start, tol, rtol, exact_tail,
-                       alternating, cap) == got, (params, t, tol)
 
 
 class TestTheta:
