@@ -14,23 +14,20 @@ series with a proven truncation and rounding bound at that point, which
 one evaluation gives with the value (`tail_integral`,
 `tail_integral_rel_err`), so no evaluator needs scipy.
 
-Every sum is a value plus an interval that contains it.  Plain sums
-outside the gamma=1, alpha=2 family sum a head of 64 terms and close the
-rest at once by the Euler-Maclaurin engine with its certified remainder,
-the head doubled while that misses tol.  Two ladders double their head
-until a tail bracket past the monotone index meets tol: the two-sided
-Hermite-Hadamard bounds in that family, and 0 and the first omitted term
-for the alternating series; each takes the same closed tail (Boole's) past
-64 terms where it would need more than CROSSOVER terms, and at once where
-its head would start past CROSSOVER or, alternating, outside Z+ x N.  The
-closed tail exists for every kernel: at t > 0 on the kernel shifted past
-the head, whose derivatives x^(gamma-n) (1+y)^(-m-n) P_n(y), y = x^alpha,
-are evaluated in floats with rounding bounds and whose variation comes
-from the exactly isolated roots of P_(n+1) (`_YDerivative`); at t = 0, at
-tiny t, and wherever that kernel leaves the float range, on the power tail
-2 (x + head)^(-delta).  `eval_em` is the closer with no head, for
-(gamma, alpha) in Z+ x N, where g is smooth at 0: the same y-form there,
-with g^(n)(0) exact up to one rounding.
+Every sum is a value plus an interval that contains it.  A sum takes a
+head of 64 terms and closes the rest at once by the Euler-Maclaurin
+(Boole's, alternating) engine with its certified remainder, the head
+doubled while that misses tol.  Only the plain gamma=1, alpha=2 family
+first climbs a ladder, doubling its head from the monotone index while the
+two-sided Hermite-Hadamard bounds of the rest miss tol, up to CROSSOVER
+terms.  The closed tail exists for every kernel: at t > 0 on the kernel
+shifted past the head, whose derivatives x^(gamma-n) (1+y)^(-m-n) P_n(y),
+y = x^alpha, are evaluated in floats with rounding bounds and whose
+variation comes from the exactly isolated roots of P_(n+1)
+(`_YDerivative`); at t = 0, at tiny t, and wherever that kernel leaves the
+float range, on the power tail 2 (x + head)^(-delta).  `eval_em` is the
+closer with no head, for (gamma, alpha) in Z+ x N, where g is smooth at 0:
+the same y-form there, with g^(n)(0) exact up to one rounding.
 """
 
 from __future__ import annotations
@@ -697,42 +694,25 @@ def _sum_terms(terms, n: int, alternating: bool = False) -> tuple[float, float, 
 
 
 def bracketed_sum(terms, tail_bracket, n: int, tol: float, term_rtol: float = 4e-15,
-                  exact_tail=None, alternating: bool = False,
                   cap: int | None = None) -> EvalResult:
-    """sum_{k>=1} terms(k), where tail_bracket(n) = (lo, hi) encloses sum_{k>n};
-    with `alternating`, term k carries the sign (-1)^(k-1).
+    """sum_{k>=1} terms(k), where tail_bracket(n) = (lo, hi) encloses sum_{k>n}.
 
     `terms` maps an index array to the term array, each value within
     term_rtol of the exact term.  n doubles until the tail bracket is at most
     tol wide (ToleranceError at the term cap, MATHIEU_MAX_TERMS unless `cap`
-    is given, and at once where the starting n is past it).  Where doubling
-    would take n past CROSSOVER (or the cap) and `exact_tail` is given, the
-    head becomes h = min(starting n, CLOSED_HEAD) instead and exact_tail(h) =
-    (value, radius, order) closes the sum past it, provided 2 radius <= tol;
-    otherwise the doubling goes on.  The first n terms are then summed; the
-    result is their sum plus the tail's midpoint, with the tail's radius plus
-    rounding slack as the error radius and the tail engine's order (0 for a
-    bracket).
+    is given, and at once where the starting n is past it).  The first n
+    terms are then summed; the result is their sum plus the bracket's
+    midpoint, with its radius plus rounding slack as the error radius and
+    order 0.
     """
     if cap is None:
         cap = _max_terms()
-    head = min(n, CLOSED_HEAD)
-    if head > cap:
-        exact_tail = None
     if n > cap:
         raise ToleranceError(f"the first bracket needs {n} terms, past the {cap}-term cap; "
                              f"raise {MAX_TERMS_ENV}")
-    last = n << max(0, (min(CROSSOVER, cap) // n).bit_length() - 1)
     while True:
         lo, hi = tail_bracket(n)
-        if hi - lo <= tol:
-            break
-        if exact_tail is not None and n == last:
-            res, exact_tail = _closed_result(terms, exact_tail, head, tol, term_rtol,
-                                             alternating), None
-            if res is not None:
-                return res
-        if n >= cap:
+        if hi - lo <= tol or n >= cap:
             break
         n = min(cap, n * 2)
     if hi - lo > tol:
@@ -740,20 +720,7 @@ def bracketed_sum(terms, tail_bracket, n: int, tol: float, term_rtol: float = 4e
             f"tail bracket {hi - lo:.3g} still exceeds tol={tol:.3g} at the "
             f"{n}-term cap; raise {MAX_TERMS_ENV}"
         )
-    return _head_plus_tail(terms, n, (0.5 * (hi + lo), 0.5 * (hi - lo), 0), term_rtol,
-                           alternating)
-
-
-def _closed_result(terms, exact_tail, head: int, tol: float, term_rtol: float,
-                   alternating: bool) -> EvalResult | None:
-    """The head plus exact_tail(head) for `_direct` and `bracketed_sum`, or
-    None where that tail is wider than tol or leaves the float range."""
-    try:
-        tail = exact_tail(head)
-    except OverflowError:  # a kernel scaled out of float range closes nothing
-        return None
-    return _head_plus_tail(terms, head, tail, term_rtol, alternating) \
-        if 2.0 * tail[1] <= tol else None
+    return _head_plus_tail(terms, n, (0.5 * (hi + lo), 0.5 * (hi - lo), 0), term_rtol, False)
 
 
 def _head_plus_tail(terms, n: int, tail: tuple[float, float, int], term_rtol: float,
@@ -771,22 +738,35 @@ def _head_plus_tail(terms, n: int, tail: tuple[float, float, int], term_rtol: fl
 
 
 def _closed_sum(params: MathieuParams, t: float, tol: float, terms, rtol: float,
-                cap: int) -> EvalResult:
-    """A plain sum outside the gamma=1, alpha=2 family: a head of CLOSED_HEAD
-    terms plus `_closed_tail` past it, the head doubled while that tail is
-    wider than tol and its radius falls, up to the term cap.  ToleranceError
-    names the narrowest radius where none meets tol; an OverflowError of the
-    first tail (t^alpha out of the float range) is passed on."""
+                cap: int, alternating: bool) -> EvalResult:
+    """A head of CLOSED_HEAD terms plus `_closed_tail` past it, the head
+    doubled while that tail is wider than tol and its radius falls, up to
+    the term cap; a tail out of the float range has an infinite radius.
+    ToleranceError names the narrowest radius where none meets tol.  Past
+    the monotone index an alternating tail that misses tol gives way to the
+    narrower one-term bracket [0, f(head+1)] (with that term's sign), as at
+    huge t, where the shifted kernel leaves the float range and the t = 0
+    tail's drift is meaningless."""
+
+    def tail_past(head: int) -> tuple[float, float, int]:
+        try:
+            tail = _closed_tail(params, t, alternating, head)
+        except OverflowError:
+            tail = (0.0, math.inf, TAIL_ORDER)
+        if alternating and 2.0 * tail[1] > tol and head >= _monotone_from(params, t):
+            # past the monotone index the rest lies between 0 and the next term
+            half = 0.5 * (float(terms(head + 1)) * (1.0 + 2.0 * rtol))
+            if half < tail[1]:
+                return (-half if head % 2 else half), half, 0
+        return tail
+
     head = CLOSED_HEAD
     if head > cap:
         raise ToleranceError(f"the closed tail needs a {head}-term head, past the "
                              f"{cap}-term cap; raise {MAX_TERMS_ENV}")
-    tail = _closed_tail(params, t, False, head)
+    tail = tail_past(head)
     while 2.0 * tail[1] > tol and 2 * head <= cap:
-        try:
-            longer = _closed_tail(params, t, False, 2 * head)
-        except OverflowError:
-            break
+        longer = tail_past(2 * head)
         if not longer[1] < tail[1]:
             break
         head, tail = 2 * head, longer
@@ -794,41 +774,28 @@ def _closed_sum(params: MathieuParams, t: float, tol: float, terms, rtol: float,
         raise ToleranceError(f"closed tail radius {tail[1]:.3g} past {head} terms, the narrowest "
                              f"as the head doubled toward the {cap}-term cap, exceeds "
                              f"tol/2 = {0.5 * tol:.3g}")
-    return _head_plus_tail(terms, head, tail, rtol, False)
+    return _head_plus_tail(terms, head, tail, rtol, alternating)
 
 
 def _direct(params: MathieuParams, t: float, tol: float, alternating: bool) -> EvalResult:
-    """The sum past a head, the term cap read once.  Plain sums outside the
-    gamma=1, alpha=2 family take `_closed_sum` at once.  The two ladders,
-    the Hermite-Hadamard bracket of that family and the alternating
-    [0, f(n+1)], start past the monotone index and CLOSED_HEAD: outside
-    Z+ x N (alternating) and where the start is past CROSSOVER, the head of
-    CLOSED_HEAD terms and its closed tail (`_closed_tail`) come first, and
-    `bracketed_sum` runs only where that tail leaves the float range or
-    misses tol; else `bracketed_sum` takes the closed tail where the
-    brackets would need more than CROSSOVER terms.
+    """The sum past a head, the term cap read once.  Plain sums of the
+    gamma=1, alpha=2 family climb the Hermite-Hadamard ladder from the
+    monotone index (at least CLOSED_HEAD) through the rungs start 2^j that
+    stay within CROSSOVER and the cap; past them, and for every other sum,
+    `_closed_sum` closes the rest past a head of CLOSED_HEAD terms.
     """
     terms = _terms(params, t)
     rtol = _term_rtol(params)
     cap = _max_terms()
-    if not alternating and not (params.gamma == 1.0 and params.alpha == 2.0):
-        return _closed_sum(params, t, tol, terms, rtol, cap)
-    start = max(_monotone_from(params, t), CLOSED_HEAD)
-    exact_tail = functools.partial(_closed_tail, params, t, alternating)
-    if CLOSED_HEAD <= cap and (not params.integer_regime or start > CROSSOVER):
-        res = _closed_result(terms, exact_tail, CLOSED_HEAD, tol, rtol, alternating)
-        if res is not None:
-            return res
-        exact_tail = None
-    if alternating:
-        # past the monotone index the remainder lies between 0 and term n+1,
-        # with its sign
-        def tail_bracket(n: int) -> tuple[float, float]:
-            hi = float(terms(n + 1)) * (1.0 + 2.0 * rtol)
-            return (0.0, hi) if n % 2 == 0 else (-hi, 0.0)
-    else:
-        tail_bracket = _tail_bracket(params, t)
-    return bracketed_sum(terms, tail_bracket, start, tol, rtol, exact_tail, alternating, cap)
+    if not alternating and params.gamma == 1.0 and params.alpha == 2.0:
+        start, limit = max(_monotone_from(params, t), CLOSED_HEAD), min(CROSSOVER, cap)
+        if start <= limit:
+            last = start << (limit // start).bit_length() - 1
+            try:
+                return bracketed_sum(terms, _tail_bracket(params, t), start, tol, rtol, last)
+            except ToleranceError:
+                pass
+    return _closed_sum(params, t, tol, terms, rtol, cap, alternating)
 
 
 def eval_S(params: MathieuParams, t: float, tol: float = 1e-10) -> EvalResult:
@@ -846,8 +813,7 @@ def eval_S(params: MathieuParams, t: float, tol: float = 1e-10) -> EvalResult:
 
 def eval_S_alt(params: MathieuParams, t: float, tol: float = 1e-10) -> EvalResult:
     """Direct summation of the alternating series with a rigorous error
-    bracket (`_direct`): the ladder of brackets [0, f(n+1)] and a Boole
-    tail past 64 terms."""
+    bracket (`_closed_sum`): a 64-term head and its Boole tail."""
     params.require_delta(0.0)
     _check_t_tol(t, tol)
     return _direct(params, t, tol, True)

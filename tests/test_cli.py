@@ -379,7 +379,8 @@ class TestErrorExits:
     def test_start_past_the_term_cap_closes_in_64_terms(self, capsys, monkeypatch, args,
                                                         params, alternating):
         # a start past CROSSOVER closes past 64 terms at once, for every kernel
-        # (a plain sum outside the gamma=1, alpha=2 family at every start)
+        # (every alternating sum, and every plain sum outside the gamma=1,
+        # alpha=2 family, at every start)
         from conftest import s_mellin_mp
 
         monkeypatch.delenv("MATHIEU_MAX_TERMS", raising=False)

@@ -421,8 +421,9 @@ class TestEvalSAlt:
     def test_slow_alternating_family_raises_cleanly(self, monkeypatch):
         # delta = 0.9 outside Z+ x N: the 64-term head and its closed tail
         # meet tol 1e-12 (the first-order bracket, ~n^-0.9 wide, exhausted
-        # the term cap); a cap of 1,000 terms at a tol the closed tail
-        # (radius ~4e-16) cannot meet still ends in a clean ToleranceError
+        # the term cap); at tol 1e-16 a 128-term closed tail meets tol/2 and
+        # the sum reports its float64-floor radius, as every closed sum does;
+        # a cap below the 64-term head still ends in a clean ToleranceError
         params = mathieu.MathieuParams(1.5, 2.0, 0.2, 0.0)
         res = mathieu.eval_S_alt(params, 1.0, 1e-4)
         assert res.err_hi <= 1e-4
@@ -433,6 +434,11 @@ class TestEvalSAlt:
         assert res.err_hi <= 1e-12
         assert _contains(res, truth)
         monkeypatch.setenv(mathieu.MAX_TERMS_ENV, "1000")
+        res = mathieu.eval_S_alt(params, 1.0, 1e-16)
+        assert (res.terms_used, res.order) == (128, mathieu.TAIL_ORDER)
+        assert res.err_hi < 1e-13
+        assert _contains(res, truth)
+        monkeypatch.setenv(mathieu.MAX_TERMS_ENV, "32")
         with pytest.raises(ToleranceError):
             mathieu.eval_S_alt(params, 1.0, 1e-16)
 
@@ -974,7 +980,7 @@ def _alternating_case(draw):
     if family == "poisson":
         t = draw(st.floats(0.05, 49.0))
         return (0.0, 2.0, 0.0, 0.0), t, 1e-10, poisson_alt_mp(t)
-    if family == "trigamma":  # tol 1e-13 takes the bracket past the crossover
+    if family == "trigamma":  # tol 1e-13, near the float64 floor of the sum
         u, t = draw(st.floats(-0.4, 1.5)), draw(st.floats(0.5, 20.0))
         return (1.0, 2.0, 1.0, u), t, 1e-13, s1_trigamma(t, u) - s1_trigamma(t / 2, u / 2) / 4
     gamma, alpha = draw(st.floats(0.0, 3.0)), draw(st.floats(0.5, 3.0))
@@ -990,6 +996,17 @@ def _large_t_case(draw):
     alpha, delta = draw(st.floats(0.5, 3.0)), draw(st.floats(1.05, 6.0))
     params = (0.0, alpha, delta / alpha - 1.0, draw(st.floats(-0.9, 2.0)))
     return params, 10.0 ** draw(st.floats(10.0, 40.0))
+
+
+@st.composite
+def _alternating_large_t_case(draw):
+    """(params, t) for the alternating series of a Z+ x N kernel with t in
+    [1e2, 1e40], where the terms and the sum, about t^(-alpha (mu+1)), are
+    normal floats."""
+    gamma, alpha, mu = draw(st.integers(0, 3)), draw(st.integers(1, 3)), draw(st.floats(0.1, 3.0))
+    exponent = draw(st.floats(2.0, 40.0))
+    assume(alpha * (mu + 1.0) - gamma >= 0.2 and alpha * (mu + 1.0) * exponent <= 280.0)
+    return (float(gamma), float(alpha), mu, draw(st.floats(-0.9, 2.0))), 10.0**exponent
 
 
 class TestClosedTail:
@@ -1010,6 +1027,42 @@ class TestClosedTail:
             res = evaluate(mathieu.MathieuParams(*params), t, 1e-10)
             assert res.err_hi <= 1e-10
             assert _contains(res, truth), (params, t, evaluate.__name__, res)
+
+    @settings(max_examples=20, deadline=None)
+    @given(case=_alternating_large_t_case())
+    def test_alternating_large_t_soundness_property(self, case):
+        # the range the [0, f(n+1)] ladder served in Z+ x N, now closed tails
+        params, t = case
+        res = mathieu.eval_S_alt(mathieu.MathieuParams(*params), t, 1e-10)
+        assert res.err_hi <= 1e-10
+        assert _contains(res, s_mellin_mp(*params, t, alternating=True)), (params, t, res)
+
+    @pytest.mark.parametrize("params, t, truth", [
+        ((0.0, 2.0, 0.0, 0.0), 1e40, poisson_alt_mp(1e40)),
+        ((0.0, 1.0, 1.5, 0.2), 1e40, s_mellin_mp(0.0, 1.0, 1.5, 0.2, 1e40, alternating=True)),
+    ])
+    def test_alternating_past_2_125_has_a_relative_radius(self, params, t, truth):
+        # the one-term bracket [0, f(65)] met tol with the whole value as its
+        # radius (1.0e-80 +- 1.0e-80) where the closed tail exists
+        res = mathieu.eval_S_alt(mathieu.MathieuParams(*params), t, 1e-10)
+        assert (res.terms_used, res.order) == (64, mathieu.TAIL_ORDER)
+        assert 0 < res.err_hi <= 1e-12 * res.value
+        assert _contains(res, truth), (params, res)
+
+    @pytest.mark.parametrize("params, t, value, radius", [
+        ((0.0, 2.0, 1.0, 0.0), 1e100, "0x0.0p+0", "0x1.56e1fc2f8f359p-997"),
+        ((0.0, 0.5, 3.0, 0.0), 1e60, "0x1.4a8729fc3ddd0p-399", "0x1.4a8729fc3ecfep-399"),
+        ((0.0, 0.5, 3.0, 0.0), 1e100, "0x1.87e92154ef7c9p-665", "0x1.87e92154f09c9p-665"),
+        ((0.0, 0.25, 7.0, 0.5), 1e60, "0x1.4a8729fc3ddacp-399", "0x1.4a8729fc3f068p-399"),
+        ((0.0, 0.25, 7.0, 0.5), 1e100, "0x1.87e92154ef7d9p-665", "0x1.87e92154f0e71p-665"),
+    ])
+    def test_alternating_one_term_stand_in(self, params, t, value, radius):
+        # the shifted kernel leaves the float range and the t = 0 tail's
+        # drift dwarfs the sum: past the monotone index the next term alone
+        # brackets the rest, as the [0, f(n+1)] ladder did, bit for bit
+        res = mathieu.eval_S_alt(mathieu.MathieuParams(*params), t, 1e-10)
+        assert (res.value.hex(), res.err_lo.hex(), res.err_hi.hex()) == (value, radius, radius)
+        assert (res.terms_used, res.order) == (64, 0)
 
     @pytest.mark.parametrize("params, t, tol", [
         # the shifted kernel leaves the float range: the t = 0 tail with its
@@ -1146,10 +1199,10 @@ class TestClosedTail:
 
     def test_start_past_the_cap_raises(self, monkeypatch):
         # the monotone index 57,737 lies past the cap: all of it was summed;
-        # now a start past CROSSOVER closes at once, and raises at once only
-        # where the closed tail (radius ~3.5e-25 here) cannot meet tol
+        # now a start past the cap closes at once, and raises only where the
+        # closed tail (radius ~3.5e-25 here) cannot meet tol
         monkeypatch.setenv(mathieu.MAX_TERMS_ENV, "1000")
-        with pytest.raises(ToleranceError, match="57737 terms, past the 1000-term cap"):
+        with pytest.raises(ToleranceError, match="closed tail radius 3.47e-25 past 512 terms"):
             mathieu.eval_S(CLASSICAL, 1e5, 1e-30)
         res = mathieu.eval_S(CLASSICAL, 1e5)
         assert (res.terms_used, res.order) == (64, mathieu.TAIL_ORDER)
