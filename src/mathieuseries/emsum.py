@@ -16,6 +16,11 @@ weights ((-1)^k eps^k / (2 k!)) E_k(-u) G^(k)(0) and factor eps^n / (2 n!) in
 the bound.  Callers are responsible for the hypotheses (F smooth enough, the
 first n derivatives vanishing at +infinity, bounded variation of F^(n)).
 
+An engine takes F^(k)(0) only where its weight is not exactly 0
+(`_Weights.orders`): at u = 0, B_(2j+1)(0) = E_(2j)(0) = 0 for j >= 1, so
+of the nine derivatives of order 8 it asks `SmoothFunction.derivs_with_error`
+for six, in one call, and the skipped terms are exactly 0.
+
 The variations V come from `SmoothFunction.variation`: a closed form where a
 subclass has one (`ExpFunction`), else the sum of the jumps across the
 monotone pieces a subclass supplies (the Mathieu kernel); a function that supplies neither has no remainder bound.  The exact
@@ -72,9 +77,13 @@ class SmoothFunction:
         must supply `tail_integral_with_error` too."""
         return self.deriv(k, x), None
 
-    def derivs_with_error(self, n: int, x: float) -> list[tuple[float, float | None]]:
-        """`deriv_with_error(k, x)` for k = 0..n, as the engines take them at 0."""
-        return [self.deriv_with_error(k, x) for k in range(n + 1)]
+    def derivs_with_error(self, orders: Sequence[int], x: float
+                          ) -> list[tuple[float, float | None]]:
+        """`deriv_with_error(k, x)` for each k in `orders`, increasing, as the
+        engines take them at 0: the orders whose boundary weight is not
+        exactly 0, and the engine order n (`_Weights.orders`).  A subclass
+        may evaluate them together; it need not evaluate any other order."""
+        return [self.deriv_with_error(k, x) for k in orders]
 
     def tail_integral_with_error(self, t: float) -> tuple[float, float | None]:
         """`tail_integral(t)` and a bound on its error, None as in `deriv_with_error`."""
@@ -321,7 +330,7 @@ def boole_finite_identity(
 # infinite-sum engines with remainder bounds
 # --------------------------------------------------------------------------
 
-class _Weights(namedtuple("_Weights", "sup_spline sup_edge parts")):
+class _Weights(namedtuple("_Weights", "sup_spline sup_edge parts orders")):
     """What an engine of one family at offset u and order n takes from them
     alone, kept once per (family, u, n) (`_weights`).
 
@@ -331,7 +340,12 @@ class _Weights(namedtuple("_Weights", "sup_spline sup_edge parts")):
     weight c_k of `_boundary_terms`: (-1)^k, the divisor (k+1)! (Bernoulli)
     resp. 2 k! (Euler), the polynomial value p = B_{k+1}(-u) resp. E_k(-u),
     |p|, and the factor 4.01 u (|p| + h) + h of its error bound, with h its
-    Horner error.
+    Horner error.  `orders` holds the k whose F^(k)(0) the engine takes:
+    every k whose weight is not exactly 0, and n.  A weight is exactly 0
+    where u = 0 and the polynomial's exact constant coefficient is 0:
+    B_(2j+1)(0) = E_(2j)(0) = 0 for j >= 1 (DLMF 24.2), so at order 8
+    k = 2, 4, 6 and 8 in both families.  n stays for the variation of F^(n)
+    past 0, which starts from F^(n)(0) where u = 0.
     """
 
     __slots__ = ()
@@ -341,18 +355,22 @@ class _Weights(namedtuple("_Weights", "sup_spline sup_edge parts")):
 def _weights(family: str, u: float, n: int) -> _Weights:
     bernoulli = family == polyfun.BERNOULLI
     poly = polyfun.bernoulli_poly if bernoulli else polyfun.euler_poly
+    coeffs = polyfun.bernoulli_coeffs if bernoulli else polyfun.euler_coeffs
     order = n + 1 if bernoulli else n
-    parts = []
+    parts, orders = [], []
     for k in range(n + 1):
         k_order = k + 1 if bernoulli else k
         p = poly(k_order, -u)
         h = polyfun.poly_eval_error(k_order, family, -u)
         parts.append(((-1.0) ** k, math.factorial(k + 1) if bernoulli else 2.0 * math.factorial(k),
                       p, abs(p), 4.01 * 2.0**-53 * (abs(p) + h) + h))
+        if u or coeffs(k_order).coeffs[0] or k == n:
+            orders.append(k)
     return _Weights(
         sup_spline=polyfun.spline_sup(polyfun.SplineKind(family, order)),
         sup_edge=polyfun.poly_sup(order, family, (-u, 0.0) if u >= 0 else (0.0, -u)),
         parts=tuple(parts),
+        orders=tuple(orders),
     )
 
 
@@ -379,22 +397,27 @@ def _boundary_terms(f: SmoothFunction, eps: float, weights: _Weights
 
     c_k = (-1)^k eps^k B_{k+1}(-u) / (k+1)! (Bernoulli) or
     (-1)^k eps^k E_k(-u) / (2 k!) (Euler), from the parts in `_Weights`.
-    The factor eps^k / m_k takes at most 4 roundings relative (a power
-    within 1 ulp, a quotient, the product with the polynomial value), the
-    polynomial value its Horner error h, the product with F^(k)(0) one more
-    rounding, and F^(k)(0) its reported error.  A rounding below the normal
-    range adds its absolute error, taken as 2^-1073 for eps^k / m_k (a power
-    and a quotient) and 2^-1074 for the weight and for the term.
+    F^(k)(0) is taken only at `weights.orders`: every other c_k is exactly
+    0, so its term is 0 with no error, the fsum of the terms, which ignores
+    zeros, is the same bit for bit, and the error bound only loses the
+    slack that the Horner bound h gave such a weight.  The factor eps^k / m_k
+    takes at most 4 roundings relative (a power within 1 ulp, a quotient,
+    the product with the polynomial value), the polynomial value its Horner
+    error h, the product with F^(k)(0) one more rounding, and F^(k)(0) its
+    reported error.  A rounding below the normal range adds its absolute
+    error, taken as 2^-1073 for eps^k / m_k (a power and a quotient) and
+    2^-1074 for the weight and for the term.
     """
-    terms, errs = [], []
-    derivs = f.derivs_with_error(len(weights.parts) - 1, 0.0)
-    for k, ((sign, divisor, p, p_abs, p_err), (d, d_err)) in enumerate(zip(weights.parts, derivs)):
+    parts, orders = weights.parts, weights.orders
+    terms, errs = [0.0] * len(parts), []
+    for k, (d, d_err) in zip(orders, f.derivs_with_error(orders, 0.0)):
+        sign, divisor, p, p_abs, p_err = parts[k]
         # size = |scale|: with a sign of +-1 and a divisor above 0, |scale|,
         # |weight| and |term| are size, size |p| and |weight| |d| bit for bit
         size = eps**k / divisor
         weight = sign * size * p
         term = weight * d
-        terms.append(term)
+        terms[k] = term
         if d_err is not None:
             w_abs, d_abs = size * p_abs, abs(d)
             # the weight's absolute error below the normal range, then the term's

@@ -603,14 +603,26 @@ def _pow(x, e: float):
 
 def _terms(params: MathieuParams, t: float):
     """k -> the terms 2 (k+u)^gamma / ((k+u)^alpha + t^alpha)^(mu+1) at an
-    index or an index array."""
+    index or an index array.
+
+    At one index, where the denominator leaves the float range (Python's
+    float pow raises there, a product gives inf), the term is below its
+    numerator times 2^-1024, and that rounded up stands for it: callers
+    take a single term as an upper bound.  An index array gives 0 there.
+    """
     u, gamma, alpha, m = params.u, params.gamma, params.alpha, params.mu + 1.0
     ta = t**alpha if t > 0 else 0.0
 
     def terms(k):
         w = k + u if u else k  # bit for bit: an int k enters each float op exactly
         num = 2.0 if gamma == 0 else 2.0 * _pow(w, gamma)
-        return num / _pow(_pow(w, alpha) + ta, m)
+        try:
+            den = _pow(_pow(w, alpha) + ta, m)
+        except OverflowError:
+            den = math.inf
+        if isinstance(den, float) and den == math.inf:
+            return math.nextafter(num * 2.0**-1024, math.inf)
+        return num / den
 
     return terms
 
@@ -670,7 +682,13 @@ def _sum_terms(terms, n: int, alternating: bool = False) -> tuple[float, float, 
     The first _EXACT_HEAD terms, where a decreasing series keeps most of its
     mass, enter one math.fsum with the rest's chunk sums, so they carry only
     the final rounding; the rest is accumulated pairwise by numpy in chunks,
-    whose error is at most PAIRWISE_RTOL times its sum of |terms|.
+    whose error is at most PAIRWISE_RTOL times its sum of |terms|.  Every
+    term past the head that a caller passes is at least 0 before its sign
+    (`_terms` and `log_phi_u` have k + u > 0, and `sharp.convex_series` can
+    have a negative term only at k = 1), so a chunk's sum of |terms| is the
+    pairwise sum of its unsigned terms bit for bit: one reduce of a plain
+    chunk gives both, and an alternating chunk is reduced once before its
+    sign flip and once after.
     """
     import numpy as np
 
@@ -681,16 +699,18 @@ def _sum_terms(terms, n: int, alternating: bool = False) -> tuple[float, float, 
     for lo in range(1, n + 1, step):
         hi = min(n + 1, lo + step)
         arr = terms(np.arange(lo, hi, dtype=float))
+        rest = arr[_EXACT_HEAD:] if lo == 1 else arr  # a view: it sees the sign flip
+        if rest.size:
+            abs_chunks.append(float(np.add.reduce(rest)))
         if alternating:
             arr[1::2] *= -1.0  # lo is odd, so the odd positions hold the even k
+            if rest.size:
+                chunks.append(float(np.add.reduce(rest)))
         if lo == 1:
             head = arr[:_EXACT_HEAD].tolist()
-            arr = arr[_EXACT_HEAD:]
-        if arr.size:
-            chunks.append(float(np.add.reduce(arr)))
-            abs_chunks.append(float(np.add.reduce(np.abs(arr))))
     rest_abs = math.fsum(abs_chunks)
-    return math.fsum(head + chunks), math.fsum(map(abs, head)) + rest_abs, rest_abs
+    return (math.fsum(head + (chunks if alternating else abs_chunks)),
+            math.fsum(map(abs, head)) + rest_abs, rest_abs)
 
 
 def bracketed_sum(terms, tail_bracket, n: int, tol: float, term_rtol: float = 4e-15,
@@ -698,7 +718,8 @@ def bracketed_sum(terms, tail_bracket, n: int, tol: float, term_rtol: float = 4e
     """sum_{k>=1} terms(k), where tail_bracket(n) = (lo, hi) encloses sum_{k>n}.
 
     `terms` maps an index array to the term array, each value within
-    term_rtol of the exact term.  n doubles until the tail bracket is at most
+    term_rtol of the exact term, and every term past the 16th at least 0
+    (`_sum_terms` takes a chunk's sum as its sum of |terms|).  n doubles until the tail bracket is at most
     tol wide (ToleranceError at the term cap, MATHIEU_MAX_TERMS unless `cap`
     is given, and at once where the starting n is past it).  The first n
     terms are then summed; the result is their sum plus the bracket's
@@ -726,15 +747,17 @@ def bracketed_sum(terms, tail_bracket, n: int, tol: float, term_rtol: float = 4e
 def _head_plus_tail(terms, n: int, tail: tuple[float, float, int], term_rtol: float,
                     alternating: bool) -> EvalResult:
     """The sum of the first n terms plus tail = (value, radius, order) of the
-    rest, for `bracketed_sum` and `_closed_sum`."""
+    rest, for `bracketed_sum` and `_closed_sum`; every term past the 16th
+    is at least 0 before its alternating sign (`_sum_terms`)."""
     partial, partial_abs, pairwise_abs = _sum_terms(terms, n, alternating)
     value = partial + tail[0]
     # per-term rounding, pairwise accumulation, and the roundings of the
     # final fsum and of the tail's addition
     slack = (term_rtol * partial_abs + PAIRWISE_RTOL * pairwise_abs
              + 2.0**-53 * (abs(partial) + abs(value)) + 1e-300)
-    return EvalResult(value=value, err_lo=tail[1] + slack, err_hi=tail[1] + slack,
-                      method=DIRECT, terms_used=n, order=tail[2])
+    radius = tail[1] + slack
+    # positional: keywords double the cost of this tuple, about 0.6 us a sum
+    return EvalResult(value, radius, radius, DIRECT, n, True, tail[2])
 
 
 def _closed_sum(params: MathieuParams, t: float, tol: float, terms, rtol: float,
@@ -1240,8 +1263,8 @@ class MathieuSmoothFunction(emsum.SmoothFunction):
         self.shift_err = 0.0 if self.shift == shift else 2.0**-53
         self.domain_left = -self.shift if self.shift else -0.5
         self._models = _y_models(params.gamma, params.alpha, params.mu)
-        #: g^(k) at the shift for k <= TAIL_ORDER, with their errors, once needed
-        self._at_origin = None
+        #: the orders last taken at the shift, and g^(k) there with its error
+        self._at_origin = (), ()
 
     def _at(self, x: float) -> tuple[float, float]:
         """x + shift rounded, and a bound on its distance from the exact sum
@@ -1263,24 +1286,32 @@ class MathieuSmoothFunction(emsum.SmoothFunction):
 
     def deriv_with_error(self, k: int, x: float) -> tuple[float, float | None]:
         if not x and k < len(self._models):
-            # at the shift itself, where the engines take every derivative
-            return self._at_shift()[k]
+            # at the shift itself, where the engines take their derivatives
+            orders, values = self._at_origin
+            return values[orders.index(k)] if k in orders else self._at_shift((k,))[0]
         z, dz = self._at(x)
         if z <= (0.0 if self.shift else -1.0):
             raise ParameterError(f"x = {x:g} lies left of the domain of g(x + {self.shift:g})")
         return self._model(k).value(z, dz / z if dz else 0.0)
 
-    def derivs_with_error(self, n: int, x: float) -> list[tuple[float, float | None]]:
-        if x == 0.0 and n < len(self._models):
-            return self._at_shift()[:n + 1]
-        return super().derivs_with_error(n, x)
+    def derivs_with_error(self, orders: tuple[int, ...], x: float
+                          ) -> list[tuple[float, float | None]]:
+        if x == 0.0 and orders[-1] < len(self._models):
+            return self._at_shift(orders)
+        return super().derivs_with_error(orders, x)
 
-    def _at_shift(self) -> list[tuple[float, float]]:
-        """g^(k) at the shift for k <= TAIL_ORDER, with their errors."""
-        if self._at_origin is None:
-            self._at_origin = [m.at_zero for m in self._models] if not self.shift else \
-                _values_at(self._models, _y_point(self.params.alpha, self.shift, self.shift_err))
-        return self._at_origin
+    def _at_shift(self, orders: tuple[int, ...]) -> list[tuple[float, float]]:
+        """g^(k) at the shift for each k in `orders` (at most TAIL_ORDER),
+        with their errors: evaluated together, in one `_values_at` call from
+        one `_y_point`, and kept for `deriv_with_error`, of which the
+        variation at u = 0 asks g^(n), one of the orders the engine took."""
+        models = self._models
+        if len(orders) < len(models):
+            models = [models[k] for k in orders]
+        values = [m.at_zero for m in models] if not self.shift else \
+            _values_at(models, _y_point(self.params.alpha, self.shift, self.shift_err))
+        self._at_origin = orders, values
+        return values
 
     def monotone_pieces(self, k: int, a: float, b: float) -> tuple[list[float], float] | None:
         # the engine rounded the ends it passes (eps u): widen each one, and a

@@ -391,6 +391,22 @@ class TestErrorExits:
         truth = s_mellin_mp(*params, rec["t"], alternating=alternating)
         assert abs(rec["value"] - truth) <= rec["err_hi"] <= 1e-10
 
+    @pytest.mark.parametrize("params, t", [
+        ((0.0, 3.0, 3.0, 0.0), "1e26"),
+        ((0.0, 2.5, 0.3, 0.0), "1e100"),
+    ])
+    def test_alternating_sum_below_the_float_range(self, capsys, params, t):
+        # the one-term bracket's next term overflowed Python's float pow, and
+        # each ended in exit 2 with "(34, 'Numerical result out of range')"
+        flags = [v for name, x in zip(("gamma", "alpha", "mu", "u"), params)
+                 for v in (f"--{name}", repr(x))]
+        code, out, err = run(capsys, "eval-alt", *flags, "--t", t)
+        assert code == 0
+        assert "34" not in err and "out of range" not in err
+        rec = json.loads(out)
+        truth = s_mellin_mp(*params, float(t), alternating=True)
+        assert abs(mp.mpf(rec["value"]) - truth) <= rec["err_hi"] <= 1e-10, (rec, truth)
+
     def test_verify_has_no_tol_flag(self, capsys):
         code, _, err = run(capsys, "verify", "classical", "--tol", "1e-9")
         assert code == 2

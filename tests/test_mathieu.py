@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from mathieuseries import emsum, jets, mathieu, polyfun
+from mathieuseries import emsum, jets, mathieu, polyfun, sharp
 from mathieuseries.errors import (
     OrderOverflowError,
     ParameterError,
@@ -1050,7 +1050,9 @@ class TestClosedTail:
         assert _contains(res, truth), (params, res)
 
     @pytest.mark.parametrize("params, t, value, radius", [
-        ((0.0, 2.0, 1.0, 0.0), 1e100, "0x0.0p+0", "0x1.56e1fc2f8f359p-997"),
+        # f(65)'s denominator leaves the float range: the next term is below
+        # its numerator 2 times 2^-1024, which stands in (it read 0 before)
+        ((0.0, 2.0, 1.0, 0.0), 1e100, "0x0.4000000000004p-1022", "0x1.56e1fc4f8f359p-997"),
         ((0.0, 0.5, 3.0, 0.0), 1e60, "0x1.4a8729fc3ddd0p-399", "0x1.4a8729fc3ecfep-399"),
         ((0.0, 0.5, 3.0, 0.0), 1e100, "0x1.87e92154ef7c9p-665", "0x1.87e92154f09c9p-665"),
         ((0.0, 0.25, 7.0, 0.5), 1e60, "0x1.4a8729fc3ddacp-399", "0x1.4a8729fc3f068p-399"),
@@ -1473,3 +1475,119 @@ class TestTheta:
             for x in (0.01, 0.5, 5.0, 40.0):
                 val = -mathieu.log_phi_u(u, x) / x
                 assert u * u + u < val < (1.0 + u) ** 2
+
+
+@st.composite
+def _zero_offset_case(draw):
+    """(params, t, alternating) for u = 0, in and outside Z+ x N, either
+    series, t = 0 or in [1e-2, 1e6]."""
+    alternating = draw(st.booleans())
+    if draw(st.booleans()):
+        gamma, alpha = float(draw(st.integers(0, 3))), float(draw(st.integers(1, 3)))
+    else:
+        gamma, alpha = draw(st.floats(0.0, 3.0)), draw(st.floats(0.5, 3.0))
+    delta = draw(st.floats(0.3 if alternating else 1.05, 4.0))
+    t = draw(st.just(0.0) | st.floats(1e-2, 1e6))
+    return (gamma, alpha, (delta + gamma) / alpha - 1.0, 0.0), t, alternating
+
+
+def _outcome(fn):
+    """fn() in hex, or the type of the error it raises."""
+    try:
+        value, radius, order = fn()
+    except (OverflowError, ParameterError) as exc:
+        return type(exc)
+    return value.hex(), radius, order
+
+
+def _abs_formula_sum_terms(terms, n, alternating=False):
+    """The head sum as it was before one reduce per chunk: the signs set
+    first, then a reduce of each chunk and of its absolute values."""
+    head, chunks, abs_chunks = [], [], []
+    step = 1 << 18
+    for lo in range(1, n + 1, step):
+        arr = terms(np.arange(lo, min(n + 1, lo + step), dtype=float))
+        if alternating:
+            arr[1::2] *= -1.0
+        if lo == 1:
+            head = arr[:16].tolist()
+            arr = arr[16:]
+        if arr.size:
+            chunks.append(float(np.add.reduce(arr)))
+            abs_chunks.append(float(np.add.reduce(np.abs(arr))))
+    rest_abs = math.fsum(abs_chunks)
+    return math.fsum(head + chunks), math.fsum(map(abs, head)) + rest_abs, rest_abs
+
+
+def _convex_terms(u, y):
+    """`sharp.convex_series`' terms 2 (k+u) g((k+u)^2 + y) for g(s) = s^-2,
+    whose first is negative for u < -1."""
+    kernel = sharp.PowerKernel(1.0)
+
+    def terms(k):
+        w = k + u
+        return 2.0 * w * kernel.g(w * w + y)
+
+    return terms
+
+
+class TestWarmSumsBitForBit:
+    """The cheaper warm direct sum gives the same bits as the work it skips."""
+
+    def test_zero_weights_at_u_zero(self):
+        # B_(2j+1)(0) = E_(2j)(0) = 0 for j >= 1: orders 2, 4, 6 are skipped,
+        # 8 stays for the variation
+        for family in (polyfun.BERNOULLI, polyfun.EULER):
+            assert emsum._weights(family, 0.0, 8).orders == (0, 1, 3, 5, 7, 8)
+            assert emsum._weights(family, 0.3, 8).orders == tuple(range(9))
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_zero_offset_case())
+    @example(case=((0.0, 2.0, 1.0, 0.0), 7.0, False))
+    @example(case=((1.0, 2.0, 1.0, 0.0), 0.0, True))
+    @example(case=((0.5, 1.5, 1.0, 0.0), 7.0, True))
+    def test_skipped_orders_keep_the_estimate(self, case):
+        params, t, alternating = case
+        p = mathieu.MathieuParams(*params)
+        skipping = _outcome(lambda: mathieu._closed_tail(p, t, alternating, 64))
+        weights = emsum._weights
+
+        def every_order(family, u, n):
+            return weights(family, u, n)._replace(orders=tuple(range(n + 1)))
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(emsum, "_weights", every_order)
+            forced = _outcome(lambda: mathieu._closed_tail(p, t, alternating, 64))
+        if isinstance(forced, type):
+            assert skipping is forced
+            return
+        assert (skipping[0], skipping[2]) == (forced[0], forced[2]), case
+        assert skipping[1] <= forced[1], case
+
+    @pytest.mark.parametrize("n", [1, 16, 17, 64, 512, 4096, (1 << 18) + 3])
+    @pytest.mark.parametrize("alternating", [False, True])
+    @pytest.mark.parametrize("terms", [
+        mathieu._terms(mathieu.MathieuParams(1.0, 2.0, 1.0, 0.0), 7.0),
+        mathieu._terms(mathieu.MathieuParams(0.5, 1.5, 0.7, 0.3), 0.0),
+        mathieu._terms(mathieu.MathieuParams(0.0, 2.0, 0.5, -0.5), 49.0),
+        _convex_terms(-1.25, 1.0),
+    ], ids=["hh", "non-integer", "negative-u", "convex"])
+    def test_one_reduce_per_chunk(self, terms, n, alternating):
+        got = mathieu._sum_terms(terms, n, alternating)
+        want = _abs_formula_sum_terms(terms, n, alternating)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("fn, t, value, radius, terms", [
+        ("eval_S", 0.0, "0x1.924fd060e7098p+7", "0x1.c8eea8a319d4dp-40", 64),
+        ("eval_S", 7.0, "0x1.ae8d0092b7c94p+5", "0x1.2ddfeebc3c4e5p-35", 64),
+        ("eval_S_alt", 0.0, "0x1.63b54d6a217d1p+0", "0x1.7fe768bcb3bb4p-40", 64),
+    ])
+    def test_peak_past_the_float_range_is_not_needed(self, fn, t, value, radius, terms):
+        # 2 g at the peak of this kernel needs 19.8^400, which Python's float
+        # pow cannot give; no sum here asks for it, so none may fail on it
+        params = mathieu.MathieuParams(20.0, 0.05, 419.2, 0.0)
+        with pytest.raises(OverflowError):
+            mathieu.g_total_variation(params)
+        res = getattr(mathieu, fn)(params, t)
+        assert (res.value.hex(), res.err_hi.hex(), res.terms_used, res.order) == \
+            (value, radius, terms, mathieu.TAIL_ORDER)
