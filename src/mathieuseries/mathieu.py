@@ -35,8 +35,9 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 import warnings
-from collections import namedtuple
+from collections import OrderedDict, namedtuple
 from fractions import Fraction
 
 from . import emsum, jets, polyfun
@@ -51,6 +52,10 @@ from .errors import (
 #: Direct summation stops growing once this many terms were used.
 MAX_TERMS_ENV = "MATHIEU_MAX_TERMS"
 _DEFAULT_MAX_TERMS = 20_000_000
+#: MAX_TERMS_ENV as os.environ stores it: where it is unset, a look into that
+#: store takes about 0.1 us, against 1-2 us for os.environ.get, which raises
+#: and catches KeyError twice.
+_MAX_TERMS_KEY = os.environ.encodekey(MAX_TERMS_ENV)
 
 #: Direct summation adds its first terms in one exact math.fsum ...
 _EXACT_HEAD = 16
@@ -67,9 +72,10 @@ CLOSED_HEAD = 64
 
 #: Past this many head terms a closed Euler-Maclaurin (Boole) tail costs less
 #: than summing on.  Measured with the float y-form tails at t = 7 on a 2-core
-#: Xeon: 3.0-8.2 ns a summed term (from 4,096 to 16,384 terms) against
-#: 49-61 us a warm closed tail (head included), a break-even of 6,700-17,900
-#: terms over seven kernels and both series (median near 9,200).
+#: Xeon: 1.5-6.0 ns a summed term (from 4,096 to 16,384 terms, the head's
+#: factors cached) against 53-77 us a warm closed tail (head included), a
+#: break-even of 8,900-36,300 terms over seven kernels and both series
+#: (median near 23,000).
 CROSSOVER = 1 << 14
 
 DIRECT = "direct"
@@ -78,9 +84,10 @@ ASYMPTOTIC = "asymptotic"
 
 
 def _max_terms() -> int:
-    raw = os.environ.get(MAX_TERMS_ENV)
-    if raw is None:
+    """The term cap, MAX_TERMS_ENV read on every call."""
+    if _MAX_TERMS_KEY not in os.environ._data:
         return _DEFAULT_MAX_TERMS
+    raw = os.environ[MAX_TERMS_ENV]
     try:
         cap = int(raw)
     except ValueError:
@@ -601,17 +608,27 @@ def _pow(x, e: float):
     return x**e
 
 
+def _t_alpha(t: float, alpha: float) -> float:
+    """t^alpha for the denominators of the terms, t >= 0."""
+    try:
+        return t**alpha if t > 0 else 0.0
+    except OverflowError:
+        raise OverflowError(f"t^alpha = {t:g}^{alpha:g} overflows a float") from None
+
+
 def _terms(params: MathieuParams, t: float):
     """k -> the terms 2 (k+u)^gamma / ((k+u)^alpha + t^alpha)^(mu+1) at an
-    index or an index array.
+    index or an index array; a sum takes its head from `_term_chunks`,
+    which gives the array's bits.
 
     At one index, where the denominator leaves the float range (Python's
     float pow raises there, a product gives inf), the term is below its
     numerator times 2^-1024, and that rounded up stands for it: callers
     take a single term as an upper bound.  An index array gives 0 there.
+    OverflowError names t^alpha where that leaves the float range.
     """
     u, gamma, alpha, m = params.u, params.gamma, params.alpha, params.mu + 1.0
-    ta = t**alpha if t > 0 else 0.0
+    ta = _t_alpha(t, alpha)
 
     def terms(k):
         w = k + u if u else k  # bit for bit: an int k enters each float op exactly
@@ -625,6 +642,100 @@ def _terms(params: MathieuParams, t: float):
         return num / den
 
     return terms
+
+
+class _HeadCache:
+    """The t-independent factors of the head's terms per kernel and index
+    range, for ranges of at most CROSSOVER terms; past `limit` bytes the
+    least recently used entries go."""
+
+    def __init__(self, limit: int):
+        self.limit, self.size, self.entries = limit, 0, OrderedDict()
+        self.lock = threading.Lock()
+
+    def factors(self, gamma: float, alpha: float, u: float, lo: int, hi: int) -> tuple:
+        """(2 w^gamma, w^alpha, w^alpha at lo, w^alpha at hi-1) for
+        w = k + u, k = lo..hi-1, with the ufuncs and the order of `_terms`;
+        2 w^gamma is the float 2.0 where gamma = 0, and the arrays are
+        read-only.  No key holds t or mu."""
+        key = (gamma, alpha, u, lo, hi)
+        with self.lock:
+            entry = self.entries.get(key)
+            if entry is not None:
+                self.entries.move_to_end(key)
+                return entry
+            import numpy as np
+
+            k = np.arange(lo, hi, dtype=float)
+            w = k + u if u else k  # bit for bit: an int k enters each float op exactly
+            with np.errstate(all="ignore"):  # a factor past the float range is inf
+                num = 2.0 if gamma == 0 else 2.0 * _pow(w, gamma)
+                wa = _pow(w, alpha)
+            for a in (num, wa):
+                if not isinstance(a, float):
+                    a.flags.writeable = False
+            entry = num, wa, float(wa[0]), float(wa[-1])
+            if hi - lo <= CROSSOVER:
+                self.entries[key] = entry
+                self.size += self.nbytes(entry)
+                while self.size > self.limit:
+                    self.size -= self.nbytes(self.entries.popitem(last=False)[1])
+            return entry
+
+    @staticmethod
+    def nbytes(entry: tuple) -> int:
+        return sum(a.nbytes for a in entry[:2] if not isinstance(a, float))
+
+
+#: Head factors of every direct, convex-kernel and theta sum, at most
+#: 256 KiB: one CROSSOVER-term entry of two arrays, four of 4,096 terms or
+#: 256 of 64 terms.  Larger budgets raised the peak RSS of
+#: `verify all` by 1.1 MB (512 KiB) to 1.8 MB (4 MiB), through the heap
+#: pages the long-lived arrays pin; this one by 0.2 MB.
+_HEAD_CACHE = _HeadCache(256 << 10)
+
+
+def _term_chunks(params: MathieuParams, t: float):
+    """(lo, hi) -> a new array of the terms at k = lo..hi-1, bit for bit
+    `_terms(params, t)` at np.arange(lo, hi): the factors that do not
+    depend on t come from `_HEAD_CACHE`, and each call takes only
+    (w^alpha + t^alpha)^(mu+1) and the quotient.  Where a denominator
+    leaves the float range (or one is 0) the arithmetic runs with numpy's
+    warnings off, so a term there is 0 (or inf) with no warning; mu + 1 > 0
+    for every series, so the first and last denominators bound the rest.
+    """
+    gamma, alpha, u, m = params.gamma, params.alpha, params.u, params.mu + 1.0
+    ta = _t_alpha(t, alpha)
+    factors = _HEAD_CACHE.factors
+
+    def chunk(lo, hi):
+        num, wa, first, last = factors(gamma, alpha, u, lo, hi)
+        try:  # Python's pow, with a factor 2 to spare for numpy's
+            quiet = 2.0**-1022 < (first + ta) ** m and (last + ta) ** m < 2.0**1023
+        except ArithmeticError:
+            quiet = False
+        if quiet:
+            return num / _pow(wa + ta, m)
+        import numpy as np
+
+        with np.errstate(all="ignore"):
+            return num / _pow(wa + ta, m)
+
+    return chunk
+
+
+def convex_chunks(g, u: float, y: float):
+    """(lo, hi) -> a new array of the terms 2 w g(w^2 + y), w = k + u, at
+    k = lo..hi-1, for convex-kernel series (`sharp.convex_series`,
+    `log_phi_u`); 2w and w^2 are the gamma=1, alpha=2 factors of
+    `_HEAD_CACHE`, so the terms are bit for bit (2.0 * w) * g(w * w + y)."""
+    factors = _HEAD_CACHE.factors
+
+    def chunk(lo, hi):
+        num, ww, _, _ = factors(1.0, 2.0, u, lo, hi)
+        return num * g(ww + y)
+
+    return chunk
 
 
 def _monotone_from(params: MathieuParams, t: float) -> int:
@@ -675,20 +786,23 @@ def _term_rtol(params: MathieuParams) -> float:
     return count * 2.0**-53
 
 
-def _sum_terms(terms, n: int, alternating: bool = False) -> tuple[float, float, float]:
-    """(sum, sum of |terms|, sum of |terms| past the head) of terms(k) over
-    k = 1..n; with `alternating`, term k carries the sign (-1)^(k-1).
+def _sum_terms(chunk, n: int, alternating: bool = False) -> tuple[float, float, float]:
+    """(sum, sum of |terms|, sum of |terms| past the head) of the terms at
+    k = 1..n, where chunk(lo, hi) gives a new array of the terms at
+    k = lo..hi-1 (`_term_chunks`, `convex_chunks`); with `alternating`, term
+    k carries the sign (-1)^(k-1), set in that array, so a cached factor
+    never sees it.
 
     The first _EXACT_HEAD terms, where a decreasing series keeps most of its
     mass, enter one math.fsum with the rest's chunk sums, so they carry only
     the final rounding; the rest is accumulated pairwise by numpy in chunks,
     whose error is at most PAIRWISE_RTOL times its sum of |terms|.  Every
     term past the head that a caller passes is at least 0 before its sign
-    (`_terms` and `log_phi_u` have k + u > 0, and `sharp.convex_series` can
-    have a negative term only at k = 1), so a chunk's sum of |terms| is the
-    pairwise sum of its unsigned terms bit for bit: one reduce of a plain
-    chunk gives both, and an alternating chunk is reduced once before its
-    sign flip and once after.
+    (the Mathieu terms and `log_phi_u`'s have k + u > 0, and
+    `sharp.convex_series` can have a negative term only at k = 1), so a
+    chunk's sum of |terms| is the pairwise sum of its unsigned terms bit for
+    bit: one reduce of a plain chunk gives both, and an alternating chunk is
+    reduced once before its sign flip and once after.
     """
     import numpy as np
 
@@ -697,8 +811,7 @@ def _sum_terms(terms, n: int, alternating: bool = False) -> tuple[float, float, 
     abs_chunks = []
     step = 1 << 18
     for lo in range(1, n + 1, step):
-        hi = min(n + 1, lo + step)
-        arr = terms(np.arange(lo, hi, dtype=float))
+        arr = chunk(lo, min(n + 1, lo + step))
         rest = arr[_EXACT_HEAD:] if lo == 1 else arr  # a view: it sees the sign flip
         if rest.size:
             abs_chunks.append(float(np.add.reduce(rest)))
@@ -713,18 +826,21 @@ def _sum_terms(terms, n: int, alternating: bool = False) -> tuple[float, float, 
             math.fsum(map(abs, head)) + rest_abs, rest_abs)
 
 
-def bracketed_sum(terms, tail_bracket, n: int, tol: float, term_rtol: float = 4e-15,
+def bracketed_sum(chunk, tail_bracket, n: int, tol: float, term_rtol: float = 4e-15,
                   cap: int | None = None) -> EvalResult:
-    """sum_{k>=1} terms(k), where tail_bracket(n) = (lo, hi) encloses sum_{k>n}.
+    """sum_{k>=1} of the terms, where tail_bracket(n) = (lo, hi) encloses
+    sum_{k>n}.
 
-    `terms` maps an index array to the term array, each value within
-    term_rtol of the exact term, and every term past the 16th at least 0
-    (`_sum_terms` takes a chunk's sum as its sum of |terms|).  n doubles until the tail bracket is at most
-    tol wide (ToleranceError at the term cap, MATHIEU_MAX_TERMS unless `cap`
-    is given, and at once where the starting n is past it).  The first n
-    terms are then summed; the result is their sum plus the bracket's
-    midpoint, with its radius plus rounding slack as the error radius and
-    order 0.
+    chunk(lo, hi) gives a new array of the terms at k = lo..hi-1
+    (`_term_chunks`, `convex_chunks`, whose t-independent factors are
+    cached per kernel and range, the same bits whatever the cache holds),
+    each value within term_rtol of the exact term, and every term past the
+    16th at least 0 (`_sum_terms` takes a chunk's sum as its sum of
+    |terms|).  n doubles until the tail bracket is at most tol wide
+    (ToleranceError at the term cap, MATHIEU_MAX_TERMS unless `cap` is
+    given, and at once where the starting n is past it).  The first n terms
+    are then summed; the result is their sum plus the bracket's midpoint,
+    with its radius plus rounding slack as the error radius and order 0.
     """
     if cap is None:
         cap = _max_terms()
@@ -741,15 +857,15 @@ def bracketed_sum(terms, tail_bracket, n: int, tol: float, term_rtol: float = 4e
             f"tail bracket {hi - lo:.3g} still exceeds tol={tol:.3g} at the "
             f"{n}-term cap; raise {MAX_TERMS_ENV}"
         )
-    return _head_plus_tail(terms, n, (0.5 * (hi + lo), 0.5 * (hi - lo), 0), term_rtol, False)
+    return _head_plus_tail(chunk, n, (0.5 * (hi + lo), 0.5 * (hi - lo), 0), term_rtol, False)
 
 
-def _head_plus_tail(terms, n: int, tail: tuple[float, float, int], term_rtol: float,
+def _head_plus_tail(chunk, n: int, tail: tuple[float, float, int], term_rtol: float,
                     alternating: bool) -> EvalResult:
     """The sum of the first n terms plus tail = (value, radius, order) of the
     rest, for `bracketed_sum` and `_closed_sum`; every term past the 16th
     is at least 0 before its alternating sign (`_sum_terms`)."""
-    partial, partial_abs, pairwise_abs = _sum_terms(terms, n, alternating)
+    partial, partial_abs, pairwise_abs = _sum_terms(chunk, n, alternating)
     value = partial + tail[0]
     # per-term rounding, pairwise accumulation, and the roundings of the
     # final fsum and of the tail's addition
@@ -760,7 +876,7 @@ def _head_plus_tail(terms, n: int, tail: tuple[float, float, int], term_rtol: fl
     return EvalResult(value, radius, radius, DIRECT, n, True, tail[2])
 
 
-def _closed_sum(params: MathieuParams, t: float, tol: float, terms, rtol: float,
+def _closed_sum(params: MathieuParams, t: float, tol: float, chunk, rtol: float,
                 cap: int, alternating: bool) -> EvalResult:
     """A head of CLOSED_HEAD terms plus `_closed_tail` past it, the head
     doubled while that tail is wider than tol and its radius falls, up to
@@ -778,7 +894,7 @@ def _closed_sum(params: MathieuParams, t: float, tol: float, terms, rtol: float,
             tail = (0.0, math.inf, TAIL_ORDER)
         if alternating and 2.0 * tail[1] > tol and head >= _monotone_from(params, t):
             # past the monotone index the rest lies between 0 and the next term
-            half = 0.5 * (float(terms(head + 1)) * (1.0 + 2.0 * rtol))
+            half = 0.5 * (float(_terms(params, t)(head + 1)) * (1.0 + 2.0 * rtol))
             if half < tail[1]:
                 return (-half if head % 2 else half), half, 0
         return tail
@@ -797,7 +913,7 @@ def _closed_sum(params: MathieuParams, t: float, tol: float, terms, rtol: float,
         raise ToleranceError(f"closed tail radius {tail[1]:.3g} past {head} terms, the narrowest "
                              f"as the head doubled toward the {cap}-term cap, exceeds "
                              f"tol/2 = {0.5 * tol:.3g}")
-    return _head_plus_tail(terms, head, tail, rtol, alternating)
+    return _head_plus_tail(chunk, head, tail, rtol, alternating)
 
 
 def _direct(params: MathieuParams, t: float, tol: float, alternating: bool) -> EvalResult:
@@ -807,7 +923,7 @@ def _direct(params: MathieuParams, t: float, tol: float, alternating: bool) -> E
     stay within CROSSOVER and the cap; past them, and for every other sum,
     `_closed_sum` closes the rest past a head of CLOSED_HEAD terms.
     """
-    terms = _terms(params, t)
+    chunk = _term_chunks(params, t)
     rtol = _term_rtol(params)
     cap = _max_terms()
     if not alternating and params.gamma == 1.0 and params.alpha == 2.0:
@@ -815,10 +931,10 @@ def _direct(params: MathieuParams, t: float, tol: float, alternating: bool) -> E
         if start <= limit:
             last = start << (limit // start).bit_length() - 1
             try:
-                return bracketed_sum(terms, _tail_bracket(params, t), start, tol, rtol, last)
+                return bracketed_sum(chunk, _tail_bracket(params, t), start, tol, rtol, last)
             except ToleranceError:
                 pass
-    return _closed_sum(params, t, tol, terms, rtol, cap, alternating)
+    return _closed_sum(params, t, tol, chunk, rtol, cap, alternating)
 
 
 def eval_S(params: MathieuParams, t: float, tol: float = 1e-10) -> EvalResult:
@@ -1644,13 +1760,9 @@ def log_phi_u(u: float, x: float) -> float:
     def kernel(s):
         return np.exp(-x * s)
 
-    def terms(k):
-        w = k + u
-        return 2.0 * w * kernel(w * w + y)
-
     # the sum is at least its first term 2(1+u) and, for u >= -1/2, at least 1/x
     tol = 1e-17 * (2.0 * (1.0 + u) + 1.0 / x)
-    s = bracketed_sum(terms,
+    s = bracketed_sum(convex_chunks(kernel, u, y),
                       lambda n: hermite_hadamard(lambda v: math.exp(-x * v) / x, kernel, n + u, y),
                       16, tol)
     # log(x S) in one rounding where it nears 0 (x -> 0+), as two logs where x S could overflow

@@ -101,12 +101,9 @@ def convex_series(kernel: ConvexKernel, u: float, y: float, tol: float = 1e-12) 
     if u < -1.5 or (1.0 + u) ** 2 + y <= 0.0:
         raise ParameterError("need u >= -3/2 and (1+u)^2 + y > 0")
 
-    def terms(k):
-        w = k + u
-        return 2.0 * w * kernel.g(w * w + y)
-
     return mathieu.bracketed_sum(
-        terms, lambda n: mathieu.hermite_hadamard(kernel.tail, kernel.g, n + u, y), 16, tol)
+        mathieu.convex_chunks(kernel.g, u, y),
+        lambda n: mathieu.hermite_hadamard(kernel.tail, kernel.g, n + u, y), 16, tol)
 
 
 def psi_uy(kernel: ConvexKernel, u: float, y: float, tol: float = 1e-12) -> float:

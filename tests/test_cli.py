@@ -407,6 +407,24 @@ class TestErrorExits:
         truth = s_mellin_mp(*params, float(t), alternating=True)
         assert abs(mp.mpf(rec["value"]) - truth) <= rec["err_hi"] <= 1e-10, (rec, truth)
 
+    def test_overflowing_head_prints_no_warning(self, capsys):
+        # (k^3 + 1e78)^4 leaves the float range in every term of the 64-term
+        # head; numpy's "overflow encountered in power" once reached stderr
+        code, out, err = run(capsys, "eval-alt", "--gamma", "0", "--alpha", "3", "--mu", "3",
+                             "--u", "0", "--t", "1e26")
+        assert (code, err) == (0, "")
+        rec = json.loads(out)
+        truth = s_mellin_mp(0.0, 3.0, 3.0, 0.0, 1e26, alternating=True)
+        assert abs(mp.mpf(rec["value"]) - truth) <= rec["err_hi"], (rec, truth)
+
+    def test_t_power_past_the_float_range(self, capsys):
+        # 1e300^1.5: the message once held only errno's "(34, 'Numerical
+        # result out of range')"
+        code, out, err = run(capsys, "eval", "--gamma", "1", "--alpha", "1.5", "--mu", "1",
+                             "--u", "0", "--t", "1e300")
+        assert (code, out) == (2, "")
+        assert err == "error: a value left the float range (t^alpha = 1e+300^1.5 overflows a float)\n"
+
     def test_verify_has_no_tol_flag(self, capsys):
         code, _, err = run(capsys, "verify", "classical", "--tol", "1e-9")
         assert code == 2

@@ -1,3 +1,4 @@
+import gc
 import inspect
 import math
 import runpy
@@ -377,6 +378,21 @@ class TestEvalS:
         monkeypatch.setenv(mathieu.MAX_TERMS_ENV, raw)
         with pytest.raises(ParameterError, match=mathieu.MAX_TERMS_ENV):
             mathieu.eval_S(CLASSICAL, 1.0)
+
+    def test_term_cap_read_on_every_sum(self, monkeypatch):
+        # a cap below the 64-term head raises at once; each sum reads the
+        # variable again, set, unset or malformed
+        params = mathieu.MathieuParams(0.0, 2.0, 1.0, 0.0)
+        monkeypatch.delenv(mathieu.MAX_TERMS_ENV, raising=False)
+        unset = mathieu.eval_S_alt(params, 1.0)
+        monkeypatch.setenv(mathieu.MAX_TERMS_ENV, "32")
+        with pytest.raises(ToleranceError, match="32-term cap"):
+            mathieu.eval_S_alt(params, 1.0)
+        monkeypatch.delenv(mathieu.MAX_TERMS_ENV)
+        assert mathieu.eval_S_alt(params, 1.0) == unset
+        monkeypatch.setenv(mathieu.MAX_TERMS_ENV, "many")
+        with pytest.raises(ParameterError, match=mathieu.MAX_TERMS_ENV):
+            mathieu.eval_S_alt(params, 1.0)
 
     def test_term_cap(self, monkeypatch):
         # the bracket needs far more than 1,000 terms (delta = 1.075), and at
@@ -1566,14 +1582,15 @@ class TestWarmSumsBitForBit:
 
     @pytest.mark.parametrize("n", [1, 16, 17, 64, 512, 4096, (1 << 18) + 3])
     @pytest.mark.parametrize("alternating", [False, True])
-    @pytest.mark.parametrize("terms", [
-        mathieu._terms(mathieu.MathieuParams(1.0, 2.0, 1.0, 0.0), 7.0),
-        mathieu._terms(mathieu.MathieuParams(0.5, 1.5, 0.7, 0.3), 0.0),
-        mathieu._terms(mathieu.MathieuParams(0.0, 2.0, 0.5, -0.5), 49.0),
-        _convex_terms(-1.25, 1.0),
+    @pytest.mark.parametrize("terms, chunk", [
+        *((mathieu._terms(p, t), mathieu._term_chunks(p, t)) for p, t in (
+            (mathieu.MathieuParams(1.0, 2.0, 1.0, 0.0), 7.0),
+            (mathieu.MathieuParams(0.5, 1.5, 0.7, 0.3), 0.0),
+            (mathieu.MathieuParams(0.0, 2.0, 0.5, -0.5), 49.0))),
+        (_convex_terms(-1.25, 1.0), mathieu.convex_chunks(sharp.PowerKernel(1.0).g, -1.25, 1.0)),
     ], ids=["hh", "non-integer", "negative-u", "convex"])
-    def test_one_reduce_per_chunk(self, terms, n, alternating):
-        got = mathieu._sum_terms(terms, n, alternating)
+    def test_one_reduce_per_chunk(self, terms, chunk, n, alternating):
+        got = mathieu._sum_terms(chunk, n, alternating)
         want = _abs_formula_sum_terms(terms, n, alternating)
         assert [v.hex() for v in got] == [v.hex() for v in want]
 
@@ -1591,3 +1608,95 @@ class TestWarmSumsBitForBit:
         res = getattr(mathieu, fn)(params, t)
         assert (res.value.hex(), res.err_hi.hex(), res.terms_used, res.order) == \
             (value, radius, terms, mathieu.TAIL_ORDER)
+
+
+#: Head lengths at the edges of the exact head, of the cached ranges
+#: (CROSSOVER) and of numpy's 2^18-term chunks.
+_HEAD_LENGTHS = [1, 16, 17, 64, 512, 4096, 1 << 14, (1 << 14) + 1, (1 << 18) + 3]
+
+
+@st.composite
+def _chunk_case(draw):
+    """(params, t, other t, n, alternating): gamma = 0, non-integer and
+    u != 0 kernels, t = 0 or in [1e-2, 1e6]."""
+    kind = draw(st.sampled_from(["gamma-zero", "non-integer", "offset"]))
+    gamma = 0.0 if kind == "gamma-zero" else draw(st.floats(0.1, 3.0))
+    alpha, delta = draw(st.floats(0.5, 3.0)), draw(st.floats(0.3, 4.0))
+    u = draw(st.floats(-0.9, 2.0)) if kind == "offset" else 0.0
+    ts = st.just(0.0) | st.floats(1e-2, 1e6)
+    return ((gamma, alpha, (delta + gamma) / alpha - 1.0, u), draw(ts), draw(ts),
+            draw(st.sampled_from(_HEAD_LENGTHS)), draw(st.booleans()))
+
+
+def _bits(arr):
+    return np.asarray(arr, dtype=float).view(np.int64)
+
+
+class TestHeadCache:
+    """The head's t-independent factors are cached per kernel and index
+    range; no sum's bits depend on what the cache holds."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_chunk_case())
+    @example(case=((0.0, 3.0, 3.0, 0.0), 1e26, 0.0, 64, True))
+    @example(case=((1.0, 2.0, 0.5, 0.5), 7.0, 0.0, 1 << 14, False))
+    def test_chunks_are_the_terms_bit_for_bit(self, case):
+        params, t, other, n, alternating = case
+        p = mathieu.MathieuParams(*params)
+        terms, chunk = mathieu._terms(p, t), mathieu._term_chunks(p, t)
+        lo = 1 + ((n - 1) >> 18 << 18)  # the last 2^18-term chunk starts here
+        with np.errstate(all="ignore"):  # the reference array path warns where numpy does
+            want = _abs_formula_sum_terms(terms, n, alternating)
+            last = terms(np.arange(lo, n + 1, dtype=float))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and the chunk path never does
+            first = mathieu._sum_terms(chunk, n, alternating)
+            # another t of the same kernel, alternating, on the same entries
+            mathieu._sum_terms(mathieu._term_chunks(p, other), n, True)
+            second = mathieu._sum_terms(chunk, n, alternating)
+            assert (_bits(chunk(lo, n + 1)) == _bits(last)).all()
+        assert [v.hex() for v in first] == [v.hex() for v in second] == [v.hex() for v in want]
+
+    def test_cached_arrays_are_read_only(self):
+        mathieu.eval_S_alt(mathieu.MathieuParams(1.0, 1.5, 1.0, 0.25), 3.0)
+        num, wa, _, _ = mathieu._HEAD_CACHE.entries[(1.0, 1.5, 0.25, 1, 65)]
+        for arr in (num, wa):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[1::2] *= -1.0
+
+    def test_bounded_after_many_kernels(self):
+        cache = mathieu._HEAD_CACHE
+        n = 2048  # two arrays of n floats an entry
+        fits = cache.limit // (16 * n)
+        kernels = [mathieu.MathieuParams(1.0, 1.5, 1.0, j / 64.0) for j in range(3 * fits)]
+        for p in kernels:
+            mathieu._sum_terms(mathieu._term_chunks(p, 1.0), n)
+            assert cache.size <= cache.limit
+        # the newest kernels fill it, and the size counts what it holds
+        assert cache.size == sum(map(cache.nbytes, cache.entries.values())) == fits * 16 * n
+        assert [key[2] for key in cache.entries] == [p.u for p in kernels[-fits:]]
+        # past CROSSOVER terms nothing is kept, though one array would fit
+        params = mathieu.MathieuParams(0.0, 1.5, 1.0, 0.0)
+        mathieu._sum_terms(mathieu._term_chunks(params, 1.0), mathieu.CROSSOVER + 1)
+        assert (0.0, 1.5, 0.0, 1, mathieu.CROSSOVER + 2) not in cache.entries
+        assert 8 * (mathieu.CROSSOVER + 1) <= cache.limit
+
+    @pytest.mark.parametrize("call", [
+        lambda: mathieu.eval_S(CLASSICAL, 7.0),
+        lambda: mathieu.eval_S(mathieu.MathieuParams(0.5, 1.5, 1.0, 0.0), 7.0),
+        lambda: mathieu.eval_S_alt(mathieu.MathieuParams(1.0, 2.0, 1.0, 0.3), 1.0),
+        lambda: sharp.convex_series(sharp.PowerKernel(1.0), 0.5, 1.0),
+        lambda: mathieu.log_phi_u(0.5, 0.1),
+    ], ids=["hh", "closed", "alternating", "convex", "theta"])
+    def test_no_reference_cycle_per_call(self, call):
+        # a cycle per call leaves every sum's closures to the collector
+        call()
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(50):
+                call()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
