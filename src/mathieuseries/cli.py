@@ -1,8 +1,14 @@
 """Command-line front end: evaluate the series, dump expansion coefficients,
 compute sharp constants, run verification suites, and emit plot-ready output.
 
+Each command reads argparse's namespace.  A `--config` file of `key = value`
+lines fills in the flags the command line left out: its keys are the flags'
+dest names, and each value is parsed with its flag's type and choices (a
+switch is on for true, 1 or yes); an explicit sweep beats a file `t`.
+
 Exit codes: 0 success, 1 verification violations, 2 parameter/config errors
-(a float overflow inside the package included).  A warning prints one
+(a float overflow inside the package included), with one `error:` line on
+stderr after argparse's usage line for its own errors.  A warning prints one
 `warning:` line on stderr.
 Streams are JSON-lines (17 significant digits) or CSV (12 significant digits);
 suite reports are a single JSON document.  Identical configurations produce
@@ -25,56 +31,6 @@ if TYPE_CHECKING:
     from . import analysis
 
 SUITES = ("classical", "em", "asymptotic", "hermite", "hankel", "cm", "monotone", "all")
-
-
-class RunConfig:
-    """Parsed invocation; round-trips through a dict for reproducibility.
-
-    Every field below the command defaults to its class attribute.
-    """
-
-    command: str
-    gamma: float = 1.0
-    alpha: float = 2.0
-    mu: float = 1.0
-    u: float = 0.0
-    t: float | None = None
-    t_start: float | None = None
-    t_stop: float | None = None
-    t_count: int = 1
-    t_log: bool = False
-    tol: float = 1e-10
-    n_terms: int = 6
-    fmt: str = "json"
-    output: str | None = None
-    suite: str | None = None
-    inf: bool = False
-    alt: bool = False
-    b_override: float | None = None
-    kernel: str = "exp"
-    p: float = 1.0
-    m: float = 3.0
-    cutoff: float | None = None
-
-    def __init__(self, command: str, **fields) -> None:
-        unknown = fields.keys() - RunConfig.__annotations__.keys()
-        if unknown:
-            raise TypeError(f"unknown RunConfig fields: {sorted(unknown)}")
-        self.command = command
-        for name in list(RunConfig.__annotations__)[1:]:
-            setattr(self, name, fields.get(name, getattr(RunConfig, name)))
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        return cls(**data)
 
 
 def _fmt17(x: float) -> str:
@@ -113,7 +69,7 @@ def _emit(stream, records: list[dict], fmt: str) -> None:
             stream.write(",".join(cells) + "\n")
 
 
-def _write(cfg: RunConfig, records: list[dict]) -> int:
+def _write(cfg: argparse.Namespace, records: list[dict]) -> int:
     """Emit the records to --output (stdout when absent or '-'); exit code 0."""
     if cfg.output is None or cfg.output == "-":
         _emit(sys.stdout, records, cfg.fmt)
@@ -123,7 +79,7 @@ def _write(cfg: RunConfig, records: list[dict]) -> int:
     return 0
 
 
-def _t_values(cfg: RunConfig) -> list[float]:
+def _t_values(cfg: argparse.Namespace) -> list[float]:
     if cfg.t is not None:
         return [cfg.t]
     if cfg.t_start is None or cfg.t_stop is None:
@@ -140,7 +96,7 @@ def _t_values(cfg: RunConfig) -> list[float]:
     return [cfg.t_start + i * step for i in range(n)]
 
 
-def cmd_eval(cfg: RunConfig, alternating: bool) -> int:
+def cmd_eval(cfg: argparse.Namespace, alternating: bool) -> int:
     params = mathieu.MathieuParams(cfg.gamma, cfg.alpha, cfg.mu, cfg.u)
     params.require_delta(0.0 if alternating else 1.0)
     records = []
@@ -156,7 +112,7 @@ def cmd_eval(cfg: RunConfig, alternating: bool) -> int:
     return _write(cfg, records)
 
 
-def cmd_asym(cfg: RunConfig) -> int:
+def cmd_asym(cfg: argparse.Namespace) -> int:
     params = mathieu.MathieuParams(cfg.gamma, cfg.alpha, cfg.mu, cfg.u)
     if cfg.t is not None and not 0.0 < cfg.t < math.inf:
         # the terms are powers of 1/t
@@ -176,7 +132,7 @@ def cmd_asym(cfg: RunConfig) -> int:
     return _write(cfg, records)
 
 
-def cmd_constants(cfg: RunConfig) -> int:
+def cmd_constants(cfg: argparse.Namespace) -> int:
     if not 0.0 <= cfg.u < math.inf:
         raise ParameterError("u must be finite and nonnegative")
     if cfg.inf:
@@ -197,7 +153,7 @@ def cmd_constants(cfg: RunConfig) -> int:
     return _write(cfg, [rec])
 
 
-def _suite_reports(name: str, cfg: RunConfig) -> list[analysis.VerificationReport]:
+def _suite_reports(name: str, cfg: argparse.Namespace) -> list[analysis.VerificationReport]:
     from . import analysis
 
     t_grid = analysis.GridSpec(points=analysis.log_grid(0.01, 100.0, 25), tolerance=1e-9)
@@ -330,9 +286,7 @@ def _hermite_suite() -> analysis.VerificationReport:
     return report
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    if cfg.suite not in SUITES:
-        raise ParameterError(f"unknown suite {cfg.suite!r}; choose from {', '.join(SUITES)}")
+def cmd_verify(cfg: argparse.Namespace) -> int:
     reports = _suite_reports(cfg.suite, cfg)
     all_passed = all(r.passed for r in reports)
     doc = {
@@ -351,7 +305,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if all_passed else 1
 
 
-def cmd_hankel(cfg: RunConfig) -> int:
+def cmd_hankel(cfg: argparse.Namespace) -> int:
     import numpy as np
 
     from . import analysis
@@ -361,8 +315,6 @@ def cmd_hankel(cfg: RunConfig) -> int:
         "g-pu": lambda x: analysis.g_pu(cfg.p, cfg.u, x),
         "h-u-prime": lambda x: analysis.h_u_prime(cfg.u, x),
     }
-    if cfg.kernel not in kernels:
-        raise ParameterError(f"unknown kernel {cfg.kernel!r}; choose from {', '.join(kernels)}")
     if cfg.t is None or cfg.t <= 0:
         raise ParameterError("--t must be a positive transform argument")
     for flag, value in (("m", cfg.m), ("p", cfg.p), ("cutoff", cfg.cutoff)):
@@ -450,25 +402,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _given_dests(parser: argparse.ArgumentParser, args: argparse.Namespace,
+def _given_dests(command: argparse.ArgumentParser, args: argparse.Namespace,
                  argv: list[str]) -> set[str]:
     """The dests that argv sets: the command's own parser reads argv again
     into a namespace where every dest is already set, so no default fills
     one in, and each flag counts under its dest (`--format` as fmt)."""
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     unset = object()
     ns = argparse.Namespace(**dict.fromkeys(vars(args), unset))
-    commands.choices[args.command].parse_args(argv[argv.index(args.command) + 1:], ns)
+    command.parse_args(argv[argv.index(args.command) + 1:], ns)
     return {key for key, val in vars(ns).items() if val is not unset}
+
+
+def _config_value(action: argparse.Action, key: str, raw: str):
+    """A config file's value for one flag, parsed as the flag parses it: a
+    switch is on for 1, true or yes; any other value goes through the flag's
+    type and must be one of its choices."""
+    if action.nargs == 0:
+        return action.const if raw.lower() in ("1", "true", "yes") else action.default
+    try:
+        value = raw if action.type is None else action.type(raw)
+    except ValueError:
+        raise ParameterError(f"config value {key} = {raw!r} is not a valid "
+                             f"{action.type.__name__}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ParameterError(f"config value {key} = {raw!r} is not one of "
+                             f"{', '.join(action.choices)}")
+    return value
 
 
 def _merge_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser,
                        argv: list[str]) -> argparse.Namespace:
-    path = getattr(args, "config", None)
-    if not path:
+    if not args.config:
         return args
     overrides = {}
-    with open(path) as fh:
+    with open(args.config) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -477,39 +444,20 @@ def _merge_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
                 raise ParameterError(f"malformed config line: {line!r}")
             key, val = (s.strip() for s in line.split("=", 1))
             overrides[key.replace("-", "_")] = val
-    given = _given_dests(parser, args, argv)
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = commands.choices[args.command]
+    actions = {a.dest: a for a in command._actions if hasattr(args, a.dest)}
+    given = _given_dests(command, args, argv)
     # flags win: file values only fill in what the command line left out
     for key, val in overrides.items():
-        if not hasattr(args, key):
+        if key not in actions:
             raise ParameterError(f"unknown config key {key!r}")
-        current = getattr(args, key)
         if key in given:
             continue
         if key == "t" and given & {"t_start", "t_stop"}:
             continue  # an explicit sweep beats a point value from the file
-        if isinstance(current, bool):
-            setattr(args, key, val.lower() in ("1", "true", "yes"))
-        elif isinstance(current, (int, float)) or current is None:
-            kind = int if isinstance(current, int) else float
-            try:
-                setattr(args, key, kind(val))
-            except ValueError:
-                raise ParameterError(f"config value {key} = {val!r} is not a number") from None
-        else:
-            setattr(args, key, val)
+        setattr(args, key, _config_value(actions[key], key, val))
     return args
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in vars(cfg):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(cfg, name, getattr(args, name))
-    # preserve explicit None for optional fields the command logic inspects
-    for name in ("t", "t_start", "t_stop", "output", "cutoff", "b_override", "suite"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    return cfg
 
 
 def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
@@ -532,20 +480,19 @@ def _main(argv: list[str] | None) -> int:
         return int(exc.code or 0)
     try:
         args = _merge_config_file(args, parser, argv)
-        cfg = _config_from_args(args)
-        if cfg.command == "eval":
-            return cmd_eval(cfg, alternating=False)
-        if cfg.command == "eval-alt":
-            return cmd_eval(cfg, alternating=True)
-        if cfg.command == "asym":
-            return cmd_asym(cfg)
-        if cfg.command == "constants":
-            return cmd_constants(cfg)
-        if cfg.command == "verify":
-            return cmd_verify(cfg)
-        if cfg.command == "hankel":
-            return cmd_hankel(cfg)
-        raise ParameterError(f"unknown command {cfg.command!r}")
+        if args.command == "eval":
+            return cmd_eval(args, alternating=False)
+        if args.command == "eval-alt":
+            return cmd_eval(args, alternating=True)
+        if args.command == "asym":
+            return cmd_asym(args)
+        if args.command == "constants":
+            return cmd_constants(args)
+        if args.command == "verify":
+            return cmd_verify(args)
+        if args.command == "hankel":
+            return cmd_hankel(args)
+        raise ParameterError(f"unknown command {args.command!r}")
     except (MathieuSeriesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

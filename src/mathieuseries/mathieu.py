@@ -759,8 +759,9 @@ def hermite_hadamard(tail, kernel, w: float, y: float) -> tuple[float, float]:
 
 
 def _tail_bracket(params: MathieuParams, t: float):
-    """n -> Hermite-Hadamard bounds for sum_{k > n} of the plain terms in the
-    gamma=1, alpha=2 family, n past the monotone index."""
+    """n -> (midpoint, half-width, order 0) of the Hermite-Hadamard bounds for
+    sum_{k > n} of the plain terms in the gamma=1, alpha=2 family, n past the
+    monotone index: a tail of `_doubled_head`, as in `bracketed_sum`."""
     u, mu, y = params.u, params.mu, t * t
 
     # the terms are 2w g(w^2 + t^2) with the convex kernel g(s) = s^(-mu-1)
@@ -770,7 +771,11 @@ def _tail_bracket(params: MathieuParams, t: float):
     def kernel(s):
         return s ** (-mu - 1.0)
 
-    return lambda n: hermite_hadamard(tail, kernel, n + u, y)
+    def bracket(n: int) -> tuple[float, float, int]:
+        lo, hi = hermite_hadamard(tail, kernel, n + u, y)
+        return 0.5 * (hi + lo), 0.5 * (hi - lo), 0
+
+    return bracket
 
 
 def _term_rtol(params: MathieuParams) -> float:
@@ -826,66 +831,85 @@ def _sum_terms(chunk, n: int, alternating: bool = False) -> tuple[float, float, 
             math.fsum(map(abs, head)) + rest_abs, rest_abs)
 
 
-def bracketed_sum(chunk, tail_bracket, n: int, tol: float, term_rtol: float = 4e-15,
-                  cap: int | None = None) -> EvalResult:
+def bracketed_sum(chunk, tail_bracket, n: int, tol: float,
+                  term_rtol: float = 4e-15) -> EvalResult:
     """sum_{k>=1} of the terms, where tail_bracket(n) = (lo, hi) encloses
-    sum_{k>n}.
+    sum_{k>n}: the Hermite-Hadamard adapter of `_doubled_head`, whose tail
+    is the bracket's midpoint with its half-width as radius and order 0.
 
     chunk(lo, hi) gives a new array of the terms at k = lo..hi-1
     (`_term_chunks`, `convex_chunks`, whose t-independent factors are
     cached per kernel and range, the same bits whatever the cache holds),
     each value within term_rtol of the exact term, and every term past the
     16th at least 0 (`_sum_terms` takes a chunk's sum as its sum of
-    |terms|).  n doubles until the tail bracket is at most tol wide
-    (ToleranceError at the term cap, MATHIEU_MAX_TERMS unless `cap` is
-    given, and at once where the starting n is past it).  The first n terms
-    are then summed; the result is their sum plus the bracket's midpoint,
-    with its radius plus rounding slack as the error radius and order 0.
+    |terms|).  n doubles while the bracket is wider than tol and narrows,
+    up to the term cap MATHIEU_MAX_TERMS.
     """
-    if cap is None:
-        cap = _max_terms()
-    if n > cap:
-        raise ToleranceError(f"the first bracket needs {n} terms, past the {cap}-term cap; "
-                             f"raise {MAX_TERMS_ENV}")
-    while True:
+
+    def tail(n: int) -> tuple[float, float, int]:
         lo, hi = tail_bracket(n)
-        if hi - lo <= tol or n >= cap:
+        return 0.5 * (hi + lo), 0.5 * (hi - lo), 0
+
+    return _doubled_head(chunk, tail, n, tol, term_rtol, _max_terms())
+
+
+def _doubled_head(chunk, tail, n: int, tol: float, term_rtol: float, cap: int,
+                  alternating: bool = False) -> EvalResult:
+    """The sum of the first n terms plus tail(n) = (value, radius, order) of
+    the rest, n doubled while 2 radius exceeds tol and falls, as long as 2n
+    stays within the cap.  ToleranceError where n starts past the cap, or
+    names the narrowest radius where none meets tol; OverflowError where the
+    radius is not below inf.  Every term past the 16th is at least 0 before
+    its alternating sign (`_sum_terms`).
+    """
+    if n > cap:
+        raise ToleranceError(f"a head of {n} terms is past the {cap}-term cap; "
+                             f"raise {MAX_TERMS_ENV}")
+    rest = tail(n)
+    while 2.0 * rest[1] > tol and 2 * n <= cap:
+        longer = tail(2 * n)
+        if not longer[1] < rest[1]:
             break
-        n = min(cap, n * 2)
-    if hi - lo > tol:
-        raise ToleranceError(
-            f"tail bracket {hi - lo:.3g} still exceeds tol={tol:.3g} at the "
-            f"{n}-term cap; raise {MAX_TERMS_ENV}"
-        )
-    return _head_plus_tail(chunk, n, (0.5 * (hi + lo), 0.5 * (hi - lo), 0), term_rtol, False)
-
-
-def _head_plus_tail(chunk, n: int, tail: tuple[float, float, int], term_rtol: float,
-                    alternating: bool) -> EvalResult:
-    """The sum of the first n terms plus tail = (value, radius, order) of the
-    rest, for `bracketed_sum` and `_closed_sum`; every term past the 16th
-    is at least 0 before its alternating sign (`_sum_terms`)."""
+        n, rest = 2 * n, longer
+    if 2.0 * rest[1] > tol:
+        raise ToleranceError(f"tail radius {rest[1]:.3g} past {n} terms, the narrowest as the "
+                             f"head doubled toward the {cap}-term cap, exceeds "
+                             f"tol/2 = {0.5 * tol:.3g}")
     partial, partial_abs, pairwise_abs = _sum_terms(chunk, n, alternating)
-    value = partial + tail[0]
+    value = partial + rest[0]
     # per-term rounding, pairwise accumulation, and the roundings of the
     # final fsum and of the tail's addition
     slack = (term_rtol * partial_abs + PAIRWISE_RTOL * pairwise_abs
              + 2.0**-53 * (abs(partial) + abs(value)) + 1e-300)
-    radius = tail[1] + slack
+    radius = rest[1] + slack
+    if not radius < math.inf:
+        raise OverflowError(f"the sum of {n} terms leaves the float range")
     # positional: keywords double the cost of this tuple, about 0.6 us a sum
-    return EvalResult(value, radius, radius, DIRECT, n, True, tail[2])
+    return EvalResult(value, radius, radius, DIRECT, n, True, rest[2])
 
 
-def _closed_sum(params: MathieuParams, t: float, tol: float, chunk, rtol: float,
-                cap: int, alternating: bool) -> EvalResult:
-    """A head of CLOSED_HEAD terms plus `_closed_tail` past it, the head
-    doubled while that tail is wider than tol and its radius falls, up to
-    the term cap; a tail out of the float range has an infinite radius.
-    ToleranceError names the narrowest radius where none meets tol.  Past
-    the monotone index an alternating tail that misses tol gives way to the
-    narrower one-term bracket [0, f(head+1)] (with that term's sign), as at
-    huge t, where the shifted kernel leaves the float range and the t = 0
-    tail's drift is meaningless."""
+def _direct(params: MathieuParams, t: float, tol: float, alternating: bool) -> EvalResult:
+    """The sum past a head, the term cap read once.  Plain sums of the
+    gamma=1, alpha=2 family climb the Hermite-Hadamard ladder
+    (`_tail_bracket`) from the monotone index, at least CLOSED_HEAD, up to
+    min(CROSSOVER, cap); past it, and for every other sum, `_closed_tail`
+    closes the rest past a head of CLOSED_HEAD terms; `_doubled_head`
+    doubles both heads.  A tail out of the float range has an infinite radius.
+    Past the monotone index an alternating tail that misses tol gives way to
+    the narrower one-term bracket [0, f(head+1)] (with that term's sign), as
+    at huge t, where the shifted kernel leaves the float range and the t = 0
+    tail's drift is meaningless.
+    """
+    chunk = _term_chunks(params, t)
+    rtol = _term_rtol(params)
+    cap = _max_terms()
+    if not alternating and params.gamma == 1.0 and params.alpha == 2.0:
+        try:
+            return _doubled_head(chunk, _tail_bracket(params, t),
+                                 max(_monotone_from(params, t), CLOSED_HEAD), tol, rtol,
+                                 min(CROSSOVER, cap))
+        except ToleranceError:
+            pass
 
     def tail_past(head: int) -> tuple[float, float, int]:
         try:
@@ -899,42 +923,7 @@ def _closed_sum(params: MathieuParams, t: float, tol: float, chunk, rtol: float,
                 return (-half if head % 2 else half), half, 0
         return tail
 
-    head = CLOSED_HEAD
-    if head > cap:
-        raise ToleranceError(f"the closed tail needs a {head}-term head, past the "
-                             f"{cap}-term cap; raise {MAX_TERMS_ENV}")
-    tail = tail_past(head)
-    while 2.0 * tail[1] > tol and 2 * head <= cap:
-        longer = tail_past(2 * head)
-        if not longer[1] < tail[1]:
-            break
-        head, tail = 2 * head, longer
-    if 2.0 * tail[1] > tol:
-        raise ToleranceError(f"closed tail radius {tail[1]:.3g} past {head} terms, the narrowest "
-                             f"as the head doubled toward the {cap}-term cap, exceeds "
-                             f"tol/2 = {0.5 * tol:.3g}")
-    return _head_plus_tail(chunk, head, tail, rtol, alternating)
-
-
-def _direct(params: MathieuParams, t: float, tol: float, alternating: bool) -> EvalResult:
-    """The sum past a head, the term cap read once.  Plain sums of the
-    gamma=1, alpha=2 family climb the Hermite-Hadamard ladder from the
-    monotone index (at least CLOSED_HEAD) through the rungs start 2^j that
-    stay within CROSSOVER and the cap; past them, and for every other sum,
-    `_closed_sum` closes the rest past a head of CLOSED_HEAD terms.
-    """
-    chunk = _term_chunks(params, t)
-    rtol = _term_rtol(params)
-    cap = _max_terms()
-    if not alternating and params.gamma == 1.0 and params.alpha == 2.0:
-        start, limit = max(_monotone_from(params, t), CLOSED_HEAD), min(CROSSOVER, cap)
-        if start <= limit:
-            last = start << (limit // start).bit_length() - 1
-            try:
-                return bracketed_sum(chunk, _tail_bracket(params, t), start, tol, rtol, last)
-            except ToleranceError:
-                pass
-    return _closed_sum(params, t, tol, chunk, rtol, cap, alternating)
+    return _doubled_head(chunk, tail_past, CLOSED_HEAD, tol, rtol, cap, alternating)
 
 
 def eval_S(params: MathieuParams, t: float, tol: float = 1e-10) -> EvalResult:
@@ -952,7 +941,7 @@ def eval_S(params: MathieuParams, t: float, tol: float = 1e-10) -> EvalResult:
 
 def eval_S_alt(params: MathieuParams, t: float, tol: float = 1e-10) -> EvalResult:
     """Direct summation of the alternating series with a rigorous error
-    bracket (`_closed_sum`): a 64-term head and its Boole tail."""
+    bracket (`_direct`): a 64-term head and its Boole tail."""
     params.require_delta(0.0)
     _check_t_tol(t, tol)
     return _direct(params, t, tol, True)
@@ -1674,10 +1663,13 @@ def _scale_rounding(params: MathieuParams, t: float, alternating: bool, head: in
 
 def eval_em(params: MathieuParams, t: float) -> EvalResult:
     """Rigorous large-t evaluation through the Euler-Maclaurin engine: the
-    closed tail of `_closed_tail` past a head of 0 terms, for (gamma, alpha)
-    in Z+ x N (RegimeError elsewhere), where g is smooth at 0.
+    closed tail of `_closed_tail` past a head of 0 terms.
 
-    With eps = 1/t the engine estimates sum g((k+u)/t) = t^delta S / 2 on the
+    RegimeError for every input outside the engine's regime: t = 0,
+    (gamma, alpha) outside Z+ x N, where g is not smooth at 0, and u < 0
+    where eps = 1/t reaches past the kernel's domain, which starts at
+    x = -1/2 (the engine's own test, `emsum._check_u_negative`).  With
+    eps = 1/t the engine estimates sum g((k+u)/t) = t^delta S / 2 on the
     unshifted `MathieuSmoothFunction`, bounding the rounding of its
     derivatives at 0, of the Beta function in its integral term and of its
     own sums, so the estimate and its certified remainder bound are rescaled
@@ -1686,36 +1678,33 @@ def eval_em(params: MathieuParams, t: float) -> EvalResult:
     TAIL_ORDER.
     """
     params.require_delta(1.0)
-    if not 0.0 < t < math.inf:
-        raise ParameterError("the Euler-Maclaurin path needs finite t > 0")
-    if not params.integer_regime:
-        raise RegimeError("the Euler-Maclaurin path needs gamma in Z+ and alpha in N")
+    if not 0.0 <= t < math.inf:
+        raise ParameterError("t must be finite and nonnegative")
+    if not (t and params.integer_regime):
+        raise RegimeError("the Euler-Maclaurin path needs t > 0 and (gamma, alpha) in Z+ x N")
+    if params.u < 0.0 and not 1.0 / t < -0.5 / params.u:
+        raise RegimeError(f"the Euler-Maclaurin path needs t > -2u = {-2.0 * params.u:g} "
+                          f"for u < 0")
     value, radius, order = _closed_tail(params, t, False, 0)
     return EvalResult(value=value, err_lo=radius, err_hi=radius, method=EULER_MACLAURIN,
                       terms_used=0, order=order)
 
 
-def _em_path(params: MathieuParams, t: float) -> EvalResult:
-    if not (t > 0.0 and params.integer_regime):
-        raise RegimeError("needs t > 0 and (gamma, alpha) in Z+ x N")
-    return eval_em(params, t)
-
-
 def eval_auto(params: MathieuParams, t: float, tol: float = 1e-10) -> EvalResult:
     """Return the first rigorous bracket whose radius meets tol.
 
-    Direct summation is tried first below T_DIRECT and the certified
-    Euler-Maclaurin bound first from it on; EM applies only for t > 0 and
-    (gamma, alpha) in Z+ x N, so every other kernel is summed directly (a
-    64-term head and its closed tail).
-    ToleranceError names each path's reason when no path reaches tol.
+    Direct summation (`eval_S`) is tried first below T_DIRECT and the
+    certified Euler-Maclaurin bound (`eval_em`) first from it on; a path
+    that raises RegimeError (EM outside its regime) or ToleranceError, or
+    whose radius misses tol, gives way to the other.  ToleranceError names
+    each path's reason when no path reaches tol.
     """
     params.require_delta(1.0)
     _check_t_tol(t, tol)
     reasons = []
     for name in (DIRECT, EULER_MACLAURIN) if t < T_DIRECT else (EULER_MACLAURIN, DIRECT):
         try:
-            res = eval_S(params, t, tol) if name == DIRECT else _em_path(params, t)
+            res = eval_S(params, t, tol) if name == DIRECT else eval_em(params, t)
         except (RegimeError, ToleranceError) as exc:
             reasons.append(f"{name}: {exc}")
             continue

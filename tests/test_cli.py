@@ -224,11 +224,42 @@ class TestConfigPlumbing:
         code, _, err = run(capsys, "eval", "--config", str(cfg), "--t", "1.0")
         assert code == 2
         assert "bogus" in err
+        # the command is no flag: a file once switched `eval` to another command
+        cfg.write_text("command = hankel\n")
+        code, out, err = run(capsys, "eval", "--config", str(cfg), "--t", "1.0")
+        assert (code, out) == (2, "")
+        assert "command" in err
 
-    def test_runconfig_roundtrip(self):
-        cfg = cli.RunConfig(command="eval", gamma=1.5, t=2.0)
-        again = cli.RunConfig.from_dict(cfg.to_dict())
-        assert again == cfg
+    def test_config_output_writes_that_file(self, capsys, tmp_path):
+        # a file value of a flag whose default is None once went through
+        # float() and exited 2 with "is not a number"
+        path = tmp_path / "out.jsonl"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"output = {path}\n")
+        code, out, err = run(capsys, "eval", "--config", str(cfg), "--t", "1.0")
+        assert (code, out, err) == (0, "", "")
+        assert json.loads(path.read_text())["t"] == 1.0
+
+    @pytest.mark.parametrize("command, text", [
+        # fmt = xml was taken as it stood, and the command printed CSV
+        (("eval", "--t", "1.0"), "fmt = xml\n"),
+        (("hankel",), "kernel = bogus\n"),
+    ])
+    def test_config_values_parse_as_their_flags(self, capsys, tmp_path, command, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code, out, err = run(capsys, *command, "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: config value ") and err.count("\n") == 1
+
+    def test_config_switch_values(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        sweep = ("eval", "--t-start", "1", "--t-stop", "100", "--t-count", "3")
+        for text, second in (("t_log = false\n", 50.5), ("t_log = yes\n", 10.0)):
+            cfg.write_text(text)
+            code, out, _ = run(capsys, *sweep, "--config", str(cfg))
+            assert code == 0
+            assert json.loads(out.splitlines()[1])["t"] == pytest.approx(second, rel=1e-15)
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "out.jsonl"
@@ -279,6 +310,11 @@ class TestErrorExits:
         # 0^(-p) raised ZeroDivisionError, and (-1)^(-p) is complex
         ("asym", "--t", "0"),
         ("asym", "--t=-1"),
+        # the first terms leave the float range (2 / (0.001^100 + t^100)^1.1
+        # ~ 1e330): each printed or returned inf +- inf as a rigorous sum
+        ("eval-alt", "--gamma", "0", "--alpha", "100", "--mu", "0.1", "--u", "-0.999",
+         "--t", "0.001"),
+        ("eval", "--gamma", "0", "--alpha", "100", "--mu", "0.1", "--u", "-0.999", "--t", "0"),
     ])
     def test_exit_2_with_one_line(self, capsys, monkeypatch, tmp_path, args):
         # the eval-alt case (no closed tail at t = 1e60, where g^(k) at 64/t
@@ -291,6 +327,17 @@ class TestErrorExits:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_negative_u_names_each_path(self, capsys):
+        # at t <= 2|u| the point u/t lies outside the EM kernel's domain
+        # x > -1/2: the engine's own "eps must be below q/u" escaped the
+        # dispatcher; now EM is out of its regime, and the error names both paths
+        code, out, err = run(capsys, "eval", "--gamma", "1", "--alpha", "2", "--mu", "1",
+                             "--u", "-0.5", "--t", "0.5", "--tol", "1e-18")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "no path reaches tol" in err and "q/u" not in err
+        assert "direct: " in err and "euler-maclaurin: " in err
 
     def test_malformed_term_cap_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("MATHIEU_MAX_TERMS", "1e6")

@@ -1220,7 +1220,7 @@ class TestClosedTail:
         # now a start past the cap closes at once, and raises only where the
         # closed tail (radius ~3.5e-25 here) cannot meet tol
         monkeypatch.setenv(mathieu.MAX_TERMS_ENV, "1000")
-        with pytest.raises(ToleranceError, match="closed tail radius 3.47e-25 past 512 terms"):
+        with pytest.raises(ToleranceError, match="tail radius 3.47e-25 past 512 terms"):
             mathieu.eval_S(CLASSICAL, 1e5, 1e-30)
         res = mathieu.eval_S(CLASSICAL, 1e5)
         assert (res.terms_used, res.order) == (64, mathieu.TAIL_ORDER)
@@ -1608,6 +1608,77 @@ class TestWarmSumsBitForBit:
         res = getattr(mathieu, fn)(params, t)
         assert (res.value.hex(), res.err_hi.hex(), res.terms_used, res.order) == \
             (value, radius, terms, mathieu.TAIL_ORDER)
+
+
+class TestOneDoublingLoop:
+    """Every direct sum doubles its head in one loop; each kind of sum keeps
+    the bits it had with a loop of its own."""
+
+    @pytest.mark.parametrize("case, cap, value, radius, terms, order", [
+        # the Hermite-Hadamard ladder from the monotone index
+        (("eval_S", (1.0, 2.0, 1.0, 0.0), 1.0, 1e-10), None,
+         "0x1.96a5c7670b4a1p-1", "0x1.7d90f8d14d8e3p-37", 512, 0),
+        (("eval_S", (1.0, 2.0, 0.5, 0.5), 7.0, 1e-12), None,
+         "0x1.21dbdd445495bp-2", "0x1.42114804d4fb5p-43", 16384, 0),
+        # a plain and an alternating closed sum
+        (("eval_S", (0.0, 2.0, 1.0, 0.0), 1.0, 1e-10), None,
+         "0x1.3a3378da946d7p-1", "0x1.61a51b0d49e63p-50", 64, 8),
+        (("eval_S_alt", (1.0, 2.0, 1.0, 0.3), 1.0, 1e-10), None,
+         "0x1.19900be56dc6ap-2", "0x1.550a055fbe3efp-50", 64, 8),
+        # the one-term bracket [0, f(65)]
+        (("eval_S_alt", (0.0, 0.5, 3.0, 0.0), 1e60, 1e-10), None,
+         "0x1.4a8729fc3ddd0p-399", "0x1.4a8729fc3ecfep-399", 64, 0),
+        # under the term cap: the ladder stops at 64 terms and the closed tail
+        # takes over; an alternating head doubles once
+        (("eval_S", (1.0, 2.0, 1.0, 0.0), 1.0, 1e-13), "100",
+         "0x1.96a5c76713323p-1", "0x1.e6f0d69861a15p-50", 64, 8),
+        (("eval_S_alt", (1.5, 2.0, 0.2, 0.0), 1.0, 1e-16), "1000",
+         "0x1.a82dcbd54e74bp-2", "0x1.7d12b4d169e0ap-45", 128, 8),
+        # the convex-kernel series
+        (("convex_series", sharp.PowerKernel(1.0), 0.5, 1.0, 1e-12), None,
+         "0x1.e884afad4c7a8p-2", "0x1.914493accca5bp-45", 2048, 0),
+        (("convex_series", sharp.ExpKernel(0.25), -0.5, 4.0, 1e-12), None,
+         "0x1.80ecc7bbd5aadp+0", "0x1.c971daa129386p-48", 16, 0),
+    ])
+    def test_sums_keep_their_bits(self, monkeypatch, case, cap, value, radius, terms, order):
+        if cap is None:
+            monkeypatch.delenv(mathieu.MAX_TERMS_ENV, raising=False)
+        else:
+            monkeypatch.setenv(mathieu.MAX_TERMS_ENV, cap)
+        fn, *args = case
+        if fn == "convex_series":
+            res = sharp.convex_series(*args)
+        else:
+            res = getattr(mathieu, fn)(mathieu.MathieuParams(*args[0]), *args[1:])
+        assert (res.value.hex(), res.err_lo.hex(), res.err_hi.hex(), res.terms_used,
+                res.order, res.method) == (value, radius, radius, terms, order, mathieu.DIRECT)
+
+    @pytest.mark.parametrize("u, x, value", [
+        (0.3, 0.1, "-0x1.d010c4212635ep-5"),
+        (0.0, 1e-3, "-0x1.5d96e4e8978b4p-13"),
+    ])
+    def test_log_phi_u_keeps_its_bits(self, u, x, value):
+        assert mathieu.log_phi_u(u, x).hex() == value
+
+    @pytest.mark.parametrize("fn, t", [("eval_S", 0.0), ("eval_S", 0.001),
+                                       ("eval_S_alt", 0.0), ("eval_S_alt", 0.001)])
+    def test_sum_past_the_float_range_raises(self, fn, t):
+        # the first term, 2 / (0.001^100 + t^100)^1.1, is about 1e330: each
+        # returned inf +- inf as a rigorous sum
+        params = mathieu.MathieuParams(0.0, 100.0, 0.1, -0.999)
+        with pytest.raises(OverflowError, match="float range"):
+            getattr(mathieu, fn)(params, t, 1e-10)
+
+    def test_em_regime_covers_negative_u(self):
+        # at t <= 2|u| the point u/t lies outside the kernel's domain x > -1/2:
+        # the engine's ParameterError once escaped eval_auto
+        params = mathieu.MathieuParams(1.0, 2.0, 1.0, -0.5)
+        for t in (0.0, 1e-200, 0.5, 1.0):
+            with pytest.raises(RegimeError):
+                mathieu.eval_em(params, t)
+        assert mathieu.eval_em(params, 1.5).method == mathieu.EULER_MACLAURIN
+        with pytest.raises(ToleranceError, match="direct: .*; euler-maclaurin: .*u < 0"):
+            mathieu.eval_auto(params, 0.5, 1e-18)
 
 
 #: Head lengths at the edges of the exact head, of the cached ranges
