@@ -368,7 +368,7 @@ def fsf_bounds_check(
     if u < -1.5 or y <= -((1.0 + u) ** 2):
         raise ParameterError("need u >= -3/2 and y > -(1+u)^2")
     # the whole series is the tail past the offset w = u
-    lower, upper = mathieu.hermite_hadamard(kernel.tail, kernel.g, u, y)
+    lower, upper = mathieu.hermite_hadamard(kernel, u, y)
     series = sharp.convex_series(kernel, u, y, tol)
     if u >= -1.0 and u * u + u + y > 0.0:
         _strict_less(report, series.value, series.err_hi, upper, 0.0,

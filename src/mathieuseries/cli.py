@@ -446,7 +446,8 @@ def _merge_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
             overrides[key.replace("-", "_")] = val
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     command = commands.choices[args.command]
-    actions = {a.dest: a for a in command._actions if hasattr(args, a.dest)}
+    # a file names no further file: `config` is no key
+    actions = {a.dest: a for a in command._actions if hasattr(args, a.dest) and a.dest != "config"}
     given = _given_dests(command, args, argv)
     # flags win: file values only fill in what the command line left out
     for key, val in overrides.items():

@@ -20,7 +20,10 @@ head of 64 terms and closes the rest at once by the Euler-Maclaurin
 doubled while that misses tol.  Only the plain gamma=1, alpha=2 family
 first climbs a ladder, doubling its head from the monotone index while the
 two-sided Hermite-Hadamard bounds of the rest miss tol, up to CROSSOVER
-terms.  The closed tail exists for every kernel: at t > 0 on the kernel
+terms.  Those bounds take a convex kernel object (`PowerKernel` for the
+ladder, `ExpKernel` for the theta series `log_phi_u`), the one input of
+every Hermite-Hadamard sum (`hermite_hadamard`, `bracketed_sum`).  The
+closed tail exists for every kernel: at t > 0 on the kernel
 shifted past the head, whose derivatives x^(gamma-n) (1+y)^(-m-n) P_n(y),
 y = x^alpha, are evaluated in floats with rounding bounds and whose
 variation comes from the exactly isolated roots of P_(n+1)
@@ -184,11 +187,13 @@ def g_eval(params: MathieuParams, x: float) -> float:
     return x**params.gamma * (x**params.alpha + 1.0) ** (-params.mu - 1.0)
 
 
-def _g_series_coeff(params: MathieuParams, k: int) -> float:
-    """Coefficient (-1)^k Gamma(mu+k+1) / (Gamma(mu+1) Gamma(k+1)) of x^(gamma + k alpha)."""
-    return (-1.0) ** k * math.exp(
-        math.lgamma(params.mu + k + 1) - math.lgamma(params.mu + 1) - math.lgamma(k + 1)
-    )
+def _gamma_ratio(mu: float, k: int) -> float:
+    """Gamma(mu+k+1) / (Gamma(mu+1) Gamma(k+1)) by stable iteration; with the
+    sign (-1)^k, the coefficient of x^(gamma + k alpha) in g's series at 0."""
+    out = 1.0
+    for j in range(k):
+        out *= (mu + j + 1.0) / (j + 1.0)
+    return out
 
 
 def g_jet(params: MathieuParams, x: float, order: int) -> list[float]:
@@ -212,7 +217,7 @@ def g_jet(params: MathieuParams, x: float, order: int) -> list[float]:
             gam, alp = int(params.gamma), int(params.alpha)
             k = 0
             while gam + k * alp <= order:
-                out[gam + k * alp] = _g_series_coeff(params, k)
+                out[gam + k * alp] = (-1.0) ** k * _gamma_ratio(params.mu, k)
                 k += 1
         elif _is_nonneg_int(params.gamma) and params.gamma <= order:
             out[int(params.gamma)] = 1.0
@@ -242,7 +247,7 @@ def g_smoothness(params: MathieuParams) -> SmoothnessProfile:
         for p in range(cap + 1):
             if (p - gam) >= 0 and (p - gam) % alp == 0:
                 k = (p - gam) // alp
-                derivs.append((p, _g_series_coeff(params, k) * math.factorial(p)))
+                derivs.append((p, (-1.0) ** k * _gamma_ratio(params.mu, k) * math.factorial(p)))
             else:
                 derivs.append((p, 0.0))
         return SmoothnessProfile(r=math.inf, initial_derivs=tuple(derivs))
@@ -726,9 +731,9 @@ def _term_chunks(params: MathieuParams, t: float):
 
 def convex_chunks(g, u: float, y: float):
     """(lo, hi) -> a new array of the terms 2 w g(w^2 + y), w = k + u, at
-    k = lo..hi-1, for convex-kernel series (`sharp.convex_series`,
-    `log_phi_u`); 2w and w^2 are the gamma=1, alpha=2 factors of
-    `_HEAD_CACHE`, so the terms are bit for bit (2.0 * w) * g(w * w + y)."""
+    k = lo..hi-1, for convex-kernel series (`bracketed_sum`); 2w and w^2 are
+    the gamma=1, alpha=2 factors of `_HEAD_CACHE`, so the terms are bit for
+    bit (2.0 * w) * g(w * w + y)."""
     factors = _HEAD_CACHE.factors
 
     def chunk(lo, hi):
@@ -744,38 +749,88 @@ def _monotone_from(params: MathieuParams, t: float) -> int:
     return max(1, int(math.ceil(k0)) + 1)
 
 
-def hermite_hadamard(tail, kernel, w: float, y: float) -> tuple[float, float]:
-    """Hermite-Hadamard bounds (lo, hi) for sum_{k>=1} 2(w+k) kernel((w+k)^2 + y).
+class ConvexKernel:
+    """A positive, convex, decreasing kernel on (0, inf) with integrable tail.
 
-    For a convex, decreasing kernel with tail integral F(s) = int_s^inf kernel,
+    Subclasses provide the kernel g, which must accept a float or a numpy
+    array, the tail integral F(t) = int_t^inf g, and its inverse.
+    """
+
+    def g(self, x):
+        raise NotImplementedError
+
+    def tail(self, t: float) -> float:
+        raise NotImplementedError
+
+    def tail_inverse(self, s: float) -> float:
+        raise NotImplementedError
+
+
+class PowerKernel(ConvexKernel):
+    """g(x) = x^(-mu-1); tail F(t) = 1/(mu t^mu) with closed-form inverse,
+    and F(t) = inf for t <= 0, where the integral diverges.  At y = t^2 its
+    series is the plain gamma=1, alpha=2 Mathieu series."""
+
+    def __init__(self, mu: float):
+        if mu <= 0:
+            raise ParameterError("mu must be positive")
+        self.mu = mu
+
+    def g(self, x):
+        return x ** (-self.mu - 1.0)
+
+    def tail(self, t: float) -> float:
+        return 1.0 / (self.mu * t**self.mu) if t > 0.0 else math.inf
+
+    def tail_inverse(self, s: float) -> float:
+        return (1.0 / (self.mu * s)) ** (1.0 / self.mu)
+
+
+class ExpKernel(ConvexKernel):
+    """g(x) = exp(-lam x); tail F(t) = exp(-lam t)/lam with closed-form inverse.
+    With lam = x and y = -(1+u)^2 its series is the theta series of `log_phi_u`."""
+
+    def __init__(self, lam: float):
+        if lam <= 0:
+            raise ParameterError("lam must be positive")
+        self.lam = lam
+
+    def g(self, x):
+        import numpy as np
+
+        return np.exp(-self.lam * x)
+
+    def tail(self, t: float) -> float:
+        return math.exp(-self.lam * t) / self.lam
+
+    def tail_inverse(self, s: float) -> float:
+        return -math.log(self.lam * s) / self.lam
+
+
+def hermite_hadamard(kernel: ConvexKernel, w: float, y: float) -> tuple[float, float]:
+    """Hermite-Hadamard bounds (lo, hi) for sum_{k>=1} 2(w+k) g((w+k)^2 + y).
+
+    For the kernel's convex, decreasing g with tail integral F(s) = int_s^inf g,
     the trapezoid rule on [(w+k)^2 + y, (w+k+1)^2 + y] gives the lower bound
     (w >= -3/2) and the midpoint rule on [(w+k-1)(w+k) + y, (w+k)(w+k+1) + y]
     the upper one (w >= -1):
 
-        F((w+1)^2 + y) + (w + 1/2) kernel((w+1)^2 + y)  <=  sum  <=  F(w(w+1) + y).
+        F((w+1)^2 + y) + (w + 1/2) g((w+1)^2 + y)  <=  sum  <=  F(w(w+1) + y).
     """
     s1 = (w + 1.0) ** 2 + y
-    return tail(s1) + (0.5 + w) * kernel(s1), tail(w * (w + 1.0) + y)
+    return kernel.tail(s1) + (0.5 + w) * kernel.g(s1), kernel.tail(w * (w + 1.0) + y)
 
 
-def _tail_bracket(params: MathieuParams, t: float):
-    """n -> (midpoint, half-width, order 0) of the Hermite-Hadamard bounds for
-    sum_{k > n} of the plain terms in the gamma=1, alpha=2 family, n past the
-    monotone index: a tail of `_doubled_head`, as in `bracketed_sum`."""
-    u, mu, y = params.u, params.mu, t * t
+def _hh_tail(kernel: ConvexKernel, u: float, y: float):
+    """n -> (midpoint, half-width, order 0) of the Hermite-Hadamard bounds
+    for the rest sum_{k>n} 2(k+u) g((k+u)^2 + y): the tail of `_doubled_head`
+    for `bracketed_sum` and the gamma=1, alpha=2 ladder of `_direct`."""
 
-    # the terms are 2w g(w^2 + t^2) with the convex kernel g(s) = s^(-mu-1)
-    def tail(s):
-        return 1.0 / (mu * s**mu)
-
-    def kernel(s):
-        return s ** (-mu - 1.0)
-
-    def bracket(n: int) -> tuple[float, float, int]:
-        lo, hi = hermite_hadamard(tail, kernel, n + u, y)
+    def tail(n: int) -> tuple[float, float, int]:
+        lo, hi = hermite_hadamard(kernel, n + u, y)
         return 0.5 * (hi + lo), 0.5 * (hi - lo), 0
 
-    return bracket
+    return tail
 
 
 def _term_rtol(params: MathieuParams) -> float:
@@ -831,26 +886,20 @@ def _sum_terms(chunk, n: int, alternating: bool = False) -> tuple[float, float, 
             math.fsum(map(abs, head)) + rest_abs, rest_abs)
 
 
-def bracketed_sum(chunk, tail_bracket, n: int, tol: float,
-                  term_rtol: float = 4e-15) -> EvalResult:
-    """sum_{k>=1} of the terms, where tail_bracket(n) = (lo, hi) encloses
-    sum_{k>n}: the Hermite-Hadamard adapter of `_doubled_head`, whose tail
-    is the bracket's midpoint with its half-width as radius and order 0.
+def bracketed_sum(kernel: ConvexKernel, u: float, y: float, tol: float) -> EvalResult:
+    """sum_{k>=1} 2(k+u) g((k+u)^2 + y) for the kernel's g: `_doubled_head`
+    from 16 terms (`convex_chunks`, whose factors are cached per u and
+    range, the same bits whatever the cache holds) with the Hermite-Hadamard
+    tail `_hh_tail`, doubled while the bracket is wider than tol and
+    narrows, up to the term cap MATHIEU_MAX_TERMS.
 
-    chunk(lo, hi) gives a new array of the terms at k = lo..hi-1
-    (`_term_chunks`, `convex_chunks`, whose t-independent factors are
-    cached per kernel and range, the same bits whatever the cache holds),
-    each value within term_rtol of the exact term, and every term past the
-    16th at least 0 (`_sum_terms` takes a chunk's sum as its sum of
-    |terms|).  n doubles while the bracket is wider than tol and narrows,
-    up to the term cap MATHIEU_MAX_TERMS.
+    The caller keeps every term past the 16th at least 0 (`_sum_terms` takes
+    a chunk's sum as its sum of |terms|) and the tail bounds valid from
+    n = 16 (`hermite_hadamard`: 16 + u >= -1); each term is within 4e-15 of
+    the exact one.
     """
-
-    def tail(n: int) -> tuple[float, float, int]:
-        lo, hi = tail_bracket(n)
-        return 0.5 * (hi + lo), 0.5 * (hi - lo), 0
-
-    return _doubled_head(chunk, tail, n, tol, term_rtol, _max_terms())
+    return _doubled_head(convex_chunks(kernel.g, u, y), _hh_tail(kernel, u, y), 16, tol,
+                         4e-15, _max_terms())
 
 
 def _doubled_head(chunk, tail, n: int, tol: float, term_rtol: float, cap: int,
@@ -890,22 +939,22 @@ def _doubled_head(chunk, tail, n: int, tol: float, term_rtol: float, cap: int,
 
 def _direct(params: MathieuParams, t: float, tol: float, alternating: bool) -> EvalResult:
     """The sum past a head, the term cap read once.  Plain sums of the
-    gamma=1, alpha=2 family climb the Hermite-Hadamard ladder
-    (`_tail_bracket`) from the monotone index, at least CLOSED_HEAD, up to
-    min(CROSSOVER, cap); past it, and for every other sum, `_closed_tail`
-    closes the rest past a head of CLOSED_HEAD terms; `_doubled_head`
-    doubles both heads.  A tail out of the float range has an infinite radius.
-    Past the monotone index an alternating tail that misses tol gives way to
-    the narrower one-term bracket [0, f(head+1)] (with that term's sign), as
-    at huge t, where the shifted kernel leaves the float range and the t = 0
-    tail's drift is meaningless.
+    gamma=1, alpha=2 family, the series of `PowerKernel(mu)` at y = t^2,
+    climb the Hermite-Hadamard ladder (`_hh_tail`) from the monotone index,
+    at least CLOSED_HEAD, up to min(CROSSOVER, cap); past it, and for every
+    other sum, `_closed_tail` closes the rest past a head of CLOSED_HEAD
+    terms; `_doubled_head` doubles both heads.  A tail out of the float
+    range has an infinite radius.  Past the monotone index an alternating
+    tail that misses tol gives way to the narrower one-term bracket
+    [0, f(head+1)] (with that term's sign), as at huge t, where the shifted
+    kernel leaves the float range and the t = 0 tail's drift is meaningless.
     """
     chunk = _term_chunks(params, t)
     rtol = _term_rtol(params)
     cap = _max_terms()
     if not alternating and params.gamma == 1.0 and params.alpha == 2.0:
         try:
-            return _doubled_head(chunk, _tail_bracket(params, t),
+            return _doubled_head(chunk, _hh_tail(PowerKernel(params.mu), params.u, t * t),
                                  max(_monotone_from(params, t), CLOSED_HEAD), tol, rtol,
                                  min(CROSSOVER, cap))
         except ToleranceError:
@@ -979,14 +1028,6 @@ def s_mu(mu: float, t: float, u: float, tol: float = 1e-10) -> EvalResult:
 # --------------------------------------------------------------------------
 # large-t expansions
 # --------------------------------------------------------------------------
-
-def _gamma_ratio(mu: float, k: int) -> float:
-    """Gamma(mu+k+1) / (Gamma(mu+1) Gamma(k+1)) by stable iteration."""
-    out = 1.0
-    for j in range(k):
-        out *= (mu + j + 1.0) / (j + 1.0)
-    return out
-
 
 def _require_integer_regime(params: MathieuParams, n: int) -> tuple[int, int]:
     if n < 0:
@@ -1665,10 +1706,11 @@ def eval_em(params: MathieuParams, t: float) -> EvalResult:
     """Rigorous large-t evaluation through the Euler-Maclaurin engine: the
     closed tail of `_closed_tail` past a head of 0 terms.
 
-    RegimeError for every input outside the engine's regime: t = 0,
-    (gamma, alpha) outside Z+ x N, where g is not smooth at 0, and u < 0
-    where eps = 1/t reaches past the kernel's domain, which starts at
-    x = -1/2 (the engine's own test, `emsum._check_u_negative`).  With
+    RegimeError for every input outside the engine's regime: t = 0, t so
+    small that eps = 1/t leaves the float range, (gamma, alpha) outside
+    Z+ x N, where g is not smooth at 0, and u < 0 where eps reaches past
+    the kernel's domain, which starts at x = -1/2 (the engine's own test,
+    `emsum._check_u_negative`).  With
     eps = 1/t the engine estimates sum g((k+u)/t) = t^delta S / 2 on the
     unshifted `MathieuSmoothFunction`, bounding the rounding of its
     derivatives at 0, of the Beta function in its integral term and of its
@@ -1685,6 +1727,8 @@ def eval_em(params: MathieuParams, t: float) -> EvalResult:
     if params.u < 0.0 and not 1.0 / t < -0.5 / params.u:
         raise RegimeError(f"the Euler-Maclaurin path needs t > -2u = {-2.0 * params.u:g} "
                           f"for u < 0")
+    if not 1.0 / t < math.inf:
+        raise RegimeError(f"the Euler-Maclaurin path needs 1/t in the float range, not t = {t!r}")
     value, radius, order = _closed_tail(params, t, False, 0)
     return EvalResult(value=value, err_lo=radius, err_hi=radius, method=EULER_MACLAURIN,
                       terms_used=0, order=order)
@@ -1742,18 +1786,10 @@ def log_phi_u(u: float, x: float) -> float:
         raise ParameterError("x must be positive and finite")
     if not -1.0 < u < math.inf:
         raise ParameterError("u must be finite and exceed -1")
-    import numpy as np
-
     y = -(1.0 + u) ** 2
-
-    def kernel(s):
-        return np.exp(-x * s)
-
     # the sum is at least its first term 2(1+u) and, for u >= -1/2, at least 1/x
     tol = 1e-17 * (2.0 * (1.0 + u) + 1.0 / x)
-    s = bracketed_sum(convex_chunks(kernel, u, y),
-                      lambda n: hermite_hadamard(lambda v: math.exp(-x * v) / x, kernel, n + u, y),
-                      16, tol)
+    s = bracketed_sum(ExpKernel(x), u, y, tol)
     # log(x S) in one rounding where it nears 0 (x -> 0+), as two logs where x S could overflow
     log_xs = math.log(x * s.value) if x < 1.0 else math.log(x) + math.log(s.value)
     return log_xs + y * x

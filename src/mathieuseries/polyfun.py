@@ -415,11 +415,6 @@ def poly_eval_exact(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
     return acc
 
 
-def abs_bound(coeffs: Sequence[Fraction], r: Fraction) -> Fraction:
-    """sum |c_k| r^k, an upper bound on |P| over [-r, r]."""
-    return sum((abs(c) * r**k for k, c in enumerate(coeffs)), Fraction(0))
-
-
 def round_up(x: Fraction) -> float:
     """The next float above x (float() rounds to nearest)."""
     return math.nextafter(float(x), math.inf)
@@ -434,8 +429,9 @@ def _sup_abs_poly(coeffs: tuple[Fraction, ...], a: float, b: float) -> float:
 
     |P| peaks at an endpoint or at a real root of P'.  Each root above a lies
     in an exact isolating interval [l, h] from `real_root_intervals`, on which
-    |P| <= |P(l)| + (h - l) sup |P'|; a root at a is covered by P(a).  Every
-    value is exact and the maximum is rounded up once.
+    |P| <= |P(l)| + (h - l) sup |P'|, and sup |P'| <= sum |c_k| r^k over
+    [-r, r] for P' = sum c_k x^k, r = max(|l|, |h|); a root at a is covered
+    by P(a).  Every value is exact and the maximum is rounded up once.
     """
     if not b > a:
         raise ValueError("interval must satisfy a < b")
@@ -446,8 +442,9 @@ def _sup_abs_poly(coeffs: tuple[Fraction, ...], a: float, b: float) -> float:
         if l > hi:
             break
         h = min(h, hi)
+        r = max(abs(l), abs(h))
         best = max(best, abs(poly_eval_exact(coeffs, l))
-                   + (h - l) * abs_bound(dp, max(abs(l), abs(h))))
+                   + (h - l) * sum((abs(c) * r**k for k, c in enumerate(dp)), Fraction(0)))
     return round_up(best)
 
 

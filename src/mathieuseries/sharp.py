@@ -17,6 +17,7 @@ from collections import namedtuple
 
 from . import mathieu, polyfun
 from .errors import ParameterError, WitnessNotFoundError
+from .mathieu import ConvexKernel, ExpKernel, PowerKernel  # noqa: F401 (re-exported)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 #: `compute_mM` evaluates the profile on _GRID_POINTS points of the
@@ -31,64 +32,8 @@ _FINE_TOL = 1e-11
 
 
 # --------------------------------------------------------------------------
-# convex kernels and the series S(u, y) = sum 2 (k+u) g((k+u)^2 + y)
+# the convex-kernel series S(u, y) = sum 2 (k+u) g((k+u)^2 + y)
 # --------------------------------------------------------------------------
-
-class ConvexKernel:
-    """A positive, convex, decreasing kernel on (0, inf) with integrable tail.
-
-    Subclasses provide the kernel g, which must accept a float or a numpy
-    array, the tail integral F(t) = int_t^inf g, and its inverse.
-    """
-
-    def g(self, x):
-        raise NotImplementedError
-
-    def tail(self, t: float) -> float:
-        raise NotImplementedError
-
-    def tail_inverse(self, s: float) -> float:
-        raise NotImplementedError
-
-
-class PowerKernel(ConvexKernel):
-    """g(x) = x^(-mu-1); tail F(t) = 1/(mu t^mu) with closed-form inverse,
-    and F(t) = inf for t <= 0, where the integral diverges."""
-
-    def __init__(self, mu: float):
-        if mu <= 0:
-            raise ParameterError("mu must be positive")
-        self.mu = mu
-
-    def g(self, x):
-        return x ** (-self.mu - 1.0)
-
-    def tail(self, t: float) -> float:
-        return 1.0 / (self.mu * t**self.mu) if t > 0.0 else math.inf
-
-    def tail_inverse(self, s: float) -> float:
-        return (1.0 / (self.mu * s)) ** (1.0 / self.mu)
-
-
-class ExpKernel(ConvexKernel):
-    """g(x) = exp(-lam x); tail F(t) = exp(-lam t)/lam with closed-form inverse."""
-
-    def __init__(self, lam: float):
-        if lam <= 0:
-            raise ParameterError("lam must be positive")
-        self.lam = lam
-
-    def g(self, x):
-        import numpy as np
-
-        return np.exp(-self.lam * x)
-
-    def tail(self, t: float) -> float:
-        return math.exp(-self.lam * t) / self.lam
-
-    def tail_inverse(self, s: float) -> float:
-        return -math.log(self.lam * s) / self.lam
-
 
 def convex_series(kernel: ConvexKernel, u: float, y: float, tol: float = 1e-12) -> mathieu.EvalResult:
     """sum_{k>=1} 2 (k+u) g((k+u)^2 + y) with a rigorous Hermite-Hadamard bracket.
@@ -100,10 +45,7 @@ def convex_series(kernel: ConvexKernel, u: float, y: float, tol: float = 1e-12) 
     """
     if u < -1.5 or (1.0 + u) ** 2 + y <= 0.0:
         raise ParameterError("need u >= -3/2 and (1+u)^2 + y > 0")
-
-    return mathieu.bracketed_sum(
-        mathieu.convex_chunks(kernel.g, u, y),
-        lambda n: mathieu.hermite_hadamard(kernel.tail, kernel.g, n + u, y), 16, tol)
+    return mathieu.bracketed_sum(kernel, u, y, tol)
 
 
 def psi_uy(kernel: ConvexKernel, u: float, y: float, tol: float = 1e-12) -> float:

@@ -229,6 +229,11 @@ class TestConfigPlumbing:
         code, out, err = run(capsys, "eval", "--config", str(cfg), "--t", "1.0")
         assert (code, out) == (2, "")
         assert "command" in err
+        # nor is the file itself: `config = other.cfg` was accepted and ignored
+        cfg.write_text("config = missing.cfg\nt = 2\n")
+        code, out, err = run(capsys, "eval", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error: ") and "'config'" in err
 
     def test_config_output_writes_that_file(self, capsys, tmp_path):
         # a file value of a flag whose default is None once went through

@@ -88,6 +88,15 @@ class TestParams:
                     build()
 
 
+def _binomial_coeff(mu: float, k: int) -> Fraction:
+    """(-1)^k Gamma(mu+k+1) / (Gamma(mu+1) k!), the coefficient of
+    x^(gamma + k alpha) in the kernel's series at 0, as an exact product."""
+    out = Fraction(1)
+    for j in range(k):
+        out *= (Fraction(mu) + j + 1) / (j + 1)
+    return (-1) ** k * out
+
+
 class TestKernel:
     def test_values(self):
         assert mathieu.g_eval(CLASSICAL, 1.0) == pytest.approx(0.25, rel=1e-15)
@@ -99,14 +108,26 @@ class TestKernel:
         x = 0.1
         jet = mathieu.g_jet(CLASSICAL, x, 6)
         series = math.fsum(
-            mathieu._g_series_coeff(CLASSICAL, k) * x ** (1 + 2 * k) for k in range(40)
+            float(_binomial_coeff(CLASSICAL.mu, k)) * x ** (1 + 2 * k) for k in range(40)
         )
         assert jet[0] == pytest.approx(series, rel=1e-12)
         d1 = math.fsum(
-            mathieu._g_series_coeff(CLASSICAL, k) * (1 + 2 * k) * x ** (2 * k)
+            float(_binomial_coeff(CLASSICAL.mu, k)) * (1 + 2 * k) * x ** (2 * k)
             for k in range(40)
         )
         assert jets.derivatives(jet)[1] == pytest.approx(d1, rel=1e-12)
+
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 2.5])
+    def test_jet_at_zero_is_the_binomial_series(self, mu):
+        # the coefficient of x^k for gamma = 0, alpha = 1; exp of lgamma
+        # differences once erred by up to 7.7e-14 relative for k < 60
+        jet = mathieu.g_jet(mathieu.MathieuParams(0.0, 1.0, mu, 0.0), 0.0, 59)
+        for k, c in enumerate(jet):
+            assert abs(Fraction(c) / _binomial_coeff(mu, k) - 1) < 1e-15
+        derivs = dict(mathieu.g_smoothness(mathieu.MathieuParams(0.0, 1.0, mu, 0.0)).initial_derivs)
+        for k in range(17):
+            want = _binomial_coeff(mu, k) * math.factorial(k)
+            assert abs(Fraction(derivs[k]) / want - 1) < 2e-15
 
     def test_jet_at_zero_smooth_regime(self):
         jet = mathieu.g_jet(CLASSICAL, 0.0, 7)
@@ -1679,6 +1700,15 @@ class TestOneDoublingLoop:
         assert mathieu.eval_em(params, 1.5).method == mathieu.EULER_MACLAURIN
         with pytest.raises(ToleranceError, match="direct: .*; euler-maclaurin: .*u < 0"):
             mathieu.eval_auto(params, 0.5, 1e-18)
+
+    @pytest.mark.parametrize("params", [(1.0, 2.0, 1.0, 0.0), (0.0, 2.0, 1.0, 0.5)])
+    @pytest.mark.parametrize("t", [5e-324, 1e-310])
+    def test_em_regime_names_a_t_whose_inverse_overflows(self, params, t):
+        # eps = 1/t is inf: the engine once raised OverflowError naming x = nan
+        params = mathieu.MathieuParams(*params)
+        with pytest.raises(RegimeError, match=f"t = {t!r}"):
+            mathieu.eval_em(params, t)
+        assert mathieu.eval_auto(params, t) == mathieu.eval_auto(params, 0.0)
 
 
 #: Head lengths at the edges of the exact head, of the cached ranges

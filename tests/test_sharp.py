@@ -10,6 +10,12 @@ from conftest import TWO_ZETA3, s1_trigamma, s2_polygamma
 
 
 class TestKernels:
+    def test_kernels_live_in_mathieu(self):
+        # one kernel object for every Hermite-Hadamard sum; sharp re-exports it
+        assert sharp.PowerKernel is mathieu.PowerKernel
+        assert sharp.ExpKernel is mathieu.ExpKernel
+        assert sharp.ConvexKernel is mathieu.ConvexKernel
+
     def test_power_kernel_closed_forms(self):
         k = sharp.PowerKernel(1.5)
         assert k.tail(2.0) == pytest.approx(1.0 / (1.5 * 2.0**1.5), rel=1e-14)
@@ -56,7 +62,7 @@ class TestKernels:
         # exp kernel at y = 0: the tail past w = 2.5 against mpmath
         lam, w = 0.3, 2.5
         kernel = sharp.ExpKernel(lam)
-        lo, hi = mathieu.hermite_hadamard(kernel.tail, kernel.g, w, 0.0)
+        lo, hi = mathieu.hermite_hadamard(kernel, w, 0.0)
         truth = mp.nsum(lambda k: 2 * (w + k) * mp.exp(-lam * (w + k) ** 2), [1, mp.inf])
         assert lo < truth < hi
 
