@@ -9,7 +9,6 @@ from .errors import (
     ParameterError,
     RegimeError,
     ToleranceError,
-    WitnessNotFoundError,
 )
 from .mathieu import (
     EvalResult,
@@ -66,7 +65,6 @@ from .sharp import (
     convex_series,
     f_infinity,
     f_profile,
-    impossibility_demo,
     m_infinity,
     M_infinity,
     psi_uy,

@@ -15,6 +15,9 @@ The alternating engine uses Euler polynomials and splines instead, with
 weights ((-1)^k eps^k / (2 k!)) E_k(-u) G^(k)(0) and factor eps^n / (2 n!) in
 the bound.  Callers are responsible for the hypotheses (F smooth enough, the
 first n derivatives vanishing at +infinity, bounded variation of F^(n)).
+`em_sum` and `boole_sum` are each one call into the same body,
+`_engine_sum`, which takes the weights of its family (`_weights`) and adds
+the integral term for the Bernoulli family alone.
 
 An engine takes F^(k)(0) only where its weight is not exactly 0
 (`_Weights.orders`): at u = 0, B_(2j+1)(0) = E_(2j)(0) = 0 for j >= 1, so
@@ -451,25 +454,25 @@ def _rounding(f_errs: list[float], integral: float, integral_err: float | None,
             + 2.0**-52 * (abs(integral) + abs(estimate)))
 
 
-def em_sum(f: SmoothFunction, eps: float, u: float, n: int) -> EMResult:
-    """Estimate sum_{k>=1} F(eps k + eps u) with a rigorous remainder bound.
-
-    Hypotheses (caller's responsibility): F is C^n with F, ..., F^(n)
-    vanishing at +inf, F integrable, and F^(n) of bounded variation; for u < 0
-    additionally F defined on [q, inf) with eps < q/u.  The bound covers the
-    rounding of the estimate: by a 4e-16 relative allowance where F's
-    derivatives are exact up to their last rounding, else term by term from
-    the errors F reports (`SmoothFunction.deriv_with_error`).
-    """
+def _engine_sum(family: str, f: SmoothFunction, eps: float, u: float, n: int) -> EMResult:
+    """The body of `em_sum` (family `polyfun.BERNOULLI`) and `boole_sum`
+    (`polyfun.EULER`): the boundary terms and remainder of the family's
+    weights, plus the integral term (1/eps) int_0^inf F for the Bernoulli
+    family alone.  The remainder's divisor, (n+1)! resp. 2 n!, is the one of
+    the order-n weight."""
     if eps <= 0:
         raise ParameterError("eps must be positive")
-    integral, integral_err = f.tail_integral_with_error(0.0)
-    integral = integral / eps
-    weights = _weights(polyfun.BERNOULLI, u, n)
+    integral, integral_err = 0.0, None
+    if family == polyfun.BERNOULLI:
+        integral, integral_err = f.tail_integral_with_error(0.0)
+        integral = integral / eps
+    weights = _weights(family, u, n)
     boundary, f_errs = _boundary_terms(f, eps, weights)
     v_edge, v_tail = _variations(f, eps, u, n)
-    bound = _remainder(eps, n, math.factorial(n + 1),
+    bound = _remainder(eps, n, weights.parts[n][1],
                        weights.sup_spline * v_tail + weights.sup_edge * v_edge)
+    # math.fsum returns +0.0 for a zero sum, so adding the Euler family's
+    # integral term 0.0 changes no bit
     estimate = integral + math.fsum(boundary)
     # the analytic bound certifies exact arithmetic; round outward for float evaluation
     if f_errs:
@@ -486,32 +489,26 @@ def em_sum(f: SmoothFunction, eps: float, u: float, n: int) -> EMResult:
     )
 
 
+def em_sum(f: SmoothFunction, eps: float, u: float, n: int) -> EMResult:
+    """Estimate sum_{k>=1} F(eps k + eps u) with a rigorous remainder bound.
+
+    Hypotheses (caller's responsibility): F is C^n with F, ..., F^(n)
+    vanishing at +inf, F integrable, and F^(n) of bounded variation; for u < 0
+    additionally F defined on [q, inf) with eps < q/u.  The bound covers the
+    rounding of the estimate: by a 4e-16 relative allowance where F's
+    derivatives are exact up to their last rounding, else term by term from
+    the errors F reports (`SmoothFunction.deriv_with_error`).
+    """
+    return _engine_sum(polyfun.BERNOULLI, f, eps, u, n)
+
+
 def boole_sum(g: SmoothFunction, eps: float, u: float, n: int) -> EMResult:
     """Estimate sum_{k>=1} (-1)^(k-1) G(eps k + eps u) with a rigorous remainder bound.
 
     Same hypotheses and rounding cover as `em_sum` except integrability of G
     is not needed.
     """
-    if eps <= 0:
-        raise ParameterError("eps must be positive")
-    weights = _weights(polyfun.EULER, u, n)
-    boundary, g_errs = _boundary_terms(g, eps, weights)
-    v_edge, v_tail = _variations(g, eps, u, n)
-    bound = _remainder(eps, n, 2.0 * math.factorial(n),
-                       weights.sup_spline * v_tail + weights.sup_edge * v_edge)
-    estimate = math.fsum(boundary)
-    if g_errs:
-        bound *= 1.0 + 2.0**-49
-    bound += _rounding(g_errs, 0.0, None, eps, boundary, estimate)
-    return EMResult(
-        sum_estimate=estimate,
-        integral_term=0.0,
-        boundary_terms=boundary,
-        remainder_bound=bound,
-        n_used=n,
-        epsilon=eps,
-        u=u,
-    )
+    return _engine_sum(polyfun.EULER, g, eps, u, n)
 
 
 def em_asym_coeffs(f: SmoothFunction, u: float, k_max: int) -> AsymptoticSeries:

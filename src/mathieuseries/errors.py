@@ -21,9 +21,5 @@ class ToleranceError(MathieuSeriesError, RuntimeError):
     """The requested tolerance cannot be met within the term/evaluation budget."""
 
 
-class WitnessNotFoundError(MathieuSeriesError, RuntimeError):
-    """A counterexample scan finished without finding a witness (reported, not fatal)."""
-
-
 class CrossValidationError(MathieuSeriesError, RuntimeError):
     """Two independently computed error brackets for the same quantity do not overlap."""

@@ -1002,23 +1002,27 @@ def s_mu(mu: float, t: float, u: float, tol: float = 1e-10) -> EvalResult:
     Unlike the general evaluator this accepts any real u: whole terms with
     k + u = 0 are dropped, and the finitely many terms with k + u < 0 are
     summed directly before the positive, eventually-monotone remainder is
-    bracketed as usual.
+    bracketed as usual.  The radius adds the head's roundings: each term's
+    (`_term_rtol`), their fsum's and the final addition's.
     """
     if mu <= 0:
         raise ParameterError("mu must be positive")
     if u > -1:
         return eval_S(MathieuParams(1.0, 2.0, mu, u), t, tol)
     head_end = int(math.floor(-u)) + 1  # first index with k + u > 0
-    head = math.fsum(
-        2.0 * (k + u) / ((k + u) ** 2 + t * t) ** (mu + 1.0)
-        for k in range(1, head_end + 1)
-        if k + u != 0.0
-    )
-    shifted = eval_S(MathieuParams(1.0, 2.0, mu, u + head_end), t, tol)
+    terms = [2.0 * (k + u) / ((k + u) ** 2 + t * t) ** (mu + 1.0)
+             for k in range(1, head_end + 1) if k + u != 0.0]
+    head = math.fsum(terms)
+    # u + head_end is exact: head_end / 2 <= -u < head_end (Sterbenz)
+    rest = MathieuParams(1.0, 2.0, mu, u + head_end)
+    shifted = eval_S(rest, t, tol)
+    value = head + shifted.value
+    rounding = (_term_rtol(rest) * math.fsum(map(abs, terms))
+                + 2.0**-53 * (abs(head) + abs(value)))
     return EvalResult(
-        value=head + shifted.value,
-        err_lo=shifted.err_lo,
-        err_hi=shifted.err_hi,
+        value=value,
+        err_lo=shifted.err_lo + rounding,
+        err_hi=shifted.err_hi + rounding,
         method=DIRECT,
         terms_used=shifted.terms_used + head_end,
         order=shifted.order,
@@ -1088,8 +1092,9 @@ def asym_S_alt(params: MathieuParams, n: int) -> emsum.AsymptoticSeries:
     return emsum.AsymptoticSeries(powers=tuple(powers), coeffs=tuple(coeffs))
 
 
-def eval_asym(params: MathieuParams, t: float, n_terms: int | None = None) -> EvalResult:
-    """Evaluate the plain-series expansion at t, reporting |next term| as the error.
+def eval_asym(params: MathieuParams, t: float) -> EvalResult:
+    """Evaluate the plain-series expansion at t up to its smallest term,
+    reporting |next term| as the error.
 
     The error proxy is heuristic (the expansion carries no explicit constant),
     so the result is flagged non-rigorous.
@@ -1099,7 +1104,7 @@ def eval_asym(params: MathieuParams, t: float, n_terms: int | None = None) -> Ev
     cap = max(0, (polyfun.MAX_ORDER - int(params.gamma) - 1) // max(int(params.alpha), 1))
     series = asym_S(params, cap)
     v = 1.0 / t
-    n = series.optimal_truncation(v) if n_terms is None else min(n_terms + 1, len(series.coeffs))
+    n = series.optimal_truncation(v)
     value = series.evaluate(v, n)
     nxt = series.next_term_magnitude(v, n)
     if math.isnan(nxt):
@@ -1605,16 +1610,16 @@ def _closed_tail(params: MathieuParams, t: float, alternating: bool,
     bounds no longer hold, and OverflowError is raised where no t = 0 tail
     stands in.
     """
-    engine = emsum.boole_sum if alternating else emsum.em_sum
     drifts = head and params.delta + params.alpha > 1.0
     value = None
     if t and not (drifts and t < 1.0 and t**params.alpha <= _T_POWER_NEGLIGIBLE):
         try:
-            value, radius = _shifted_tail(params, t, engine, alternating, head)
+            value, radius = _shifted_tail(params, t, alternating, head)
         except OverflowError:
             if not drifts:
                 raise
     if value is None:
+        engine = emsum.boole_sum if alternating else emsum.em_sum
         res = engine(_PowerTail(params, head), 1.0, params.u, TAIL_ORDER)
         value, radius = res.sum_estimate, res.remainder_bound
         if t:
@@ -1624,11 +1629,12 @@ def _closed_tail(params: MathieuParams, t: float, alternating: bool,
     return value, radius, TAIL_ORDER
 
 
-def _shifted_tail(params: MathieuParams, t: float, engine, alternating: bool,
+def _shifted_tail(params: MathieuParams, t: float, alternating: bool,
                   head: int) -> tuple[float, float]:
     """(value, radius) of `_closed_tail` at t > 0 on the shifted kernel."""
     eps = 1.0 / t
     shift = eps * head if head & (head - 1) == 0 else Fraction(eps) * head
+    engine = emsum.boole_sum if alternating else emsum.em_sum
     res = engine(MathieuSmoothFunction(params, shift), eps, params.u, TAIL_ORDER)
     scale = 2.0 * t ** (-params.delta)
     split = scale < 2.0**-1000

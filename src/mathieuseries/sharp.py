@@ -16,7 +16,7 @@ import math
 from collections import namedtuple
 
 from . import mathieu, polyfun
-from .errors import ParameterError, WitnessNotFoundError
+from .errors import ParameterError
 from .mathieu import ConvexKernel, ExpKernel, PowerKernel  # noqa: F401 (re-exported)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -48,9 +48,9 @@ def convex_series(kernel: ConvexKernel, u: float, y: float, tol: float = 1e-12) 
     return mathieu.bracketed_sum(kernel, u, y, tol)
 
 
-def psi_uy(kernel: ConvexKernel, u: float, y: float, tol: float = 1e-12) -> float:
+def psi_uy(kernel: ConvexKernel, u: float, y: float) -> float:
     """psi(u, y) = F^(-1)(S(u, y)) - y for the convex-kernel series."""
-    s = convex_series(kernel, u, y, tol).value
+    s = convex_series(kernel, u, y, 1e-12).value
     return kernel.tail_inverse(s) - y
 
 
@@ -237,42 +237,3 @@ def M_infinity(u: float) -> float:
     if u < 0:
         raise ParameterError("u must be nonnegative")
     return (1.0 + u) ** 2
-
-
-# --------------------------------------------------------------------------
-# impossibility of off-exponent double bounds
-# --------------------------------------------------------------------------
-
-def impossibility_demo(
-    fw: SharpFramework,
-    beta: float,
-    bound_side: str,
-    shift: float,
-    t_start: float = 0.5,
-    scan_budget: int = 120,
-    tol: float = 1e-11,
-) -> float:
-    """Find a witness t where the candidate bound with exponent beta != b1 fails.
-
-    bound_side 'upper' tests S(t) <= C (t^beta + shift)^(-d1/beta) (impossible
-    for beta < b1 with shift > 0); 'lower' tests the reverse inequality
-    (impossible for beta > b1).  Returns the witness t, or raises
-    WitnessNotFoundError after the scan budget.
-    """
-    if beta == fw.beta1:
-        raise ParameterError("beta must differ from the sharp exponent beta1")
-    if bound_side not in ("upper", "lower"):
-        raise ParameterError("bound_side must be 'upper' or 'lower'")
-    t = t_start
-    for _ in range(scan_budget):
-        candidate = fw.C * (t**beta + shift) ** (-fw.delta1 / beta)
-        res = fw.series(t, tol)
-        if bound_side == "upper" and res.lower > candidate:
-            return t
-        if bound_side == "lower" and res.upper < candidate:
-            return t
-        t *= 1.35
-    raise WitnessNotFoundError(
-        f"no witness within the scan budget (last t = {t:.3g}); "
-        "the candidate bound held on every sampled point"
-    )

@@ -61,10 +61,6 @@ class TestAuxKernels:
         for u in (0.0, 0.5, 2.0):
             assert analysis.h_u(u, 1e-7) == pytest.approx(1.0, abs=1e-6)
 
-    def test_G_pum_continuity_at_zero(self):
-        val = analysis.G_pum(0.3, 0.2, 1.0, 1e-7)
-        assert val == pytest.approx((2.0 * 1.0 - 1.0) * (0.2 + 0.5 - 0.3), abs=1e-6)
-
     def test_series_direct_seam(self):
         eps = 1e-9
         for f, args in (
@@ -183,17 +179,6 @@ class TestHankel:
             if c > 40.0:
                 prev = c / 1.5
                 assert prev**power * math.exp(-decay * prev) > 1e-20
-
-    def test_missing_cutoff_needs_envelope(self):
-        # the kernel maps the array of quadrature nodes; the envelope takes one point
-        with pytest.raises(ParameterError):
-            analysis.hankel_transform(lambda x: np.exp(-x), 3.0, 1.0)
-        val = analysis.hankel_transform(
-            lambda x: np.exp(-x), 3.0, 1.0,
-            tail_envelope=lambda x: x * x * math.exp(-x),
-        )
-        ref = analysis.hankel_transform(lambda x: np.exp(-x), 3.0, 1.0, cutoff=80.0)
-        assert val == pytest.approx(ref, abs=1e-10)
 
 
 class TestChecks:

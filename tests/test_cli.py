@@ -629,6 +629,16 @@ class TestReadmeGolden:
                                "results are experimental\n")
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == README_COMMANDS[args]
 
+    def test_classical_suite_writes_no_warning(self, tmp_path):
+        # the Poisson check's own mu = 0 kernel is not a user's input; in a
+        # fresh process, since conftest silences the warning in this one
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "mathieuseries.cli", "verify", "classical"],
+                              capture_output=True, text=True, cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=300)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+
 
 class TestReadmeReferences:
     """Every package name the README cites in backticks exists."""

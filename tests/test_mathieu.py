@@ -513,6 +513,22 @@ class TestSMu:
         )
         assert res.value == pytest.approx(brute, abs=1e-9)
 
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0, 3.0])
+    def test_bracket_holds_below_u_minus_one(self, mu):
+        # the head with k + u <= 0, summed exactly, plus the shifted rest by
+        # its binomial-series oracle; the head's roundings can far exceed the
+        # rest's radius (at mu = 3, t = 0, u = -1.9 the head is 2e7)
+        for u in (-1.25, -1.5, -1.9, -2.5, -3.7, -5.5):
+            head_end = math.floor(-u) + 1
+            for t in (0.0, 0.1, 0.3, 1.0):
+                muf, w, tf = mp.mpf(mu), mp.mpf(u), mp.mpf(t)
+                head = mp.fsum(2 * (k + w) / ((k + w) ** 2 + tf * tf) ** (muf + 1)
+                               for k in range(1, head_end + 1) if k + u != 0)
+                truth = head + s_binomial_mp(1.0, 2.0, mu, u + head_end, t)
+                for tol in (1e-10, 1e-13, 1e-15):
+                    res = mathieu.s_mu(mu, t, u, tol)
+                    assert res.lower <= truth <= res.upper, (mu, u, t, tol, res)
+
 
 class TestAsymptotics:
     def test_classical_pattern(self):
@@ -1149,7 +1165,7 @@ class TestClosedTail:
         value, radius, _ = mathieu._closed_tail(p, t, alternating, 64)
         at_zero = engine(mathieu._PowerTail(p, 64), 1.0, p.u, mathieu.TAIL_ORDER)
         assert value == at_zero.sum_estimate
-        assert radius < mathieu._shifted_tail(p, t, engine, alternating, 64)[1]
+        assert radius < mathieu._shifted_tail(p, t, alternating, 64)[1]
 
     @settings(max_examples=40, deadline=None)
     @given(case=_plain_case())

@@ -4,7 +4,7 @@ import mpmath as mp
 import pytest
 
 from mathieuseries import mathieu, sharp
-from mathieuseries.errors import ParameterError, ToleranceError, WitnessNotFoundError
+from mathieuseries.errors import ParameterError, ToleranceError
 
 from conftest import TWO_ZETA3, s1_trigamma, s2_polygamma
 
@@ -146,6 +146,19 @@ class TestFramework:
         assert consts.m == pytest.approx(1.0 / 6.0, abs=1e-9)
         assert 0.25 < consts.M < 1.0
 
+    def test_compute_mM_refines_an_interior_minimum(self):
+        # S(t) = 1/(t^2 + a(t)) with C = 1, d1 = b1 = 2 has the profile f = a,
+        # whose least value 0.05 at t = 3 lies between grid points
+        def series(t, tol):
+            a = 0.5 - 0.45 * math.exp(-((t - 3.0) ** 2))
+            return mathieu.EvalResult(1.0 / (t * t + a), 0.0, 0.0, mathieu.DIRECT)
+
+        fw = sharp.SharpFramework(series=series, C=1.0, delta1=2.0, A=0.5, beta1=2.0)
+        consts = sharp.compute_mM(fw)
+        assert consts.m == pytest.approx(0.05, abs=1e-9)
+        assert consts.t_at_m == pytest.approx(3.0, abs=1e-3)
+        assert consts.f_inf == 0.5
+
     def test_gamma0_extremization(self):
         # 0 < m <= min(f(0), f(inf)) <= max(f(0), f(inf)) <= M
         fw = sharp.SharpFramework.for_gamma0(2.0, 1.0, 0.0)
@@ -210,26 +223,19 @@ class TestMonotonicityTrends:
 
 
 class TestImpossibility:
+    """A double bound with an exponent other than b1 = 2 fails somewhere: at
+    these t the bracket of S lies strictly outside the candidate bound."""
+
     def test_low_exponent_upper_bound_fails(self):
+        # beta = 1 < b1: S(t) <= C (t + 0.1)^(-d1) fails at this t
         fw = sharp.SharpFramework.for_s_mu(1.0, 0.0)
-        t = sharp.impossibility_demo(fw, 1.0, "upper", 0.1)
+        t = 1.2301875000000002
         s = mathieu.eval_S(mathieu.MathieuParams(1.0, 2.0, 1.0, 0.0), t, 1e-12)
         assert s.lower > fw.C * (t + 0.1) ** (-fw.delta1)
 
     def test_high_exponent_lower_bound_fails(self):
+        # beta = 3 > b1: C (t^3 + 1)^(-d1/3) <= S(t) fails at this t
         fw = sharp.SharpFramework.for_s_mu(1.0, 0.0)
-        t = sharp.impossibility_demo(fw, 3.0, "lower", 1.0)
+        t = 4.086075469921877
         s = mathieu.eval_S(mathieu.MathieuParams(1.0, 2.0, 1.0, 0.0), t, 1e-12)
         assert s.upper < fw.C * (t**3 + 1.0) ** (-fw.delta1 / 3.0)
-
-    def test_sharp_exponent_rejected(self):
-        fw = sharp.SharpFramework.for_s_mu(1.0, 0.0)
-        with pytest.raises(ParameterError):
-            sharp.impossibility_demo(fw, 2.0, "upper", 0.1)
-
-    def test_witness_not_found_reported(self):
-        fw = sharp.SharpFramework.for_s_mu(1.0, 0.0)
-        # the true sharp upper bound with b = 0.1 < m would need beta = beta1;
-        # asking for a 'lower' failure of a valid bound exhausts the scan
-        with pytest.raises(WitnessNotFoundError):
-            sharp.impossibility_demo(fw, 3.0, "upper", 0.0, scan_budget=25)
