@@ -176,19 +176,6 @@ def g_pu(p: float, u: float, x):
                              lambda x: np.exp(-p * x) / x - np.exp(-u * x) / np.expm1(x))
 
 
-def _g_prime_closed(p: float, u: float, x: np.ndarray) -> np.ndarray:
-    em1 = np.expm1(x)
-    epx = np.exp(-p * x)
-    return -p * epx / x - epx / (x * x) + np.exp(-u * x) * (u / em1 + (em1 + 1.0) / (em1 * em1))
-
-
-def g_pu_prime(p: float, u: float, x):
-    """d/dx g_{p,u}(x)."""
-    c = _g_series_coeffs(p, u)
-    return _series_or_closed(x, [m * c[m] for m in range(1, len(c))],
-                             lambda x: _g_prime_closed(p, u, x))
-
-
 # --------------------------------------------------------------------------
 # Bessel function j_lambda and the Hankel transform
 # --------------------------------------------------------------------------

@@ -19,16 +19,21 @@ first n derivatives vanishing at +infinity, bounded variation of F^(n)).
 `_engine_sum`, which takes the weights of its family (`_weights`) and adds
 the integral term for the Bernoulli family alone.
 
-An engine takes F^(k)(0) only where its weight is not exactly 0
+An engine asks F three things, each with a bound on its error as a float
+(`SmoothFunction`): F^(k)(0) at the orders it takes (`derivs_with_error`),
+int_0^inf F (`integral_with_error`) and the variation of F^(n)
+(`variation`), and bounds the rounding of its estimate from those errors.
+It takes F^(k)(0) only where its weight is not exactly 0
 (`_Weights.orders`): at u = 0, B_(2j+1)(0) = E_(2j)(0) = 0 for j >= 1, so
-of the nine derivatives of order 8 it asks `SmoothFunction.derivs_with_error`
-for six, in one call, and the skipped terms are exactly 0.
+of the nine derivatives of order 8 it asks for six, in one call, and the
+skipped terms are exactly 0.
 
-The variations V come from `SmoothFunction.variation`: a closed form where a
-subclass has one (`ExpFunction`), else the sum of the jumps across the
-monotone pieces a subclass supplies (the Mathieu kernel); a function that supplies neither has no remainder bound.  The exact
-finite identities integrate with `polyfun.gauss_legendre`, one panel between
-consecutive spline knots.  This module imports no scipy.
+The variations come from a closed form where a subclass has one
+(`ExpFunction`), else the sum of the jumps across the monotone pieces a
+subclass supplies (the Mathieu kernel); a function that supplies neither
+has no remainder bound.  The exact finite identities integrate with
+`polyfun.gauss_legendre`, one panel between consecutive spline knots.
+This module imports no scipy.
 """
 
 from __future__ import annotations
@@ -48,15 +53,20 @@ from .errors import OrderOverflowError, ParameterError
 # --------------------------------------------------------------------------
 
 class SmoothFunction:
-    """What a summation engine needs to know about F.
+    """What a summation engine asks of F: three queries, each with a bound
+    on its error as a float.
 
-    Subclasses must provide `deriv` and, for the non-alternating engine,
-    `tail_integral`.  `variation(k, a, b)` returns an upper bound on the
-    total variation of F^(k) on [a, b] (b may be +inf): a subclass either
-    overrides it with a closed form or splits [a, b] into pieces where F^(k)
+    `derivs_with_error(orders)` gives F^(k)(0) for each k in `orders`,
+    `integral_with_error()` the integral of F over [0, inf) (the Bernoulli
+    engine alone), and `variation(k, a, b)` an upper bound on the total
+    variation of F^(k) on [a, b] (b may be +inf).  A subclass overrides
+    `variation` with a closed form or splits [a, b] into pieces where F^(k)
     is monotone through `monotone_pieces`, and the variation is then the sum
-    of the value jumps across the pieces.  Without either it raises
-    ParameterError: the engines' remainder bounds rest on it.
+    of the value jumps across the pieces.  A function that states no error
+    bounds, or neither a closed form nor pieces, raises ParameterError: the
+    engines' remainder bounds rest on them.  The exact finite identities and
+    the coefficient streams take plain values instead: `deriv` (and `eval`),
+    and for `em_asym_coeffs` `tail_integral(0)`.
     """
 
     #: left edge of the domain of definition (q <= 0; -inf for entire functions)
@@ -69,28 +79,19 @@ class SmoothFunction:
         raise NotImplementedError
 
     def tail_integral(self, t: float) -> float:
-        """int_t^inf F(x) dx; only the non-alternating engine requires it."""
+        """int_t^inf F(x) dx, for the coefficient streams."""
         raise NotImplementedError
 
-    def deriv_with_error(self, k: int, x: float) -> tuple[float, float | None]:
-        """F^(k)(x) and a bound on its error.  None, the default, declares the
-        value exact up to its last rounding; the engines then allow 4e-16
-        relative for their own arithmetic.  A function that returns bounds
-        gets every rounding of the boundary terms bounded explicitly, and
-        must supply `tail_integral_with_error` too."""
-        return self.deriv(k, x), None
-
-    def derivs_with_error(self, orders: Sequence[int], x: float
-                          ) -> list[tuple[float, float | None]]:
-        """`deriv_with_error(k, x)` for each k in `orders`, increasing, as the
-        engines take them at 0: the orders whose boundary weight is not
+    def derivs_with_error(self, orders: Sequence[int]) -> list[tuple[float, float]]:
+        """(F^(k)(0), a bound on its error) for each k in `orders`, increasing,
+        as the engines take them: the orders whose boundary weight is not
         exactly 0, and the engine order n (`_Weights.orders`).  A subclass
         may evaluate them together; it need not evaluate any other order."""
-        return [self.deriv_with_error(k, x) for k in orders]
+        raise ParameterError(f"{type(self).__name__} states no error bound for F^(k)(0)")
 
-    def tail_integral_with_error(self, t: float) -> tuple[float, float | None]:
-        """`tail_integral(t)` and a bound on its error, None as in `deriv_with_error`."""
-        return self.tail_integral(t), None
+    def integral_with_error(self) -> tuple[float, float]:
+        """(int_0^inf F, a bound on its error)."""
+        raise ParameterError(f"{type(self).__name__} states no error bound for its integral")
 
     def monotone_pieces(self, k: int, a: float, b: float) -> tuple[list[float], float] | None:
         """Values of F^(k) at knots a = z_0 < ... < z_m = b, between which it is
@@ -115,7 +116,9 @@ class SmoothFunction:
 
 
 class ExpFunction(SmoothFunction):
-    """F(x) = amplitude * exp(-rate * x); closed forms for everything."""
+    """F(x) = amplitude * exp(-rate * x); closed forms for everything, each
+    value given to the engines within a few u of itself plus the subnormal
+    spacing 2^-1074 (a rounding below the normal range errs absolutely)."""
 
     domain_left = -math.inf
 
@@ -130,6 +133,16 @@ class ExpFunction(SmoothFunction):
 
     def tail_integral(self, t: float) -> float:
         return self.amplitude * math.exp(-self.rate * t) / self.rate
+
+    def derivs_with_error(self, orders: Sequence[int]) -> list[tuple[float, float]]:
+        # exp(-0) is 1 exactly: (-rate)^k within 1 ulp (a pow), then a product
+        return [(d, 4.0 * 2.0**-53 * abs(d) + 2.0**-1074)
+                for d in (self.deriv(k, 0.0) for k in orders)]
+
+    def integral_with_error(self) -> tuple[float, float]:
+        # amplitude / rate, one quotient
+        value = self.tail_integral(0.0)
+        return value, 2.0 * 2.0**-53 * abs(value) + 2.0**-1074
 
     def variation(self, k: int, a: float, b: float) -> float:
         if b < a:
@@ -396,7 +409,7 @@ _NORMAL = 2.0**-1022
 def _boundary_terms(f: SmoothFunction, eps: float, weights: _Weights
                     ) -> tuple[tuple[float, ...], list[float]]:
     """The boundary terms c_k F^(k)(0), k = 0..n, and a bound on the error of
-    each where F reports its derivatives' errors (else an empty list).
+    each term taken.
 
     c_k = (-1)^k eps^k B_{k+1}(-u) / (k+1)! (Bernoulli) or
     (-1)^k eps^k E_k(-u) / (2 k!) (Euler), from the parts in `_Weights`.
@@ -413,7 +426,7 @@ def _boundary_terms(f: SmoothFunction, eps: float, weights: _Weights
     """
     parts, orders = weights.parts, weights.orders
     terms, errs = [0.0] * len(parts), []
-    for k, (d, d_err) in zip(orders, f.derivs_with_error(orders, 0.0)):
+    for k, (d, d_err) in zip(orders, f.derivs_with_error(orders)):
         sign, divisor, p, p_abs, p_err = parts[k]
         # size = |scale|: with a sign of +-1 and a divisor above 0, |scale|,
         # |weight| and |term| are size, size |p| and |weight| |d| bit for bit
@@ -421,15 +434,14 @@ def _boundary_terms(f: SmoothFunction, eps: float, weights: _Weights
         weight = sign * size * p
         term = weight * d
         terms[k] = term
-        if d_err is not None:
-            w_abs, d_abs = size * p_abs, abs(d)
-            # the weight's absolute error below the normal range, then the term's
-            w_tiny = 2.0**-1073 * (p_abs + p_err) if size < _NORMAL else 0.0
-            if w_abs < _NORMAL and size and p:
-                w_tiny += 2.0**-1074
-            err = (2.0**-53 * (w_abs * d_abs) + w_abs * d_err
-                   + (d_abs + d_err) * (size * p_err + w_tiny))
-            errs.append(err + 2.0**-1074 if abs(term) < _NORMAL and weight and d else err)
+        w_abs, d_abs = size * p_abs, abs(d)
+        # the weight's absolute error below the normal range, then the term's
+        w_tiny = 2.0**-1073 * (p_abs + p_err) if size < _NORMAL else 0.0
+        if w_abs < _NORMAL and size and p:
+            w_tiny += 2.0**-1074
+        err = (2.0**-53 * (w_abs * d_abs) + w_abs * d_err
+               + (d_abs + d_err) * (size * p_err + w_tiny))
+        errs.append(err + 2.0**-1074 if abs(term) < _NORMAL and weight and d else err)
     return tuple(terms), errs
 
 
@@ -441,15 +453,12 @@ def _remainder(eps: float, n: int, divisor: float, variations: float) -> float:
     return bound + 2.0**-1074 if bound < _NORMAL and variations else bound
 
 
-def _rounding(f_errs: list[float], integral: float, integral_err: float | None,
-              eps: float, boundary: tuple[float, ...], estimate: float) -> float:
+def _rounding(f_errs: list[float], integral: float, integral_err: float, eps: float,
+              estimate: float) -> float:
     """Bound on the rounding of an engine's estimate beyond its analytic remainder."""
-    if not f_errs:
-        # derivatives exact up to their last rounding: a relative allowance
-        return 4e-16 * (abs(integral) + math.fsum(abs(b) for b in boundary))
     # the boundary terms' errors, the integral term's error and its division by
     # eps, the fsum of the boundary terms and the addition of the integral term
-    errs = f_errs + [(integral_err or 0.0) / eps, 2.0**-53 * abs(integral)]
+    errs = f_errs + [integral_err / eps, 2.0**-53 * abs(integral)]
     return (math.fsum(errs) * (1.0 + 2.0**-50)
             + 2.0**-52 * (abs(integral) + abs(estimate)))
 
@@ -462,9 +471,9 @@ def _engine_sum(family: str, f: SmoothFunction, eps: float, u: float, n: int) ->
     the order-n weight."""
     if eps <= 0:
         raise ParameterError("eps must be positive")
-    integral, integral_err = 0.0, None
+    integral, integral_err = 0.0, 0.0
     if family == polyfun.BERNOULLI:
-        integral, integral_err = f.tail_integral_with_error(0.0)
+        integral, integral_err = f.integral_with_error()
         integral = integral / eps
     weights = _weights(family, u, n)
     boundary, f_errs = _boundary_terms(f, eps, weights)
@@ -475,9 +484,8 @@ def _engine_sum(family: str, f: SmoothFunction, eps: float, u: float, n: int) ->
     # integral term 0.0 changes no bit
     estimate = integral + math.fsum(boundary)
     # the analytic bound certifies exact arithmetic; round outward for float evaluation
-    if f_errs:
-        bound *= 1.0 + 2.0**-49
-    bound += _rounding(f_errs, integral, integral_err, eps, boundary, estimate)
+    bound *= 1.0 + 2.0**-49
+    bound += _rounding(f_errs, integral, integral_err, eps, estimate)
     return EMResult(
         sum_estimate=estimate,
         integral_term=integral,
@@ -495,9 +503,8 @@ def em_sum(f: SmoothFunction, eps: float, u: float, n: int) -> EMResult:
     Hypotheses (caller's responsibility): F is C^n with F, ..., F^(n)
     vanishing at +inf, F integrable, and F^(n) of bounded variation; for u < 0
     additionally F defined on [q, inf) with eps < q/u.  The bound covers the
-    rounding of the estimate: by a 4e-16 relative allowance where F's
-    derivatives are exact up to their last rounding, else term by term from
-    the errors F reports (`SmoothFunction.deriv_with_error`).
+    rounding of the estimate term by term, from the errors F states with
+    its values (`SmoothFunction`).
     """
     return _engine_sum(polyfun.BERNOULLI, f, eps, u, n)
 

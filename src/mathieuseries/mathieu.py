@@ -11,8 +11,8 @@ rigorous.
 The tail integral int_x^inf g is an incomplete Beta function B_s(a, b)/alpha,
 taken in floats from a closed form or from its positive hypergeometric
 series with a proven truncation and rounding bound at that point, which
-one evaluation gives with the value (`tail_integral`,
-`tail_integral_rel_err`), so no evaluator needs scipy.
+one evaluation gives with the value (`_tail_point`), so no evaluator needs
+scipy.
 
 Every sum is a value plus an interval that contains it.  A sum takes a
 head of 64 terms and closes the rest at once by the Euler-Maclaurin
@@ -23,14 +23,17 @@ two-sided Hermite-Hadamard bounds of the rest miss tol, up to CROSSOVER
 terms.  Those bounds take a convex kernel object (`PowerKernel` for the
 ladder, `ExpKernel` for the theta series `log_phi_u`), the one input of
 every Hermite-Hadamard sum (`hermite_hadamard`, `bracketed_sum`).  The
-closed tail exists for every kernel: at t > 0 on the kernel
-shifted past the head, whose derivatives x^(gamma-n) (1+y)^(-m-n) P_n(y),
-y = x^alpha, are evaluated in floats with rounding bounds and whose
-variation comes from the exactly isolated roots of P_(n+1)
-(`_YDerivative`); at t = 0, at tiny t, and wherever that kernel leaves the
-float range, on the power tail 2 (x + head)^(-delta).  `eval_em` is the
-closer with no head, for (gamma, alpha) in Z+ x N, where g is smooth at 0:
-the same y-form there, with g^(n)(0) exact up to one rounding.
+closed tail exists for every kernel: at t > 0 on the kernel shifted past
+the head, whose derivatives x^(gamma-n) (1+y)^(-m-n) P_n(y), y = x^alpha,
+are evaluated in floats with rounding bounds and whose variation comes
+from the exactly isolated roots of P_(n+1) (`_YDerivative`).  That kernel
+meets the engines' three queries, each with its error: g^(k) at the
+shift, the integral from it and the variation of g^(n)
+(`MathieuSmoothFunction`); its shift eps head, eps = 1/t, is exact, as
+every head is 0 or 64 2^j.  At t = 0, at tiny t, and wherever that kernel
+leaves the float range, on the power tail 2 (x + head)^(-delta).  `eval_em`
+is the closer with no head, for (gamma, alpha) in Z+ x N, where g is smooth
+at 0: the same y-form there, with g^(n)(0) exact up to one rounding.
 """
 
 from __future__ import annotations
@@ -291,8 +294,8 @@ _SERIES_MAX_TERMS = 1 << 20
 
 
 class _TailConstants:
-    """What `tail_integral` and `tail_integral_rel_err` take from the kernel
-    alone, kept once per kernel (`_tail_constants`).
+    """What `tail_integral` and `MathieuSmoothFunction.integral_with_error`
+    take from the kernel alone, kept once per kernel (`_tail_constants`).
 
     (a, b) = (mu + 1 - (gamma+1)/alpha, (gamma+1)/alpha) are each rounded
     once from their exact values: a = (delta - 1)/alpha is small where delta
@@ -348,8 +351,8 @@ class _TailConstants:
 
     @functools.cached_property
     def rel(self) -> float:
-        """The closed form's relative bound in `tail_integral_rel_err`,
-        before the rounding of (a, b)."""
+        """The closed form's relative bound (`_tail_point`), before the
+        rounding of (a, b)."""
         a, b = self.a, self.b
         if self.form == "a=1":
             return 16.0 * 2.0**-53
@@ -525,8 +528,20 @@ def tail_integral(params: MathieuParams, t: float) -> float:
 
 def _tail_point(params: MathieuParams, c: _TailConstants, x: float) -> tuple[float, float]:
     """(`tail_integral` at x > 0, the relative bound of the form that gave
-    it, before the rounding of (a, b)): `rel` for a closed form, else the
-    bound of the series that gave the value."""
+    it, before the rounding of (a, b), which `_rounding_rel` adds).
+
+    With u = 2^-53, s and 1-s carry at most 4u (a power within 1 ulp, a sum,
+    a quotient).  The a = 1 form then stays within 16u: log1p on s <= 1/2
+    at most triples s's error, log of 1-s adds 4u + u |log(1-s)|, and
+    expm1 near 0 passes a relative error on unchanged.  The b = n form is a
+    sum of positive terms, each within (4n + 4j + 8)u, times s^a within
+    (4a + 2)u.  The a = b = 1/2 form stays within 8u: the power within 1 ulp
+    (2u), atan, whose relative condition number z/((1+z^2) atan z) is at
+    most 1, passes that on and adds 2u, and the product and quotient 1u
+    each.  Without a closed form the bound of the series that gives the
+    value holds (`_direct_tail`, `_reflected_tail`).  OverflowError
+    wherever `tail_integral` raises it.
+    """
     s, q = _beta_point(params, x)
     form, a, b = c.form, c.a, c.b
     lead = 1.0
@@ -551,40 +566,11 @@ def _tail_point(params: MathieuParams, c: _TailConstants, x: float) -> tuple[flo
     return value, rel
 
 
-def _tail_with_rel(params: MathieuParams, c: _TailConstants, x: float) -> tuple[float, float]:
-    """(`tail_integral` at x > 0, its `tail_integral_rel_err`), from one
-    evaluation."""
-    value, rel = _tail_point(params, c, x)
-    return value, rel + _rounding_rel(params, c, x)
-
-
-def tail_integral_rel_err(params: MathieuParams, t: float) -> float:
-    """Bound on the relative error of `tail_integral(params, t)`.
-
-    With u = 2^-53, s and 1-s carry at most 4u (a power within 1 ulp, a sum,
-    a quotient).  The a = 1 form then stays within 16u: log1p on s <= 1/2
-    at most triples s's error, log of 1-s adds 4u + u |log(1-s)|, and
-    expm1 near 0 passes a relative error on unchanged.  The b = n form is a
-    sum of positive terms, each within (4n + 4j + 8)u, times s^a within
-    (4a + 2)u.  The a = b = 1/2 form stays within 8u: the power within 1 ulp
-    (2u), atan, whose relative condition number z/((1+z^2) atan z) is at
-    most 1, passes that on and adds 2u, and the product and quotient 1u
-    each.  Without a closed form the bound of the series that gives the
-    value holds (`_direct_tail`, `_reflected_tail`).  a and b are rounded
-    once from their exact values; F moves by at most |da| (|log s| + 1/a) F
-    and |db| |log(1-s)| F under such a change.  At t = 0 the bound is
-    `whole_rel`.  The bound comes from evaluating the tail at t, so it raises
-    OverflowError wherever `tail_integral` does (a value that underflows, or
-    a t whose t^alpha leaves the float range).
-    """
-    c = _tail_constants(params)
-    if t == 0.0:
-        return c.whole_rel
-    return _tail_with_rel(params, c, t)[1]
-
-
 def _rounding_rel(params: MathieuParams, c: _TailConstants, x: float) -> float:
-    """The part of `tail_integral_rel_err` for the rounding of (a, b)."""
+    """The relative bound that the rounding of (a, b) adds to `_tail_point`
+    at x > 0: a and b are rounded once from their exact values, and F moves
+    by at most |da| (|log s| + 1/a) F and |db| |log(1-s)| F under such a
+    change."""
     if not (c.da or c.db):
         return 0.0
     # -log s = log(x^alpha + 1), -log(1-s) = that minus alpha log x
@@ -1182,12 +1168,11 @@ class _YDerivative:
         #: g^(n)(0) and its rounding
         self.at_zero = _rounded(poly[lo]) if g - n + a * lo == 0 else (0.0, 0.0)
 
-    def value(self, x: float, x_err: float = 0.0) -> tuple[float, float]:
-        """g^(n) at x, where x is off by at most x_err relative from the
-        point meant, and a bound on the error of the value."""
+    def value(self, x: float) -> tuple[float, float]:
+        """g^(n) at x and a bound on the error of the value."""
         if not x:
             return self.at_zero
-        return _values_at((self,), _y_point(self.alpha, x, x_err))[0]
+        return _values_at((self,), _y_point(self.alpha, x))[0]
 
     def _sup_next(self, l: float, h: float) -> float:
         """Upper bound on |g^(n+2)| over [l, h], 0 < l < h < inf, in floats
@@ -1305,7 +1290,7 @@ def _values_at(models, point: tuple) -> list[tuple[float, float]]:
     The factor 1.01 covers the second-order terms.  A power or scale outside
     [2^-1000, 2^1000] in size raises OverflowError.
     """
-    x, x_err, low, w, w_abs, w_err, base, base_err, log_x, log_base = point
+    x, low, w, w_abs, w_err, base, base_err, log_x, log_base = point
     u = 2.0**-53
     out = []
     for model in models:
@@ -1321,7 +1306,7 @@ def _values_at(models, point: tuple) -> list[tuple[float, float]]:
             run = run * w_abs + abs(p)
             size = size * w_abs + c_abs
         # the pow of x, the pow of 1 + w (2u) and the two products (2u)
-        rel = (power_abs * x_err + power_err * log_x + power_rounding
+        rel = (power_err * log_x + power_rounding
                + base_power_abs * base_err + base_power_err * log_base + 4.0 * u)
         p_err = u * (2.0 * run - abs(p)) + (u + model.spread * w_err) * size
         v = factor * p
@@ -1329,14 +1314,13 @@ def _values_at(models, point: tuple) -> list[tuple[float, float]]:
     return out
 
 
-def _y_point(alpha: float, x: float, x_err: float = 0.0) -> tuple:
+def _y_point(alpha: float, x: float) -> tuple:
     """What `_values_at` takes from a point x > 0, or x in (-1, 0) for an
-    integer alpha, off by at most x_err relative: (x, x_err, x <= 1, w, |w|,
-    its relative error, 1 + w, its relative error, |log |x||, |log(1 + w)|),
-    with w = x^alpha up to x = 1 and x^(-alpha) past it.  w is within 0 (x
-    itself), u (a product or a quotient), 2u (x * x, then its reciprocal) or
-    1 ulp (a pow) of the power of x, plus alpha x_err; 1 + w adds u, and
-    carries w's error times |w|/(1+w)."""
+    integer alpha: (x, x <= 1, w, |w|, its relative error, 1 + w, its
+    relative error, |log |x||, |log(1 + w)|), with w = x^alpha up to x = 1
+    and x^(-alpha) past it.  w is within 0 (x itself), u (a product or a
+    quotient), 2u (x * x, then its reciprocal) or 1 ulp (a pow) of the power
+    of x; 1 + w adds u, and carries w's error times |w|/(1+w)."""
     u = 2.0**-53
     if x <= 1.0:
         w = x if alpha == 1.0 else x * x if alpha == 2.0 else x**alpha
@@ -1344,9 +1328,8 @@ def _y_point(alpha: float, x: float, x_err: float = 0.0) -> tuple:
     else:
         w = 1.0 / x if alpha == 1.0 else 1.0 / (x * x) if alpha == 2.0 else x**-alpha
         w_err = u if alpha == 1.0 else 2.0 * u
-    w_err += alpha * x_err
     base, w_abs = 1.0 + w, abs(w)
-    return (x, x_err, x <= 1.0, w, w_abs, w_err, base, w_err * w_abs / base + u,
+    return (x, x <= 1.0, w, w_abs, w_err, base, w_err * w_abs / base + u,
             abs(math.log(abs(x))), abs(math.log(base)))
 
 
@@ -1395,89 +1378,65 @@ class MathieuSmoothFunction(emsum.SmoothFunction):
     At every shift it is one model in floats: the derivatives are the y-form
     values of `_YDerivative` with their rounding bounds, the variation of
     g^(k) comes from its monotone pieces between the turning intervals
-    isolated there, and the tail integral carries its own bound.  A float
-    shift is exact; a Fraction one is rounded once, which every value, piece
-    and integral then allows for.  Unshifted, it needs (gamma, alpha) in
-    Z+ x N (RegimeError otherwise), where g is smooth at 0: g^(k)(0) is P_k's
-    lowest coefficient rounded once, or 0; the pieces run on to -1/2 through
-    the y-form's integer powers; and the integral from 0 is B(a, b)/alpha
-    within `_TailConstants.whole_rel`.
+    isolated there, and the integral from 0 is `tail_integral` at the shift
+    with the bound of `_tail_point` and `_rounding_rel`.  The shift is a
+    float and exact: the point meant is the float given.  Unshifted, it
+    needs (gamma, alpha) in Z+ x N (RegimeError otherwise), where g is
+    smooth at 0: g^(k)(0) is P_k's lowest coefficient rounded once, or 0;
+    the pieces run on to -1/2 through the y-form's integer powers; and the
+    integral from 0 is B(a, b)/alpha within `_TailConstants.whole_rel`.
     """
 
-    def __init__(self, params: MathieuParams, shift: float | Fraction = 0.0):
+    def __init__(self, params: MathieuParams, shift: float = 0.0):
         self.params = params
-        self.shift = float(shift)
-        if not self.shift and not params.integer_regime:
+        self.shift = shift
+        if not shift and not params.integer_regime:
             raise RegimeError("the unshifted Euler-Maclaurin kernel needs gamma in Z+ "
                               "and alpha in N")
-        #: relative distance of the float shift from the one meant
-        self.shift_err = 0.0 if self.shift == shift else 2.0**-53
-        self.domain_left = -self.shift if self.shift else -0.5
+        self.domain_left = -shift if shift else -0.5
         self._models = _y_models(params.gamma, params.alpha, params.mu)
         #: the orders last taken at the shift, and g^(k) there with its error
         self._at_origin = (), ()
 
-    def _at(self, x: float) -> tuple[float, float]:
-        """x + shift rounded, and a bound on its distance from the exact sum
-        with the shift meant (two-sum error plus the shift's own)."""
-        z = x + self.shift
-        err = self.shift * self.shift_err
-        if x:
-            back = z - x
-            err += abs((x - (z - back)) + (self.shift - back))
-        return z, err
-
     def deriv(self, k: int, x: float) -> float:
-        return self.deriv_with_error(k, x)[0]
+        z = x + self.shift
+        if z <= (0.0 if self.shift else -1.0):
+            raise ParameterError(f"x = {x:g} lies left of the domain of g(x + {self.shift:g})")
+        return self._model(k).value(z)[0]
 
     def _model(self, k: int) -> _YDerivative:
         p = self.params
         return self._models[k] if k < len(self._models) \
             else _y_derivative(p.gamma, p.alpha, p.mu, k)
 
-    def deriv_with_error(self, k: int, x: float) -> tuple[float, float | None]:
-        if not x and k < len(self._models):
-            # at the shift itself, where the engines take their derivatives
-            orders, values = self._at_origin
-            return values[orders.index(k)] if k in orders else self._at_shift((k,))[0]
-        z, dz = self._at(x)
-        if z <= (0.0 if self.shift else -1.0):
-            raise ParameterError(f"x = {x:g} lies left of the domain of g(x + {self.shift:g})")
-        return self._model(k).value(z, dz / z if dz else 0.0)
-
-    def derivs_with_error(self, orders: tuple[int, ...], x: float
-                          ) -> list[tuple[float, float | None]]:
-        if x == 0.0 and orders[-1] < len(self._models):
-            return self._at_shift(orders)
-        return super().derivs_with_error(orders, x)
-
-    def _at_shift(self, orders: tuple[int, ...]) -> list[tuple[float, float]]:
-        """g^(k) at the shift for each k in `orders` (at most TAIL_ORDER),
-        with their errors: evaluated together, in one `_values_at` call from
-        one `_y_point`, and kept for `deriv_with_error`, of which the
-        variation at u = 0 asks g^(n), one of the orders the engine took."""
+    def derivs_with_error(self, orders: tuple[int, ...]) -> list[tuple[float, float]]:
+        """g^(k) at the shift for each k in `orders`, with their errors:
+        evaluated together, in one `_values_at` call from one `_y_point`,
+        and kept for `monotone_pieces`, which at u = 0 starts from g^(n),
+        one of the orders the engine took."""
         models = self._models
-        if len(orders) < len(models):
-            models = [models[k] for k in orders]
+        if len(orders) < len(models) or orders[-1] >= len(models):
+            models = [self._model(k) for k in orders]
         values = [m.at_zero for m in models] if not self.shift else \
-            _values_at(models, _y_point(self.params.alpha, self.shift, self.shift_err))
+            _values_at(models, _y_point(self.params.alpha, self.shift))
         self._at_origin = orders, values
         return values
 
     def monotone_pieces(self, k: int, a: float, b: float) -> tuple[list[float], float] | None:
-        # the engine rounded the ends it passes (eps u): widen each one, and a
-        # rounded shift, outward by 2^-50 relative, add, and step the sum one
-        # ulp further out, so the exact interval lies inside; an exact shift
-        # from 0 starts at the shift itself, and an end at 0 of the unshifted
-        # kernel stays there
-        s, widen = self.shift, (2.0**-50 if self.shift_err else 0.0)
-        first = None
-        if a or widen:
-            a = math.nextafter((a - abs(a) * 2.0**-50) + (s - s * widen), -math.inf)
+        # the engine rounded the ends it passes (eps u): widen each one
+        # outward by 2^-50 relative, add the shift, and step the sum one ulp
+        # further out, so the exact interval lies inside; an end at 0 starts
+        # at the shift itself, and an end at 0 of the unshifted kernel stays
+        # there
+        s, first = self.shift, None
+        if a:
+            a = math.nextafter((a - abs(a) * 2.0**-50) + s, -math.inf)
         else:
-            a, first = s, self.deriv_with_error(k, 0.0)
+            orders, values = self._at_origin
+            a, first = s, values[orders.index(k)] if k in orders \
+                else self.derivs_with_error((k,))[0]
         if b != math.inf and (b or s):
-            b = math.nextafter((b + abs(b) * 2.0**-50) + (s + s * widen), math.inf)
+            b = math.nextafter((b + abs(b) * 2.0**-50) + s, math.inf)
         if not s:
             # an end within 2^-100 of 0, where g^(k) could leave the float
             # range, moves out to 0 or to 2^-100 in size
@@ -1493,31 +1452,15 @@ class MathieuSmoothFunction(emsum.SmoothFunction):
             return left + right[1:], (left_slack + right_slack) * (1.0 + 2.0**-52)
         return model.pieces(a, b, first)
 
-    def tail_integral(self, t: float) -> float:
-        return tail_integral(self.params, t + self.shift)
-
-    def tail_integral_with_error(self, t: float) -> tuple[float, float | None]:
+    def integral_with_error(self) -> tuple[float, float]:
         p = self.params
-        x, dx = self._at(t)
-        if x < 0.0:
-            raise ParameterError("t must be nonnegative")
         if not p.delta > 1.0:
             raise ParameterError("the tail integral diverges unless delta > 1")
         c = _tail_constants(p)
-        if not x:  # from 0 itself, unshifted
+        if not self.shift:
             return c.whole, 1.01 * c.whole_rel * c.whole + 1e-300
-        value, rel = _tail_with_rel(p, c, x)
-        err = rel * value
-        if dx:
-            # x off by dx moves F by at most dx sup g between them: g at the
-            # left end where g decreases there, else the peak value of g
-            left = (x - dx) * (1.0 - 2.0**-50)
-            if left >= g_peak(p) * (1.0 + 2.0**-40):
-                g_sup = sum(_y_derivative(p.gamma, p.alpha, p.mu, 0).value(left))
-            else:
-                g_sup = 1.0 if p.gamma == 0 else 0.5 * g_total_variation(p)
-            err += dx * g_sup
-        return value, 1.01 * err + 1e-300
+        value, rel = _tail_point(p, c, self.shift)
+        return value, 1.01 * ((rel + _rounding_rel(p, c, self.shift)) * value) + 1e-300
 
 
 @functools.lru_cache(maxsize=1024)
@@ -1537,7 +1480,7 @@ class _PowerTail(emsum.SmoothFunction):
 
     F^(k)(x) = 2 (-delta)(-delta-1)...(-delta-k+1) (x + N)^(-delta-k) keeps
     one sign and |F^(k)| decreases, so the variation of F^(k) on [a, b] is
-    |F^(k)(a) - F^(k)(b)|, and int_t^inf F = 2 (t + N)^(1-delta) / (delta-1).
+    |F^(k)(a) - F^(k)(b)|, and int_0^inf F = 2 N^(1-delta) / (delta-1).
     delta is the exact alpha (mu+1) - gamma of the float parameters: where it
     is near 1 the sum moves by 1/(delta-1)^2 per unit of delta, so every
     factor that involves it is rounded once from the exact rational.
@@ -1556,11 +1499,8 @@ class _PowerTail(emsum.SmoothFunction):
         # log y) u; the power within 1 ulp, the factor and the product 1 each
         return v, 1.01 * (e * (1.0 + math.log(y)) + 6.0) * 2.0**-53 * abs(v)
 
-    def deriv(self, k: int, x: float) -> float:
-        return self._value(k, x)[0]
-
-    def deriv_with_error(self, k: int, x: float) -> tuple[float, float | None]:
-        return self._value(k, x)
+    def derivs_with_error(self, orders: tuple[int, ...]) -> list[tuple[float, float]]:
+        return [self._value(k, 0.0) for k in orders]
 
     def variation(self, k: int, a: float, b: float) -> float:
         if b < a:
@@ -1569,11 +1509,8 @@ class _PowerTail(emsum.SmoothFunction):
         vb, eb = (0.0, 0.0) if b == math.inf else self._value(k, b)
         return (abs(va - vb) + ea + eb) * (1.0 + 2.0**-50)
 
-    def tail_integral(self, t: float) -> float:
-        return self.tail_integral_with_error(t)[0]
-
-    def tail_integral_with_error(self, t: float) -> tuple[float, float | None]:
-        y, e = t + self.head, _pochhammer(self.params, -1)[1]
+    def integral_with_error(self) -> tuple[float, float]:
+        y, e = float(self.head), _pochhammer(self.params, -1)[1]
         value = 2.0 * y ** -e / e
         # as in _value with the exponent delta - 1, plus its rounding as a divisor
         return value, 1.01 * (e * (1.0 + math.log(y)) + 6.0) * 2.0**-53 * value
@@ -1593,8 +1530,9 @@ def _closed_tail(params: MathieuParams, t: float, alternating: bool,
     the sum past the head is 2 t^(-delta) times the engine's sum of the
     shifted kernel x -> g(x + eps head) at the same u (never at offset
     u + head, whose Bernoulli weights B_k(-u - head) explode), for every
-    kernel, in floats (`MathieuSmoothFunction`; eps head is exact where head
-    is a power of two, else rounded once and allowed for).  At t = 0, and
+    kernel, in floats (`MathieuSmoothFunction`).  Every head that reaches
+    here is 0 (`eval_em`) or 64 2^j (`_direct` doubles CLOSED_HEAD), so the
+    shift eps head is exact: a power of two times a float.  At t = 0, and
     past a head where delta + alpha > 1 (every plain series) wherever
     t^alpha <= 2^-100 or the shifted kernel leaves the float range, at any
     t (`_t_zero_drift`), the engine sums F(k + u), F = `_PowerTail`, with
@@ -1633,9 +1571,8 @@ def _shifted_tail(params: MathieuParams, t: float, alternating: bool,
                   head: int) -> tuple[float, float]:
     """(value, radius) of `_closed_tail` at t > 0 on the shifted kernel."""
     eps = 1.0 / t
-    shift = eps * head if head & (head - 1) == 0 else Fraction(eps) * head
     engine = emsum.boole_sum if alternating else emsum.em_sum
-    res = engine(MathieuSmoothFunction(params, shift), eps, params.u, TAIL_ORDER)
+    res = engine(MathieuSmoothFunction(params, eps * head), eps, params.u, TAIL_ORDER)
     scale = 2.0 * t ** (-params.delta)
     split = scale < 2.0**-1000
     if split:

@@ -187,8 +187,10 @@ def compute_mM(fw: SharpFramework) -> SharpConstants:
     for i in sorted(max_cands, key=fvals.__getitem__, reverse=True)[:6]:
         refine(i, minimize=False)
 
-    m, s_m = best_min
-    M, s_M = best_max
+    # an extremum from the grid was taken at _COARSE_TOL: evaluate both again
+    # at _FINE_TOL (a refined one gives the same bits)
+    (_, s_m), (_, s_M) = best_min, best_max
+    m, M = _profile(fw, s_m, _FINE_TOL), _profile(fw, s_M, _FINE_TOL)
     t_at_m = s_m / (1.0 - s_m)
     t_at_M = s_M / (1.0 - s_M)
     if f_inf <= m:

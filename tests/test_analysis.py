@@ -67,7 +67,6 @@ class TestAuxKernels:
             (analysis.g_pu, (0.4, 0.1)),
             (analysis.h_u, (0.7,)),
             (analysis.h_u_prime, (0.7,)),
-            (analysis.g_pu_prime, (0.4, 0.1)),
         ):
             below = f(*args, analysis._SERIES_SWITCH - eps)
             above = f(*args, analysis._SERIES_SWITCH + eps)

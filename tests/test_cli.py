@@ -566,7 +566,7 @@ README_COMMANDS = {
     ("asym", "--gamma", "1", "--alpha", "2", "--mu", "1", "--u", "0.5", "--n-terms", "6"):
         "1d151504da8f16fb27031ae80fb08f3fbe6ccef6204213c27fc168b6b99bd052",
     ("constants", "--mu", "1", "--u", "0"):
-        "033e8d78100d2d696b87ef24f6d457decc1072f21f3d552ce5e6b3f7b589dbc8",
+        "2a594de9d757790061351f8d114e54c2297387445fae7017f091f436e2f506fa",
     ("constants", "--inf", "--u", "0"):
         "028d9a807dd9013543e5c0da2a0a6afa10c45d7d4c1064cbf4f6f36392582bc9",
     ("verify", "all"):

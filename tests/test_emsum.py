@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from mathieuseries import emsum, mathieu, polyfun
@@ -161,6 +163,70 @@ class TestSmoothFunctionContract:
             emsum.em_sum(emsum.GaussPowerFunction(1, 1), 0.1, 0.0, 2)
         with pytest.raises(ParameterError):
             emsum.GaussPowerFunction(1, 1).tail_integral(0.5)
+
+
+def _rational(q: Fraction) -> mp.mpf:
+    return mp.mpf(q.numerator) / q.denominator
+
+
+def _stated_case(kind: str, args):
+    """A function under the engines' contract, with 40-digit references for
+    F^(k)(0), k = 0..8, and for its integral over [0, inf)."""
+    if kind == "exp":
+        f = emsum.ExpFunction(*args)
+        r, a = (mp.mpf(v) for v in args)
+        return f, [a * (-r) ** k for k in range(9)], a / r
+    kernel, at = args
+    g, alpha, mu = (Fraction(v) for v in kernel)
+    delta = alpha * (mu + 1) - g
+    if kind == "power":
+        f = mathieu._PowerTail(mathieu.MathieuParams(*kernel), at)
+        derivs, poch = [], mp.mpf(2)
+        for k in range(9):
+            derivs.append(poch * mp.mpf(at) ** -_rational(delta + k))
+            poch *= -_rational(delta + k)
+        return f, derivs, 2 * mp.mpf(at) ** _rational(1 - delta) / _rational(delta - 1)
+    f = mathieu.MathieuSmoothFunction(mathieu.MathieuParams(*kernel), at)
+    gm, am, mm = (_rational(v) for v in (g, alpha, mu))
+    b = (g + 1) / alpha
+    a_, b_ = _rational(mu + 1 - b), _rational(b)
+    s = 1 / (mp.mpf(at) ** am + 1)
+    if at:
+        derivs = [mp.diff(lambda x: x**gm * (1 + x**am) ** -(mm + 1), mp.mpf(at), k)
+                  for k in range(9)]
+    else:
+        # g = sum_j (-1)^j binom(mu+j, j) x^(gamma + alpha j) in Z+ x N
+        derivs = [mp.mpf(0)] * 9
+        for j in range(9):
+            n = int(g + alpha * j)
+            if n < 9:
+                derivs[n] = (-1) ** j * mp.factorial(n) * mp.binomial(mm + j, j)
+    return f, derivs, mp.betainc(a_, b_, 0, s) / am
+
+
+class TestStatedErrors:
+    """Each value a function gives the engines lies within the error it
+    states: `ExpFunction`'s few ulps, the y-form values of
+    `MathieuSmoothFunction` unshifted in Z+ x N and at power-of-two shifts,
+    and `_PowerTail`, each against 40 digits."""
+
+    @pytest.mark.parametrize("kind, args", [
+        ("exp", (1.0, 1.0)), ("exp", (1.3, 0.7)), ("exp", (0.2, 5.0)), ("exp", (3.7, -2.5)),
+        ("mathieu", ((1.0, 2.0, 1.0), 0.0)), ("mathieu", ((0.0, 2.0, 1.0), 0.0)),
+        ("mathieu", ((2.0, 2.0, 1.5), 0.0)), ("mathieu", ((0.0, 3.0, 0.7), 0.0)),
+        ("mathieu", ((0.0, 1.0, 1.3), 0.0)),
+        ("mathieu", ((1.0, 2.0, 1.0), 0.125)), ("mathieu", ((0.0, 2.0, 1.0), 2.0)),
+        ("mathieu", ((0.5, 1.5, 1.0), 1.0)), ("mathieu", ((1.0, 1.5, 1.0), 8.0)),
+        ("mathieu", ((0.0, 2.5, 0.3), 64.0)), ("mathieu", ((2.0, 2.5, 1.0), 0.25)),
+        ("power", ((1.0, 2.0, 1.0), 64)), ("power", ((0.5, 1.5, 1.0), 128)),
+        ("power", ((1.0, 2.0, 0.3), 256)),
+    ])
+    def test_values_within_their_stated_errors(self, kind, args):
+        f, derivs, integral = _stated_case(kind, args)
+        for k, (value, err) in enumerate(f.derivs_with_error(tuple(range(9)))):
+            assert abs(value - derivs[k]) <= err, (kind, args, k)
+        value, err = f.integral_with_error()
+        assert abs(value - integral) <= err, (kind, args)
 
 
 class TestAsymptoticCoefficients:

@@ -186,9 +186,10 @@ class TestTailIntegral:
         params = mathieu.MathieuParams(0.0, 2.0, 1.0, 0.0)
         assert mathieu.tail_integral(params, 0.0) == pytest.approx(math.pi / 4, rel=1e-12)
         # from 0 the value is B(a, b)/alpha, and its bound is that of B(a, b)/alpha
-        rel = mathieu.tail_integral_rel_err(params, 0.0)
-        assert rel == mathieu._tail_constants(params).whole_rel
-        assert abs(mathieu.tail_integral(params, 0.0) - mp.pi / 4) <= rel * mp.pi / 4
+        c = mathieu._tail_constants(params)
+        value, err = mathieu.MathieuSmoothFunction(params).integral_with_error()
+        assert (value, err) == (c.whole, 1.01 * c.whole_rel * c.whole + 1e-300)
+        assert abs(value - mp.pi / 4) <= c.whole_rel * mp.pi / 4
 
     def test_exponent_one_family(self):
         params = mathieu.MathieuParams(0.0, 1.0, 2.0, 0.0)
@@ -233,7 +234,9 @@ class TestTailIntegral:
         # every form, against the 40-digit incomplete Beta integral at the
         # exact (a, b); x near 1 puts s within 1e-3 of 1/2, where the series
         # in s gives way to B(a, b) - B_q(b, a), and x <= 1e-6 puts s near 1
-        # (with b < 1 for three of the series kernels)
+        # (with b < 1 for three of the series kernels).  The integral from 0
+        # of g(x + shift) states err = 1.01 (rel value) + 1e-300, with rel
+        # the relative bound at the shift: the value lies within rel of ref
         p = mathieu.MathieuParams(*params)
         assert mathieu._tail_constants(p).form == form
         g, a_, mu, _ = (mp.mpf(x) for x in params)
@@ -243,8 +246,9 @@ class TestTailIntegral:
                   1e4):
             s = 1 / (mp.mpf(x) ** a_ + 1)
             ref = mp.betainc(a, b, 0, s) / a_
-            got = mathieu.tail_integral(p, x)
-            assert abs(got - ref) <= mathieu.tail_integral_rel_err(p, x) * ref, (params, x)
+            value, err = mathieu.MathieuSmoothFunction(p, x).integral_with_error()
+            assert value == mathieu.tail_integral(p, x), (params, x)
+            assert 1.01 * abs(value - ref) + 1e-300 <= err, (params, x)
 
     def test_series_bound_against_mpmath(self):
         # random (a, b, s) with a, b in [0.01, 50]: the kernel (0, 1/b, a+b-1)
@@ -267,9 +271,9 @@ class TestTailIntegral:
                 ref = mp.betainc(a_, b_, 0, s_) / mp.mpf(p.alpha)
                 if ref < 1e-290:  # below 2^-1000 the tail raises OverflowError
                     continue
-                got = mathieu.tail_integral(p, x)
-                bound = mathieu.tail_integral_rel_err(p, x)
-                assert abs(got - ref) <= bound * ref, (a, b, s)
+                # err = 1.01 (rel value) + 1e-300, as in the closed forms' test
+                value, err = mathieu.MathieuSmoothFunction(p, x).integral_with_error()
+                assert 1.01 * abs(value - ref) + 1e-300 <= err, (a, b, s)
                 checked += 1
         assert checked >= 300
 
@@ -289,23 +293,25 @@ class TestTailIntegral:
                     else mathieu._direct_tail
                 taken.add(series)
                 expected = series(c, s, q)[1] + mathieu._rounding_rel(p, c, x)
-                assert mathieu.tail_integral_rel_err(p, x) == expected, (params, x)
+                value, err = mathieu.MathieuSmoothFunction(p, x).integral_with_error()
+                assert err == 1.01 * (expected * value) + 1e-300, (params, x)
         assert taken == {mathieu._reflected_tail, mathieu._direct_tail}
 
     @pytest.mark.parametrize("params", [(0.0, 2.0, 1.0, 0.0), (0.0, 2.5, 0.3, 0.0),
                                         (2.0, 2.5, 0.2000004, 0.0), (0.5, 1.5, 2.0, 0.0)])
     def test_shifted_tail_states_the_point_bound(self, params):
         # a closed tail's integral term takes its value and bound from one
-        # evaluation; they are tail_integral's and tail_integral_rel_err's
-        # (shift + t exact here, so the point carries no rounding)
+        # evaluation at the shift: tail_integral's value, and the bound of the
+        # form that gave it plus the rounding of (a, b)
         p = mathieu.MathieuParams(*params)
+        c = mathieu._tail_constants(p)
         for shift in (0.25, 0.875, 1.5, 64.0):
-            f = mathieu.MathieuSmoothFunction(p, shift)
             for t in (0.0, 0.5, 3.0):
                 x = shift + t
-                value, err = f.tail_integral_with_error(t)
+                value, err = mathieu.MathieuSmoothFunction(p, x).integral_with_error()
                 assert value == mathieu.tail_integral(p, x), (params, x)
-                assert err == 1.01 * (mathieu.tail_integral_rel_err(p, x) * value) + 1e-300
+                rel = mathieu._tail_point(p, c, x)[1] + mathieu._rounding_rel(p, c, x)
+                assert err == 1.01 * (rel * value) + 1e-300
 
     def test_split_switches_where_the_cancellation_factor_reaches_its_bound(self):
         # past s = 1/2 the series in q = 1 - s takes over while
@@ -816,14 +822,13 @@ class TestHeadZero:
         # times the coefficient where n = gamma + alpha j, else 0, rounded once
         gamma, alpha, mu = kernel
         f = mathieu.MathieuSmoothFunction(mathieu.MathieuParams(gamma, alpha, mu, 0.0))
-        for n in range(12):
+        for n, (value, err) in enumerate(f.derivs_with_error(tuple(range(12)))):
             j, rest = divmod(n - gamma, alpha)
             exact = Fraction(0)
             if n >= gamma and not rest:
                 exact = Fraction(math.factorial(n) * (-1) ** j)
                 for i in range(1, j + 1):
                     exact *= (Fraction(mu) + i) / i
-            value, err = f.deriv_with_error(n, 0.0)
             assert value == float(exact), (kernel, n)
             assert abs(Fraction(value) - exact) <= err, (kernel, n)
 
@@ -837,7 +842,7 @@ class TestHeadZero:
             a = Fraction(p.mu) + 1 - b
             exact = mp.beta(mp.mpf(a.numerator) / a.denominator,
                             mp.mpf(b.numerator) / b.denominator) / p.alpha
-            value, err = mathieu.MathieuSmoothFunction(p).tail_integral_with_error(0.0)
+            value, err = mathieu.MathieuSmoothFunction(p).integral_with_error()
             assert value == mathieu.tail_integral(p, 0.0), params
             assert abs(mp.mpf(value) - exact) <= err, params
 
@@ -850,7 +855,7 @@ class TestHeadZero:
         f = mathieu.MathieuSmoothFunction(mathieu.MathieuParams(*kernel, 0.0))
         for n in (0, 3, 8):
             for x in (-0.45, -0.1, -1e-3):
-                value, err = f.deriv_with_error(n, x)
+                value, err = f._model(n).value(x)
                 assert abs(mp.mpf(value) - mp.diff(g, mp.mpf(x), n)) <= err, (kernel, n, x)
         with pytest.raises(ParameterError):
             f.deriv(0, -1.0)
@@ -1201,7 +1206,7 @@ class TestClosedTail:
             *((True, (0.0, 2.0, 0.0, 0.0), t, poisson_alt_mp(t)) for t in (1e3, 1e5, 1e6)),
         ):
             p = mathieu.MathieuParams(*params)
-            for head in (64, 65, 300):
+            for head in (64, 128, 256):
                 head_sum = mp.fsum((-1) ** ((k - 1) * alternating) * 2 * (k + mp.mpf(p.u)) ** p.gamma
                                    / ((k + mp.mpf(p.u)) ** p.alpha + mp.mpf(t) ** p.alpha)
                                    ** (p.mu + 1)

@@ -134,6 +134,13 @@ class TestFramework:
         assert not consts.certified
         assert 0.0 < consts.m <= consts.M < math.inf
 
+    def test_compute_mM_reports_M_at_the_fine_tolerance(self):
+        # M = f(0) = 1/(2 zeta(3)) is a grid point, whose profile value at the
+        # grid's tolerance 1e-7 read 1.5e-10 high
+        consts = sharp.compute_mM(sharp.SharpFramework.for_s_mu(1.0, 0.0))
+        assert consts.t_at_M == 0.0
+        assert abs(consts.M - 1 / TWO_ZETA3) <= 1e-12
+
     def test_compute_mM_chain(self):
         for mu, u in ((0.5, 0.0), (2.0, 0.0), (1.0, 1.0)):
             consts = sharp.compute_mM(sharp.SharpFramework.for_s_mu(mu, u))
