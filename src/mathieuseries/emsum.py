@@ -380,7 +380,7 @@ def _weights(family: str, u: float, n: int) -> _Weights:
         h = polyfun.poly_eval_error(k_order, family, -u)
         parts.append(((-1.0) ** k, math.factorial(k + 1) if bernoulli else 2.0 * math.factorial(k),
                       p, abs(p), 4.01 * 2.0**-53 * (abs(p) + h) + h))
-        if u or coeffs(k_order).coeffs[0] or k == n:
+        if u or coeffs(k_order)[0] or k == n:
             orders.append(k)
     return _Weights(
         sup_spline=polyfun.spline_sup(polyfun.SplineKind(family, order)),

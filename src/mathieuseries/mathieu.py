@@ -8,16 +8,16 @@ and tail integral, the large-t expansions, closed-form Poisson oracles for the
 gamma=0, alpha=2, mu=0 case, and a regime dispatcher whose every path is
 rigorous.
 
-The tail integral int_x^inf g is an incomplete Beta function B_s(a, b)/alpha,
-taken in floats from a closed form or from its positive hypergeometric
-series with a proven truncation and rounding bound at that point, which
-one evaluation gives with the value (`_tail_point`), so no evaluator needs
-scipy.
+The tail integral int_x^inf g is an incomplete Beta function B_s(a, b)/alpha
+in floats, from a closed form or its positive hypergeometric series with a
+proven truncation and rounding bound (`_tail_point`), so no evaluator needs
+scipy.  A sum reads its arguments and what it takes from (gamma, alpha, mu)
+alone, built once per kernel (`_Kernel`).
 
-Every sum is a value plus an interval that contains it.  A sum takes a
-head of 64 terms and closes the rest at once by the Euler-Maclaurin
-(Boole's, alternating) engine with its certified remainder, the head
-doubled while that misses tol.  Only the plain gamma=1, alpha=2 family
+Every sum is a value plus an interval that contains it.  A sum takes a head
+of 64 terms and closes the rest at once by the Euler-Maclaurin (Boole's,
+alternating) engine with its certified remainder, the head doubled while
+that misses tol, up to MAX_TERMS.  Only the plain gamma=1, alpha=2 family
 first climbs a ladder, doubling its head from the monotone index while the
 two-sided Hermite-Hadamard bounds of the rest miss tol, up to CROSSOVER
 terms.  Those bounds take a convex kernel object (`PowerKernel` for the
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import threading
 import warnings
 from collections import OrderedDict, namedtuple
@@ -56,12 +55,7 @@ from .errors import (
 )
 
 #: Direct summation stops growing once this many terms were used.
-MAX_TERMS_ENV = "MATHIEU_MAX_TERMS"
-_DEFAULT_MAX_TERMS = 20_000_000
-#: MAX_TERMS_ENV as os.environ stores it: where it is unset, a look into that
-#: store takes about 0.1 us, against 1-2 us for os.environ.get, which raises
-#: and catches KeyError twice.
-_MAX_TERMS_KEY = os.environ.encodekey(MAX_TERMS_ENV)
+MAX_TERMS = 20_000_000
 
 #: Direct summation adds its first terms in one exact math.fsum ...
 _EXACT_HEAD = 16
@@ -87,20 +81,6 @@ CROSSOVER = 1 << 14
 DIRECT = "direct"
 EULER_MACLAURIN = "euler-maclaurin"
 ASYMPTOTIC = "asymptotic"
-
-
-def _max_terms() -> int:
-    """The term cap, MAX_TERMS_ENV read on every call."""
-    if _MAX_TERMS_KEY not in os.environ._data:
-        return _DEFAULT_MAX_TERMS
-    raw = os.environ[MAX_TERMS_ENV]
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ParameterError(f"{MAX_TERMS_ENV} must be a positive integer, not {raw!r}")
-    return cap
 
 
 def _is_nonneg_int(x: float) -> bool:
@@ -293,9 +273,13 @@ _REFLECT_Q = 2.0**-7
 _SERIES_MAX_TERMS = 1 << 20
 
 
-class _TailConstants:
-    """What `tail_integral` and `MathieuSmoothFunction.integral_with_error`
-    take from the kernel alone, kept once per kernel (`_tail_constants`).
+class _Kernel:
+    """What a sum takes from the kernel g of (gamma, alpha, mu) alone, kept
+    for the 256 kernels last used (`_kernel`), each part built on first use:
+    the exact delta and its rounding, the y-form numerators P_n and their
+    models, the factors of `_PowerTail` and the tail integral's constants.
+    A dict entry is built outside its dict and put in by setdefault, so
+    threads that build one at once all keep the first.
 
     (a, b) = (mu + 1 - (gamma+1)/alpha, (gamma+1)/alpha) are each rounded
     once from their exact values: a = (delta - 1)/alpha is small where delta
@@ -303,25 +287,84 @@ class _TailConstants:
     error relative to mu + 1, not to a, and B(a, b) ~ 1/a would follow.
     (da, db) are those roundings.  `form` is 'a=1', 'a=b=1/2' or 'b=n' when
     a is exactly 1, a and b are both exactly 1/2, or b is exactly a positive
-    integer (checked in rationals), else None.  B(a, b), the bounds and the
-    series' switch point `split` are computed on first use, by the forms
-    that need them.
+    integer (checked in rationals), else None.
     """
 
-    def __init__(self, params: MathieuParams):
-        g, alpha = Fraction(params.gamma), Fraction(params.alpha)
-        b_exact = (g + 1) / alpha
-        a_exact = Fraction(params.mu) + 1 - b_exact
-        self.a, self.b = a, b = float(a_exact), float(b_exact)
-        self.alpha = params.alpha
-        self.da, self.db = float(abs(Fraction(a) - a_exact)), float(abs(Fraction(b) - b_exact))
-        self.form = None
-        if a == 1.0 and Fraction(params.mu) * alpha == g + 1:
-            self.form = "a=1"
-        elif (a_exact, b_exact) == (Fraction(1, 2), Fraction(1, 2)):
-            self.form = "a=b=1/2"
-        elif b.is_integer() and b <= _CLOSED_FORM_MAX_B and Fraction(b) * alpha == g + 1:
-            self.form = "b=n"
+    def __init__(self, gamma: float, alpha: float, mu: float):
+        self.gamma, self.alpha, self.mu = gamma, alpha, mu
+        # n -> P_n, n -> the model of g^(n), k -> `pochhammer(k)`, read first by `_PowerTail`
+        self._numerators, self._models, self.factors = {0: (Fraction(1),)}, {}, {}
+
+    @functools.cached_property
+    def exact_delta(self) -> Fraction:
+        """alpha (mu+1) - gamma of the float parameters, without rounding."""
+        return Fraction(self.alpha) * (Fraction(self.mu) + 1) - Fraction(self.gamma)
+
+    @functools.cached_property
+    def delta_error(self) -> float:
+        """|MathieuParams.delta - exact_delta|, rounded up."""
+        diff = abs(Fraction(self.alpha * (self.mu + 1.0) - self.gamma) - self.exact_delta)
+        return polyfun.round_up(diff) if diff else 0.0
+
+    @functools.cached_property
+    def exact_ab(self) -> tuple[Fraction, Fraction]:
+        alpha = Fraction(self.alpha)
+        return (self.exact_delta - 1) / alpha, (Fraction(self.gamma) + 1) / alpha
+
+    a = functools.cached_property(lambda self: float(self.exact_ab[0]))
+    b = functools.cached_property(lambda self: float(self.exact_ab[1]))
+    da = functools.cached_property(lambda self: float(abs(Fraction(self.a) - self.exact_ab[0])))
+    db = functools.cached_property(lambda self: float(abs(Fraction(self.b) - self.exact_ab[1])))
+
+    @functools.cached_property
+    def form(self) -> str | None:
+        g, alpha, b = Fraction(self.gamma), Fraction(self.alpha), self.b
+        if self.a == 1.0 and Fraction(self.mu) * alpha == g + 1:
+            return "a=1"
+        if self.exact_ab == (Fraction(1, 2), Fraction(1, 2)):
+            return "a=b=1/2"
+        if b.is_integer() and b <= _CLOSED_FORM_MAX_B and Fraction(b) * alpha == g + 1:
+            return "b=n"
+        return None
+
+    def numerator(self, n: int) -> tuple[Fraction, ...]:
+        """P_n of g^(n)(x) = x^(gamma-n) (1+y)^(-m-n) P_n(y), y = x^alpha,
+        m = mu + 1, exact in the Fractions of the float parameters.
+
+        P_0 = 1 and P_{j+1} = (gamma-j)(1+y) P_j - (m+j) alpha y P_j + alpha y (1+y) P_j',
+        whose coefficient of y^i is
+        (gamma - j + alpha i) p_i - (delta + j + alpha (j+1-i)) p_(i-1).
+        """
+        poly = self._numerators.get(n)
+        if poly is None:
+            g, a, d, j = Fraction(self.gamma), Fraction(self.alpha), self.exact_delta, n - 1
+            p = (Fraction(0),) + self.numerator(j) + (Fraction(0),)  # p[i] is p_(i-1)
+            poly = self._numerators.setdefault(n, tuple(
+                (g - j + a * i) * p[i + 1] - (d + j + a * (j + 1 - i)) * p[i]
+                for i in range(n + 1)))
+        return poly
+
+    def model(self, n: int) -> _YDerivative:
+        """The `_YDerivative` of g^(n)."""
+        model = self._models.get(n)
+        if model is None:
+            model = self._models.setdefault(n, _YDerivative(self, n))
+        return model
+
+    @functools.cached_property
+    def models(self) -> tuple[_YDerivative, ...]:
+        """`model` for n = 0..TAIL_ORDER, the orders a closed tail takes."""
+        return tuple(self.model(n) for n in range(TAIL_ORDER + 1))
+
+    def pochhammer(self, k: int) -> tuple[float, float]:
+        """(2 (-delta)(-delta-1)...(-delta-k+1), delta + k) of `_PowerTail`,
+        each rounded once from `exact_delta`; k = -1 gives delta - 1."""
+        out = self.factors.get(k)
+        if out is None:
+            d = self.exact_delta
+            poch = 2 * math.prod(-(d + j) for j in range(k))
+            out = self.factors.setdefault(k, (float(poch), float(d + k)))
+        return out
 
     @functools.cached_property
     def beta(self) -> float:
@@ -403,9 +446,7 @@ class _TailConstants:
         return lo
 
 
-@functools.lru_cache(maxsize=256)
-def _tail_constants(params: MathieuParams) -> _TailConstants:
-    return _TailConstants(params)
+_kernel = functools.lru_cache(maxsize=256)(_Kernel)
 
 
 def _beta_point(params: MathieuParams, x: float) -> tuple[float, float]:
@@ -455,7 +496,7 @@ def _beta_series(a: float, b: float, s: float) -> tuple[float, float]:
     return total, moment / total
 
 
-def _powers(c: _TailConstants, s: float, q: float) -> float:
+def _powers(c: _Kernel, s: float, q: float) -> float:
     """s^a q^b, each power at least 2^-1000 (else OverflowError)."""
     sa, qb = s**c.a, q**c.b
     if min(sa, qb) < 2.0**-1000:
@@ -463,7 +504,7 @@ def _powers(c: _TailConstants, s: float, q: float) -> float:
     return sa * qb
 
 
-def _direct_tail(c: _TailConstants, s: float, q: float) -> tuple[float, float]:
+def _direct_tail(c: _Kernel, s: float, q: float) -> tuple[float, float]:
     """(s^a q^b sum / (a alpha), its relative error bound): the tail integral
     from the series in s (`_beta_series`).  With s and q within 4u, s^a and
     q^b carry (4a + 2) u and (4b + 2) u (pow within 1 ulp), and the product,
@@ -473,7 +514,7 @@ def _direct_tail(c: _TailConstants, s: float, q: float) -> tuple[float, float]:
             1.01 * (4.0 * (c.a + c.b) + 10.0 + 10.0 * mean) * 2.0**-53)
 
 
-def _reflected_part(c: _TailConstants, s: float, q: float) -> tuple[float, float]:
+def _reflected_part(c: _Kernel, s: float, q: float) -> tuple[float, float]:
     """(B_q(b, a) = q^b s^a sum / b, its relative error bound), the series
     in q with a and b swapped; the roundings are those of `_direct_tail`,
     with one quotient fewer."""
@@ -481,7 +522,7 @@ def _reflected_part(c: _TailConstants, s: float, q: float) -> tuple[float, float
     return _powers(c, s, q) * total / c.b, (4.0 * (c.a + c.b) + 9.0 + 10.0 * mean) * 2.0**-53
 
 
-def _reflected_tail(c: _TailConstants, s: float, q: float) -> tuple[float, float]:
+def _reflected_tail(c: _Kernel, s: float, q: float) -> tuple[float, float]:
     """((B(a, b) - B_q(b, a)) / alpha, its relative error bound): B within
     `beta_rel` and B_q within its own bound, relative to B - B_q, times
     1 + phi and phi with phi = B_q / (B - B_q), plus the difference and the
@@ -498,7 +539,7 @@ def tail_integral(params: MathieuParams, t: float) -> float:
     """F(t) = int_t^inf g(x) dx via the incomplete Beta function.
 
     The substitution s = 1/(x^alpha + 1) turns the tail into
-    (1/alpha) B_s(a, b) with (a, b) from `_tail_constants`; convergence
+    (1/alpha) B_s(a, b) with (a, b) from the kernel's record; convergence
     needs delta > 1.  Where a = 1, a = b = 1/2 (the Poisson kernel and its
     (gamma, 2 gamma + 2, 0) relatives) or b = n is a positive integer,
     B_s has a closed form:
@@ -511,7 +552,7 @@ def tail_integral(params: MathieuParams, t: float) -> float:
     `_beta_point` (accurate where s is near 1), B(a, b) - B_q(b, a) by the
     same series in q, while its cancellation factor I_q / (1 - I_q) stays
     at most _REFLECT_MAX (or q < _REFLECT_Q), and the series in s
-    beyond that (`_TailConstants.split`).
+    beyond that (`_Kernel.split`).
     A value or a power below 2^-1000, whose relative error no longer holds
     in float64, raises OverflowError, as does a t whose x^alpha leaves the
     float range.
@@ -520,13 +561,13 @@ def tail_integral(params: MathieuParams, t: float) -> float:
         raise ParameterError("t must be nonnegative")
     if not params.delta > 1.0:
         raise ParameterError("the tail integral diverges unless delta > 1")
-    c = _tail_constants(params)
+    c = _kernel(params.gamma, params.alpha, params.mu)
     if t == 0.0:
         return c.whole
     return _tail_point(params, c, t)[0]
 
 
-def _tail_point(params: MathieuParams, c: _TailConstants, x: float) -> tuple[float, float]:
+def _tail_point(params: MathieuParams, c: _Kernel, x: float) -> tuple[float, float]:
     """(`tail_integral` at x > 0, the relative bound of the form that gave
     it, before the rounding of (a, b), which `_rounding_rel` adds).
 
@@ -566,7 +607,7 @@ def _tail_point(params: MathieuParams, c: _TailConstants, x: float) -> tuple[flo
     return value, rel
 
 
-def _rounding_rel(params: MathieuParams, c: _TailConstants, x: float) -> float:
+def _rounding_rel(params: MathieuParams, c: _Kernel, x: float) -> float:
     """The relative bound that the rounding of (a, b) adds to `_tail_point`
     at x > 0: a and b are rounded once from their exact values, and F moves
     by at most |da| (|log s| + 1/a) F and |db| |log(1-s)| F under such a
@@ -877,7 +918,7 @@ def bracketed_sum(kernel: ConvexKernel, u: float, y: float, tol: float) -> EvalR
     from 16 terms (`convex_chunks`, whose factors are cached per u and
     range, the same bits whatever the cache holds) with the Hermite-Hadamard
     tail `_hh_tail`, doubled while the bracket is wider than tol and
-    narrows, up to the term cap MATHIEU_MAX_TERMS.
+    narrows, up to the term cap MAX_TERMS.
 
     The caller keeps every term past the 16th at least 0 (`_sum_terms` takes
     a chunk's sum as its sum of |terms|) and the tail bounds valid from
@@ -885,7 +926,7 @@ def bracketed_sum(kernel: ConvexKernel, u: float, y: float, tol: float) -> EvalR
     the exact one.
     """
     return _doubled_head(convex_chunks(kernel.g, u, y), _hh_tail(kernel, u, y), 16, tol,
-                         4e-15, _max_terms())
+                         4e-15, MAX_TERMS)
 
 
 def _doubled_head(chunk, tail, n: int, tol: float, term_rtol: float, cap: int,
@@ -898,8 +939,7 @@ def _doubled_head(chunk, tail, n: int, tol: float, term_rtol: float, cap: int,
     its alternating sign (`_sum_terms`).
     """
     if n > cap:
-        raise ToleranceError(f"a head of {n} terms is past the {cap}-term cap; "
-                             f"raise {MAX_TERMS_ENV}")
+        raise ToleranceError(f"a head of {n} terms is past the {cap}-term cap")
     rest = tail(n)
     while 2.0 * rest[1] > tol and 2 * n <= cap:
         longer = tail(2 * n)
@@ -924,12 +964,12 @@ def _doubled_head(chunk, tail, n: int, tol: float, term_rtol: float, cap: int,
 
 
 def _direct(params: MathieuParams, t: float, tol: float, alternating: bool) -> EvalResult:
-    """The sum past a head, the term cap read once.  Plain sums of the
-    gamma=1, alpha=2 family, the series of `PowerKernel(mu)` at y = t^2,
-    climb the Hermite-Hadamard ladder (`_hh_tail`) from the monotone index,
-    at least CLOSED_HEAD, up to min(CROSSOVER, cap); past it, and for every
-    other sum, `_closed_tail` closes the rest past a head of CLOSED_HEAD
-    terms; `_doubled_head` doubles both heads.  A tail out of the float
+    """The sum past a head.  Plain sums of the gamma=1, alpha=2 family, the
+    series of `PowerKernel(mu)` at y = t^2, climb the Hermite-Hadamard
+    ladder (`_hh_tail`) from the monotone index, at least CLOSED_HEAD, up to
+    min(CROSSOVER, MAX_TERMS); past it, and for every other sum,
+    `_closed_tail` closes the rest past a head of CLOSED_HEAD terms;
+    `_doubled_head` doubles both heads.  A tail out of the float
     range has an infinite radius.  Past the monotone index an alternating
     tail that misses tol gives way to the narrower one-term bracket
     [0, f(head+1)] (with that term's sign), as at huge t, where the shifted
@@ -937,12 +977,11 @@ def _direct(params: MathieuParams, t: float, tol: float, alternating: bool) -> E
     """
     chunk = _term_chunks(params, t)
     rtol = _term_rtol(params)
-    cap = _max_terms()
     if not alternating and params.gamma == 1.0 and params.alpha == 2.0:
         try:
             return _doubled_head(chunk, _hh_tail(PowerKernel(params.mu), params.u, t * t),
                                  max(_monotone_from(params, t), CLOSED_HEAD), tol, rtol,
-                                 min(CROSSOVER, cap))
+                                 min(CROSSOVER, MAX_TERMS))
         except ToleranceError:
             pass
 
@@ -955,10 +994,10 @@ def _direct(params: MathieuParams, t: float, tol: float, alternating: bool) -> E
             # past the monotone index the rest lies between 0 and the next term
             half = 0.5 * (float(_terms(params, t)(head + 1)) * (1.0 + 2.0 * rtol))
             if half < tail[1]:
-                return (-half if head % 2 else half), half, 0
+                return half, half, 0
         return tail
 
-    return _doubled_head(chunk, tail_past, CLOSED_HEAD, tol, rtol, cap, alternating)
+    return _doubled_head(chunk, tail_past, CLOSED_HEAD, tol, rtol, MAX_TERMS, alternating)
 
 
 def eval_S(params: MathieuParams, t: float, tol: float = 1e-10) -> EvalResult:
@@ -1105,26 +1144,6 @@ def eval_asym(params: MathieuParams, t: float) -> EvalResult:
 # Euler-Maclaurin path and dispatch
 # --------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=256)
-def _y_numerators(gamma: float, alpha: float, mu: float,
-                  n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """(P_0, ..., P_n) of g^(j)(x) = x^(gamma-j) (1+y)^(-m-j) P_j(y), y = x^alpha,
-    m = mu + 1, for any kernel, exact in the Fractions of the float parameters.
-
-    P_0 = 1 and P_{j+1} = (gamma-j)(1+y) P_j - (m+j) alpha y P_j + alpha y (1+y) P_j',
-    whose coefficient of y^i is
-    (gamma - j + alpha i) p_i - (delta + j + alpha (j+1-i)) p_(i-1).
-    """
-    if n == 0:
-        return ((Fraction(1),),)
-    polys = _y_numerators(gamma, alpha, mu, n - 1)
-    g, a = Fraction(gamma), Fraction(alpha)
-    d, j = a * (Fraction(mu) + 1) - g, n - 1
-    p = (Fraction(0),) + polys[-1] + (Fraction(0),)  # p[i] is p_(i-1)
-    return polys + (tuple((g - j + a * i) * p[i + 1] - (d + j + a * (j + 1 - i)) * p[i]
-                          for i in range(n + 1)),)
-
-
 def _rounded(q: Fraction) -> tuple[float, float]:
     """q rounded once, and that rounding, rounded up."""
     f = float(q)
@@ -1134,7 +1153,7 @@ def _rounded(q: Fraction) -> tuple[float, float]:
 class _YDerivative:
     """g^(n) in the y-form x^(gamma-n) (1+y)^(-m-n) P_n(y), y = x^alpha and
     m = mu + 1, evaluated in floats at x > 0 with a rounding bound, for every
-    kernel (`_y_numerators`), and in Z+ x N, where every power is an
+    kernel (`_Kernel.numerator`), and in Z+ x N, where every power is an
     integer, at x in (-1, 0] too.
 
     With P_n = sum_(lo <= i <= hi) c_i y^i, the value is
@@ -1148,9 +1167,10 @@ class _YDerivative:
     y^(1/alpha), and left of 0 at those of `left_turns`.
     """
 
-    def __init__(self, gamma: float, alpha: float, mu: float, n: int):
-        self.gamma, self.alpha, self.mu, self.n = gamma, alpha, mu, n
-        poly = _y_numerators(gamma, alpha, mu, n)[n]
+    def __init__(self, kernel: _Kernel, n: int):
+        self.kernel, self.n = kernel, n
+        self.gamma, self.alpha, self.mu = gamma, alpha, mu = kernel.gamma, kernel.alpha, kernel.mu
+        poly = kernel.numerator(n)
         nonzero = [i for i, c in enumerate(poly) if c]
         lo, hi = nonzero[0], nonzero[-1]
         self.spread = hi - lo  # the degree of both polynomials below
@@ -1177,7 +1197,7 @@ class _YDerivative:
     def _sup_next(self, l: float, h: float) -> float:
         """Upper bound on |g^(n+2)| over [l, h], 0 < l < h < inf, in floats
         with a factor 2 for their rounding: each factor at its worse end."""
-        poly = _y_numerators(self.gamma, self.alpha, self.mu, self.n + 2)[-1]
+        poly = self.kernel.numerator(self.n + 2)
         e, y = self.gamma - self.n - 2.0, h**self.alpha
         size = math.fsum(abs(float(c)) * y**i for i, c in enumerate(poly))
         return 2.0 * max(l**e, h**e) * (1.0 + l**self.alpha) ** -(self.mu + 3.0 + self.n) * size
@@ -1186,7 +1206,7 @@ class _YDerivative:
         """Upper bound on |g^(n+2)| over [-r, r], 0 < r < 1, in Z+ x N, as
         `_sup_next` bounds it on the first form, whose power of |x| is at
         least 0 there, with 1 + y between 1 - r^alpha and 1 + r^alpha."""
-        poly = _y_numerators(self.gamma, self.alpha, self.mu, self.n + 2)[-1]
+        poly = self.kernel.numerator(self.n + 2)
         lo = next(i for i, c in enumerate(poly) if c)
         e, y = self.gamma - self.n - 2.0 + self.alpha * lo, r**self.alpha
         size = math.fsum(abs(float(c)) * y**i for i, c in enumerate(poly[lo:]))
@@ -1222,7 +1242,7 @@ class _YDerivative:
         in an exact interval in y, whose ends map to x = y^(1/alpha), rounded
         outward (`_x_of_y`) by (4 + (1 + |log y|)/alpha) 2^-52 of x, which
         covers the pow and the roundings of 1/alpha and of y."""
-        poly = _y_numerators(self.gamma, self.alpha, self.mu, self.n + 1)[-1]
+        poly = self.kernel.numerator(self.n + 1)
         return self._turns(((_x_of_y(float(yl), self.alpha, -1.0),
                              _x_of_y(float(yh), self.alpha, 1.0))
                             for yl, yh in polyfun.real_root_intervals(poly, Fraction(0))),
@@ -1234,7 +1254,7 @@ class _YDerivative:
         with v = |x|^alpha, so each turning point is a root v < 2^-alpha of
         P_(n+1)((-1)^alpha v) / v^lo, which is c_lo != 0 at v = 0; its exact
         interval in v maps outward to x = -v^(1/alpha)."""
-        poly = _y_numerators(self.gamma, self.alpha, self.mu, self.n + 1)[-1]
+        poly = self.kernel.numerator(self.n + 1)
         lo = next(i for i, c in enumerate(poly) if c)
         alpha = int(self.alpha)
         flipped = tuple(c * (-1) ** (alpha * i) for i, c in enumerate(poly[lo:]))
@@ -1348,29 +1368,6 @@ def _x_of_y(y: float, alpha: float, side: float) -> float:
     return x * (1.0 + side * (4.0 + (1.0 + abs(math.log(y))) / alpha) * 2.0**-52)
 
 
-@functools.lru_cache(maxsize=512)
-def _y_derivative(gamma: float, alpha: float, mu: float, n: int) -> _YDerivative:
-    return _YDerivative(gamma, alpha, mu, n)
-
-
-@functools.lru_cache(maxsize=256)
-def _y_models(gamma: float, alpha: float, mu: float) -> tuple[_YDerivative, ...]:
-    """`_y_derivative` for n = 0..TAIL_ORDER, the orders a closed tail takes."""
-    return tuple(_y_derivative(gamma, alpha, mu, n) for n in range(TAIL_ORDER + 1))
-
-
-def _exact_delta(params: MathieuParams) -> Fraction:
-    """alpha (mu+1) - gamma of the float parameters, without rounding."""
-    return Fraction(params.alpha) * (Fraction(params.mu) + 1) - Fraction(params.gamma)
-
-
-@functools.lru_cache(maxsize=256)
-def _delta_error(params: MathieuParams) -> float:
-    """|params.delta - `_exact_delta`|, rounded up."""
-    diff = abs(Fraction(params.delta) - _exact_delta(params))
-    return polyfun.round_up(diff) if diff else 0.0
-
-
 class MathieuSmoothFunction(emsum.SmoothFunction):
     """The kernel g, shifted to x -> g(x + shift), presented through the
     summation-engine contract.
@@ -1384,7 +1381,7 @@ class MathieuSmoothFunction(emsum.SmoothFunction):
     needs (gamma, alpha) in Z+ x N (RegimeError otherwise), where g is
     smooth at 0: g^(k)(0) is P_k's lowest coefficient rounded once, or 0;
     the pieces run on to -1/2 through the y-form's integer powers; and the
-    integral from 0 is B(a, b)/alpha within `_TailConstants.whole_rel`.
+    integral from 0 is B(a, b)/alpha within `_Kernel.whole_rel`.
     """
 
     def __init__(self, params: MathieuParams, shift: float = 0.0):
@@ -1394,7 +1391,8 @@ class MathieuSmoothFunction(emsum.SmoothFunction):
             raise RegimeError("the unshifted Euler-Maclaurin kernel needs gamma in Z+ "
                               "and alpha in N")
         self.domain_left = -shift if shift else -0.5
-        self._models = _y_models(params.gamma, params.alpha, params.mu)
+        self._kernel = _kernel(params.gamma, params.alpha, params.mu)
+        self._models = self._kernel.models
         #: the orders last taken at the shift, and g^(k) there with its error
         self._at_origin = (), ()
 
@@ -1402,12 +1400,7 @@ class MathieuSmoothFunction(emsum.SmoothFunction):
         z = x + self.shift
         if z <= (0.0 if self.shift else -1.0):
             raise ParameterError(f"x = {x:g} lies left of the domain of g(x + {self.shift:g})")
-        return self._model(k).value(z)[0]
-
-    def _model(self, k: int) -> _YDerivative:
-        p = self.params
-        return self._models[k] if k < len(self._models) \
-            else _y_derivative(p.gamma, p.alpha, p.mu, k)
+        return self._kernel.model(k).value(z)[0]
 
     def derivs_with_error(self, orders: tuple[int, ...]) -> list[tuple[float, float]]:
         """g^(k) at the shift for each k in `orders`, with their errors:
@@ -1416,7 +1409,7 @@ class MathieuSmoothFunction(emsum.SmoothFunction):
         one of the orders the engine took."""
         models = self._models
         if len(orders) < len(models) or orders[-1] >= len(models):
-            models = [self._model(k) for k in orders]
+            models = [self._kernel.model(k) for k in orders]
         values = [m.at_zero for m in models] if not self.shift else \
             _values_at(models, _y_point(self.params.alpha, self.shift))
         self._at_origin = orders, values
@@ -1446,7 +1439,7 @@ class MathieuSmoothFunction(emsum.SmoothFunction):
                 b = 2.0**-100 if b > 0.0 else 0.0
         if a <= 0.0 < s or a < self.domain_left:
             return None
-        model = self._model(k)
+        model = self._kernel.model(k)
         if a < 0.0 < b:  # unshifted, across 0: the pieces on each side, joined there
             (left, left_slack), (right, right_slack) = model.pieces(a, 0.0), model.pieces(0.0, b)
             return left + right[1:], (left_slack + right_slack) * (1.0 + 2.0**-52)
@@ -1456,22 +1449,11 @@ class MathieuSmoothFunction(emsum.SmoothFunction):
         p = self.params
         if not p.delta > 1.0:
             raise ParameterError("the tail integral diverges unless delta > 1")
-        c = _tail_constants(p)
+        c = self._kernel
         if not self.shift:
             return c.whole, 1.01 * c.whole_rel * c.whole + 1e-300
         value, rel = _tail_point(p, c, self.shift)
         return value, 1.01 * ((rel + _rounding_rel(p, c, self.shift)) * value) + 1e-300
-
-
-@functools.lru_cache(maxsize=1024)
-def _pochhammer(params: MathieuParams, k: int) -> tuple[float, float]:
-    """(2 (-delta)(-delta-1)...(-delta-k+1), delta + k) of `_PowerTail`, each
-    rounded once from the exact delta (`_exact_delta`); k = -1 gives delta - 1."""
-    delta = _exact_delta(params)
-    poch = Fraction(2)
-    for j in range(k):
-        poch *= -(delta + j)
-    return float(poch), float(delta + k)
 
 
 class _PowerTail(emsum.SmoothFunction):
@@ -1490,9 +1472,10 @@ class _PowerTail(emsum.SmoothFunction):
         self.params = params
         self.head = head
         self.domain_left = -0.5 * head
+        self._kernel = _kernel(params.gamma, params.alpha, params.mu)
 
     def _value(self, k: int, x: float) -> tuple[float, float]:
-        poch, e = _pochhammer(self.params, k)
+        poch, e = self._kernel.factors.get(k) or self._kernel.pochhammer(k)
         y = x + self.head
         v = poch * y ** -e
         # y and the exponent rounded once each move the power by (delta + k)(1 +
@@ -1510,7 +1493,7 @@ class _PowerTail(emsum.SmoothFunction):
         return (abs(va - vb) + ea + eb) * (1.0 + 2.0**-50)
 
     def integral_with_error(self) -> tuple[float, float]:
-        y, e = float(self.head), _pochhammer(self.params, -1)[1]
+        y, e = float(self.head), self._kernel.pochhammer(-1)[1]
         value = 2.0 * y ** -e / e
         # as in _value with the exponent delta - 1, plus its rounding as a divisor
         return value, 1.01 * (e * (1.0 + math.log(y)) + 6.0) * 2.0**-53 * value
@@ -1562,8 +1545,6 @@ def _closed_tail(params: MathieuParams, t: float, alternating: bool,
         value, radius = res.sum_estimate, res.remainder_bound
         if t:
             radius += _t_zero_drift(params, t, head)
-    if alternating and head % 2:
-        value = -value
     return value, radius, TAIL_ORDER
 
 
@@ -1633,7 +1614,7 @@ def _scale_rounding(params: MathieuParams, t: float, alternating: bool, head: in
     """
     u = 2.0**-53
     rel = (3.0 + abs(params.delta) + (3.0 if split else 0.0)) * u \
-        + _delta_error(params) * abs(math.log(t))
+        + _kernel(params.gamma, params.alpha, params.mu).delta_error * abs(math.log(t))
     drift = params.alpha * abs(params.mu + 1.0) * u
     if alternating:
         if head + 1 >= _monotone_from(params, t):

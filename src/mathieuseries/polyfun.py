@@ -38,21 +38,6 @@ BERNOULLI = "bernoulli"
 EULER = "euler"
 
 
-class PolyCoeffs(namedtuple("PolyCoeffs", "degree coeffs")):
-    """Exact rational coefficients of a cached polynomial, constant term first."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if len(self.coeffs) != self.degree + 1:
-            raise ValueError("coefficient list length must equal degree + 1")
-        return self
-
-    # namedtuple's _make, and _replace through it, would skip the checks of __new__
-    _make = classmethod(lambda cls, iterable: cls(*iterable))
-
-
 class SplineKind(namedtuple("SplineKind", "family order")):
     """Selects the periodized Bernoulli spline b_n (period 1) or Euler spline e_n (period 2)."""
 
@@ -95,29 +80,25 @@ def bernoulli_number(n: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def bernoulli_coeffs(n: int) -> PolyCoeffs:
-    """Exact coefficients of B_n(x) = sum_k C(n,k) B_{n-k} x^k."""
+def bernoulli_coeffs(n: int) -> tuple[Fraction, ...]:
+    """Exact coefficients of B_n(x) = sum_k C(n,k) B_{n-k} x^k, constant term first."""
     _check_order(n)
-    coeffs = tuple(math.comb(n, k) * bernoulli_number(n - k) for k in range(n + 1))
-    return PolyCoeffs(degree=n, coeffs=coeffs)
+    return tuple(math.comb(n, k) * bernoulli_number(n - k) for k in range(n + 1))
 
 
 @lru_cache(maxsize=None)
-def euler_coeffs(n: int) -> PolyCoeffs:
+def euler_coeffs(n: int) -> tuple[Fraction, ...]:
     """Exact coefficients of E_n(x) via E_n(x) = (2/(n+1)) (B_{n+1}(x) - 2^{n+1} B_{n+1}(x/2))."""
     _check_order(n)
-    b = bernoulli_coeffs(n + 1).coeffs
+    b = bernoulli_coeffs(n + 1)
     two = Fraction(2)
-    coeffs = tuple(
-        Fraction(2, n + 1) * b[k] * (1 - two ** (n + 1 - k)) for k in range(n + 1)
-    )
-    return PolyCoeffs(degree=n, coeffs=coeffs)
+    return tuple(Fraction(2, n + 1) * b[k] * (1 - two ** (n + 1 - k)) for k in range(n + 1))
 
 
 @lru_cache(maxsize=None)
 def _float_coeffs(n: int, family: str) -> tuple[float, ...]:
     poly = bernoulli_coeffs(n) if family == BERNOULLI else euler_coeffs(n)
-    return tuple(float(c) for c in poly.coeffs)
+    return tuple(float(c) for c in poly)
 
 
 def _horner(coeffs: Sequence[float], x: float) -> float:
@@ -457,7 +438,7 @@ def poly_sup(n: int, family: str, interval: tuple[float, float]) -> float:
         poly = bernoulli_poly if family == BERNOULLI else euler_poly
         return abs(poly(n, a)) * (1.0 + 1e-12) + 1e-300
     poly = bernoulli_coeffs(n) if family == BERNOULLI else euler_coeffs(n)
-    return _sup_abs_poly(poly.coeffs, min(a, b), max(a, b))
+    return _sup_abs_poly(poly, min(a, b), max(a, b))
 
 
 @lru_cache(maxsize=None)
@@ -468,9 +449,9 @@ def spline_sup(kind: SplineKind) -> float:
     n = kind.order
     if kind.family == BERNOULLI:
         _check_order(n)
-        return _sup_abs_poly(bernoulli_coeffs(n).coeffs, 0.0, 1.0)
+        return _sup_abs_poly(bernoulli_coeffs(n), 0.0, 1.0)
     _check_order(n + 1)
-    return _sup_abs_poly(euler_coeffs(n).coeffs, 0.0, 1.0)
+    return _sup_abs_poly(euler_coeffs(n), 0.0, 1.0)
 
 
 def beta_fn(a: float, b: float) -> float:

@@ -112,17 +112,26 @@ def f_infinity(fw: SharpFramework) -> float:
     return fw.beta1 * fw.A / (fw.delta1 * fw.C)
 
 
-def _profile(fw: SharpFramework, s: float, f_tol: float) -> float:
-    """f at t = s/(1-s), the compactified coordinate s.
-
-    The series tolerance is scaled so the induced profile error stays near
-    the requested one: d(f) ~ t^b1 (b1/d1) dS/S, floored at what float64
-    direct summation can deliver.
-    """
-    t = s / (1.0 - s)
+def _series_tol(fw: SharpFramework, t: float, f_tol: float) -> float:
+    """The series tolerance at t that keeps f's error near f_tol, as d(f) ~
+    t^b1 (b1/d1) dS/S, floored at what float64 direct summation delivers."""
     scaled = f_tol * fw.delta1 * fw.C / (2.0 * fw.beta1 * (1.0 + t) ** (fw.delta1 + fw.beta1))
-    floor = 1e-12 * fw.C / (1.0 + t) ** fw.delta1
-    return f_profile(fw, t, max(scaled, floor))
+    return max(scaled, 1e-12 * fw.C / (1.0 + t) ** fw.delta1)
+
+
+def _profile(fw: SharpFramework, s: float, f_tol: float) -> float:
+    """f at t = s/(1-s), the compactified coordinate s."""
+    t = s / (1.0 - s)
+    return f_profile(fw, t, _series_tol(fw, t, f_tol))
+
+
+def _rounding(fw: SharpFramework, t: float) -> float:
+    """How far f(t) at _FINE_TOL may lie from the exact profile: 4u max(1, t^b1)
+    from the difference (C/S)^(b1/d1) - t^b1, plus the series radius's share
+    (b1/d1) (C/S)^(b1/d1) err/S."""
+    res = fw.series(t, _series_tol(fw, t, _FINE_TOL))
+    share = fw.beta1 / fw.delta1 * (fw.C / res.value) ** (fw.beta1 / fw.delta1)
+    return 4.0 * 2.0**-53 * max(1.0, t**fw.beta1) + share * max(res.err_lo, res.err_hi) / res.value
 
 
 def _golden_refine(fn, a: float, b: float, tol_x: float, steps: int, minimize: bool):
@@ -149,7 +158,8 @@ def _golden_refine(fn, a: float, b: float, tol_x: float, steps: int, minimize: b
 def compute_mM(fw: SharpFramework) -> SharpConstants:
     """Extremize the profile f over [0, +inf] via the compactified coordinate
     s = t/(1+t): coarse grid, golden-section refinement around the best
-    interior candidates, and the exact closed form at the t = +inf endpoint.
+    interior candidates, and the exact closed form at the t = +inf endpoint
+    unless a finite-t extremum beats it by more than `_rounding` there.
 
     The result is a numerical extremum (certified=False).
     """
@@ -193,9 +203,9 @@ def compute_mM(fw: SharpFramework) -> SharpConstants:
     m, M = _profile(fw, s_m, _FINE_TOL), _profile(fw, s_M, _FINE_TOL)
     t_at_m = s_m / (1.0 - s_m)
     t_at_M = s_M / (1.0 - s_M)
-    if f_inf <= m:
+    if f_inf <= m + _rounding(fw, t_at_m):
         m, t_at_m = f_inf, math.inf
-    if f_inf >= M:
+    if f_inf >= M - _rounding(fw, t_at_M):
         M, t_at_M = f_inf, math.inf
     return SharpConstants(
         m=m, M=M, f_inf=f_inf, t_at_m=t_at_m, t_at_M=t_at_M,

@@ -324,7 +324,7 @@ class TestErrorExits:
     def test_exit_2_with_one_line(self, capsys, monkeypatch, tmp_path, args):
         # the eval-alt case (no closed tail at t = 1e60, where g^(k) at 64/t
         # leaves the float range) needs more terms than this cap allows
-        monkeypatch.setenv("MATHIEU_MAX_TERMS", "1000")
+        monkeypatch.setattr(cli.mathieu, "MAX_TERMS", 1000)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bad.cfg").write_text("t = abc\n")
         code, out, err = run(capsys, *args)
@@ -343,11 +343,6 @@ class TestErrorExits:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "no path reaches tol" in err and "q/u" not in err
         assert "direct: " in err and "euler-maclaurin: " in err
-
-    def test_malformed_term_cap_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("MATHIEU_MAX_TERMS", "1e6")
-        assert run(capsys, "eval", "--t", "1") == (
-            2, "", "error: MATHIEU_MAX_TERMS must be a positive integer, not '1e6'\n")
 
     def test_underflowing_scale_keeps_a_normal_sum(self, capsys):
         # 2 t^(-delta) underflows, the sum 2 t^(-1/2) B(1/2, 2) ~ 2.67e-150 does not
@@ -396,12 +391,11 @@ class TestErrorExits:
         ("eval-alt", "--t", "1e80"),
         ("eval-alt", "--gamma", "2", "--alpha", "2.5", "--mu", "1", "--t", "1e80"),
     ])
-    def test_start_past_the_term_cap_exits_2_at_once(self, capsys, monkeypatch, args):
+    def test_start_past_the_term_cap_exits_2_at_once(self, capsys, args):
         # the terms decrease only from an index past the 20M-term cap, so the
         # first bracket alone would sum more terms than the cap allows, and no
         # closed tail stands in: g^(k) at 64/t (non-integer kernels) or the
         # tail itself (about t^-4 for the classical kernel) leaves the float range
-        monkeypatch.delenv("MATHIEU_MAX_TERMS", raising=False)
         start = time.perf_counter()
         code, out, err = run(capsys, *args)
         assert time.perf_counter() - start < 2.0
@@ -428,14 +422,12 @@ class TestErrorExits:
         (("eval-alt", "--gamma", "0.5", "--alpha", "1.5", "--mu", "0.5", "--t", "1e40"),
          (0.5, 1.5, 0.5, 0.0), True),
     ])
-    def test_start_past_the_term_cap_closes_in_64_terms(self, capsys, monkeypatch, args,
-                                                        params, alternating):
+    def test_start_past_the_term_cap_closes_in_64_terms(self, capsys, args, params, alternating):
         # a start past CROSSOVER closes past 64 terms at once, for every kernel
         # (every alternating sum, and every plain sum outside the gamma=1,
         # alpha=2 family, at every start)
         from conftest import s_mellin_mp
 
-        monkeypatch.delenv("MATHIEU_MAX_TERMS", raising=False)
         code, out, err = run(capsys, *args)
         assert (code, err) == (0, "")
         rec = json.loads(out)
@@ -540,7 +532,7 @@ class TestFuzz:
         # with one `error:` line, and nothing escapes as a traceback
         out, err = io.StringIO(), io.StringIO()
         with pytest.MonkeyPatch.context() as patch:
-            patch.setenv("MATHIEU_MAX_TERMS", "1000")
+            patch.setattr(cli.mathieu, "MAX_TERMS", 1000)
             patch.chdir(tmp_path_factory.mktemp("fuzz"))
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(argv)

@@ -2,7 +2,10 @@ import gc
 import inspect
 import math
 import runpy
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -186,7 +189,7 @@ class TestTailIntegral:
         params = mathieu.MathieuParams(0.0, 2.0, 1.0, 0.0)
         assert mathieu.tail_integral(params, 0.0) == pytest.approx(math.pi / 4, rel=1e-12)
         # from 0 the value is B(a, b)/alpha, and its bound is that of B(a, b)/alpha
-        c = mathieu._tail_constants(params)
+        c = mathieu._kernel(*params[:3])
         value, err = mathieu.MathieuSmoothFunction(params).integral_with_error()
         assert (value, err) == (c.whole, 1.01 * c.whole_rel * c.whole + 1e-300)
         assert abs(value - mp.pi / 4) <= c.whole_rel * mp.pi / 4
@@ -238,7 +241,7 @@ class TestTailIntegral:
         # of g(x + shift) states err = 1.01 (rel value) + 1e-300, with rel
         # the relative bound at the shift: the value lies within rel of ref
         p = mathieu.MathieuParams(*params)
-        assert mathieu._tail_constants(p).form == form
+        assert mathieu._kernel(*p[:3]).form == form
         g, a_, mu, _ = (mp.mpf(x) for x in params)
         b = (g + 1) / a_
         a = mu + 1 - b
@@ -283,7 +286,7 @@ class TestTailIntegral:
         # at each point, across the switch between the two series, the bound
         # is that of the series the point takes, plus the rounding of (a, b)
         p = mathieu.MathieuParams(*params)
-        c = mathieu._tail_constants(p)
+        c = mathieu._kernel(*p[:3])
         taken = set()
         for lo, hi in ((1e-6, 1e-2), (1e-3, 0.9), (0.05, 3.0), (0.5, 1e3), (1.5, 1e9)):
             for x in np.geomspace(lo, hi, 40):
@@ -304,7 +307,7 @@ class TestTailIntegral:
         # evaluation at the shift: tail_integral's value, and the bound of the
         # form that gave it plus the rounding of (a, b)
         p = mathieu.MathieuParams(*params)
-        c = mathieu._tail_constants(p)
+        c = mathieu._kernel(*p[:3])
         for shift in (0.25, 0.875, 1.5, 64.0):
             for t in (0.0, 0.5, 3.0):
                 x = shift + t
@@ -317,7 +320,7 @@ class TestTailIntegral:
         # past s = 1/2 the series in q = 1 - s takes over while
         # I_q(b, a) / (1 - I_q(b, a)) <= 1, i.e. I_q <= 1/2
         for params in ((0.0, 2.0, 1.0, 0.0), (0.0, 2.0, 10.0, 0.0), (1.0, 1.5, 1.0, 0.0)):
-            c = mathieu._tail_constants(mathieu.MathieuParams(*params))
+            c = mathieu._kernel(*params[:3])
             q = c.split
             below = mp.betainc(c.b, c.a, 0, q, regularized=True)
             assert below <= 0.5 + 1e-12
@@ -399,32 +402,21 @@ class TestEvalS:
         assert wide.err_hi <= 1e-6
         assert tight.err_hi <= 1e-12
 
-    @pytest.mark.parametrize("raw", ["1e6", "-5", "0", "many", ""])
-    def test_malformed_term_cap_raises(self, monkeypatch, raw):
-        # each was once read as the 20,000,000 default or as 1, without a word
-        monkeypatch.setenv(mathieu.MAX_TERMS_ENV, raw)
-        with pytest.raises(ParameterError, match=mathieu.MAX_TERMS_ENV):
-            mathieu.eval_S(CLASSICAL, 1.0)
-
     def test_term_cap_read_on_every_sum(self, monkeypatch):
         # a cap below the 64-term head raises at once; each sum reads the
-        # variable again, set, unset or malformed
+        # cap again
         params = mathieu.MathieuParams(0.0, 2.0, 1.0, 0.0)
-        monkeypatch.delenv(mathieu.MAX_TERMS_ENV, raising=False)
         unset = mathieu.eval_S_alt(params, 1.0)
-        monkeypatch.setenv(mathieu.MAX_TERMS_ENV, "32")
+        monkeypatch.setattr(mathieu, "MAX_TERMS", 32)
         with pytest.raises(ToleranceError, match="32-term cap"):
             mathieu.eval_S_alt(params, 1.0)
-        monkeypatch.delenv(mathieu.MAX_TERMS_ENV)
+        monkeypatch.undo()
         assert mathieu.eval_S_alt(params, 1.0) == unset
-        monkeypatch.setenv(mathieu.MAX_TERMS_ENV, "many")
-        with pytest.raises(ParameterError, match=mathieu.MAX_TERMS_ENV):
-            mathieu.eval_S_alt(params, 1.0)
 
     def test_term_cap(self, monkeypatch):
         # the bracket needs far more than 1,000 terms (delta = 1.075), and at
         # tol 1e-14 the closed tail (radius ~7e-14) cannot stand in
-        monkeypatch.setenv(mathieu.MAX_TERMS_ENV, "1000")
+        monkeypatch.setattr(mathieu, "MAX_TERMS", 1000)
         from mathieuseries.errors import ToleranceError
 
         with pytest.raises(ToleranceError):
@@ -476,12 +468,12 @@ class TestEvalSAlt:
         res = mathieu.eval_S_alt(params, 1.0, 1e-12)
         assert res.err_hi <= 1e-12
         assert _contains(res, truth)
-        monkeypatch.setenv(mathieu.MAX_TERMS_ENV, "1000")
+        monkeypatch.setattr(mathieu, "MAX_TERMS", 1000)
         res = mathieu.eval_S_alt(params, 1.0, 1e-16)
         assert (res.terms_used, res.order) == (128, mathieu.TAIL_ORDER)
         assert res.err_hi < 1e-13
         assert _contains(res, truth)
-        monkeypatch.setenv(mathieu.MAX_TERMS_ENV, "32")
+        monkeypatch.setattr(mathieu, "MAX_TERMS", 32)
         with pytest.raises(ToleranceError):
             mathieu.eval_S_alt(params, 1.0, 1e-16)
 
@@ -648,7 +640,7 @@ class TestDispatch:
     def test_euler_maclaurin_where_direct_cannot_reach_tol(self, monkeypatch):
         # delta = 1.2: under a cap below its 64-term head direct summation
         # cannot reach tol (without the cap its closed tail would), EM meets it
-        monkeypatch.setenv(mathieu.MAX_TERMS_ENV, "32")
+        monkeypatch.setattr(mathieu, "MAX_TERMS", 32)
         params = mathieu.MathieuParams(1.0, 1.0, 1.2, 0.0)
         res = mathieu.eval_auto(params, 20.0, 1e-10)
         assert res.method == mathieu.EULER_MACLAURIN
@@ -855,7 +847,7 @@ class TestHeadZero:
         f = mathieu.MathieuSmoothFunction(mathieu.MathieuParams(*kernel, 0.0))
         for n in (0, 3, 8):
             for x in (-0.45, -0.1, -1e-3):
-                value, err = f._model(n).value(x)
+                value, err = f._kernel.model(n).value(x)
                 assert abs(mp.mpf(value) - mp.diff(g, mp.mpf(x), n)) <= err, (kernel, n, x)
         with pytest.raises(ParameterError):
             f.deriv(0, -1.0)
@@ -873,7 +865,7 @@ class TestHeadZero:
     def test_turning_points_left_of_zero(self, kernel):
         # g^(8) turns at -0.46 and -0.14, resp. -0.30: the pieces from -0.49
         f = mathieu.MathieuSmoothFunction(mathieu.MathieuParams(*kernel, 0.0))
-        assert f._model(8).left_turns
+        assert f._kernel.model(8).left_turns
         reference = _variation_mp(*kernel, 8, start=-0.49)
         for lo, hi in ((-0.49, 0.0), (-0.49, math.inf), (-0.2, -0.1)):
             ref = reference(lo, hi)
@@ -936,7 +928,7 @@ class TestYForm:
         xs = 10.0 ** rng.uniform(-4.0, 4.0, 12)
         ratios = []
         for n in range(mathieu.TAIL_ORDER + 1):
-            d = mathieu._y_derivative(*kernel, n)
+            d = mathieu._kernel(*kernel).model(n)
             for x in xs:
                 value, err = d.value(float(x))
                 ref = mp.diff(g, mp.mpf(x), n)
@@ -963,7 +955,7 @@ class TestYForm:
         # it between them, on a grid of (1e-3, 1e3)
         g = _g_mp(kernel)
         for n in (2, mathieu.TAIL_ORDER):
-            turns = mathieu._y_derivative(*kernel, n).turns
+            turns = mathieu._kernel(*kernel).model(n).turns
             assert all(a[1] < b[0] for a, b in zip(turns, turns[1:]))
             for l, h, *_ in turns:
                 if l > 1e-6:
@@ -1261,7 +1253,7 @@ class TestClosedTail:
         # the monotone index 57,737 lies past the cap: all of it was summed;
         # now a start past the cap closes at once, and raises only where the
         # closed tail (radius ~3.5e-25 here) cannot meet tol
-        monkeypatch.setenv(mathieu.MAX_TERMS_ENV, "1000")
+        monkeypatch.setattr(mathieu, "MAX_TERMS", 1000)
         with pytest.raises(ToleranceError, match="tail radius 3.47e-25 past 512 terms"):
             mathieu.eval_S(CLASSICAL, 1e5, 1e-30)
         res = mathieu.eval_S(CLASSICAL, 1e5)
@@ -1279,7 +1271,7 @@ class TestClosedTail:
         assert _contains(res, s1_trigamma(3e7, params.u))
 
     def test_former_cap_input_closes_in_64_terms(self, monkeypatch):
-        monkeypatch.setenv(mathieu.MAX_TERMS_ENV, "1000")
+        monkeypatch.setattr(mathieu, "MAX_TERMS", 1000)
         res = mathieu.eval_S(mathieu.MathieuParams(0.0, 2.0, 0.05, 0.0), 1.0, 1e-12)
         assert (res.terms_used, res.order) == (64, mathieu.TAIL_ORDER)
         assert res.err_hi <= 1e-12
@@ -1350,14 +1342,58 @@ class TestClosedTail:
                  (mathieu.eval_S_alt, (0.5, 1.5, 1.0, 0.3), 3e7, 1e-10),
                  (mathieu.eval_S, (1.0, 1.5, 1.0, 0.0), 0.0, 1e-10)]
         for fn, params, t, tol in calls:
-            for cache in (mathieu._tail_constants, mathieu._y_numerators, mathieu._y_derivative,
-                          mathieu._y_models, mathieu._pochhammer, mathieu.g_smoothness,
+            for cache in (mathieu._kernel, mathieu.g_smoothness,
                           emsum._weights, polyfun.real_root_intervals):
                 cache.cache_clear()
             args = (mathieu.MathieuParams(*params), t) + ((tol,) if tol else ())
             cold, warm = fn(*args), fn(*args)
             assert cold == warm, (fn.__name__, params)
             assert cold.order == mathieu.TAIL_ORDER
+
+    def test_threads_on_a_new_kernel_give_the_single_thread_bits(self):
+        # eight threads start together on a kernel no earlier call touched,
+        # whose record exists with none of its parts built, so they build
+        # them at once, switching every microsecond: each sum keeps the bits
+        # of one thread alone
+        params = mathieu.MathieuParams(1.25, 2.5, 0.75, 0.125)
+        calls = [(mathieu.eval_S, 7.0), (mathieu.eval_S_alt, 3.0),
+                 (mathieu.eval_S, 0.0), (mathieu.eval_S_alt, 0.0)]
+        mathieu._kernel.cache_clear()
+        mathieu._kernel(*params[:3])
+        start = threading.Barrier(8, timeout=60)
+
+        def run(i):
+            fn, t = calls[i % 4]
+            start.wait()
+            return fn(params, t, 1e-12)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                threaded = list(pool.map(run, range(8)))
+        finally:
+            sys.setswitchinterval(interval)
+        mathieu._kernel.cache_clear()
+        alone = [fn(params, t, 1e-12) for fn, t in calls]
+        assert threaded == alone + alone
+        assert all(res.order == mathieu.TAIL_ORDER for res in alone)
+        # the numerators and factors, asked for directly past the orders
+        # that the sums built under the models' own lock
+        def parts(record):
+            return [record.numerator(n) for n in range(16)], record.pochhammer(16)
+
+        def together(record):
+            start.wait()
+            return parts(record)
+
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                threaded = list(pool.map(together, [mathieu._Kernel(*params[:3])] * 8))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == [parts(mathieu._Kernel(*params[:3]))] * 8
 
     def test_bracket_results_report_order_zero(self):
         res = mathieu.eval_S(CLASSICAL, 1.0, 1e-10)
@@ -1672,9 +1708,9 @@ class TestOneDoublingLoop:
          "0x1.4a8729fc3ddd0p-399", "0x1.4a8729fc3ecfep-399", 64, 0),
         # under the term cap: the ladder stops at 64 terms and the closed tail
         # takes over; an alternating head doubles once
-        (("eval_S", (1.0, 2.0, 1.0, 0.0), 1.0, 1e-13), "100",
+        (("eval_S", (1.0, 2.0, 1.0, 0.0), 1.0, 1e-13), 100,
          "0x1.96a5c76713323p-1", "0x1.e6f0d69861a15p-50", 64, 8),
-        (("eval_S_alt", (1.5, 2.0, 0.2, 0.0), 1.0, 1e-16), "1000",
+        (("eval_S_alt", (1.5, 2.0, 0.2, 0.0), 1.0, 1e-16), 1000,
          "0x1.a82dcbd54e74bp-2", "0x1.7d12b4d169e0ap-45", 128, 8),
         # the convex-kernel series
         (("convex_series", sharp.PowerKernel(1.0), 0.5, 1.0, 1e-12), None,
@@ -1683,10 +1719,8 @@ class TestOneDoublingLoop:
          "0x1.80ecc7bbd5aadp+0", "0x1.c971daa129386p-48", 16, 0),
     ])
     def test_sums_keep_their_bits(self, monkeypatch, case, cap, value, radius, terms, order):
-        if cap is None:
-            monkeypatch.delenv(mathieu.MAX_TERMS_ENV, raising=False)
-        else:
-            monkeypatch.setenv(mathieu.MAX_TERMS_ENV, cap)
+        if cap is not None:
+            monkeypatch.setattr(mathieu, "MAX_TERMS", cap)
         fn, *args = case
         if fn == "convex_series":
             res = sharp.convex_series(*args)

@@ -54,7 +54,7 @@ class TestKernels:
 
     def test_convex_series_raises_at_the_term_cap(self, monkeypatch):
         # mu = 1/2: the bracket narrows like n^-3, far too slowly for 1000 terms
-        monkeypatch.setenv("MATHIEU_MAX_TERMS", "1000")
+        monkeypatch.setattr(mathieu, "MAX_TERMS", 1000)
         with pytest.raises(ToleranceError):
             sharp.convex_series(sharp.PowerKernel(0.5), 0.0, 1.0, 1e-14)
 
@@ -153,18 +153,28 @@ class TestFramework:
         assert consts.m == pytest.approx(1.0 / 6.0, abs=1e-9)
         assert 0.25 < consts.M < 1.0
 
-    def test_compute_mM_refines_an_interior_minimum(self):
+    @staticmethod
+    def _dip_framework():
         # S(t) = 1/(t^2 + a(t)) with C = 1, d1 = b1 = 2 has the profile f = a,
-        # whose least value 0.05 at t = 3 lies between grid points
+        # whose least value 0.05 at t = 3 lies between grid points, and which
+        # never exceeds f(inf) = 0.5
         def series(t, tol):
             a = 0.5 - 0.45 * math.exp(-((t - 3.0) ** 2))
             return mathieu.EvalResult(1.0 / (t * t + a), 0.0, 0.0, mathieu.DIRECT)
 
-        fw = sharp.SharpFramework(series=series, C=1.0, delta1=2.0, A=0.5, beta1=2.0)
-        consts = sharp.compute_mM(fw)
+        return sharp.SharpFramework(series=series, C=1.0, delta1=2.0, A=0.5, beta1=2.0)
+
+    def test_compute_mM_refines_an_interior_minimum(self):
+        consts = sharp.compute_mM(self._dip_framework())
         assert consts.m == pytest.approx(0.05, abs=1e-9)
         assert consts.t_at_m == pytest.approx(3.0, abs=1e-3)
         assert consts.f_inf == 0.5
+
+    def test_compute_mM_keeps_f_inf_over_rounding(self):
+        # (C/S)^(b1/d1) - t^b1 cancels to about t^2 2^-53 (4.5e-13 at t = 60):
+        # that noise was reported as M = 0.5000000000004547 at t = 60.4
+        consts = sharp.compute_mM(self._dip_framework())
+        assert (consts.M, consts.t_at_M) == (0.5, math.inf)
 
     def test_gamma0_extremization(self):
         # 0 < m <= min(f(0), f(inf)) <= max(f(0), f(inf)) <= M
