@@ -108,6 +108,7 @@ def cmd_eval(cfg: argparse.Namespace, alternating: bool) -> int:
         records.append({
             "t": t, "value": res.value, "err_lo": res.err_lo, "err_hi": res.err_hi,
             "method": res.method, "terms": res.terms_used, "order": res.order,
+            "rigorous": res.rigorous, "tol_met": max(res.err_lo, res.err_hi) <= cfg.tol,
         })
     return _write(cfg, records)
 

@@ -57,11 +57,14 @@ from .errors import (
 #: Direct summation stops growing once this many terms were used.
 MAX_TERMS = 20_000_000
 
-#: Direct summation adds its first terms in one exact math.fsum ...
+#: A head of more than CLOSED_HEAD terms adds its first terms in one exact
+#: math.fsum ...
 _EXACT_HEAD = 16
 #: ... and the rest by numpy's pairwise summation: on a 2^18-term chunk a
 #: term passes at most 36 roundings (11 halvings, then 15 + 3 + 7 in the
-#: 8-way unrolled base case), so the error is at most 36u sum |terms|.
+#: 8-way unrolled base case), so the error is at most 36u sum |terms|.  A
+#: head of at most CLOSED_HEAD terms is one exact math.fsum, with no such
+#: share (`_sum_terms`).
 PAIRWISE_RTOL = 4e-15
 
 #: eval_auto sums directly below this t and tries Euler-Maclaurin from it on.
@@ -292,8 +295,10 @@ class _Kernel:
 
     def __init__(self, gamma: float, alpha: float, mu: float):
         self.gamma, self.alpha, self.mu = gamma, alpha, mu
-        # n -> P_n, n -> the model of g^(n), k -> `pochhammer(k)`, read first by `_PowerTail`
-        self._numerators, self._models, self.factors = {0: (Fraction(1),)}, {}, {}
+        # n -> P_n, n -> D^n P_n (`_scaled`), n -> the model of g^(n),
+        # k -> `pochhammer(k)`, read first by `_PowerTail`
+        self._numerators, self._scaled = {0: (Fraction(1),)}, {0: (1,)}
+        self._models, self.factors = {}, {}
 
     @functools.cached_property
     def exact_delta(self) -> Fraction:
@@ -334,13 +339,33 @@ class _Kernel:
         P_0 = 1 and P_{j+1} = (gamma-j)(1+y) P_j - (m+j) alpha y P_j + alpha y (1+y) P_j',
         whose coefficient of y^i is
         (gamma - j + alpha i) p_i - (delta + j + alpha (j+1-i)) p_(i-1).
+        The recursion runs in integers (`_scaled`), and each coefficient is
+        divided by D^n once.
         """
         poly = self._numerators.get(n)
         if poly is None:
-            g, a, d, j = Fraction(self.gamma), Fraction(self.alpha), self.exact_delta, n - 1
-            p = (Fraction(0),) + self.numerator(j) + (Fraction(0),)  # p[i] is p_(i-1)
+            den = self._common[0] ** n
             poly = self._numerators.setdefault(n, tuple(
-                (g - j + a * i) * p[i + 1] - (d + j + a * (j + 1 - i)) * p[i]
+                Fraction(c, den) for c in self._scaled_numerator(n)))
+        return poly
+
+    @functools.cached_property
+    def _common(self) -> tuple[int, int, int, int]:
+        """(D, D gamma, D alpha, D delta) in integers, D the least common
+        denominator of gamma, alpha and the exact delta (powers of 2)."""
+        g, a, d = Fraction(self.gamma), Fraction(self.alpha), self.exact_delta
+        den = max(g.denominator, a.denominator, d.denominator)
+        return den, *(int(x * den) for x in (g, a, d))
+
+    def _scaled_numerator(self, n: int) -> tuple[int, ...]:
+        """D^n P_n: the recursion of `numerator` times D at each step."""
+        poly = self._scaled.get(n)
+        if poly is None:
+            den, g, a, d = self._common
+            j = n - 1
+            p = (0,) + self._scaled_numerator(j) + (0,)  # p[i] is D^j p_(i-1)
+            poly = self._scaled.setdefault(n, tuple(
+                (g - j * den + a * i) * p[i + 1] - (d + j * den + a * (j + 1 - i)) * p[i]
                 for i in range(n + 1)))
         return poly
 
@@ -651,7 +676,8 @@ def _t_alpha(t: float, alpha: float) -> float:
 def _terms(params: MathieuParams, t: float):
     """k -> the terms 2 (k+u)^gamma / ((k+u)^alpha + t^alpha)^(mu+1) at an
     index or an index array; a sum takes its head from `_term_chunks`,
-    which gives the array's bits.
+    which gives these bits at each index of a head of at most CLOSED_HEAD
+    terms and the array's bits past it.
 
     At one index, where the denominator leaves the float range (Python's
     float pow raises there, a product gives inf), the term is below its
@@ -687,25 +713,34 @@ class _HeadCache:
 
     def factors(self, gamma: float, alpha: float, u: float, lo: int, hi: int) -> tuple:
         """(2 w^gamma, w^alpha, w^alpha at lo, w^alpha at hi-1) for
-        w = k + u, k = lo..hi-1, with the ufuncs and the order of `_terms`;
-        2 w^gamma is the float 2.0 where gamma = 0, and the arrays are
-        read-only.  No key holds t or mu."""
+        w = k + u, k = lo..hi-1.  A range within the first CLOSED_HEAD
+        indices, a head summed in one fsum (`_sum_terms`), gives tuples of
+        floats with the operations of `_terms` at one index; a longer one
+        gives read-only arrays with the ufuncs and the order of `_terms` on
+        an index array, 2 w^gamma the float 2.0 where gamma = 0.  A factor
+        past the float range is inf.  No key holds t or mu."""
         key = (gamma, alpha, u, lo, hi)
         with self.lock:
             entry = self.entries.get(key)
             if entry is not None:
                 self.entries.move_to_end(key)
                 return entry
-            import numpy as np
+            if hi <= CLOSED_HEAD + 1:
+                # bit for bit: an int k enters each float op exactly
+                ws = [k + u if u else float(k) for k in range(lo, hi)]
+                num = tuple(2.0 * _pow_or_inf(w, gamma) for w in ws)
+                wa = tuple(_pow_or_inf(w, alpha) for w in ws)
+            else:
+                import numpy as np
 
-            k = np.arange(lo, hi, dtype=float)
-            w = k + u if u else k  # bit for bit: an int k enters each float op exactly
-            with np.errstate(all="ignore"):  # a factor past the float range is inf
-                num = 2.0 if gamma == 0 else 2.0 * _pow(w, gamma)
-                wa = _pow(w, alpha)
-            for a in (num, wa):
-                if not isinstance(a, float):
-                    a.flags.writeable = False
+                k = np.arange(lo, hi, dtype=float)
+                w = k + u if u else k
+                with np.errstate(all="ignore"):
+                    num = 2.0 if gamma == 0 else 2.0 * _pow(w, gamma)
+                    wa = _pow(w, alpha)
+                for a in (num, wa):
+                    if not isinstance(a, float):
+                        a.flags.writeable = False
             entry = num, wa, float(wa[0]), float(wa[-1])
             if hi - lo <= CROSSOVER:
                 self.entries[key] = entry
@@ -716,25 +751,46 @@ class _HeadCache:
 
     @staticmethod
     def nbytes(entry: tuple) -> int:
-        return sum(a.nbytes for a in entry[:2] if not isinstance(a, float))
+        """The entry's size, a tuple's float at 32 B (its slot and the float)."""
+        return sum(32 * len(a) if isinstance(a, tuple) else a.nbytes
+                   for a in entry[:2] if not isinstance(a, float))
 
 
 #: Head factors of every direct, convex-kernel and theta sum, at most
 #: 256 KiB: one CROSSOVER-term entry of two arrays, four of 4,096 terms or
-#: 256 of 64 terms.  Larger budgets raised the peak RSS of
+#: 64 of 64 terms.  Larger budgets raised the peak RSS of
 #: `verify all` by 1.1 MB (512 KiB) to 1.8 MB (4 MiB), through the heap
 #: pages the long-lived arrays pin; this one by 0.2 MB.
 _HEAD_CACHE = _HeadCache(256 << 10)
 
 
+def _pow_or_inf(x: float, e: float) -> float:
+    """`_pow` of floats, inf where Python's pow overflows, as numpy's does."""
+    try:
+        return _pow(x, e)
+    except OverflowError:
+        return math.inf
+
+
+def _quotient(num: float, base: float, m: float) -> float:
+    """num / base^m, num >= 0, as numpy's arithmetic gives it: a power past
+    the float range is inf, and a quotient by 0 is inf (nan for 0 / 0)."""
+    den = _pow_or_inf(base, m)
+    return num / den if den else (math.inf if num > 0.0 else math.nan)
+
+
 def _term_chunks(params: MathieuParams, t: float):
-    """(lo, hi) -> a new array of the terms at k = lo..hi-1, bit for bit
-    `_terms(params, t)` at np.arange(lo, hi): the factors that do not
+    """(lo, hi) -> the terms at k = lo..hi-1: within the first CLOSED_HEAD
+    indices a new list, bit for bit `_terms(params, t)` at each k where its
+    denominator stays in the float range; past them a new array, bit for
+    bit `_terms(params, t)` at np.arange(lo, hi).  The factors that do not
     depend on t come from `_HEAD_CACHE`, and each call takes only
     (w^alpha + t^alpha)^(mu+1) and the quotient.  Where a denominator
-    leaves the float range (or one is 0) the arithmetic runs with numpy's
-    warnings off, so a term there is 0 (or inf) with no warning; mu + 1 > 0
-    for every series, so the first and last denominators bound the rest.
+    leaves the float range (or one is 0), a term there is 0 (or inf), as
+    numpy's arithmetic gives it, with no warning: a list is built again
+    term by term where Python's arithmetic raises, and an array runs with
+    numpy's warnings off unless its first and last denominators, which
+    bound the rest as mu + 1 > 0 for every series, are in range.
     """
     gamma, alpha, u, m = params.gamma, params.alpha, params.u, params.mu + 1.0
     ta = _t_alpha(t, alpha)
@@ -742,6 +798,15 @@ def _term_chunks(params: MathieuParams, t: float):
 
     def chunk(lo, hi):
         num, wa, first, last = factors(gamma, alpha, u, lo, hi)
+        if hi <= CLOSED_HEAD + 1:  # `_pow` inlined: a call per term costs a third more
+            try:
+                if m == 1.0:
+                    return [a / (b + ta) for a, b in zip(num, wa)]
+                if m == 2.0:
+                    return [a / ((b + ta) * (b + ta)) for a, b in zip(num, wa)]
+                return [a / (b + ta) ** m for a, b in zip(num, wa)]
+            except ArithmeticError:  # Python's pow overflows, or a denominator is 0
+                return [_quotient(a, b + ta, m) for a, b in zip(num, wa)]
         try:  # Python's pow, with a factor 2 to spare for numpy's
             quiet = 2.0**-1022 < (first + ta) ** m and (last + ta) ** m < 2.0**1023
         except ArithmeticError:
@@ -757,14 +822,20 @@ def _term_chunks(params: MathieuParams, t: float):
 
 
 def convex_chunks(g, u: float, y: float):
-    """(lo, hi) -> a new array of the terms 2 w g(w^2 + y), w = k + u, at
-    k = lo..hi-1, for convex-kernel series (`bracketed_sum`); 2w and w^2 are
-    the gamma=1, alpha=2 factors of `_HEAD_CACHE`, so the terms are bit for
-    bit (2.0 * w) * g(w * w + y)."""
+    """(lo, hi) -> the terms 2 w g(w^2 + y), w = k + u, at k = lo..hi-1,
+    for convex-kernel series (`bracketed_sum`), a new list within the first
+    CLOSED_HEAD indices and a new array past them; 2w and w^2 are the
+    gamma=1, alpha=2 factors of `_HEAD_CACHE`, and g takes them as one
+    array, so the terms are bit for bit (2.0 * w) * g(w * w + y) on
+    np.arange(lo, hi)."""
     factors = _HEAD_CACHE.factors
 
     def chunk(lo, hi):
         num, ww, _, _ = factors(1.0, 2.0, u, lo, hi)
+        if hi <= CLOSED_HEAD + 1:
+            import numpy as np
+
+            return (np.array(num) * g(np.array(ww) + y)).tolist()
         return num * g(ww + y)
 
     return chunk
@@ -874,23 +945,36 @@ def _term_rtol(params: MathieuParams) -> float:
 
 
 def _sum_terms(chunk, n: int, alternating: bool = False) -> tuple[float, float, float]:
-    """(sum, sum of |terms|, sum of |terms| past the head) of the terms at
-    k = 1..n, where chunk(lo, hi) gives a new array of the terms at
-    k = lo..hi-1 (`_term_chunks`, `convex_chunks`); with `alternating`, term
-    k carries the sign (-1)^(k-1), set in that array, so a cached factor
-    never sees it.
+    """(sum, sum of |terms|, sum of |terms| that numpy summed pairwise) of
+    the terms at k = 1..n, where chunk(lo, hi) gives the terms at
+    k = lo..hi-1 (`_term_chunks`, `convex_chunks`), a new list within the
+    first CLOSED_HEAD indices and a new array past them; with
+    `alternating`, term k carries the sign (-1)^(k-1), set in that list or
+    array, so a cached factor never sees it.
 
-    The first _EXACT_HEAD terms, where a decreasing series keeps most of its
-    mass, enter one math.fsum with the rest's chunk sums, so they carry only
+    A head of at most CLOSED_HEAD terms is one math.fsum, exact up to its
+    final rounding, so no part of it is summed pairwise.  A longer one adds
+    its first _EXACT_HEAD terms, where a decreasing series keeps most of its
+    mass, in one math.fsum with the rest's chunk sums, so they carry only
     the final rounding; the rest is accumulated pairwise by numpy in chunks,
     whose error is at most PAIRWISE_RTOL times its sum of |terms|.  Every
-    term past the head that a caller passes is at least 0 before its sign
+    term past the first that a caller passes is at least 0 before its sign
     (the Mathieu terms and `log_phi_u`'s have k + u > 0, and
-    `sharp.convex_series` can have a negative term only at k = 1), so a
-    chunk's sum of |terms| is the pairwise sum of its unsigned terms bit for
-    bit: one reduce of a plain chunk gives both, and an alternating chunk is
-    reduced once before its sign flip and once after.
+    `sharp.convex_series` can have a negative term only at k = 1), so the
+    sum of the unsigned terms is their sum of |terms| where the first is at
+    least 0, and a chunk's sum of |terms| is the pairwise sum of its
+    unsigned terms bit for bit: one reduce of a plain chunk gives both, and
+    an alternating chunk is reduced once before its sign flip and once
+    after.
     """
+    if n <= CLOSED_HEAD:
+        terms = chunk(1, n + 1)
+        total = math.fsum(terms)
+        absolute = math.fsum(map(abs, terms)) if terms[0] < 0.0 else total
+        if alternating:
+            terms[1::2] = [-x for x in terms[1::2]]
+            total = math.fsum(terms)
+        return total, absolute, 0.0
     import numpy as np
 
     head = []
@@ -900,12 +984,10 @@ def _sum_terms(chunk, n: int, alternating: bool = False) -> tuple[float, float, 
     for lo in range(1, n + 1, step):
         arr = chunk(lo, min(n + 1, lo + step))
         rest = arr[_EXACT_HEAD:] if lo == 1 else arr  # a view: it sees the sign flip
-        if rest.size:
-            abs_chunks.append(float(np.add.reduce(rest)))
+        abs_chunks.append(float(np.add.reduce(rest)))
         if alternating:
             arr[1::2] *= -1.0  # lo is odd, so the odd positions hold the even k
-            if rest.size:
-                chunks.append(float(np.add.reduce(rest)))
+            chunks.append(float(np.add.reduce(rest)))
         if lo == 1:
             head = arr[:_EXACT_HEAD].tolist()
     rest_abs = math.fsum(abs_chunks)
@@ -920,8 +1002,8 @@ def bracketed_sum(kernel: ConvexKernel, u: float, y: float, tol: float) -> EvalR
     tail `_hh_tail`, doubled while the bracket is wider than tol and
     narrows, up to the term cap MAX_TERMS.
 
-    The caller keeps every term past the 16th at least 0 (`_sum_terms` takes
-    a chunk's sum as its sum of |terms|) and the tail bounds valid from
+    The caller keeps every term past the first at least 0 (`_sum_terms` takes
+    a sum of terms as their sum of |terms|) and the tail bounds valid from
     n = 16 (`hermite_hadamard`: 16 + u >= -1); each term is within 4e-15 of
     the exact one.
     """
@@ -935,7 +1017,7 @@ def _doubled_head(chunk, tail, n: int, tol: float, term_rtol: float, cap: int,
     the rest, n doubled while 2 radius exceeds tol and falls, as long as 2n
     stays within the cap.  ToleranceError where n starts past the cap, or
     names the narrowest radius where none meets tol; OverflowError where the
-    radius is not below inf.  Every term past the 16th is at least 0 before
+    radius is not below inf.  Every term past the first is at least 0 before
     its alternating sign (`_sum_terms`).
     """
     if n > cap:

@@ -37,7 +37,10 @@ class TestEval:
         oracle = eval_S(MathieuParams(1.0, 2.0, 1.0, 0.0), 1.0, 1e-12)
         assert rec["value"] == pytest.approx(oracle.value, abs=1e-9)
         assert rec["method"] == "direct"
-        assert set(rec) == {"t", "value", "err_lo", "err_hi", "method", "terms", "order"}
+        assert list(rec) == ["t", "value", "err_lo", "err_hi", "method", "terms", "order",
+                             "rigorous", "tol_met"]
+        assert rec["rigorous"] is True
+        assert rec["tol_met"] is (max(rec["err_lo"], rec["err_hi"]) <= 1e-10) is True
 
     def test_poisson_point(self, capsys):
         code, out, _ = run(capsys, "eval", "--gamma", "0", "--alpha", "2",
@@ -77,8 +80,23 @@ class TestEval:
                            "--t-count", "3", "--format", "csv")
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0] == "t,value,err_lo,err_hi,method,terms,order"
+        assert lines[0] == "t,value,err_lo,err_hi,method,terms,order,rigorous,tol_met"
         assert len(lines) == 4
+        assert all(line.endswith(",True,True") for line in lines[1:])
+
+    @pytest.mark.parametrize("command, tol, met", [
+        ("eval", "1e-10", True), ("eval", "1e-14", True), ("eval-alt", "1e-10", True),
+        # the tail meets tol/2, and the head's rounding slack takes the radius past tol
+        ("eval-alt", "1e-17", False),
+    ])
+    def test_records_say_whether_tol_was_met(self, capsys, command, tol, met):
+        # tol_met is the bench checks' rule max(err_lo, err_hi) <= tol
+        code, out, _ = run(capsys, command, "--gamma", "0.5", "--alpha", "1.5", "--mu", "1",
+                           "--t", "7", "--tol", tol)
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["rigorous"] is True
+        assert rec["tol_met"] is (max(rec["err_lo"], rec["err_hi"]) <= float(tol)) is met
 
     def test_determinism(self, capsys):
         args = ("eval", "--t-start", "0.5", "--t-stop", "50", "--t-count", "7", "--t-log")
@@ -549,12 +567,12 @@ class TestFuzz:
 #: the printed output and must be deliberate.
 README_COMMANDS = {
     ("eval", "--gamma", "1", "--alpha", "2", "--mu", "1", "--u", "0", "--t", "1"):
-        "04273b0303942fc4697fa23a0745d923b683781d93f57c7e18c8a3c52070a969",
+        "8ae91fdb46161886127202e605356045b448f57128373ef1044c191ada1f237f",
     ("eval", "--t-start", "0.01", "--t-stop", "100", "--t-count", "200", "--t-log",
      "--format", "csv"):
-        "cb8a2634d021a1f27c5dd30f94bac21195a7d518d5187c5d5b8d0c9e9ecc52b0",
+        "17600193f548f678ac6b26708ccd34573c05ae8a81a349336eab42e7c1ff31a6",
     ("eval-alt", "--gamma", "0", "--alpha", "2", "--mu", "0", "--u", "0", "--t", "1"):
-        "9294bd5d9a34532f21aaf4c02e3a7d8f2cab30066dd7e8b115481ac8131a3a90",
+        "23f89ff474d7fd0b4447e6d26ac45eceab912e89cd601b1266c33f0d95d15585",
     ("asym", "--gamma", "1", "--alpha", "2", "--mu", "1", "--u", "0.5", "--n-terms", "6"):
         "1d151504da8f16fb27031ae80fb08f3fbe6ccef6204213c27fc168b6b99bd052",
     ("constants", "--mu", "1", "--u", "0"):
@@ -716,6 +734,21 @@ print(",".join(loaded))
     def test_asym_loads_no_numpy(self, readme_runs):
         asym = next(args for args in README_COMMANDS if args[0] == "asym")
         assert readme_runs[asym][2]["numpy"] == []
+
+    @pytest.mark.parametrize("args", [
+        ("eval-alt", "--gamma", "0", "--alpha", "2", "--mu", "0", "--u", "0", "--t", "1"),
+        ("eval", "--gamma", "0.5", "--alpha", "1.5", "--mu", "1", "--u", "0", "--t", "7"),
+        ("eval-alt", "--gamma", "1", "--alpha", "2", "--mu", "1", "--u", "0.3", "--t", "1"),
+    ])
+    def test_closed_64_sums_load_no_numpy(self, tmp_path, args):
+        # a 64-term head is one fsum of Python floats
+        code, _, loaded = probe_cli(args, tmp_path)
+        assert (code, loaded) == (0, {"scipy": [], "numpy": []})
+
+    def test_long_ladder_loads_numpy(self, readme_runs):
+        # eval --t 1 climbs the Hermite-Hadamard ladder to 512 terms
+        args = ("eval", "--gamma", "1", "--alpha", "2", "--mu", "1", "--u", "0", "--t", "1")
+        assert "numpy" in readme_runs[args][2]["numpy"]
 
     @pytest.mark.parametrize("args,code", [
         (("--help",), 0),

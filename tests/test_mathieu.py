@@ -1103,10 +1103,10 @@ class TestClosedTail:
         # f(65)'s denominator leaves the float range: the next term is below
         # its numerator 2 times 2^-1024, which stands in (it read 0 before)
         ((0.0, 2.0, 1.0, 0.0), 1e100, "0x0.4000000000004p-1022", "0x1.56e1fc4f8f359p-997"),
-        ((0.0, 0.5, 3.0, 0.0), 1e60, "0x1.4a8729fc3ddd0p-399", "0x1.4a8729fc3ecfep-399"),
-        ((0.0, 0.5, 3.0, 0.0), 1e100, "0x1.87e92154ef7c9p-665", "0x1.87e92154f09c9p-665"),
-        ((0.0, 0.25, 7.0, 0.5), 1e60, "0x1.4a8729fc3ddacp-399", "0x1.4a8729fc3f068p-399"),
-        ((0.0, 0.25, 7.0, 0.5), 1e100, "0x1.87e92154ef7d9p-665", "0x1.87e92154f0e71p-665"),
+        ((0.0, 0.5, 3.0, 0.0), 1e60, "0x1.4a8729fc3ddd0p-399", "0x1.4a8729fc3e445p-399"),
+        ((0.0, 0.5, 3.0, 0.0), 1e100, "0x1.87e92154ef7c9p-665", "0x1.87e92154eff71p-665"),
+        ((0.0, 0.25, 7.0, 0.5), 1e60, "0x1.4a8729fc3ddacp-399", "0x1.4a8729fc3e7afp-399"),
+        ((0.0, 0.25, 7.0, 0.5), 1e100, "0x1.87e92154ef7d9p-665", "0x1.87e92154f0419p-665"),
     ])
     def test_alternating_one_term_stand_in(self, params, t, value, radius):
         # the shifted kernel leaves the float range and the t = 0 tail's
@@ -1594,9 +1594,36 @@ def _outcome(fn):
     return value.hex(), radius, order
 
 
-def _abs_formula_sum_terms(terms, n, alternating=False):
-    """The head sum as it was before one reduce per chunk: the signs set
-    first, then a reduce of each chunk and of its absolute values."""
+def _listed_terms(params, t):
+    """(lo, hi) -> `_terms(params, t)` at each k = lo..hi-1 as a list, 0 where
+    the denominator leaves the float range, as in numpy's arithmetic."""
+    terms = mathieu._terms(params, t)
+
+    def head(lo, hi):
+        out = []
+        for k in range(lo, hi):
+            w = k + params.u if params.u else float(k)
+            try:
+                (w**params.alpha + t**params.alpha) ** (params.mu + 1.0)
+            except OverflowError:
+                out.append(0.0)
+            else:
+                out.append(terms(k))
+        return out
+
+    return head
+
+
+def _abs_formula_sum_terms(terms, n, alternating=False, head=None):
+    """The head sum: a head of at most 64 terms, head(1, n + 1) (by default
+    the terms on an index array, as a list), in one fsum of the signed terms
+    and one of their absolute values; a longer one as it was before one
+    reduce per chunk: the signs set first, then a reduce of each chunk and
+    of its absolute values."""
+    if n <= 64:
+        listed = (head or (lambda lo, hi: terms(np.arange(lo, hi, dtype=float)).tolist()))(1, n + 1)
+        signed = [-v if alternating and k % 2 else v for k, v in enumerate(listed)]
+        return math.fsum(signed), math.fsum(map(abs, listed)), 0.0
     head, chunks, abs_chunks = [], [], []
     step = 1 << 18
     for lo in range(1, n + 1, step):
@@ -1660,22 +1687,23 @@ class TestWarmSumsBitForBit:
 
     @pytest.mark.parametrize("n", [1, 16, 17, 64, 512, 4096, (1 << 18) + 3])
     @pytest.mark.parametrize("alternating", [False, True])
-    @pytest.mark.parametrize("terms, chunk", [
-        *((mathieu._terms(p, t), mathieu._term_chunks(p, t)) for p, t in (
+    @pytest.mark.parametrize("terms, chunk, head", [
+        *((mathieu._terms(p, t), mathieu._term_chunks(p, t), _listed_terms(p, t)) for p, t in (
             (mathieu.MathieuParams(1.0, 2.0, 1.0, 0.0), 7.0),
             (mathieu.MathieuParams(0.5, 1.5, 0.7, 0.3), 0.0),
             (mathieu.MathieuParams(0.0, 2.0, 0.5, -0.5), 49.0))),
-        (_convex_terms(-1.25, 1.0), mathieu.convex_chunks(sharp.PowerKernel(1.0).g, -1.25, 1.0)),
+        (_convex_terms(-1.25, 1.0), mathieu.convex_chunks(sharp.PowerKernel(1.0).g, -1.25, 1.0),
+         None),
     ], ids=["hh", "non-integer", "negative-u", "convex"])
-    def test_one_reduce_per_chunk(self, terms, chunk, n, alternating):
+    def test_one_reduce_per_chunk(self, terms, chunk, head, n, alternating):
         got = mathieu._sum_terms(chunk, n, alternating)
-        want = _abs_formula_sum_terms(terms, n, alternating)
+        want = _abs_formula_sum_terms(terms, n, alternating, head)
         assert [v.hex() for v in got] == [v.hex() for v in want]
 
     @pytest.mark.parametrize("fn, t, value, radius, terms", [
-        ("eval_S", 0.0, "0x1.924fd060e7098p+7", "0x1.c8eea8a319d4dp-40", 64),
+        ("eval_S", 0.0, "0x1.924fd060e7098p+7", "0x1.c5f7c240a566ap-40", 64),
         ("eval_S", 7.0, "0x1.ae8d0092b7c94p+5", "0x1.2ddfeebc3c4e5p-35", 64),
-        ("eval_S_alt", 0.0, "0x1.63b54d6a217d1p+0", "0x1.7fe768bcb3bb4p-40", 64),
+        ("eval_S_alt", 0.0, "0x1.63b54d6a217f4p+0", "0x1.7cf0825a3f4d1p-40", 64),
     ])
     def test_peak_past_the_float_range_is_not_needed(self, fn, t, value, radius, terms):
         # 2 g at the peak of this kernel needs 19.8^400, which Python's float
@@ -1700,16 +1728,16 @@ class TestOneDoublingLoop:
          "0x1.21dbdd445495bp-2", "0x1.42114804d4fb5p-43", 16384, 0),
         # a plain and an alternating closed sum
         (("eval_S", (0.0, 2.0, 1.0, 0.0), 1.0, 1e-10), None,
-         "0x1.3a3378da946d7p-1", "0x1.61a51b0d49e63p-50", 64, 8),
+         "0x1.3a3378da946d7p-1", "0x1.617a4ed972d93p-50", 64, 8),
         (("eval_S_alt", (1.0, 2.0, 1.0, 0.3), 1.0, 1e-10), None,
-         "0x1.19900be56dc6ap-2", "0x1.550a055fbe3efp-50", 64, 8),
+         "0x1.19900be56dc6ap-2", "0x1.513f2948a226fp-50", 64, 8),
         # the one-term bracket [0, f(65)]
         (("eval_S_alt", (0.0, 0.5, 3.0, 0.0), 1e60, 1e-10), None,
-         "0x1.4a8729fc3ddd0p-399", "0x1.4a8729fc3ecfep-399", 64, 0),
+         "0x1.4a8729fc3ddd0p-399", "0x1.4a8729fc3e445p-399", 64, 0),
         # under the term cap: the ladder stops at 64 terms and the closed tail
         # takes over; an alternating head doubles once
         (("eval_S", (1.0, 2.0, 1.0, 0.0), 1.0, 1e-13), 100,
-         "0x1.96a5c76713323p-1", "0x1.e6f0d69861a15p-50", 64, 8),
+         "0x1.96a5c76713323p-1", "0x1.e3009ab52fabap-50", 64, 8),
         (("eval_S_alt", (1.5, 2.0, 0.2, 0.0), 1.0, 1e-16), 1000,
          "0x1.a82dcbd54e74bp-2", "0x1.7d12b4d169e0ap-45", 128, 8),
         # the convex-kernel series
@@ -1802,8 +1830,9 @@ class TestHeadCache:
         terms, chunk = mathieu._terms(p, t), mathieu._term_chunks(p, t)
         lo = 1 + ((n - 1) >> 18 << 18)  # the last 2^18-term chunk starts here
         with np.errstate(all="ignore"):  # the reference array path warns where numpy does
-            want = _abs_formula_sum_terms(terms, n, alternating)
-            last = terms(np.arange(lo, n + 1, dtype=float))
+            want = _abs_formula_sum_terms(terms, n, alternating, _listed_terms(p, t))
+            last = (_listed_terms(p, t)(lo, n + 1) if n <= 64
+                    else terms(np.arange(lo, n + 1, dtype=float)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # and the chunk path never does
             first = mathieu._sum_terms(chunk, n, alternating)
@@ -1814,12 +1843,16 @@ class TestHeadCache:
         assert [v.hex() for v in first] == [v.hex() for v in second] == [v.hex() for v in want]
 
     def test_cached_arrays_are_read_only(self):
-        mathieu.eval_S_alt(mathieu.MathieuParams(1.0, 1.5, 1.0, 0.25), 3.0)
-        num, wa, _, _ = mathieu._HEAD_CACHE.entries[(1.0, 1.5, 0.25, 1, 65)]
-        for arr in (num, wa):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[1::2] *= -1.0
+        # a 64-term head's factors are tuples, a longer head's read-only arrays
+        params = mathieu.MathieuParams(1.0, 1.5, 1.0, 0.25)
+        mathieu.eval_S_alt(params, 3.0)
+        mathieu._sum_terms(mathieu._term_chunks(params, 3.0), 128, True)
+        for hi, kind in ((65, tuple), (129, np.ndarray)):
+            num, wa, _, _ = mathieu._HEAD_CACHE.entries[(1.0, 1.5, 0.25, 1, hi)]
+            for factor in (num, wa):
+                assert type(factor) is kind and len(factor) == hi - 1
+                with pytest.raises((TypeError, ValueError)):
+                    factor[1::2] *= -1.0
 
     def test_bounded_after_many_kernels(self):
         cache = mathieu._HEAD_CACHE
@@ -1856,3 +1889,90 @@ class TestHeadCache:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+@st.composite
+def _short_head_case(draw):
+    """(params, t, alternating) for a non-integer or a Z+ x N kernel with
+    delta in [1.1, 5], u in [-0.5, 1.5] and t = 0 or in [1e-3, 1e3]."""
+    if draw(st.booleans()):
+        gamma, alpha = float(draw(st.integers(0, 3))), float(draw(st.integers(1, 3)))
+    else:
+        gamma, alpha = draw(st.floats(0.05, 3.0)), draw(st.floats(0.5, 3.0))
+    mu = (draw(st.floats(1.1, 5.0)) + gamma) / alpha - 1.0
+    assume(mu >= 0.05)
+    t = draw(st.just(0.0) | st.floats(1e-3, 10.0) | st.floats(50.0, 1e3))
+    return (gamma, alpha, mu, draw(st.floats(-0.5, 1.5))), t, draw(st.booleans())
+
+
+class TestOneFsumHead:
+    """A head of at most CLOSED_HEAD terms is one exact fsum, summed without
+    numpy."""
+
+    @pytest.mark.parametrize("params, t", [
+        ((1.0, 2.0, 2.0, 0.0), 7.0), ((0.5, 1.5, 1.0, 0.0), 7.0), ((0.0, 2.0, 0.5, -0.5), 49.0),
+        ((2.0, 2.0, 1.5, 0.3), 0.0), ((1.5, 0.7, 3.0, 0.25), 1e3), ((0.0, 3.0, 3.0, 0.0), 1e26),
+    ])
+    @pytest.mark.parametrize("n", [1, 16, 17, 64])
+    @pytest.mark.parametrize("alternating", [False, True])
+    def test_head_is_the_fsum_of_the_terms(self, params, t, n, alternating):
+        p = mathieu.MathieuParams(*params)
+        listed = _listed_terms(p, t)(1, n + 1)
+        signed = [-v if alternating and k % 2 else v for k, v in enumerate(listed)]
+        got = mathieu._sum_terms(mathieu._term_chunks(p, t), n, alternating)
+        assert got == (math.fsum(signed), math.fsum(listed), 0.0)
+
+    @pytest.mark.parametrize("fn, params, t", [
+        ("eval_S", (0.5, 1.5, 1.0, 0.0), 7.0),
+        ("eval_S", (0.0, 2.0, 1.0, 0.0), 1.0),
+        ("eval_S_alt", (1.0, 2.0, 1.0, 0.3), 1.0),
+        ("eval_S_alt", (0.0, 2.0, 0.0, 0.0), 1.0),
+    ])
+    def test_radius_has_no_pairwise_share(self, fn, params, t):
+        # the term roundings, the tail's radius and two roundings of the value
+        p = mathieu.MathieuParams(*params)
+        alternating = fn == "eval_S_alt"
+        res = getattr(mathieu, fn)(p, t)
+        assert (res.terms_used, res.order) == (64, mathieu.TAIL_ORDER)
+        partial, absolute, pairwise = mathieu._sum_terms(mathieu._term_chunks(p, t), 64,
+                                                         alternating)
+        rest = mathieu._closed_tail(p, t, alternating, 64)
+        assert pairwise == 0.0 and res.value == partial + rest[0]
+        assert res.err_hi == rest[1] + (mathieu._term_rtol(p) * absolute
+                                        + 2.0**-53 * (abs(partial) + abs(res.value)) + 1e-300)
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=_short_head_case())
+    @example(case=((1.0, 2.0, 2.0, 0.0), 7.0, False))
+    @example(case=((0.5, 1.5, 1.0, 0.0), 0.0, True))
+    def test_brackets_contain_the_series(self, case):
+        # the Mellin expansion where it converges, the binomial sum below it
+        params, t, alternating = case
+        res = (mathieu.eval_S_alt if alternating else mathieu.eval_S)(
+            mathieu.MathieuParams(*params), t, 1e-10)
+        truth = (s_mellin_mp(*params, t, alternating=alternating) if t >= 50.0
+                 else s_binomial_mp(*params, t, alternating=alternating))
+        assert res.err_hi <= 1e-10
+        assert _contains(res, truth), (params, t, alternating, res)
+
+
+def _fraction_numerators(gamma, alpha, mu, n):
+    """P_0..P_n of `_Kernel.numerator` by its recursion in Fractions."""
+    g, a = Fraction(gamma), Fraction(alpha)
+    d = a * (Fraction(mu) + 1) - g
+    polys = [(Fraction(1),)]
+    for j in range(n):
+        p = (Fraction(0),) + polys[j] + (Fraction(0),)
+        polys.append(tuple((g - j + a * i) * p[i + 1] - (d + j + a * (j + 1 - i)) * p[i]
+                           for i in range(j + 2)))
+    return polys
+
+
+class TestNumerators:
+    @pytest.mark.parametrize("kernel", [(1.0, 1.5, 1.25), (0.5, 1.5, 1.0), (0.0, 2.5, 0.3),
+                                        (2.0, 2.0, 1.5)])
+    def test_integer_recursion_is_the_fraction_recursion(self, kernel):
+        record = mathieu._Kernel(*kernel)
+        got = [record.numerator(n) for n in range(17)]
+        assert got == _fraction_numerators(*kernel, 16)
+        assert {type(c) for poly in got for c in poly} == {Fraction}
