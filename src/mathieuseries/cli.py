@@ -25,7 +25,7 @@ import warnings
 from typing import TYPE_CHECKING
 
 from . import mathieu, sharp
-from .errors import MathieuSeriesError, ParameterError
+from .errors import MathieuSeriesError, ParameterError, ToleranceError
 
 if TYPE_CHECKING:
     from . import analysis
@@ -103,6 +103,11 @@ def cmd_eval(cfg: argparse.Namespace, alternating: bool) -> int:
     for t in _t_values(cfg):
         if alternating:
             res = mathieu.eval_S_alt(params, t, cfg.tol)
+            # eval_auto raises where no radius meets tol; eval_S_alt returns
+            # its honest bracket, whose head rounding can take it past tol
+            radius = max(res.err_lo, res.err_hi)
+            if radius > cfg.tol:
+                raise ToleranceError(f"radius {radius:.3g} at t={t:g} exceeds tol={cfg.tol:.3g}")
         else:
             res = mathieu.eval_auto(params, t, cfg.tol)
         records.append({
@@ -331,7 +336,9 @@ def cmd_hankel(cfg: argparse.Namespace) -> int:
         decay = min(cfg.p, 1.0 + cfg.u) if cfg.kernel != "h-u-prime" else 1.0 + cfg.u
         cutoff = analysis.hankel_cutoff(max(cfg.m - 1.0, 0.0), decay)
     value = analysis.hankel_transform(kernels[cfg.kernel], cfg.m, cfg.t, cutoff)
-    rec = {"kernel": cfg.kernel, "m": cfg.m, "t": cfg.t, "cutoff": cutoff, "value": value}
+    # a quadrature with no bracket, and bessel_j is good to about 3e-12 near x = 12
+    rec = {"kernel": cfg.kernel, "m": cfg.m, "t": cfg.t, "cutoff": cutoff, "value": value,
+           "rigorous": False}
     return _write(cfg, [rec])
 
 

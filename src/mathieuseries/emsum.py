@@ -13,8 +13,13 @@ with the remainder bounded by
 
 The alternating engine uses Euler polynomials and splines instead, with
 weights ((-1)^k eps^k / (2 k!)) E_k(-u) G^(k)(0) and factor eps^n / (2 n!) in
-the bound.  Callers are responsible for the hypotheses (F smooth enough, the
-first n derivatives vanishing at +infinity, bounded variation of F^(n)).
+the bound.  The weights w_k = (-1)^k B_(k+1)(-u) / (k+1)! and
+(-1)^k E_k(-u) / (2 k!) are one exact table (`boundary_weight`): each is
+evaluated in rationals at the exact -u and rounded once, with its rounding,
+and the engines, the coefficient streams and the large-t expansions of the
+Mathieu series all read it.  Callers are responsible for the hypotheses (F
+smooth enough, the first n derivatives vanishing at +infinity, bounded
+variation of F^(n)).
 `em_sum` and `boole_sum` are each one call into the same body,
 `_engine_sum`, which takes the weights of its family (`_weights`) and adds
 the integral term for the Bernoulli family alone.
@@ -42,6 +47,7 @@ import functools
 import math
 import operator
 from collections import namedtuple
+from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import jets, polyfun
@@ -66,7 +72,9 @@ class SmoothFunction:
     bounds, or neither a closed form nor pieces, raises ParameterError: the
     engines' remainder bounds rest on them.  The exact finite identities and
     the coefficient streams take plain values instead: `deriv` (and `eval`),
-    and for `em_asym_coeffs` `tail_integral(0)`.
+    and for `em_asym_coeffs` `tail_integral(0)`; a stream's coefficient of
+    order k is the rounded weight of `boundary_weight` times F^(k)(0), so it
+    carries the weight's one rounding and F's own error, and no bound.
     """
 
     #: left edge of the domain of definition (q <= 0; -inf for entire functions)
@@ -210,33 +218,16 @@ class EMResult(namedtuple("EMResult", "sum_estimate integral_term boundary_terms
 
 
 class AsymptoticSeries(namedtuple("AsymptoticSeries", "powers coeffs")):
-    """Truncated series sum_i coeffs[i] * v**powers[i] in a small variable v.
-
-    `powers` is increasing; evaluation sums the first `n_terms` entries and
-    the magnitude of the next one serves as the usual truncation diagnostic.
-    """
+    """Truncated series sum_i coeffs[i] * v**powers[i] in a small variable v,
+    `powers` increasing; `evaluate` sums the first `n_terms` entries.  It
+    carries no remainder: the engines' sums at eps = v are its certified
+    form."""
 
     __slots__ = ()
 
     def evaluate(self, v: float, n_terms: int | None = None) -> float:
         n = len(self.coeffs) if n_terms is None else min(n_terms, len(self.coeffs))
         return math.fsum(c * v**p for p, c in zip(self.powers[:n], self.coeffs[:n]))
-
-    def next_term_magnitude(self, v: float, n_terms: int) -> float:
-        if n_terms >= len(self.coeffs):
-            return math.nan
-        return abs(self.coeffs[n_terms]) * v ** self.powers[n_terms]
-
-    def optimal_truncation(self, v: float) -> int:
-        """Index after which term magnitudes stop decreasing at this v."""
-        best, best_mag = 0, math.inf
-        for i, (p, c) in enumerate(zip(self.powers, self.coeffs)):
-            mag = abs(c) * v**p
-            if mag == 0.0:
-                continue
-            if mag < best_mag:
-                best, best_mag = i, mag
-        return best + 1
 
 
 # --------------------------------------------------------------------------
@@ -346,22 +337,41 @@ def boole_finite_identity(
 # infinite-sum engines with remainder bounds
 # --------------------------------------------------------------------------
 
-class _Weights(namedtuple("_Weights", "sup_spline sup_edge parts orders")):
+@functools.lru_cache(maxsize=4096)
+def boundary_weight(family: str, u: float, k: int) -> tuple[Fraction, float, float]:
+    """The weight w_k of order k at offset u: (-1)^k B_(k+1)(-u) / (k+1)!
+    (family `polyfun.BERNOULLI`) or (-1)^k E_k(-u) / (2 k!) (`polyfun.EULER`),
+    as (its exact value, that value rounded once, the rounding rounded up).
+
+    The polynomial is evaluated in rationals at the exact -u
+    (`polyfun.poly_eval_exact`), so no Horner rounding enters, and a weight
+    that is exactly 0 is the float 0 with no error.  OrderOverflowError past
+    the polynomial cache limit.
+    """
+    if family == polyfun.BERNOULLI:
+        coeffs, divisor = polyfun.bernoulli_coeffs(k + 1), math.factorial(k + 1)
+    else:
+        coeffs, divisor = polyfun.euler_coeffs(k), 2 * math.factorial(k)
+    exact = (-1) ** k * polyfun.poly_eval_exact(coeffs, -Fraction(u)) / divisor
+    return (exact, *polyfun.rounded(exact))
+
+
+class _Weights(namedtuple("_Weights", "sup_spline sup_edge divisor parts orders")):
     """What an engine of one family at offset u and order n takes from them
     alone, kept once per (family, u, n) (`_weights`).
 
-    `sup_spline` is sup |b_(n+1)| resp. sup |e_n| over one period, and
+    `sup_spline` is sup |b_(n+1)| resp. sup |e_n| over one period,
     `sup_edge` the sup of the endpoint polynomial B_(n+1) resp. E_n over the
-    0..-u range.  `parts` holds, per k = 0..n, the parts of the boundary
-    weight c_k of `_boundary_terms`: (-1)^k, the divisor (k+1)! (Bernoulli)
-    resp. 2 k! (Euler), the polynomial value p = B_{k+1}(-u) resp. E_k(-u),
-    |p|, and the factor 4.01 u (|p| + h) + h of its error bound, with h its
-    Horner error.  `orders` holds the k whose F^(k)(0) the engine takes:
-    every k whose weight is not exactly 0, and n.  A weight is exactly 0
-    where u = 0 and the polynomial's exact constant coefficient is 0:
-    B_(2j+1)(0) = E_(2j)(0) = 0 for j >= 1 (DLMF 24.2), so at order 8
-    k = 2, 4, 6 and 8 in both families.  n stays for the variation of F^(n)
-    past 0, which starts from F^(n)(0) where u = 0.
+    0..-u range, and `divisor` (n+1)! resp. 2 n!, the remainder's.  `parts`
+    holds, per k = 0..n, what `_boundary_terms` takes of the weight w_k
+    (`boundary_weight`): its float, |w_k|, its rounding error, and the
+    relative rounding of eps^k w_k beyond w_k's own: none for k = 0
+    (eps^0 = 1), the product for k = 1 (eps^1 = eps), and past it a pow
+    within 1 ulp and the product, with 0.01 u for the second-order terms.
+    `orders` holds the k whose F^(k)(0) the engine takes: every k whose
+    exact weight is not 0, and n.  At u = 0, B_(2j+1)(0) = E_(2j)(0) = 0 for j >= 1 (DLMF 24.2), so
+    at order 8 k = 2, 4, 6 and 8 are 0 in both families.  n stays for the
+    variation of F^(n) past 0, which starts from F^(n)(0) where u = 0.
     """
 
     __slots__ = ()
@@ -369,22 +379,18 @@ class _Weights(namedtuple("_Weights", "sup_spline sup_edge parts orders")):
 
 @functools.lru_cache(maxsize=256)
 def _weights(family: str, u: float, n: int) -> _Weights:
-    bernoulli = family == polyfun.BERNOULLI
-    poly = polyfun.bernoulli_poly if bernoulli else polyfun.euler_poly
-    coeffs = polyfun.bernoulli_coeffs if bernoulli else polyfun.euler_coeffs
-    order = n + 1 if bernoulli else n
     parts, orders = [], []
     for k in range(n + 1):
-        k_order = k + 1 if bernoulli else k
-        p = poly(k_order, -u)
-        h = polyfun.poly_eval_error(k_order, family, -u)
-        parts.append(((-1.0) ** k, math.factorial(k + 1) if bernoulli else 2.0 * math.factorial(k),
-                      p, abs(p), 4.01 * 2.0**-53 * (abs(p) + h) + h))
-        if u or coeffs(k_order)[0] or k == n:
+        exact, w, w_err = boundary_weight(family, u, k)
+        parts.append((w, abs(w), w_err, (0.0, 2.0**-53)[k] if k < 2 else 3.01 * 2.0**-53))
+        if exact or k == n:
             orders.append(k)
+    bernoulli = family == polyfun.BERNOULLI
+    order = n + 1 if bernoulli else n
     return _Weights(
         sup_spline=polyfun.spline_sup(polyfun.SplineKind(family, order)),
         sup_edge=polyfun.poly_sup(order, family, (-u, 0.0) if u >= 0 else (0.0, -u)),
+        divisor=float(math.factorial(n + 1) if bernoulli else 2 * math.factorial(n)),
         parts=tuple(parts),
         orders=tuple(orders),
     )
@@ -411,36 +417,31 @@ def _boundary_terms(f: SmoothFunction, eps: float, weights: _Weights
     """The boundary terms c_k F^(k)(0), k = 0..n, and a bound on the error of
     each term taken.
 
-    c_k = (-1)^k eps^k B_{k+1}(-u) / (k+1)! (Bernoulli) or
-    (-1)^k eps^k E_k(-u) / (2 k!) (Euler), from the parts in `_Weights`.
-    F^(k)(0) is taken only at `weights.orders`: every other c_k is exactly
-    0, so its term is 0 with no error, the fsum of the terms, which ignores
-    zeros, is the same bit for bit, and the error bound only loses the
-    slack that the Horner bound h gave such a weight.  The factor eps^k / m_k
-    takes at most 4 roundings relative (a power within 1 ulp, a quotient,
-    the product with the polynomial value), the polynomial value its Horner
-    error h, the product with F^(k)(0) one more rounding, and F^(k)(0) its
-    reported error.  A rounding below the normal range adds its absolute
-    error, taken as 2^-1073 for eps^k / m_k (a power and a quotient) and
-    2^-1074 for the weight and for the term.
+    c_k = eps^k w_k, with the weight w_k of `boundary_weight` from the parts
+    in `_Weights`.  F^(k)(0) is taken only at `weights.orders`: every other
+    c_k is exactly 0, so its term is 0 with no error, and the fsum of the
+    terms, which ignores zeros, is the same bit for bit.  c_k carries the
+    relative rounding of eps^k w_k (`_Weights`) and eps^k times the
+    rounding of w_k, the product with F^(k)(0) one more rounding, and
+    F^(k)(0) its reported error.  A rounding below the normal range adds its
+    absolute error: 2^-1074 (|w_k| + its error) for eps^k (a pow), and
+    2^-1074 for c_k and for the term.
     """
     parts, orders = weights.parts, weights.orders
     terms, errs = [0.0] * len(parts), []
     for k, (d, d_err) in zip(orders, f.derivs_with_error(orders)):
-        sign, divisor, p, p_abs, p_err = parts[k]
-        # size = |scale|: with a sign of +-1 and a divisor above 0, |scale|,
-        # |weight| and |term| are size, size |p| and |weight| |d| bit for bit
-        size = eps**k / divisor
-        weight = sign * size * p
+        w, w_abs, w_err, rel = parts[k]
+        scale = eps**k
+        weight = scale * w
         term = weight * d
         terms[k] = term
-        w_abs, d_abs = size * p_abs, abs(d)
-        # the weight's absolute error below the normal range, then the term's
-        w_tiny = 2.0**-1073 * (p_abs + p_err) if size < _NORMAL else 0.0
-        if w_abs < _NORMAL and size and p:
-            w_tiny += 2.0**-1074
-        err = (2.0**-53 * (w_abs * d_abs) + w_abs * d_err
-               + (d_abs + d_err) * (size * p_err + w_tiny))
+        c_abs, d_abs = abs(weight), abs(d)
+        # c_k's absolute error below the normal range, then the term's
+        c_tiny = 2.0**-1074 * (w_abs + w_err) if scale < _NORMAL else 0.0
+        if c_abs < _NORMAL and scale and w:
+            c_tiny += 2.0**-1074
+        err = (2.0**-53 * (c_abs * d_abs) + c_abs * d_err
+               + (d_abs + d_err) * (rel * c_abs + scale * w_err + c_tiny))
         errs.append(err + 2.0**-1074 if abs(term) < _NORMAL and weight and d else err)
     return tuple(terms), errs
 
@@ -478,7 +479,7 @@ def _engine_sum(family: str, f: SmoothFunction, eps: float, u: float, n: int) ->
     weights = _weights(family, u, n)
     boundary, f_errs = _boundary_terms(f, eps, weights)
     v_edge, v_tail = _variations(f, eps, u, n)
-    bound = _remainder(eps, n, weights.parts[n][1],
+    bound = _remainder(eps, n, weights.divisor,
                        weights.sup_spline * v_tail + weights.sup_edge * v_edge)
     # math.fsum returns +0.0 for a zero sum, so adding the Euler family's
     # integral term 0.0 changes no bit
@@ -518,29 +519,31 @@ def boole_sum(g: SmoothFunction, eps: float, u: float, n: int) -> EMResult:
     return _engine_sum(polyfun.EULER, g, eps, u, n)
 
 
+def _stream(family: str, f: SmoothFunction, u: float, k_max: int) -> list[float]:
+    """w_k F^(k)(0) for k = 0..k_max, w_k the rounded `boundary_weight`."""
+    return [boundary_weight(family, u, k)[1] * f.deriv(k, 0.0) for k in range(k_max + 1)]
+
+
 def em_asym_coeffs(f: SmoothFunction, u: float, k_max: int) -> AsymptoticSeries:
-    """Coefficient stream of the eps -> 0 expansion of sum F(eps k + eps u).
+    """Coefficient stream of the eps -> 0 expansion of sum F(eps k + eps u),
+    `em_sum` without its remainder.
 
     Power -1 carries the integral constant int_0^inf F; power k carries
-    ((-1)^k / (k+1)!) B_{k+1}(-u) F^(k)(0).
+    w_k F^(k)(0), w_k = (-1)^k B_(k+1)(-u) / (k+1)! (`boundary_weight`).
     """
     if k_max > polyfun.MAX_ORDER - 1:
         raise OrderOverflowError(f"k_max exceeds the polynomial cache limit {polyfun.MAX_ORDER}")
     powers = [-1.0] + [float(k) for k in range(k_max + 1)]
-    coeffs = [f.tail_integral(0.0)] + [
-        (-1.0) ** k / math.factorial(k + 1) * polyfun.bernoulli_poly(k + 1, -u) * f.deriv(k, 0.0)
-        for k in range(k_max + 1)
-    ]
+    coeffs = [f.tail_integral(0.0)] + _stream(polyfun.BERNOULLI, f, u, k_max)
     return AsymptoticSeries(powers=tuple(powers), coeffs=tuple(coeffs))
 
 
 def boole_asym_coeffs(g: SmoothFunction, u: float, k_max: int) -> AsymptoticSeries:
-    """Coefficient stream of the eps -> 0 expansion of the alternating sum."""
+    """Coefficient stream of the eps -> 0 expansion of the alternating sum,
+    `boole_sum` without its remainder: power k carries w_k G^(k)(0),
+    w_k = (-1)^k E_k(-u) / (2 k!) (`boundary_weight`)."""
     if k_max > polyfun.MAX_ORDER:
         raise OrderOverflowError(f"k_max exceeds the polynomial cache limit {polyfun.MAX_ORDER}")
     powers = [float(k) for k in range(k_max + 1)]
-    coeffs = [
-        (-1.0) ** k / (2.0 * math.factorial(k)) * polyfun.euler_poly(k, -u) * g.deriv(k, 0.0)
-        for k in range(k_max + 1)
-    ]
-    return AsymptoticSeries(powers=tuple(powers), coeffs=tuple(coeffs))
+    return AsymptoticSeries(powers=tuple(powers),
+                            coeffs=tuple(_stream(polyfun.EULER, g, u, k_max)))

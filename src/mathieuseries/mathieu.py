@@ -34,6 +34,12 @@ every head is 0 or 64 2^j.  At t = 0, at tiny t, and wherever that kernel
 leaves the float range, on the power tail 2 (x + head)^(-delta).  `eval_em`
 is the closer with no head, for (gamma, alpha) in Z+ x N, where g is smooth
 at 0: the same y-form there, with g^(n)(0) exact up to one rounding.
+
+The large-t expansions (`asym_S`, `asym_S_alt`) are that closer's terms:
+each coefficient is the exact weight of `emsum.boundary_weight` times the
+exact g^(p)(0) of `_Kernel.derivative_at_zero`, rounded once, and
+`eval_asym` returns head 0's certified bracket, the expansion through order
+8 with the engine's remainder.
 """
 
 from __future__ import annotations
@@ -83,7 +89,6 @@ CROSSOVER = 1 << 14
 
 DIRECT = "direct"
 EULER_MACLAURIN = "euler-maclaurin"
-ASYMPTOTIC = "asymptotic"
 
 
 def _is_nonneg_int(x: float) -> bool:
@@ -173,20 +178,12 @@ def g_eval(params: MathieuParams, x: float) -> float:
     return x**params.gamma * (x**params.alpha + 1.0) ** (-params.mu - 1.0)
 
 
-def _gamma_ratio(mu: float, k: int) -> float:
-    """Gamma(mu+k+1) / (Gamma(mu+1) Gamma(k+1)) by stable iteration; with the
-    sign (-1)^k, the coefficient of x^(gamma + k alpha) in g's series at 0."""
-    out = 1.0
-    for j in range(k):
-        out *= (mu + j + 1.0) / (j + 1.0)
-    return out
-
-
 def g_jet(params: MathieuParams, x: float, order: int) -> list[float]:
     """Taylor coefficients of g at x up to the given order.
 
-    At x = 0 the jet comes from the binomial series of the kernel; outside the
-    smooth regime only orders up to the smoothness r are available there.
+    At x = 0 the jet comes from the binomial series of the kernel
+    (`_Kernel.derivative_at_zero`), each coefficient rounded once; outside
+    the smooth regime only orders up to the smoothness r are available there.
     """
     if x < 0 and not params.integer_regime:
         raise ParameterError("negative arguments require (gamma, alpha) in Z+ x N")
@@ -198,16 +195,8 @@ def g_jet(params: MathieuParams, x: float, order: int) -> list[float]:
             raise OrderOverflowError(
                 f"derivative order {order} exceeds smoothness r = {prof.r} at x = 0"
             )
-        out = [0.0] * (order + 1)
-        if params.integer_regime:
-            gam, alp = int(params.gamma), int(params.alpha)
-            k = 0
-            while gam + k * alp <= order:
-                out[gam + k * alp] = (-1.0) ** k * _gamma_ratio(params.mu, k)
-                k += 1
-        elif _is_nonneg_int(params.gamma) and params.gamma <= order:
-            out[int(params.gamma)] = 1.0
-        return out
+        c = _kernel(params.gamma, params.alpha, params.mu)
+        return [float(c.derivative_at_zero(p) / math.factorial(p)) for p in range(order + 1)]
     xj = jets.jet_var(x, order)
     if params.integer_regime:
         mono = jets.jet_ipow(xj, int(params.gamma))
@@ -220,32 +209,22 @@ def g_jet(params: MathieuParams, x: float, order: int) -> list[float]:
 
 @functools.lru_cache(maxsize=256)
 def g_smoothness(params: MathieuParams) -> SmoothnessProfile:
-    """Smoothness order r of g at 0 and the derivatives g^(p)(0) for p <= min(r, 16).
+    """Smoothness order r of g at 0 and the derivatives g^(p)(0) for
+    p <= min(r, 16), each rounded once (`_Kernel.derivative_at_zero`).
 
     r = [gamma] when gamma is not a nonnegative integer, gamma + [alpha] when
     gamma is but alpha is not, and infinity when both are.  Kept once per
     kernel: `g_jet` at 0 asks for it at every order.
     """
-    cap = 16
     if params.integer_regime:
-        gam, alp = int(params.gamma), int(params.alpha)
-        derivs = []
-        for p in range(cap + 1):
-            if (p - gam) >= 0 and (p - gam) % alp == 0:
-                k = (p - gam) // alp
-                derivs.append((p, (-1.0) ** k * _gamma_ratio(params.mu, k) * math.factorial(p)))
-            else:
-                derivs.append((p, 0.0))
-        return SmoothnessProfile(r=math.inf, initial_derivs=tuple(derivs))
-    if not _is_nonneg_int(params.gamma):
+        r = math.inf
+    elif not _is_nonneg_int(params.gamma):
         r = math.floor(params.gamma)
-        return SmoothnessProfile(r=r, initial_derivs=tuple((p, 0.0) for p in range(r + 1)))
-    gam = int(params.gamma)
-    r = gam + math.floor(params.alpha)
-    derivs = tuple(
-        (p, float(math.factorial(gam)) if p == gam else 0.0) for p in range(min(r, cap) + 1)
-    )
-    return SmoothnessProfile(r=r, initial_derivs=derivs)
+    else:
+        r = int(params.gamma) + math.floor(params.alpha)
+    c = _kernel(params.gamma, params.alpha, params.mu)
+    return SmoothnessProfile(r=r, initial_derivs=tuple(
+        (p, float(c.derivative_at_zero(p))) for p in range(min(r, 16) + 1)))
 
 
 def g_total_variation(params: MathieuParams) -> float:
@@ -368,6 +347,19 @@ class _Kernel:
                 (g - j * den + a * i) * p[i + 1] - (d + j * den + a * (j + 1 - i)) * p[i]
                 for i in range(n + 1)))
         return poly
+
+    def derivative_at_zero(self, p: int) -> Fraction:
+        """g^(p)(0) = p! (-1)^j binom(mu+j, j) where p = gamma + alpha j for an
+        integer j >= 0, else 0: the binomial series
+        g(x) = sum_j (-1)^j binom(mu+j, j) x^(gamma + alpha j), exact in the
+        Fractions of the float parameters.  It is g^(p)(0) for every p up to
+        g's smoothness at 0 (`g_smoothness`), so for every p in Z+ x N."""
+        j = (p - Fraction(self.gamma)) / Fraction(self.alpha)
+        if j < 0 or j.denominator != 1:
+            return Fraction(0)
+        j, m = int(j), Fraction(self.mu)
+        binom = Fraction(math.prod(m + i for i in range(1, j + 1)), math.factorial(j))
+        return (-1) ** j * math.factorial(p) * binom
 
     def model(self, n: int) -> _YDerivative:
         """The `_YDerivative` of g^(n)."""
@@ -1148,89 +1140,66 @@ def _require_integer_regime(params: MathieuParams, n: int) -> tuple[int, int]:
     return int(params.gamma), int(params.alpha)
 
 
-def asym_S(params: MathieuParams, n: int) -> emsum.AsymptoticSeries:
-    """Large-t expansion of the plain series, as powers of 1/t.
+def _corrections(params: MathieuParams, gam: int, alp: int, n: int,
+                 family: str) -> tuple[list[float], list[float]]:
+    """The powers of 1/t and the coefficients of the first n corrections of
+    an expansion in Z+ x N: at alpha (mu + 1 + j), 2 w_p g^(p)(0) with
+    p = gamma + alpha j, w_p the exact weight of the family
+    (`emsum.boundary_weight`) and g^(p)(0) = p! (-1)^j binom(mu+j, j)
+    (`_Kernel.derivative_at_zero`), their exact product rounded once.
+    g^(k)(0) is 0 at every other k, so the engine's other terms vanish."""
+    c = _kernel(params.gamma, params.alpha, params.mu)
+    powers, coeffs = [], []
+    for j in range(n):
+        p = gam + alp * j
+        order = p + 1 if family == polyfun.BERNOULLI else p
+        if order > polyfun.MAX_ORDER:
+            raise OrderOverflowError(
+                f"correction {j} needs the {family.capitalize()} polynomial of order {order}")
+        powers.append(params.alpha * (j + params.mu + 1.0))
+        coeffs.append(float(2 * emsum.boundary_weight(family, params.u, p)[0]
+                            * c.derivative_at_zero(p)))
+    return powers, coeffs
 
-    Leading term (2/alpha) B((gamma+1)/alpha, mu+1-(gamma+1)/alpha) at power
-    delta - 1, then n correction terms with Bernoulli-polynomial coefficients
-    at powers alpha (k + mu + 1).
+
+def asym_S(params: MathieuParams, n: int) -> emsum.AsymptoticSeries:
+    """Large-t expansion of the plain series, as powers of 1/t: the terms of
+    the Euler-Maclaurin sum of head 0 (`eval_em`),
+    2 t^(-delta) [t int_0^inf g + sum_k w_k t^(-k) g^(k)(0)].
+
+    Leading term 2 B(a, b) / alpha (`_Kernel.whole`) at power delta - 1, then
+    n corrections with the Bernoulli weights (`_corrections`).
     """
     gam, alp = _require_integer_regime(params, n)
     params.require_delta(1.0)
-    b = (params.gamma + 1.0) / params.alpha
-    lead = 2.0 / params.alpha * polyfun.beta_fn(b, params.mu + 1.0 - b)
-    powers = [params.delta - 1.0]
-    coeffs = [lead]
-    for k in range(n):
-        order = k * alp + gam + 1
-        if order > polyfun.MAX_ORDER:
-            raise OrderOverflowError(
-                f"correction {k} needs the Bernoulli polynomial of order {order}"
-            )
-        c = (
-            (-1.0) ** (k * (alp + 1) + gam)
-            * 2.0 * _gamma_ratio(params.mu, k)
-            * polyfun.bernoulli_poly(order, -params.u) / order
-        )
-        powers.append(params.alpha * (k + params.mu + 1.0))
-        coeffs.append(c)
-    return emsum.AsymptoticSeries(powers=tuple(powers), coeffs=tuple(coeffs))
+    powers, coeffs = _corrections(params, gam, alp, n, polyfun.BERNOULLI)
+    lead = 2.0 * _kernel(params.gamma, params.alpha, params.mu).whole
+    return emsum.AsymptoticSeries(powers=(params.delta - 1.0, *powers), coeffs=(lead, *coeffs))
 
 
 def asym_S_alt(params: MathieuParams, n: int) -> emsum.AsymptoticSeries:
-    """Large-t expansion of the alternating series (Euler-polynomial coefficients)."""
+    """Large-t expansion of the alternating series: the terms of the Boole
+    sum, n corrections with the Euler weights (`_corrections`)."""
     gam, alp = _require_integer_regime(params, n)
     params.require_delta(0.0)
-    powers = []
-    coeffs = []
-    for k in range(n):
-        order = k * alp + gam
-        if order > polyfun.MAX_ORDER:
-            raise OrderOverflowError(
-                f"correction {k} needs the Euler polynomial of order {order}"
-            )
-        c = (
-            (-1.0) ** (k * (alp + 1) + gam)
-            * _gamma_ratio(params.mu, k)
-            * polyfun.euler_poly(order, -params.u)
-        )
-        powers.append(params.alpha * (k + params.mu + 1.0))
-        coeffs.append(c)
+    powers, coeffs = _corrections(params, gam, alp, n, polyfun.EULER)
     return emsum.AsymptoticSeries(powers=tuple(powers), coeffs=tuple(coeffs))
 
 
 def eval_asym(params: MathieuParams, t: float) -> EvalResult:
-    """Evaluate the plain-series expansion at t up to its smallest term,
-    reporting |next term| as the error.
+    """The plain-series expansion at t with its certified remainder:
+    `eval_em`'s bracket, with its inputs and exceptions.
 
-    The error proxy is heuristic (the expansion carries no explicit constant),
-    so the result is flagged non-rigorous.
+    Head 0's order-8 Euler-Maclaurin estimate is `asym_S` summed through its
+    corrections of order at most 8 (the other g^(k)(0) are 0), and its
+    radius is the engine's remainder bound plus every rounding.
     """
-    if not 0.0 < t < math.inf:
-        raise ParameterError("the expansion needs finite t > 0")
-    cap = max(0, (polyfun.MAX_ORDER - int(params.gamma) - 1) // max(int(params.alpha), 1))
-    series = asym_S(params, cap)
-    v = 1.0 / t
-    n = series.optimal_truncation(v)
-    value = series.evaluate(v, n)
-    nxt = series.next_term_magnitude(v, n)
-    if math.isnan(nxt):
-        nxt = abs(series.coeffs[-1]) * v ** series.powers[-1]
-    return EvalResult(
-        value=value, err_lo=nxt, err_hi=nxt, method=ASYMPTOTIC,
-        terms_used=n, rigorous=False,
-    )
+    return eval_em(params, t)
 
 
 # --------------------------------------------------------------------------
 # Euler-Maclaurin path and dispatch
 # --------------------------------------------------------------------------
-
-def _rounded(q: Fraction) -> tuple[float, float]:
-    """q rounded once, and that rounding, rounded up."""
-    f = float(q)
-    return f, polyfun.round_up(abs(Fraction(f) - q))
-
 
 class _YDerivative:
     """g^(n) in the y-form x^(gamma-n) (1+y)^(-m-n) P_n(y), y = x^alpha and
@@ -1242,8 +1211,8 @@ class _YDerivative:
     x^(gamma - n + alpha lo) (1+y)^(-m-n) sum c_i y^(i-lo) up to x = 1, and past
     it x^(alpha (hi-n) - delta - n) (1+z)^(-m-n) sum c_i z^(hi-i) with
     z = x^(-alpha) = 1/y, so no power overflows where g^(n) is a float.  At
-    x = 0 the first form is c_lo where gamma - n + alpha lo = 0, else 0
-    (`at_zero`, a power at least 0 in Z+ x N, where g is smooth).  g^(n)
+    x = 0 it is the exact g^(n)(0) of `_Kernel.derivative_at_zero` rounded
+    once (`at_zero`, taken in Z+ x N alone, where g is smooth).  g^(n)
     turns only where P_(n+1) vanishes: at its positive roots, isolated
     exactly in y once (`turns`) and mapped outward to x through
     y^(1/alpha), and left of 0 at those of `left_turns`.
@@ -1261,14 +1230,14 @@ class _YDerivative:
         # and of sum c_i y^(i-lo) up to it, each with its power of x: the
         # power, its magnitude, its rounding and that of the pow (0 for x^0)
         ascending = tuple((float(c), abs(float(c))) for c in poly[lo:hi + 1])
-        high = (ascending, _rounded(a * (hi - n) - (a * m - g) - n))
-        low = (ascending[::-1], _rounded(g - n + a * lo))
+        high = (ascending, polyfun.rounded(a * (hi - n) - (a * m - g) - n))
+        low = (ascending[::-1], polyfun.rounded(g - n + a * lo))
         self.forms = tuple((c[0], c[1:], power, abs(power), err, 2.0**-52 if power else 0.0)
                            for c, (power, err) in (high, low))
-        base_power, base_power_err = _rounded(-(m + n))
+        base_power, base_power_err = polyfun.rounded(-(m + n))
         self.base = (base_power, abs(base_power), base_power_err)
         #: g^(n)(0) and its rounding
-        self.at_zero = _rounded(poly[lo]) if g - n + a * lo == 0 else (0.0, 0.0)
+        self.at_zero = polyfun.rounded(kernel.derivative_at_zero(n))
 
     def value(self, x: float) -> tuple[float, float]:
         """g^(n) at x and a bound on the error of the value."""

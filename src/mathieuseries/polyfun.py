@@ -118,21 +118,6 @@ def euler_poly(n: int, x: float) -> float:
     return _horner(_float_coeffs(n, EULER), x)
 
 
-@lru_cache(maxsize=None)
-def _abs_float_coeffs(n: int, family: str) -> tuple[float, ...]:
-    return tuple(abs(c) for c in _float_coeffs(n, family))
-
-
-def poly_eval_error(n: int, family: str, x: float) -> float:
-    """Bound on the error of `bernoulli_poly(n, x)` (family 'bernoulli') or `euler_poly(n, x)`.
-
-    Coefficients rounded once and Horner's 2n roundings stay within
-    (2n + 1) u sum |c_k| |x|^k, u = 2^-53; one more u and the factor 1.01
-    cover the rounding of this bound itself, and 1e-300 any underflow.
-    """
-    return (2 * n + 2) * 1.01 * 2.0**-53 * _horner(_abs_float_coeffs(n, family), abs(x)) + 1e-300
-
-
 def _frac_part(x: float) -> float:
     return x - math.floor(x)
 
@@ -399,6 +384,13 @@ def poly_eval_exact(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
 def round_up(x: Fraction) -> float:
     """The next float above x (float() rounds to nearest)."""
     return math.nextafter(float(x), math.inf)
+
+
+def rounded(q: Fraction) -> tuple[float, float]:
+    """q rounded once, and that rounding, rounded up (0 where q is a float)."""
+    f = float(q)
+    diff = abs(Fraction(f) - q)
+    return f, round_up(diff) if diff else 0.0
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 """Shared high-precision oracles, independent of the library's own code paths."""
 
+import math
+from fractions import Fraction
+from functools import lru_cache
+
 import mpmath as mp
 import pytest
 
@@ -229,6 +233,42 @@ def log_phi_mp(u: float, x: float) -> mp.mpf:
     uf, xf = mp.mpf(u), mp.mpf(x)
     total = mp.nsum(lambda k: 2 * (k + uf) * mp.exp(-((k + uf) ** 2) * xf), [1, mp.inf])
     return -mp.log(xf * total)
+
+
+@lru_cache(maxsize=None)
+def _appell_constants(bernoulli: bool, n: int) -> tuple[Fraction, ...]:
+    """c_0..c_n of the Appell polynomials P_j(x) = sum_i C(j, i) c_i x^(j-i):
+    B_j(1) = B_j(0) for j >= 2, or E_j(1) = -E_j(0) for j >= 1."""
+    c = [Fraction(1)]
+    for j in range(1, n + 1):
+        if bernoulli:  # sum_(i<=j) C(j+1, i) c_i = 0
+            c.append(-sum(math.comb(j + 1, i) * c[i] for i in range(j)) / (j + 1))
+        else:  # 2 c_j + sum_(i<j) C(j, i) c_i = 0
+            c.append(-sum(math.comb(j, i) * c[i] for i in range(j)) / 2)
+    return tuple(c)
+
+
+def exact_weight(bernoulli: bool, u: float, k: int) -> Fraction:
+    """The boundary weight (-1)^k B_(k+1)(-u) / (k+1)! or (-1)^k E_k(-u) / (2 k!)
+    in rationals at the exact -u, from the difference equations
+    B_j(x+1) - B_j(x) = j x^(j-1) and E_j(x+1) + E_j(x) = 2 x^j."""
+    j = k + 1 if bernoulli else k
+    c, x = _appell_constants(bernoulli, j), -Fraction(u)
+    value = sum(math.comb(j, i) * c[i] * x ** (j - i) for i in range(j + 1))
+    return (-1) ** k * value / (math.factorial(j) if bernoulli else 2 * math.factorial(k))
+
+
+def exact_g_derivative(gamma: int, alpha: int, mu: float, p: int) -> Fraction:
+    """g^(p)(0) of x^gamma (1 + x^alpha)^(-mu-1) in Z+ x N, exact in the
+    Fraction of mu: p! times the coefficient (-1)^j binom(mu+j, j) of
+    x^(gamma + alpha j) in the binomial series."""
+    j, rest = divmod(p - gamma, alpha)
+    if j < 0 or rest:
+        return Fraction(0)
+    coeff = Fraction(1)
+    for i in range(1, j + 1):
+        coeff *= -(Fraction(mu) + i) / i
+    return math.factorial(p) * coeff
 
 
 TWO_ZETA3 = 2 * mp.zeta(3)

@@ -86,13 +86,18 @@ class TestEval:
 
     @pytest.mark.parametrize("command, tol, met", [
         ("eval", "1e-10", True), ("eval", "1e-14", True), ("eval-alt", "1e-10", True),
-        # the tail meets tol/2, and the head's rounding slack takes the radius past tol
+        # the tail meets tol/2, and the head's rounding slack takes the radius
+        # past tol: exit 2 naming the radius, as eval does
         ("eval-alt", "1e-17", False),
     ])
     def test_records_say_whether_tol_was_met(self, capsys, command, tol, met):
         # tol_met is the bench checks' rule max(err_lo, err_hi) <= tol
-        code, out, _ = run(capsys, command, "--gamma", "0.5", "--alpha", "1.5", "--mu", "1",
-                           "--t", "7", "--tol", tol)
+        code, out, err = run(capsys, command, "--gamma", "0.5", "--alpha", "1.5", "--mu", "1",
+                             "--t", "7", "--tol", tol)
+        if not met:
+            assert (code, out) == (2, "")
+            assert err == "error: radius 1.79e-16 at t=7 exceeds tol=1e-17\n"
+            return
         assert code == 0
         rec = json.loads(out)
         assert rec["rigorous"] is True
@@ -126,6 +131,17 @@ class TestAsym:
         assert recs[0]["k"] == 0
         assert recs[0]["inv_t_power"] == 4.0
         assert recs[0]["coefficient"] == pytest.approx(0.5)
+
+    def test_high_order_coefficient_is_exact(self, capsys):
+        # E_23(-1/2) once cancelled to 0 in float Horner; the exact product of
+        # the weight and g^(23)(0), rounded once, is -1.601953990161419e-06
+        code, out, _ = run(capsys, "asym", "--alt", "--gamma", "2", "--alpha", "3", "--mu", "0.9",
+                           "--u", "0.5", "--n-terms", "8")
+        assert code == 0
+        recs = [json.loads(line) for line in out.strip().splitlines()]
+        assert [rec["k"] for rec in recs] == list(range(8))
+        assert recs[7]["coefficient"] == -1.601953990161419e-06
+        assert recs[7]["inv_t_power"] == 3.0 * (7 + 0.9 + 1.0)
 
     def test_regime_exit_2(self, capsys):
         code, _, err = run(capsys, "asym", "--gamma", "3.5")
@@ -189,6 +205,8 @@ class TestHankel:
         rec = json.loads(out.strip())
         expected = math.sqrt(2.0 / math.pi) * 0.5
         assert rec["value"] == pytest.approx(expected, abs=1e-10)
+        # a quadrature without a bracket says so
+        assert list(rec)[-1] == "rigorous" and rec["rigorous"] is False
 
     def test_cutoff_printed(self, capsys):
         code, out, _ = run(capsys, "hankel", "--kernel", "h-u-prime", "--m", "3",
@@ -570,11 +588,11 @@ README_COMMANDS = {
         "8ae91fdb46161886127202e605356045b448f57128373ef1044c191ada1f237f",
     ("eval", "--t-start", "0.01", "--t-stop", "100", "--t-count", "200", "--t-log",
      "--format", "csv"):
-        "17600193f548f678ac6b26708ccd34573c05ae8a81a349336eab42e7c1ff31a6",
+        "e448e1ffe6125c04dba0b5ab10eee85ae8cab42a2325e25d946ce4dadff88580",
     ("eval-alt", "--gamma", "0", "--alpha", "2", "--mu", "0", "--u", "0", "--t", "1"):
-        "23f89ff474d7fd0b4447e6d26ac45eceab912e89cd601b1266c33f0d95d15585",
+        "abd99598e255763a1fe078dd0de90848c6325672915213bc98e0dab9a7fac7ec",
     ("asym", "--gamma", "1", "--alpha", "2", "--mu", "1", "--u", "0.5", "--n-terms", "6"):
-        "1d151504da8f16fb27031ae80fb08f3fbe6ccef6204213c27fc168b6b99bd052",
+        "94d10181fa5394f359b0b57c8f0f98fce6c5986f01b18fafc27f0b052baf16fb",
     ("constants", "--mu", "1", "--u", "0"):
         "2a594de9d757790061351f8d114e54c2297387445fae7017f091f436e2f506fa",
     ("constants", "--inf", "--u", "0"):
@@ -584,7 +602,7 @@ README_COMMANDS = {
     ("verify", "monotone", "--b", "10"):
         "e31c826a06c048a685b491e6eb8a2b23b89e3d5543f8edbe9a85a013fed0dc54",
     ("hankel", "--kernel", "exp", "--m", "3", "--t", "1", "--p", "1"):
-        "dc28b8ab4ff82c5c577da1b5239b4d77a5a9f9bbdc6c6f334678aee62b4dbe0b",
+        "e9a799325c2d3d8487ad1b2a2835a9f3a7d0dc9ea5c3187f676d5cf363530e49",
 }
 
 #: Runs the CLI as `python -m mathieuseries.cli` does, then reports on stderr

@@ -7,6 +7,8 @@ import pytest
 from mathieuseries import emsum, mathieu, polyfun
 from mathieuseries.errors import ParameterError
 
+from conftest import exact_weight
+
 #: slack for comparing float-evaluated closed forms against float estimates
 def _machine_slack(*values):
     return 16 * 2.2e-16 * max(1.0, *(abs(v) for v in values))
@@ -274,8 +276,6 @@ class TestAsymptoticCoefficients:
         series = emsum.AsymptoticSeries(powers=(0.0, 1.0, 2.0), coeffs=(1.0, -0.5, 0.25))
         assert series.evaluate(0.1) == pytest.approx(1.0 - 0.05 + 0.0025)
         assert series.evaluate(0.1, 2) == pytest.approx(0.95)
-        assert series.next_term_magnitude(0.1, 2) == pytest.approx(0.0025)
-        assert math.isnan(series.next_term_magnitude(0.1, 3))
 
 
 class TestWeights:
@@ -288,17 +288,34 @@ class TestWeights:
         for engine in (emsum.em_sum, emsum.boole_sum):
             for f in fns:
                 emsum._weights.cache_clear()
+                emsum.boundary_weight.cache_clear()
                 cold, warm = engine(f, 0.25, u, 8), engine(f, 0.25, u, 8)
                 assert repr(cold) == repr(warm), (engine.__name__, type(f).__name__)
 
     @pytest.mark.parametrize("u", [0.0, 0.3, 0.5, -0.4])
     def test_boundary_terms_are_the_weights_times_the_derivatives(self, u):
-        # the weights (-1)^k eps^k P(-u) / m_k, each computed on its own
+        # eps^k w_k F^(k)(0), with w_k the exact weight rounded once,
+        # computed here on its own
         f, eps = emsum.ExpFunction(1.3, 0.7), 0.25
         bernoulli = emsum.em_sum(f, eps, u, 8).boundary_terms
         euler = emsum.boole_sum(f, eps, u, 8).boundary_terms
         for k in range(9):
-            scale = (-1.0) ** k * eps**k / math.factorial(k + 1)
-            assert bernoulli[k] == scale * polyfun.bernoulli_poly(k + 1, -u) * f.deriv(k, 0.0)
-            scale = (-1.0) ** k * eps**k / (2.0 * math.factorial(k))
-            assert euler[k] == scale * polyfun.euler_poly(k, -u) * f.deriv(k, 0.0)
+            for terms, family in ((bernoulli, True), (euler, False)):
+                w = float(exact_weight(family, u, k))
+                assert terms[k] == eps**k * w * f.deriv(k, 0.0), (k, family)
+
+    @pytest.mark.parametrize("u", [0.0, 0.3, -0.4, 1.7, 2.0 / 3.0])
+    def test_weights_are_rounded_once_with_their_error(self, u):
+        for family in (polyfun.BERNOULLI, polyfun.EULER):
+            for k in range(20):
+                exact, value, err = emsum.boundary_weight(family, u, k)
+                assert exact == exact_weight(family == polyfun.BERNOULLI, u, k)
+                assert value == float(exact)
+                assert abs(Fraction(value) - exact) <= Fraction(err)
+                assert err == 0.0 if Fraction(value) == exact else err <= 2.0**-52 * abs(value)
+
+    def test_weights_exactly_zero_are_skipped(self):
+        # B_(2j+1)(1/2) = E_(2j+1)(1/2) = 0 for j >= 0 (DLMF 24.4): at u = -1/2
+        # the engines skip those orders as they skip the zeros at u = 0
+        assert emsum._weights(polyfun.BERNOULLI, -0.5, 8).orders == (1, 3, 5, 7, 8)
+        assert emsum._weights(polyfun.EULER, -0.5, 8).orders == (0, 2, 4, 6, 8)

@@ -28,6 +28,8 @@ from conftest import (
     TWO_ZETA3,
     eta_hurwitz_mp,
     exact_delta_mp,
+    exact_g_derivative,
+    exact_weight,
     log_phi_mp,
     poisson_alt_mp,
     poisson_plain_mp,
@@ -614,6 +616,86 @@ class TestAsymptotics:
         expected = abs(series.coeffs[3])
         assert 0.3 * expected <= scaled[0] <= 3.0 * expected
         assert 0.3 * expected <= scaled[1] <= 3.0 * expected
+
+
+def _exact_corrections(gamma: int, alpha: int, mu: float, u: float, n: int,
+                       bernoulli: bool) -> list[float]:
+    """The corrections 2 w_p g^(p)(0), p = gamma + alpha j, each exact product
+    rounded once, from the test's own rationals."""
+    return [float(2 * exact_weight(bernoulli, u, p) * exact_g_derivative(gamma, alpha, mu, p))
+            for p in (gamma + alpha * j for j in range(n))]
+
+
+class TestExactExpansions:
+    """Every expansion coefficient and engine weight is its exact rational
+    rounded once, and eval_asym is head 0's certified bracket."""
+
+    KERNELS = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 0.9), (0, 2, 0.5), (3, 4, 2.25), (1, 1, 1.5),
+               (2, 2, 1.5), (0, 3, 0.7), (1, 4, 0.3)]
+
+    @pytest.mark.parametrize("u", [0.0, 0.25, 0.3, 0.5, 1.7])
+    @pytest.mark.parametrize("gamma, alpha, mu", KERNELS)
+    def test_coefficients_are_correctly_rounded(self, gamma, alpha, mu, u):
+        params = mathieu.MathieuParams(float(gamma), float(alpha), mu, u)
+        plain, alt = mathieu.asym_S(params, 8), mathieu.asym_S_alt(params, 8)
+        assert list(plain.coeffs[1:]) == _exact_corrections(gamma, alpha, mu, u, 8, True)
+        assert list(alt.coeffs) == _exact_corrections(gamma, alpha, mu, u, 8, False)
+        assert plain.powers[1:] == alt.powers == tuple(alpha * (j + mu + 1.0) for j in range(8))
+
+    @settings(max_examples=80, deadline=None)
+    @given(gamma=st.integers(0, 3), alpha=st.integers(1, 4), mu=st.floats(0.05, 4.0),
+           u=st.one_of(st.integers(-7, 24).map(lambda i: i / 8.0),
+                       st.sampled_from([0.3, 0.1, -0.4, 1.7, 2.0 / 3.0]),
+                       st.floats(-0.95, 3.0)),
+           n=st.integers(0, 10))
+    def test_coefficients_and_weights_are_their_exact_rationals(self, gamma, alpha, mu, u, n):
+        params = mathieu.MathieuParams(float(gamma), float(alpha), mu, u)
+        assume(params.delta > 1.0)
+        assert list(mathieu.asym_S(params, n).coeffs[1:]) == \
+            _exact_corrections(gamma, alpha, mu, u, n, True)
+        assert list(mathieu.asym_S_alt(params, n).coeffs) == \
+            _exact_corrections(gamma, alpha, mu, u, n, False)
+        for family in (polyfun.BERNOULLI, polyfun.EULER):
+            weights = emsum._weights(family, u, mathieu.TAIL_ORDER)
+            exact = [exact_weight(family == polyfun.BERNOULLI, u, k)
+                     for k in range(mathieu.TAIL_ORDER + 1)]
+            assert [part[0] for part in weights.parts] == [float(w) for w in exact]
+            assert weights.orders == tuple(k for k, w in enumerate(exact)
+                                           if w or k == mathieu.TAIL_ORDER)
+
+    def test_derivatives_at_zero_are_exact(self):
+        for gamma, alpha, mu in self.KERNELS:
+            params = mathieu.MathieuParams(float(gamma), float(alpha), mu)
+            kernel = mathieu._kernel(params.gamma, params.alpha, params.mu)
+            derivs = dict(mathieu.g_smoothness(params).initial_derivs)
+            jet = mathieu.g_jet(params, 0.0, 20)
+            for p in range(21):
+                exact = exact_g_derivative(gamma, alpha, mu, p)
+                assert kernel.derivative_at_zero(p) == exact
+                assert kernel.model(p).at_zero == polyfun.rounded(exact)
+                assert jet[p] == float(exact / math.factorial(p))
+                if p <= 16:
+                    assert derivs[p] == float(exact)
+
+    @pytest.mark.parametrize("u", [0.0, 0.25])
+    @pytest.mark.parametrize("t", [20.0, 1e4, 1e8])
+    def test_eval_asym_is_head_zero_and_brackets_the_oracles(self, t, u):
+        params = mathieu.MathieuParams(1.0, 2.0, 1.0, u)
+        res = mathieu.eval_asym(params, t)
+        assert res == mathieu.eval_em(params, t)
+        assert (res.rigorous, res.terms_used, res.order) == (True, 0, mathieu.TAIL_ORDER)
+        for truth in (s1_trigamma(t, u), s_mellin_mp(1.0, 2.0, 1.0, u, t)):
+            assert res.lower <= truth <= res.upper, (t, u, res, truth)
+
+    def test_eval_asym_raises_as_eval_em(self):
+        for params, t in (((0.5, 2.0, 1.0, 0.0), 100.0), ((1.0, 2.0, 1.0, 0.0), 0.0),
+                          ((1.0, 2.0, 1.0, -0.5), 0.5)):
+            params = mathieu.MathieuParams(*params)
+            with pytest.raises(RegimeError) as asym:
+                mathieu.eval_asym(params, t)
+            with pytest.raises(RegimeError) as em:
+                mathieu.eval_em(params, t)
+            assert str(asym.value) == str(em.value)
 
 
 class TestDispatch:
@@ -1308,23 +1390,25 @@ class TestClosedTail:
 
     #: eval_em as (params, t, value, radius) in hex: the values as before the
     #: closed tail existed; the radii since head 0 takes the y-form's explicit
-    #: rounding bounds and the common `_scale_rounding` (1.29-1.39x wider)
+    #: rounding bounds and the common `_scale_rounding` (1.29-1.39x wider),
+    #: and the weights rounded once from their exact values (up to 1e-4
+    #: narrower)
     EM_REFERENCE = [
-        ((1.0, 2.0, 1.0, 0.0), 50.0, "0x1.a367060743b5ap-12", "0x1.ae6762eba2486p-60"),
-        ((1.0, 2.0, 1.0, 0.0), 350.4, "0x1.1149d0d4fc2e2p-17", "0x1.13983618b3f00p-65"),
-        ((1.0, 2.0, 1.0, 0.0), 10000.0, "0x1.5798ee196d32cp-27", "0x1.5a7f19beb35a0p-75"),
-        ((1.0, 2.0, 1.0, 0.5), 50.0, "0x1.a346d22a31cdfp-12", "0x1.ae66282e707f9p-60"),
-        ((1.0, 2.0, 1.0, 0.5), 350.4, "0x1.1149636da2c17p-17", "0x1.139832935a640p-65"),
-        ((1.0, 2.0, 1.0, 0.5), 10000.0, "0x1.5798edee3126ep-27", "0x1.5a7f19bd4f196p-75"),
-        ((1.0, 2.0, 2.0, 0.0), 50.0, "0x1.578d33606dcfcp-24", "0x1.1075f002af6fcp-71"),
-        ((1.0, 2.0, 2.0, 0.0), 350.4, "0x1.23be84af0098dp-35", "0x1.b12958ac4c2cbp-83"),
-        ((1.0, 2.0, 2.0, 0.0), 10000.0, "0x1.cd2b2963be432p-55", "0x1.565acd6ebf2dcp-102"),
+        ((1.0, 2.0, 1.0, 0.0), 50.0, "0x1.a367060743b5ap-12", "0x1.ae6578197c3d8p-60"),
+        ((1.0, 2.0, 1.0, 0.0), 350.4, "0x1.1149d0d4fc2e2p-17", "0x1.13982f95dceeap-65"),
+        ((1.0, 2.0, 1.0, 0.0), 10000.0, "0x1.5798ee196d32cp-27", "0x1.5a7f19bc20a63p-75"),
+        ((1.0, 2.0, 1.0, 0.5), 50.0, "0x1.a346d22a31cdfp-12", "0x1.ae5b71219e372p-60"),
+        ((1.0, 2.0, 1.0, 0.5), 350.4, "0x1.1149636da2c17p-17", "0x1.13980e31d2238p-65"),
+        ((1.0, 2.0, 1.0, 0.5), 10000.0, "0x1.5798edee3126ep-27", "0x1.5a7f19aeee96cp-75"),
+        ((1.0, 2.0, 2.0, 0.0), 50.0, "0x1.578d33606dcfcp-24", "0x1.10745de8e995ap-71"),
+        ((1.0, 2.0, 2.0, 0.0), 350.4, "0x1.23be84af0098dp-35", "0x1.b1294ac57a32ap-83"),
+        ((1.0, 2.0, 2.0, 0.0), 10000.0, "0x1.cd2b2963be432p-55", "0x1.565acd6b4b155p-102"),
         ((2.0, 2.0, 1.5, 0.0), 50.0, "0x1.179ec9cbd821ap-12", "0x1.67530aba7b553p-60"),
         ((2.0, 2.0, 1.5, 0.0), 350.4, "0x1.6c628c312f522p-18", "0x1.c5925f729fa94p-66"),
         ((2.0, 2.0, 1.5, 0.0), 10000.0, "0x1.ca213d840baf1p-28", "0x1.1d217dc430302p-75"),
-        ((0.0, 2.0, 1.0, 0.0), 50.0, "0x1.a049e97f7b24dp-17", "0x1.275696edda564p-64"),
-        ((0.0, 2.0, 1.0, 0.0), 350.4, "0x1.390f60e871907p-25", "0x1.b3e2b5790f206p-73"),
-        ((0.0, 2.0, 1.0, 0.0), 10000.0, "0x1.ba1c99286c354p-40", "0x1.334b4ad4c8bedp-87"),
+        ((0.0, 2.0, 1.0, 0.0), 50.0, "0x1.a049e97f7b24dp-17", "0x1.26a9b7960a4f7p-64"),
+        ((0.0, 2.0, 1.0, 0.0), 350.4, "0x1.390f60e871907p-25", "0x1.b3be0348a4130p-73"),
+        ((0.0, 2.0, 1.0, 0.0), 10000.0, "0x1.ba1c99286c354p-40", "0x1.334a62ce44abap-87"),
     ]
 
     def test_eval_em_is_the_unshifted_tail_bit_for_bit(self):
@@ -1342,8 +1426,8 @@ class TestClosedTail:
                  (mathieu.eval_S_alt, (0.5, 1.5, 1.0, 0.3), 3e7, 1e-10),
                  (mathieu.eval_S, (1.0, 1.5, 1.0, 0.0), 0.0, 1e-10)]
         for fn, params, t, tol in calls:
-            for cache in (mathieu._kernel, mathieu.g_smoothness,
-                          emsum._weights, polyfun.real_root_intervals):
+            for cache in (mathieu._kernel, mathieu.g_smoothness, emsum._weights,
+                          emsum.boundary_weight, polyfun.real_root_intervals):
                 cache.cache_clear()
             args = (mathieu.MathieuParams(*params), t) + ((tol,) if tol else ())
             cold, warm = fn(*args), fn(*args)
@@ -1701,9 +1785,9 @@ class TestWarmSumsBitForBit:
         assert [v.hex() for v in got] == [v.hex() for v in want]
 
     @pytest.mark.parametrize("fn, t, value, radius, terms", [
-        ("eval_S", 0.0, "0x1.924fd060e7098p+7", "0x1.c5f7c240a566ap-40", 64),
+        ("eval_S", 0.0, "0x1.924fd060e7098p+7", "0x1.c5f6ca7442867p-40", 64),
         ("eval_S", 7.0, "0x1.ae8d0092b7c94p+5", "0x1.2ddfeebc3c4e5p-35", 64),
-        ("eval_S_alt", 0.0, "0x1.63b54d6a217f4p+0", "0x1.7cf0825a3f4d1p-40", 64),
+        ("eval_S_alt", 0.0, "0x1.63b54d6a217f4p+0", "0x1.7cefc78b88ea1p-40", 64),
     ])
     def test_peak_past_the_float_range_is_not_needed(self, fn, t, value, radius, terms):
         # 2 g at the peak of this kernel needs 19.8^400, which Python's float
@@ -1728,18 +1812,18 @@ class TestOneDoublingLoop:
          "0x1.21dbdd445495bp-2", "0x1.42114804d4fb5p-43", 16384, 0),
         # a plain and an alternating closed sum
         (("eval_S", (0.0, 2.0, 1.0, 0.0), 1.0, 1e-10), None,
-         "0x1.3a3378da946d7p-1", "0x1.617a4ed972d93p-50", 64, 8),
+         "0x1.3a3378da946d7p-1", "0x1.617a4dd51e8dap-50", 64, 8),
         (("eval_S_alt", (1.0, 2.0, 1.0, 0.3), 1.0, 1e-10), None,
-         "0x1.19900be56dc6ap-2", "0x1.513f2948a226fp-50", 64, 8),
+         "0x1.19900be56dc6ap-2", "0x1.513ef71c521d4p-50", 64, 8),
         # the one-term bracket [0, f(65)]
         (("eval_S_alt", (0.0, 0.5, 3.0, 0.0), 1e60, 1e-10), None,
          "0x1.4a8729fc3ddd0p-399", "0x1.4a8729fc3e445p-399", 64, 0),
         # under the term cap: the ladder stops at 64 terms and the closed tail
         # takes over; an alternating head doubles once
         (("eval_S", (1.0, 2.0, 1.0, 0.0), 1.0, 1e-13), 100,
-         "0x1.96a5c76713323p-1", "0x1.e3009ab52fabap-50", 64, 8),
+         "0x1.96a5c76713323p-1", "0x1.e30059cdcf914p-50", 64, 8),
         (("eval_S_alt", (1.5, 2.0, 0.2, 0.0), 1.0, 1e-16), 1000,
-         "0x1.a82dcbd54e74bp-2", "0x1.7d12b4d169e0ap-45", 128, 8),
+         "0x1.a82dcbd54e74bp-2", "0x1.7cff0924b7044p-45", 128, 8),
         # the convex-kernel series
         (("convex_series", sharp.PowerKernel(1.0), 0.5, 1.0, 1e-12), None,
          "0x1.e884afad4c7a8p-2", "0x1.914493accca5bp-45", 2048, 0),

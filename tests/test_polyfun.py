@@ -309,16 +309,14 @@ def test_order_64_sup_is_the_bernoulli_number():
     assert b64 <= Fraction(bound) <= b64 * (1 + Fraction(1, 10**15))
 
 
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(0, 12), x=st.floats(-3.0, 3.0),
-       family=st.sampled_from([polyfun.BERNOULLI, polyfun.EULER]))
-def test_poly_eval_error_bounds_horner(n, x, family):
-    # the float evaluation against the exact rational value at the same x
-    coeffs = (polyfun.bernoulli_coeffs(n) if family == polyfun.BERNOULLI
-              else polyfun.euler_coeffs(n))
-    got = polyfun.bernoulli_poly(n, x) if family == polyfun.BERNOULLI else polyfun.euler_poly(n, x)
-    exact = polyfun.poly_eval_exact(coeffs, Fraction(x))
-    assert abs(Fraction(got) - exact) <= Fraction(polyfun.poly_eval_error(n, family, x))
+@pytest.mark.parametrize("q", [Fraction(1, 3), Fraction(-5, 7), Fraction(3, 4), Fraction(0),
+                               Fraction(10**300, 3), Fraction(1, 10**320)])
+def test_rounded_is_the_nearest_float_and_its_error(q):
+    value, err = polyfun.rounded(q)
+    assert value == float(q)
+    diff = abs(Fraction(value) - q)
+    assert err == 0.0 if not diff else Fraction(err) >= diff
+    assert err <= 2.0**-52 * abs(value) + 2.0**-1073
 
 
 def test_order_overflow():
